@@ -15,13 +15,9 @@ from .bounds import (
 from .catalog import generate_connected_catalog, minimum_adjacency_encoding
 from .coloring import (
     EdgeColoring,
-    SpectrumReport,
     ValidationReport,
     coloring_from_json,
     coloring_to_json,
-    incident_colors,
-    spectrum,
-    spectrum_report,
     validate_interval,
 )
 from .doubling import (
@@ -47,7 +43,6 @@ from .solver import (
     SearchLimits,
     SolveOutcome,
     SolveStatus,
-    brute_force_W,
     compute_W,
     find_interval_coloring,
 )
@@ -70,7 +65,6 @@ __all__ = [
     "SearchLimits",
     "SolveOutcome",
     "SolveStatus",
-    "SpectrumReport",
     "SurveyRecord",
     "ValidationReport",
     "applicable_bounds",
@@ -87,17 +81,23 @@ __all__ = [
     "finalize_recolor",
     "find_interval_coloring",
     "generate_connected_catalog",
-    "incident_colors",
     "is_connected",
     "lift_coloring",
     "minimum_adjacency_encoding",
     "parse_edge_list",
     "parse_graph6",
     "run_survey",
-    "spectrum",
-    "spectrum_report",
     "survey_graph",
     "validate_interval",
     "write_graph6",
     "write_survey_csv",
 ]
+
+
+def __getattr__(name: str):
+    # The oracle needs numpy, a test-only dependency; import it on first use.
+    if name == "brute_force_W":
+        from .oracle import brute_force_W
+
+        return brute_force_W
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

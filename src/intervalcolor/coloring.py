@@ -1,4 +1,4 @@
-"""Edge colorings, vertex spectra, and the interval-coloring validity check.
+"""Edge colorings, their JSON documents, and the interval-coloring validity check.
 
 A coloring with declared palette size t is *valid* when three conditions
 hold: adjacent edges carry distinct colors, the colors at each vertex of
@@ -33,19 +33,6 @@ class EdgeColoring:
 
 
 @dataclass(frozen=True)
-class VertexSpectrum:
-    colors: tuple[int, ...]  # sorted, distinct
-    lo: int | None
-    hi: int | None
-
-
-@dataclass(frozen=True)
-class SpectrumReport:
-    vertices: tuple[VertexSpectrum, ...]
-    used_colors: tuple[int, ...]
-
-
-@dataclass(frozen=True)
 class Failure:
     kind: str  # "proper" | "interval" | "surjective"
     subject: int  # vertex for proper/interval, color for surjective
@@ -64,30 +51,6 @@ class ValidationReport:
 def _check_sized(g: Graph, c: EdgeColoring) -> None:
     if len(c.colors) != g.m:
         raise DomainError(f"coloring has {len(c.colors)} colors but graph has {g.m} edges")
-
-
-def incident_colors(g: Graph, c: EdgeColoring, v: int) -> tuple[int, ...]:
-    """Raw multiset of colors on edges at v, in canonical edge order."""
-    _check_sized(g, c)
-    if not 0 <= v < g.n:
-        raise DomainError(f"vertex {v} out of range for n={g.n}")
-    return tuple(c.colors[k] for k in g.incidence[v])
-
-
-def spectrum(g: Graph, c: EdgeColoring, v: int) -> tuple[int, ...]:
-    """Sorted distinct colors at v; duplicates collapse here and are flagged
-    as proper-coloring collisions by the validator instead."""
-    return tuple(sorted(set(incident_colors(g, c, v))))
-
-
-def spectrum_report(g: Graph, c: EdgeColoring) -> SpectrumReport:
-    _check_sized(g, c)
-    per_vertex = []
-    for v in range(g.n):
-        s = tuple(sorted({c.colors[k] for k in g.incidence[v]}))
-        per_vertex.append(VertexSpectrum(s, s[0] if s else None, s[-1] if s else None))
-    used = tuple(sorted(set(c.colors)))
-    return SpectrumReport(tuple(per_vertex), used)
 
 
 def validate_interval(g: Graph, c: EdgeColoring) -> ValidationReport:
@@ -146,7 +109,8 @@ def coloring_from_json(g: Graph, doc: dict) -> EdgeColoring:
     if not isinstance(doc, dict) or "t" not in doc or "edges" not in doc:
         raise ParseError("coloring document must have 't' and 'edges' keys")
     t = doc["t"]
-    if not isinstance(t, int):
+    # type() rather than isinstance(): JSON true/false are bools, a subclass of int.
+    if type(t) is not int:
         raise ParseError(f"'t' must be an integer, got {t!r}")
     assigned: dict[tuple[int, int], int] = {}
     for k, entry in enumerate(doc["edges"]):
@@ -154,7 +118,7 @@ def coloring_from_json(g: Graph, doc: dict) -> EdgeColoring:
             u, v, color = entry["u"], entry["v"], entry["color"]
         except (TypeError, KeyError):
             raise ParseError(f"edge entry {k} must have 'u', 'v', 'color'") from None
-        if not all(isinstance(x, int) for x in (u, v, color)):
+        if not all(type(x) is int for x in (u, v, color)):
             raise ParseError(f"edge entry {k} has non-integer fields")
         pair = (u, v) if u < v else (v, u)
         if pair in assigned:

@@ -11,8 +11,10 @@ beta therefore uses colors 2..t+2 and satisfies
 min S(u_i, beta) = min S(w_i, beta) for every i. Recoloring one matching
 edge whose endpoints have minimum spectrum 2 with the color 1 (the smallest
 such index is chosen, for reproducibility) yields an interval
-(t+2)-coloring of H. Every step is re-validated; a failure is raised as an
-internal defect because the construction cannot fail on valid input.
+(t+2)-coloring of H. The source coloring and the final coloring are each
+validated once; a failure of the latter, or of any structural check, is
+raised as an internal defect because the construction cannot fail on valid
+input.
 """
 
 from __future__ import annotations
@@ -131,9 +133,10 @@ def lift_coloring(g: Graph, alpha: EdgeColoring, d: DoublingResult) -> EdgeColor
 
 def finalize_recolor(
     d: DoublingResult, beta: EdgeColoring, t: int
-) -> tuple[int, EdgeColoring]:
+) -> tuple[int, EdgeColoring, ValidationReport]:
     """Recolor the matching edge of the smallest index whose minimum spectrum
-    is 2 with the color 1, completing the interval (t+2)-coloring."""
+    is 2 with the color 1, completing the interval (t+2)-coloring; returns
+    (i0, final, report of the passing validation of final)."""
     h = d.h
     n = len(d.u_map)
     candidates = []
@@ -161,20 +164,14 @@ def finalize_recolor(
         raise InternalInvariantError(
             f"recolored lift fails validation: {[f.detail for f in report.failures]}"
         )
-    return i0, final
+    return i0, final, report
 
 
 def double_with_certificate(g: Graph, alpha: EdgeColoring) -> DoublingCertificate:
-    """Full pipeline: build H, lift, recolor, validate, package."""
+    """Full pipeline: build H, lift, recolor and validate, package."""
     d = double_graph(g)
     beta = lift_coloring(g, alpha, d)
-    i0, final = finalize_recolor(d, beta, alpha.t)
-    validation = validate_interval(d.h, final)
-    if not validation.verdict:
-        raise InternalInvariantError(
-            "certificate validation failed: "
-            + "; ".join(f.detail for f in validation.failures)
-        )
+    i0, final, validation = finalize_recolor(d, beta, alpha.t)
     return DoublingCertificate(
         g=g, alpha=alpha, result=d, beta=beta, chosen_i0=i0, final=final, validation=validation
     )

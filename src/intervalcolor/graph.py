@@ -72,10 +72,6 @@ class Graph:
     def min_degree(self) -> int:
         return min(self.degrees())
 
-    def edge_index(self) -> dict[tuple[int, int], int]:
-        """Map each canonical edge pair to its position in ``edges``."""
-        return {e: k for k, e in enumerate(self.edges)}
-
 
 @dataclass(frozen=True)
 class GraphClass:

@@ -2,8 +2,8 @@
 
 ``find_interval_coloring`` decides one palette size t by backtracking;
 ``compute_W`` finds the maximum feasible t by iterating downward from the
-tightest registered upper bound; ``brute_force_W`` is the testing oracle
-that literally enumerates every assignment of colors to edges.
+tightest registered upper bound. Both run the same per-t decision. The
+testing oracle that enumerates every assignment lives in ``oracle``.
 
 Search strategy (deterministic): edges are ordered by a breadth-first
 traversal from a maximum-degree vertex (ties broken by lowest vertex index)
@@ -19,8 +19,6 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from enum import Enum
-
-import numpy as np
 
 from . import bounds as bounds_mod
 from .coloring import EdgeColoring, coloring_to_json, validate_interval
@@ -66,7 +64,6 @@ def _bfs_edge_order(g: Graph) -> list[int]:
     degs = g.degrees()
     delta = max(degs)
     start = min(v for v in range(g.n) if degs[v] == delta)
-    edge_idx = g.edge_index()
     order: list[int] = []
     edge_seen = [False] * g.m
     visited = [False] * g.n
@@ -74,8 +71,9 @@ def _bfs_edge_order(g: Graph) -> list[int]:
     queue = deque([start])
     while queue:
         u = queue.popleft()
-        for v in g.adjacency[u]:
-            eid = edge_idx[(u, v) if u < v else (v, u)]
+        for eid in g.incidence[u]:
+            a, b = g.edges[eid]
+            v = b if a == u else a
             if not edge_seen[eid]:
                 edge_seen[eid] = True
                 order.append(eid)
@@ -160,6 +158,17 @@ def _search(g: Graph, t: int, node_budget: int) -> tuple[SolveStatus, list[int] 
     return SolveStatus.INFEASIBLE, None, state["nodes"]
 
 
+def _decide(g: Graph, t: int, budget: int) -> tuple[SolveStatus, EdgeColoring | None, int]:
+    """Search one palette size t; returns (status, re-validated witness, nodes)."""
+    status, colors, nodes = _search(g, t, budget)
+    if colors is None:
+        return status, None, nodes
+    witness = EdgeColoring(t, tuple(colors))
+    if not validate_interval(g, witness).verdict:
+        raise InternalInvariantError(f"search returned a non-validating witness for t={t}")
+    return status, witness, nodes
+
+
 def find_interval_coloring(g: Graph, t: int, limits: SearchLimits | None = None) -> SolveOutcome:
     """Decide whether g has an interval t-coloring; exhaustive unless aborted."""
     limits = limits or SearchLimits()
@@ -167,16 +176,11 @@ def find_interval_coloring(g: Graph, t: int, limits: SearchLimits | None = None)
     delta = g.max_degree
     if not delta <= t <= g.m:
         raise DomainError(f"t={t} outside the feasible range [{delta}, {g.m}]")
-    status, colors, nodes = _search(g, t, limits.node_limit)
-    if status is SolveStatus.ABORTED:
-        return SolveOutcome(SolveStatus.ABORTED, nodes_expanded=nodes)
-    if status is SolveStatus.INFEASIBLE:
-        return SolveOutcome(SolveStatus.INFEASIBLE, nodes_expanded=nodes)
-    witness = EdgeColoring(t, tuple(colors))
-    if not validate_interval(g, witness).verdict:
-        raise InternalInvariantError(f"search returned a non-validating witness for t={t}")
+    status, witness, nodes = _decide(g, t, limits.node_limit)
+    if witness is None:
+        return SolveOutcome(status, nodes_expanded=nodes)
     return SolveOutcome(
-        SolveStatus.FOUND,
+        status,
         witness=witness,
         nodes_expanded=nodes,
         interval_colorable=True,
@@ -202,16 +206,12 @@ def compute_W(g: Graph, limits: SearchLimits | None = None) -> SolveOutcome:
     total_nodes = 0
     last_explored: int | None = None
     for t in range(cutoff, delta - 1, -1):
-        remaining_budget = 0
-        if limits.node_limit:
-            remaining_budget = limits.node_limit - total_nodes
-            if remaining_budget <= 0:
-                return SolveOutcome(
-                    SolveStatus.ABORTED,
-                    nodes_expanded=total_nodes,
-                    last_explored_t=last_explored,
-                )
-        status, colors, nodes = _search(g, t, remaining_budget)
+        budget = limits.node_limit - total_nodes if limits.node_limit else 0
+        if limits.node_limit and budget <= 0:
+            # Spent exactly; passing 0 on would mean an unlimited search.
+            status, witness, nodes = SolveStatus.ABORTED, None, 0
+        else:
+            status, witness, nodes = _decide(g, t, budget)
         total_nodes += nodes
         if status is SolveStatus.ABORTED:
             return SolveOutcome(
@@ -221,9 +221,6 @@ def compute_W(g: Graph, limits: SearchLimits | None = None) -> SolveOutcome:
             )
         last_explored = t
         if status is SolveStatus.FOUND:
-            witness = EdgeColoring(t, tuple(colors))
-            if not validate_interval(g, witness).verdict:
-                raise InternalInvariantError(f"search returned a non-validating witness for t={t}")
             return SolveOutcome(
                 SolveStatus.FOUND,
                 witness=witness,
@@ -239,126 +236,6 @@ def compute_W(g: Graph, limits: SearchLimits | None = None) -> SolveOutcome:
         interval_colorable=False,
         feasible_t_set=(),
         last_explored_t=last_explored,
-    )
-
-
-# --------------------------------------------------------------------------
-# Exhaustive oracle. Enumerates all t^|E| assignments for every t <= t_max,
-# so it shares no logic with the backtracking path. Assignments are scanned
-# in ascending mixed-radix order (edge 0 most significant); chunks are
-# aligned so the low-order digit block is built once per t, the surjectivity
-# test runs as a single vector pass, and the per-vertex checks only touch
-# surviving rows.
-# --------------------------------------------------------------------------
-
-_ORACLE_EDGE_LIMIT = 10
-_ORACLE_T_LIMIT = 8
-_CHUNK_ROWS = 1 << 19
-
-_POPCOUNT = np.array([bin(x).count("1") for x in range(1 << (_ORACLE_T_LIMIT + 1))], dtype=np.uint8)
-
-
-def _interval_rows(g: Graph, colors: np.ndarray) -> np.ndarray:
-    """Rows whose every positive-degree vertex sees deg distinct consecutive
-    colors (surjectivity is checked by the caller)."""
-    keep = np.ones(colors.shape[0], dtype=bool)
-    one = np.uint16(1)
-    for v in range(g.n):
-        inc = g.incidence[v]
-        d = len(inc)
-        if d == 0:
-            continue
-        sub = colors[:, inc]
-        vmask = np.zeros(colors.shape[0], dtype=np.uint16)
-        for col in range(d):
-            vmask |= one << sub[:, col].astype(np.uint16)
-        keep &= (_POPCOUNT[vmask] == d) & ((sub.max(axis=1) - sub.min(axis=1) + 1) == d)
-        if not keep.any():
-            break
-    return keep
-
-
-def _scan_palette(g: Graph, t: int) -> tuple[int, tuple[int, ...] | None]:
-    """Scan all t^m assignments for one t; returns (rows scanned, first valid)."""
-    m = g.m
-    k0 = 0
-    while k0 < m and t ** (k0 + 1) <= _CHUNK_ROWS:
-        k0 += 1
-    low_n = t**k0
-    idx = np.arange(low_n, dtype=np.int64)
-    low = np.empty((low_n, k0), dtype=np.uint8)
-    for col in range(k0):
-        low[:, col] = (idx // (t ** (k0 - 1 - col))) % t
-    low += 1
-    one = np.uint16(1)
-    low_or = np.zeros(low_n, dtype=np.uint16)
-    for col in range(k0):
-        low_or |= one << low[:, col].astype(np.uint16)
-    mh = m - k0
-    full = np.uint16((1 << (t + 1)) - 2)
-    scanned = 0
-    for h in range(t**mh):
-        rest, digits = h, []
-        for _ in range(mh):
-            digits.append(rest % t + 1)
-            rest //= t
-        digits.reverse()
-        high_or = 0
-        for d in digits:
-            high_or |= 1 << d
-        scanned += low_n
-        alive = np.flatnonzero((low_or | np.uint16(high_or)) == full)
-        if alive.size == 0:
-            continue
-        sub = np.empty((alive.size, m), dtype=np.uint8)
-        for col, d in enumerate(digits):
-            sub[:, col] = d
-        sub[:, mh:] = low[alive]
-        hits = np.flatnonzero(_interval_rows(g, sub))
-        if hits.size:
-            return scanned, tuple(int(x) for x in sub[hits[0]])
-    return scanned, None
-
-
-def brute_force_W(g: Graph, t_max: int) -> SolveOutcome:
-    """Testing oracle: full enumeration of assignments E -> [1, t] per t.
-
-    Guarded at |E| <= 10 and t_max <= 8 because the enumeration is t_max^|E|.
-    Returns the maximum feasible t together with the whole feasible t-set.
-    """
-    if g.m > _ORACLE_EDGE_LIMIT:
-        raise DomainError(f"brute force refuses |E|={g.m} > {_ORACLE_EDGE_LIMIT}")
-    if not 1 <= t_max <= _ORACLE_T_LIMIT:
-        raise DomainError(f"brute force refuses t_max={t_max} outside 1..{_ORACLE_T_LIMIT}")
-    if g.m == 0:
-        return SolveOutcome(SolveStatus.INFEASIBLE, interval_colorable=False)
-    nodes = 0
-    feasible: list[int] = []
-    witnesses: dict[int, tuple[int, ...]] = {}
-    for t in range(1, t_max + 1):
-        scanned, witness_colors = _scan_palette(g, t)
-        nodes += scanned
-        if witness_colors is not None:
-            feasible.append(t)
-            witnesses[t] = witness_colors
-    if not feasible:
-        return SolveOutcome(
-            SolveStatus.INFEASIBLE,
-            nodes_expanded=nodes,
-            interval_colorable=False,
-            feasible_t_set=(),
-        )
-    w = max(feasible)
-    witness = EdgeColoring(w, witnesses[w])
-    if not validate_interval(g, witness).verdict:
-        raise InternalInvariantError("brute force accepted a non-validating assignment")
-    return SolveOutcome(
-        SolveStatus.FOUND,
-        witness=witness,
-        nodes_expanded=nodes,
-        w=w,
-        interval_colorable=True,
-        feasible_t_set=tuple(feasible),
     )
 
 

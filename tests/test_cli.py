@@ -98,6 +98,18 @@ class TestDouble:
         assert doc["validation"]["verdict"] is True
         assert doc["final"]["t"] == 5
 
+    def test_boolean_in_coloring_is_parse_error(self, capsys, tmp_path):
+        graph = tmp_path / "k2.g6"
+        graph.write_text("A_\n")
+        coloring = tmp_path / "alpha.json"
+        coloring.write_text('{"t": true, "edges": [{"u": 0, "v": 1, "color": true}]}')
+        for command in ("validate", "double"):
+            argv = [command, "--graph", str(graph), "--coloring", str(coloring)]
+            code, out, err = run(capsys, argv)
+            assert code == 2, command
+            assert out == ""
+            assert "integer" in err
+
     def test_invalid_source_coloring_exits_one(self, capsys, tmp_path):
         graph = tmp_path / "k3.g6"
         graph.write_text("Bw\n")

@@ -9,12 +9,9 @@ from intervalcolor import (
     ParseError,
     coloring_from_json,
     coloring_to_json,
-    incident_colors,
-    spectrum,
-    spectrum_report,
     validate_interval,
 )
-from smallgraphs import c4, k3, p3
+from smallgraphs import c4, k2, k3, p3
 
 
 def c4_cyclic_132() -> EdgeColoring:
@@ -33,43 +30,6 @@ class TestEdgeColoring:
             EdgeColoring(2, (1, 3))
         with pytest.raises(ValueError, match="outside"):
             EdgeColoring(2, (0, 1))
-
-
-class TestSpectrum:
-    def test_p3_inner_vertex(self):
-        assert spectrum(p3(), EdgeColoring(2, (1, 2)), 1) == (1, 2)
-
-    def test_p3_leaf(self):
-        assert spectrum(p3(), EdgeColoring(2, (1, 2)), 0) == (1,)
-
-    def test_k3_vertex_two(self):
-        assert spectrum(k3(), EdgeColoring(3, (1, 2, 3)), 2) == (2, 3)
-
-    def test_duplicates_collapse_in_spectrum_but_not_multiset(self):
-        g = p3()
-        c = EdgeColoring(2, (1, 1))
-        assert spectrum(g, c, 1) == (1,)
-        assert incident_colors(g, c, 1) == (1, 1)
-
-    def test_vertex_out_of_range(self):
-        with pytest.raises(DomainError):
-            spectrum(p3(), EdgeColoring(2, (1, 2)), 3)
-
-    def test_size_mismatch(self):
-        with pytest.raises(DomainError):
-            spectrum(p3(), EdgeColoring(2, (1,)), 0)
-
-    def test_report(self):
-        rep = spectrum_report(c4(), c4_cyclic_132())
-        assert [v.colors for v in rep.vertices] == [(1, 2), (1, 2), (2, 3), (2, 3)]
-        assert rep.vertices[0].lo == 1 and rep.vertices[0].hi == 2
-        assert rep.used_colors == (1, 2, 3)
-
-    def test_report_isolated_vertex(self):
-        g = Graph(3, ((0, 1),))
-        rep = spectrum_report(g, EdgeColoring(1, (1,)))
-        assert rep.vertices[2].colors == ()
-        assert rep.vertices[2].lo is None
 
 
 class TestValidateInterval:
@@ -108,6 +68,10 @@ class TestValidateInterval:
         kinds = [f.kind for f in report.failures]
         assert kinds.count("surjective") == 3  # colors 2, 4, 5 unused
         assert "proper" in kinds and "interval" in kinds
+
+    def test_size_mismatch(self):
+        with pytest.raises(DomainError):
+            validate_interval(p3(), EdgeColoring(2, (1,)))
 
     def test_verdict_iff_no_failures(self):
         good = validate_interval(c4(), c4_cyclic_132())
@@ -154,6 +118,17 @@ class TestColoringJson:
         doc = {"t": 2, "edges": [{"u": 0, "v": 1, "color": 1}, {"u": 1, "v": 2, "color": 5}]}
         with pytest.raises(ParseError, match="outside"):
             coloring_from_json(g, doc)
+
+    @pytest.mark.parametrize("field", ["t", "u", "v", "color"])
+    def test_rejects_json_booleans(self, field):
+        # bool is a subclass of int, so true would otherwise pass as 1.
+        doc = {"t": 1, "edges": [{"u": 0, "v": 1, "color": 1}]}
+        if field == "t":
+            doc["t"] = True
+        else:
+            doc["edges"][0][field] = True
+        with pytest.raises(ParseError, match="integer"):
+            coloring_from_json(k2(), doc)
 
     def test_rejects_missing_keys(self):
         with pytest.raises(ParseError):

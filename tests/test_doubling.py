@@ -124,7 +124,7 @@ class TestFinalizeRecolor:
         g = k2()
         d = double_graph(g)
         beta = lift_coloring(g, EdgeColoring(1, (1,)), d)
-        i0, final = finalize_recolor(d, beta, t=1)
+        i0, final, _ = finalize_recolor(d, beta, t=1)
         assert i0 == 0
         assert final == EdgeColoring(3, (1, 2, 2, 3))
         assert validate_interval(d.h, final).verdict
@@ -133,7 +133,7 @@ class TestFinalizeRecolor:
         g = p3()
         d = double_graph(g)
         beta = lift_coloring(g, EdgeColoring(2, (1, 2)), d)
-        i0, final = finalize_recolor(d, beta, t=2)
+        i0, final, _ = finalize_recolor(d, beta, t=2)
         assert i0 == 0
         by_vertex = {
             v: tuple(sorted(final.colors[k] for k in d.h.incidence[v])) for v in range(6)
@@ -149,7 +149,7 @@ class TestFinalizeRecolor:
                 continue
             d = double_graph(g)
             beta = lift_coloring(g, out.witness, d)
-            i0, final = finalize_recolor(d, beta, out.w)
+            i0, final, _ = finalize_recolor(d, beta, out.w)
             changed = [k for k in range(d.h.m) if beta.colors[k] != final.colors[k]]
             assert len(changed) == 1
             prov = d.edge_provenance[changed[0]]

@@ -1,9 +1,14 @@
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
 from itertools import product
+from pathlib import Path
 
 import pytest
 
+import intervalcolor
 from intervalcolor import (
     DomainError,
     EdgeColoring,
@@ -159,6 +164,26 @@ class TestBruteForce:
     def test_edgeless_not_colorable(self):
         out = brute_force_W(Graph(2, ()), 3)
         assert out.interval_colorable is False
+
+    def test_package_import_leaves_numpy_to_the_oracle(self):
+        # A fresh interpreter: this one has imported the oracle already.
+        probe = (
+            "import sys, intervalcolor\n"
+            "before = 'numpy' in sys.modules\n"
+            "from intervalcolor import brute_force_W\n"
+            "from intervalcolor.oracle import brute_force_W as oracle\n"
+            "print(before, brute_force_W is oracle)"
+        )
+        src = str(Path(intervalcolor.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": src}
+        result = subprocess.run(
+            [sys.executable, "-c", probe], capture_output=True, text=True, env=env, check=True
+        )
+        assert result.stdout.split() == ["False", "True"]
+
+    def test_unknown_package_attribute_still_raises(self):
+        with pytest.raises(AttributeError, match="no_such_name"):
+            intervalcolor.no_such_name
 
     def test_matches_plain_enumeration(self):
         # independent reference: itertools product + the validator
