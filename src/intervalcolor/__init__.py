@@ -70,7 +70,6 @@ __all__ = [
     "applicable_bounds",
     "audit",
     "best_upper_bound",
-    "brute_force_W",
     "certificate_to_json",
     "classify",
     "coloring_from_json",
@@ -96,6 +95,7 @@ __all__ = [
 
 def __getattr__(name: str):
     # The oracle needs numpy, a test-only dependency; import it on first use.
+    # It stays out of __all__ so that a star import does not need numpy.
     if name == "brute_force_W":
         from .oracle import brute_force_W
 

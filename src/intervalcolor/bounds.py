@@ -40,14 +40,14 @@ THEOREM_IDS = (
 )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class BoundClaim:
     theorem_id: str
     bound: int
     evidence: dict
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class BoundReport:
     claims: tuple[BoundClaim, ...]
     best: int

@@ -97,10 +97,16 @@ def _cmd_bounds(args: argparse.Namespace) -> int:
 
 
 def _graph6_stream(path: str) -> Iterator[Graph]:
-    for line in _read_text(path).splitlines():
+    """Graphs of a graph6 stream; a malformed line ends it with a ParseError
+    naming its 1-based line number."""
+    for lineno, line in enumerate(_read_text(path).splitlines(), start=1):
         line = line.strip()
         if line:
-            yield parse_graph6(line)
+            try:
+                g = parse_graph6(line)
+            except ParseError as exc:
+                raise ParseError(str(exc), line=lineno) from None
+            yield g
 
 
 def _cmd_survey(args: argparse.Namespace) -> int:

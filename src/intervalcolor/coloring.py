@@ -5,7 +5,9 @@ hold: adjacent edges carry distinct colors, the colors at each vertex of
 positive degree form a set of consecutive integers whose size equals the
 degree, and every color in 1..t appears on some edge. Degree-0 vertices
 impose no constraint, which keeps the validator total on subgraphs and
-certificates even though the solver itself rejects edgeless graphs.
+certificates even though the solver itself rejects edgeless graphs. Unused
+colors are reported one by one while there are at most m + 1 of them, else
+as maximal runs, so a report stays O(m) for any t.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ from .errors import DomainError, ParseError
 from .graph import Graph
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class EdgeColoring:
     """One positive color per edge, indexed like ``Graph.edges``, plus t."""
 
@@ -32,14 +34,14 @@ class EdgeColoring:
                 raise ValueError(f"color {c} at edge index {k} outside 1..{self.t}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Failure:
     kind: str  # "proper" | "interval" | "surjective"
     subject: int  # vertex for proper/interval, color for surjective
     detail: str
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ValidationReport:
     proper: bool
     interval_at_every_vertex: bool
@@ -80,11 +82,21 @@ def validate_interval(g: Graph, c: EdgeColoring) -> ValidationReport:
                 )
             )
     used = set(c.colors)
-    surjective = True
-    for color in range(1, c.t + 1):
-        if color not in used:
-            surjective = False
-            failures.append(Failure("surjective", color, f"color {color} is unused"))
+    surjective = len(used) == c.t
+    if c.t - len(used) <= g.m + 1:
+        for color in range(1, c.t + 1):
+            if color not in used:
+                failures.append(Failure("surjective", color, f"color {color} is unused"))
+    else:
+        # Too many unused colors to list (t may be huge): one failure per
+        # maximal run of them, at most m + 1 runs since m colors bound them.
+        start = 1
+        for color in sorted(used) + [c.t + 1]:
+            if color > start:
+                last = color - 1
+                run = f"color {start} is" if last == start else f"colors {start}..{last} are"
+                failures.append(Failure("surjective", start, f"{run} unused"))
+            start = color + 1
     verdict = proper and interval_ok and surjective
     return ValidationReport(proper, interval_ok, surjective, verdict, tuple(failures))
 

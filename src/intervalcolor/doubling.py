@@ -32,7 +32,7 @@ from .errors import DomainError, InternalInvariantError, InvalidColoringError
 from .graph import Graph, is_connected, write_graph6
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CrossEdge:
     """Cover copy of source edge (v_i, v_j): u_i w_j, or u_j w_i when flipped."""
 
@@ -40,12 +40,12 @@ class CrossEdge:
     flipped: bool
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class MatchingEdge:
     vertex: int
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class DoublingResult:
     h: Graph
     u_map: tuple[int, ...]
@@ -53,7 +53,7 @@ class DoublingResult:
     edge_provenance: tuple[CrossEdge | MatchingEdge, ...]  # aligned with h.edges
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class DoublingCertificate:
     g: Graph
     alpha: EdgeColoring

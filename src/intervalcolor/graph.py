@@ -17,7 +17,7 @@ from .errors import DomainError, ParseError
 GRAPH6_MAX_N = 62
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Graph:
     """Simple undirected loopless graph with an indexed vertex set.
 
@@ -73,7 +73,7 @@ class Graph:
         return min(self.degrees())
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class GraphClass:
     """Structural facts about a graph, as used by the bound registry.
 

@@ -5,17 +5,29 @@
 tightest registered upper bound. Both run the same per-t decision. The
 testing oracle that enumerates every assignment lives in ``oracle``.
 
+Before searching, the decision compares t with a ceiling proven for the
+instance (``_proven_ceiling``): an overfull graph has no interval coloring at
+all, and no interval coloring uses more than one plus the longest weighted
+distance between two edges. Layers above the ceiling are infeasible at a cost
+of 0 nodes.
+
 Search strategy (deterministic): edges are ordered by a breadth-first
 traversal from a maximum-degree vertex (ties broken by lowest vertex index)
 so consecutive edges share endpoints; colors are tried ascending. Pruning at
 every assignment, per endpoint v: colors at v stay distinct, their spread
 (max - min + 1) stays within deg(v), and some window of deg(v) consecutive
 colors containing them still fits inside [1, t]. Globally, a branch is cut
-when fewer uncolored edges remain than colors not yet used anywhere.
+when fewer uncolored edges remain than colors not yet used anywhere. The
+first edge only tries colors up to (t+1)//2: reversing an interval
+t-coloring (c -> t+1-c) gives another one, so if any exists, one exists with
+the first edge's color in the lower half. The search meets colorings in
+lexicographic order, and the smallest feasible first color is at most
+(t+1)//2, so this cut changes no witness.
 """
 
 from __future__ import annotations
 
+import heapq
 from collections import deque
 from dataclasses import dataclass
 from enum import Enum
@@ -32,7 +44,7 @@ class SolveStatus(Enum):
     ABORTED = "aborted"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SearchLimits:
     """node_limit caps backtracking nodes (0 = unlimited); t_override caps
     the palette sizes compute_W will consider."""
@@ -45,7 +57,7 @@ class SearchLimits:
             raise ValueError(f"node_limit must be >= 0, got {self.node_limit}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SolveOutcome:
     status: SolveStatus
     witness: EdgeColoring | None = None
@@ -90,6 +102,58 @@ def _require_solvable_input(g: Graph) -> None:
         raise DomainError("graph is disconnected")
 
 
+def _proven_ceiling(g: Graph, cap: int) -> int:
+    """Largest palette size not ruled out for g by two proofs; 0 if none is left.
+
+    Overfull test: if m > Delta * floor(n/2), g has no interval coloring.
+    Taking an interval coloring's colors mod Delta gives a proper
+    Delta-edge-coloring, since the colors at a vertex are at most Delta
+    consecutive integers and so stay distinct mod Delta. Each of its Delta
+    color classes is a matching of at most floor(n/2) edges, so m is at most
+    Delta * floor(n/2) (interval colorable implies class 1; Asratian and
+    Kamalian, JCTB 1994).
+
+    Path ceiling: let a step between two edges that share a vertex v cost
+    deg(v) - 1, and let D be the largest shortest-path length between two
+    edges. Then every interval t-coloring has t <= 1 + D. The colors of two
+    edges at v lie in one window of deg(v) consecutive integers, so they
+    differ by at most deg(v) - 1; summed along a shortest path, the colors
+    of any two edges differ by at most D. The edges colored 1 and t differ
+    by t - 1.
+
+    A path from edge e to edge f steps through a walk of vertices from an
+    end of e to an end of f, so one Dijkstra over the vertices, with each
+    vertex v costing deg(v) - 1, gives the distances from e to every edge.
+    The sources stop once the ceiling reaches ``cap``, the largest t the
+    caller asks about, so the result is exact below cap and at least cap
+    otherwise; uncapped, K62 takes seconds.
+    """
+    degs = g.degrees()
+    if g.m > max(degs) * (g.n // 2):
+        return 0
+    longest = 0
+    for a, b in g.edges:
+        # reach[v]: cheapest walk from a or b to v, each vertex on it (ends
+        # included) costing deg - 1; an edge (x, y) other than (a, b) lies
+        # min(reach[x], reach[y]) away from (a, b).
+        reach = [-1] * g.n
+        heap = [(degs[a] - 1, a), (degs[b] - 1, b)]
+        while heap:
+            d, u = heapq.heappop(heap)
+            if reach[u] >= 0:
+                continue
+            reach[u] = d
+            for v in g.adjacency[u]:
+                if reach[v] < 0:
+                    heapq.heappush(heap, (d + degs[v] - 1, v))
+        # (a, b) itself scores min(deg(a), deg(b)) - 1 instead of 0, which is
+        # harmless: that is 0, or some edge meets (a, b) at that distance.
+        longest = max(longest, max(min(reach[x], reach[y]) for x, y in g.edges))
+        if longest + 1 >= cap:
+            break
+    return 1 + longest
+
+
 def _search(g: Graph, t: int, node_budget: int) -> tuple[SolveStatus, list[int] | None, int]:
     """Exhaustive backtracking for one t. Returns (status, colors, nodes)."""
     n, m = g.n, g.m
@@ -103,6 +167,7 @@ def _search(g: Graph, t: int, node_budget: int) -> tuple[SolveStatus, list[int] 
     color_count = [0] * (t + 1)
     assignment = [0] * m
     state = {"nodes": 0}
+    first_top = (t + 1) // 2  # reversal symmetry, see the module docstring
 
     def dfs(k: int, unused: int, remaining: int) -> bool:
         if k == m:
@@ -113,7 +178,7 @@ def _search(g: Graph, t: int, node_budget: int) -> tuple[SolveStatus, list[int] 
         mask_a, mask_b = mask[a], mask[b]
         lo_a, hi_a = lo[a], hi[a]
         lo_b, hi_b = lo[b], hi[b]
-        for c in range(1, t + 1):
+        for c in range(1, (t if k else first_top) + 1):
             if (mask_a >> c) & 1 or (mask_b >> c) & 1:
                 continue
             nl_a = c if c < lo_a else lo_a
@@ -158,8 +223,15 @@ def _search(g: Graph, t: int, node_budget: int) -> tuple[SolveStatus, list[int] 
     return SolveStatus.INFEASIBLE, None, state["nodes"]
 
 
-def _decide(g: Graph, t: int, budget: int) -> tuple[SolveStatus, EdgeColoring | None, int]:
-    """Search one palette size t; returns (status, re-validated witness, nodes)."""
+def _decide(
+    g: Graph, t: int, budget: int, ceiling: int
+) -> tuple[SolveStatus, EdgeColoring | None, int]:
+    """Decide one palette size t; returns (status, re-validated witness, nodes).
+
+    ``ceiling`` comes from ``_proven_ceiling``: above it t is infeasible unsearched.
+    """
+    if t > ceiling:
+        return SolveStatus.INFEASIBLE, None, 0
     status, colors, nodes = _search(g, t, budget)
     if colors is None:
         return status, None, nodes
@@ -176,7 +248,7 @@ def find_interval_coloring(g: Graph, t: int, limits: SearchLimits | None = None)
     delta = g.max_degree
     if not delta <= t <= g.m:
         raise DomainError(f"t={t} outside the feasible range [{delta}, {g.m}]")
-    status, witness, nodes = _decide(g, t, limits.node_limit)
+    status, witness, nodes = _decide(g, t, limits.node_limit, _proven_ceiling(g, cap=t))
     if witness is None:
         return SolveOutcome(status, nodes_expanded=nodes)
     return SolveOutcome(
@@ -203,6 +275,7 @@ def compute_W(g: Graph, limits: SearchLimits | None = None) -> SolveOutcome:
     if limits.t_override is not None:
         cutoff = min(cutoff, limits.t_override)
     delta = g.max_degree
+    ceiling = _proven_ceiling(g, cap=cutoff)
     total_nodes = 0
     last_explored: int | None = None
     for t in range(cutoff, delta - 1, -1):
@@ -211,7 +284,7 @@ def compute_W(g: Graph, limits: SearchLimits | None = None) -> SolveOutcome:
             # Spent exactly; passing 0 on would mean an unlimited search.
             status, witness, nodes = SolveStatus.ABORTED, None, 0
         else:
-            status, witness, nodes = _decide(g, t, budget)
+            status, witness, nodes = _decide(g, t, budget, ceiling)
         total_nodes += nodes
         if status is SolveStatus.ABORTED:
             return SolveOutcome(

@@ -41,7 +41,7 @@ NOT_COLORABLE = "not-colorable"
 ABORTED = "aborted"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SurveyRecord:
     graph6: str
     n: int

@@ -2,9 +2,15 @@ from __future__ import annotations
 
 import io
 import json
+import os
+import resource
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import intervalcolor
 from intervalcolor import EdgeColoring, coloring_to_json, write_graph6
 from intervalcolor.cli import main
 from smallgraphs import c4, k3
@@ -59,6 +65,32 @@ class TestValidate:
             ["validate", "--graph", str(graph), "--format", "edges", "--coloring", str(coloring)],
         )
         assert code == 0 and json.loads(out)["verdict"] is True
+
+    def test_huge_palette_returns_promptly(self, tmp_path):
+        graph = tmp_path / "k2.g6"
+        graph.write_text("A_\n")
+        doc = tmp_path / "k2.json"
+        doc.write_text(json.dumps({"t": 10**12, "edges": [{"u": 0, "v": 1, "color": 5}]}))
+        # A child with capped time and memory: listing 10**12 unused colors
+        # one by one would exhaust both.
+        src = str(Path(intervalcolor.__file__).resolve().parents[1])
+        result = subprocess.run(
+            [
+                sys.executable, "-m", "intervalcolor", "validate",
+                "--graph", str(graph), "--coloring", str(doc),
+            ],
+            capture_output=True,
+            text=True,
+            env={**os.environ, "PYTHONPATH": src},
+            timeout=60,
+            preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30)),
+        )
+        assert result.returncode == 1
+        failures = [(f["subject"], f["detail"]) for f in json.loads(result.stdout)["failures"]]
+        assert failures == [
+            (1, "colors 1..4 are unused"),
+            (6, f"colors 6..{10**12} are unused"),
+        ]
 
 
 class TestSolve:
@@ -170,6 +202,14 @@ class TestSurvey:
         src.write_text("A_\n!!!\n")
         code, _, err = run(capsys, ["survey", "--input", str(src)])
         assert code == 2
+
+    def test_malformed_line_is_named_and_fatal(self, capsys, tmp_path):
+        src = tmp_path / "in.g6"
+        src.write_text("A_\n\nBw\nB!\nBw\n")  # the bad graph is on line 4
+        code, out, err = run(capsys, ["survey", "--input", str(src)])
+        assert code == 2
+        assert "line 4: byte 1:" in err
+        assert len(out.splitlines()) == 3  # header and the two rows before it
 
     def test_deterministic_output(self, capsys):
         code1, out1, _ = run(capsys, ["survey", "--gen-n", "4", "--with-doubling"])

@@ -69,6 +69,18 @@ class TestValidateInterval:
         assert kinds.count("surjective") == 3  # colors 2, 4, 5 unused
         assert "proper" in kinds and "interval" in kinds
 
+    def test_many_unused_colors_reported_as_runs(self):
+        # 5 unused colors > m + 1 = 3: one failure per maximal run
+        report = validate_interval(p3(), EdgeColoring(8, (2, 3)))
+        assert report.proper and report.interval_at_every_vertex and not report.surjective
+        assert [(f.subject, f.detail) for f in report.failures] == [
+            (1, "color 1 is unused"),
+            (4, "colors 4..8 are unused"),
+        ]
+        # 3 unused colors = m + 1: still one failure per color
+        report = validate_interval(p3(), EdgeColoring(5, (2, 3)))
+        assert [f.subject for f in report.failures] == [1, 4, 5]
+
     def test_size_mismatch(self):
         with pytest.raises(DomainError):
             validate_interval(p3(), EdgeColoring(2, (1,)))

@@ -15,13 +15,15 @@ from intervalcolor import (
     Graph,
     SearchLimits,
     SolveStatus,
+    best_upper_bound,
     brute_force_W,
+    classify,
     compute_W,
     find_interval_coloring,
     validate_interval,
 )
-from intervalcolor.solver import _bfs_edge_order
-from smallgraphs import c4, cycle, k2, k3, k4, p3, star, two_k2
+from intervalcolor.solver import _bfs_edge_order, _proven_ceiling
+from smallgraphs import c4, cycle, k2, k3, k4, k5, p3, p4, star, two_k2
 
 
 class TestFindIntervalColoring:
@@ -181,6 +183,21 @@ class TestBruteForce:
         )
         assert result.stdout.split() == ["False", "True"]
 
+    def test_star_import_without_numpy(self):
+        # A fresh interpreter in which importing numpy fails.
+        probe = (
+            "import sys\n"
+            "sys.modules['numpy'] = None\n"
+            "from intervalcolor import *\n"
+            "print('brute_force_W' in dir(), compute_W.__name__)"
+        )
+        src = str(Path(intervalcolor.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": src}
+        result = subprocess.run(
+            [sys.executable, "-c", probe], capture_output=True, text=True, env=env, check=True
+        )
+        assert result.stdout.split() == ["False", "compute_W"]
+
     def test_unknown_package_attribute_still_raises(self):
         with pytest.raises(AttributeError, match="no_such_name"):
             intervalcolor.no_such_name
@@ -227,3 +244,108 @@ class TestOracleAgreement:
             cw = compute_W(g)
             if cw.w is not None:
                 assert max(bf.feasible_t_set) == cw.w
+
+
+def exact_ceiling(g: Graph) -> int:
+    # A shortest path has fewer than m steps, each costing less than n.
+    return _proven_ceiling(g, cap=g.m * g.n)
+
+
+class TestProvenCeiling:
+    def test_hand_computed_ceilings(self):
+        # overfull (m > Delta * floor(n/2)): K3, K5, C5
+        assert [exact_ceiling(g) for g in (k3(), k5(), cycle(5))] == [0, 0, 0]
+        # a path's edge count, a star's leaf count and C4's are W itself
+        assert exact_ceiling(k2()) == 1
+        assert exact_ceiling(p4()) == 3
+        assert exact_ceiling(star(4)) == 4
+        assert exact_ceiling(c4()) == 3
+        assert exact_ceiling(k4()) == 5  # W(K4) = 4; opposite edges: 2 steps of cost 2
+
+    def test_matches_line_graph_floyd_warshall(self, catalogs):
+        # The definition computed directly: all-pairs shortest paths in the
+        # line graph, a step through a shared vertex v costing deg(v) - 1.
+        for n in range(2, 7):
+            for g in catalogs[n]:
+                degs = g.degrees()
+                if g.m > max(degs) * (n // 2):
+                    assert exact_ceiling(g) == 0
+                    continue
+                far = 10**9
+                dist = [[0 if i == j else far for j in range(g.m)] for i in range(g.m)]
+                for i, e in enumerate(g.edges):
+                    for j, f in enumerate(g.edges):
+                        shared = set(e) & set(f)
+                        if i != j and shared:
+                            dist[i][j] = degs[shared.pop()] - 1
+                for k in range(g.m):
+                    for i in range(g.m):
+                        for j in range(g.m):
+                            dist[i][j] = min(dist[i][j], dist[i][k] + dist[k][j])
+                exact = 1 + max(map(max, dist))
+                assert exact_ceiling(g) == exact, g.edges
+                for cap in range(1, exact + 2):
+                    capped = _proven_ceiling(g, cap=cap)
+                    assert capped == exact if exact < cap else capped >= cap
+
+    def test_layers_above_ceiling_cost_no_nodes(self):
+        out = compute_W(k5())
+        assert out.status is SolveStatus.INFEASIBLE and out.nodes_expanded == 0
+        assert out.last_explored_t == 4
+        layer = find_interval_coloring(k4(), 6)
+        assert (layer.status, layer.nodes_expanded) == (SolveStatus.INFEASIBLE, 0)
+
+    def test_oracle_never_exceeds_ceiling(self, catalogs):
+        # Every graph with n <= 5 (all have m <= 10) and with n = 6, m <= 8;
+        # n = 6 with m = 9 or 10 would add about 90 s of enumeration. Where
+        # the ceiling is at least the oracle's t_max the check is vacuous.
+        checked = overfull = 0
+        for n in range(2, 7):
+            for g in catalogs[n]:
+                ceiling = exact_ceiling(g)
+                t_max = min(g.m, 8)
+                if g.m > (10 if n <= 5 else 8) or ceiling >= t_max:
+                    continue
+                bf = brute_force_W(g, t_max)
+                assert (bf.w or 0) <= ceiling, (g.edges, ceiling, bf.w)
+                checked += 1
+                if ceiling == 0:
+                    assert bf.interval_colorable is False
+                    overfull += 1
+        assert checked >= 50 and overfull >= 4
+
+    def test_registry_cutoffs_hold_by_search(self, catalogs):
+        # Between the registry cutoff and the self-proving ceiling min(m,
+        # path ceiling), every layer must be infeasible by actual search; a
+        # misstated theorem bound would show up here as a found coloring.
+        layers = 0
+        for n in range(2, 7):
+            for g in catalogs[n]:
+                cutoff = best_upper_bound(g, classify(g))
+                for t in range(cutoff + 1, min(g.m, exact_ceiling(g)) + 1):
+                    out = find_interval_coloring(g, t)
+                    assert out.status is SolveStatus.INFEASIBLE, (g.edges, t)
+                    assert out.nodes_expanded > 0
+                    layers += 1
+        assert layers > 0
+
+    def test_first_witness_is_lexicographically_smallest(self, catalogs):
+        # The reversal cut keeps the first witness only because the search
+        # meets colorings in lexicographic order (BFS edge order); check that
+        # order against plain enumeration.
+        for n in (2, 3, 4):
+            for g in catalogs[n]:
+                if g.m > 5:
+                    continue
+                order = _bfs_edge_order(g)
+                for t in range(g.max_degree, g.m + 1):
+                    expected = None
+                    for combo in product(range(1, t + 1), repeat=g.m):
+                        colors = [0] * g.m
+                        for eid, c in zip(order, combo):
+                            colors[eid] = c
+                        coloring = EdgeColoring(t, tuple(colors))
+                        if validate_interval(g, coloring).verdict:
+                            expected = coloring
+                            break
+                    assert find_interval_coloring(g, t).witness == expected, (g.edges, t)
