@@ -30,15 +30,6 @@ T4_GENERAL_N3 = "T4_general_n3"
 T6_PLANAR_ASSERTED = "T6_planar_asserted"
 T7_REGULAR = "T7_regular"
 
-THEOREM_IDS = (
-    T1_TRIANGLE_FREE,
-    T2_BIREGULAR,
-    T3_GENERAL,
-    T4_GENERAL_N3,
-    T6_PLANAR_ASSERTED,
-    T7_REGULAR,
-)
-
 
 @dataclass(frozen=True, slots=True)
 class BoundClaim:

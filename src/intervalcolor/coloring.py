@@ -124,6 +124,8 @@ def coloring_from_json(g: Graph, doc: dict) -> EdgeColoring:
     # type() rather than isinstance(): JSON true/false are bools, a subclass of int.
     if type(t) is not int:
         raise ParseError(f"'t' must be an integer, got {t!r}")
+    if not isinstance(doc["edges"], list):
+        raise ParseError(f"'edges' must be a list, got {doc['edges']!r}")
     assigned: dict[tuple[int, int], int] = {}
     for k, entry in enumerate(doc["edges"]):
         try:

@@ -15,6 +15,7 @@ from typing import Iterator
 from .errors import DomainError, ParseError
 
 GRAPH6_MAX_N = 62
+EDGE_LIST_MAX_N = 100_000  # the Graph holds two lists per vertex
 
 
 @dataclass(frozen=True, slots=True)
@@ -248,8 +249,8 @@ def parse_edge_list(text: str) -> Graph:
         n = int(lines[0].strip())
     except ValueError:
         raise ParseError(f"vertex count is not an integer: {lines[0].strip()!r}", line=1) from None
-    if n < 1:
-        raise ParseError(f"vertex count must be >= 1, got {n}", line=1)
+    if not 1 <= n <= EDGE_LIST_MAX_N:
+        raise ParseError(f"vertex count must be in 1..{EDGE_LIST_MAX_N}, got {n}", line=1)
     edges: list[tuple[int, int]] = []
     for lineno, raw in enumerate(lines[1:], start=2):
         tokens = raw.split()

@@ -13,12 +13,18 @@ of 0 nodes.
 
 Search strategy (deterministic): edges are ordered by a breadth-first
 traversal from a maximum-degree vertex (ties broken by lowest vertex index)
-so consecutive edges share endpoints; colors are tried ascending. Pruning at
-every assignment, per endpoint v: colors at v stay distinct, their spread
-(max - min + 1) stays within deg(v), and some window of deg(v) consecutive
-colors containing them still fits inside [1, t]. Globally, a branch is cut
-when fewer uncolored edges remain than colors not yet used anywhere. The
-first edge only tries colors up to (t+1)//2: reversing an interval
+so consecutive edges share endpoints; colors are tried ascending, in one loop
+over the depth (no recursion, so the depth is unbounded). Three rules prune
+each assignment: the colors at each endpoint v stay distinct (distinct) and
+span at most deg(v) (spread), and a branch is cut when fewer uncolored edges
+remain than colors not yet used anywhere (surjectivity). No window rule is
+needed: with lo and hi the least and greatest color at v, a window of deg(v)
+consecutive colors in [1, t] holding them starts at some s with
+max(1, hi - deg(v) + 1) <= s <= min(lo, t - deg(v) + 1). Of the four
+inequalities this asks for, 1 <= lo, hi <= t and deg(v) <= t always hold
+(both callers search only t >= max degree); hi - deg(v) + 1 <= lo is spread.
+
+The first edge only tries colors up to (t+1)//2: reversing an interval
 t-coloring (c -> t+1-c) gives another one, so if any exists, one exists with
 the first edge's color in the lower half. The search meets colorings in
 lexicographic order, and the smallest feasible first color is at most
@@ -66,10 +72,6 @@ class SolveOutcome:
     interval_colorable: bool | None = None
     feasible_t_set: tuple[int, ...] = ()
     last_explored_t: int | None = None
-
-
-class _Abort(Exception):
-    pass
 
 
 def _bfs_edge_order(g: Graph) -> list[int]:
@@ -155,72 +157,67 @@ def _proven_ceiling(g: Graph, cap: int) -> int:
 
 
 def _search(g: Graph, t: int, node_budget: int) -> tuple[SolveStatus, list[int] | None, int]:
-    """Exhaustive backtracking for one t. Returns (status, colors, nodes)."""
-    n, m = g.n, g.m
+    """Exhaustive backtracking for one t. Returns (status, colors, nodes).
+
+    ``picked[k]`` is the color of the k-th edge in BFS order, 0 for none. A
+    depth entered with a color picked was backtracked to: that color comes
+    off and the next one is tried.
+    """
+    m = g.m
     order = _bfs_edge_order(g)
     ends = [g.edges[eid] for eid in order]
     deg = g.degrees()
-    inf = t + 2
-    lo = [inf] * n
-    hi = [0] * n
-    mask = [0] * n
+    mask = [0] * g.n  # bit c set: some edge at the vertex has color c
     color_count = [0] * (t + 1)
-    assignment = [0] * m
-    state = {"nodes": 0}
+    picked = [0] * m
+    unused = t  # colors on no edge yet
+    nodes = 0
     first_top = (t + 1) // 2  # reversal symmetry, see the module docstring
-
-    def dfs(k: int, unused: int, remaining: int) -> bool:
-        if k == m:
-            return True
-        eid = order[k]
+    k = 0
+    while 0 <= k < m:
         a, b = ends[k]
-        deg_a, deg_b = deg[a], deg[b]
-        mask_a, mask_b = mask[a], mask[b]
-        lo_a, hi_a = lo[a], hi[a]
-        lo_b, hi_b = lo[b], hi[b]
-        for c in range(1, (t if k else first_top) + 1):
-            if (mask_a >> c) & 1 or (mask_b >> c) & 1:
-                continue
-            nl_a = c if c < lo_a else lo_a
-            nh_a = c if c > hi_a else hi_a
-            if nh_a - nl_a + 1 > deg_a:
-                continue
-            if max(1, nh_a - deg_a + 1) > min(nl_a, t - deg_a + 1):
-                continue
-            nl_b = c if c < lo_b else lo_b
-            nh_b = c if c > hi_b else hi_b
-            if nh_b - nl_b + 1 > deg_b:
-                continue
-            if max(1, nh_b - deg_b + 1) > min(nl_b, t - deg_b + 1):
-                continue
-            fresh = color_count[c] == 0
-            next_unused = unused - 1 if fresh else unused
-            if remaining - 1 < next_unused:
-                continue
-            if node_budget and state["nodes"] >= node_budget:
-                raise _Abort
-            state["nodes"] += 1
-            mask[a] = mask_a | (1 << c)
-            mask[b] = mask_b | (1 << c)
-            lo[a], hi[a] = nl_a, nh_a
-            lo[b], hi[b] = nl_b, nh_b
-            color_count[c] += 1
-            assignment[eid] = c
-            if dfs(k + 1, next_unused, remaining - 1):
-                return True
+        c = picked[k]
+        if c:
+            bit = 1 << c
+            mask[a] ^= bit
+            mask[b] ^= bit
             color_count[c] -= 1
-            mask[a], mask[b] = mask_a, mask_b
-            lo[a], hi[a] = lo_a, hi_a
-            lo[b], hi[b] = lo_b, hi_b
-        return False
-
-    try:
-        found = dfs(0, t, m)
-    except _Abort:
-        return SolveStatus.ABORTED, None, state["nodes"]
-    if found:
-        return SolveStatus.FOUND, assignment, state["nodes"]
-    return SolveStatus.INFEASIBLE, None, state["nodes"]
+            if not color_count[c]:
+                unused += 1
+        mask_a, mask_b = mask[a], mask[b]
+        # Spread: a new color at v lies in [hi - deg(v) + 1, lo + deg(v) - 1],
+        # lo and hi being v's least and greatest color (hi + 1 = bit_length).
+        lo_a = (mask_a & -mask_a).bit_length() - 1 if mask_a else t
+        lo_b = (mask_b & -mask_b).bit_length() - 1 if mask_b else t
+        c = max(c + 1, mask_a.bit_length() - deg[a], mask_b.bit_length() - deg[b])
+        top = min(t if k else first_top, lo_a + deg[a] - 1, lo_b + deg[b] - 1)
+        taken = mask_a | mask_b
+        spare = m - k - 1 - unused  # surjectivity: uncolored edges left over
+        while c <= top:
+            if not (taken >> c) & 1 and (spare >= 0 or (spare == -1 and not color_count[c])):
+                break
+            c += 1
+        else:
+            picked[k] = 0
+            k -= 1
+            continue
+        if node_budget and nodes >= node_budget:
+            return SolveStatus.ABORTED, None, nodes
+        nodes += 1
+        bit = 1 << c
+        mask[a] |= bit
+        mask[b] |= bit
+        if not color_count[c]:
+            unused -= 1
+        color_count[c] += 1
+        picked[k] = c
+        k += 1
+    if k < 0:
+        return SolveStatus.INFEASIBLE, None, nodes
+    colors = [0] * m
+    for eid, c in zip(order, picked):
+        colors[eid] = c
+    return SolveStatus.FOUND, colors, nodes
 
 
 def _decide(

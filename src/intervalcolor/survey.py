@@ -63,8 +63,37 @@ def survey_graph(
 ) -> SurveyRecord:
     limits = limits or SearchLimits()
     cls = classify(g)
-    base = dict(
-        graph6=write_graph6(g),
+    graph6 = write_graph6(g)
+    w: int | str | None = None
+    best: int | None = None
+    slack: int | None = None
+    tight: tuple[str, ...] = ()
+    doubling_ok: bool | None = None
+    if cls.connected and g.m > 0:
+        claims = applicable_bounds(g, cls)
+        best = best_upper_bound(g, cls)
+        outcome = compute_W(g, limits)
+        if outcome.status is SolveStatus.ABORTED:
+            w = ABORTED
+        elif outcome.status is SolveStatus.INFEASIBLE:
+            w = NOT_COLORABLE
+        else:
+            w = outcome.w
+            assert w is not None and outcome.witness is not None
+            report = audit(g, w, claims)
+            if report.violations:
+                raise InternalInvariantError(
+                    f"W={w} for {graph6} violates "
+                    + ", ".join(f"{c.theorem_id} (bound {c.bound})" for c in report.violations)
+                )
+            slack = best - w
+            if slack < 0:
+                raise InternalInvariantError(f"negative slack {slack} for {graph6}")
+            tight = tuple(c.theorem_id for c in claims if c.bound == w)
+            if with_doubling:
+                doubling_ok = double_with_certificate(g, outcome.witness).validation.verdict
+    return SurveyRecord(
+        graph6=graph6,
         n=g.n,
         m=g.m,
         delta=cls.max_degree,
@@ -72,49 +101,10 @@ def survey_graph(
         bipartite=cls.bipartition is not None,
         regular_r=cls.regular_degree,
         triangle_free=cls.triangle_free,
-    )
-    skipped = SurveyRecord(
-        **base, w=None, best_bound=None, slack=None, tight_theorems=(), doubling_ok=None
-    )
-    if not cls.connected or g.m == 0:
-        return skipped
-    claims = applicable_bounds(g, cls)
-    best = best_upper_bound(g, cls)
-    outcome = compute_W(g, limits)
-    if outcome.status is SolveStatus.ABORTED:
-        return SurveyRecord(
-            **base, w=ABORTED, best_bound=best, slack=None, tight_theorems=(), doubling_ok=None
-        )
-    if outcome.status is SolveStatus.INFEASIBLE:
-        return SurveyRecord(
-            **base,
-            w=NOT_COLORABLE,
-            best_bound=best,
-            slack=None,
-            tight_theorems=(),
-            doubling_ok=None,
-        )
-    w = outcome.w
-    assert w is not None and outcome.witness is not None
-    report = audit(g, w, claims)
-    if report.violations:
-        raise InternalInvariantError(
-            f"W={w} for {base['graph6']} violates "
-            + ", ".join(f"{c.theorem_id} (bound {c.bound})" for c in report.violations)
-        )
-    slack = best - w
-    if slack < 0:
-        raise InternalInvariantError(f"negative slack {slack} for {base['graph6']}")
-    doubling_ok: bool | None = None
-    if with_doubling:
-        cert = double_with_certificate(g, outcome.witness)
-        doubling_ok = cert.validation.verdict
-    return SurveyRecord(
-        **base,
         w=w,
         best_bound=best,
         slack=slack,
-        tight_theorems=tuple(c.theorem_id for c in claims if c.bound == w),
+        tight_theorems=tight,
         doubling_ok=doubling_ok,
     )
 

@@ -13,6 +13,7 @@ import pytest
 import intervalcolor
 from intervalcolor import EdgeColoring, coloring_to_json, write_graph6
 from intervalcolor.cli import main
+from intervalcolor.graph import EDGE_LIST_MAX_N
 from smallgraphs import c4, k3
 
 
@@ -29,6 +30,19 @@ def run(capsys, argv):
     code = main(argv)
     out = capsys.readouterr()
     return code, out.out, out.err
+
+
+def run_capped(argv):
+    """Run the CLI in a child process capped at 60 s and 1 GiB."""
+    src = str(Path(intervalcolor.__file__).resolve().parents[1])
+    return subprocess.run(
+        [sys.executable, "-m", "intervalcolor", *argv],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": src},
+        timeout=60,
+        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30)),
+    )
 
 
 class TestValidate:
@@ -71,20 +85,9 @@ class TestValidate:
         graph.write_text("A_\n")
         doc = tmp_path / "k2.json"
         doc.write_text(json.dumps({"t": 10**12, "edges": [{"u": 0, "v": 1, "color": 5}]}))
-        # A child with capped time and memory: listing 10**12 unused colors
-        # one by one would exhaust both.
-        src = str(Path(intervalcolor.__file__).resolve().parents[1])
-        result = subprocess.run(
-            [
-                sys.executable, "-m", "intervalcolor", "validate",
-                "--graph", str(graph), "--coloring", str(doc),
-            ],
-            capture_output=True,
-            text=True,
-            env={**os.environ, "PYTHONPATH": src},
-            timeout=60,
-            preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30)),
-        )
+        # Listing 10**12 unused colors one by one would exhaust the child's
+        # time and memory.
+        result = run_capped(["validate", "--graph", str(graph), "--coloring", str(doc)])
         assert result.returncode == 1
         failures = [(f["subject"], f["detail"]) for f in json.loads(result.stdout)["failures"]]
         assert failures == [
@@ -114,6 +117,15 @@ class TestSolve:
         code, _, err = run(capsys, ["solve", "--graph", str(graph), "--t", "9"])
         assert code == 2 and "outside" in err
 
+    def test_deep_path_edge_list(self, capsys, tmp_path):
+        # One search depth per edge: 1,200 exceeds the default recursion limit.
+        graph = tmp_path / "p1201.edges"
+        graph.write_text("1201\n" + "".join(f"{i} {i + 1}\n" for i in range(1200)))
+        code, out, _ = run(capsys, ["solve", "--graph", str(graph), "--format", "edges"])
+        assert code == 0
+        doc = json.loads(out)
+        assert doc["status"] == "found" and doc["W"] == 1200
+
     def test_node_limit_aborts(self, capsys, c4_files):
         graph, _ = c4_files
         code, out, _ = run(capsys, ["solve", "--graph", str(graph), "--node-limit", "1"])
@@ -142,6 +154,19 @@ class TestDouble:
             assert out == ""
             assert "integer" in err
 
+    def test_edges_not_a_list_is_parse_error(self, capsys, tmp_path):
+        graph = tmp_path / "k2.g6"
+        graph.write_text("A_\n")
+        for edges in ("5", "null"):
+            coloring = tmp_path / "alpha.json"
+            coloring.write_text(f'{{"t": 1, "edges": {edges}}}')
+            for command in ("validate", "double"):
+                argv = [command, "--graph", str(graph), "--coloring", str(coloring)]
+                code, out, err = run(capsys, argv)
+                assert code == 2, (command, edges)
+                assert out == ""
+                assert "must be a list" in err
+
     def test_invalid_source_coloring_exits_one(self, capsys, tmp_path):
         graph = tmp_path / "k3.g6"
         graph.write_text("Bw\n")
@@ -153,6 +178,15 @@ class TestDouble:
 
 
 class TestBounds:
+    def test_huge_edge_list_vertex_count_is_parse_error(self, tmp_path):
+        graph = tmp_path / "huge.edges"
+        graph.write_text("100000000\n0 1\n")
+        # Building 10**8 adjacency lists would exhaust the child's memory.
+        result = run_capped(["bounds", "--graph", str(graph), "--format", "edges"])
+        assert result.returncode == 2
+        assert result.stdout == ""
+        assert f"1..{EDGE_LIST_MAX_N}" in result.stderr
+
     def test_report(self, capsys, c4_files):
         graph, _ = c4_files
         code, out, _ = run(capsys, ["bounds", "--graph", str(graph)])

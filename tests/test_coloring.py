@@ -142,6 +142,11 @@ class TestColoringJson:
         with pytest.raises(ParseError, match="integer"):
             coloring_from_json(k2(), doc)
 
+    @pytest.mark.parametrize("edges", [5, None, "01", {"u": 0}])
+    def test_rejects_edges_that_are_not_a_list(self, edges):
+        with pytest.raises(ParseError, match="'edges' must be a list"):
+            coloring_from_json(k2(), {"t": 1, "edges": edges})
+
     def test_rejects_missing_keys(self):
         with pytest.raises(ParseError):
             coloring_from_json(p3(), {"edges": []})

@@ -12,6 +12,7 @@ from intervalcolor import (
     parse_graph6,
     write_graph6,
 )
+from intervalcolor.graph import EDGE_LIST_MAX_N
 from smallgraphs import c4, k1, k2, k3, two_k2
 
 
@@ -121,6 +122,12 @@ class TestEdgeListFormat:
     def test_missing_count(self):
         with pytest.raises(ParseError):
             parse_edge_list("")
+
+    def test_vertex_count_capped(self):
+        assert parse_edge_list(f"{EDGE_LIST_MAX_N}\n0 1").n == EDGE_LIST_MAX_N
+        for n in (0, EDGE_LIST_MAX_N + 1):
+            err = pytest.raises(ParseError, parse_edge_list, f"{n}\n0 1")
+            assert err.value.line == 1
 
     def test_blank_lines_ignored(self):
         g = parse_edge_list("3\n\n0 1\n\n1 2\n")

@@ -56,6 +56,17 @@ class TestFindIntervalColoring:
         with pytest.raises(DomainError, match="outside"):
             find_interval_coloring(c4(), 5)
 
+    def test_deep_path_needs_no_recursion(self):
+        # One search depth per edge; the default recursion limit is 1,000.
+        path = Graph(1201, tuple((i, i + 1) for i in range(1200)))
+        descent = compute_W(path)
+        assert descent.w == 1200
+        for out in (descent, find_interval_coloring(path, 1200)):
+            assert out.status is SolveStatus.FOUND
+            assert out.nodes_expanded == 1200
+            assert out.witness.t == 1200
+            assert validate_interval(path, out.witness).verdict
+
     def test_aborts_on_node_limit(self):
         out = find_interval_coloring(c4(), 3, SearchLimits(node_limit=2))
         assert out.status is SolveStatus.ABORTED
