@@ -133,6 +133,16 @@ class TestSolve:
         assert json.loads(out)["status"] == "aborted"
 
 
+    def test_huge_node_limit_acts_as_unlimited(self, capsys, tmp_path):
+        # Beyond the kernel's 64-bit node counter; no search gets that far.
+        graph = tmp_path / "k2.edges"
+        graph.write_text("2\n0 1\n")
+        argv = ["solve", "--graph", str(graph), "--format", "edges", "--node-limit"]
+        code, out, _ = run(capsys, [*argv, str(10**23)])
+        assert code == 0
+        assert json.loads(out) == json.loads(run(capsys, [*argv, "0"])[1])
+
+
 class TestDouble:
     def test_certificate_output(self, capsys, c4_files):
         graph, coloring = c4_files

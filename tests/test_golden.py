@@ -5,12 +5,16 @@ them shows up here as a different node count or a different byte of output.
 ``ANSWERS_SHA256`` covers the same lines without ``nodes_expanded``: a change
 that only prunes the search moves the node pins and ``GOLDEN_SHA256`` but
 must leave every answer, and so this digest, unchanged.
+
+Every test runs under both implementations of the search: the compiled
+kernel and the Python loop it is checked against.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+from contextlib import contextmanager
 
 import pytest
 
@@ -24,6 +28,7 @@ from intervalcolor import (
     find_interval_coloring,
     generate_connected_catalog,
 )
+from intervalcolor import solver
 from intervalcolor.solver import outcome_to_json
 
 NODE_TOTALS = {2: 1, 3: 2, 4: 61, 5: 1492}
@@ -32,32 +37,51 @@ GOLDEN_SHA256 = "892d2bb202b71722a7ef98c5678b7fe99c3189202cae3d9d7b3c1ba09a562e0
 ANSWERS_SHA256 = "cced4f8c5b2423fc0308a1dc3c2c627e8fb71469feb07d49d235f97f21b240a4"
 
 
+IMPLEMENTATIONS = ("kernel", "python")
+
+
+@contextmanager
+def implementation(name: str):
+    """Search with the compiled kernel, or with the Python loop."""
+    with pytest.MonkeyPatch.context() as patch:
+        if name == "python":
+            patch.setattr(solver, "_native", lambda: None)
+        yield
+
+
 @pytest.fixture(scope="module")
 def solved():
-    return {
-        n: [(g, compute_W(g)) for g in generate_connected_catalog(n)] for n in NODE_TOTALS
-    }
+    outcomes = {}
+    for name in IMPLEMENTATIONS:
+        with implementation(name):
+            outcomes[name] = {
+                n: [(g, compute_W(g)) for g in generate_connected_catalog(n)] for n in NODE_TOTALS
+            }
+    return outcomes
 
 
 def test_node_totals_per_n(solved):
-    totals = {n: sum(out.nodes_expanded for _, out in pairs) for n, pairs in solved.items()}
-    assert totals == NODE_TOTALS
+    for by_n in solved.values():
+        totals = {n: sum(out.nodes_expanded for _, out in pairs) for n, pairs in by_n.items()}
+        assert totals == NODE_TOTALS
 
 
 def test_descent_nodes_equal_sum_of_single_t_layers(solved):
-    for pairs in solved.values():
-        for g, out in pairs:
-            cutoff = best_upper_bound(g, classify(g))
-            last = out.w if out.status is SolveStatus.FOUND else g.max_degree
-            layers = [find_interval_coloring(g, t) for t in range(cutoff, last - 1, -1)]
-            assert out.nodes_expanded == sum(layer.nodes_expanded for layer in layers)
-            assert layers[-1].status is out.status
-            assert layers[-1].witness == out.witness
+    for name, by_n in solved.items():
+        with implementation(name):
+            for pairs in by_n.values():
+                for g, out in pairs:
+                    cutoff = best_upper_bound(g, classify(g))
+                    last = out.w if out.status is SolveStatus.FOUND else g.max_degree
+                    layers = [find_interval_coloring(g, t) for t in range(cutoff, last - 1, -1)]
+                    assert out.nodes_expanded == sum(layer.nodes_expanded for layer in layers)
+                    assert layers[-1].status is out.status
+                    assert layers[-1].witness == out.witness
 
 
-def _digest(solved, with_nodes: bool) -> str:
+def _digest(by_n, with_nodes: bool) -> str:
     lines = []
-    for pairs in solved.values():
+    for pairs in by_n.values():
         for g, out in pairs:
             doc = outcome_to_json(out, g)
             if not with_nodes:
@@ -71,8 +95,10 @@ def _digest(solved, with_nodes: bool) -> str:
 
 
 def test_golden_digest(solved):
-    assert _digest(solved, with_nodes=True) == GOLDEN_SHA256
+    for by_n in solved.values():
+        assert _digest(by_n, with_nodes=True) == GOLDEN_SHA256
 
 
 def test_answers_digest(solved):
-    assert _digest(solved, with_nodes=False) == ANSWERS_SHA256
+    for by_n in solved.values():
+        assert _digest(by_n, with_nodes=False) == ANSWERS_SHA256

@@ -1,11 +1,16 @@
 from __future__ import annotations
 
 import os
+import shutil
+import signal
 import subprocess
 import sys
+import sysconfig
+import time
 from itertools import product
 from pathlib import Path
 
+import networkx as nx
 import pytest
 
 import intervalcolor
@@ -15,14 +20,25 @@ from intervalcolor import (
     Graph,
     SearchLimits,
     SolveStatus,
+    applicable_bounds,
     best_upper_bound,
     brute_force_W,
     classify,
     compute_W,
+    double_with_certificate,
     find_interval_coloring,
+    generate_connected_catalog,
+    is_connected,
     validate_interval,
 )
-from intervalcolor.solver import _bfs_edge_order, _proven_ceiling
+from intervalcolor.solver import (
+    _bfs_edge_order,
+    _include_dir,
+    _native,
+    _proven_ceiling,
+    _search,
+    _search_py,
+)
 from smallgraphs import c4, cycle, k2, k3, k4, k5, p3, p4, star, two_k2
 
 
@@ -340,6 +356,29 @@ class TestProvenCeiling:
                     layers += 1
         assert layers > 0
 
+    def test_t2_and_t7_cutoffs_match_a_descent_that_ignores_them(self):
+        # Graphs with n = 8..10, where T2 (C8, C10) or T7 (most regular
+        # graphs here) can be the registry minimum. The descent below starts
+        # at min(m, path ceiling) and never reads the registry, so a theorem
+        # bound stated below W would make compute_W report a smaller W.
+        graphs = [cycle(8), cycle(10)]
+        for r, n in ((3, 8), (3, 10), (4, 10)):
+            for seed in range(6):
+                edges = nx.random_regular_graph(r, n, seed=seed).edges()
+                graphs.append(Graph(n, tuple(edges)))
+        binding = set()
+        for g in graphs:
+            assert is_connected(g)
+            claims = applicable_bounds(g, classify(g))
+            binding |= {c.theorem_id for c in claims if c.bound == min(c.bound for c in claims)}
+            w = None
+            for t in range(min(g.m, exact_ceiling(g)), g.max_degree - 1, -1):
+                if find_interval_coloring(g, t).status is SolveStatus.FOUND:
+                    w = t
+                    break
+            assert compute_W(g).w == w, g.edges
+        assert {"T2_biregular", "T7_regular"} <= binding
+
     def test_first_witness_is_lexicographically_smallest(self, catalogs):
         # The reversal cut keeps the first witness only because the search
         # meets colorings in lexicographic order (BFS edge order); check that
@@ -360,3 +399,112 @@ class TestProvenCeiling:
                             expected = coloring
                             break
                     assert find_interval_coloring(g, t).witness == expected, (g.edges, t)
+
+
+class TestNativeKernel:
+    """The compiled kernel against ``_search_py``, the reference loop."""
+
+    def test_kernel_loads_here(self):
+        # Without it the tests below would compare the Python loop with itself.
+        assert _native() is not None
+
+    def test_headers_are_where_sysconfig_says(self):
+        assert _include_dir() == sysconfig.get_paths()["include"]
+
+    def test_agrees_on_catalog_and_doubled_layers(self, catalogs):
+        graphs = [g for n in range(2, 7) for g in catalogs[n]]
+        doubled = []
+        for n in range(2, 6):
+            for g in catalogs[n]:
+                out = compute_W(g)
+                if out.w is not None:
+                    doubled.append(double_with_certificate(g, out.witness).result.h)
+        assert len(doubled) == 23
+        layers = 0
+        for g in graphs + doubled:
+            for t in range(g.max_degree, min(g.m, best_upper_bound(g, classify(g))) + 1):
+                for budget in (0, 1, 5, 50):
+                    assert _search(g, t, budget) == _search_py(g, t, budget), (g.edges, t, budget)
+                    layers += 1
+        assert layers == 2640
+
+    def test_agrees_on_n7_layers(self):
+        layers = 0
+        for g in generate_connected_catalog(7):
+            for t in range(g.max_degree, best_upper_bound(g, classify(g)) + 1):
+                assert _search(g, t, 500) == _search_py(g, t, 500), (g.edges, t)
+                layers += 1
+        assert layers == 4892
+
+    def test_agrees_on_a_deep_path(self):
+        # 1,200 edges: masks of 19 words per vertex.
+        path = Graph(1201, tuple((i, i + 1) for i in range(1200)))
+        for t in (1199, 1200):
+            assert _search(path, t, 0) == _search_py(path, t, 0)
+
+    def test_ctrl_c_stops_a_long_search(self):
+        # Uncapped, compute_W on K8 runs far longer than this test waits.
+        probe = (
+            "from intervalcolor import Graph, compute_W\n"
+            "from intervalcolor.solver import _native\n"
+            "assert _native() is not None\n"
+            "print('searching', flush=True)\n"
+            "compute_W(Graph(8, tuple((i, j) for i in range(8) for j in range(i + 1, 8))))"
+        )
+        src = str(Path(intervalcolor.__file__).resolve().parents[1])
+        child = subprocess.Popen(
+            [sys.executable, "-c", probe],
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+            text=True,
+            env={**os.environ, "PYTHONPATH": src},
+        )
+        try:
+            assert child.stdout.readline() == "searching\n"
+            time.sleep(1)
+            child.send_signal(signal.SIGINT)
+            _, err = child.communicate(timeout=30)
+        finally:
+            child.kill()
+        assert child.returncode == -signal.SIGINT and "KeyboardInterrupt" in err
+
+    def test_python_loop_runs_without_a_compiler(self, tmp_path):
+        # A copy of the package with no built kernel, in a fresh interpreter
+        # that finds no compiler on PATH.
+        shutil.copytree(
+            Path(intervalcolor.__file__).parent,
+            tmp_path / "intervalcolor",
+            ignore=shutil.ignore_patterns("__pycache__"),
+        )
+        (tmp_path / "bin").mkdir()
+        probe = (
+            "from intervalcolor import Graph, compute_W\n"
+            "from intervalcolor.solver import _native\n"
+            "print(_native() is None)\n"
+            "for n in (4, 5, 6, 8):\n"
+            "    g = Graph(n, tuple((i, (i + 1) % n) for i in range(n)))\n"
+            "    print(compute_W(g).w)"
+        )
+        env = {**os.environ, "PATH": str(tmp_path / "bin"), "PYTHONPATH": str(tmp_path)}
+        result = subprocess.run(
+            [sys.executable, "-c", probe],
+            capture_output=True, text=True, env=env, check=True, timeout=120,
+        )
+        assert result.stdout.split() == ["True", "3", "None", "4", "5"]
+
+    def test_installed_copy_ships_the_kernel_source(self, tmp_path):
+        # Without package data an installed copy would silently run the
+        # Python loop.
+        root = Path(__file__).resolve().parents[1]
+        shutil.copy(root / "pyproject.toml", tmp_path)
+        shutil.copytree(
+            root / "src" / "intervalcolor",
+            tmp_path / "src" / "intervalcolor",
+            ignore=shutil.ignore_patterns("__pycache__"),
+        )
+        subprocess.run(
+            [sys.executable, "-c", "from setuptools import setup; setup()",
+             "build_py", "--build-lib", "out"],
+            cwd=tmp_path, capture_output=True, check=True, timeout=120,
+        )
+        assert (tmp_path / "out" / "intervalcolor" / "_search.c").is_file()
