@@ -1,4 +1,5 @@
-/* The per-t search loop of intervalcolor.solver._search_py, in C.
+/* The two exhaustive loops of intervalcolor, in C: the per-t search of
+ * solver._search_py and the canonical encoding of catalog._min_code_py.
  *
  * search(n, ends, deg, t, budget) -> (status, nodes, picked)
  *
@@ -11,11 +12,20 @@
  * with it on every input; the proofs are in solver.py's docstring.
  *
  * A vertex's colors are a bitmask of (t + 1) / 64 + 1 words, bit c for
- * color c, so every t runs here. */
+ * color c, so every t runs here.
+ *
+ * min_code(masks) -> int
+ *
+ * masks holds the adjacency bitmask of each of n <= 64 vertices. The result
+ * is the minimum over all vertex orderings of the column-order upper-triangle
+ * bits, read as one integer MSB-first. Candidate order, the prune and the
+ * twin cut are those of _min_code_py; the proofs are in catalog.py's
+ * docstring. */
 
 #define PY_SSIZE_T_CLEAN
 #include <Python.h>
 #include <stdint.h>
+#include <string.h>
 
 /* Once per 2^20 placements the loop lets Python handle signals, so that
  * Ctrl-C stops a long search as it stops the Python loop. */
@@ -165,8 +175,111 @@ done:
     return result;
 }
 
+/* The depth-first search of min_code. prefix[k] holds the k bits
+ * (0,k),(1,k),...,(k-1,k) of the ordering being built, MSB-first, so segments
+ * compare as the bits do; best holds the least complete prefix found, or all
+ * ones, more than any segment, until the first is. */
+typedef struct {
+    int n;
+    uint64_t adj[64];
+    uint64_t lower_twins[64]; /* the twins y < x of each vertex x */
+    int chosen[64];
+    uint64_t prefix[64];
+    uint64_t best[64];
+    unsigned long long nodes;
+} Canon;
+
+/* Places vertex k given the used vertices and each one's segment so far;
+ * below is true while the prefix is less than best's, so that nothing under
+ * it can be pruned. -1 with an exception set if a signal interrupts. */
+static int place(Canon *c, int k, uint64_t used, int below, const uint64_t *parent_seg)
+{
+    if (k == c->n) {
+        if (below)
+            memcpy(c->best, c->prefix, sizeof c->best);
+        return 0;
+    }
+    if (!(++c->nodes & SIGNAL_CHECK_MASK) && PyErr_CheckSignals())
+        return -1;
+    uint64_t seg[64];
+    int order[64], count = 0;
+    for (int x = 0; x < c->n; x++) {
+        if ((used >> x) & 1)
+            continue;
+        seg[x] = k ? (parent_seg[x] << 1) | ((c->adj[x] >> c->chosen[k - 1]) & 1) : 0;
+        if (c->lower_twins[x] & ~used)
+            continue;
+        int i = count++; /* insertion sort by (segment, x): x rises, so stable */
+        for (; i > 0 && seg[order[i - 1]] > seg[x]; i--)
+            order[i] = order[i - 1];
+        order[i] = x;
+    }
+    for (int i = 0; i < count; i++) {
+        int x = order[i];
+        if (!below && seg[x] > c->best[k])
+            break; /* candidates are sorted; the rest only get larger */
+        c->chosen[k] = x;
+        c->prefix[k] = seg[x];
+        if (place(c, k + 1, used | (uint64_t)1 << x, below || seg[x] < c->best[k], seg))
+            return -1;
+        if (below && !memcmp(c->best, c->prefix, k * sizeof *c->prefix))
+            below = 0; /* best now extends this prefix */
+    }
+    return 0;
+}
+
+static PyObject *min_code(PyObject *self, PyObject *masks)
+{
+    Canon *c = PyMem_Calloc(1, sizeof(Canon));
+    if (!c)
+        return PyErr_NoMemory();
+    PyObject *code = NULL;
+    PyObject *fast = PySequence_Fast(masks, "min_code: expected a list or tuple");
+    if (!fast)
+        goto done;
+    Py_ssize_t n = PySequence_Fast_GET_SIZE(fast);
+    if (n < 1 || n > 64) {
+        PyErr_SetString(PyExc_ValueError, "min_code: n out of range");
+        goto done;
+    }
+    c->n = (int)n;
+    for (int v = 0; v < n; v++) {
+        c->adj[v] = PyLong_AsUnsignedLongLong(PySequence_Fast_GET_ITEM(fast, v));
+        if (PyErr_Occurred())
+            goto done;
+        if ((n < 64 && c->adj[v] >> n) || ((c->adj[v] >> v) & 1)) {
+            PyErr_SetString(PyExc_ValueError, "min_code: mask out of range");
+            goto done;
+        }
+    }
+    for (int x = 0; x < n; x++)
+        for (int y = 0; y < x; y++)
+            if ((c->adj[x] & ~((uint64_t)1 << y)) == (c->adj[y] & ~((uint64_t)1 << x)))
+                c->lower_twins[x] |= (uint64_t)1 << y;
+    memset(c->best, 0xFF, sizeof c->best);
+    if (place(c, 0, 0, 0, NULL))
+        goto done;
+    /* code = (code << k) | best[k] for k = 1 .. n - 1, in Python integers:
+     * n(n - 1)/2 bits do not fit one C integer. */
+    code = PyLong_FromLong(0);
+    for (int k = 1; code && k < n; k++) {
+        PyObject *shift = PyLong_FromLong(k);
+        PyObject *segment = PyLong_FromUnsignedLongLong(c->best[k]);
+        PyObject *shifted = shift && segment ? PyNumber_Lshift(code, shift) : NULL;
+        Py_SETREF(code, shifted ? PyNumber_Or(shifted, segment) : NULL);
+        Py_XDECREF(shift);
+        Py_XDECREF(segment);
+        Py_XDECREF(shifted);
+    }
+done:
+    Py_XDECREF(fast);
+    PyMem_Free(c);
+    return code;
+}
+
 static PyMethodDef methods[] = {
     {"search", search, METH_VARARGS, "search(n, ends, deg, t, budget) -> (status, nodes, picked)"},
+    {"min_code", min_code, METH_O, "min_code(masks) -> int"},
     {NULL, NULL, 0, NULL},
 };
 

@@ -2,41 +2,63 @@
 
 Deduplication uses the minimum adjacency-matrix encoding over all n! vertex
 orderings: the upper-triangle bits in column order (0,1),(0,2),(1,2),...
-compared lexicographically. The minimum is found exactly by a depth-first
-search over vertex orderings that prunes any prefix already larger than the
-incumbent, which keeps n = 7 tractable without changing the value computed.
-Column order matches the graph6 bit layout, so the canonical representative
-also has the lexicographically smallest graph6 body of its class.
+compared lexicographically. Column order matches the graph6 bit layout, so
+the canonical representative also has the lexicographically smallest graph6
+body of its class. Internally the encoding is one integer, the bits read
+MSB-first, so comparing integers compares the bit strings.
+
+The minimum is found exactly by a depth-first search over vertex orderings.
+Vertex k of the ordering contributes the k bits (0,k),...,(k-1,k), its
+segment; candidates are tried in increasing (segment, index) order, and a
+level stops at the first candidate whose prefix already exceeds the
+incumbent, since every later one is at least as large. One more cut skips
+candidate x when a lower-indexed unplaced vertex y is its twin,
+N(x) - y = N(y) - x. Swapping x and y is then an automorphism that fixes
+every placed vertex, so it maps the orderings that place x next one-to-one
+onto those that place y next with the same encodings. y has x's segment and
+comes first, so its subtree is searched, or cut by the prune that would cut
+x's; the minimum is unchanged.
+
+The search has two implementations that compute the same integer.
+``_min_code_py`` is the reference, in Python. ``min_code`` is the same
+search in C; it sits in ``_search.c``, the solver's compiled module, and is
+built with it by ``solver._native``. ``_min_code`` runs the C one when the
+module loads and n <= 64 (one 64-bit mask per vertex), and the Python one
+otherwise. With the kernel, the n = 8 catalog takes about 2 seconds.
 """
 
 from __future__ import annotations
 
-from typing import Iterator
+from typing import Iterator, Sequence
 
+from . import solver
 from .errors import DomainError
 from .graph import Graph, _column_order_pairs
 
-CATALOG_MAX_N = 7
+CATALOG_MAX_N = 8
 
 
-def minimum_adjacency_encoding(g: Graph) -> tuple[int, ...]:
-    """Exact minimum of the column-order upper-triangle bits over all vertex
-    orderings; returns the flat bit tuple (length n(n-1)/2)."""
-    n = g.n
-    if n == 1:
-        return ()
-    masks = [0] * n
-    for a, b in g.edges:
-        masks[a] |= 1 << b
-        masks[b] |= 1 << a
+def _min_code(n: int, masks: Sequence[int]) -> int:
+    """Minimum encoding of the graph with adjacency bitmasks ``masks``."""
+    kernel = solver._native()
+    if kernel is None or n > 64:
+        return _min_code_py(n, masks)
+    return kernel.min_code(masks)
 
-    # prefix is one integer per placed vertex k >= 1, holding the k bits
-    # (0,k),(1,k),...,(k-1,k) MSB-first; segment lengths align, so comparing
-    # these integer lists positionally is the bit-string comparison.
+
+def _min_code_py(n: int, masks: Sequence[int]) -> int:
+    lower_twins = [
+        sum(1 << y for y in range(x) if (masks[x] & ~(1 << y)) == (masks[y] & ~(1 << x)))
+        for x in range(n)
+    ]
+    # prefix is one integer per placed vertex k, its segment; segment lengths
+    # align, so comparing these integer lists positionally is the bit-string
+    # comparison.
     best: list[int] | None = None
     chosen: list[int] = []
+    prefix: list[int] = []
 
-    def place(used: int, prefix: list[int]) -> None:
+    def place(used: int) -> None:
         nonlocal best
         k = len(chosen)
         if k == n:
@@ -45,7 +67,7 @@ def minimum_adjacency_encoding(g: Graph) -> tuple[int, ...]:
             return
         scored = []
         for x in range(n):
-            if (used >> x) & 1:
+            if (used >> x) & 1 or lower_twins[x] & ~used:
                 continue
             segment = 0
             mask_x = masks[x]
@@ -53,31 +75,37 @@ def minimum_adjacency_encoding(g: Graph) -> tuple[int, ...]:
                 segment = (segment << 1) | ((mask_x >> chosen[i]) & 1)
             scored.append((segment, x))
         scored.sort()
-        depth = len(prefix)
         for segment, x in scored:
             if best is not None:
                 prefix.append(segment)
-                worse = prefix > best[: depth + 1]
+                worse = prefix > best[: k + 1]
                 prefix.pop()
                 if worse:
                     break  # candidates are sorted; the rest only get larger
             chosen.append(x)
             prefix.append(segment)
-            place(used | (1 << x), prefix)
+            place(used | (1 << x))
             prefix.pop()
             chosen.pop()
 
-    place(0, [])
+    place(0)
     assert best is not None
-    bits: list[int] = []
-    for k, segment in enumerate(best):  # segment k carries the k bits (0,k)..(k-1,k)
-        bits.extend((segment >> shift) & 1 for shift in range(k - 1, -1, -1))
-    return tuple(bits)
+    code = 0
+    for k, segment in enumerate(best):
+        code = (code << k) | segment
+    return code
 
 
-def graph_from_encoding(n: int, bits: tuple[int, ...]) -> Graph:
-    edges = [pair for pair, bit in zip(_column_order_pairs(n), bits) if bit]
-    return Graph(n, tuple(edges))
+def minimum_adjacency_encoding(g: Graph) -> tuple[int, ...]:
+    """Exact minimum of the column-order upper-triangle bits over all vertex
+    orderings; returns the flat bit tuple (length n(n-1)/2)."""
+    code = _min_code(g.n, [sum(1 << u for u in nbrs) for nbrs in g.adjacency])
+    return tuple((code >> shift) & 1 for shift in range(g.n * (g.n - 1) // 2 - 1, -1, -1))
+
+
+def _graph_from_code(n: int, code: int) -> Graph:
+    shifts = range(n * (n - 1) // 2 - 1, -1, -1)
+    return Graph(n, tuple(pair for pair, s in zip(_column_order_pairs(n), shifts) if (code >> s) & 1))
 
 
 def generate_connected_catalog(n: int) -> Iterator[Graph]:
@@ -87,25 +115,24 @@ def generate_connected_catalog(n: int) -> Iterator[Graph]:
     Built by extending the (n-1)-vertex catalog with one new vertex joined to
     every nonempty subset of old vertices; every connected graph has a vertex
     whose removal keeps it connected (a leaf of any spanning tree), so every
-    class is reached. Guarded at n <= 7; pipe in an external graph6 stream
-    for anything larger.
+    class is reached. Guarded at n <= 8 (11,117 classes); pipe in an
+    external graph6 stream for anything larger. n is checked, and the
+    catalog built, when this is called, before the first graph is taken.
     """
-    if not 1 <= n <= CATALOG_MAX_N:
+    if n < 1:
+        raise DomainError(f"a catalog needs n >= 1 vertices, got {n}")
+    if n > CATALOG_MAX_N:
         raise DomainError(
-            f"naive catalog generation is guarded at n <= {CATALOG_MAX_N}; "
+            f"catalog generation is guarded at n <= {CATALOG_MAX_N}; "
             "feed larger catalogs from an external graph6 stream"
         )
-    level: dict[tuple[int, ...], Graph] = {(): Graph(1, ())}
+    level: dict[int, tuple[int, ...]] = {0: (0,)}  # code -> adjacency masks
     for size in range(2, n + 1):
-        new_v = size - 1
-        grown: dict[tuple[int, ...], Graph] = {}
-        for parent in level.values():
-            for subset in range(1, 1 << new_v):
-                edges = list(parent.edges)
-                edges.extend((i, new_v) for i in range(new_v) if (subset >> i) & 1)
-                enc = minimum_adjacency_encoding(Graph(size, tuple(edges)))
-                if enc not in grown:
-                    grown[enc] = graph_from_encoding(size, enc)
+        bit = 1 << (size - 1)
+        grown: dict[int, tuple[int, ...]] = {}
+        for masks in level.values():
+            for subset in range(1, bit):
+                child = (*(m | bit if (subset >> i) & 1 else m for i, m in enumerate(masks)), subset)
+                grown.setdefault(_min_code(size, child), child)
         level = grown
-    for enc in sorted(level):
-        yield level[enc]
+    return (_graph_from_code(n, code) for code in sorted(level))

@@ -179,15 +179,17 @@ def _include_dir() -> str:
 
 @functools.cache
 def _native():
-    """The compiled search kernel (``_search.c``), or None where it cannot run.
+    """The compiled module ``_search.c`` (the search kernel and the catalog's
+    ``min_code``), or None where it cannot run.
 
     It is built on first use into the package's ``__pycache__``, under a
     name keyed by the source and the interpreter, and written to a private
     file renamed into place, so concurrent first uses never load a partial
-    file. Without a compiler, headers or a writable directory the Python
-    loop runs instead.
+    file; a build then removes this interpreter's builds of earlier sources.
+    Without a compiler, headers or a writable directory the Python loops run
+    instead.
     """
-    import hashlib  # here, not at the top: only the first search needs it
+    import hashlib  # here, not at the top: only the first use needs it
 
     source = Path(__file__).with_name("_search.c")
     suffix = importlib.machinery.EXTENSION_SUFFIXES[0]
@@ -209,6 +211,12 @@ def _native():
                 return None
             finally:
                 partial.unlink(missing_ok=True)
+            # Builds of earlier sources for this interpreter: same suffix and
+            # name length. Other interpreters' builds and other processes'
+            # partial files do not match.
+            for stale in target.parent.glob(f"_search-*{suffix}"):
+                if len(stale.name) == len(target.name) and stale != target:
+                    stale.unlink(missing_ok=True)
         spec = importlib.util.spec_from_file_location(f"{__package__}._search", target)
         kernel = importlib.util.module_from_spec(spec)
         spec.loader.exec_module(kernel)

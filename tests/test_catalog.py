@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import hashlib
+import random
 from itertools import permutations
 
 import networkx as nx
@@ -12,10 +14,35 @@ from intervalcolor import (
     generate_connected_catalog,
     is_connected,
     minimum_adjacency_encoding,
+    write_graph6,
 )
+from intervalcolor import solver
+from intervalcolor.catalog import _min_code, _min_code_py
 from smallgraphs import c4, k3, k4, p4, star
 
-KNOWN_CONNECTED_COUNTS = {1: 1, 2: 1, 3: 2, 4: 6, 5: 21, 6: 112}
+KNOWN_CONNECTED_COUNTS = {1: 1, 2: 1, 3: 2, 4: 6, 5: 21, 6: 112, 7: 853, 8: 11117}  # OEIS A001349
+# sha256 of the n = 8 catalog's graph6 lines joined by newlines; checked
+# once against the Python reference, which takes about 90 s for it.
+N8_SHA256 = "28b9222da489bdd97eff49da6a8d2aed76ac19453b4b69ece911cb3dd855c398"
+
+
+def masks_of(g: Graph) -> list[int]:
+    masks = [0] * g.n
+    for a, b in g.edges:
+        masks[a] |= 1 << b
+        masks[b] |= 1 << a
+    return masks
+
+
+def seeded_graphs(seed: int, count: int, max_n: int) -> list[Graph]:
+    rng = random.Random(seed)
+    graphs = []
+    for _ in range(count):
+        n = rng.randint(1, max_n)
+        p = rng.random()
+        pairs = [(i, j) for j in range(n) for i in range(j) if rng.random() < p]
+        graphs.append(Graph(n, tuple(pairs)))
+    return graphs
 
 
 def naive_minimum_encoding(g: Graph) -> tuple[int, ...]:
@@ -42,6 +69,8 @@ class TestMinimumEncoding:
     def test_matches_naive_scan(self):
         for g in (k3(), p4(), c4(), star(3), k4(), Graph(5, ((0, 1), (1, 2), (0, 2), (2, 3)))):
             assert minimum_adjacency_encoding(g) == naive_minimum_encoding(g)
+        for g in seeded_graphs(seed=7, count=40, max_n=6):
+            assert minimum_adjacency_encoding(g) == naive_minimum_encoding(g), g.edges
 
     def test_isomorphism_invariant(self):
         g = Graph(5, ((0, 1), (1, 2), (2, 3), (3, 4), (0, 4), (1, 3)))
@@ -57,10 +86,68 @@ class TestMinimumEncoding:
         assert minimum_adjacency_encoding(Graph(1, ())) == ()
 
 
+class TestNativeMinCode:
+    """The C ``min_code`` against ``_min_code_py``, the reference search."""
+
+    def test_kernel_loads_here(self):
+        # Without it the tests below would compare the Python search with itself.
+        assert solver._native() is not None
+
+    def test_agrees_on_every_catalog_candidate(self):
+        candidates = 0
+        for n in range(2, 8):
+            bit = 1 << (n - 1)
+            for parent in generate_connected_catalog(n - 1):
+                masks = masks_of(parent)
+                for subset in range(1, bit):
+                    child = [m | bit if (subset >> i) & 1 else m for i, m in enumerate(masks)]
+                    child.append(subset)
+                    assert _min_code(n, child) == _min_code_py(n, child), (parent.edges, subset)
+                    candidates += 1
+        assert candidates == 7815
+
+    def test_agrees_on_seeded_edgeless_and_complete_graphs(self):
+        graphs = seeded_graphs(seed=2010, count=300, max_n=10)
+        for n in range(1, 11):
+            graphs.append(Graph(n, ()))
+            graphs.append(Graph(n, tuple((i, j) for j in range(n) for i in range(j))))
+        for g in graphs:
+            assert _min_code(g.n, masks_of(g)) == _min_code_py(g.n, masks_of(g)), g.edges
+
+    def test_twins_collapse_the_widest_masks(self):
+        # Every vertex of an edgeless or complete graph is a twin of every
+        # other, so one ordering is searched; 64 vertices fill the kernel's
+        # masks, and 65 run the Python search.
+        for n in (64, 65):
+            complete = [((1 << n) - 1) & ~(1 << v) for v in range(n)]
+            size = n * (n - 1) // 2
+            assert _min_code(n, [0] * n) == _min_code_py(n, [0] * n) == 0
+            assert _min_code(n, complete) == _min_code_py(n, complete) == (1 << size) - 1
+
+    def test_kernel_rejects_bad_masks(self):
+        kernel = solver._native()
+        for masks in ([], [0] * 65, [2, 1, 4], [1], [-1, 0]):
+            with pytest.raises((ValueError, OverflowError)):
+                kernel.min_code(masks)
+
+
 class TestCatalog:
     def test_counts(self, catalogs):
-        for n, expected in KNOWN_CONNECTED_COUNTS.items():
-            assert len(catalogs[n]) == expected
+        for n in range(1, 7):
+            assert len(catalogs[n]) == KNOWN_CONNECTED_COUNTS[n]
+        assert sum(1 for _ in generate_connected_catalog(7)) == KNOWN_CONNECTED_COUNTS[7]
+
+    def test_n8_count_and_digest(self):
+        if solver._native() is None:
+            pytest.skip("n = 8 takes about 90 s without the kernel")
+        lines = [write_graph6(g) for g in generate_connected_catalog(8)]
+        assert len(lines) == KNOWN_CONNECTED_COUNTS[8]
+        assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == N8_SHA256
+
+    def test_python_reference_gives_the_same_catalogs(self, catalogs, monkeypatch):
+        monkeypatch.setattr(solver, "_native", lambda: None)
+        for n in range(1, 7):
+            assert list(generate_connected_catalog(n)) == catalogs[n]
 
     def test_all_connected_with_right_order(self, catalogs):
         for n, graphs in catalogs.items():
@@ -86,10 +173,11 @@ class TestCatalog:
         assert encs == sorted(encs)
 
     def test_guard(self):
-        with pytest.raises(DomainError, match="graph6 stream"):
-            list(generate_connected_catalog(8))
-        with pytest.raises(DomainError):
-            list(generate_connected_catalog(0))
+        # Checked at the call, not at the first graph taken.
+        with pytest.raises(DomainError, match="n <= 8; .* graph6 stream"):
+            generate_connected_catalog(9)
+        with pytest.raises(DomainError, match="n >= 1 vertices, got 0"):
+            generate_connected_catalog(0)
 
     def test_pairwise_distinct_encodings(self, catalogs):
         encs = [minimum_adjacency_encoding(g) for g in catalogs[6]]
@@ -98,10 +186,10 @@ class TestCatalog:
 
 @pytest.fixture(scope="module")
 def atlas_by_n():
-    buckets: dict[int, list] = {n: [] for n in range(1, 7)}
+    buckets: dict[int, list] = {n: [] for n in range(1, 8)}
     for G in graph_atlas_g()[1:]:  # entry 0 is the empty graph
         n = G.number_of_nodes()
-        if 1 <= n <= 6 and nx.is_connected(G):
+        if nx.is_connected(G):
             buckets[n].append(G)
     return buckets
 
@@ -111,12 +199,12 @@ class TestAgainstNetworkxAtlas:
     independent census; its connected members must match ours exactly."""
 
     def test_connected_counts_match(self, atlas_by_n):
-        for n, expected in KNOWN_CONNECTED_COUNTS.items():
-            assert len(atlas_by_n[n]) == expected
+        for n, graphs in atlas_by_n.items():
+            assert len(graphs) == KNOWN_CONNECTED_COUNTS[n]
 
-    def test_isomorphism_classes_match(self, atlas_by_n, catalogs):
-        for n in range(1, 7):
-            mine = {minimum_adjacency_encoding(g) for g in catalogs[n]}
+    def test_isomorphism_classes_match(self, atlas_by_n):
+        for n in range(1, 8):
+            mine = {minimum_adjacency_encoding(g) for g in generate_connected_catalog(n)}
             theirs = {
                 minimum_adjacency_encoding(
                     Graph(n, tuple((min(a, b), max(a, b)) for a, b in G.edges()))

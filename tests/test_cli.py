@@ -255,6 +255,16 @@ class TestSurvey:
         assert "line 4: byte 1:" in err
         assert len(out.splitlines()) == 3  # header and the two rows before it
 
+    def test_out_of_range_gen_n_writes_nothing(self, capsys, tmp_path):
+        dst = tmp_path / "out.csv"
+        dst.write_bytes(b"earlier results\n")
+        for n in ("9", "0"):
+            code, out, err = run(capsys, ["survey", "--gen-n", n])
+            assert code == 2 and out == "" and "error:" in err
+            code, out, _ = run(capsys, ["survey", "--gen-n", n, "--out", str(dst)])
+            assert code == 2 and out == ""
+            assert dst.read_bytes() == b"earlier results\n"
+
     def test_deterministic_output(self, capsys):
         code1, out1, _ = run(capsys, ["survey", "--gen-n", "4", "--with-doubling"])
         code2, out2, _ = run(capsys, ["survey", "--gen-n", "4", "--with-doubling"])

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import importlib.machinery
 import os
 import shutil
 import signal
@@ -478,19 +479,47 @@ class TestNativeKernel:
         )
         (tmp_path / "bin").mkdir()
         probe = (
-            "from intervalcolor import Graph, compute_W\n"
+            "from intervalcolor import Graph, compute_W, generate_connected_catalog\n"
             "from intervalcolor.solver import _native\n"
             "print(_native() is None)\n"
             "for n in (4, 5, 6, 8):\n"
             "    g = Graph(n, tuple((i, (i + 1) % n) for i in range(n)))\n"
-            "    print(compute_W(g).w)"
+            "    print(compute_W(g).w)\n"
+            "print(len(list(generate_connected_catalog(5))))"
         )
         env = {**os.environ, "PATH": str(tmp_path / "bin"), "PYTHONPATH": str(tmp_path)}
         result = subprocess.run(
             [sys.executable, "-c", probe],
             capture_output=True, text=True, env=env, check=True, timeout=120,
         )
-        assert result.stdout.split() == ["True", "3", "None", "4", "5"]
+        assert result.stdout.split() == ["True", "3", "None", "4", "5", "21"]
+
+    def test_a_build_removes_this_interpreters_stale_builds(self, tmp_path):
+        shutil.copytree(
+            Path(intervalcolor.__file__).parent,
+            tmp_path / "intervalcolor",
+            ignore=shutil.ignore_patterns("__pycache__"),
+        )
+        cache = tmp_path / "intervalcolor" / "__pycache__"
+        cache.mkdir()
+        suffix = importlib.machinery.EXTENSION_SUFFIXES[0]
+        stale = cache / f"_search-0123456789abcdef{suffix}"
+        kept = [
+            cache / "_search-0123456789abcdef.cpython-399-other.so",  # another interpreter
+            cache / f"_search-fedcba9876543210{suffix}.4242.tmp",  # another process's partial file
+        ]
+        for path in (stale, *kept):
+            path.write_bytes(b"not a build")
+        probe = "from intervalcolor.solver import _native\nprint(_native().__file__)"
+        env = {**os.environ, "PYTHONPATH": str(tmp_path)}
+        result = subprocess.run(
+            [sys.executable, "-c", probe],
+            capture_output=True, text=True, env=env, check=True, timeout=120,
+        )
+        built = Path(result.stdout.strip())
+        assert sorted(cache.glob(f"_search-*{suffix}")) == [built]
+        assert built.parent == cache and not stale.exists()
+        assert all(path.read_bytes() == b"not a build" for path in kept)
 
     def test_installed_copy_ships_the_kernel_source(self, tmp_path):
         # Without package data an installed copy would silently run the
