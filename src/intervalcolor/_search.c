@@ -1,15 +1,17 @@
 /* The two exhaustive loops of intervalcolor, in C: the per-t search of
  * solver._search_py and the canonical encoding of catalog._min_code_py.
  *
- * search(n, ends, deg, t, budget) -> (status, nodes, picked)
+ * search(n, ends, deg, t, budget, after) -> (status, nodes, picked)
  *
  * ends lists the two endpoints of each edge in search order, deg the degree
- * of each of the n vertices; budget caps the nodes (0 = unlimited). status
- * is 0 infeasible, 1 found, 2 aborted; picked holds the color of each edge
- * in search order when found. Edge order, color order, node counting and
- * the prune rules (distinct, spread, surjectivity, the first edge's
- * reversal cut) are those of _search_py, so status, nodes and picked agree
- * with it on every input; the proofs are in solver.py's docstring.
+ * of each of the n vertices; budget caps the nodes (0 = unlimited); edge k's
+ * color must exceed that of the earlier edge after[k], or -1 for none (the
+ * twin cut). status is 0 infeasible, 1 found, 2 aborted; picked holds the
+ * color of each edge in search order when found. Edge order, color order,
+ * node counting and the prune rules (distinct, spread, surjectivity, the
+ * first edge's reversal cut, the twin cut) are those of _search_py, so
+ * status, nodes and picked agree with it on every input; solver._plan
+ * builds the input, and the proofs are in solver.py's docstring.
  *
  * A vertex's colors are a bitmask of (t + 1) / 64 + 1 words, bit c for
  * color c, so every t runs here.
@@ -52,9 +54,9 @@ static long long bit_length(const uint64_t *mask, long long words)
     return 0;
 }
 
-/* Copies a list or tuple of len ints in [0, bound) into out; -1 with an
+/* Copies a list or tuple of len ints in [low, bound) into out; -1 with an
  * exception set otherwise. */
-static int read_ints(PyObject *seq, Py_ssize_t len, long long bound, long long *out)
+static int read_ints(PyObject *seq, Py_ssize_t len, long long low, long long bound, long long *out)
 {
     PyObject *fast = PySequence_Fast(seq, "search: expected a list or tuple");
     if (!fast)
@@ -66,7 +68,7 @@ static int read_ints(PyObject *seq, Py_ssize_t len, long long bound, long long *
         out[i] = PyLong_AsLongLong(PySequence_Fast_GET_ITEM(fast, i));
         if (out[i] == -1 && PyErr_Occurred())
             ok = 0;
-        else if (out[i] < 0 || out[i] >= bound) {
+        else if (out[i] < low || out[i] >= bound) {
             PyErr_SetString(PyExc_ValueError, "search: value out of range");
             ok = 0;
         }
@@ -79,8 +81,8 @@ static PyObject *search(PyObject *self, PyObject *args)
 {
     Py_ssize_t n;
     long long t, budget;
-    PyObject *ends_obj, *deg_obj;
-    if (!PyArg_ParseTuple(args, "nOOLL", &n, &ends_obj, &deg_obj, &t, &budget))
+    PyObject *ends_obj, *deg_obj, *after_obj;
+    if (!PyArg_ParseTuple(args, "nOOLLO", &n, &ends_obj, &deg_obj, &t, &budget, &after_obj))
         return NULL;
     Py_ssize_t m = PyObject_Length(ends_obj) / 2;
     if (m < 0)
@@ -94,16 +96,24 @@ static PyObject *search(PyObject *self, PyObject *args)
         return PyErr_NoMemory();
     long long *ends = PyMem_Calloc(2 * m, sizeof(long long));
     long long *deg = PyMem_Calloc(n, sizeof(long long));
-    long long *picked = PyMem_Calloc(m, sizeof(long long));
+    long long *after = PyMem_Calloc(m, sizeof(long long));
+    /* picked[-1] stays 0: the floor of an edge whose after is -1. */
+    long long *slots = PyMem_Calloc(m + 1, sizeof(long long)), *picked = slots + 1;
     long long *color_count = PyMem_Calloc(t + 1, sizeof(long long));
     uint64_t *mask = PyMem_Calloc((size_t)n * words, sizeof(uint64_t));
     PyObject *result = NULL;
-    if (!ends || !deg || !picked || !color_count || !mask) {
+    if (!ends || !deg || !after || !slots || !color_count || !mask) {
         PyErr_NoMemory();
         goto done;
     }
-    if (read_ints(ends_obj, 2 * m, n, ends) || read_ints(deg_obj, n, n, deg))
+    if (read_ints(ends_obj, 2 * m, 0, n, ends) || read_ints(deg_obj, n, 0, n, deg) ||
+        read_ints(after_obj, m, -1, m, after))
         goto done;
+    for (Py_ssize_t k = 0; k < m; k++)
+        if (after[k] >= k) {
+            PyErr_SetString(PyExc_ValueError, "search: after[k] must be an earlier edge");
+            goto done;
+        }
 
     long long unused = t; /* colors on no edge yet */
     long long nodes = 0;
@@ -121,9 +131,11 @@ static PyObject *search(PyObject *self, PyObject *args)
                 unused++;
         }
         /* Spread: a new color at v lies in [hi - deg(v) + 1, lo + deg(v) - 1],
-         * lo and hi being v's least and greatest color (hi + 1 = bit_length). */
-        long long from = max(c + 1, max(bit_length(mask_a, words) - deg[a],
-                                        bit_length(mask_b, words) - deg[b]));
+         * lo and hi being v's least and greatest color (hi + 1 = bit_length).
+         * Twin cut: it lies above the color of edge after[k]. */
+        long long from = max(max(c + 1, picked[after[k]] + 1),
+                             max(bit_length(mask_a, words) - deg[a],
+                                 bit_length(mask_b, words) - deg[b]));
         long long top = min(k ? t : first_top, min(lowest(mask_a, words, t) + deg[a] - 1,
                                                    lowest(mask_b, words, t) + deg[b] - 1));
         long long spare = m - k - 1 - unused; /* surjectivity: uncolored edges left over */
@@ -169,7 +181,8 @@ static PyObject *search(PyObject *self, PyObject *args)
 done:
     PyMem_Free(ends);
     PyMem_Free(deg);
-    PyMem_Free(picked);
+    PyMem_Free(after);
+    PyMem_Free(slots);
     PyMem_Free(color_count);
     PyMem_Free(mask);
     return result;
@@ -278,7 +291,8 @@ done:
 }
 
 static PyMethodDef methods[] = {
-    {"search", search, METH_VARARGS, "search(n, ends, deg, t, budget) -> (status, nodes, picked)"},
+    {"search", search, METH_VARARGS,
+     "search(n, ends, deg, t, budget, after) -> (status, nodes, picked)"},
     {"min_code", min_code, METH_O, "min_code(masks) -> int"},
     {NULL, NULL, 0, NULL},
 };

@@ -28,10 +28,13 @@ EXIT_DEFECT = 3
 
 
 def _read_text(path: str) -> str:
-    if path == "-":
-        return sys.stdin.read()
-    with open(path, "r", encoding="utf-8") as fh:
-        return fh.read()
+    try:
+        if path == "-":
+            return sys.stdin.read()
+        with open(path, "r", encoding="utf-8") as fh:
+            return fh.read()
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"input is not UTF-8 text: {exc}") from None
 
 
 def _load_graph(path: str, fmt: str) -> Graph:
@@ -51,6 +54,8 @@ def _load_coloring(path: str, g: Graph):
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ParseError(f"coloring file is not valid JSON: {exc}") from None
+    except RecursionError:
+        raise ParseError("coloring file is nested too deeply") from None
     return coloring_from_json(g, doc)
 
 

@@ -24,18 +24,38 @@ max(1, hi - deg(v) + 1) <= s <= min(lo, t - deg(v) + 1). Of the four
 inequalities this asks for, 1 <= lo, hi <= t and deg(v) <= t always hold
 (both callers search only t >= max degree); hi - deg(v) + 1 <= lo is spread.
 
-The first edge only tries colors up to (t+1)//2: reversing an interval
-t-coloring (c -> t+1-c) gives another one, so if any exists, one exists with
-the first edge's color in the lower half. The search meets colorings in
-lexicographic order, and the smallest feasible first color is at most
-(t+1)//2, so this cut changes no witness.
+Two cuts skip colorings that a symmetry maps to a smaller one. A symmetry s
+here maps interval t-colorings to interval t-colorings, and each cut removes
+only colorings c with s(c) <lex c, comparing colors in BFS edge order. So
+neither removes the lexicographically least interval t-coloring, and the two
+hold together for it. That coloring is the one the search meets first, since
+colors are tried in lexicographic order
+(``test_first_witness_is_lexicographically_smallest`` checks it). So no cut
+changes a witness or makes a feasible layer infeasible.
 
-The loop has two implementations that visit the same nodes in the same
-order, so status, node count and witness agree on every layer. ``_search_py``
-is the reference, in Python. ``_search.c`` is the same loop in C, compiled on
-first use by ``_native``; it expands 15 to 65 times as many nodes per second
-on the benchmark's workloads. ``_search`` runs it when it loads and the
-Python loop otherwise (no compiler, no headers, a read-only install).
+Reversal cut: s(c) = t+1-c. If c(e0) > (t+1)//2 on the first edge e0, then
+s(c)(e0) = t+1-c(e0) < c(e0), so the first edge tries only colors up to
+(t+1)//2.
+
+Twin cut (a lex-leader constraint; Crawford, Ginsberg, Luks and Roy, KR
+1996): vertices x and y are twins when N(x) - y = N(y) - x, and then
+swapping them is an automorphism that moves exactly the edges at x or y
+other than xy; s(c) is c with those edges' colors swapped. Let e_k be the
+first moved edge in BFS order and e_j its image. Every edge before e_k is
+fixed, so s(c) agrees with c there and has c(e_j) at e_k: s(c) <lex c when
+c(e_j) < c(e_k). e_k = (x, u) and e_j = (y, u) share u, so their colors
+differ, and the cut asks for c(e_k) < c(e_j). ``_plan`` records it as
+after[j] = k, and the search starts edge j's colors above edge k's color.
+Where several twin pairs name the same j it keeps the latest k only: keeping
+fewer constraints is always sound. K2 has twins but no moved edge.
+
+The loop has two implementations that read the same plan (``_plan``, built
+once per graph) and visit the same nodes in the same order, so status, node
+count and witness agree on every layer. ``_search_py`` is the reference, in
+Python. ``_search.c`` is the same loop in C, compiled on first use by
+``_native``; it expands 15 to 65 times as many nodes per second on the
+benchmark's workloads. ``_decide`` runs it when it loads and the Python loop
+otherwise (no compiler, no headers, a read-only install).
 """
 
 from __future__ import annotations
@@ -44,6 +64,7 @@ import functools
 import heapq
 import importlib.machinery
 import importlib.util
+import itertools
 import os
 import sys
 from collections import deque
@@ -225,51 +246,68 @@ def _native():
     return kernel
 
 
-_STATUS = (SolveStatus.INFEASIBLE, SolveStatus.FOUND, SolveStatus.ABORTED)
+def _plan(g: Graph) -> tuple[list[int], list[int], list[int], list[int]]:
+    """The search's input for g, built once per graph: (order, ends, deg, after).
 
-
-def _search(g: Graph, t: int, node_budget: int) -> tuple[SolveStatus, list[int] | None, int]:
-    """Exhaustive backtracking for one t. Returns (status, colors, nodes).
-
-    Runs the compiled kernel when it loads and ``_search_py`` otherwise;
-    both give the same status, nodes and colors.
+    ``order`` is the BFS edge order, ``ends`` the two endpoints of each edge
+    in that order, flat, and ``deg`` the vertex degrees. ``after[j]`` is the
+    position of the earlier edge whose color edge j's must exceed (the twin
+    cut of the module docstring), or -1.
     """
-    kernel = _native()
-    if kernel is None:
-        return _search_py(g, t, node_budget)
     order = _bfs_edge_order(g)
+    position = [0] * g.m
+    for k, eid in enumerate(order):
+        position[eid] = k
+    # Twins have equal open neighbourhoods (x, y apart) or equal closed ones
+    # (x, y adjacent). No open one equals a closed one (w in N(v) = N[w]
+    # would put v in N[w]), so one dict groups both.
+    groups: dict[int, list[int]] = {}
+    adjacency, incidence = g.adjacency, g.incidence
+    for v, nbrs in enumerate(adjacency):
+        mask = 0
+        for u in nbrs:
+            mask |= 1 << u
+        groups.setdefault(mask, []).append(v)
+        groups.setdefault(mask | 1 << v, []).append(v)
+    after = [-1] * g.m
+    for twins in groups.values():
+        if len(twins) == 1:
+            continue
+        for x, y in itertools.combinations(twins, 2):
+            # A vertex's incidence runs in the order of its neighbours, so
+            # at_x[i] = (x, u) and at_y[i] = (y, u) trade places.
+            at_x = [e for u, e in zip(adjacency[x], incidence[x]) if u != y]
+            at_y = [e for u, e in zip(adjacency[y], incidence[y]) if u != x]
+            swaps = [sorted((position[e], position[f])) for e, f in zip(at_x, at_y)]
+            if swaps:  # K2 has none
+                k, j = min(swaps)
+                after[j] = max(after[j], k)
     ends = [v for eid in order for v in g.edges[eid]]
-    # No search reaches 2**63 - 1 nodes, the kernel's largest budget.
-    code, nodes, picked = kernel.search(g.n, ends, g.degrees(), t, min(node_budget, 2**63 - 1))
-    status = _STATUS[code]
-    if status is not SolveStatus.FOUND:
-        return status, None, nodes
-    colors = [0] * g.m
-    for eid, c in zip(order, picked):
-        colors[eid] = c
-    return SolveStatus.FOUND, colors, nodes
+    return order, ends, list(g.degrees()), after
 
 
-def _search_py(g: Graph, t: int, node_budget: int) -> tuple[SolveStatus, list[int] | None, int]:
+def _search_py(
+    n: int, ends: list[int], deg: list[int], t: int, node_budget: int, after: list[int]
+) -> tuple[int, int, list[int]]:
     """The search loop in Python: the reference for the kernel, and its fallback.
 
-    ``picked[k]`` is the color of the k-th edge in BFS order, 0 for none. A
-    depth entered with a color picked was backtracked to: that color comes
-    off and the next one is tried.
+    Takes the kernel's arguments and returns what it returns: (status, nodes,
+    picked), status 0 infeasible, 1 found, 2 aborted. ``picked[k]`` is the
+    color of the k-th edge in BFS order, 0 for none. A depth entered with a
+    color picked was backtracked to: that color comes off and the next one is
+    tried.
     """
-    m = g.m
-    order = _bfs_edge_order(g)
-    ends = [g.edges[eid] for eid in order]
-    deg = g.degrees()
-    mask = [0] * g.n  # bit c set: some edge at the vertex has color c
+    m = len(ends) // 2
+    pairs = list(zip(ends[::2], ends[1::2]))
+    mask = [0] * n  # bit c set: some edge at the vertex has color c
     color_count = [0] * (t + 1)
-    picked = [0] * m
+    picked = [0] * (m + 1)  # picked[-1] stays 0, the floor where after[k] is -1
     unused = t  # colors on no edge yet
     nodes = 0
-    first_top = (t + 1) // 2  # reversal symmetry, see the module docstring
+    first_top = (t + 1) // 2  # reversal cut, see the module docstring
     k = 0
     while 0 <= k < m:
-        a, b = ends[k]
+        a, b = pairs[k]
         c = picked[k]
         if c:
             bit = 1 << c
@@ -281,9 +319,15 @@ def _search_py(g: Graph, t: int, node_budget: int) -> tuple[SolveStatus, list[in
         mask_a, mask_b = mask[a], mask[b]
         # Spread: a new color at v lies in [hi - deg(v) + 1, lo + deg(v) - 1],
         # lo and hi being v's least and greatest color (hi + 1 = bit_length).
+        # Twin cut: it lies above the color of edge after[k].
         lo_a = (mask_a & -mask_a).bit_length() - 1 if mask_a else t
         lo_b = (mask_b & -mask_b).bit_length() - 1 if mask_b else t
-        c = max(c + 1, mask_a.bit_length() - deg[a], mask_b.bit_length() - deg[b])
+        c = max(
+            c + 1,
+            picked[after[k]] + 1,
+            mask_a.bit_length() - deg[a],
+            mask_b.bit_length() - deg[b],
+        )
         top = min(t if k else first_top, lo_a + deg[a] - 1, lo_b + deg[b] - 1)
         taken = mask_a | mask_b
         spare = m - k - 1 - unused  # surjectivity: uncolored edges left over
@@ -296,7 +340,7 @@ def _search_py(g: Graph, t: int, node_budget: int) -> tuple[SolveStatus, list[in
             k -= 1
             continue
         if node_budget and nodes >= node_budget:
-            return SolveStatus.ABORTED, None, nodes
+            return 2, nodes, []
         nodes += 1
         bit = 1 << c
         mask[a] |= bit
@@ -307,29 +351,39 @@ def _search_py(g: Graph, t: int, node_budget: int) -> tuple[SolveStatus, list[in
         picked[k] = c
         k += 1
     if k < 0:
-        return SolveStatus.INFEASIBLE, None, nodes
-    colors = [0] * m
-    for eid, c in zip(order, picked):
-        colors[eid] = c
-    return SolveStatus.FOUND, colors, nodes
+        return 0, nodes, []
+    return 1, nodes, picked[:m]
+
+
+_STATUS = (SolveStatus.INFEASIBLE, SolveStatus.FOUND, SolveStatus.ABORTED)
 
 
 def _decide(
-    g: Graph, t: int, budget: int, ceiling: int
+    g: Graph, plan: tuple | None, t: int, budget: int, ceiling: int
 ) -> tuple[SolveStatus, EdgeColoring | None, int]:
     """Decide one palette size t; returns (status, re-validated witness, nodes).
 
-    ``ceiling`` comes from ``_proven_ceiling``: above it t is infeasible unsearched.
+    ``ceiling`` comes from ``_proven_ceiling``: above it t is infeasible
+    unsearched, and ``plan`` (from ``_plan``) may be None. Runs the compiled
+    kernel when it loads and ``_search_py`` otherwise; both give the same
+    status, nodes and colors.
     """
     if t > ceiling:
         return SolveStatus.INFEASIBLE, None, 0
-    status, colors, nodes = _search(g, t, budget)
-    if colors is None:
-        return status, None, nodes
+    order, ends, deg, after = plan
+    kernel = _native()
+    search = _search_py if kernel is None else kernel.search
+    # No search reaches 2**63 - 1 nodes, the kernel's largest budget.
+    code, nodes, picked = search(g.n, ends, deg, t, min(budget, 2**63 - 1), after)
+    if code != 1:
+        return _STATUS[code], None, nodes
+    colors = [0] * g.m
+    for eid, c in zip(order, picked):
+        colors[eid] = c
     witness = EdgeColoring(t, tuple(colors))
     if not validate_interval(g, witness).verdict:
         raise InternalInvariantError(f"search returned a non-validating witness for t={t}")
-    return status, witness, nodes
+    return SolveStatus.FOUND, witness, nodes
 
 
 def find_interval_coloring(g: Graph, t: int, limits: SearchLimits | None = None) -> SolveOutcome:
@@ -339,7 +393,9 @@ def find_interval_coloring(g: Graph, t: int, limits: SearchLimits | None = None)
     delta = g.max_degree
     if not delta <= t <= g.m:
         raise DomainError(f"t={t} outside the feasible range [{delta}, {g.m}]")
-    status, witness, nodes = _decide(g, t, limits.node_limit, _proven_ceiling(g, cap=t))
+    ceiling = _proven_ceiling(g, cap=t)
+    plan = _plan(g) if t <= ceiling else None
+    status, witness, nodes = _decide(g, plan, t, limits.node_limit, ceiling)
     if witness is None:
         return SolveOutcome(status, nodes_expanded=nodes)
     return SolveOutcome(
@@ -367,6 +423,7 @@ def compute_W(g: Graph, limits: SearchLimits | None = None) -> SolveOutcome:
         cutoff = min(cutoff, limits.t_override)
     delta = g.max_degree
     ceiling = _proven_ceiling(g, cap=cutoff)
+    plan = _plan(g) if min(cutoff, ceiling) >= delta else None
     total_nodes = 0
     last_explored: int | None = None
     for t in range(cutoff, delta - 1, -1):
@@ -375,7 +432,7 @@ def compute_W(g: Graph, limits: SearchLimits | None = None) -> SolveOutcome:
             # Spent exactly; passing 0 on would mean an unlimited search.
             status, witness, nodes = SolveStatus.ABORTED, None, 0
         else:
-            status, witness, nodes = _decide(g, t, budget, ceiling)
+            status, witness, nodes = _decide(g, plan, t, budget, ceiling)
         total_nodes += nodes
         if status is SolveStatus.ABORTED:
             return SolveOutcome(

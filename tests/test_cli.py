@@ -273,6 +273,34 @@ class TestSurvey:
 
 
 class TestUsage:
+    def test_non_utf8_input_is_parse_error(self, capsys, monkeypatch, tmp_path, c4_files):
+        graph, _ = c4_files
+        junk = tmp_path / "junk"
+        junk.write_bytes(b"\xff\xfe\x00A_\n")
+        argvs = [
+            ["validate", "--graph", str(graph), "--coloring", str(junk)],
+            ["solve", "--graph", str(junk)],
+            ["survey", "--input", str(junk)],
+        ]
+        for argv in argvs:
+            code, _, err = run(capsys, argv)
+            assert code == 2 and "UTF-8" in err, argv
+            stdin = io.TextIOWrapper(io.BytesIO(junk.read_bytes()), encoding="utf-8")
+            monkeypatch.setattr("sys.stdin", stdin)
+            stdin_argv = [arg if arg != str(junk) else "-" for arg in argv]
+            code, _, err = run(capsys, stdin_argv)
+            assert code == 2 and "UTF-8" in err, stdin_argv
+
+    def test_deeply_nested_coloring_is_parse_error(self, capsys, tmp_path, c4_files):
+        graph, _ = c4_files
+        coloring = tmp_path / "deep.json"
+        coloring.write_text("[" * 200_000 + "]" * 200_000)
+        for command in ("validate", "double"):
+            argv = [command, "--graph", str(graph), "--coloring", str(coloring)]
+            code, out, err = run(capsys, argv)
+            assert code == 2 and out == "", command
+            assert "nested too deeply" in err
+
     def test_missing_file_exits_two(self, capsys):
         code, _, err = run(capsys, ["solve", "--graph", "/nonexistent/file.g6"])
         assert code == 2

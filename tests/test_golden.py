@@ -31,9 +31,9 @@ from intervalcolor import (
 from intervalcolor import solver
 from intervalcolor.solver import outcome_to_json
 
-NODE_TOTALS = {2: 1, 3: 2, 4: 61, 5: 1492}
+NODE_TOTALS = {2: 1, 3: 2, 4: 53, 5: 828}
 GOLDEN_LINES = 53
-GOLDEN_SHA256 = "892d2bb202b71722a7ef98c5678b7fe99c3189202cae3d9d7b3c1ba09a562e00"
+GOLDEN_SHA256 = "bbbbe69065aa05765db523d2dd180d345a76aeec302d0a8b862664292d593e3b"
 ANSWERS_SHA256 = "cced4f8c5b2423fc0308a1dc3c2c627e8fb71469feb07d49d235f97f21b240a4"
 
 

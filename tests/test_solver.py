@@ -36,8 +36,8 @@ from intervalcolor.solver import (
     _bfs_edge_order,
     _include_dir,
     _native,
+    _plan,
     _proven_ceiling,
-    _search,
     _search_py,
 )
 from smallgraphs import c4, cycle, k2, k3, k4, k5, p3, p4, star, two_k2
@@ -402,8 +402,72 @@ class TestProvenCeiling:
                     assert find_interval_coloring(g, t).witness == expected, (g.edges, t)
 
 
+@pytest.fixture(scope="module")
+def doubled_graphs(catalogs) -> list[Graph]:
+    """The doubled graph H of every interval colorable graph with n <= 5."""
+    doubled = []
+    for n in range(2, 6):
+        for g in catalogs[n]:
+            out = compute_W(g)
+            if out.w is not None:
+                doubled.append(double_with_certificate(g, out.witness).result.h)
+    assert len(doubled) == 23
+    return doubled
+
+
+def searched_layers(g: Graph) -> range:
+    return range(g.max_degree, min(g.m, best_upper_bound(g, classify(g))) + 1)
+
+
+class TestTwinCut:
+    """``_plan``'s ``after``: the twin lex-leader cut of the module docstring."""
+
+    def after(self, g: Graph) -> list[int]:
+        return _plan(g)[3]
+
+    def test_hand_checked_plans(self):
+        # K1,3: the leaves are twins, so the three edges at the center rise.
+        assert self.after(star(3)) == [-1, 0, 1]
+        # C4, BFS order (0,1),(0,3),(1,2),(2,3): swapping 1 and 3 moves
+        # (0,1) to (0,3); swapping 0 and 2 moves (0,1) to (1,2).
+        assert self.after(c4()) == [-1, 0, 0, -1]
+        # K4, BFS order (0,1),(0,2),(0,3),(1,2),(1,3),(2,3): every pair is a
+        # twin pair; (1,2) is the image of (0,2) under 0<->1 (k = 1) and of
+        # (0,1) under 0<->2 (k = 0), so it keeps 1, and so on.
+        assert self.after(k4()) == [-1, 0, 1, 1, 0, -1]
+        # K2: twins, but the swap moves no edge.
+        assert self.after(k2()) == [-1]
+
+    def test_twin_free_graphs_get_no_cut(self):
+        # P4, C5 and an asymmetric graph on 12 vertices
+        asymmetric = intervalcolor.parse_graph6("KMeF`]~dsTJJ")
+        for g in (p4(), cycle(5), asymmetric):
+            assert self.after(g) == [-1] * g.m
+
+    def test_cut_keeps_status_and_witness_and_saves_nodes(self, catalogs, doubled_graphs):
+        # The same Python loop with and without the cut, on every searched
+        # layer of the n <= 6 catalogs and the doubled graphs.
+        layers = cut = 0
+        for g in [g for n in range(2, 7) for g in catalogs[n]] + doubled_graphs:
+            _, ends, deg, after = _plan(g)
+            for t in searched_layers(g):
+                status, nodes, picked = _search_py(g.n, ends, deg, t, 0, after)
+                plain = _search_py(g.n, ends, deg, t, 0, [-1] * g.m)
+                assert (status, picked) == (plain[0], plain[2]), (g.edges, t)
+                assert nodes <= plain[1], (g.edges, t)
+                layers += 1
+                cut += nodes < plain[1]
+        assert layers == 660 and cut > 0
+
+
 class TestNativeKernel:
-    """The compiled kernel against ``_search_py``, the reference loop."""
+    """The compiled kernel against ``_search_py``, the reference loop, both
+    given the same plan."""
+
+    def agree(self, g: Graph, t: int, budget: int) -> bool:
+        _, ends, deg, after = _plan(g)
+        args = (g.n, ends, deg, t, budget, after)
+        return _native().search(*args) == _search_py(*args)
 
     def test_kernel_loads_here(self):
         # Without it the tests below would compare the Python loop with itself.
@@ -412,20 +476,13 @@ class TestNativeKernel:
     def test_headers_are_where_sysconfig_says(self):
         assert _include_dir() == sysconfig.get_paths()["include"]
 
-    def test_agrees_on_catalog_and_doubled_layers(self, catalogs):
+    def test_agrees_on_catalog_and_doubled_layers(self, catalogs, doubled_graphs):
         graphs = [g for n in range(2, 7) for g in catalogs[n]]
-        doubled = []
-        for n in range(2, 6):
-            for g in catalogs[n]:
-                out = compute_W(g)
-                if out.w is not None:
-                    doubled.append(double_with_certificate(g, out.witness).result.h)
-        assert len(doubled) == 23
         layers = 0
-        for g in graphs + doubled:
-            for t in range(g.max_degree, min(g.m, best_upper_bound(g, classify(g))) + 1):
+        for g in graphs + doubled_graphs:
+            for t in searched_layers(g):
                 for budget in (0, 1, 5, 50):
-                    assert _search(g, t, budget) == _search_py(g, t, budget), (g.edges, t, budget)
+                    assert self.agree(g, t, budget), (g.edges, t, budget)
                     layers += 1
         assert layers == 2640
 
@@ -433,7 +490,7 @@ class TestNativeKernel:
         layers = 0
         for g in generate_connected_catalog(7):
             for t in range(g.max_degree, best_upper_bound(g, classify(g)) + 1):
-                assert _search(g, t, 500) == _search_py(g, t, 500), (g.edges, t)
+                assert self.agree(g, t, 500), (g.edges, t)
                 layers += 1
         assert layers == 4892
 
@@ -441,16 +498,19 @@ class TestNativeKernel:
         # 1,200 edges: masks of 19 words per vertex.
         path = Graph(1201, tuple((i, i + 1) for i in range(1200)))
         for t in (1199, 1200):
-            assert _search(path, t, 0) == _search_py(path, t, 0)
+            assert self.agree(path, t, 0)
 
     def test_ctrl_c_stops_a_long_search(self):
-        # Uncapped, compute_W on K8 runs far longer than this test waits.
+        # Uncapped, compute_W on this graph runs far longer than this test
+        # waits: networkx's gnp_random_graph(12, 0.6, seed=0), which is not
+        # overfull and has no automorphism but the identity, so that no
+        # symmetry cut can shorten its search.
         probe = (
-            "from intervalcolor import Graph, compute_W\n"
+            "from intervalcolor import compute_W, parse_graph6\n"
             "from intervalcolor.solver import _native\n"
             "assert _native() is not None\n"
             "print('searching', flush=True)\n"
-            "compute_W(Graph(8, tuple((i, j) for i in range(8) for j in range(i + 1, 8))))"
+            "compute_W(parse_graph6('KMeF`]~dsTJJ'))"
         )
         src = str(Path(intervalcolor.__file__).resolve().parents[1])
         child = subprocess.Popen(
@@ -468,6 +528,13 @@ class TestNativeKernel:
         finally:
             child.kill()
         assert child.returncode == -signal.SIGINT and "KeyboardInterrupt" in err
+
+    def test_rejects_an_after_that_is_not_an_earlier_edge(self):
+        _, ends, deg, after = _plan(c4())
+        for bad in ([-1, 0, 2, -1], [-1, 0, 0, -2], [0, 0, 0, -1], [-1, 0, 0]):
+            with pytest.raises(ValueError):
+                _native().search(4, ends, deg, 3, 0, bad)
+        assert _native().search(4, ends, deg, 3, 0, after)[0] == 1
 
     def test_python_loop_runs_without_a_compiler(self, tmp_path):
         # A copy of the package with no built kernel, in a fresh interpreter
