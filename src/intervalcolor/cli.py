@@ -17,7 +17,7 @@ from .catalog import generate_connected_catalog
 from .coloring import coloring_from_json, validate_interval, validation_report_to_json
 from .doubling import certificate_to_json, double_with_certificate
 from .errors import DomainError, InternalInvariantError, InvalidColoringError, ParseError
-from .graph import Graph, classify, parse_edge_list, parse_graph6
+from .graph import GRAPH6_MAX_N, Graph, classify, parse_edge_list, parse_graph6
 from .solver import SearchLimits, SolveStatus, compute_W, find_interval_coloring, outcome_to_json
 from .survey import run_survey, write_survey_csv
 
@@ -85,6 +85,11 @@ def _cmd_solve(args: argparse.Namespace) -> int:
 
 def _cmd_double(args: argparse.Namespace) -> int:
     g = _load_graph(args.graph, args.format)
+    if 2 * g.n > GRAPH6_MAX_N:
+        raise DomainError(
+            f"double supports n <= {GRAPH6_MAX_N // 2} vertices (the certificate holds"
+            f" the 2n-vertex doubled graph as graph6), got n = {g.n}"
+        )
     coloring = _load_coloring(args.coloring, g)
     cert = double_with_certificate(g, coloring)
     _print_json(certificate_to_json(cert))

@@ -1,15 +1,18 @@
 """Exact decision and optimization for interval colorings.
 
-``find_interval_coloring`` decides one palette size t by backtracking;
-``compute_W`` finds the maximum feasible t by iterating downward from the
-tightest registered upper bound. Both run the same per-t decision. The
-testing oracle that enumerates every assignment lives in ``oracle``.
+Both entry points run one descent (``_descend``) over palette sizes t,
+stopping at the first feasible one: ``compute_W`` from the tightest
+registered upper bound down to the maximum degree, so the first feasible t
+is W, and ``find_interval_coloring`` over its one t. The descent sets up
+once per graph, shares one node budget across its layers, and has
+``_decide`` search each layer by backtracking. The testing oracle that
+enumerates every assignment lives in ``oracle``.
 
-Before searching, the decision compares t with a ceiling proven for the
-instance (``_proven_ceiling``): an overfull graph has no interval coloring at
+The set-up is a ceiling proven for the instance (``_proven_ceiling``) and
+the search plan (``_plan``). An overfull graph has no interval coloring at
 all, and no interval coloring uses more than one plus the longest weighted
-distance between two edges. Layers above the ceiling are infeasible at a cost
-of 0 nodes.
+distance between two edges, so layers above the ceiling are infeasible at a
+cost of 0 nodes.
 
 Search strategy (deterministic): edges are ordered by a breadth-first
 traversal from a maximum-degree vertex (ties broken by lowest vertex index)
@@ -49,17 +52,18 @@ after[j] = k, and the search starts edge j's colors above edge k's color.
 Where several twin pairs name the same j it keeps the latest k only: keeping
 fewer constraints is always sound. K2 has twins but no moved edge.
 
-The loop has two implementations that read the same plan (``_plan``, built
-once per graph) and visit the same nodes in the same order, so status, node
-count and witness agree on every layer. ``_search_py`` is the reference, in
-Python. ``_search.c`` is the same loop in C, compiled on first use by
-``_native``; it expands 15 to 65 times as many nodes per second on the
-benchmark's workloads. ``_decide`` runs it when it loads and the Python loop
-otherwise (no compiler, no headers, a read-only install).
+The loop has two implementations that read the same plan and visit the
+same nodes in the same order, so status, node count and witness agree on
+every layer. ``_search_py`` is the reference, in Python. ``_search.c`` is
+the same loop in C, compiled on first use by ``_native``; it expands 15 to
+65 times as many nodes per second on the benchmark's workloads. ``_decide``
+runs it when it loads and the Python loop otherwise (no compiler, no
+headers, a read-only install).
 """
 
 from __future__ import annotations
 
+import bisect
 import functools
 import heapq
 import importlib.machinery
@@ -106,29 +110,6 @@ class SolveOutcome:
     interval_colorable: bool | None = None
     feasible_t_set: tuple[int, ...] = ()
     last_explored_t: int | None = None
-
-
-def _bfs_edge_order(g: Graph) -> list[int]:
-    degs = g.degrees()
-    delta = max(degs)
-    start = min(v for v in range(g.n) if degs[v] == delta)
-    order: list[int] = []
-    edge_seen = [False] * g.m
-    visited = [False] * g.n
-    visited[start] = True
-    queue = deque([start])
-    while queue:
-        u = queue.popleft()
-        for eid in g.incidence[u]:
-            a, b = g.edges[eid]
-            v = b if a == u else a
-            if not edge_seen[eid]:
-                edge_seen[eid] = True
-                order.append(eid)
-            if not visited[v]:
-                visited[v] = True
-                queue.append(v)
-    return order
 
 
 def _require_solvable_input(g: Graph) -> None:
@@ -252,38 +233,58 @@ def _plan(g: Graph) -> tuple[list[int], list[int], list[int], list[int]]:
     ``order`` is the BFS edge order, ``ends`` the two endpoints of each edge
     in that order, flat, and ``deg`` the vertex degrees. ``after[j]`` is the
     position of the earlier edge whose color edge j's must exceed (the twin
-    cut of the module docstring), or -1.
+    cut of the module docstring), or -1. The BFS starts at the lowest-indexed
+    vertex of maximum degree, so consecutive edges share endpoints.
     """
-    order = _bfs_edge_order(g)
-    position = [0] * g.m
-    for k, eid in enumerate(order):
-        position[eid] = k
+    adjacency, incidence = g.adjacency, g.incidence  # incidence[v] in adjacency[v]'s order
+    deg = list(g.degrees())
+    start = deg.index(max(deg))
+    order: list[int] = []
+    position = [-1] * g.m
+    visited = [False] * g.n
+    visited[start] = True
+    queue = deque([start])
+    while queue:
+        u = queue.popleft()
+        for v, eid in zip(adjacency[u], incidence[u]):
+            if position[eid] < 0:
+                position[eid] = len(order)
+                order.append(eid)
+            if not visited[v]:
+                visited[v] = True
+                queue.append(v)
     # Twins have equal open neighbourhoods (x, y apart) or equal closed ones
-    # (x, y adjacent). No open one equals a closed one (w in N(v) = N[w]
-    # would put v in N[w]), so one dict groups both.
-    groups: dict[int, list[int]] = {}
-    adjacency, incidence = g.adjacency, g.incidence
+    # (x, y adjacent). No open one equals a closed one (N(w) = N[v] would put
+    # v in N(w) but w outside N[v]), so one dict groups both.
+    groups: dict[tuple[int, ...], list[int]] = {}
     for v, nbrs in enumerate(adjacency):
-        mask = 0
-        for u in nbrs:
-            mask |= 1 << u
-        groups.setdefault(mask, []).append(v)
-        groups.setdefault(mask | 1 << v, []).append(v)
+        i = bisect.bisect(nbrs, v)
+        groups.setdefault(nbrs, []).append(v)
+        groups.setdefault((*nbrs[:i], v, *nbrs[i:]), []).append(v)
     after = [-1] * g.m
     for twins in groups.values():
         if len(twins) == 1:
             continue
+        # Each twin's two earliest edges, as (position, neighbour). A vertex
+        # has twins of one kind only (an open twin x and a closed twin y of v
+        # would make x adjacent to y, so to v, against N(x) = N(v)), so this
+        # ranks it once.
+        first_two = {
+            v: sorted((position[e], u) for u, e in zip(adjacency[v], incidence[v]))[:2]
+            for v in twins
+        }
         for x, y in itertools.combinations(twins, 2):
-            # A vertex's incidence runs in the order of its neighbours, so
-            # at_x[i] = (x, u) and at_y[i] = (y, u) trade places.
-            at_x = [e for u, e in zip(adjacency[x], incidence[x]) if u != y]
-            at_y = [e for u, e in zip(adjacency[y], incidence[y]) if u != x]
-            swaps = [sorted((position[e], position[f])) for e, f in zip(at_x, at_y)]
-            if swaps:  # K2 has none
-                k, j = min(swaps)
+            # The x<->y swap moves the edges at x or y other than xy. A twin
+            # has at most one edge to its partner, so the first moved edge,
+            # (a, u) at position k, is among each twin's two earliest, and
+            # its image (b, u) joins the partner b to u.
+            moved = [(k, b, u) for a, b in ((x, y), (y, x)) for k, u in first_two[a] if u != b]
+            if moved:  # K2 has none
+                k, b, u = min(moved)
+                j = position[incidence[b][bisect.bisect_left(adjacency[b], u)]]
                 after[j] = max(after[j], k)
     ends = [v for eid in order for v in g.edges[eid]]
-    return order, ends, list(g.degrees()), after
+    return order, ends, deg, after
 
 
 def _search_py(
@@ -359,17 +360,13 @@ _STATUS = (SolveStatus.INFEASIBLE, SolveStatus.FOUND, SolveStatus.ABORTED)
 
 
 def _decide(
-    g: Graph, plan: tuple | None, t: int, budget: int, ceiling: int
+    g: Graph, plan: tuple, t: int, budget: int
 ) -> tuple[SolveStatus, EdgeColoring | None, int]:
-    """Decide one palette size t; returns (status, re-validated witness, nodes).
-
-    ``ceiling`` comes from ``_proven_ceiling``: above it t is infeasible
-    unsearched, and ``plan`` (from ``_plan``) may be None. Runs the compiled
-    kernel when it loads and ``_search_py`` otherwise; both give the same
-    status, nodes and colors.
+    """Search one palette size t with ``plan`` (from ``_plan``); returns
+    (status, re-validated witness, nodes). Runs the compiled kernel when it
+    loads and ``_search_py`` otherwise; both give the same status, nodes and
+    colors.
     """
-    if t > ceiling:
-        return SolveStatus.INFEASIBLE, None, 0
     order, ends, deg, after = plan
     kernel = _native()
     search = _search_py if kernel is None else kernel.search
@@ -386,77 +383,71 @@ def _decide(
     return SolveStatus.FOUND, witness, nodes
 
 
+def _descend(
+    g: Graph, top: int, bottom: int, node_limit: int
+) -> tuple[SolveStatus, EdgeColoring | None, int, int | None]:
+    """Decide palette sizes top, top - 1, ..., bottom until one is feasible.
+
+    Returns (status, witness, nodes, last_explored): FOUND with the witness
+    of the first feasible t, INFEASIBLE when every layer is, or ABORTED once
+    the node limit (0 = unlimited), shared by all layers, runs out.
+    ``last_explored`` is the last t fully decided. Layers above
+    ``_proven_ceiling`` are infeasible at 0 nodes; the rest share one plan.
+    """
+    ceiling = _proven_ceiling(g, cap=top)
+    plan = _plan(g)
+    nodes = 0
+    last_explored: int | None = None
+    for t in range(top, bottom - 1, -1):
+        if node_limit and nodes >= node_limit:
+            # Spent exactly; passing 0 on would mean an unlimited search.
+            return SolveStatus.ABORTED, None, nodes, last_explored
+        if t <= ceiling:
+            status, witness, spent = _decide(g, plan, t, node_limit and node_limit - nodes)
+            nodes += spent
+            if status is not SolveStatus.INFEASIBLE:
+                return status, witness, nodes, t if witness else last_explored
+        last_explored = t
+    return SolveStatus.INFEASIBLE, None, nodes, last_explored
+
+
 def find_interval_coloring(g: Graph, t: int, limits: SearchLimits | None = None) -> SolveOutcome:
     """Decide whether g has an interval t-coloring; exhaustive unless aborted."""
     limits = limits or SearchLimits()
     _require_solvable_input(g)
-    delta = g.max_degree
-    if not delta <= t <= g.m:
-        raise DomainError(f"t={t} outside the feasible range [{delta}, {g.m}]")
-    ceiling = _proven_ceiling(g, cap=t)
-    plan = _plan(g) if t <= ceiling else None
-    status, witness, nodes = _decide(g, plan, t, limits.node_limit, ceiling)
+    if not g.max_degree <= t <= g.m:
+        raise DomainError(f"t={t} outside the feasible range [{g.max_degree}, {g.m}]")
+    status, witness, nodes, _ = _descend(g, t, t, limits.node_limit)
     if witness is None:
         return SolveOutcome(status, nodes_expanded=nodes)
-    return SolveOutcome(
-        status,
-        witness=witness,
-        nodes_expanded=nodes,
-        interval_colorable=True,
-        feasible_t_set=(t,),
-    )
+    return SolveOutcome(status, witness, nodes, interval_colorable=True, feasible_t_set=(t,))
 
 
 def compute_W(g: Graph, limits: SearchLimits | None = None) -> SolveOutcome:
     """Maximum feasible palette size, or proof that none exists.
 
-    Iterates t downward from min(|E|, tightest theorem bound) to the maximum
-    degree; the first feasible t is W. The node budget, when set, is shared
-    across the whole descent; on exhaustion the outcome reports the last t
-    that was fully decided.
+    Descends from min(|E|, tightest theorem bound) to the maximum degree; the
+    first feasible t is W. The node budget, when set, is shared across the
+    whole descent; on exhaustion the outcome reports the last t that was
+    fully decided. A ``t_override`` below the theorem bound caps the descent,
+    and then an exhausted descent leaves colorability open (None).
     """
     limits = limits or SearchLimits()
     _require_solvable_input(g)
-    cls = classify(g)
-    cutoff = bounds_mod.best_upper_bound(g, cls, planar_asserted=False)
-    if limits.t_override is not None:
-        cutoff = min(cutoff, limits.t_override)
-    delta = g.max_degree
-    ceiling = _proven_ceiling(g, cap=cutoff)
-    plan = _plan(g) if min(cutoff, ceiling) >= delta else None
-    total_nodes = 0
-    last_explored: int | None = None
-    for t in range(cutoff, delta - 1, -1):
-        budget = limits.node_limit - total_nodes if limits.node_limit else 0
-        if limits.node_limit and budget <= 0:
-            # Spent exactly; passing 0 on would mean an unlimited search.
-            status, witness, nodes = SolveStatus.ABORTED, None, 0
-        else:
-            status, witness, nodes = _decide(g, plan, t, budget, ceiling)
-        total_nodes += nodes
-        if status is SolveStatus.ABORTED:
-            return SolveOutcome(
-                SolveStatus.ABORTED,
-                nodes_expanded=total_nodes,
-                last_explored_t=last_explored,
-            )
-        last_explored = t
-        if status is SolveStatus.FOUND:
-            return SolveOutcome(
-                SolveStatus.FOUND,
-                witness=witness,
-                nodes_expanded=total_nodes,
-                w=t,
-                interval_colorable=True,
-                feasible_t_set=(t,),
-                last_explored_t=t,
-            )
+    cutoff = bounds_mod.best_upper_bound(g, classify(g), planar_asserted=False)
+    capped = limits.t_override is not None and limits.t_override < cutoff
+    if capped:
+        cutoff = limits.t_override
+    status, witness, nodes, last = _descend(g, cutoff, g.max_degree, limits.node_limit)
+    if witness is None:
+        colorable = None if capped or status is SolveStatus.ABORTED else False
+        return SolveOutcome(
+            status, nodes_expanded=nodes, interval_colorable=colorable, last_explored_t=last
+        )
+    w = witness.t
     return SolveOutcome(
-        SolveStatus.INFEASIBLE,
-        nodes_expanded=total_nodes,
-        interval_colorable=False,
-        feasible_t_set=(),
-        last_explored_t=last_explored,
+        status, witness, nodes, w=w, interval_colorable=True, feasible_t_set=(w,),
+        last_explored_t=w,
     )
 
 

@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 
 import intervalcolor
-from intervalcolor import EdgeColoring, coloring_to_json, write_graph6
+from intervalcolor import EdgeColoring, Graph, coloring_to_json, write_graph6
 from intervalcolor.cli import main
 from intervalcolor.graph import EDGE_LIST_MAX_N
 from smallgraphs import c4, k3
@@ -176,6 +176,20 @@ class TestDouble:
                 assert code == 2, (command, edges)
                 assert out == ""
                 assert "must be a list" in err
+
+    def test_n_above_31_fails_before_doubling(self, capsys, tmp_path):
+        # The certificate holds H, on 2n vertices, as graph6 (n <= 62).
+        for n, expected in ((31, 0), (32, 2)):
+            path = Graph(n, tuple((i, i + 1) for i in range(n - 1)))
+            graph = tmp_path / "path.edges"
+            graph.write_text(f"{n}\n" + "".join(f"{a} {b}\n" for a, b in path.edges))
+            coloring = tmp_path / "path.json"
+            doc = coloring_to_json(path, EdgeColoring(n - 1, tuple(range(1, n))))
+            coloring.write_text(json.dumps(doc))
+            argv = ["double", "--graph", str(graph), "--coloring", str(coloring)]
+            code, out, err = run(capsys, [*argv, "--format", "edges"])
+            assert code == expected, n
+        assert out == "" and "double supports n <= 31 vertices" in err
 
     def test_invalid_source_coloring_exits_one(self, capsys, tmp_path):
         graph = tmp_path / "k3.g6"

@@ -8,7 +8,8 @@ import subprocess
 import sys
 import sysconfig
 import time
-from itertools import product
+import tracemalloc
+from itertools import combinations, product
 from pathlib import Path
 
 import networkx as nx
@@ -30,10 +31,11 @@ from intervalcolor import (
     find_interval_coloring,
     generate_connected_catalog,
     is_connected,
+    parse_graph6,
     validate_interval,
 )
+from intervalcolor import solver
 from intervalcolor.solver import (
-    _bfs_edge_order,
     _include_dir,
     _native,
     _plan,
@@ -96,14 +98,14 @@ class TestFindIntervalColoring:
 
     def test_edge_order_is_bfs_from_max_degree_vertex(self):
         # star: center 0 has max degree, its edges come out in index order
-        assert _bfs_edge_order(star(3)) == [0, 1, 2]
+        assert _plan(star(3))[0] == [0, 1, 2]
         # C4: start at vertex 0, edges discovered (0,1),(0,3),(1,2),(2,3)
-        assert [c4().edges[k] for k in _bfs_edge_order(c4())] == [
+        assert [c4().edges[k] for k in _plan(c4())[0]] == [
             (0, 1), (0, 3), (1, 2), (2, 3),
         ]
         # tie on degree: lowest-index max-degree vertex starts
         g = Graph(4, ((1, 2), (2, 3), (1, 3), (0, 1)))
-        first_edge = g.edges[_bfs_edge_order(g)[0]]
+        first_edge = g.edges[_plan(g)[0][0]]
         assert 1 in first_edge  # vertex 1 is the lowest max-degree vertex
 
 
@@ -149,6 +151,29 @@ class TestComputeW:
     def test_t_override_caps_search(self):
         out = compute_W(c4(), SearchLimits(t_override=2))
         assert out.w == 2
+
+    def test_t_override_below_w_leaves_colorability_open(self):
+        # W(K2) = 1 and W(C4) = 3: a descent capped below W proves nothing.
+        for g, cap in ((k2(), 0), (c4(), 1)):
+            out = compute_W(g, SearchLimits(t_override=cap))
+            assert out.status is SolveStatus.INFEASIBLE
+            assert (out.interval_colorable, out.last_explored_t) == (None, None)
+        # An override at or above the theorem bound caps nothing.
+        assert compute_W(k3(), SearchLimits(t_override=9)).interval_colorable is False
+
+    @pytest.mark.parametrize("native", [True, False], ids=["kernel", "python"])
+    def test_budget_spent_exactly_aborts(self, native, monkeypatch):
+        # Layer 4 of this graph is proven infeasible in exactly the 10 nodes
+        # of the limit; layer 3 then has no budget left, and must not search
+        # as if 0 meant unlimited (it finds W = 3 after 8 more nodes).
+        if not native:
+            monkeypatch.setattr(solver, "_native", lambda: None)
+        g = parse_graph6("CN")
+        layer = find_interval_coloring(g, 4)
+        assert (layer.status, layer.nodes_expanded) == (SolveStatus.INFEASIBLE, 10)
+        out = compute_W(g, SearchLimits(node_limit=10))
+        assert out.status is SolveStatus.ABORTED
+        assert (out.nodes_expanded, out.last_explored_t) == (10, 4)
 
     def test_odd_cycles_not_colorable(self):
         for n in (3, 5, 7):
@@ -388,7 +413,7 @@ class TestProvenCeiling:
             for g in catalogs[n]:
                 if g.m > 5:
                     continue
-                order = _bfs_edge_order(g)
+                order = _plan(g)[0]
                 for t in range(g.max_degree, g.m + 1):
                     expected = None
                     for combo in product(range(1, t + 1), repeat=g.m):
@@ -419,11 +444,82 @@ def searched_layers(g: Graph) -> range:
     return range(g.max_degree, min(g.m, best_upper_bound(g, classify(g))) + 1)
 
 
+def all_pairs_after(g: Graph) -> list[int]:
+    """The twin cut by its definition: for every twin pair, the first moved
+    edge and its image among all the edges the swap moves."""
+    position = [0] * g.m
+    for k, eid in enumerate(_plan(g)[0]):
+        position[eid] = k
+    eid = {e: i for i, e in enumerate(g.edges)}
+    at = [
+        {u: position[eid[min(v, u), max(v, u)]] for u in nbrs} for v, nbrs in enumerate(g.adjacency)
+    ]
+    after = [-1] * g.m
+    for x, y in combinations(range(g.n), 2):
+        moved = set(at[x]) - {y}
+        if moved != set(at[y]) - {x}:
+            continue
+        swaps = [sorted((at[x][u], at[y][u])) for u in moved]
+        if swaps:
+            k, j = min(swaps)
+            after[j] = max(after[j], k)
+    return after
+
+
 class TestTwinCut:
     """``_plan``'s ``after``: the twin lex-leader cut of the module docstring."""
 
     def after(self, g: Graph) -> list[int]:
         return _plan(g)[3]
+
+    def test_matches_all_pairs_construction(self, catalogs, doubled_graphs):
+        graphs = [g for n in range(1, 7) for g in catalogs[n] if g.m]
+        graphs += generate_connected_catalog(7)
+        graphs += doubled_graphs
+        graphs += [Graph(n, tuple(combinations(range(n), 2))) for n in range(8, 13)]
+        for n in range(8, 25):
+            for p in (0.1, 0.3, 0.6, 0.9):
+                for seed in range(5):
+                    g = Graph(n, tuple(nx.gnp_random_graph(n, p, seed=seed).edges()))
+                    graphs.append(g)
+        checked = cut = 0
+        for g in graphs:
+            if g.m and is_connected(g):
+                after = self.after(g)
+                assert after == all_pairs_after(g), g.edges
+                checked += 1
+                cut += after != [-1] * g.m
+        assert checked > 1250 and cut > 750
+
+    def test_memory_is_linear_on_a_long_path(self):
+        path = Graph(40_000, tuple((i, i + 1) for i in range(39_999)))
+        tracemalloc.start()
+        try:
+            self.after(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 50 * 2**20
+
+    def test_a_large_twin_class_is_fast(self):
+        # K400 is one class of 400 twins, 79,800 pairs with 398 moved edges
+        # each; listing them all took about 20 s.
+        probe = (
+            "import time\n"
+            "from intervalcolor import Graph\n"
+            "from intervalcolor.solver import _plan\n"
+            "g = Graph(400, tuple((i, j) for i in range(400) for j in range(i + 1, 400)))\n"
+            "start = time.perf_counter()\n"
+            "_plan(g)\n"
+            "print(time.perf_counter() - start)"
+        )
+        src = str(Path(intervalcolor.__file__).resolve().parents[1])
+        result = subprocess.run(
+            [sys.executable, "-c", probe],
+            capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src},
+            check=True, timeout=120,
+        )
+        assert float(result.stdout) < 5
 
     def test_hand_checked_plans(self):
         # K1,3: the leaves are twins, so the three edges at the center rise.
