@@ -3,7 +3,7 @@
 Each entry is emitted only when its structural precondition verifiably
 holds on the given graph; the planar bound additionally requires an explicit
 caller assertion because planarity testing is out of scope. The registered
-bounds, for connected graphs on n vertices:
+bounds, for connected graphs on n vertices with at least one edge:
 
   T1_triangle_free    W <= n - 1        triangle-free
   T2_biregular        W <= n - 3        (a,b)-biregular bipartite, n >= 2(a+b)
@@ -13,7 +13,8 @@ bounds, for connected graphs on n vertices:
   T7_regular          W <= 2n - 5       r-regular, n >= 2r + 2
 
 The surjectivity cap W <= |E| is applied in best_upper_bound, not stored as
-a claim. The 11n/6 bound is floored because W is an integer.
+a claim; best_upper_bound never includes the planar bound, because only a
+caller can assert planarity. The 11n/6 bound is floored because W is an integer.
 """
 
 from __future__ import annotations
@@ -52,6 +53,8 @@ def applicable_bounds(
     """All claims whose preconditions hold, in fixed registry order."""
     if not cls.connected:
         raise DomainError("bound registry applies to connected graphs only")
+    if cls.max_degree == 0:
+        raise DomainError("bound registry needs a graph with at least one edge")
     n = g.n
     claims: list[BoundClaim] = []
     if cls.triangle_free:
@@ -72,9 +75,9 @@ def applicable_bounds(
     return tuple(claims)
 
 
-def best_upper_bound(g: Graph, cls: GraphClass, planar_asserted: bool = False) -> int:
+def best_upper_bound(g: Graph, cls: GraphClass) -> int:
     """Minimum over applicable claims, capped by |E| (each color needs an edge)."""
-    claims = applicable_bounds(g, cls, planar_asserted)
+    claims = applicable_bounds(g, cls)
     return min(min(c.bound for c in claims), g.m)
 
 

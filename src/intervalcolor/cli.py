@@ -1,8 +1,8 @@
 """Command-line front end.
 
 Exit codes: 0 success / verdict true; 1 verdict false, infeasible, or
-aborted; 2 usage or parse error (including violated preconditions); 3
-internal invariant violation, i.e. a bug worth reporting.
+aborted (out of memory included); 2 usage or parse error (including violated
+preconditions); 3 internal invariant violation, i.e. a bug worth reporting.
 """
 
 from __future__ import annotations
@@ -59,9 +59,9 @@ def _load_coloring(path: str, g: Graph):
     return coloring_from_json(g, doc)
 
 
-def _print_json(doc: dict, stream=None) -> None:
-    json.dump(doc, stream or sys.stdout, indent=2)
-    print(file=stream or sys.stdout)
+def _print_json(doc: dict) -> None:
+    json.dump(doc, sys.stdout, indent=2)
+    print()
 
 
 def _cmd_validate(args: argparse.Namespace) -> int:
@@ -193,16 +193,11 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except ParseError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except InvalidColoringError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    # InvalidColoringError is a DomainError, so it goes first; MemoryError has no text.
+    except (InvalidColoringError, MemoryError) as exc:
+        print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
         return EXIT_NEGATIVE
-    except DomainError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except OSError as exc:
+    except (ParseError, DomainError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except InternalInvariantError as exc:

@@ -28,8 +28,8 @@ from .coloring import (
     validate_interval,
     validation_report_to_json,
 )
-from .errors import DomainError, InternalInvariantError, InvalidColoringError
-from .graph import Graph, is_connected, write_graph6
+from .errors import InternalInvariantError, InvalidColoringError
+from .graph import Graph, is_connected, require_connected_with_edge, write_graph6
 
 
 @dataclass(frozen=True, slots=True)
@@ -66,10 +66,7 @@ class DoublingCertificate:
 
 def double_graph(g: Graph) -> DoublingResult:
     """Build H = double cover of g plus the identity matching, with checks."""
-    if g.m == 0:
-        raise DomainError("doubling requires at least one edge")
-    if not is_connected(g):
-        raise DomainError("doubling requires a connected graph")
+    require_connected_with_edge(g)
     n = g.n
     provenance: dict[tuple[int, int], CrossEdge | MatchingEdge] = {}
     for idx, (i, j) in enumerate(g.edges):

@@ -24,6 +24,8 @@ class Graph:
 
     ``adjacency`` and ``incidence`` (edge indices per vertex, in canonical
     edge order) are derived at construction time and excluded from equality.
+    They align: edge ``incidence[v][i]`` joins v and ``adjacency[v][i]``, and
+    both lists increase because the edges are sorted.
     """
 
     n: int
@@ -52,7 +54,7 @@ class Graph:
             adj[b].append(a)
             inc[a].append(idx)
             inc[b].append(idx)
-        object.__setattr__(self, "adjacency", tuple(tuple(sorted(x)) for x in adj))
+        object.__setattr__(self, "adjacency", tuple(tuple(x) for x in adj))
         object.__setattr__(self, "incidence", tuple(tuple(x) for x in inc))
 
     @property
@@ -110,6 +112,15 @@ def is_connected(g: Graph) -> bool:
                 count += 1
                 queue.append(v)
     return count == g.n
+
+
+def require_connected_with_edge(g: Graph) -> None:
+    """The domain of interval colorings and of the doubling: at least one
+    edge (a coloring needs color 1) and a connected graph."""
+    if g.m == 0:
+        raise DomainError("graph has no edges; an interval coloring needs at least color 1")
+    if not is_connected(g):
+        raise DomainError("graph is disconnected")
 
 
 def _bipartition(g: Graph) -> tuple[tuple[int, ...], tuple[int, ...]] | None:

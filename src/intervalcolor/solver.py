@@ -79,7 +79,7 @@ from pathlib import Path
 from . import bounds as bounds_mod
 from .coloring import EdgeColoring, coloring_to_json, validate_interval
 from .errors import DomainError, InternalInvariantError
-from .graph import Graph, classify, is_connected
+from .graph import Graph, classify, require_connected_with_edge
 
 
 class SolveStatus(Enum):
@@ -110,13 +110,6 @@ class SolveOutcome:
     interval_colorable: bool | None = None
     feasible_t_set: tuple[int, ...] = ()
     last_explored_t: int | None = None
-
-
-def _require_solvable_input(g: Graph) -> None:
-    if g.m == 0:
-        raise DomainError("graph has no edges; an interval coloring needs at least color 1")
-    if not is_connected(g):
-        raise DomainError("graph is disconnected")
 
 
 def _proven_ceiling(g: Graph, cap: int) -> int:
@@ -414,7 +407,7 @@ def _descend(
 def find_interval_coloring(g: Graph, t: int, limits: SearchLimits | None = None) -> SolveOutcome:
     """Decide whether g has an interval t-coloring; exhaustive unless aborted."""
     limits = limits or SearchLimits()
-    _require_solvable_input(g)
+    require_connected_with_edge(g)
     if not g.max_degree <= t <= g.m:
         raise DomainError(f"t={t} outside the feasible range [{g.max_degree}, {g.m}]")
     status, witness, nodes, _ = _descend(g, t, t, limits.node_limit)
@@ -433,8 +426,8 @@ def compute_W(g: Graph, limits: SearchLimits | None = None) -> SolveOutcome:
     and then an exhausted descent leaves colorability open (None).
     """
     limits = limits or SearchLimits()
-    _require_solvable_input(g)
-    cutoff = bounds_mod.best_upper_bound(g, classify(g), planar_asserted=False)
+    require_connected_with_edge(g)
+    cutoff = bounds_mod.best_upper_bound(g, classify(g))
     capped = limits.t_override is not None and limits.t_override < cutoff
     if capped:
         cutoff = limits.t_override

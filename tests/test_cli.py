@@ -3,7 +3,6 @@ from __future__ import annotations
 import io
 import json
 import os
-import resource
 import subprocess
 import sys
 from pathlib import Path
@@ -15,6 +14,11 @@ from intervalcolor import EdgeColoring, Graph, coloring_to_json, write_graph6
 from intervalcolor.cli import main
 from intervalcolor.graph import EDGE_LIST_MAX_N
 from smallgraphs import c4, k3
+
+try:
+    import resource
+except ImportError:  # not on Windows
+    resource = None
 
 
 @pytest.fixture()
@@ -34,6 +38,8 @@ def run(capsys, argv):
 
 def run_capped(argv):
     """Run the CLI in a child process capped at 60 s and 1 GiB."""
+    if resource is None:
+        pytest.skip("needs resource.setrlimit")
     src = str(Path(intervalcolor.__file__).resolve().parents[1])
     return subprocess.run(
         [sys.executable, "-m", "intervalcolor", *argv],
@@ -126,6 +132,16 @@ class TestSolve:
         doc = json.loads(out)
         assert doc["status"] == "found" and doc["W"] == 1200
 
+    def test_out_of_memory_exits_one(self, tmp_path):
+        n = EDGE_LIST_MAX_N
+        graph = tmp_path / "path.edges"
+        graph.write_text(f"{n}\n" + "".join(f"{i} {i + 1}\n" for i in range(n - 1)))
+        # The search holds (t + 1) / 64 + 1 mask words per vertex: 1.25 GB at t = n - 1.
+        result = run_capped(["solve", "--graph", str(graph), "--format", "edges"])
+        assert result.returncode == 1
+        assert result.stdout == ""
+        assert result.stderr == "error: out of memory\n"
+
     def test_node_limit_aborts(self, capsys, c4_files):
         graph, _ = c4_files
         code, out, _ = run(capsys, ["solve", "--graph", str(graph), "--node-limit", "1"])
@@ -191,6 +207,17 @@ class TestDouble:
             assert code == expected, n
         assert out == "" and "double supports n <= 31 vertices" in err
 
+    def test_disconnected_graph_is_usage_error(self, capsys, tmp_path):
+        graph = tmp_path / "2k2.edges"
+        graph.write_text("4\n0 1\n2 3\n")
+        coloring = tmp_path / "alpha.json"
+        doc = coloring_to_json(Graph(4, ((0, 1), (2, 3))), EdgeColoring(1, (1, 1)))
+        coloring.write_text(json.dumps(doc))
+        argv = ["double", "--graph", str(graph), "--format", "edges", "--coloring", str(coloring)]
+        code, out, err = run(capsys, argv)
+        assert code == 2
+        assert out == "" and err == "error: graph is disconnected\n"
+
     def test_invalid_source_coloring_exits_one(self, capsys, tmp_path):
         graph = tmp_path / "k3.g6"
         graph.write_text("Bw\n")
@@ -222,6 +249,14 @@ class TestBounds:
             "T3_general",
             "T4_general_n3",
         }
+
+    def test_edgeless_graph_is_usage_error(self, capsys, tmp_path):
+        graph = tmp_path / "k1.g6"
+        graph.write_text("@\n")
+        code, out, err = run(capsys, ["bounds", "--graph", str(graph)])
+        assert code == 2
+        assert out == ""
+        assert "at least one edge" in err
 
     def test_planar_flag(self, capsys, c4_files):
         graph, _ = c4_files

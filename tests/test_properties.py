@@ -74,6 +74,17 @@ class TestGraph6Roundtrip:
         assert Graph(g.n, tuple(back.edges())) == g
 
 
+class TestAdjacencyIndex:
+    @given(large_graphs())
+    @settings(max_examples=200)
+    def test_incidence_aligns_with_adjacency(self, g):
+        for v in range(g.n):
+            assert len(g.incidence[v]) == len(g.adjacency[v])
+            for k, u in zip(g.incidence[v], g.adjacency[v]):
+                assert sorted(g.edges[k]) == sorted((v, u))
+            assert list(g.adjacency[v]) == sorted(g.adjacency[v])
+
+
 class TestParserRobustness:
     @given(st.text(max_size=30))
     @settings(max_examples=300)

@@ -1,8 +1,21 @@
 from __future__ import annotations
 
 import io
+from dataclasses import fields
 
-from intervalcolor import SearchLimits, run_survey, survey_graph, write_survey_csv
+import pytest
+
+from intervalcolor import (
+    EdgeColoring,
+    InternalInvariantError,
+    SearchLimits,
+    SolveOutcome,
+    SolveStatus,
+    SurveyRecord,
+    run_survey,
+    survey_graph,
+    write_survey_csv,
+)
 from intervalcolor.survey import CSV_COLUMNS, record_to_row
 from smallgraphs import c4, k1, k2, k3, p3, two_k2
 
@@ -40,6 +53,13 @@ class TestSurveyRecords:
         assert rec.w == "aborted"
         assert rec.slack is None
 
+    def test_w_above_a_bound_is_a_defect(self, monkeypatch):
+        # P3 is triangle-free, so T1 caps W at n - 1 = 2; a solver reporting 3 must be caught.
+        wrong = SolveOutcome(SolveStatus.FOUND, EdgeColoring(3, (1, 2)), w=3)
+        monkeypatch.setattr("intervalcolor.survey.compute_W", lambda g, limits: wrong)
+        with pytest.raises(InternalInvariantError, match="T1_triangle_free"):
+            survey_graph(p3())
+
     def test_catalog_n4_all_sound(self, catalogs):
         records = list(run_survey(catalogs[4], with_doubling=True))
         assert len(records) == 6
@@ -63,6 +83,9 @@ class TestCsvOutput:
         lines = text.splitlines()
         assert lines[0] == ",".join(CSV_COLUMNS)
         assert len(lines) == 2
+
+    def test_record_fields_are_the_columns(self):
+        assert [f.name.upper() for f in fields(SurveyRecord)] == [c.upper() for c in CSV_COLUMNS]
 
     def test_row_rendering(self):
         row = record_to_row(survey_graph(k3()))
