@@ -5,7 +5,8 @@ orderings: the upper-triangle bits in column order (0,1),(0,2),(1,2),...
 compared lexicographically. Column order matches the graph6 bit layout, so
 the canonical representative also has the lexicographically smallest graph6
 body of its class. Internally the encoding is one integer, the bits read
-MSB-first, so comparing integers compares the bit strings.
+MSB-first (``graph._code_from_edges``), so comparing integers compares the
+bit strings.
 
 The minimum is found exactly by a depth-first search over vertex orderings.
 Vertex k of the ordering contributes the k bits (0,k),...,(k-1,k), its
@@ -33,7 +34,7 @@ from typing import Iterator, Sequence
 
 from . import solver
 from .errors import DomainError
-from .graph import Graph, _column_order_pairs
+from .graph import Graph, _edges_from_code
 
 CATALOG_MAX_N = 8
 
@@ -103,11 +104,6 @@ def minimum_adjacency_encoding(g: Graph) -> tuple[int, ...]:
     return tuple((code >> shift) & 1 for shift in range(g.n * (g.n - 1) // 2 - 1, -1, -1))
 
 
-def _graph_from_code(n: int, code: int) -> Graph:
-    shifts = range(n * (n - 1) // 2 - 1, -1, -1)
-    return Graph(n, tuple(pair for pair, s in zip(_column_order_pairs(n), shifts) if (code >> s) & 1))
-
-
 def generate_connected_catalog(n: int) -> Iterator[Graph]:
     """All connected graphs on n vertices, one canonical representative per
     isomorphism class, in increasing canonical-encoding order.
@@ -135,4 +131,4 @@ def generate_connected_catalog(n: int) -> Iterator[Graph]:
                 child = (*(m | bit if (subset >> i) & 1 else m for i, m in enumerate(masks)), subset)
                 grown.setdefault(_min_code(size, child), child)
         level = grown
-    return (_graph_from_code(n, code) for code in sorted(level))
+    return (Graph(n, _edges_from_code(n, code)) for code in sorted(level))

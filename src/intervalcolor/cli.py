@@ -1,16 +1,19 @@
 """Command-line front end.
 
 Exit codes: 0 success / verdict true; 1 verdict false, infeasible, or
-aborted (out of memory included); 2 usage or parse error (including violated
-preconditions); 3 internal invariant violation, i.e. a bug worth reporting.
+aborted (out of memory included), or the reader closed the output; 2 usage or
+parse error (including violated preconditions); 3 internal invariant
+violation, i.e. a bug worth reporting.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
-from typing import Iterator
+from contextlib import contextmanager, nullcontext
+from typing import IO, Iterator
 
 from .bounds import BoundReport, applicable_bounds, bound_report_to_json
 from .catalog import generate_connected_catalog
@@ -27,14 +30,19 @@ EXIT_USAGE = 2
 EXIT_DEFECT = 3
 
 
-def _read_text(path: str) -> str:
+@contextmanager
+def _open_text(path: str) -> Iterator[IO[str]]:
+    """A UTF-8 file, or stdin for "-"; text that fails to decode is a ParseError."""
     try:
-        if path == "-":
-            return sys.stdin.read()
-        with open(path, "r", encoding="utf-8") as fh:
-            return fh.read()
+        with nullcontext(sys.stdin) if path == "-" else open(path, encoding="utf-8") as fh:
+            yield fh
     except UnicodeDecodeError as exc:
         raise ParseError(f"input is not UTF-8 text: {exc}") from None
+
+
+def _read_text(path: str) -> str:
+    with _open_text(path) as fh:
+        return fh.read()
 
 
 def _load_graph(path: str, fmt: str) -> Graph:
@@ -107,16 +115,18 @@ def _cmd_bounds(args: argparse.Namespace) -> int:
 
 
 def _graph6_stream(path: str) -> Iterator[Graph]:
-    """Graphs of a graph6 stream; a malformed line ends it with a ParseError
-    naming its 1-based line number."""
-    for lineno, line in enumerate(_read_text(path).splitlines(), start=1):
-        line = line.strip()
-        if line:
-            try:
-                g = parse_graph6(line)
-            except ParseError as exc:
-                raise ParseError(str(exc), line=lineno) from None
-            yield g
+    """Graphs of a graph6 stream, read line by line and split as
+    ``str.splitlines`` splits the whole text; a malformed line ends it with a
+    ParseError naming its 1-based line number."""
+    with _open_text(path) as fh:
+        for lineno, line in enumerate((p for chunk in fh for p in chunk.splitlines()), start=1):
+            line = line.strip()
+            if line:
+                try:
+                    g = parse_graph6(line)
+                except ParseError as exc:
+                    raise ParseError(str(exc), line=lineno) from None
+                yield g
 
 
 def _cmd_survey(args: argparse.Namespace) -> int:
@@ -192,7 +202,13 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # a closed pipe fails here, not at interpreter exit
+        return code
+    except BrokenPipeError:
+        # The reader is gone; with stdout on devnull the final flush stays quiet.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_NEGATIVE
     # InvalidColoringError is a DomainError, so it goes first; MemoryError has no text.
     except (InvalidColoringError, MemoryError) as exc:
         print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)

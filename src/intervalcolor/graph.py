@@ -8,9 +8,8 @@ identical ``Graph`` values.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass, field
-from typing import Iterator
+from typing import Iterable
 
 from .errors import DomainError, ParseError
 
@@ -61,19 +60,12 @@ class Graph:
     def m(self) -> int:
         return len(self.edges)
 
-    def degree(self, v: int) -> int:
-        return len(self.adjacency[v])
-
     def degrees(self) -> tuple[int, ...]:
         return tuple(len(nbrs) for nbrs in self.adjacency)
 
     @property
     def max_degree(self) -> int:
         return max(self.degrees())
-
-    @property
-    def min_degree(self) -> int:
-        return min(self.degrees())
 
 
 @dataclass(frozen=True, slots=True)
@@ -97,21 +89,30 @@ class GraphClass:
     min_degree: int
 
 
+def _traverse(g: Graph) -> tuple[list[int], bool, int]:
+    """BFS over every component, roots in index order: the side (0 or 1) of
+    each vertex, whether that 2-coloring is proper, and the component count."""
+    side = [-1] * g.n
+    proper = True
+    components = 0
+    for root in range(g.n):
+        if side[root] != -1:
+            continue
+        components += 1
+        side[root] = 0
+        queue = [root]
+        for u in queue:  # the list grows while it is read: a FIFO queue
+            for v in g.adjacency[u]:
+                if side[v] == -1:
+                    side[v] = 1 - side[u]
+                    queue.append(v)
+                elif side[v] == side[u]:
+                    proper = False
+    return side, proper, components
+
+
 def is_connected(g: Graph) -> bool:
-    if g.n == 1:
-        return True
-    seen = [False] * g.n
-    seen[0] = True
-    queue = deque([0])
-    count = 1
-    while queue:
-        u = queue.popleft()
-        for v in g.adjacency[u]:
-            if not seen[v]:
-                seen[v] = True
-                count += 1
-                queue.append(v)
-    return count == g.n
+    return _traverse(g)[2] == 1
 
 
 def require_connected_with_edge(g: Graph) -> None:
@@ -121,26 +122,6 @@ def require_connected_with_edge(g: Graph) -> None:
         raise DomainError("graph has no edges; an interval coloring needs at least color 1")
     if not is_connected(g):
         raise DomainError("graph is disconnected")
-
-
-def _bipartition(g: Graph) -> tuple[tuple[int, ...], tuple[int, ...]] | None:
-    side = [-1] * g.n
-    for root in range(g.n):
-        if side[root] != -1:
-            continue
-        side[root] = 0
-        queue = deque([root])
-        while queue:
-            u = queue.popleft()
-            for v in g.adjacency[u]:
-                if side[v] == -1:
-                    side[v] = 1 - side[u]
-                    queue.append(v)
-                elif side[v] == side[u]:
-                    return None
-    part0 = tuple(v for v in range(g.n) if side[v] == 0)
-    part1 = tuple(v for v in range(g.n) if side[v] == 1)
-    return (part0, part1)
 
 
 def _triangle_free(g: Graph) -> bool:
@@ -155,26 +136,21 @@ def classify(g: Graph) -> GraphClass:
     degs = g.degrees()
     delta_max = max(degs)
     delta_min = min(degs)
-    regular = delta_max if delta_max == delta_min else None
-
-    bipartition = _bipartition(g)
+    side, proper, components = _traverse(g)
+    bipartition: tuple[tuple[int, ...], tuple[int, ...]] | None = None
     biregular: tuple[int, int] | None = None
-    if bipartition is not None:
-        part_degs = [{degs[v] for v in part} for part in bipartition]
-        if all(len(s) <= 1 for s in part_degs):
-            d0 = next(iter(part_degs[0])) if part_degs[0] else None
-            d1 = next(iter(part_degs[1])) if part_degs[1] else None
-            if d0 is None:
-                d0 = d1
-            if d1 is None:
-                d1 = d0
-            if d0 is not None and d1 is not None:
-                biregular = (d0, d1) if d0 <= d1 else (d1, d0)
+    if proper:
+        part0, part1 = (tuple(v for v in range(g.n) if side[v] == s) for s in (0, 1))
+        bipartition = (part0, part1)
+        degs0 = {degs[v] for v in part0}  # vertex 0 is in part0, so it is nonempty
+        degs1 = {degs[v] for v in part1} or degs0
+        if len(degs0) == len(degs1) == 1:
+            biregular = tuple(sorted((*degs0, *degs1)))
 
     return GraphClass(
-        connected=is_connected(g),
+        connected=components == 1,
         bipartition=bipartition,
-        regular_degree=regular,
+        regular_degree=delta_max if delta_max == delta_min else None,
         triangle_free=_triangle_free(g),
         biregular_degrees=biregular,
         max_degree=delta_max,
@@ -183,19 +159,29 @@ def classify(g: Graph) -> GraphClass:
 
 
 # --------------------------------------------------------------------------
-# graph6 codec (short form only, 1 <= n <= 62)
+# Column-order code and graph6 (short form only, 1 <= n <= 62)
 #
-# Layout: byte 0 is n + 63; the remaining bytes carry the upper triangle of
-# the adjacency matrix in column order (0,1),(0,2),(1,2),(0,3),... as a bit
-# stream, packed big-endian into 6-bit groups, each stored as group + 63.
-# Padding bits must be zero.
+# The code of an edge set on n vertices is the upper triangle of its
+# adjacency matrix in column order (0,1),(0,2),(1,2),(0,3),... as
+# n(n-1)/2 bits, read MSB-first as one integer, so comparing codes compares
+# the bit strings. The catalog's canonical form is the minimum code.
+#
+# A graph6 string is byte n + 63 and then the code, shifted left over up to
+# five zero padding bits to a multiple of six and cut into 6-bit groups,
+# most significant first, each stored as group + 63.
 # --------------------------------------------------------------------------
 
 
-def _column_order_pairs(n: int) -> Iterator[tuple[int, int]]:
-    for j in range(1, n):
-        for i in range(j):
-            yield (i, j)
+def _code_from_edges(n: int, edges: Iterable[tuple[int, int]]) -> int:
+    """The code of distinct edges (i, j), i < j."""
+    top = n * (n - 1) // 2 - 1
+    return sum(1 << (top - j * (j - 1) // 2 - i) for i, j in edges)
+
+
+def _edges_from_code(n: int, code: int) -> tuple[tuple[int, int], ...]:
+    pairs = ((i, j) for j in range(1, n) for i in range(j))
+    bits = format(code, f"0{n * (n - 1) // 2}b")
+    return tuple(pair for pair, bit in zip(pairs, bits) if bit == "1")
 
 
 def parse_graph6(text: str) -> Graph:
@@ -210,42 +196,32 @@ def parse_graph6(text: str) -> Graph:
     if n == 0:
         raise ParseError("graph on 0 vertices is outside the supported range 1..62", offset=0)
     nbits = n * (n - 1) // 2
-    nbytes = (nbits + 5) // 6
-    expected = 1 + nbytes
+    expected = 1 + (nbits + 5) // 6
     if len(text) < expected:
         raise ParseError(
             f"truncated: n={n} needs {expected} bytes, got {len(text)}", offset=len(text)
         )
     if len(text) > expected:
         raise ParseError(f"trailing garbage after {expected}-byte encoding", offset=expected)
-    bits: list[int] = []
+    body = 0
     for pos in range(1, expected):
         value = ord(text[pos])
         if not 63 <= value <= 126:
             raise ParseError(f"character {text[pos]!r} outside graph6 value range", offset=pos)
-        value -= 63
-        bits.extend((value >> shift) & 1 for shift in (5, 4, 3, 2, 1, 0))
-    for extra in range(nbits, len(bits)):
-        if bits[extra]:
-            raise ParseError("nonzero padding bits", offset=1 + extra // 6)
-    edges = [pair for pair, bit in zip(_column_order_pairs(n), bits) if bit]
-    return Graph(n, tuple(edges))
+        body = (body << 6) | (value - 63)
+    padding = 6 * (expected - 1) - nbits
+    if body & ((1 << padding) - 1):
+        raise ParseError("nonzero padding bits", offset=expected - 1)  # all in the last byte
+    return Graph(n, _edges_from_code(n, body >> padding))
 
 
 def write_graph6(g: Graph) -> str:
     if not 1 <= g.n <= GRAPH6_MAX_N:
         raise DomainError(f"graph6 short form supports 1..{GRAPH6_MAX_N} vertices, got {g.n}")
-    present = set(g.edges)
-    bits = [1 if pair in present else 0 for pair in _column_order_pairs(g.n)]
-    while len(bits) % 6:
-        bits.append(0)
-    out = [chr(g.n + 63)]
-    for k in range(0, len(bits), 6):
-        value = 0
-        for bit in bits[k : k + 6]:
-            value = (value << 1) | bit
-        out.append(chr(value + 63))
-    return "".join(out)
+    nbits = g.n * (g.n - 1) // 2
+    groups = (nbits + 5) // 6
+    body = _code_from_edges(g.n, g.edges) << (6 * groups - nbits)
+    return chr(g.n + 63) + "".join(chr((body >> 6 * k & 63) + 63) for k in reversed(range(groups)))
 
 
 def parse_edge_list(text: str) -> Graph:

@@ -18,6 +18,7 @@ from intervalcolor import (
 )
 from intervalcolor import solver
 from intervalcolor.catalog import _min_code, _min_code_py
+from intervalcolor.graph import _code_from_edges
 from smallgraphs import c4, k3, k4, p4, star
 
 KNOWN_CONNECTED_COUNTS = {1: 1, 2: 1, 3: 2, 4: 6, 5: 21, 6: 112, 7: 853, 8: 11117}  # OEIS A001349
@@ -156,14 +157,14 @@ class TestCatalog:
                 assert is_connected(g)
 
     def test_representatives_are_canonical(self, catalogs):
-        for g in catalogs[5]:
-            enc = minimum_adjacency_encoding(g)
-            rebuilt_bits = []
-            present = set(g.edges)
-            for j in range(1, g.n):
-                for i in range(j):
-                    rebuilt_bits.append(1 if (i, j) in present else 0)
-            assert tuple(rebuilt_bits) == enc
+        # Each representative's own code is the minimum over its class,
+        # under the kernel and under the Python reference.
+        graphs = [g for n in range(1, 7) for g in catalogs[n]]
+        graphs += generate_connected_catalog(7)
+        assert len(graphs) == 996
+        for g in graphs:
+            code = _code_from_edges(g.n, g.edges)
+            assert code == _min_code(g.n, masks_of(g)) == _min_code_py(g.n, masks_of(g)), g.edges
 
     def test_deterministic_and_sorted(self):
         first = [g.edges for g in generate_connected_catalog(5)]

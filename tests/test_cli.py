@@ -290,6 +290,41 @@ class TestSurvey:
         assert code == 0
         assert len(out.splitlines()) == 2
 
+    def test_stdin_is_read_line_by_line(self, capsys, monkeypatch):
+        class LinesOnly:
+            def __iter__(self):
+                return iter(["A_\n", "Bw\n"])
+
+            def read(self, *args):
+                raise AssertionError("the survey read its whole input at once")
+
+        monkeypatch.setattr("sys.stdin", LinesOnly())
+        code, out, _ = run(capsys, ["survey", "--input", "-"])
+        assert code == 0
+        assert [row.split(",")[0] for row in out.splitlines()[1:]] == ["A_", "Bw"]
+
+    def test_closed_output_pipe_exits_one_quietly(self, tmp_path, c4_files):
+        graph, _ = c4_files
+        src = tmp_path / "in.g6"
+        src.write_text("A_\n" * 5000)  # its CSV overfills a pipe buffer
+        env = {**os.environ, "PYTHONPATH": str(Path(intervalcolor.__file__).resolve().parents[1])}
+        # The survey fails while writing; solve, whose reader is gone before
+        # it starts, fails at the flush in main.
+        runs = ((["survey", "--input", str(src)], 1), (["solve", "--graph", str(graph)], 0))
+        for argv, lines_read in runs:
+            proc = subprocess.Popen(
+                [sys.executable, "-m", "intervalcolor", *argv],
+                stdout=subprocess.PIPE,
+                stderr=subprocess.PIPE,
+                env=env,
+            )
+            for _ in range(lines_read):
+                proc.stdout.readline()
+            proc.stdout.close()
+            err = proc.stderr.read()
+            assert proc.wait(timeout=60) == 1, argv
+            assert err == b"", argv
+
     def test_malformed_stream_is_usage_error(self, capsys, tmp_path):
         src = tmp_path / "in.g6"
         src.write_text("A_\n!!!\n")

@@ -39,7 +39,7 @@ class TestGraphConstruction:
         assert g.adjacency[0] == (1, 3)
         assert g.incidence[0] == (0, 1)  # edges (0,1) and (0,3)
         assert g.m == 4
-        assert g.degree(2) == 2
+        assert g.degrees()[2] == 2
 
 
 class TestGraph6:

@@ -152,12 +152,14 @@ class TestClassifyConsistency:
         for a, b in g.edges:
             assert side[a] != side[b]
 
-    @given(graphs(max_n=7), st.randoms(use_true_random=False))
-    def test_connectivity_matches_networkx(self, g, rng):
+    @given(graphs(max_n=7))
+    def test_connectivity_matches_networkx(self, g):
         nxg = nx.Graph()
         nxg.add_nodes_from(range(g.n))
         nxg.add_edges_from(g.edges)
-        assert is_connected(g) == nx.is_connected(nxg)
+        cls = classify(g)
+        assert is_connected(g) == cls.connected == nx.is_connected(nxg)
+        assert (cls.bipartition is not None) == nx.is_bipartite(nxg)
 
 
 class TestValidatorInvariance:
@@ -187,7 +189,7 @@ class TestValidatorInvariance:
         assert classify(g).max_degree <= t <= g.m
         for v in range(g.n):
             s = sorted({out.witness.colors[k] for k in g.incidence[v]})
-            assert s[-1] - s[0] + 1 == g.degree(v)
+            assert s[-1] - s[0] + 1 == len(g.adjacency[v])
 
 
 # Oracle answers per isomorphism class (W and colorability are invariants),
