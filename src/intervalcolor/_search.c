@@ -1,20 +1,43 @@
-/* The two exhaustive loops of intervalcolor, in C: the per-t search of
- * solver._search_py and the canonical encoding of catalog._min_code_py.
+/* The exhaustive loops of intervalcolor, in C: the per-t search of
+ * solver._search_py, the edge distances of solver._distances_py and the
+ * canonical encoding of catalog._min_code_py.
  *
- * search(n, ends, deg, t, budget, after) -> (status, nodes, picked)
+ * search(n, ends, deg, t, budget, after, dist) -> (status, nodes, picked)
  *
  * ends lists the two endpoints of each edge in search order, deg the degree
  * of each of the n vertices; budget caps the nodes (0 = unlimited); edge k's
  * color must exceed that of the earlier edge after[k], or -1 for none (the
- * twin cut). status is 0 infeasible, 1 found, 2 aborted; picked holds the
- * color of each edge in search order when found. Edge order, color order,
- * node counting and the prune rules (distinct, spread, surjectivity, the
- * first edge's reversal cut, the twin cut) are those of _search_py, so
- * status, nodes and picked agree with it on every input; solver._plan
+ * twin cut). dist is empty, or the m x m int32 matrix of distances() for
+ * the same ends and deg, which turns on distance forward checking. status
+ * is 0 infeasible, 1 found, 2 aborted; picked holds the color of each edge
+ * in search order when found. Edge order, color order, node counting and
+ * the prune rules (distinct, spread, surjectivity, the first edge's
+ * reversal cut, the twin cut, the distance rule) are those of _search_py,
+ * so status, nodes and picked agree with it on every input; solver._plan
  * builds the input, and the proofs are in solver.py's docstring.
  *
  * A vertex's colors are a bitmask of (t + 1) / 64 + 1 words, bit c for
  * color c, so every t runs here.
+ *
+ * The distance rule: every uncolored edge f keeps a range [lo_f, hi_f] of
+ * colors, and once edge k holds c, f's range is cut to within D(k, f) of
+ * c. A candidate x for edge k empties f's range exactly when
+ * x < lo_f - D(k, f) or x > hi_f + D(k, f). Color 1, while no edge holds
+ * it, must stay in some range after x is placed: x = 1, or x <= 1 + D(k, f)
+ * for some f with lo_f = 1; color t likewise. All of these are bounds on x,
+ * so the first entry into depth k narrows the ranges by edge k - 1's color
+ * and computes edge k's candidate interval in one pass over the uncolored
+ * edges; a row of ranges per depth lets a backtrack reuse both.
+ *
+ * distances(n, ends, deg) -> (dist, longest)
+ *
+ * D(e, f) is the cheapest path from edge e to edge f, a step between two
+ * edges that share a vertex v costing deg(v) - 1, and D(e, e) = 0; ends
+ * must describe a connected graph. dist holds D(e, f) at e * m + f as
+ * native int32 bytes, and longest is its largest entry. One Dijkstra from
+ * each vertex gives walk(u, v), the cheapest walk from u to v with each
+ * vertex on it (ends included) costing deg - 1, and D(e, f) for e != f is
+ * the least walk from an end of e to an end of f.
  *
  * min_code(masks) -> int
  *
@@ -82,27 +105,52 @@ static PyObject *search(PyObject *self, PyObject *args)
     Py_ssize_t n;
     long long t, budget;
     PyObject *ends_obj, *deg_obj, *after_obj;
-    if (!PyArg_ParseTuple(args, "nOOLLO", &n, &ends_obj, &deg_obj, &t, &budget, &after_obj))
+    Py_buffer dist_buf;
+    if (!PyArg_ParseTuple(args, "nOOLLOy*", &n, &ends_obj, &deg_obj, &t, &budget, &after_obj,
+                          &dist_buf))
         return NULL;
+    PyObject *result = NULL;
+    long long *ends = NULL, *deg = NULL, *after = NULL, *slots = NULL, *color_count = NULL;
+    long long *least_at = NULL, *most_at = NULL;
+    int32_t *lo = NULL, *hi = NULL;
+    uint64_t *mask = NULL;
     Py_ssize_t m = PyObject_Length(ends_obj) / 2;
     if (m < 0)
-        return NULL;
+        goto done;
     if (n < 1 || m < 1 || t < 1 || t >= PY_SSIZE_T_MAX / 2 || budget < 0) {
         PyErr_SetString(PyExc_ValueError, "search: n, edges, t or budget out of range");
-        return NULL;
+        goto done;
+    }
+    /* With the distance rule, ranges are int32 and m * m of them fit a size_t. */
+    const int32_t *dist = dist_buf.len ? dist_buf.buf : NULL;
+    if (dist && (t > INT32_MAX || (size_t)m > SIZE_MAX / sizeof(int32_t) / (size_t)m ||
+                 (size_t)dist_buf.len != (size_t)m * (size_t)m * sizeof(int32_t))) {
+        PyErr_SetString(PyExc_ValueError, "search: dist must be empty or m * m int32");
+        goto done;
     }
     long long words = (t + 1) / 64 + 1;
-    if ((size_t)n > SIZE_MAX / sizeof(uint64_t) / (size_t)words)
-        return PyErr_NoMemory();
-    long long *ends = PyMem_Calloc(2 * m, sizeof(long long));
-    long long *deg = PyMem_Calloc(n, sizeof(long long));
-    long long *after = PyMem_Calloc(m, sizeof(long long));
+    if ((size_t)n > SIZE_MAX / sizeof(uint64_t) / (size_t)words) {
+        PyErr_NoMemory();
+        goto done;
+    }
+    ends = PyMem_Calloc(2 * m, sizeof(long long));
+    deg = PyMem_Calloc(n, sizeof(long long));
+    after = PyMem_Calloc(m, sizeof(long long));
     /* picked[-1] stays 0: the floor of an edge whose after is -1. */
-    long long *slots = PyMem_Calloc(m + 1, sizeof(long long)), *picked = slots + 1;
-    long long *color_count = PyMem_Calloc(t + 1, sizeof(long long));
-    uint64_t *mask = PyMem_Calloc((size_t)n * words, sizeof(uint64_t));
-    PyObject *result = NULL;
-    if (!ends || !deg || !after || !slots || !color_count || !mask) {
+    slots = PyMem_Calloc(m + 1, sizeof(long long));
+    long long *picked = slots + 1;
+    color_count = PyMem_Calloc(t + 1, sizeof(long long));
+    mask = PyMem_Calloc((size_t)n * words, sizeof(uint64_t));
+    if (dist) {
+        /* Row k of lo and hi: the ranges at depth k, for edges k .. m - 1.
+         * least_at[k] and most_at[k]: edge k's candidate interval. */
+        lo = PyMem_Malloc((size_t)m * m * sizeof(int32_t));
+        hi = PyMem_Malloc((size_t)m * m * sizeof(int32_t));
+        least_at = PyMem_Calloc(m, sizeof(long long));
+        most_at = PyMem_Calloc(m, sizeof(long long));
+    }
+    if (!ends || !deg || !after || !slots || !color_count || !mask ||
+        (dist && (!lo || !hi || !least_at || !most_at))) {
         PyErr_NoMemory();
         goto done;
     }
@@ -129,6 +177,29 @@ static PyObject *search(PyObject *self, PyObject *args)
             mask_b[c >> 6] ^= bit;
             if (!--color_count[c])
                 unused++;
+        } else if (dist) {
+            /* First entry: narrow the ranges by edge k - 1's color x and
+             * bound edge k's candidates (D(k, k) = 0 bounds it by its own
+             * range). */
+            const int32_t *near = dist + k * m, *prev = k ? near - m : near;
+            int32_t *lo_k = lo + k * m, *hi_k = hi + k * m;
+            const int32_t *lo_prev = k ? lo_k - m : lo_k, *hi_prev = k ? hi_k - m : hi_k;
+            long long x = picked[k - 1];
+            long long least = 1, most = t, reach_one = 1, reach_top = t;
+            for (Py_ssize_t f = k; f < m; f++) {
+                long long l = k ? max(lo_prev[f], x - prev[f]) : 1;
+                long long h = k ? min(hi_prev[f], x + prev[f]) : t;
+                lo_k[f] = (int32_t)l;
+                hi_k[f] = (int32_t)h;
+                least = max(least, l - near[f]);
+                most = min(most, h + near[f]);
+                if (l == 1)
+                    reach_one = max(reach_one, 1 + near[f]);
+                if (h == t)
+                    reach_top = min(reach_top, t - near[f]);
+            }
+            least_at[k] = color_count[t] ? least : max(least, reach_top);
+            most_at[k] = color_count[1] ? most : min(most, reach_one);
         }
         /* Spread: a new color at v lies in [hi - deg(v) + 1, lo + deg(v) - 1],
          * lo and hi being v's least and greatest color (hi + 1 = bit_length).
@@ -138,6 +209,10 @@ static PyObject *search(PyObject *self, PyObject *args)
                                  bit_length(mask_b, words) - deg[b]));
         long long top = min(k ? t : first_top, min(lowest(mask_a, words, t) + deg[a] - 1,
                                                    lowest(mask_b, words, t) + deg[b] - 1));
+        if (dist) {
+            from = max(from, least_at[k]);
+            top = min(top, most_at[k]);
+        }
         long long spare = m - k - 1 - unused; /* surjectivity: uncolored edges left over */
         c = 0;
         for (long long x = from; spare >= -1 && x <= top; x++) {
@@ -179,12 +254,133 @@ static PyObject *search(PyObject *self, PyObject *args)
     }
     result = Py_BuildValue("iLN", status, nodes, colors);
 done:
+    PyBuffer_Release(&dist_buf);
     PyMem_Free(ends);
     PyMem_Free(deg);
     PyMem_Free(after);
     PyMem_Free(slots);
     PyMem_Free(color_count);
     PyMem_Free(mask);
+    PyMem_Free(lo);
+    PyMem_Free(hi);
+    PyMem_Free(least_at);
+    PyMem_Free(most_at);
+    return result;
+}
+
+/* Pops the least (cost << 32 | vertex) key of a binary min-heap of size *size. */
+static uint64_t heap_pop(uint64_t *heap, Py_ssize_t *size)
+{
+    uint64_t top = heap[0], last = heap[--*size];
+    Py_ssize_t i = 0;
+    for (;;) {
+        Py_ssize_t child = 2 * i + 1;
+        if (child >= *size)
+            break;
+        if (child + 1 < *size && heap[child + 1] < heap[child])
+            child++;
+        if (heap[child] >= last)
+            break;
+        heap[i] = heap[child];
+        i = child;
+    }
+    heap[i] = last;
+    return top;
+}
+
+static void heap_push(uint64_t *heap, Py_ssize_t *size, uint64_t key)
+{
+    Py_ssize_t i = (*size)++;
+    for (; i > 0 && heap[(i - 1) / 2] > key; i = (i - 1) / 2)
+        heap[i] = heap[(i - 1) / 2];
+    heap[i] = key;
+}
+
+static PyObject *distances(PyObject *self, PyObject *args)
+{
+    Py_ssize_t n;
+    PyObject *ends_obj, *deg_obj;
+    if (!PyArg_ParseTuple(args, "nOO", &n, &ends_obj, &deg_obj))
+        return NULL;
+    Py_ssize_t m = PyObject_Length(ends_obj) / 2;
+    if (m < 0)
+        return NULL;
+    if (n < 1 || m < 1) {
+        PyErr_SetString(PyExc_ValueError, "distances: n or edges out of range");
+        return NULL;
+    }
+    if ((size_t)m > SIZE_MAX / sizeof(int32_t) / (size_t)m ||
+        (size_t)n > SIZE_MAX / sizeof(int32_t) / (size_t)n)
+        return PyErr_NoMemory();
+    PyObject *dist = NULL, *result = NULL;
+    long long *ends = PyMem_Calloc(2 * m, sizeof(long long));
+    long long *deg = PyMem_Calloc(n, sizeof(long long));
+    Py_ssize_t *start = PyMem_Calloc(n + 1, sizeof(Py_ssize_t)); /* CSR adjacency */
+    Py_ssize_t *nbr = PyMem_Calloc(2 * m, sizeof(Py_ssize_t));
+    int32_t *walk = PyMem_Malloc((size_t)n * n * sizeof(int32_t));
+    uint64_t *heap = PyMem_Calloc(2 * m + 1, sizeof(uint64_t)); /* one push per relaxation */
+    if (!ends || !deg || !start || !nbr || !walk || !heap) {
+        PyErr_NoMemory();
+        goto done;
+    }
+    if (read_ints(ends_obj, 2 * m, 0, n, ends) || read_ints(deg_obj, n, 1, n, deg))
+        goto done;
+    for (Py_ssize_t i = 0; i < 2 * m; i++)
+        start[ends[i] + 1]++;
+    for (Py_ssize_t v = 0; v < n; v++)
+        start[v + 1] += start[v];
+    for (Py_ssize_t e = 0; e < m; e++) {
+        long long a = ends[2 * e], b = ends[2 * e + 1];
+        nbr[start[a]++] = b;
+        nbr[start[b]++] = a;
+    }
+    for (Py_ssize_t v = n; v > 0; v--) /* the fill moved each start one list on */
+        start[v] = start[v - 1];
+    start[0] = 0;
+    for (Py_ssize_t s = 0; s < n; s++) {
+        int32_t *cost = walk + s * n;
+        for (Py_ssize_t v = 0; v < n; v++)
+            cost[v] = INT32_MAX;
+        Py_ssize_t size = 0;
+        cost[s] = (int32_t)(deg[s] - 1);
+        heap_push(heap, &size, (uint64_t)cost[s] << 32 | (uint64_t)s);
+        while (size) {
+            uint64_t key = heap_pop(heap, &size);
+            long long d = (long long)(key >> 32), u = (long long)(key & 0xFFFFFFFF);
+            if (d > cost[u])
+                continue;
+            for (Py_ssize_t i = start[u]; i < start[u + 1]; i++) {
+                Py_ssize_t v = nbr[i];
+                if (d + deg[v] - 1 < cost[v]) {
+                    cost[v] = (int32_t)(d + deg[v] - 1);
+                    heap_push(heap, &size, (uint64_t)cost[v] << 32 | (uint64_t)v);
+                }
+            }
+        }
+    }
+    dist = PyBytes_FromStringAndSize(NULL, (Py_ssize_t)((size_t)m * m * sizeof(int32_t)));
+    if (!dist)
+        goto done;
+    int32_t *d = (int32_t *)PyBytes_AS_STRING(dist);
+    long long longest = 0;
+    for (Py_ssize_t e = 0; e < m; e++) {
+        const int32_t *from_a = walk + ends[2 * e] * n, *from_b = walk + ends[2 * e + 1] * n;
+        for (Py_ssize_t f = 0; f < m; f++) {
+            long long x = ends[2 * f], y = ends[2 * f + 1];
+            long long value = e == f ? 0 : min(min(from_a[x], from_a[y]), min(from_b[x], from_b[y]));
+            d[e * m + f] = (int32_t)value;
+            longest = max(longest, value);
+        }
+    }
+    result = Py_BuildValue("OL", dist, longest);
+done:
+    Py_XDECREF(dist);
+    PyMem_Free(ends);
+    PyMem_Free(deg);
+    PyMem_Free(start);
+    PyMem_Free(nbr);
+    PyMem_Free(walk);
+    PyMem_Free(heap);
     return result;
 }
 
@@ -292,7 +488,8 @@ done:
 
 static PyMethodDef methods[] = {
     {"search", search, METH_VARARGS,
-     "search(n, ends, deg, t, budget, after) -> (status, nodes, picked)"},
+     "search(n, ends, deg, t, budget, after, dist) -> (status, nodes, picked)"},
+    {"distances", distances, METH_VARARGS, "distances(n, ends, deg) -> (dist, longest)"},
     {"min_code", min_code, METH_O, "min_code(masks) -> int"},
     {NULL, NULL, 0, NULL},
 };

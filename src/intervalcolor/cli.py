@@ -114,33 +114,31 @@ def _cmd_bounds(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _graph6_stream(path: str) -> Iterator[Graph]:
+def _graph6_stream(fh: IO[str]) -> Iterator[Graph]:
     """Graphs of a graph6 stream, read line by line and split as
     ``str.splitlines`` splits the whole text; a malformed line ends it with a
     ParseError naming its 1-based line number."""
-    with _open_text(path) as fh:
-        for lineno, line in enumerate((p for chunk in fh for p in chunk.splitlines()), start=1):
-            line = line.strip()
-            if line:
-                try:
-                    g = parse_graph6(line)
-                except ParseError as exc:
-                    raise ParseError(str(exc), line=lineno) from None
-                yield g
+    for lineno, line in enumerate((p for chunk in fh for p in chunk.splitlines()), start=1):
+        line = line.strip()
+        if line:
+            try:
+                g = parse_graph6(line)
+            except ParseError as exc:
+                raise ParseError(str(exc), line=lineno) from None
+            yield g
 
 
 def _cmd_survey(args: argparse.Namespace) -> int:
-    if args.gen_n is not None:
-        graphs = generate_connected_catalog(args.gen_n)
-    else:
-        graphs = _graph6_stream(args.input)
     limits = SearchLimits(node_limit=args.node_limit)
-    records = run_survey(graphs, limits, with_doubling=args.with_doubling)
-    if args.out:
-        with open(args.out, "w", encoding="utf-8", newline="") as fh:
-            write_survey_csv(records, fh)
-    else:
-        write_survey_csv(records, sys.stdout)
+    # The input is opened, and --gen-n checked, before --out is opened for
+    # writing, so that a bad source leaves an earlier --out file as it was.
+    with nullcontext() if args.gen_n is not None else _open_text(args.input) as fh:
+        graphs = generate_connected_catalog(args.gen_n) if fh is None else _graph6_stream(fh)
+        sink = nullcontext(sys.stdout)
+        if args.out:
+            sink = open(args.out, "w", encoding="utf-8", newline="")
+        with sink as out:
+            write_survey_csv(run_survey(graphs, limits, with_doubling=args.with_doubling), out)
     return EXIT_OK
 
 

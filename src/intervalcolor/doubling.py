@@ -19,6 +19,7 @@ input.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 from .coloring import (
@@ -43,6 +44,13 @@ class CrossEdge:
 @dataclass(frozen=True, slots=True)
 class MatchingEdge:
     vertex: int
+
+
+@functools.lru_cache(maxsize=4096)
+def _provenance(kind: type, *fields) -> CrossEdge | MatchingEdge:
+    """One shared value per distinct provenance (they are frozen), so that
+    kept certificates do not each hold their own."""
+    return kind(*fields)
 
 
 @dataclass(frozen=True, slots=True)
@@ -70,10 +78,10 @@ def double_graph(g: Graph) -> DoublingResult:
     n = g.n
     provenance: dict[tuple[int, int], CrossEdge | MatchingEdge] = {}
     for idx, (i, j) in enumerate(g.edges):
-        provenance[(i, n + j)] = CrossEdge(idx, flipped=False)
-        provenance[(j, n + i)] = CrossEdge(idx, flipped=True)
+        provenance[(i, n + j)] = _provenance(CrossEdge, idx, False)
+        provenance[(j, n + i)] = _provenance(CrossEdge, idx, True)
     for i in range(n):
-        provenance[(i, n + i)] = MatchingEdge(i)
+        provenance[(i, n + i)] = _provenance(MatchingEdge, i)
     h = Graph(2 * n, tuple(provenance))
     result = DoublingResult(
         h=h,

@@ -16,6 +16,11 @@ from .errors import DomainError, ParseError
 GRAPH6_MAX_N = 62
 EDGE_LIST_MAX_N = 100_000  # the Graph holds two lists per vertex
 
+# One shared tuple per vertex pair (a, b), a < b < 64, at _PAIRS[b][a]: the
+# edges of graphs this small are then no tuples of their own, which counts
+# where many graphs are kept (a survey's certificates).
+_PAIRS = tuple(tuple((a, b) for a in range(b)) for b in range(64))
+
 
 @dataclass(frozen=True, slots=True)
 class Graph:
@@ -43,7 +48,7 @@ class Graph:
             a, b = (i, j) if i < j else (j, i)
             if a < 0 or b >= self.n:
                 raise ValueError(f"edge ({i}, {j}) out of range for n={self.n}")
-            normalized.add((a, b))
+            normalized.add(_PAIRS[b][a] if b < 64 else (a, b))
         edges = tuple(sorted(normalized))
         object.__setattr__(self, "edges", edges)
         adj: list[list[int]] = [[] for _ in range(self.n)]
@@ -118,9 +123,15 @@ def is_connected(g: Graph) -> bool:
 def require_connected_with_edge(g: Graph) -> None:
     """The domain of interval colorings and of the doubling: at least one
     edge (a coloring needs color 1) and a connected graph."""
+    _require_domain(g, is_connected(g))
+
+
+def _require_domain(g: Graph, connected: bool) -> None:
+    """``require_connected_with_edge`` for a caller that knows whether g is
+    connected (from ``classify``), so that g is traversed once."""
     if g.m == 0:
         raise DomainError("graph has no edges; an interval coloring needs at least color 1")
-    if not is_connected(g):
+    if not connected:
         raise DomainError("graph is disconnected")
 
 

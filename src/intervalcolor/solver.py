@@ -8,24 +8,52 @@ once per graph, shares one node budget across its layers, and has
 ``_decide`` search each layer by backtracking. The testing oracle that
 enumerates every assignment lives in ``oracle``.
 
-The set-up is a ceiling proven for the instance (``_proven_ceiling``) and
-the search plan (``_plan``). An overfull graph has no interval coloring at
-all, and no interval coloring uses more than one plus the longest weighted
-distance between two edges, so layers above the ceiling are infeasible at a
-cost of 0 nodes.
+The set-up is the search plan (``_plan``) and a ceiling proven for the
+instance (``_proven_ceiling``). An overfull graph has no interval coloring
+at all, and no interval coloring uses more than 1 + max D colors (D below),
+so layers above the ceiling are infeasible at a cost of 0 nodes.
 
 Search strategy (deterministic): edges are ordered by a breadth-first
 traversal from a maximum-degree vertex (ties broken by lowest vertex index)
 so consecutive edges share endpoints; colors are tried ascending, in one loop
-over the depth (no recursion, so the depth is unbounded). Three rules prune
+over the depth (no recursion, so the depth is unbounded). Four rules prune
 each assignment: the colors at each endpoint v stay distinct (distinct) and
-span at most deg(v) (spread), and a branch is cut when fewer uncolored edges
-remain than colors not yet used anywhere (surjectivity). No window rule is
-needed: with lo and hi the least and greatest color at v, a window of deg(v)
-consecutive colors in [1, t] holding them starts at some s with
-max(1, hi - deg(v) + 1) <= s <= min(lo, t - deg(v) + 1). Of the four
-inequalities this asks for, 1 <= lo, hi <= t and deg(v) <= t always hold
-(both callers search only t >= max degree); hi - deg(v) + 1 <= lo is spread.
+span at most deg(v) (spread), a branch is cut when fewer uncolored edges
+remain than colors not yet used anywhere (surjectivity), and the distance
+rule below. No window rule is needed: with lo and hi the least and greatest
+color at v, a window of deg(v) consecutive colors in [1, t] holding them
+starts at some s with max(1, hi - deg(v) + 1) <= s <= min(lo, t - deg(v) + 1).
+Of the four inequalities this asks for, 1 <= lo, hi <= t and deg(v) <= t
+always hold (both callers search only t >= max degree); hi - deg(v) + 1 <= lo
+is spread.
+
+Distance rule (forward checking; Haralick and Elliott, AI 1980). Let a step
+between two edges that share a vertex v cost deg(v) - 1, and let D(e, f) be
+the cheapest path from edge e to edge f, D(e, e) = 0. Every interval
+coloring c has |c(e) - c(f)| <= D(e, f): the colors of two edges at v lie
+in one window of deg(v) consecutive integers, so they differ by at most
+deg(v) - 1, and the differences add up along a path. So each uncolored edge
+f keeps a range [lo_f, hi_f], at first [1, t], and once edge k holds color
+c, f's range is cut to within D(k, f) of c. A candidate x for edge k is cut
+when it would empty some range, which is exactly when x < lo_f - D(k, f) or
+x > hi_f + D(k, f) for an uncolored f (f = k keeps x in its own range). It
+is also cut when color 1 is on no edge yet and no range would still reach
+it: every color is used, so some uncolored f ends up with color 1, which
+asks x = 1 or x <= 1 + D(k, f) for an f with lo_f = 1; color t likewise
+asks x = t or x >= t - D(k, f) for an f with hi_f = t. An interval
+t-coloring that extends the partial coloring keeps every range nonempty
+and reaches 1 and t, so these tests cut no partial coloring that has a
+completion, and change no verdict and no witness. Each test is a bound on
+x, so the first entry into depth k narrows the ranges by edge k - 1's color
+and computes edge k's candidate interval in one pass over the uncolored
+edges, and a row of ranges per depth lets a backtrack reuse both. The
+edges colored 1 and t differ by t - 1, hence the ceiling t <= 1 + max D.
+
+The plan holds D as an m x m matrix (``_distances_py``, or the kernel's
+``distances``) for graphs of at most ``DISTANCE_MAX_M`` edges. Larger
+graphs (long paths, big complete graphs) get no matrix: the distance rule
+is off and ``_proven_ceiling`` runs a Dijkstra from one edge after another
+until the ceiling reaches the largest t asked about.
 
 Two cuts skip colorings that a symmetry maps to a smaller one. A symmetry s
 here maps interval t-colorings to interval t-colorings, and each cut removes
@@ -58,7 +86,8 @@ every layer. ``_search_py`` is the reference, in Python. ``_search.c`` is
 the same loop in C, compiled on first use by ``_native``; it expands 15 to
 65 times as many nodes per second on the benchmark's workloads. ``_decide``
 runs it when it loads and the Python loop otherwise (no compiler, no
-headers, a read-only install).
+headers, a read-only install). The distances have the same two
+implementations, chosen the same way by ``_plan``.
 """
 
 from __future__ import annotations
@@ -75,11 +104,16 @@ from collections import deque
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
+from typing import Iterator, NamedTuple
 
 from . import bounds as bounds_mod
 from .coloring import EdgeColoring, coloring_to_json, validate_interval
 from .errors import DomainError, InternalInvariantError
-from .graph import Graph, classify, require_connected_with_edge
+from .graph import Graph, _require_domain, classify, require_connected_with_edge
+
+# Graphs with more edges get no distance matrix: its m * m int32 entries,
+# and the kernel's two rows of ranges per depth, stay within 3 MB.
+DISTANCE_MAX_M = 512
 
 
 class SolveStatus(Enum):
@@ -112,7 +146,7 @@ class SolveOutcome:
     last_explored_t: int | None = None
 
 
-def _proven_ceiling(g: Graph, cap: int) -> int:
+def _proven_ceiling(g: Graph, longest: int | None, cap: int) -> int:
     """Largest palette size not ruled out for g by two proofs; 0 if none is left.
 
     Overfull test: if m > Delta * floor(n/2), g has no interval coloring.
@@ -123,45 +157,66 @@ def _proven_ceiling(g: Graph, cap: int) -> int:
     Delta * floor(n/2) (interval colorable implies class 1; Asratian and
     Kamalian, JCTB 1994).
 
-    Path ceiling: let a step between two edges that share a vertex v cost
-    deg(v) - 1, and let D be the largest shortest-path length between two
-    edges. Then every interval t-coloring has t <= 1 + D. The colors of two
-    edges at v lie in one window of deg(v) consecutive integers, so they
-    differ by at most deg(v) - 1; summed along a shortest path, the colors
-    of any two edges differ by at most D. The edges colored 1 and t differ
-    by t - 1.
-
-    A path from edge e to edge f steps through a walk of vertices from an
-    end of e to an end of f, so one Dijkstra over the vertices, with each
-    vertex v costing deg(v) - 1, gives the distances from e to every edge.
-    The sources stop once the ceiling reaches ``cap``, the largest t the
-    caller asks about, so the result is exact below cap and at least cap
-    otherwise; uncapped, K62 takes seconds.
+    Path ceiling: every interval t-coloring has t <= 1 + max D (module
+    docstring). ``longest`` is max D from the plan's matrix, or None when
+    the plan has none; then the distances are computed one edge at a time,
+    stopping once the ceiling reaches ``cap``, the largest t the caller asks
+    about, so the result is exact below cap and at least cap otherwise.
     """
     degs = g.degrees()
     if g.m > max(degs) * (g.n // 2):
         return 0
-    longest = 0
-    for a, b in g.edges:
+    if longest is None:
+        longest = 0
+        for row in _distance_rows(g.adjacency, degs, g.edges):
+            longest = max(longest, max(row))
+            if longest + 1 >= cap:
+                break
+    return 1 + longest
+
+
+def _distance_rows(adjacency, deg, pairs) -> Iterator[list[int]]:
+    """Row e: D(e, f) for every edge f, the edges listed as vertex pairs.
+
+    A path from edge e to edge f steps through a walk of vertices from an
+    end of e to an end of f, so one Dijkstra over the vertices from both
+    ends of e, each vertex costing deg(v) - 1, gives e's whole row.
+    """
+    for e, (a, b) in enumerate(pairs):
         # reach[v]: cheapest walk from a or b to v, each vertex on it (ends
-        # included) costing deg - 1; an edge (x, y) other than (a, b) lies
-        # min(reach[x], reach[y]) away from (a, b).
-        reach = [-1] * g.n
-        heap = [(degs[a] - 1, a), (degs[b] - 1, b)]
+        # included) costing deg - 1.
+        reach = [-1] * len(adjacency)
+        heap = [(deg[a] - 1, a), (deg[b] - 1, b)]
         while heap:
             d, u = heapq.heappop(heap)
             if reach[u] >= 0:
                 continue
             reach[u] = d
-            for v in g.adjacency[u]:
+            for v in adjacency[u]:
                 if reach[v] < 0:
-                    heapq.heappush(heap, (d + degs[v] - 1, v))
-        # (a, b) itself scores min(deg(a), deg(b)) - 1 instead of 0, which is
-        # harmless: that is 0, or some edge meets (a, b) at that distance.
-        longest = max(longest, max(min(reach[x], reach[y]) for x, y in g.edges))
-        if longest + 1 >= cap:
-            break
-    return 1 + longest
+                    heapq.heappush(heap, (d + deg[v] - 1, v))
+        row = [min(reach[x], reach[y]) for x, y in pairs]
+        row[e] = 0
+        yield row
+
+
+def _distances_py(n: int, ends: list[int], deg: list[int]) -> tuple[bytes, int]:
+    """The kernel's ``distances`` in Python: its reference, and its fallback.
+
+    Returns (dist, longest): D(e, f) at e * m + f as native int32 bytes, the
+    edges given as ``_plan``'s ``ends``, and the largest entry.
+    """
+    pairs = list(zip(ends[::2], ends[1::2]))
+    m = len(pairs)
+    adjacency: list[list[int]] = [[] for _ in range(n)]
+    for a, b in pairs:
+        adjacency[a].append(b)
+        adjacency[b].append(a)
+    dist = memoryview(bytearray(4 * m * m)).cast("i")
+    for e, row in enumerate(_distance_rows(adjacency, deg, pairs)):
+        for f, d in enumerate(row):
+            dist[e * m + f] = d
+    return dist.tobytes(), max(dist)
 
 
 def _include_dir() -> str:
@@ -220,14 +275,27 @@ def _native():
     return kernel
 
 
-def _plan(g: Graph) -> tuple[list[int], list[int], list[int], list[int]]:
-    """The search's input for g, built once per graph: (order, ends, deg, after).
+class _Plan(NamedTuple):
+    """The search's input for one graph; see ``_plan``."""
+
+    order: list[int]
+    ends: list[int]
+    deg: list[int]
+    after: list[int]
+    dist: bytes
+    longest: int | None
+
+
+def _plan(g: Graph) -> _Plan:
+    """The search's input for g, built once per graph.
 
     ``order`` is the BFS edge order, ``ends`` the two endpoints of each edge
     in that order, flat, and ``deg`` the vertex degrees. ``after[j]`` is the
     position of the earlier edge whose color edge j's must exceed (the twin
     cut of the module docstring), or -1. The BFS starts at the lowest-indexed
-    vertex of maximum degree, so consecutive edges share endpoints.
+    vertex of maximum degree, so consecutive edges share endpoints. ``dist``
+    is the distance matrix in BFS positions and ``longest`` its largest
+    entry, for at most ``DISTANCE_MAX_M`` edges; above, b"" and None.
     """
     adjacency, incidence = g.adjacency, g.incidence  # incidence[v] in adjacency[v]'s order
     deg = list(g.degrees())
@@ -277,11 +345,21 @@ def _plan(g: Graph) -> tuple[list[int], list[int], list[int], list[int]]:
                 j = position[incidence[b][bisect.bisect_left(adjacency[b], u)]]
                 after[j] = max(after[j], k)
     ends = [v for eid in order for v in g.edges[eid]]
-    return order, ends, deg, after
+    if g.m > DISTANCE_MAX_M:
+        return _Plan(order, ends, deg, after, b"", None)
+    kernel = _native()
+    dist, longest = (_distances_py if kernel is None else kernel.distances)(g.n, ends, deg)
+    return _Plan(order, ends, deg, after, dist, longest)
 
 
 def _search_py(
-    n: int, ends: list[int], deg: list[int], t: int, node_budget: int, after: list[int]
+    n: int,
+    ends: list[int],
+    deg: list[int],
+    t: int,
+    node_budget: int,
+    after: list[int],
+    dist: bytes,
 ) -> tuple[int, int, list[int]]:
     """The search loop in Python: the reference for the kernel, and its fallback.
 
@@ -289,7 +367,8 @@ def _search_py(
     picked), status 0 infeasible, 1 found, 2 aborted. ``picked[k]`` is the
     color of the k-th edge in BFS order, 0 for none. A depth entered with a
     color picked was backtracked to: that color comes off and the next one is
-    tried.
+    tried. ``dist`` is ``_plan``'s matrix, or b"" to search without the
+    distance rule.
     """
     m = len(ends) // 2
     pairs = list(zip(ends[::2], ends[1::2]))
@@ -299,6 +378,15 @@ def _search_py(
     unused = t  # colors on no edge yet
     nodes = 0
     first_top = (t + 1) // 2  # reversal cut, see the module docstring
+    # The distance rule: near[k][f] = D(k, f); lows[k][f] and highs[k][f]
+    # bound edge f's color at depth k, for f >= k; least_at[k] and
+    # most_at[k] bound edge k's candidates.
+    flat = memoryview(dist).cast("i")
+    near = [flat[k * m : (k + 1) * m].tolist() for k in range(m)] if dist else []
+    lows = [[0] * m for _ in near]
+    highs = [[0] * m for _ in near]
+    least_at = [1] * m
+    most_at = [t] * m
     k = 0
     while 0 <= k < m:
         a, b = pairs[k]
@@ -310,6 +398,28 @@ def _search_py(
             color_count[c] -= 1
             if not color_count[c]:
                 unused += 1
+        elif near:
+            # First entry: narrow the ranges by edge k - 1's color x and bound
+            # edge k's candidates (D(k, k) = 0 bounds it by its own range).
+            here, lo_k, hi_k = near[k], lows[k], highs[k]
+            x, prev, lo_prev, hi_prev = picked[k - 1], near[k - 1], lows[k - 1], highs[k - 1]
+            least, most, reach_one, reach_top = 1, t, 1, t
+            for f in range(k, m):
+                if k:
+                    lo = max(lo_prev[f], x - prev[f])
+                    hi = min(hi_prev[f], x + prev[f])
+                else:
+                    lo, hi = 1, t
+                lo_k[f], hi_k[f] = lo, hi
+                d = here[f]
+                least = max(least, lo - d)
+                most = min(most, hi + d)
+                if lo == 1:
+                    reach_one = max(reach_one, 1 + d)
+                if hi == t:
+                    reach_top = min(reach_top, t - d)
+            least_at[k] = least if color_count[t] else max(least, reach_top)
+            most_at[k] = most if color_count[1] else min(most, reach_one)
         mask_a, mask_b = mask[a], mask[b]
         # Spread: a new color at v lies in [hi - deg(v) + 1, lo + deg(v) - 1],
         # lo and hi being v's least and greatest color (hi + 1 = bit_length).
@@ -321,8 +431,9 @@ def _search_py(
             picked[after[k]] + 1,
             mask_a.bit_length() - deg[a],
             mask_b.bit_length() - deg[b],
+            least_at[k],
         )
-        top = min(t if k else first_top, lo_a + deg[a] - 1, lo_b + deg[b] - 1)
+        top = min(t if k else first_top, lo_a + deg[a] - 1, lo_b + deg[b] - 1, most_at[k])
         taken = mask_a | mask_b
         spare = m - k - 1 - unused  # surjectivity: uncolored edges left over
         while c <= top:
@@ -353,22 +464,23 @@ _STATUS = (SolveStatus.INFEASIBLE, SolveStatus.FOUND, SolveStatus.ABORTED)
 
 
 def _decide(
-    g: Graph, plan: tuple, t: int, budget: int
+    g: Graph, plan: _Plan, t: int, budget: int
 ) -> tuple[SolveStatus, EdgeColoring | None, int]:
     """Search one palette size t with ``plan`` (from ``_plan``); returns
     (status, re-validated witness, nodes). Runs the compiled kernel when it
     loads and ``_search_py`` otherwise; both give the same status, nodes and
     colors.
     """
-    order, ends, deg, after = plan
     kernel = _native()
     search = _search_py if kernel is None else kernel.search
     # No search reaches 2**63 - 1 nodes, the kernel's largest budget.
-    code, nodes, picked = search(g.n, ends, deg, t, min(budget, 2**63 - 1), after)
+    code, nodes, picked = search(
+        g.n, plan.ends, plan.deg, t, min(budget, 2**63 - 1), plan.after, plan.dist
+    )
     if code != 1:
         return _STATUS[code], None, nodes
     colors = [0] * g.m
-    for eid, c in zip(order, picked):
+    for eid, c in zip(plan.order, picked):
         colors[eid] = c
     witness = EdgeColoring(t, tuple(colors))
     if not validate_interval(g, witness).verdict:
@@ -387,8 +499,8 @@ def _descend(
     ``last_explored`` is the last t fully decided. Layers above
     ``_proven_ceiling`` are infeasible at 0 nodes; the rest share one plan.
     """
-    ceiling = _proven_ceiling(g, cap=top)
     plan = _plan(g)
+    ceiling = _proven_ceiling(g, plan.longest, cap=top)
     nodes = 0
     last_explored: int | None = None
     for t in range(top, bottom - 1, -1):
@@ -426,8 +538,9 @@ def compute_W(g: Graph, limits: SearchLimits | None = None) -> SolveOutcome:
     and then an exhausted descent leaves colorability open (None).
     """
     limits = limits or SearchLimits()
-    require_connected_with_edge(g)
-    cutoff = bounds_mod.best_upper_bound(g, classify(g))
+    cls = classify(g)
+    _require_domain(g, cls.connected)
+    cutoff = bounds_mod.best_upper_bound(g, cls)
     capped = limits.t_override is not None and limits.t_override < cutoff
     if capped:
         cutoff = limits.t_override

@@ -349,6 +349,14 @@ class TestSurvey:
             assert code == 2 and out == ""
             assert dst.read_bytes() == b"earlier results\n"
 
+    def test_missing_input_leaves_out_as_it_was(self, capsys, tmp_path):
+        dst = tmp_path / "results.csv"
+        dst.write_bytes(b"earlier\n")
+        argv = ["survey", "--input", str(tmp_path / "missing.g6"), "--out", str(dst)]
+        code, out, err = run(capsys, argv)
+        assert code == 2 and out == "" and "missing.g6" in err
+        assert dst.read_bytes() == b"earlier\n"
+
     def test_deterministic_output(self, capsys):
         code1, out1, _ = run(capsys, ["survey", "--gen-n", "4", "--with-doubling"])
         code2, out2, _ = run(capsys, ["survey", "--gen-n", "4", "--with-doubling"])

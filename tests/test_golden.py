@@ -31,9 +31,9 @@ from intervalcolor import (
 from intervalcolor import solver
 from intervalcolor.solver import outcome_to_json
 
-NODE_TOTALS = {2: 1, 3: 2, 4: 53, 5: 828}
+NODE_TOTALS = {2: 1, 3: 2, 4: 40, 5: 385}
 GOLDEN_LINES = 53
-GOLDEN_SHA256 = "bbbbe69065aa05765db523d2dd180d345a76aeec302d0a8b862664292d593e3b"
+GOLDEN_SHA256 = "23b9ed3bc749a95b8b7c4e5512e8d750f4730630c264a4a65d1ffc69d6d60d67"
 ANSWERS_SHA256 = "cced4f8c5b2423fc0308a1dc3c2c627e8fb71469feb07d49d235f97f21b240a4"
 
 

@@ -9,6 +9,7 @@ import sys
 import sysconfig
 import time
 import tracemalloc
+from array import array
 from itertools import combinations, product
 from pathlib import Path
 
@@ -34,8 +35,11 @@ from intervalcolor import (
     parse_graph6,
     validate_interval,
 )
+from intervalcolor import graph as graph_module
 from intervalcolor import solver
 from intervalcolor.solver import (
+    DISTANCE_MAX_M,
+    _distances_py,
     _include_dir,
     _native,
     _plan,
@@ -110,6 +114,17 @@ class TestFindIntervalColoring:
 
 
 class TestComputeW:
+    def test_traverses_the_graph_once(self, monkeypatch):
+        # The domain guard reads connectivity from classify's traversal.
+        calls = []
+        traverse = graph_module._traverse
+        monkeypatch.setattr(graph_module, "_traverse", lambda g: calls.append(g) or traverse(g))
+        assert compute_W(c4()).w == 3
+        assert len(calls) == 1
+        for g, match in ((two_k2(), "disconnected"), (Graph(1, ()), "no edges")):
+            with pytest.raises(DomainError, match=match):
+                compute_W(g)
+
     def test_k2(self):
         out = compute_W(k2())
         assert (out.w, out.interval_colorable) == (1, True)
@@ -163,17 +178,17 @@ class TestComputeW:
 
     @pytest.mark.parametrize("native", [True, False], ids=["kernel", "python"])
     def test_budget_spent_exactly_aborts(self, native, monkeypatch):
-        # Layer 4 of this graph is proven infeasible in exactly the 10 nodes
+        # Layer 4 of this graph is proven infeasible in exactly the 4 nodes
         # of the limit; layer 3 then has no budget left, and must not search
         # as if 0 meant unlimited (it finds W = 3 after 8 more nodes).
         if not native:
             monkeypatch.setattr(solver, "_native", lambda: None)
         g = parse_graph6("CN")
         layer = find_interval_coloring(g, 4)
-        assert (layer.status, layer.nodes_expanded) == (SolveStatus.INFEASIBLE, 10)
-        out = compute_W(g, SearchLimits(node_limit=10))
+        assert (layer.status, layer.nodes_expanded) == (SolveStatus.INFEASIBLE, 4)
+        out = compute_W(g, SearchLimits(node_limit=4))
         assert out.status is SolveStatus.ABORTED
-        assert (out.nodes_expanded, out.last_explored_t) == (10, 4)
+        assert (out.nodes_expanded, out.last_explored_t) == (4, 4)
 
     def test_odd_cycles_not_colorable(self):
         for n in (3, 5, 7):
@@ -300,8 +315,32 @@ class TestOracleAgreement:
 
 
 def exact_ceiling(g: Graph) -> int:
-    # A shortest path has fewer than m steps, each costing less than n.
-    return _proven_ceiling(g, cap=g.m * g.n)
+    return _proven_ceiling(g, _plan(g).longest, cap=g.m + 1)
+
+
+def line_graph_distances(g: Graph) -> list[list[int]]:
+    """D by its definition, in canonical edge order: all-pairs shortest
+    paths in the line graph, a step through a shared vertex v costing
+    deg(v) - 1 (Floyd-Warshall)."""
+    degs = g.degrees()
+    far = 10**9
+    dist = [[0 if i == j else far for j in range(g.m)] for i in range(g.m)]
+    for i, e in enumerate(g.edges):
+        for j, f in enumerate(g.edges):
+            shared = set(e) & set(f)
+            if i != j and shared:
+                dist[i][j] = degs[shared.pop()] - 1
+    for k in range(g.m):
+        for i in range(g.m):
+            for j in range(g.m):
+                dist[i][j] = min(dist[i][j], dist[i][k] + dist[k][j])
+    return dist
+
+
+def int32s(data: bytes) -> list[int]:
+    values = array("i")
+    values.frombytes(data)
+    return values.tolist()
 
 
 class TestProvenCeiling:
@@ -316,29 +355,23 @@ class TestProvenCeiling:
         assert exact_ceiling(k4()) == 5  # W(K4) = 4; opposite edges: 2 steps of cost 2
 
     def test_matches_line_graph_floyd_warshall(self, catalogs):
-        # The definition computed directly: all-pairs shortest paths in the
-        # line graph, a step through a shared vertex v costing deg(v) - 1.
+        # Both implementations of the matrix, in BFS positions, and the
+        # ceiling from it and from the capped Dijkstra of larger graphs.
         for n in range(2, 7):
             for g in catalogs[n]:
-                degs = g.degrees()
-                if g.m > max(degs) * (n // 2):
+                dist = line_graph_distances(g)
+                plan = _plan(g)
+                expected = [dist[e][f] for e in plan.order for f in plan.order]
+                for distances in (_native().distances, _distances_py):
+                    flat, longest = distances(g.n, plan.ends, plan.deg)
+                    assert (int32s(flat), longest) == (expected, max(expected)), g.edges
+                if g.m > g.max_degree * (n // 2):
                     assert exact_ceiling(g) == 0
                     continue
-                far = 10**9
-                dist = [[0 if i == j else far for j in range(g.m)] for i in range(g.m)]
-                for i, e in enumerate(g.edges):
-                    for j, f in enumerate(g.edges):
-                        shared = set(e) & set(f)
-                        if i != j and shared:
-                            dist[i][j] = degs[shared.pop()] - 1
-                for k in range(g.m):
-                    for i in range(g.m):
-                        for j in range(g.m):
-                            dist[i][j] = min(dist[i][j], dist[i][k] + dist[k][j])
-                exact = 1 + max(map(max, dist))
+                exact = 1 + max(expected)
                 assert exact_ceiling(g) == exact, g.edges
                 for cap in range(1, exact + 2):
-                    capped = _proven_ceiling(g, cap=cap)
+                    capped = _proven_ceiling(g, None, cap=cap)
                     assert capped == exact if exact < cap else capped >= cap
 
     def test_layers_above_ceiling_cost_no_nodes(self):
@@ -545,10 +578,11 @@ class TestTwinCut:
         # layer of the n <= 6 catalogs and the doubled graphs.
         layers = cut = 0
         for g in [g for n in range(2, 7) for g in catalogs[n]] + doubled_graphs:
-            _, ends, deg, after = _plan(g)
+            plan = _plan(g)
             for t in searched_layers(g):
-                status, nodes, picked = _search_py(g.n, ends, deg, t, 0, after)
-                plain = _search_py(g.n, ends, deg, t, 0, [-1] * g.m)
+                args = (g.n, plan.ends, plan.deg, t, 0)
+                status, nodes, picked = _search_py(*args, plan.after, plan.dist)
+                plain = _search_py(*args, [-1] * g.m, plan.dist)
                 assert (status, picked) == (plain[0], plain[2]), (g.edges, t)
                 assert nodes <= plain[1], (g.edges, t)
                 layers += 1
@@ -556,13 +590,34 @@ class TestTwinCut:
         assert layers == 660 and cut > 0
 
 
+class TestDistanceRule:
+    """The distance rule of the module docstring, in ``_search_py``."""
+
+    def test_rule_keeps_status_and_witness_and_saves_nodes(self, catalogs):
+        # The same Python loop with and without the matrix, on every searched
+        # layer of the n <= 6 catalogs (the doubled graphs take seconds
+        # without the rule; the kernel's agreement covers them).
+        layers = cut = 0
+        for g in [g for n in range(2, 7) for g in catalogs[n]]:
+            plan = _plan(g)
+            for t in searched_layers(g):
+                args = (g.n, plan.ends, plan.deg, t, 0, plan.after)
+                status, nodes, picked = _search_py(*args, plan.dist)
+                plain = _search_py(*args, b"")
+                assert (status, picked) == (plain[0], plain[2]), (g.edges, t)
+                assert nodes <= plain[1], (g.edges, t)
+                layers += 1
+                cut += nodes < plain[1]
+        assert layers == 545 and cut > 300
+
+
 class TestNativeKernel:
     """The compiled kernel against ``_search_py``, the reference loop, both
     given the same plan."""
 
     def agree(self, g: Graph, t: int, budget: int) -> bool:
-        _, ends, deg, after = _plan(g)
-        args = (g.n, ends, deg, t, budget, after)
+        plan = _plan(g)
+        args = (g.n, plan.ends, plan.deg, t, budget, plan.after, plan.dist)
         return _native().search(*args) == _search_py(*args)
 
     def test_kernel_loads_here(self):
@@ -626,11 +681,49 @@ class TestNativeKernel:
         assert child.returncode == -signal.SIGINT and "KeyboardInterrupt" in err
 
     def test_rejects_an_after_that_is_not_an_earlier_edge(self):
-        _, ends, deg, after = _plan(c4())
+        plan = _plan(c4())
         for bad in ([-1, 0, 2, -1], [-1, 0, 0, -2], [0, 0, 0, -1], [-1, 0, 0]):
             with pytest.raises(ValueError):
-                _native().search(4, ends, deg, 3, 0, bad)
-        assert _native().search(4, ends, deg, 3, 0, after)[0] == 1
+                _native().search(4, plan.ends, plan.deg, 3, 0, bad, plan.dist)
+        assert _native().search(4, plan.ends, plan.deg, 3, 0, plan.after, plan.dist)[0] == 1
+
+    def test_rejects_a_matrix_of_the_wrong_size(self):
+        plan = _plan(c4())
+        for bad in (plan.dist[:-4], plan.dist + bytes(4), bytes(3)):
+            with pytest.raises(ValueError):
+                _native().search(4, plan.ends, plan.deg, 3, 0, plan.after, bad)
+        with pytest.raises(ValueError):
+            _native().search(4, plan.ends, plan.deg, 2**31, 0, plan.after, plan.dist)
+        with pytest.raises(ValueError):
+            _native().distances(4, plan.ends, [0, 2, 2, 2])
+
+    def test_distances_agree(self, catalogs, doubled_graphs):
+        graphs = [g for n in range(2, 7) for g in catalogs[n]]
+        graphs += [*generate_connected_catalog(7), *doubled_graphs]
+        for n in range(8, 17):
+            for p in (0.1, 0.3, 0.6, 0.9):
+                for seed in range(5):
+                    graphs.append(Graph(n, tuple(nx.gnp_random_graph(n, p, seed=seed).edges())))
+        checked = 0
+        for g in graphs:
+            if g.m and is_connected(g):
+                plan = _plan(g)
+                expected = _distances_py(g.n, plan.ends, plan.deg)
+                assert _native().distances(g.n, plan.ends, plan.deg) == expected, g.edges
+                checked += 1
+        assert checked == 1135
+
+    def test_agrees_on_both_sides_of_the_distance_threshold(self):
+        # Paths of DISTANCE_MAX_M and DISTANCE_MAX_M + 1 edges: the first
+        # gets the matrix and the rule, the second neither.
+        for m in (DISTANCE_MAX_M, DISTANCE_MAX_M + 1):
+            path = Graph(m + 1, tuple((i, i + 1) for i in range(m)))
+            plan = _plan(path)
+            with_matrix = m <= DISTANCE_MAX_M
+            expected = (4 * m * m, m - 1) if with_matrix else (0, None)
+            assert (len(plan.dist), plan.longest) == expected
+            for t, budget in ((2, 0), (m // 2, 2000), (m, 0)):
+                assert self.agree(path, t, budget), (m, t)
 
     def test_python_loop_runs_without_a_compiler(self, tmp_path):
         # A copy of the package with no built kernel, in a fresh interpreter
