@@ -1,20 +1,20 @@
 /* The exhaustive loops of intervalcolor, in C: the per-t search of
- * solver._search_py, the edge distances of solver._distances_py and the
- * canonical encoding of catalog._min_code_py.
+ * solver._search_py, the search plan of solver._plan_py, the verdict of
+ * coloring._report and the canonical encoding of catalog._min_code_py.
  *
  * search(n, ends, deg, t, budget, after, dist) -> (status, nodes, picked)
  *
  * ends lists the two endpoints of each edge in search order, deg the degree
  * of each of the n vertices; budget caps the nodes (0 = unlimited); edge k's
  * color must exceed that of the earlier edge after[k], or -1 for none (the
- * twin cut). dist is empty, or the m x m int32 matrix of distances() for
- * the same ends and deg, which turns on distance forward checking. status
+ * twin cut). dist is empty, or the m x m int32 matrix of plan() for the
+ * same ends and deg, which turns on distance forward checking. status
  * is 0 infeasible, 1 found, 2 aborted; picked holds the color of each edge
  * in search order when found. Edge order, color order, node counting and
  * the prune rules (distinct, spread, surjectivity, the first edge's
  * reversal cut, the twin cut, the distance rule) are those of _search_py,
- * so status, nodes and picked agree with it on every input; solver._plan
- * builds the input, and the proofs are in solver.py's docstring.
+ * so status, nodes and picked agree with it on every input; plan() builds
+ * the input, and the proofs are in solver.py's docstring.
  *
  * A vertex's colors are a bitmask of (t + 1) / 64 + 1 words, bit c for
  * color c, so every t runs here.
@@ -29,15 +29,35 @@
  * and computes edge k's candidate interval in one pass over the uncolored
  * edges; a row of ranges per depth lets a backtrack reuse both.
  *
- * distances(n, ends, deg) -> (dist, longest)
+ * plan(n, edges, max_m) -> (order, ends, deg, after, dist, longest)
  *
- * D(e, f) is the cheapest path from edge e to edge f, a step between two
- * edges that share a vertex v costing deg(v) - 1, and D(e, e) = 0; ends
- * must describe a connected graph. dist holds D(e, f) at e * m + f as
- * native int32 bytes, and longest is its largest entry. One Dijkstra from
- * each vertex gives walk(u, v), the cheapest walk from u to v with each
- * vertex on it (ends included) costing deg - 1, and D(e, f) for e != f is
- * the least walk from an end of e to an end of f.
+ * The fields of solver._Plan for a connected graph on n vertices, edges
+ * being Graph.edges: pairs (a, b), a < b, strictly increasing. order is the
+ * BFS edge order from the lowest-indexed vertex of maximum degree, each
+ * vertex's edges taken in increasing neighbour order; ends the endpoints of
+ * each edge in that order; deg the degrees; after the twin cut. Twins x, y
+ * have equal open neighbourhoods N(x) = N(y) or equal closed ones
+ * N[x] = N[y]: the vertices are sorted by a hash of each neighbourhood and
+ * a run of equal hashes is split by comparing the neighbourhoods
+ * themselves, so memory stays linear in n + m. For each twin pair, the
+ * first moved edge k, the earliest edge at x or y other than xy, is among
+ * each twin's two earliest edges, and after[j] = max(after[j], k) for its
+ * image j. For m <= max_m, dist holds D(e, f) at e * m + f in BFS positions
+ * as native int32 bytes and longest is its largest entry; otherwise dist
+ * is empty and longest None. D(e, f) is the cheapest path from edge e to
+ * edge f, a step between two edges that share a vertex v costing
+ * deg(v) - 1, and D(e, e) = 0. One Dijkstra from each vertex gives
+ * walk(u, v), the cheapest walk from u to v with each vertex on it (ends
+ * included) costing deg - 1, and D(e, f) for e != f is the least walk from
+ * an end of e to an end of f. Every field equals _plan_py's.
+ *
+ * interval_ok(n, edges, colors, t) -> bool
+ *
+ * Whether colors, one per edge in 1..t, 1 <= t <= len(edges), is an
+ * interval t-coloring: at each vertex of positive degree, with lo and hi
+ * its least and greatest color, hi - lo + 1 equals the degree and no color
+ * repeats, and every color in 1..t is used. This is the verdict of
+ * coloring._report, which the caller runs for a t above the edge count.
  *
  * min_code(masks) -> int
  *
@@ -81,23 +101,37 @@ static long long bit_length(const uint64_t *mask, long long words)
  * exception set otherwise. */
 static int read_ints(PyObject *seq, Py_ssize_t len, long long low, long long bound, long long *out)
 {
-    PyObject *fast = PySequence_Fast(seq, "search: expected a list or tuple");
+    PyObject *fast = PySequence_Fast(seq, "expected a list or tuple");
     if (!fast)
         return -1;
     int ok = PySequence_Fast_GET_SIZE(fast) == len;
     if (!ok)
-        PyErr_SetString(PyExc_ValueError, "search: sequence of the wrong length");
+        PyErr_SetString(PyExc_ValueError, "sequence of the wrong length");
     for (Py_ssize_t i = 0; ok && i < len; i++) {
         out[i] = PyLong_AsLongLong(PySequence_Fast_GET_ITEM(fast, i));
         if (out[i] == -1 && PyErr_Occurred())
             ok = 0;
         else if (out[i] < low || out[i] >= bound) {
-            PyErr_SetString(PyExc_ValueError, "search: value out of range");
+            PyErr_SetString(PyExc_ValueError, "value out of range");
             ok = 0;
         }
     }
     Py_DECREF(fast);
     return ok ? 0 : -1;
+}
+
+/* A new list of the len values; NULL with an exception set on failure. */
+static PyObject *list_of(const long long *values, Py_ssize_t len)
+{
+    PyObject *list = PyList_New(len);
+    for (Py_ssize_t i = 0; list && i < len; i++) {
+        PyObject *v = PyLong_FromLongLong(values[i]);
+        if (!v)
+            Py_CLEAR(list);
+        else
+            PyList_SET_ITEM(list, i, v);
+    }
+    return list;
 }
 
 static PyObject *search(PyObject *self, PyObject *args)
@@ -241,18 +275,9 @@ static PyObject *search(PyObject *self, PyObject *args)
         k++;
     }
     int status = k < 0 ? 0 : k == m ? 1 : 2;
-    PyObject *colors = PyList_New(status == 1 ? m : 0);
-    if (!colors)
-        goto done;
-    for (Py_ssize_t i = 0; status == 1 && i < m; i++) {
-        PyObject *v = PyLong_FromLongLong(picked[i]);
-        if (!v) {
-            Py_DECREF(colors);
-            goto done;
-        }
-        PyList_SET_ITEM(colors, i, v);
-    }
-    result = Py_BuildValue("iLN", status, nodes, colors);
+    PyObject *colors = list_of(picked, status == 1 ? m : 0);
+    if (colors)
+        result = Py_BuildValue("iLN", status, nodes, colors);
 done:
     PyBuffer_Release(&dist_buf);
     PyMem_Free(ends);
@@ -296,47 +321,46 @@ static void heap_push(uint64_t *heap, Py_ssize_t *size, uint64_t key)
     heap[i] = key;
 }
 
-static PyObject *distances(PyObject *self, PyObject *args)
+/* Copies a list or tuple of m edges, each a pair of distinct vertices in
+ * [0, n), into ends, flat; -1 with an exception set otherwise. */
+static int read_edges(PyObject *seq, Py_ssize_t n, Py_ssize_t m, long long *ends)
 {
-    Py_ssize_t n;
-    PyObject *ends_obj, *deg_obj;
-    if (!PyArg_ParseTuple(args, "nOO", &n, &ends_obj, &deg_obj))
-        return NULL;
-    Py_ssize_t m = PyObject_Length(ends_obj) / 2;
-    if (m < 0)
-        return NULL;
-    if (n < 1 || m < 1) {
-        PyErr_SetString(PyExc_ValueError, "distances: n or edges out of range");
-        return NULL;
+    PyObject *fast = PySequence_Fast(seq, "expected a list or tuple of edges");
+    if (!fast)
+        return -1;
+    int ok = PySequence_Fast_GET_SIZE(fast) == m;
+    if (!ok)
+        PyErr_SetString(PyExc_ValueError, "sequence of the wrong length");
+    for (Py_ssize_t e = 0; ok && e < m; e++) {
+        ok = !read_ints(PySequence_Fast_GET_ITEM(fast, e), 2, 0, n, ends + 2 * e);
+        if (ok && ends[2 * e] == ends[2 * e + 1]) {
+            PyErr_SetString(PyExc_ValueError, "an edge joins a vertex to itself");
+            ok = 0;
+        }
     }
-    if ((size_t)m > SIZE_MAX / sizeof(int32_t) / (size_t)m ||
-        (size_t)n > SIZE_MAX / sizeof(int32_t) / (size_t)n)
-        return PyErr_NoMemory();
-    PyObject *dist = NULL, *result = NULL;
-    long long *ends = PyMem_Calloc(2 * m, sizeof(long long));
-    long long *deg = PyMem_Calloc(n, sizeof(long long));
-    Py_ssize_t *start = PyMem_Calloc(n + 1, sizeof(Py_ssize_t)); /* CSR adjacency */
-    Py_ssize_t *nbr = PyMem_Calloc(2 * m, sizeof(Py_ssize_t));
+    Py_DECREF(fast);
+    return ok ? 0 : -1;
+}
+
+/* Writes D in BFS positions to d, m * m entries, given the ends in BFS
+ * order and the adjacency (start, nbr) of a connected graph; returns the
+ * largest entry, or -1 with an exception set. */
+static long long fill_distances(Py_ssize_t n, Py_ssize_t m, const long long *ends,
+                                const long long *deg, const Py_ssize_t *start,
+                                const Py_ssize_t *nbr, int32_t *d)
+{
+    if ((size_t)n > SIZE_MAX / sizeof(int32_t) / (size_t)n) {
+        PyErr_NoMemory();
+        return -1;
+    }
     int32_t *walk = PyMem_Malloc((size_t)n * n * sizeof(int32_t));
     uint64_t *heap = PyMem_Calloc(2 * m + 1, sizeof(uint64_t)); /* one push per relaxation */
-    if (!ends || !deg || !start || !nbr || !walk || !heap) {
+    if (!walk || !heap) {
+        PyMem_Free(walk);
+        PyMem_Free(heap);
         PyErr_NoMemory();
-        goto done;
+        return -1;
     }
-    if (read_ints(ends_obj, 2 * m, 0, n, ends) || read_ints(deg_obj, n, 1, n, deg))
-        goto done;
-    for (Py_ssize_t i = 0; i < 2 * m; i++)
-        start[ends[i] + 1]++;
-    for (Py_ssize_t v = 0; v < n; v++)
-        start[v + 1] += start[v];
-    for (Py_ssize_t e = 0; e < m; e++) {
-        long long a = ends[2 * e], b = ends[2 * e + 1];
-        nbr[start[a]++] = b;
-        nbr[start[b]++] = a;
-    }
-    for (Py_ssize_t v = n; v > 0; v--) /* the fill moved each start one list on */
-        start[v] = start[v - 1];
-    start[0] = 0;
     for (Py_ssize_t s = 0; s < n; s++) {
         int32_t *cost = walk + s * n;
         for (Py_ssize_t v = 0; v < n; v++)
@@ -346,22 +370,18 @@ static PyObject *distances(PyObject *self, PyObject *args)
         heap_push(heap, &size, (uint64_t)cost[s] << 32 | (uint64_t)s);
         while (size) {
             uint64_t key = heap_pop(heap, &size);
-            long long d = (long long)(key >> 32), u = (long long)(key & 0xFFFFFFFF);
-            if (d > cost[u])
+            long long c = (long long)(key >> 32), u = (long long)(key & 0xFFFFFFFF);
+            if (c > cost[u])
                 continue;
             for (Py_ssize_t i = start[u]; i < start[u + 1]; i++) {
                 Py_ssize_t v = nbr[i];
-                if (d + deg[v] - 1 < cost[v]) {
-                    cost[v] = (int32_t)(d + deg[v] - 1);
+                if (c + deg[v] - 1 < cost[v]) {
+                    cost[v] = (int32_t)(c + deg[v] - 1);
                     heap_push(heap, &size, (uint64_t)cost[v] << 32 | (uint64_t)v);
                 }
             }
         }
     }
-    dist = PyBytes_FromStringAndSize(NULL, (Py_ssize_t)((size_t)m * m * sizeof(int32_t)));
-    if (!dist)
-        goto done;
-    int32_t *d = (int32_t *)PyBytes_AS_STRING(dist);
     long long longest = 0;
     for (Py_ssize_t e = 0; e < m; e++) {
         const int32_t *from_a = walk + ends[2 * e] * n, *from_b = walk + ends[2 * e + 1] * n;
@@ -372,15 +392,352 @@ static PyObject *distances(PyObject *self, PyObject *args)
             longest = max(longest, value);
         }
     }
-    result = Py_BuildValue("OL", dist, longest);
-done:
-    Py_XDECREF(dist);
-    PyMem_Free(ends);
-    PyMem_Free(deg);
-    PyMem_Free(start);
-    PyMem_Free(nbr);
     PyMem_Free(walk);
     PyMem_Free(heap);
+    return longest;
+}
+
+/* splitmix64's finaliser: a vertex's contribution to a neighbourhood hash. */
+static uint64_t mix(uint64_t x)
+{
+    x += 0x9E3779B97F4A7C15ULL;
+    x = (x ^ (x >> 30)) * 0xBF58476D1CE4E5B9ULL;
+    x = (x ^ (x >> 27)) * 0x94D049BB133111EBULL;
+    return x ^ (x >> 31);
+}
+
+/* A vertex's open (closed = 0) or closed (closed = 1) neighbourhood, by hash. */
+typedef struct {
+    uint64_t hash;
+    Py_ssize_t v;
+    int closed;
+} Keyed;
+
+static int by_hash(const void *x, const void *y)
+{
+    const Keyed *p = x, *q = y;
+    if (p->hash != q->hash)
+        return p->hash < q->hash ? -1 : 1;
+    if (p->closed != q->closed)
+        return p->closed - q->closed;
+    return (p->v > q->v) - (p->v < q->v);
+}
+
+/* Writes N(v), or N[v] when closed, in increasing order to key and returns
+ * its size; nbr[start[v] ..] lists N(v) in increasing order. */
+static Py_ssize_t neighbourhood(const Py_ssize_t *start, const Py_ssize_t *nbr, Py_ssize_t v,
+                                int closed, Py_ssize_t *key)
+{
+    Py_ssize_t size = 0;
+    for (Py_ssize_t i = start[v]; i < start[v + 1]; i++) {
+        if (closed && nbr[i] > v) {
+            key[size++] = v;
+            closed = 0;
+        }
+        key[size++] = nbr[i];
+    }
+    if (closed)
+        key[size++] = v;
+    return size;
+}
+
+/* A vertex v and the positions and far ends of its two earliest edges in
+ * BFS order; a vertex of degree 1 has position PY_SSIZE_T_MAX second. */
+typedef struct {
+    Py_ssize_t v, pos[2], nbr[2];
+} Early;
+
+static void earliest_two(const Py_ssize_t *start, const Py_ssize_t *nbr, const Py_ssize_t *inc,
+                         const Py_ssize_t *position, Early *x)
+{
+    x->pos[0] = x->pos[1] = PY_SSIZE_T_MAX;
+    x->nbr[0] = x->nbr[1] = -1;
+    for (Py_ssize_t i = start[x->v]; i < start[x->v + 1]; i++) {
+        Py_ssize_t at = position[inc[i]];
+        int slot = at < x->pos[0] ? 0 : at < x->pos[1] ? 1 : 2;
+        if (slot == 0) {
+            x->pos[1] = x->pos[0];
+            x->nbr[1] = x->nbr[0];
+        }
+        if (slot < 2) {
+            x->pos[slot] = at;
+            x->nbr[slot] = nbr[i];
+        }
+    }
+}
+
+static PyObject *plan(PyObject *self, PyObject *args)
+{
+    Py_ssize_t n, max_m;
+    PyObject *edges_obj;
+    if (!PyArg_ParseTuple(args, "nOn", &n, &edges_obj, &max_m))
+        return NULL;
+    Py_ssize_t m = PyObject_Length(edges_obj);
+    if (m < 0)
+        return NULL;
+    if (n < 1 || m < 1 || max_m < 0) {
+        PyErr_SetString(PyExc_ValueError, "plan: n, edges or max_m out of range");
+        return NULL;
+    }
+    int with_dist = m <= max_m;
+    if (with_dist && (size_t)m > SIZE_MAX / sizeof(int32_t) / (size_t)m)
+        return PyErr_NoMemory();
+    PyObject *result = NULL, *dist = NULL;
+    long long *edges = PyMem_Calloc(2 * m, sizeof(long long)); /* in Graph.edges order */
+    long long *ends = PyMem_Calloc(2 * m, sizeof(long long));  /* in BFS order */
+    long long *deg = PyMem_Calloc(n, sizeof(long long));
+    long long *order = PyMem_Calloc(m, sizeof(long long));
+    long long *after = PyMem_Calloc(m, sizeof(long long));
+    /* Adjacency: nbr[start[v] .. start[v + 1]) in increasing order, inc the
+     * edge to each. */
+    Py_ssize_t *start = PyMem_Calloc(n + 1, sizeof(Py_ssize_t));
+    Py_ssize_t *nbr = PyMem_Calloc(2 * m, sizeof(Py_ssize_t));
+    Py_ssize_t *inc = PyMem_Calloc(2 * m, sizeof(Py_ssize_t));
+    Py_ssize_t *position = PyMem_Calloc(m, sizeof(Py_ssize_t));
+    Py_ssize_t *queue = PyMem_Calloc(n, sizeof(Py_ssize_t));
+    Py_ssize_t *key = PyMem_Calloc(2 * (n + 1), sizeof(Py_ssize_t)); /* two neighbourhoods */
+    Keyed *keyed = PyMem_Calloc(2 * n, sizeof(Keyed));
+    Early *early = PyMem_Calloc(n, sizeof(Early)); /* one class of twins */
+    if (!edges || !ends || !deg || !order || !after || !start || !nbr || !inc || !position ||
+        !queue || !key || !keyed || !early) {
+        PyErr_NoMemory();
+        goto done;
+    }
+    if (read_edges(edges_obj, n, m, edges))
+        goto done;
+    for (Py_ssize_t e = 0; e < m; e++) {
+        long long a = edges[2 * e], b = edges[2 * e + 1];
+        if (a > b || (e && (a < edges[2 * e - 2] || (a == edges[2 * e - 2] && b <= edges[2 * e - 1])))) {
+            PyErr_SetString(PyExc_ValueError, "plan: edges must be increasing pairs (a, b), a < b");
+            goto done;
+        }
+        deg[a]++;
+        deg[b]++;
+    }
+    Py_ssize_t root = 0;
+    for (Py_ssize_t v = 0; v < n; v++) {
+        start[v + 1] = start[v] + deg[v];
+        if (deg[v] > deg[root])
+            root = v;
+    }
+    /* Edges are sorted, so each vertex's neighbours arrive in increasing
+     * order; the fill moves each start one list on, and the loop after it
+     * moves them back. */
+    for (Py_ssize_t e = 0; e < m; e++) {
+        long long a = edges[2 * e], b = edges[2 * e + 1];
+        nbr[start[a]] = b;
+        inc[start[a]++] = e;
+        nbr[start[b]] = a;
+        inc[start[b]++] = e;
+    }
+    for (Py_ssize_t v = n; v > 0; v--)
+        start[v] = start[v - 1];
+    start[0] = 0;
+
+    for (Py_ssize_t e = 0; e < m; e++)
+        position[e] = -1;
+    Py_ssize_t placed = 0, head = 0, tail = 0;
+    Py_ssize_t *visited = key; /* zeroed; the twins reuse it below */
+    visited[root] = 1;
+    queue[tail++] = root;
+    while (head < tail) {
+        Py_ssize_t u = queue[head++];
+        for (Py_ssize_t i = start[u]; i < start[u + 1]; i++) {
+            if (position[inc[i]] < 0) {
+                position[inc[i]] = placed;
+                order[placed++] = inc[i];
+            }
+            if (!visited[nbr[i]]) {
+                visited[nbr[i]] = 1;
+                queue[tail++] = nbr[i];
+            }
+        }
+    }
+    if (tail < n) {
+        PyErr_SetString(PyExc_ValueError, "plan: the graph must be connected");
+        goto done;
+    }
+    for (Py_ssize_t k = 0; k < m; k++) {
+        ends[2 * k] = edges[2 * order[k]];
+        ends[2 * k + 1] = edges[2 * order[k] + 1];
+        after[k] = -1;
+    }
+
+    /* Twins: vertices with equal open or equal closed neighbourhoods. No
+     * open one equals a closed one, and a vertex has twins of one kind only
+     * (solver._plan_py). */
+    for (Py_ssize_t v = 0; v < n; v++) {
+        uint64_t hash = 0;
+        for (Py_ssize_t i = start[v]; i < start[v + 1]; i++)
+            hash += mix((uint64_t)nbr[i]);
+        keyed[2 * v] = (Keyed){hash, v, 0};
+        keyed[2 * v + 1] = (Keyed){hash + mix((uint64_t)v), v, 1};
+    }
+    qsort(keyed, 2 * n, sizeof(Keyed), by_hash);
+    Py_ssize_t *mine = key, *theirs = key + n + 1;
+    for (Py_ssize_t lo = 0, hi; lo < 2 * n; lo = hi) {
+        for (hi = lo + 1; hi < 2 * n && keyed[hi].hash == keyed[lo].hash &&
+                          keyed[hi].closed == keyed[lo].closed;
+             hi++)
+            ;
+        /* Split the run [lo, hi) into classes of equal neighbourhoods; v = -1
+         * marks a vertex already in a class. */
+        for (Py_ssize_t i = lo; hi - lo > 1 && i < hi; i++) {
+            if (keyed[i].v < 0)
+                continue;
+            int closed = keyed[i].closed;
+            Py_ssize_t size = neighbourhood(start, nbr, keyed[i].v, closed, mine), count = 0;
+            early[count++].v = keyed[i].v;
+            for (Py_ssize_t j = i + 1; j < hi; j++) {
+                if (keyed[j].v >= 0 && neighbourhood(start, nbr, keyed[j].v, closed, theirs) == size &&
+                    !memcmp(mine, theirs, size * sizeof(Py_ssize_t))) {
+                    early[count++].v = keyed[j].v;
+                    keyed[j].v = -1;
+                }
+            }
+            for (Py_ssize_t c = 0; count > 1 && c < count; c++)
+                earliest_two(start, nbr, inc, position, &early[c]);
+            /* The x<->y swap moves the edges at x or y other than xy. A twin
+             * has at most one edge to its partner, so the first moved edge,
+             * (x, u) at position k, is among each twin's two earliest, and
+             * its image (y, u) joins the partner y to u. */
+            for (Py_ssize_t p = 0; p < count; p++) {
+                for (Py_ssize_t q = p + 1; q < count; q++) {
+                    Py_ssize_t k = PY_SSIZE_T_MAX, y = -1, u = -1;
+                    for (int side = 0; side < 2; side++) {
+                        const Early *x = &early[side ? q : p], *partner = &early[side ? p : q];
+                        int i2 = x->nbr[0] == partner->v; /* skip the edge xy */
+                        if (x->pos[i2] < k) {
+                            k = x->pos[i2];
+                            y = partner->v;
+                            u = x->nbr[i2];
+                        }
+                    }
+                    if (y < 0)
+                        continue; /* K2: no edge moves */
+                    Py_ssize_t at = start[y], end = start[y + 1];
+                    while (at < end) { /* u among y's increasing neighbours */
+                        Py_ssize_t mid = at + (end - at) / 2;
+                        if (nbr[mid] < u)
+                            at = mid + 1;
+                        else
+                            end = mid;
+                    }
+                    if (at < start[y + 1] && nbr[at] == u)
+                        after[position[inc[at]]] = max(after[position[inc[at]]], k);
+                }
+            }
+        }
+    }
+
+    long long longest = 0;
+    dist = PyBytes_FromStringAndSize(NULL, with_dist ? (Py_ssize_t)((size_t)m * m * sizeof(int32_t)) : 0);
+    if (!dist)
+        goto done;
+    if (with_dist) {
+        longest = fill_distances(n, m, ends, deg, start, nbr, (int32_t *)PyBytes_AS_STRING(dist));
+        if (longest < 0)
+            goto done;
+    }
+    PyObject *fields[6] = {
+        list_of(order, m), list_of(ends, 2 * m), list_of(deg, n), list_of(after, m), dist,
+        with_dist ? PyLong_FromLongLong(longest) : Py_NewRef(Py_None),
+    };
+    dist = NULL; /* now in fields */
+    int built = 1;
+    for (int i = 0; i < 6; i++)
+        built = built && fields[i];
+    result = built ? PyTuple_New(6) : NULL;
+    for (int i = 0; i < 6; i++) {
+        if (result)
+            PyTuple_SET_ITEM(result, i, fields[i]);
+        else
+            Py_XDECREF(fields[i]);
+    }
+done:
+    Py_XDECREF(dist);
+    PyMem_Free(edges);
+    PyMem_Free(ends);
+    PyMem_Free(deg);
+    PyMem_Free(order);
+    PyMem_Free(after);
+    PyMem_Free(start);
+    PyMem_Free(nbr);
+    PyMem_Free(inc);
+    PyMem_Free(position);
+    PyMem_Free(queue);
+    PyMem_Free(key);
+    PyMem_Free(keyed);
+    PyMem_Free(early);
+    return result;
+}
+
+static PyObject *interval_ok(PyObject *self, PyObject *args)
+{
+    Py_ssize_t n;
+    long long t;
+    PyObject *edges_obj, *colors_obj;
+    if (!PyArg_ParseTuple(args, "nOOL", &n, &edges_obj, &colors_obj, &t))
+        return NULL;
+    Py_ssize_t m = PyObject_Length(edges_obj);
+    if (m < 0)
+        return NULL;
+    if (n < 1 || t < 1 || t > m) {
+        PyErr_SetString(PyExc_ValueError, "interval_ok: n or t out of range");
+        return NULL;
+    }
+    PyObject *result = NULL;
+    long long *ends = PyMem_Calloc(2 * m, sizeof(long long));
+    long long *colors = PyMem_Calloc(m, sizeof(long long));
+    /* Per vertex: least and greatest color, degree, and where its row of
+     * seen starts; seen[base[v] + c - lo[v]] marks color c at v. */
+    long long *lo = PyMem_Calloc(n, sizeof(long long));
+    long long *hi = PyMem_Calloc(n, sizeof(long long));
+    long long *count = PyMem_Calloc(n, sizeof(long long));
+    long long *base = PyMem_Calloc(n, sizeof(long long));
+    char *seen = PyMem_Calloc(2 * m, 1);
+    char *used = PyMem_Calloc(t + 1, 1);
+    if (!ends || !colors || !lo || !hi || !count || !base || !seen || !used) {
+        PyErr_NoMemory();
+        goto done;
+    }
+    if (read_edges(edges_obj, n, m, ends) || read_ints(colors_obj, m, 1, t + 1, colors))
+        goto done;
+    for (Py_ssize_t v = 0; v < n; v++)
+        lo[v] = t + 1;
+    for (Py_ssize_t i = 0; i < 2 * m; i++) {
+        long long v = ends[i], c = colors[i / 2];
+        lo[v] = min(lo[v], c);
+        hi[v] = max(hi[v], c);
+        count[v]++;
+    }
+    int ok = 1;
+    for (Py_ssize_t v = 0; v < n; v++) {
+        ok = ok && (!count[v] || hi[v] - lo[v] + 1 == count[v]);
+        base[v] = v ? base[v - 1] + count[v - 1] : 0;
+    }
+    /* With each vertex's span equal to its degree, its colors are
+     * consecutive exactly when none repeats. */
+    for (Py_ssize_t i = 0; ok && i < 2 * m; i++) {
+        char *mark = seen + base[ends[i]] + colors[i / 2] - lo[ends[i]];
+        ok = !*mark;
+        *mark = 1;
+    }
+    long long distinct = 0;
+    for (Py_ssize_t e = 0; ok && e < m; e++) {
+        distinct += !used[colors[e]];
+        used[colors[e]] = 1;
+    }
+    result = PyBool_FromLong(ok && distinct == t);
+done:
+    PyMem_Free(ends);
+    PyMem_Free(colors);
+    PyMem_Free(lo);
+    PyMem_Free(hi);
+    PyMem_Free(count);
+    PyMem_Free(base);
+    PyMem_Free(seen);
+    PyMem_Free(used);
     return result;
 }
 
@@ -489,7 +846,8 @@ done:
 static PyMethodDef methods[] = {
     {"search", search, METH_VARARGS,
      "search(n, ends, deg, t, budget, after, dist) -> (status, nodes, picked)"},
-    {"distances", distances, METH_VARARGS, "distances(n, ends, deg) -> (dist, longest)"},
+    {"plan", plan, METH_VARARGS, "plan(n, edges, max_m) -> (order, ends, deg, after, dist, longest)"},
+    {"interval_ok", interval_ok, METH_VARARGS, "interval_ok(n, edges, colors, t) -> bool"},
     {"min_code", min_code, METH_O, "min_code(masks) -> int"},
     {NULL, NULL, 0, NULL},
 };

@@ -8,6 +8,11 @@ impose no constraint, which keeps the validator total on subgraphs and
 certificates even though the solver itself rejects edgeless graphs. Unused
 colors are reported one by one while there are at most m + 1 of them, else
 as maximal runs, so a report stays O(m) for any t.
+
+The check has two implementations: ``_report`` in Python, which builds the
+full report, and the compiled kernel's ``interval_ok(n, edges, colors, t)``
+(``_search.c``), which gives only the verdict and runs first wherever it
+loads, so that a valid coloring costs no Python loop over its vertices.
 """
 
 from __future__ import annotations
@@ -55,9 +60,30 @@ def _check_sized(g: Graph, c: EdgeColoring) -> None:
         raise DomainError(f"coloring has {len(c.colors)} colors but graph has {g.m} edges")
 
 
+# The report of every valid coloring: nothing failed.
+_VALID = ValidationReport(True, True, True, True, ())
+
+
 def validate_interval(g: Graph, c: EdgeColoring) -> ValidationReport:
-    """Full validity check; failures accumulate instead of short-circuiting."""
+    """Full validity check; failures accumulate instead of short-circuiting.
+
+    Where the compiled kernel loads (``solver._native``), its
+    ``interval_ok`` gives the verdict first, and a valid coloring gets the
+    shared all-true report. Any other coloring, a t above the edge count
+    (never surjective, and possibly too large for C) and a run without the
+    kernel get ``_report``, whose verdict ``interval_ok`` equals.
+    """
     _check_sized(g, c)
+    kernel = solver._native()
+    if kernel is not None and c.t <= g.m and kernel.interval_ok(g.n, g.edges, c.colors, c.t):
+        return _VALID
+    return _report(g, c)
+
+
+def _report(g: Graph, c: EdgeColoring) -> ValidationReport:
+    """``validate_interval`` in Python, for a coloring sized to g: the
+    reference for the kernel's verdict, and the builder of every failure
+    report."""
     failures: list[Failure] = []
     proper = True
     interval_ok = True
@@ -160,3 +186,7 @@ def validation_report_to_json(report: ValidationReport) -> dict:
             {"kind": f.kind, "subject": f.subject, "detail": f.detail} for f in report.failures
         ],
     }
+
+
+# Last, since solver imports this module and needs the names above.
+from . import solver  # noqa: E402

@@ -120,19 +120,25 @@ def is_connected(g: Graph) -> bool:
     return _traverse(g)[2] == 1
 
 
-def require_connected_with_edge(g: Graph) -> None:
-    """The domain of interval colorings and of the doubling: at least one
-    edge (a coloring needs color 1) and a connected graph."""
-    _require_domain(g, is_connected(g))
-
-
-def _require_domain(g: Graph, connected: bool) -> None:
-    """``require_connected_with_edge`` for a caller that knows whether g is
-    connected (from ``classify``), so that g is traversed once."""
+def _domain_fault(g: Graph, connected: bool) -> str | None:
+    """Why g lies outside the domain of interval colorings and of the
+    doubling, or None inside it. The domain is the connected graphs with at
+    least one edge (a coloring needs color 1); ``connected`` is g's, from
+    the caller's own traversal."""
     if g.m == 0:
-        raise DomainError("graph has no edges; an interval coloring needs at least color 1")
+        return "graph has no edges; an interval coloring needs at least color 1"
     if not connected:
-        raise DomainError("graph is disconnected")
+        return "graph is disconnected"
+    return None
+
+
+def require_connected_with_edge(g: Graph, connected: bool | None = None) -> None:
+    """Raises DomainError for a g outside the domain (``_domain_fault``). A
+    caller that knows whether g is connected (from ``classify``) passes it,
+    so that g is traversed once."""
+    fault = _domain_fault(g, is_connected(g) if connected is None else connected)
+    if fault:
+        raise DomainError(fault)
 
 
 def _triangle_free(g: Graph) -> bool:

@@ -8,9 +8,10 @@ once per graph, shares one node budget across its layers, and has
 ``_decide`` search each layer by backtracking. The testing oracle that
 enumerates every assignment lives in ``oracle``.
 
-The set-up is the search plan (``_plan``) and a ceiling proven for the
-instance (``_proven_ceiling``). An overfull graph has no interval coloring
-at all, and no interval coloring uses more than 1 + max D colors (D below),
+The set-up is an overfull test (``_overfull``), then the search plan
+(``_plan``) and a ceiling proven for the instance (``_proven_ceiling``). An
+overfull graph has no interval coloring at all, so it is decided with no
+plan, and no interval coloring uses more than 1 + max D colors (D below),
 so layers above the ceiling are infeasible at a cost of 0 nodes.
 
 Search strategy (deterministic): edges are ordered by a breadth-first
@@ -49,11 +50,11 @@ and computes edge k's candidate interval in one pass over the uncolored
 edges, and a row of ranges per depth lets a backtrack reuse both. The
 edges colored 1 and t differ by t - 1, hence the ceiling t <= 1 + max D.
 
-The plan holds D as an m x m matrix (``_distances_py``, or the kernel's
-``distances``) for graphs of at most ``DISTANCE_MAX_M`` edges. Larger
-graphs (long paths, big complete graphs) get no matrix: the distance rule
-is off and ``_proven_ceiling`` runs a Dijkstra from one edge after another
-until the ceiling reaches the largest t asked about.
+The plan holds D as an m x m matrix for graphs of at most
+``DISTANCE_MAX_M`` edges. Larger graphs (long paths, big complete graphs)
+get no matrix: the distance rule is off and ``_proven_ceiling`` runs a
+Dijkstra from one edge after another until the ceiling reaches the largest
+t asked about.
 
 Two cuts skip colorings that a symmetry maps to a smaller one. A symmetry s
 here maps interval t-colorings to interval t-colorings, and each cut removes
@@ -86,8 +87,10 @@ every layer. ``_search_py`` is the reference, in Python. ``_search.c`` is
 the same loop in C, compiled on first use by ``_native``; it expands 15 to
 65 times as many nodes per second on the benchmark's workloads. ``_decide``
 runs it when it loads and the Python loop otherwise (no compiler, no
-headers, a read-only install). The distances have the same two
-implementations, chosen the same way by ``_plan``.
+headers, a read-only install). The plan has two implementations too, chosen
+the same way by ``_plan``: ``_plan_py``, the reference, and the kernel's
+``plan``, which gives every field equal and builds the BFS order, the twin
+cut and the matrix in C. Both group twins in memory linear in n + m.
 """
 
 from __future__ import annotations
@@ -109,7 +112,7 @@ from typing import Iterator, NamedTuple
 from . import bounds as bounds_mod
 from .coloring import EdgeColoring, coloring_to_json, validate_interval
 from .errors import DomainError, InternalInvariantError
-from .graph import Graph, _require_domain, classify, require_connected_with_edge
+from .graph import Graph, classify, require_connected_with_edge
 
 # Graphs with more edges get no distance matrix: its m * m int32 entries,
 # and the kernel's two rows of ranges per depth, stay within 3 MB.
@@ -146,29 +149,31 @@ class SolveOutcome:
     last_explored_t: int | None = None
 
 
-def _proven_ceiling(g: Graph, longest: int | None, cap: int) -> int:
-    """Largest palette size not ruled out for g by two proofs; 0 if none is left.
+def _overfull(g: Graph) -> bool:
+    """Whether m > Delta * floor(n/2), which rules out every interval coloring.
 
-    Overfull test: if m > Delta * floor(n/2), g has no interval coloring.
     Taking an interval coloring's colors mod Delta gives a proper
     Delta-edge-coloring, since the colors at a vertex are at most Delta
     consecutive integers and so stay distinct mod Delta. Each of its Delta
     color classes is a matching of at most floor(n/2) edges, so m is at most
     Delta * floor(n/2) (interval colorable implies class 1; Asratian and
     Kamalian, JCTB 1994).
-
-    Path ceiling: every interval t-coloring has t <= 1 + max D (module
-    docstring). ``longest`` is max D from the plan's matrix, or None when
-    the plan has none; then the distances are computed one edge at a time,
-    stopping once the ceiling reaches ``cap``, the largest t the caller asks
-    about, so the result is exact below cap and at least cap otherwise.
     """
-    degs = g.degrees()
-    if g.m > max(degs) * (g.n // 2):
-        return 0
+    return g.m > g.max_degree * (g.n // 2)
+
+
+def _proven_ceiling(g: Graph, longest: int | None, cap: int) -> int:
+    """Largest palette size the path ceiling leaves for g.
+
+    Every interval t-coloring has t <= 1 + max D (module docstring).
+    ``longest`` is max D from the plan's matrix, or None when the plan has
+    none; then the distances are computed one edge at a time, stopping once
+    the ceiling reaches ``cap``, the largest t the caller asks about, so the
+    result is exact below cap and at least cap otherwise.
+    """
     if longest is None:
         longest = 0
-        for row in _distance_rows(g.adjacency, degs, g.edges):
+        for row in _distance_rows(g.adjacency, g.degrees(), g.edges):
             longest = max(longest, max(row))
             if longest + 1 >= cap:
                 break
@@ -201,10 +206,9 @@ def _distance_rows(adjacency, deg, pairs) -> Iterator[list[int]]:
 
 
 def _distances_py(n: int, ends: list[int], deg: list[int]) -> tuple[bytes, int]:
-    """The kernel's ``distances`` in Python: its reference, and its fallback.
-
-    Returns (dist, longest): D(e, f) at e * m + f as native int32 bytes, the
-    edges given as ``_plan``'s ``ends``, and the largest entry.
+    """The distance fields of ``_plan_py``: (dist, longest), D(e, f) at
+    e * m + f as native int32 bytes, the edges given as ``ends``, and the
+    largest entry.
     """
     pairs = list(zip(ends[::2], ends[1::2]))
     m = len(pairs)
@@ -227,31 +231,47 @@ def _include_dir() -> str:
     return os.path.join(sys.base_prefix, "include", version + getattr(sys, "abiflags", ""))
 
 
-@functools.cache
-def _native():
-    """The compiled module ``_search.c`` (the search kernel and the catalog's
-    ``min_code``), or None where it cannot run.
+def _build_command(source: Path) -> list[str]:
+    """The compiler command that builds the kernel from ``source``, less
+    its output file. -O3 and -march=native search no faster than -O2."""
+    return ["cc", "-O2", "-shared", "-fPIC", "-I", _include_dir(), str(source)]
 
-    It is built on first use into the package's ``__pycache__``, under a
-    name keyed by the source and the interpreter, and written to a private
-    file renamed into place, so concurrent first uses never load a partial
-    file; a build then removes this interpreter's builds of earlier sources.
-    Without a compiler, headers or a writable directory the Python loops run
-    instead.
-    """
+
+def _build_target(source: Path, command: list[str]) -> Path:
+    """Where the kernel that ``command`` builds from ``source`` is kept: a
+    name keyed by the source, the command and the interpreter's extension
+    suffix, so that a changed source, flag or header directory never loads
+    an earlier build."""
     import hashlib  # here, not at the top: only the first use needs it
 
+    suffix = importlib.machinery.EXTENSION_SUFFIXES[0]
+    key = source.read_bytes() + "\0".join([*command, suffix]).encode()
+    digest = hashlib.sha256(key).hexdigest()[:16]
+    return source.parent / "__pycache__" / f"_search-{digest}{suffix}"
+
+
+@functools.cache
+def _native():
+    """The compiled module ``_search.c`` (the search kernel, its plan, the
+    coloring check and the catalog's ``min_code``), or None where it cannot
+    run.
+
+    It is built on first use into the package's ``__pycache__``, under the
+    name ``_build_target`` gives, and written to a private file renamed
+    into place, so concurrent first uses never load a partial file; a build
+    then removes this interpreter's builds of earlier sources. Without a
+    compiler, headers or a writable directory the Python code runs instead.
+    """
     source = Path(__file__).with_name("_search.c")
     suffix = importlib.machinery.EXTENSION_SUFFIXES[0]
     try:
-        digest = hashlib.sha256(source.read_bytes() + suffix.encode()).hexdigest()[:16]
-        target = source.parent / "__pycache__" / f"_search-{digest}{suffix}"
+        command = _build_command(source)
+        target = _build_target(source, command)
         if not target.is_file():
             import subprocess  # only a build needs it
 
             target.parent.mkdir(exist_ok=True)
             partial = target.with_name(f"{target.name}.{os.getpid()}.tmp")
-            command = ["cc", "-O2", "-shared", "-fPIC", "-I", _include_dir(), str(source)]
             try:
                 subprocess.run(
                     [*command, "-o", str(partial)], capture_output=True, check=True, timeout=120
@@ -287,7 +307,7 @@ class _Plan(NamedTuple):
 
 
 def _plan(g: Graph) -> _Plan:
-    """The search's input for g, built once per graph.
+    """The search's input for a connected g with an edge, built once per graph.
 
     ``order`` is the BFS edge order, ``ends`` the two endpoints of each edge
     in that order, flat, and ``deg`` the vertex degrees. ``after[j]`` is the
@@ -296,7 +316,19 @@ def _plan(g: Graph) -> _Plan:
     vertex of maximum degree, so consecutive edges share endpoints. ``dist``
     is the distance matrix in BFS positions and ``longest`` its largest
     entry, for at most ``DISTANCE_MAX_M`` edges; above, b"" and None.
+
+    The kernel's ``plan`` builds it where the kernel loads, ``_plan_py``
+    elsewhere; the two agree field by field.
     """
+    kernel = _native()
+    if kernel is None:
+        return _plan_py(g)
+    return _Plan(*kernel.plan(g.n, g.edges, DISTANCE_MAX_M))
+
+
+def _plan_py(g: Graph) -> _Plan:
+    """``_plan`` in Python: the reference for the kernel's ``plan``, and its
+    fallback."""
     adjacency, incidence = g.adjacency, g.incidence  # incidence[v] in adjacency[v]'s order
     deg = list(g.degrees())
     start = deg.index(max(deg))
@@ -347,9 +379,7 @@ def _plan(g: Graph) -> _Plan:
     ends = [v for eid in order for v in g.edges[eid]]
     if g.m > DISTANCE_MAX_M:
         return _Plan(order, ends, deg, after, b"", None)
-    kernel = _native()
-    dist, longest = (_distances_py if kernel is None else kernel.distances)(g.n, ends, deg)
-    return _Plan(order, ends, deg, after, dist, longest)
+    return _Plan(order, ends, deg, after, *_distances_py(g.n, ends, deg))
 
 
 def _search_py(
@@ -498,9 +528,10 @@ def _descend(
     the node limit (0 = unlimited), shared by all layers, runs out.
     ``last_explored`` is the last t fully decided. Layers above
     ``_proven_ceiling`` are infeasible at 0 nodes; the rest share one plan.
+    An overfull graph has no layer to search, so it gets no plan.
     """
-    plan = _plan(g)
-    ceiling = _proven_ceiling(g, plan.longest, cap=top)
+    plan = None if _overfull(g) else _plan(g)
+    ceiling = 0 if plan is None else _proven_ceiling(g, plan.longest, cap=top)
     nodes = 0
     last_explored: int | None = None
     for t in range(top, bottom - 1, -1):
@@ -539,7 +570,7 @@ def compute_W(g: Graph, limits: SearchLimits | None = None) -> SolveOutcome:
     """
     limits = limits or SearchLimits()
     cls = classify(g)
-    _require_domain(g, cls.connected)
+    require_connected_with_edge(g, cls.connected)
     cutoff = bounds_mod.best_upper_bound(g, cls)
     capped = limits.t_override is not None and limits.t_override < cutoff
     if capped:

@@ -18,7 +18,7 @@ from typing import IO, Iterable, Iterator
 from .bounds import applicable_bounds, audit, best_upper_bound
 from .doubling import double_with_certificate
 from .errors import InternalInvariantError
-from .graph import Graph, classify, write_graph6
+from .graph import Graph, _domain_fault, classify, write_graph6
 from .solver import SearchLimits, SolveStatus, compute_W
 
 CSV_COLUMNS = (  # the fields of SurveyRecord, in order
@@ -69,7 +69,7 @@ def survey_graph(
     slack: int | None = None
     tight: tuple[str, ...] = ()
     doubling_ok: bool | None = None
-    if cls.connected and g.m > 0:
+    if _domain_fault(g, cls.connected) is None:
         claims = applicable_bounds(g, cls)
         best = best_upper_bound(g, cls)
         outcome = compute_W(g, limits)

@@ -9,8 +9,13 @@ from intervalcolor import (
     ParseError,
     coloring_from_json,
     coloring_to_json,
+    compute_W,
+    double_with_certificate,
+    generate_connected_catalog,
     validate_interval,
 )
+from intervalcolor.coloring import _VALID, _report
+from intervalcolor.solver import _native
 from smallgraphs import c4, k2, k3, p3
 
 
@@ -150,3 +155,90 @@ class TestColoringJson:
     def test_rejects_missing_keys(self):
         with pytest.raises(ParseError):
             coloring_from_json(p3(), {"edges": []})
+
+
+def corruptions(g: Graph, c: EdgeColoring) -> list[EdgeColoring]:
+    """A coloring's duplicate, gap and shift corruptions: an edge takes the
+    color of an edge it meets, the palette grows by one, and the first edge's
+    color moves by one."""
+    out = [EdgeColoring(c.t + 1, c.colors)]
+    meets = next(
+        ((e, f) for e, f in ((e, f) for e in range(g.m) for f in range(g.m))
+         if e != f and set(g.edges[e]) & set(g.edges[f])),
+        None,
+    )
+    if meets is not None:
+        e, f = meets
+        colors = list(c.colors)
+        colors[e] = colors[f]
+        out.append(EdgeColoring(c.t, tuple(colors)))
+    if c.t > 1:
+        first = c.colors[0]
+        out.append(EdgeColoring(c.t, (first + 1 if first < c.t else first - 1, *c.colors[1:])))
+    return out
+
+
+class TestNativeIntervalCheck:
+    """The kernel's ``interval_ok`` against the verdict of ``_report``."""
+
+    def agree(self, g: Graph, c: EdgeColoring) -> bool:
+        report = _report(g, c)
+        if validate_interval(g, c) != report:
+            return False
+        if c.t > g.m:  # never sent to the kernel
+            return not report.verdict
+        return _native().interval_ok(g.n, g.edges, c.colors, c.t) == report.verdict
+
+    def test_agrees_on_witnesses_doublings_and_corruptions(self, catalogs):
+        graphs = [g for n in range(2, 7) for g in catalogs[n]]
+        graphs += generate_connected_catalog(7)
+        valid = invalid = 0
+        for g in graphs:
+            witness = compute_W(g).witness
+            if witness is None:
+                continue
+            cert = double_with_certificate(g, witness)
+            h = cert.result.h
+            for graph, c in ((g, witness), (h, cert.beta), (h, cert.final)):
+                for variant in (c, *corruptions(graph, c)):
+                    assert self.agree(graph, variant), (graph.edges, variant)
+                    verdict = _report(graph, variant).verdict
+                    valid += verdict
+                    invalid += not verdict
+            assert validate_interval(h, cert.final) is _VALID
+        # 899 colorable graphs: each witness and final coloring is valid; each
+        # beta (no color 1) and corruption is not, and K2's witness has neither
+        # a duplicate nor a shift.
+        assert (valid, invalid) == (2 * 899, 10 * 899 - 2)
+
+    def test_agrees_past_the_edge_count_and_on_degree_zero_vertices(self):
+        # t > m and t = 2**70 stay in Python; vertices 3 and 4, and then
+        # vertex 0, have no edge.
+        assert self.agree(p3(), EdgeColoring(3, (1, 2)))
+        assert self.agree(p3(), EdgeColoring(2**70, (1, 2)))
+        for g in (Graph(5, ((0, 1), (1, 2))), Graph(4, ((1, 2), (2, 3)))):
+            for t, colors in ((2, (1, 2)), (2, (2, 1)), (1, (1, 1)), (2, (1, 1)), (2, (2, 2))):
+                assert self.agree(g, EdgeColoring(t, colors)), (g.edges, colors)
+        assert validate_interval(Graph(5, ((0, 1), (1, 2))), EdgeColoring(2, (2, 1))).verdict
+
+    def test_rejects_malformed_input(self):
+        check = _native().interval_ok
+        edges, colors = c4().edges, c4_cyclic_132().colors
+        assert check(4, edges, colors, 3) is True
+        for args in (
+            (4, edges, colors[:-1], 3),  # one color short
+            (4, edges, (0, *colors[1:]), 3),  # color 0
+            (4, edges, (4, *colors[1:]), 3),  # color above t
+            (4, edges, colors, 0),
+            (4, edges, colors, 5),  # t above the edge count
+            (0, edges, colors, 3),
+            (3, edges, colors, 3),  # vertex 3 out of range
+            (4, ((0, 0), *edges[1:]), colors, 3),  # a loop
+            (4, ((0, 1, 2), *edges[1:]), colors, 3),
+        ):
+            with pytest.raises(ValueError):
+                check(*args)
+        with pytest.raises(OverflowError):
+            check(4, edges, colors, 2**70)
+        with pytest.raises(TypeError):
+            check(4, 5, colors, 3)

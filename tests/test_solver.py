@@ -39,10 +39,14 @@ from intervalcolor import graph as graph_module
 from intervalcolor import solver
 from intervalcolor.solver import (
     DISTANCE_MAX_M,
-    _distances_py,
+    _build_command,
+    _build_target,
     _include_dir,
     _native,
+    _overfull,
     _plan,
+    _plan_py,
+    _Plan,
     _proven_ceiling,
     _search_py,
 )
@@ -315,7 +319,7 @@ class TestOracleAgreement:
 
 
 def exact_ceiling(g: Graph) -> int:
-    return _proven_ceiling(g, _plan(g).longest, cap=g.m + 1)
+    return 0 if _overfull(g) else _proven_ceiling(g, _plan(g).longest, cap=g.m + 1)
 
 
 def line_graph_distances(g: Graph) -> list[list[int]]:
@@ -335,6 +339,10 @@ def line_graph_distances(g: Graph) -> list[list[int]]:
             for j in range(g.m):
                 dist[i][j] = min(dist[i][j], dist[i][k] + dist[k][j])
     return dist
+
+
+def _native_plan(g: Graph) -> _Plan:
+    return _Plan(*_native().plan(g.n, g.edges, DISTANCE_MAX_M))
 
 
 def int32s(data: bytes) -> list[int]:
@@ -362,9 +370,9 @@ class TestProvenCeiling:
                 dist = line_graph_distances(g)
                 plan = _plan(g)
                 expected = [dist[e][f] for e in plan.order for f in plan.order]
-                for distances in (_native().distances, _distances_py):
-                    flat, longest = distances(g.n, plan.ends, plan.deg)
-                    assert (int32s(flat), longest) == (expected, max(expected)), g.edges
+                for built in (_native_plan(g), _plan_py(g)):
+                    found = (int32s(built.dist), built.longest)
+                    assert found == (expected, max(expected)), g.edges
                 if g.m > g.max_degree * (n // 2):
                     assert exact_ceiling(g) == 0
                     continue
@@ -380,6 +388,17 @@ class TestProvenCeiling:
         assert out.last_explored_t == 4
         layer = find_interval_coloring(k4(), 6)
         assert (layer.status, layer.nodes_expanded) == (SolveStatus.INFEASIBLE, 0)
+
+    def test_an_overfull_graph_gets_no_plan(self, monkeypatch):
+        def refuse(g):
+            raise AssertionError("an overfull graph was planned")
+
+        monkeypatch.setattr(solver, "_plan", refuse)
+        out = compute_W(k3())
+        assert (out.status, out.nodes_expanded, out.last_explored_t) == (
+            SolveStatus.INFEASIBLE, 0, 2
+        )
+        assert find_interval_coloring(k5(), 4).status is SolveStatus.INFEASIBLE
 
     def test_oracle_never_exceeds_ceiling(self, catalogs):
         # Every graph with n <= 5 (all have m <= 10) and with n = 6, m <= 8;
@@ -525,14 +544,16 @@ class TestTwinCut:
         assert checked > 1250 and cut > 750
 
     def test_memory_is_linear_on_a_long_path(self):
+        # tracemalloc sees the kernel's PyMem allocations too.
         path = Graph(40_000, tuple((i, i + 1) for i in range(39_999)))
-        tracemalloc.start()
-        try:
-            self.after(path)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 50 * 2**20
+        for plan in (_plan, _plan_py):
+            tracemalloc.start()
+            try:
+                plan(path)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 50 * 2**20, plan
 
     def test_a_large_twin_class_is_fast(self):
         # K400 is one class of 400 twins, 79,800 pairs with 398 moved edges
@@ -540,11 +561,12 @@ class TestTwinCut:
         probe = (
             "import time\n"
             "from intervalcolor import Graph\n"
-            "from intervalcolor.solver import _plan\n"
+            "from intervalcolor.solver import _plan, _plan_py\n"
             "g = Graph(400, tuple((i, j) for i in range(400) for j in range(i + 1, 400)))\n"
-            "start = time.perf_counter()\n"
-            "_plan(g)\n"
-            "print(time.perf_counter() - start)"
+            "for plan in (_plan, _plan_py):\n"
+            "    start = time.perf_counter()\n"
+            "    plan(g)\n"
+            "    print(time.perf_counter() - start)"
         )
         src = str(Path(intervalcolor.__file__).resolve().parents[1])
         result = subprocess.run(
@@ -552,7 +574,7 @@ class TestTwinCut:
             capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src},
             check=True, timeout=120,
         )
-        assert float(result.stdout) < 5
+        assert all(float(seconds) < 5 for seconds in result.stdout.split())
 
     def test_hand_checked_plans(self):
         # K1,3: the leaves are twins, so the three edges at the center rise.
@@ -694,24 +716,61 @@ class TestNativeKernel:
                 _native().search(4, plan.ends, plan.deg, 3, 0, plan.after, bad)
         with pytest.raises(ValueError):
             _native().search(4, plan.ends, plan.deg, 2**31, 0, plan.after, plan.dist)
-        with pytest.raises(ValueError):
-            _native().distances(4, plan.ends, [0, 2, 2, 2])
 
-    def test_distances_agree(self, catalogs, doubled_graphs):
+    def test_plans_agree(self, catalogs, doubled_graphs):
+        # The kernel's plan against _plan_py, field by field.
         graphs = [g for n in range(2, 7) for g in catalogs[n]]
         graphs += [*generate_connected_catalog(7), *doubled_graphs]
         for n in range(8, 17):
             for p in (0.1, 0.3, 0.6, 0.9):
                 for seed in range(5):
                     graphs.append(Graph(n, tuple(nx.gnp_random_graph(n, p, seed=seed).edges())))
+        # Twin-rich families: complete, complete bipartite and complete
+        # multipartite graphs, and stars.
+        for n in range(2, 13):
+            graphs.append(Graph(n, tuple(combinations(range(n), 2))))
+            graphs.append(star(n))
+        for parts in [(a, b) for a in range(1, 6) for b in range(a, 7)] + [
+            (1, 1, 1), (2, 2, 2), (1, 2, 3), (3, 3, 3), (1, 1, 4, 4), (2, 2, 2, 2, 2),
+        ]:
+            graphs.append(Graph(sum(parts), tuple(nx.complete_multipartite_graph(*parts).edges())))
+        for m in (DISTANCE_MAX_M, DISTANCE_MAX_M + 1):
+            graphs.append(Graph(m + 1, tuple((i, i + 1) for i in range(m))))
         checked = 0
         for g in graphs:
             if g.m and is_connected(g):
-                plan = _plan(g)
-                expected = _distances_py(g.n, plan.ends, plan.deg)
-                assert _native().distances(g.n, plan.ends, plan.deg) == expected, g.edges
+                assert _native_plan(g) == _plan_py(g), g.edges
                 checked += 1
-        assert checked == 1135
+        assert checked == 1135 + 48 + 2  # catalogs, doubled and gnp; twin-rich; paths
+
+    def test_plans_agree_on_k400_and_a_long_path(self):
+        k400 = Graph(400, tuple(combinations(range(400), 2)))
+        path = Graph(100_000, tuple((i, i + 1) for i in range(99_999)))
+        for g in (k400, path):
+            assert _native_plan(g) == _plan_py(g)
+
+    def test_plan_rejects_malformed_input(self):
+        plan = _native().plan
+        edges = c4().edges  # (0,1),(0,3),(1,2),(2,3)
+        assert _Plan(*plan(4, edges, DISTANCE_MAX_M)) == _plan_py(c4())
+        for n, bad in (
+            (4, ((0, 1), (0, 3), (2, 3), (1, 2))),  # not increasing
+            (4, ((1, 0), (0, 3), (1, 2), (2, 3))),  # a > b
+            (4, ((0, 1), (0, 1), (1, 2), (2, 3))),  # repeated
+            (4, ((0, 1), (0, 3), (1, 2), (2, 4))),  # vertex out of range
+            (4, ((0, 1), (0, 3), (1, 1), (2, 3))),  # loop
+            (4, ((0, 1), (0, 3), (1, 2, 3))),  # not a pair
+            (4, ()),  # no edge
+            (0, edges),
+            (5, edges),  # vertex 4 is isolated: disconnected
+            (4, ((0, 1), (2, 3))),  # disconnected
+        ):
+            with pytest.raises(ValueError):
+                plan(n, bad, DISTANCE_MAX_M)
+        with pytest.raises(ValueError):
+            plan(4, edges, -1)
+        with pytest.raises(TypeError):
+            plan(4, 5, DISTANCE_MAX_M)
 
     def test_agrees_on_both_sides_of_the_distance_threshold(self):
         # Paths of DISTANCE_MAX_M and DISTANCE_MAX_M + 1 edges: the first
@@ -776,6 +835,20 @@ class TestNativeKernel:
         assert sorted(cache.glob(f"_search-*{suffix}")) == [built]
         assert built.parent == cache and not stale.exists()
         assert all(path.read_bytes() == b"not a build" for path in kept)
+
+    def test_a_changed_build_command_changes_the_target(self):
+        source = Path(solver.__file__).with_name("_search.c")
+        command = _build_command(source)
+        target = _build_target(source, command)
+        assert Path(_native().__file__) == target
+        assert _build_target(source, list(command)) == target
+        include = command.index("-I") + 1
+        for changed in (
+            [command[0], "-O3", *command[2:]],
+            [*command[:include], "/elsewhere/include", *command[include + 1 :]],
+            [*command, "-march=native"],
+        ):
+            assert _build_target(source, changed) != target, changed
 
     def test_installed_copy_ships_the_kernel_source(self, tmp_path):
         # Without package data an installed copy would silently run the
