@@ -1,6 +1,7 @@
 /* The exhaustive loops of intervalcolor, in C: the per-t search of
  * solver._search_py, the search plan of solver._plan_py, the verdict of
- * coloring._report and the canonical encoding of catalog._min_code_py.
+ * coloring._report, the doubling certificate of doubling's Python path and
+ * the canonical encoding of catalog._min_code_py.
  *
  * search(n, ends, deg, t, budget, after, dist) -> (status, nodes, picked)
  *
@@ -58,6 +59,26 @@
  * its least and greatest color, hi - lo + 1 equals the degree and no color
  * repeats, and every color in 1..t is used. This is the verdict of
  * coloring._report, which the caller runs for a t above the edge count.
+ *
+ * double(n, edges, colors, t) -> (h_edges, codes, beta, i0, final) or None
+ *
+ * The doubling certificate of alpha, the interval t-coloring colors of the
+ * graph G on n vertices with edges as for plan(), 1 <= t <= len(edges):
+ * what doubling.double_graph, lift_coloring and finalize_recolor build. H
+ * has u_i = i and w_i = n + i, and h_edges lists its edges in canonical
+ * order: for each i, the pairs (i, n + j) for the neighbours j of v_i and
+ * for j = i, in increasing j. codes gives each edge's provenance, 3 idx for
+ * the cover edge of source edge idx, 3 idx + 1 for its flipped copy
+ * (i > j) and 3 i + 2 for the matching edge u_i w_i. beta gives a cover
+ * edge alpha + 1 and the matching edge at i max S(v_i) + 2; final is beta
+ * with the matching edge at i0, the least i with min S(u_i) = 2, colored
+ * 1. The result is None, and no field may be used, unless every check of
+ * the Python path holds: G is connected, alpha is an interval t-coloring
+ * (interval_ok's test), H's edges cross U/W and number 2m + n, H is
+ * connected, an r-regular G gives an (r + 1)-regular H,
+ * min S(u_i) = min S(w_i) for every i, some i has min S(u_i) = 2, and final
+ * is an interval (t + 2)-coloring. The caller then runs the Python path,
+ * which raises its own error. Malformed input raises ValueError.
  *
  * min_code(masks) -> int
  *
@@ -342,6 +363,49 @@ static int read_edges(PyObject *seq, Py_ssize_t n, Py_ssize_t m, long long *ends
     return ok ? 0 : -1;
 }
 
+/* read_edges for Graph.edges: pairs (a, b), a < b, strictly increasing;
+ * -1 with an exception set naming the entry otherwise. */
+static int read_sorted_edges(PyObject *seq, Py_ssize_t n, Py_ssize_t m, long long *edges,
+                             const char *entry)
+{
+    if (read_edges(seq, n, m, edges))
+        return -1;
+    for (Py_ssize_t e = 0; e < m; e++) {
+        long long a = edges[2 * e], b = edges[2 * e + 1];
+        if (a > b || (e && (a < edges[2 * e - 2] || (a == edges[2 * e - 2] && b <= edges[2 * e - 1])))) {
+            PyErr_Format(PyExc_ValueError, "%s: edges must be increasing pairs (a, b), a < b", entry);
+            return -1;
+        }
+    }
+    return 0;
+}
+
+/* The adjacency of the graph with the m sorted edges: deg, zeroed on entry,
+ * gets the degrees, and nbr[start[v] .. start[v + 1]) lists v's neighbours
+ * in increasing order, inc the edge to each. */
+static void adjacency(Py_ssize_t n, Py_ssize_t m, const long long *edges, long long *deg,
+                      Py_ssize_t *start, Py_ssize_t *nbr, Py_ssize_t *inc)
+{
+    for (Py_ssize_t i = 0; i < 2 * m; i++)
+        deg[edges[i]]++;
+    start[0] = 0;
+    for (Py_ssize_t v = 0; v < n; v++)
+        start[v + 1] = start[v] + deg[v];
+    /* Edges are sorted, so each vertex's neighbours arrive in increasing
+     * order; the fill moves each start one list on, and the loop after it
+     * moves them back. */
+    for (Py_ssize_t e = 0; e < m; e++) {
+        long long a = edges[2 * e], b = edges[2 * e + 1];
+        nbr[start[a]] = b;
+        inc[start[a]++] = e;
+        nbr[start[b]] = a;
+        inc[start[b]++] = e;
+    }
+    for (Py_ssize_t v = n; v > 0; v--)
+        start[v] = start[v - 1];
+    start[0] = 0;
+}
+
 /* Writes D in BFS positions to d, m * m entries, given the ends in BFS
  * order and the adjacency (start, nbr) of a connected graph; returns the
  * largest entry, or -1 with an exception set. */
@@ -503,36 +567,13 @@ static PyObject *plan(PyObject *self, PyObject *args)
         PyErr_NoMemory();
         goto done;
     }
-    if (read_edges(edges_obj, n, m, edges))
+    if (read_sorted_edges(edges_obj, n, m, edges, "plan"))
         goto done;
-    for (Py_ssize_t e = 0; e < m; e++) {
-        long long a = edges[2 * e], b = edges[2 * e + 1];
-        if (a > b || (e && (a < edges[2 * e - 2] || (a == edges[2 * e - 2] && b <= edges[2 * e - 1])))) {
-            PyErr_SetString(PyExc_ValueError, "plan: edges must be increasing pairs (a, b), a < b");
-            goto done;
-        }
-        deg[a]++;
-        deg[b]++;
-    }
+    adjacency(n, m, edges, deg, start, nbr, inc);
     Py_ssize_t root = 0;
-    for (Py_ssize_t v = 0; v < n; v++) {
-        start[v + 1] = start[v] + deg[v];
+    for (Py_ssize_t v = 0; v < n; v++)
         if (deg[v] > deg[root])
             root = v;
-    }
-    /* Edges are sorted, so each vertex's neighbours arrive in increasing
-     * order; the fill moves each start one list on, and the loop after it
-     * moves them back. */
-    for (Py_ssize_t e = 0; e < m; e++) {
-        long long a = edges[2 * e], b = edges[2 * e + 1];
-        nbr[start[a]] = b;
-        inc[start[a]++] = e;
-        nbr[start[b]] = a;
-        inc[start[b]++] = e;
-    }
-    for (Py_ssize_t v = n; v > 0; v--)
-        start[v] = start[v - 1];
-    start[0] = 0;
 
     for (Py_ssize_t e = 0; e < m; e++)
         position[e] = -1;
@@ -672,6 +713,61 @@ done:
     return result;
 }
 
+/* Whether colors, one per edge in 1..t, is an interval t-coloring of the
+ * graph on n vertices with the m edges in ends, flat (interval_ok); -1 with
+ * an exception set if memory runs out. */
+static int is_interval(Py_ssize_t n, Py_ssize_t m, const long long *ends, const long long *colors,
+                       long long t)
+{
+    int ok = -1;
+    /* Per vertex: least and greatest color, degree, and where its row of
+     * seen starts; seen[base[v] + c - lo[v]] marks color c at v. */
+    long long *lo = PyMem_Calloc(n, sizeof(long long));
+    long long *hi = PyMem_Calloc(n, sizeof(long long));
+    long long *count = PyMem_Calloc(n, sizeof(long long));
+    long long *base = PyMem_Calloc(n, sizeof(long long));
+    char *seen = PyMem_Calloc(2 * m, 1);
+    char *used = PyMem_Calloc(t + 1, 1);
+    if (!lo || !hi || !count || !base || !seen || !used) {
+        PyErr_NoMemory();
+        goto done;
+    }
+    for (Py_ssize_t v = 0; v < n; v++)
+        lo[v] = t + 1;
+    for (Py_ssize_t i = 0; i < 2 * m; i++) {
+        long long v = ends[i], c = colors[i / 2];
+        lo[v] = min(lo[v], c);
+        hi[v] = max(hi[v], c);
+        count[v]++;
+    }
+    ok = 1;
+    for (Py_ssize_t v = 0; v < n; v++) {
+        ok = ok && (!count[v] || hi[v] - lo[v] + 1 == count[v]);
+        base[v] = v ? base[v - 1] + count[v - 1] : 0;
+    }
+    /* With each vertex's span equal to its degree, its colors are
+     * consecutive exactly when none repeats. */
+    for (Py_ssize_t i = 0; ok && i < 2 * m; i++) {
+        char *mark = seen + base[ends[i]] + colors[i / 2] - lo[ends[i]];
+        ok = !*mark;
+        *mark = 1;
+    }
+    long long distinct = 0;
+    for (Py_ssize_t e = 0; ok && e < m; e++) {
+        distinct += !used[colors[e]];
+        used[colors[e]] = 1;
+    }
+    ok = ok && distinct == t;
+done:
+    PyMem_Free(lo);
+    PyMem_Free(hi);
+    PyMem_Free(count);
+    PyMem_Free(base);
+    PyMem_Free(seen);
+    PyMem_Free(used);
+    return ok;
+}
+
 static PyObject *interval_ok(PyObject *self, PyObject *args)
 {
     Py_ssize_t n;
@@ -689,55 +785,209 @@ static PyObject *interval_ok(PyObject *self, PyObject *args)
     PyObject *result = NULL;
     long long *ends = PyMem_Calloc(2 * m, sizeof(long long));
     long long *colors = PyMem_Calloc(m, sizeof(long long));
-    /* Per vertex: least and greatest color, degree, and where its row of
-     * seen starts; seen[base[v] + c - lo[v]] marks color c at v. */
-    long long *lo = PyMem_Calloc(n, sizeof(long long));
-    long long *hi = PyMem_Calloc(n, sizeof(long long));
-    long long *count = PyMem_Calloc(n, sizeof(long long));
-    long long *base = PyMem_Calloc(n, sizeof(long long));
-    char *seen = PyMem_Calloc(2 * m, 1);
-    char *used = PyMem_Calloc(t + 1, 1);
-    if (!ends || !colors || !lo || !hi || !count || !base || !seen || !used) {
+    if (!ends || !colors) {
         PyErr_NoMemory();
         goto done;
     }
     if (read_edges(edges_obj, n, m, ends) || read_ints(colors_obj, m, 1, t + 1, colors))
         goto done;
-    for (Py_ssize_t v = 0; v < n; v++)
-        lo[v] = t + 1;
-    for (Py_ssize_t i = 0; i < 2 * m; i++) {
-        long long v = ends[i], c = colors[i / 2];
-        lo[v] = min(lo[v], c);
-        hi[v] = max(hi[v], c);
-        count[v]++;
-    }
-    int ok = 1;
-    for (Py_ssize_t v = 0; v < n; v++) {
-        ok = ok && (!count[v] || hi[v] - lo[v] + 1 == count[v]);
-        base[v] = v ? base[v - 1] + count[v - 1] : 0;
-    }
-    /* With each vertex's span equal to its degree, its colors are
-     * consecutive exactly when none repeats. */
-    for (Py_ssize_t i = 0; ok && i < 2 * m; i++) {
-        char *mark = seen + base[ends[i]] + colors[i / 2] - lo[ends[i]];
-        ok = !*mark;
-        *mark = 1;
-    }
-    long long distinct = 0;
-    for (Py_ssize_t e = 0; ok && e < m; e++) {
-        distinct += !used[colors[e]];
-        used[colors[e]] = 1;
-    }
-    result = PyBool_FromLong(ok && distinct == t);
+    int ok = is_interval(n, m, ends, colors, t);
+    if (ok >= 0)
+        result = PyBool_FromLong(ok);
 done:
     PyMem_Free(ends);
     PyMem_Free(colors);
-    PyMem_Free(lo);
-    PyMem_Free(hi);
-    PyMem_Free(count);
-    PyMem_Free(base);
-    PyMem_Free(seen);
-    PyMem_Free(used);
+    return result;
+}
+
+/* The root of v's tree in a union-find forest, halving the path to it. */
+static Py_ssize_t root_of(Py_ssize_t *parent, Py_ssize_t v)
+{
+    while (parent[v] != v)
+        v = parent[v] = parent[parent[v]];
+    return v;
+}
+
+/* Whether the graph on n vertices with the m edges in ends, flat, is
+ * connected; parent is scratch for n vertices. */
+static int connected(Py_ssize_t n, Py_ssize_t m, const long long *ends, Py_ssize_t *parent)
+{
+    Py_ssize_t parts = n;
+    for (Py_ssize_t v = 0; v < n; v++)
+        parent[v] = v;
+    for (Py_ssize_t e = 0; e < m; e++) {
+        Py_ssize_t a = root_of(parent, ends[2 * e]), b = root_of(parent, ends[2 * e + 1]);
+        if (a != b) {
+            parent[a] = b;
+            parts--;
+        }
+    }
+    return parts == 1;
+}
+
+/* A new tuple of the len values; NULL with an exception set on failure. */
+static PyObject *tuple_of(const long long *values, Py_ssize_t len)
+{
+    PyObject *tuple = PyTuple_New(len);
+    for (Py_ssize_t i = 0; tuple && i < len; i++) {
+        PyObject *v = PyLong_FromLongLong(values[i]);
+        if (!v)
+            Py_CLEAR(tuple);
+        else
+            PyTuple_SET_ITEM(tuple, i, v);
+    }
+    return tuple;
+}
+
+static PyObject *double_cover(PyObject *self, PyObject *args)
+{
+    Py_ssize_t n;
+    long long t;
+    PyObject *edges_obj, *colors_obj;
+    if (!PyArg_ParseTuple(args, "nOOL", &n, &edges_obj, &colors_obj, &t))
+        return NULL;
+    Py_ssize_t m = PyObject_Length(edges_obj);
+    if (m < 0)
+        return NULL;
+    if (n < 1 || m < 1 || t < 1 || t > m) {
+        PyErr_SetString(PyExc_ValueError, "double: n, edges or t out of range");
+        return NULL;
+    }
+    if (m > (PY_SSIZE_T_MAX / 4 - n) / 2)
+        return PyErr_NoMemory();
+    Py_ssize_t hn = 2 * n, hm = 2 * m + n; /* H's vertices and edges */
+    PyObject *result = NULL, *fields[5] = {NULL};
+    long long *edges = PyMem_Calloc(2 * m, sizeof(long long));
+    long long *colors = PyMem_Calloc(m, sizeof(long long));
+    long long *deg = PyMem_Calloc(hn, sizeof(long long)); /* G's, then H's */
+    long long *top = PyMem_Calloc(n, sizeof(long long));  /* max S(v_i, alpha) */
+    long long *low = PyMem_Calloc(hn, sizeof(long long)); /* min S(x, beta) */
+    long long *h_ends = PyMem_Calloc(2 * hm, sizeof(long long));
+    long long *code = PyMem_Calloc(hm, sizeof(long long));
+    long long *beta = PyMem_Calloc(hm, sizeof(long long));
+    long long *final = PyMem_Calloc(hm, sizeof(long long));
+    Py_ssize_t *start = PyMem_Calloc(n + 1, sizeof(Py_ssize_t));
+    Py_ssize_t *nbr = PyMem_Calloc(2 * m, sizeof(Py_ssize_t));
+    Py_ssize_t *inc = PyMem_Calloc(2 * m, sizeof(Py_ssize_t));
+    Py_ssize_t *match = PyMem_Calloc(n, sizeof(Py_ssize_t)); /* position of u_i w_i in H */
+    Py_ssize_t *parent = PyMem_Calloc(hn, sizeof(Py_ssize_t));
+    if (!edges || !colors || !deg || !top || !low || !h_ends || !code || !beta || !final ||
+        !start || !nbr || !inc || !match || !parent) {
+        PyErr_NoMemory();
+        goto done;
+    }
+    if (read_sorted_edges(edges_obj, n, m, edges, "double") ||
+        read_ints(colors_obj, m, 1, t + 1, colors))
+        goto done;
+    /* From here every failed check returns None: the caller then runs the
+     * Python path, which raises its own error. */
+    int ok = connected(n, m, edges, parent) ? is_interval(n, m, edges, colors, t) : 0;
+    if (ok < 0)
+        goto done;
+    if (!ok)
+        goto fallback;
+    adjacency(n, m, edges, deg, start, nbr, inc);
+    for (Py_ssize_t i = 0; i < 2 * m; i++)
+        top[edges[i]] = max(top[edges[i]], colors[i / 2]);
+    int regular = 1;
+    for (Py_ssize_t v = 1; v < n; v++)
+        regular = regular && deg[v] == deg[0];
+    long long r = deg[0];
+
+    /* H's edges in canonical order: row i holds u_i w_j for the neighbours
+     * j of v_i and for j = i, in increasing j, so H has 2m + n edges. The
+     * cover edge u_i w_j of source edge idx has code 3 idx, or 3 idx + 1
+     * when flipped (i > j), and color alpha + 1; the matching edge u_i w_i
+     * has code 3 i + 2 and color max S(v_i) + 2. */
+    if (start[n] + n != hm)
+        goto fallback;
+    Py_ssize_t k = 0;
+    for (Py_ssize_t i = 0; i < n; i++) {
+        int matched = 0;
+        for (Py_ssize_t p = start[i]; p < start[i + 1] || !matched; k++) {
+            h_ends[2 * k] = i;
+            if (!matched && (p == start[i + 1] || nbr[p] > i)) {
+                matched = 1;
+                match[i] = k;
+                h_ends[2 * k + 1] = n + i;
+                code[k] = 3 * i + 2;
+                beta[k] = top[i] + 2;
+            } else {
+                h_ends[2 * k + 1] = n + nbr[p];
+                code[k] = 3 * inc[p] + (i > nbr[p]);
+                beta[k] = colors[inc[p]] + 1;
+                p++;
+            }
+        }
+    }
+
+    /* The checks of doubling._check_structure and finalize_recolor. */
+    ok = 1;
+    for (Py_ssize_t e = 0; ok && e < hm; e++) {
+        long long a = h_ends[2 * e], b = h_ends[2 * e + 1];
+        ok = a < n && n <= b && b < hn &&
+             (!e || a > h_ends[2 * e - 2] || (a == h_ends[2 * e - 2] && b > h_ends[2 * e - 1]));
+    }
+    ok = ok && connected(hn, hm, h_ends, parent);
+    memset(deg, 0, hn * sizeof(long long));
+    for (Py_ssize_t x = 0; x < hn; x++)
+        low[x] = t + 3;
+    for (Py_ssize_t i = 0; ok && i < 2 * hm; i++) {
+        deg[h_ends[i]]++;
+        low[h_ends[i]] = min(low[h_ends[i]], beta[i / 2]);
+    }
+    for (Py_ssize_t x = 0; ok && regular && x < hn; x++)
+        ok = deg[x] == r + 1;
+    Py_ssize_t i0 = -1;
+    for (Py_ssize_t i = 0; ok && i < n; i++) {
+        ok = low[i] == low[n + i];
+        if (i0 < 0 && low[i] == 2)
+            i0 = i;
+    }
+    if (!ok || i0 < 0)
+        goto fallback;
+    memcpy(final, beta, hm * sizeof(long long));
+    final[match[i0]] = 1;
+    ok = is_interval(hn, hm, h_ends, final, t + 2);
+    if (ok < 0)
+        goto done;
+    if (!ok)
+        goto fallback;
+
+    fields[0] = PyTuple_New(hm);
+    for (Py_ssize_t e = 0; fields[0] && e < hm; e++) {
+        PyObject *pair = tuple_of(h_ends + 2 * e, 2);
+        if (!pair)
+            Py_CLEAR(fields[0]);
+        else
+            PyTuple_SET_ITEM(fields[0], e, pair);
+    }
+    fields[1] = tuple_of(code, hm);
+    fields[2] = tuple_of(beta, hm);
+    fields[3] = PyLong_FromSsize_t(i0);
+    fields[4] = tuple_of(final, hm);
+    if (fields[0] && fields[1] && fields[2] && fields[3] && fields[4])
+        result = PyTuple_Pack(5, fields[0], fields[1], fields[2], fields[3], fields[4]);
+    goto done;
+fallback:
+    result = Py_NewRef(Py_None);
+done:
+    for (int i = 0; i < 5; i++)
+        Py_XDECREF(fields[i]);
+    PyMem_Free(edges);
+    PyMem_Free(colors);
+    PyMem_Free(deg);
+    PyMem_Free(top);
+    PyMem_Free(low);
+    PyMem_Free(h_ends);
+    PyMem_Free(code);
+    PyMem_Free(beta);
+    PyMem_Free(final);
+    PyMem_Free(start);
+    PyMem_Free(nbr);
+    PyMem_Free(inc);
+    PyMem_Free(match);
+    PyMem_Free(parent);
     return result;
 }
 
@@ -848,6 +1098,8 @@ static PyMethodDef methods[] = {
      "search(n, ends, deg, t, budget, after, dist) -> (status, nodes, picked)"},
     {"plan", plan, METH_VARARGS, "plan(n, edges, max_m) -> (order, ends, deg, after, dist, longest)"},
     {"interval_ok", interval_ok, METH_VARARGS, "interval_ok(n, edges, colors, t) -> bool"},
+    {"double", double_cover, METH_VARARGS,
+     "double(n, edges, colors, t) -> (h_edges, codes, beta, i0, final) or None"},
     {"min_code", min_code, METH_O, "min_code(masks) -> int"},
     {NULL, NULL, 0, NULL},
 };

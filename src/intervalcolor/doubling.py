@@ -15,6 +15,21 @@ such index is chosen, for reproducibility) yields an interval
 validated once; a failure of the latter, or of any structural check, is
 raised as an internal defect because the construction cannot fail on valid
 input.
+
+The pipeline has two implementations, chosen at call time through
+``solver._native()``. The reference and fallback is Python:
+``double_graph``, then ``lift_coloring``, then ``finalize_recolor``. The
+compiled kernel's ``double(n, edges, colors, t)`` (``_search.c``) does the
+same work in one call. It checks that alpha is an interval t-coloring of a
+connected G, emits H's edges already in canonical order with a provenance
+code and a beta color each, and picks i0 and the final coloring. It makes
+every check the Python path makes: the edges cross U/W, |E(H)| = 2m + n, H
+is connected, an r-regular G gives an (r+1)-regular H,
+min S(u_i) = min S(w_i) for every i, and the final coloring is an interval
+(t+2)-coloring. Where any check fails, or alpha is mis-sized or has t > m,
+the Python path runs from the start and raises its own error, so every
+exception and message is the reference's. Both paths give equal
+certificates.
 """
 
 from __future__ import annotations
@@ -22,7 +37,9 @@ from __future__ import annotations
 import functools
 from dataclasses import dataclass
 
+from . import solver
 from .coloring import (
+    _VALID,
     EdgeColoring,
     ValidationReport,
     coloring_to_json,
@@ -172,8 +189,45 @@ def finalize_recolor(
     return i0, final, report
 
 
+# Provenance by the kernel's code: entry 3q + r is CrossEdge(q, False),
+# CrossEdge(q, True) or MatchingEdge(q) for r = 0, 1, 2. Shared, like
+# ``_provenance``'s values, while q stays below _SHARED_PROVENANCE.
+_PROVENANCE: list[CrossEdge | MatchingEdge] = []
+_SHARED_PROVENANCE = 4096
+
+
+def _provenance_table(q: int) -> list[CrossEdge | MatchingEdge]:
+    """A table of the codes 0 .. 3q - 1: ``_PROVENANCE``, grown as needed,
+    or a new one for q above ``_SHARED_PROVENANCE``."""
+    table = _PROVENANCE if q <= _SHARED_PROVENANCE else []
+    for k in range(len(table) // 3, q):
+        table += (CrossEdge(k, False), CrossEdge(k, True), MatchingEdge(k))
+    return table
+
+
 def double_with_certificate(g: Graph, alpha: EdgeColoring) -> DoublingCertificate:
-    """Full pipeline: build H, lift, recolor and validate, package."""
+    """Full pipeline: build H, lift, recolor and validate, package.
+
+    The kernel's ``double`` runs where it loads and alpha has one color per
+    edge and t <= m; the Python path runs otherwise, and wherever the
+    kernel finds a check failing (module docstring)."""
+    kernel = solver._native()
+    if kernel is not None and len(alpha.colors) == g.m and alpha.t <= g.m:
+        built = kernel.double(g.n, g.edges, alpha.colors, alpha.t)
+        if built is not None:
+            h_edges, codes, beta, i0, final = built
+            n, t = g.n, alpha.t
+            table = _provenance_table(max(g.m, n))
+            result = DoublingResult(
+                h=Graph(2 * n, h_edges),
+                u_map=tuple(range(n)),
+                w_map=tuple(range(n, 2 * n)),
+                edge_provenance=tuple(map(table.__getitem__, codes)),
+            )
+            return DoublingCertificate(
+                g=g, alpha=alpha, result=result, beta=EdgeColoring(t + 2, beta),
+                chosen_i0=i0, final=EdgeColoring(t + 2, final), validation=_VALID,
+            )
     d = double_graph(g)
     beta = lift_coloring(g, alpha, d)
     i0, final, validation = finalize_recolor(d, beta, alpha.t)

@@ -149,8 +149,9 @@ class SolveOutcome:
     last_explored_t: int | None = None
 
 
-def _overfull(g: Graph) -> bool:
-    """Whether m > Delta * floor(n/2), which rules out every interval coloring.
+def _overfull(g: Graph, max_degree: int) -> bool:
+    """Whether m > Delta * floor(n/2), Delta = ``max_degree``, which rules
+    out every interval coloring.
 
     Taking an interval coloring's colors mod Delta gives a proper
     Delta-edge-coloring, since the colors at a vertex are at most Delta
@@ -159,7 +160,7 @@ def _overfull(g: Graph) -> bool:
     Delta * floor(n/2) (interval colorable implies class 1; Asratian and
     Kamalian, JCTB 1994).
     """
-    return g.m > g.max_degree * (g.n // 2)
+    return g.m > max_degree * (g.n // 2)
 
 
 def _proven_ceiling(g: Graph, longest: int | None, cap: int) -> int:
@@ -253,8 +254,8 @@ def _build_target(source: Path, command: list[str]) -> Path:
 @functools.cache
 def _native():
     """The compiled module ``_search.c`` (the search kernel, its plan, the
-    coloring check and the catalog's ``min_code``), or None where it cannot
-    run.
+    coloring check, the doubling and the catalog's ``min_code``), or None
+    where it cannot run.
 
     It is built on first use into the package's ``__pycache__``, under the
     name ``_build_target`` gives, and written to a private file renamed
@@ -519,9 +520,10 @@ def _decide(
 
 
 def _descend(
-    g: Graph, top: int, bottom: int, node_limit: int
+    g: Graph, max_degree: int, top: int, bottom: int, node_limit: int
 ) -> tuple[SolveStatus, EdgeColoring | None, int, int | None]:
-    """Decide palette sizes top, top - 1, ..., bottom until one is feasible.
+    """Decide palette sizes top, top - 1, ..., bottom until one is feasible,
+    for g of maximum degree ``max_degree``.
 
     Returns (status, witness, nodes, last_explored): FOUND with the witness
     of the first feasible t, INFEASIBLE when every layer is, or ABORTED once
@@ -530,7 +532,7 @@ def _descend(
     ``_proven_ceiling`` are infeasible at 0 nodes; the rest share one plan.
     An overfull graph has no layer to search, so it gets no plan.
     """
-    plan = None if _overfull(g) else _plan(g)
+    plan = None if _overfull(g, max_degree) else _plan(g)
     ceiling = 0 if plan is None else _proven_ceiling(g, plan.longest, cap=top)
     nodes = 0
     last_explored: int | None = None
@@ -551,9 +553,10 @@ def find_interval_coloring(g: Graph, t: int, limits: SearchLimits | None = None)
     """Decide whether g has an interval t-coloring; exhaustive unless aborted."""
     limits = limits or SearchLimits()
     require_connected_with_edge(g)
-    if not g.max_degree <= t <= g.m:
-        raise DomainError(f"t={t} outside the feasible range [{g.max_degree}, {g.m}]")
-    status, witness, nodes, _ = _descend(g, t, t, limits.node_limit)
+    delta = g.max_degree
+    if not delta <= t <= g.m:
+        raise DomainError(f"t={t} outside the feasible range [{delta}, {g.m}]")
+    status, witness, nodes, _ = _descend(g, delta, t, t, limits.node_limit)
     if witness is None:
         return SolveOutcome(status, nodes_expanded=nodes)
     return SolveOutcome(status, witness, nodes, interval_colorable=True, feasible_t_set=(t,))
@@ -575,7 +578,8 @@ def compute_W(g: Graph, limits: SearchLimits | None = None) -> SolveOutcome:
     capped = limits.t_override is not None and limits.t_override < cutoff
     if capped:
         cutoff = limits.t_override
-    status, witness, nodes, last = _descend(g, cutoff, g.max_degree, limits.node_limit)
+    delta = cls.max_degree  # g.degrees() runs once per call, in classify
+    status, witness, nodes, last = _descend(g, delta, cutoff, delta, limits.node_limit)
     if witness is None:
         colorable = None if capped or status is SolveStatus.ABORTED else False
         return SolveOutcome(

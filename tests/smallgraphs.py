@@ -1,8 +1,8 @@
-"""Named small graphs used throughout the tests."""
+"""Named small graphs used throughout the tests, and corruptions of a coloring."""
 
 from __future__ import annotations
 
-from intervalcolor import Graph
+from intervalcolor import EdgeColoring, Graph
 
 
 def k1() -> Graph:
@@ -48,3 +48,24 @@ def cycle(n: int) -> Graph:
 def two_k2() -> Graph:
     """Disconnected: two disjoint edges."""
     return Graph(4, ((0, 1), (2, 3)))
+
+
+def corruptions(g: Graph, c: EdgeColoring) -> list[EdgeColoring]:
+    """A coloring's duplicate, gap and shift corruptions: an edge takes the
+    color of an edge it meets, the palette grows by one, and the first edge's
+    color moves by one."""
+    out = [EdgeColoring(c.t + 1, c.colors)]
+    meets = next(
+        ((e, f) for e, f in ((e, f) for e in range(g.m) for f in range(g.m))
+         if e != f and set(g.edges[e]) & set(g.edges[f])),
+        None,
+    )
+    if meets is not None:
+        e, f = meets
+        colors = list(c.colors)
+        colors[e] = colors[f]
+        out.append(EdgeColoring(c.t, tuple(colors)))
+    if c.t > 1:
+        first = c.colors[0]
+        out.append(EdgeColoring(c.t, (first + 1 if first < c.t else first - 1, *c.colors[1:])))
+    return out

@@ -16,7 +16,7 @@ from intervalcolor import (
 )
 from intervalcolor.coloring import _VALID, _report
 from intervalcolor.solver import _native
-from smallgraphs import c4, k2, k3, p3
+from smallgraphs import c4, corruptions, k2, k3, p3
 
 
 def c4_cyclic_132() -> EdgeColoring:
@@ -155,27 +155,6 @@ class TestColoringJson:
     def test_rejects_missing_keys(self):
         with pytest.raises(ParseError):
             coloring_from_json(p3(), {"edges": []})
-
-
-def corruptions(g: Graph, c: EdgeColoring) -> list[EdgeColoring]:
-    """A coloring's duplicate, gap and shift corruptions: an edge takes the
-    color of an edge it meets, the palette grows by one, and the first edge's
-    color moves by one."""
-    out = [EdgeColoring(c.t + 1, c.colors)]
-    meets = next(
-        ((e, f) for e, f in ((e, f) for e in range(g.m) for f in range(g.m))
-         if e != f and set(g.edges[e]) & set(g.edges[f])),
-        None,
-    )
-    if meets is not None:
-        e, f = meets
-        colors = list(c.colors)
-        colors[e] = colors[f]
-        out.append(EdgeColoring(c.t, tuple(colors)))
-    if c.t > 1:
-        first = c.colors[0]
-        out.append(EdgeColoring(c.t, (first + 1 if first < c.t else first - 1, *c.colors[1:])))
-    return out
 
 
 class TestNativeIntervalCheck:

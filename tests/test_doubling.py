@@ -13,13 +13,16 @@ from intervalcolor import (
     double_graph,
     double_with_certificate,
     finalize_recolor,
+    generate_connected_catalog,
     is_connected,
     lift_coloring,
     parse_graph6,
     validate_interval,
 )
+from intervalcolor import doubling, solver
+from intervalcolor.coloring import _VALID
 from intervalcolor.doubling import CrossEdge, MatchingEdge
-from smallgraphs import c4, k2, k3, p3, two_k2
+from smallgraphs import c4, corruptions, k2, k3, p3, two_k2
 
 
 class TestDoubleGraph:
@@ -248,3 +251,160 @@ class TestCertificate:
                 assert is_connected(d.h)
                 assert d.h.n == 2 * g.n
                 assert d.h.m == 2 * g.m + g.n
+
+
+class TestCertificateWithoutKernel(TestCertificate):
+    """TestCertificate on the Python path."""
+
+    @pytest.fixture(autouse=True)
+    def python_path(self, monkeypatch):
+        monkeypatch.setattr(solver, "_native", lambda: None)
+
+
+def both_paths(g: Graph, alpha: EdgeColoring):
+    """double_with_certificate on the kernel path, which must not fall back
+    to double_graph, and on the Python path."""
+
+    def refuse(g):
+        raise AssertionError("the kernel path ran double_graph")
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(doubling, "double_graph", refuse)
+        native = double_with_certificate(g, alpha)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(solver, "_native", lambda: None)
+        reference = double_with_certificate(g, alpha)
+    return native, reference
+
+
+def raised_on_both_paths(g: Graph, alpha: EdgeColoring) -> type:
+    """The type of the exception double_with_certificate raises on the
+    kernel path, which must equal the one on the Python path, message and
+    all."""
+    seen = []
+    for native in (True, False):
+        with pytest.MonkeyPatch.context() as patch:
+            if not native:
+                patch.setattr(solver, "_native", lambda: None)
+            with pytest.raises(Exception) as info:
+                double_with_certificate(g, alpha)
+        seen.append((type(info.value), str(info.value)))
+    assert seen[0] == seen[1], (g.edges, alpha)
+    return seen[0][0]
+
+
+def colored(n: int, edges_colors) -> tuple[Graph, EdgeColoring]:
+    """A graph and its coloring from (edge, color) pairs in any edge order."""
+    by_edge = {tuple(sorted(e)): c for e, c in edges_colors}
+    g = Graph(n, tuple(by_edge))
+    return g, EdgeColoring(max(by_edge.values()), tuple(by_edge[e] for e in g.edges))
+
+
+class TestNativeDouble:
+    """The kernel's ``double`` against the Python path, certificate by
+    certificate."""
+
+    def test_agrees_on_every_witness_up_to_n7(self, catalogs):
+        graphs = [g for n in range(2, 7) for g in catalogs[n]]
+        graphs += generate_connected_catalog(7)
+        certified = rejected = 0
+        for g in graphs:
+            witness = compute_W(g).witness
+            if witness is None:
+                continue
+            native, reference = both_paths(g, witness)
+            assert native == reference, g.edges
+            assert native.validation is _VALID
+            certified += 1
+            for bad in (
+                *corruptions(g, witness),
+                EdgeColoring(g.m + 1, witness.colors),
+                EdgeColoring(2**70, witness.colors),
+            ):
+                assert raised_on_both_paths(g, bad) is InvalidColoringError
+                rejected += 1
+        # Each witness but K2's has a duplicate and a shift corruption.
+        assert (certified, rejected) == (899, 5 * 899 - 2)
+
+    def test_agrees_on_complete_bipartite_graphs_and_even_cycles(self):
+        shapes = [(a, a) for a in range(1, 16)] + [(a, a + 1) for a in range(1, 16)]
+        shapes += [(a, b) for a in (1, 2, 3) for b in range(8, 29, 4)]
+        cases = [
+            colored(a + b, (((i, a + j), i + j + 1) for i in range(a) for j in range(b)))
+            for a, b in shapes
+        ]
+        for k in range(2, 16):
+            edges = [(i, (i + 1) % (2 * k)) for i in range(2 * k)]
+            up_down = [*range(1, k + 2), *range(k, 1, -1)]
+            cases.append(colored(2 * k, zip(edges, [1 + i % 2 for i in range(2 * k)])))
+            cases.append(colored(2 * k, zip(edges, up_down)))
+        for g, alpha in cases:
+            native, reference = both_paths(g, alpha)
+            assert native == reference, g.edges
+        assert len(cases) == 48 + 28
+
+    def test_agrees_on_iterated_doublings(self, catalogs):
+        # Each colorable graph with n <= 5, doubled again and again while
+        # the next source has at most 31 vertices, so that its doubled
+        # graph fits short-form graph6.
+        sources = largest = 0
+        for n in range(2, 6):
+            for g in catalogs[n]:
+                alpha = compute_W(g).witness
+                while alpha is not None:
+                    native, reference = both_paths(g, alpha)
+                    assert native == reference, g.edges
+                    sources += 1
+                    largest = max(largest, g.n)
+                    if 2 * g.n > 31:
+                        break
+                    g, alpha = native.result.h, native.final
+        assert (sources, largest) == (71, 24)
+
+    def test_a_large_path_keeps_the_shared_table_bounded(self):
+        m = 3 * doubling._SHARED_PROVENANCE
+        path = Graph(m + 1, tuple((i, i + 1) for i in range(m)))
+        native, reference = both_paths(path, EdgeColoring(m, tuple(range(1, m + 1))))
+        assert native == reference
+        assert len(doubling._PROVENANCE) <= 3 * doubling._SHARED_PROVENANCE
+
+    def test_domain_errors_agree(self):
+        for g, alpha in (
+            (two_k2(), EdgeColoring(1, (1, 1))),
+            (two_k2(), EdgeColoring(2, (1, 2))),
+            (Graph(1, ()), EdgeColoring(1, ())),
+            (Graph(3, ()), EdgeColoring(1, ())),
+            (k2(), EdgeColoring(1, (1, 1))),  # more colors than edges
+        ):
+            assert raised_on_both_paths(g, alpha) is DomainError
+
+    def test_returns_none_where_a_check_fails(self):
+        double = solver._native().double
+        assert double(4, two_k2().edges, (1, 1), 1) is None  # disconnected
+        assert double(3, k3().edges, (1, 2, 3), 3) is None  # not interval
+        assert double(3, p3().edges, (1, 1), 1) is None  # repeated color
+        assert double(3, p3().edges, (1, 2), 2) is not None
+
+    def test_rejects_malformed_input(self):
+        double = solver._native().double
+        edges, colors = c4().edges, (1, 2, 2, 3)  # (0,1),(0,3),(1,2),(2,3)
+        assert double(4, edges, colors, 3) is not None
+        for args in (
+            (4, edges, colors[:-1], 3),  # one color short
+            (4, edges, (0, *colors[1:]), 3),  # color 0
+            (4, edges, (4, *colors[1:]), 3),  # color above t
+            (4, edges, colors, 0),
+            (4, edges, colors, 5),  # t above the edge count
+            (0, edges, colors, 3),
+            (3, edges, colors, 3),  # vertex 3 out of range
+            (4, ((0, 1), (0, 3), (2, 3), (1, 2)), colors, 3),  # not increasing
+            (4, ((1, 0), (0, 3), (1, 2), (2, 3)), colors, 3),  # a > b
+            (4, ((0, 1), (0, 1), (1, 2), (2, 3)), colors, 3),  # repeated
+            (4, ((0, 0), *edges[1:]), colors, 3),  # a loop
+            (4, ((0, 1, 2), *edges[1:]), colors, 3),  # not a pair
+            (4, (), (), 1),  # no edge
+        ):
+            with pytest.raises(ValueError):
+                double(*args)
+        with pytest.raises(TypeError):
+            double(4, 5, colors, 3)

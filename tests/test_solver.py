@@ -129,6 +129,18 @@ class TestComputeW:
             with pytest.raises(DomainError, match=match):
                 compute_W(g)
 
+    def test_builds_the_degrees_once(self, catalogs, monkeypatch):
+        # classify's degree tuple also gives the descent's bottom and the
+        # overfull test; the kernel's plan counts degrees itself.
+        assert _native() is not None
+        calls = []
+        degrees = Graph.degrees
+        monkeypatch.setattr(Graph, "degrees", lambda g: calls.append(g) or degrees(g))
+        graphs = [g for n in range(2, 7) for g in catalogs[n]]
+        for g in graphs:
+            compute_W(g)
+        assert len(calls) == len(graphs) == 142
+
     def test_k2(self):
         out = compute_W(k2())
         assert (out.w, out.interval_colorable) == (1, True)
@@ -319,7 +331,9 @@ class TestOracleAgreement:
 
 
 def exact_ceiling(g: Graph) -> int:
-    return 0 if _overfull(g) else _proven_ceiling(g, _plan(g).longest, cap=g.m + 1)
+    if _overfull(g, g.max_degree):
+        return 0
+    return _proven_ceiling(g, _plan(g).longest, cap=g.m + 1)
 
 
 def line_graph_distances(g: Graph) -> list[list[int]]:
@@ -794,20 +808,22 @@ class TestNativeKernel:
         )
         (tmp_path / "bin").mkdir()
         probe = (
-            "from intervalcolor import Graph, compute_W, generate_connected_catalog\n"
+            "from intervalcolor import Graph, compute_W, double_with_certificate\n"
+            "from intervalcolor import generate_connected_catalog\n"
             "from intervalcolor.solver import _native\n"
             "print(_native() is None)\n"
             "for n in (4, 5, 6, 8):\n"
             "    g = Graph(n, tuple((i, (i + 1) % n) for i in range(n)))\n"
             "    print(compute_W(g).w)\n"
-            "print(len(list(generate_connected_catalog(5))))"
+            "print(len(list(generate_connected_catalog(5))))\n"
+            "print(double_with_certificate(g, compute_W(g).witness).final.t)"
         )
         env = {**os.environ, "PATH": str(tmp_path / "bin"), "PYTHONPATH": str(tmp_path)}
         result = subprocess.run(
             [sys.executable, "-c", probe],
             capture_output=True, text=True, env=env, check=True, timeout=120,
         )
-        assert result.stdout.split() == ["True", "3", "None", "4", "5", "21"]
+        assert result.stdout.split() == ["True", "3", "None", "4", "5", "21", "7"]
 
     def test_a_build_removes_this_interpreters_stale_builds(self, tmp_path):
         shutil.copytree(
