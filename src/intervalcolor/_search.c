@@ -1,7 +1,9 @@
 /* The exhaustive loops of intervalcolor, in C: the per-t search of
  * solver._search_py, the search plan of solver._plan_py, the verdict of
- * coloring._report, the doubling certificate of doubling's Python path and
- * the canonical encoding of catalog._min_code_py.
+ * coloring._report, the doubling certificate of doubling's Python path, the
+ * derived fields of graph.Graph (graph._index_py), the color range check of
+ * coloring.EdgeColoring (coloring._check_colors_py) and the canonical
+ * encoding of catalog._min_code_py.
  *
  * search(n, ends, deg, t, budget, after, dist) -> (status, nodes, picked)
  *
@@ -79,6 +81,27 @@
  * min S(u_i) = min S(w_i) for every i, some i has min S(u_i) = 2, and final
  * is an interval (t + 2)-coloring. The caller then runs the Python path,
  * which raises its own error. Malformed input raises ValueError.
+ *
+ * index_graph(n, edges, pairs) -> (edges, adjacency, incidence) or None
+ *
+ * The fields of graph.Graph for n vertices and edges, any list or tuple of
+ * pairs, pairs being graph._PAIRS: each pair oriented as (a, b), a < b, then
+ * sorted and deduplicated, and the neighbours and edge indices of each
+ * vertex in increasing order, as graph._index_py builds them. An edge with
+ * b < 64 is the shared tuple pairs[b][a]; the tuples share one int per
+ * vertex and one per edge index. The result is None for an input that
+ * _index_py would treat otherwise: n not an int in 1 .. 2^32 - 1, edges or
+ * a pair not an exact list or tuple, a pair of other than two entries, an
+ * entry not an exact int, a loop or an endpoint out of range. The caller
+ * then runs _index_py, which raises its own error or accepts the input
+ * itself. A malformed pairs raises ValueError.
+ *
+ * in_palette(t, colors) -> bool
+ *
+ * Whether t is an int in 1 .. 2^63 - 1 and every entry of colors, a list
+ * or tuple, is an int in 1..t, ints being exact (no bool, no subclass). When
+ * false, the caller runs coloring._check_colors_py, which raises its own
+ * error or accepts the colors itself.
  *
  * min_code(masks) -> int
  *
@@ -991,6 +1014,176 @@ done:
     return result;
 }
 
+/* Rows of graph._PAIRS: pairs[b][a] is the shared tuple (a, b), a < b < 64. */
+#define SHARED_PAIRS 64
+
+/* The value of an exact int in [0, most], or -1 for any other object. */
+static long long exact_index(PyObject *obj, long long most)
+{
+    if (!PyLong_CheckExact(obj))
+        return -1;
+    int overflow;
+    long long value = PyLong_AsLongLongAndOverflow(obj, &overflow);
+    return overflow || value < 0 || value > most ? -1 : value;
+}
+
+static int by_key(const void *x, const void *y)
+{
+    uint64_t p = *(const uint64_t *)x, q = *(const uint64_t *)y;
+    return (p > q) - (p < q);
+}
+
+/* Whether seq is an exact tuple or list, and then its items and their
+ * count; any other object's iteration could run code or be used up. */
+static int exact_items(PyObject *seq, PyObject ***items, Py_ssize_t *size)
+{
+    if (!PyTuple_CheckExact(seq) && !PyList_CheckExact(seq))
+        return 0;
+    *items = PySequence_Fast_ITEMS(seq);
+    *size = PySequence_Fast_GET_SIZE(seq);
+    return 1;
+}
+
+static PyObject *index_graph(PyObject *self, PyObject *args)
+{
+    PyObject *n_obj, *edges_obj, *pairs;
+    if (!PyArg_ParseTuple(args, "OOO!", &n_obj, &edges_obj, &PyTuple_Type, &pairs))
+        return NULL;
+    int table_ok = PyTuple_GET_SIZE(pairs) == SHARED_PAIRS;
+    for (Py_ssize_t b = 0; table_ok && b < SHARED_PAIRS; b++) {
+        PyObject *row = PyTuple_GET_ITEM(pairs, b);
+        table_ok = PyTuple_CheckExact(row) && PyTuple_GET_SIZE(row) == b;
+    }
+    if (!table_ok) {
+        PyErr_SetString(PyExc_ValueError, "index_graph: pairs must be graph._PAIRS");
+        return NULL;
+    }
+    /* Vertices are 32-bit halves of a sort key. */
+    long long n = exact_index(n_obj, UINT32_MAX);
+    PyObject **items;
+    Py_ssize_t given;
+    if (n < 1 || !exact_items(edges_obj, &items, &given))
+        Py_RETURN_NONE;
+    PyObject *result = NULL, *fields[3] = {NULL};
+    uint64_t *keys = PyMem_Calloc(given + 1, sizeof(uint64_t)); /* a << 32 | b per edge */
+    long long *edges = PyMem_Calloc(2 * given + 1, sizeof(long long));
+    long long *deg = PyMem_Calloc(n, sizeof(long long));
+    Py_ssize_t *start = PyMem_Calloc(n + 1, sizeof(Py_ssize_t));
+    Py_ssize_t *nbr = PyMem_Calloc(2 * given + 1, sizeof(Py_ssize_t));
+    Py_ssize_t *inc = PyMem_Calloc(2 * given + 1, sizeof(Py_ssize_t));
+    PyObject **vertex = PyMem_Calloc(n, sizeof(PyObject *)); /* one int per vertex */
+    PyObject **index = PyMem_Calloc(given + 1, sizeof(PyObject *)); /* one per edge */
+    if (!keys || !edges || !deg || !start || !nbr || !inc || !vertex || !index) {
+        PyErr_NoMemory();
+        goto done;
+    }
+    /* From here any input the Python path would treat otherwise returns
+     * None: it then raises its own error or accepts the input itself. */
+    int sorted = 1;
+    for (Py_ssize_t e = 0; e < given; e++) {
+        PyObject **ends;
+        Py_ssize_t arity;
+        int is_pair = exact_items(items[e], &ends, &arity) && arity == 2;
+        long long i = is_pair ? exact_index(ends[0], n - 1) : -1;
+        long long j = is_pair ? exact_index(ends[1], n - 1) : -1;
+        if (i < 0 || j < 0 || i == j)
+            goto fallback;
+        keys[e] = (uint64_t)min(i, j) << 32 | (uint64_t)max(i, j);
+        sorted = sorted && (!e || keys[e] > keys[e - 1]);
+    }
+    Py_ssize_t m = given;
+    if (!sorted) {
+        qsort(keys, given, sizeof(uint64_t), by_key);
+        m = 0;
+        for (Py_ssize_t e = 0; e < given; e++)
+            if (!m || keys[e] != keys[m - 1])
+                keys[m++] = keys[e];
+    }
+    for (Py_ssize_t e = 0; e < m; e++) {
+        edges[2 * e] = (long long)(keys[e] >> 32);
+        edges[2 * e + 1] = (long long)(keys[e] & 0xFFFFFFFF);
+    }
+    adjacency(n, m, edges, deg, start, nbr, inc);
+
+    for (Py_ssize_t v = 0; v < n; v++)
+        if (deg[v] && !(vertex[v] = PyLong_FromLongLong(v)))
+            goto done;
+    for (Py_ssize_t e = 0; e < m; e++)
+        if (!(index[e] = PyLong_FromSsize_t(e)))
+            goto done;
+    fields[0] = PyTuple_New(m);
+    for (Py_ssize_t e = 0; fields[0] && e < m; e++) {
+        long long a = edges[2 * e], b = edges[2 * e + 1];
+        PyObject *pair;
+        if (b < SHARED_PAIRS) {
+            pair = PyTuple_GET_ITEM(PyTuple_GET_ITEM(pairs, b), a);
+            if (!PyTuple_CheckExact(pair) || PyTuple_GET_SIZE(pair) != 2 ||
+                exact_index(PyTuple_GET_ITEM(pair, 0), b) != a ||
+                exact_index(PyTuple_GET_ITEM(pair, 1), b) != b) {
+                PyErr_SetString(PyExc_ValueError, "index_graph: pairs must be graph._PAIRS");
+                goto done;
+            }
+            Py_INCREF(pair);
+        } else if (!(pair = PyTuple_Pack(2, vertex[a], vertex[b]))) {
+            goto done;
+        }
+        PyTuple_SET_ITEM(fields[0], e, pair);
+    }
+    /* adjacency and incidence: per vertex, its neighbours and its edges. */
+    for (int f = 1; f < 3; f++) {
+        const Py_ssize_t *entry = f == 1 ? nbr : inc;
+        PyObject **object = f == 1 ? vertex : index;
+        fields[f] = PyTuple_New(n);
+        for (Py_ssize_t v = 0; fields[f] && v < n; v++) {
+            PyObject *row = PyTuple_New(start[v + 1] - start[v]);
+            if (!row)
+                goto done;
+            for (Py_ssize_t i = start[v]; i < start[v + 1]; i++)
+                PyTuple_SET_ITEM(row, i - start[v], Py_NewRef(object[entry[i]]));
+            PyTuple_SET_ITEM(fields[f], v, row);
+        }
+    }
+    if (fields[0] && fields[1] && fields[2])
+        result = PyTuple_Pack(3, fields[0], fields[1], fields[2]);
+    goto done;
+fallback:
+    result = Py_NewRef(Py_None);
+done:
+    for (int f = 0; f < 3; f++)
+        Py_XDECREF(fields[f]);
+    for (Py_ssize_t v = 0; vertex && v < n; v++)
+        Py_XDECREF(vertex[v]);
+    for (Py_ssize_t e = 0; index && e < given; e++)
+        Py_XDECREF(index[e]);
+    PyMem_Free(keys);
+    PyMem_Free(edges);
+    PyMem_Free(deg);
+    PyMem_Free(start);
+    PyMem_Free(nbr);
+    PyMem_Free(inc);
+    PyMem_Free(vertex);
+    PyMem_Free(index);
+    return result;
+}
+
+static PyObject *in_palette(PyObject *self, PyObject *args)
+{
+    PyObject *t_obj, *colors_obj;
+    if (!PyArg_ParseTuple(args, "OO", &t_obj, &colors_obj))
+        return NULL;
+    PyObject **colors;
+    Py_ssize_t m;
+    if (!exact_items(colors_obj, &colors, &m)) {
+        PyErr_SetString(PyExc_TypeError, "in_palette: colors must be a tuple or list");
+        return NULL;
+    }
+    long long t = exact_index(t_obj, LLONG_MAX);
+    for (Py_ssize_t k = 0; t > 0 && k < m; k++)
+        if (exact_index(colors[k], t) < 1)
+            Py_RETURN_FALSE;
+    return PyBool_FromLong(t > 0);
+}
+
 /* The depth-first search of min_code. prefix[k] holds the k bits
  * (0,k),(1,k),...,(k-1,k) of the ordering being built, MSB-first, so segments
  * compare as the bits do; best holds the least complete prefix found, or all
@@ -1100,6 +1293,9 @@ static PyMethodDef methods[] = {
     {"interval_ok", interval_ok, METH_VARARGS, "interval_ok(n, edges, colors, t) -> bool"},
     {"double", double_cover, METH_VARARGS,
      "double(n, edges, colors, t) -> (h_edges, codes, beta, i0, final) or None"},
+    {"index_graph", index_graph, METH_VARARGS,
+     "index_graph(n, edges, pairs) -> (edges, adjacency, incidence) or None"},
+    {"in_palette", in_palette, METH_VARARGS, "in_palette(t, colors) -> bool"},
     {"min_code", min_code, METH_O, "min_code(masks) -> int"},
     {NULL, NULL, 0, NULL},
 };

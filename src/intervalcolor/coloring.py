@@ -13,6 +13,10 @@ The check has two implementations: ``_report`` in Python, which builds the
 full report, and the compiled kernel's ``interval_ok(n, edges, colors, t)``
 (``_search.c``), which gives only the verdict and runs first wherever it
 loads, so that a valid coloring costs no Python loop over its vertices.
+``EdgeColoring``'s range check is chosen the same way: the kernel's
+``in_palette(t, colors)`` first, and ``_check_colors_py``, the reference,
+wherever the kernel is missing or declines the colors, so that every error
+message is the Python loop's.
 """
 
 from __future__ import annotations
@@ -34,9 +38,20 @@ class EdgeColoring:
         if self.t < 1:
             raise ValueError(f"palette size must be >= 1, got {self.t}")
         object.__setattr__(self, "colors", tuple(self.colors))
-        for k, c in enumerate(self.colors):
-            if not 1 <= c <= self.t:
-                raise ValueError(f"color {c} at edge index {k} outside 1..{self.t}")
+        kernel = solver._native()
+        if kernel is None or not kernel.in_palette(self.t, self.colors):
+            _check_colors_py(self.t, self.colors)
+
+
+def _check_colors_py(t: int, colors: tuple[int, ...]) -> None:
+    """``EdgeColoring``'s range check in Python: the reference for the
+    kernel's ``in_palette``, and the source of every error. The kernel
+    declines all but exact ints in 1..t, t <= 2**63 - 1; this loop then
+    accepts or refuses the rest, floats and bools included, as it did
+    alone."""
+    for k, c in enumerate(colors):
+        if not 1 <= c <= t:
+            raise ValueError(f"color {c} at edge index {k} outside 1..{t}")
 
 
 @dataclass(frozen=True, slots=True)

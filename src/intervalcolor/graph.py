@@ -4,6 +4,16 @@ Vertices are 0-based everywhere. The edge list is canonical: each edge is
 stored as ``(i, j)`` with ``i < j``, deduplicated, and sorted
 lexicographically, so any two construction paths to the same edge set yield
 identical ``Graph`` values.
+
+A ``Graph``'s fields have two builders, chosen at construction time through
+``solver._native()``: the compiled kernel's ``index_graph`` (``_search.c``),
+which runs first wherever it loads, and ``_index_py``, the reference. The
+kernel takes exact ints in exact lists or tuples only and returns None for
+any input it does not accept (a loop, an endpoint out of range, n < 1, a
+pair of other than two entries, anything that is not an int); ``_index_py``
+then runs, so every error, and every input the kernel leaves alone, is
+handled as by the Python code alone. Both give equal fields, and both use
+the shared tuples of ``_PAIRS``.
 """
 
 from __future__ import annotations
@@ -38,28 +48,12 @@ class Graph:
     incidence: tuple[tuple[int, ...], ...] = field(init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
-        if self.n < 1:
-            raise ValueError(f"vertex count must be >= 1, got {self.n}")
-        normalized: set[tuple[int, int]] = set()
-        for pair in self.edges:
-            i, j = pair
-            if i == j:
-                raise ValueError(f"loop at vertex {i} is not allowed")
-            a, b = (i, j) if i < j else (j, i)
-            if a < 0 or b >= self.n:
-                raise ValueError(f"edge ({i}, {j}) out of range for n={self.n}")
-            normalized.add(_PAIRS[b][a] if b < 64 else (a, b))
-        edges = tuple(sorted(normalized))
+        kernel = solver._native()
+        built = None if kernel is None else kernel.index_graph(self.n, self.edges, _PAIRS)
+        edges, adjacency, incidence = _index_py(self.n, self.edges) if built is None else built
         object.__setattr__(self, "edges", edges)
-        adj: list[list[int]] = [[] for _ in range(self.n)]
-        inc: list[list[int]] = [[] for _ in range(self.n)]
-        for idx, (a, b) in enumerate(edges):
-            adj[a].append(b)
-            adj[b].append(a)
-            inc[a].append(idx)
-            inc[b].append(idx)
-        object.__setattr__(self, "adjacency", tuple(tuple(x) for x in adj))
-        object.__setattr__(self, "incidence", tuple(tuple(x) for x in inc))
+        object.__setattr__(self, "adjacency", adjacency)
+        object.__setattr__(self, "incidence", incidence)
 
     @property
     def m(self) -> int:
@@ -71,6 +65,31 @@ class Graph:
     @property
     def max_degree(self) -> int:
         return max(self.degrees())
+
+
+def _index_py(n: int, edges: Iterable) -> tuple[tuple, tuple, tuple]:
+    """``Graph``'s edges, adjacency and incidence in Python: the reference
+    for the kernel's ``index_graph``, and the source of every error."""
+    if n < 1:
+        raise ValueError(f"vertex count must be >= 1, got {n}")
+    normalized: set[tuple[int, int]] = set()
+    for pair in edges:
+        i, j = pair
+        if i == j:
+            raise ValueError(f"loop at vertex {i} is not allowed")
+        a, b = (i, j) if i < j else (j, i)
+        if a < 0 or b >= n:
+            raise ValueError(f"edge ({i}, {j}) out of range for n={n}")
+        normalized.add(_PAIRS[b][a] if b < 64 else (a, b))
+    canonical = tuple(sorted(normalized))
+    adj: list[list[int]] = [[] for _ in range(n)]
+    inc: list[list[int]] = [[] for _ in range(n)]
+    for idx, (a, b) in enumerate(canonical):
+        adj[a].append(b)
+        adj[b].append(a)
+        inc[a].append(idx)
+        inc[b].append(idx)
+    return canonical, tuple(tuple(x) for x in adj), tuple(tuple(x) for x in inc)
 
 
 @dataclass(frozen=True, slots=True)
@@ -272,3 +291,7 @@ def parse_edge_list(text: str) -> Graph:
             raise ParseError(f"endpoint out of range in {raw.strip()!r} (n={n})", line=lineno)
         edges.append((i, j))
     return Graph(n, tuple(edges))
+
+
+# Last, since solver imports this module and needs the names above.
+from . import solver  # noqa: E402

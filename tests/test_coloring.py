@@ -14,6 +14,7 @@ from intervalcolor import (
     generate_connected_catalog,
     validate_interval,
 )
+from intervalcolor import coloring, solver
 from intervalcolor.coloring import _VALID, _report
 from intervalcolor.solver import _native
 from smallgraphs import c4, corruptions, k2, k3, p3
@@ -35,6 +36,71 @@ class TestEdgeColoring:
             EdgeColoring(2, (1, 3))
         with pytest.raises(ValueError, match="outside"):
             EdgeColoring(2, (0, 1))
+
+
+def on_both_paths(build):
+    """build() with and without the kernel: its value, or the type and
+    message of what it raised, which must agree."""
+    seen = []
+    for native in (True, False):
+        with pytest.MonkeyPatch.context() as patch:
+            if not native:
+                patch.setattr(solver, "_native", lambda: None)
+            try:
+                seen.append(build())
+            except Exception as exc:  # compared below
+                seen.append((type(exc), str(exc)))
+    assert seen[0] == seen[1]
+    return seen[0]
+
+
+class TestNativePaletteCheck:
+    """The kernel's ``in_palette`` against ``_check_colors_py``."""
+
+    def test_an_in_range_coloring_takes_the_kernel_path(self, monkeypatch):
+        def refuse(t, colors):
+            raise AssertionError("the kernel path ran _check_colors_py")
+
+        monkeypatch.setattr(coloring, "_check_colors_py", refuse)
+        assert EdgeColoring(3, [1, 3, 2, 3]).colors == (1, 3, 2, 3)
+        assert EdgeColoring(2**63 - 1, (1, 2**63 - 1)).t == 2**63 - 1
+        assert EdgeColoring(1, ()).colors == ()
+
+    def test_both_paths_agree(self):
+        # Floats, bools and huge values go to the Python loop, which accepts
+        # or refuses them as it did alone.
+        for t, colors in (
+            (3, (1.5,)), (3, (True,)), (2**70, (1, 2**70)), (2**63, (1,)),
+            (2.5, (1, 2)), (True, (1,)),
+        ):
+            assert on_both_paths(lambda: EdgeColoring(t, colors)).colors == colors
+        for t, colors in (
+            (3, (1, False)), (3, (1, 2**70)), (3, (0, 1)), (3, (-1,)), (3, (4, 2)),
+            (2.5, (3,)), (0, ()),
+        ):
+            assert on_both_paths(lambda: EdgeColoring(t, colors))[0] is ValueError
+
+    def test_the_kernel_declines_what_it_does_not_check(self):
+        check = solver._native().in_palette
+        assert check(3, (1, 2, 3)) and check(3, [3]) and check(1, ())
+        for t, colors in (
+            (3, (1.5,)), (3, (True,)), (3, (2**70,)), (3, (0,)), (3, (4,)),
+            (2**63, (1,)), (0, ()), (-1, ()), (True, (1,)), (3.0, (1,)),
+        ):
+            assert check(t, colors) is False, (t, colors)
+        with pytest.raises(TypeError):
+            check(3, iter((1, 2)))
+        with pytest.raises(TypeError):
+            check(3)
+
+    def test_json_parse_errors_agree(self):
+        g = p3()
+        for color in (5, 0, -3, 2**70):
+            doc = {"t": 2, "edges": [{"u": 0, "v": 1, "color": 1}, {"u": 1, "v": 2, "color": color}]}
+            kind, message = on_both_paths(lambda: coloring_from_json(g, doc))
+            assert kind is ParseError and message == f"color {color} at edge index 1 outside 1..2"
+        doc = {"t": 2**70, "edges": [{"u": 0, "v": 1, "color": 1}, {"u": 1, "v": 2, "color": 2}]}
+        assert on_both_paths(lambda: coloring_from_json(g, doc)) == EdgeColoring(2**70, (1, 2))
 
 
 class TestValidateInterval:

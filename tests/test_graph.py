@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import random
+
 import pytest
 
 from intervalcolor import (
@@ -12,7 +14,8 @@ from intervalcolor import (
     parse_graph6,
     write_graph6,
 )
-from intervalcolor.graph import EDGE_LIST_MAX_N
+from intervalcolor import generate_connected_catalog, graph, solver
+from intervalcolor.graph import EDGE_LIST_MAX_N, _PAIRS, _index_py
 from smallgraphs import c4, k1, k2, k3, two_k2
 
 
@@ -40,6 +43,136 @@ class TestGraphConstruction:
         assert g.incidence[0] == (0, 1)  # edges (0,1) and (0,3)
         assert g.m == 4
         assert g.degrees()[2] == 2
+
+
+def index_on_both_paths(n, edges) -> tuple:
+    """The kernel's ``index_graph`` and ``_index_py`` on one input, which
+    must give equal fields with each edge (a, b), b < 64, the shared
+    ``_PAIRS[b][a]``; returns the fields."""
+    native = solver._native().index_graph(n, edges, _PAIRS)
+    reference = _index_py(n, edges)
+    assert native == reference, (n, edges)
+    for built in (native, reference):
+        assert all(e is _PAIRS[e[1]][e[0]] for e in built[0] if e[1] < 64), (n, edges)
+    return native
+
+
+def raised_on_both_paths(n, edges) -> type:
+    """The type of the exception Graph(n, edges) raises with and without the
+    kernel, which must agree, message and all; the kernel's entry itself
+    declines the input."""
+    assert solver._native().index_graph(n, edges, _PAIRS) is None, (n, edges)
+    seen = []
+    for native in (True, False):
+        with pytest.MonkeyPatch.context() as patch:
+            if not native:
+                patch.setattr(solver, "_native", lambda: None)
+            with pytest.raises(Exception) as info:
+                Graph(n, edges)
+        seen.append((type(info.value), str(info.value)))
+    assert seen[0] == seen[1], (n, edges)
+    return seen[0][0]
+
+
+class TestNativeIndex:
+    """The kernel's ``index_graph`` against ``_index_py``, the reference."""
+
+    def test_agrees_on_the_catalogs_in_any_edge_order(self, catalogs):
+        graphs = [g for n in range(1, 7) for g in catalogs[n]]
+        graphs += generate_connected_catalog(7)
+        rng = random.Random(7)
+        for g in graphs:
+            flipped = [(b, a) if rng.random() < 0.5 else (a, b) for a, b in g.edges]
+            rng.shuffle(flipped)
+            for edges in (g.edges[::-1], tuple(flipped), [*g.edges, *flipped]):
+                assert index_on_both_paths(g.n, edges) == (g.edges, g.adjacency, g.incidence)
+        assert len(graphs) == 1 + 1 + 2 + 6 + 21 + 112 + 853
+
+    def test_agrees_on_random_edge_lists_across_the_shared_pairs(self):
+        rng = random.Random(14)
+        for n in range(1, 81):
+            for _ in range(4):
+                edges = []
+                for _ in range(rng.randrange(3 * n + 1)):
+                    a, b = rng.sample(range(n), 2) if n > 1 else (0, 0)
+                    if a != b:
+                        edges.append([a, b] if rng.random() < 0.2 else (a, b))
+                index_on_both_paths(n, edges)
+                index_on_both_paths(n, tuple(edges))
+
+    def test_agrees_on_a_long_path(self):
+        n = EDGE_LIST_MAX_N
+        edges, adjacency, incidence = index_on_both_paths(n, [(i + 1, i) for i in range(n - 1)])
+        assert len(edges) == n - 1 and adjacency[1] == (0, 2) and incidence[n - 1] == (n - 2,)
+        # One int per vertex: both ends of an edge are the neighbours' ints.
+        assert edges[-1][0] is adjacency[n - 1][0] and edges[-1][1] is adjacency[n - 2][1]
+
+    def test_a_graph_takes_the_kernel_path(self, monkeypatch):
+        def refuse(n, edges):
+            raise AssertionError("the kernel path ran _index_py")
+
+        monkeypatch.setattr(graph, "_index_py", refuse)
+        g = Graph(80, ((79, 3), (3, 0), (0, 79), (0, 3)))
+        assert g.edges == ((0, 3), (0, 79), (3, 79)) and g.edges[0] is _PAIRS[3][0]
+        assert g.adjacency[3] == (0, 79) and g.incidence[79] == (1, 2)
+
+    def test_rejections_agree(self):
+        for n, edges in (
+            (3, ((0, 1), (2, 2))),  # a loop
+            (3, ((0, 1), (1, 3))),  # out of range
+            (3, ((-1, 0),)),  # negative
+            (3, ((0, 1, 2),)),  # not a pair
+            (3, ((0,),)),
+            (3, ((0, 1.5),)),  # not an int
+            (3, (("0", 1),)),
+            (3, (None,)),
+            (0, ()),
+            (-2, ((0, 1),)),
+        ):
+            assert raised_on_both_paths(n, edges) in (ValueError, TypeError)
+
+    def test_inputs_left_to_python_agree(self):
+        # Bools, an int subclass, a generator and a pair given as a set are
+        # no exact ints or sequences: the kernel declines them, untouched,
+        # and Graph builds what it built without the kernel.
+        class Int(int):
+            pass
+
+        for make in (
+            lambda: (3, ((False, True), (1, 2))),
+            lambda: (3, ((Int(2), 0),)),
+            lambda: (3, (pair for pair in ((0, 2), (1, 0)))),
+            lambda: (3, ({0, 2},)),
+            lambda: (True, ()),
+        ):
+            assert solver._native().index_graph(*make(), _PAIRS) is None
+            built = []
+            for native in (True, False):
+                with pytest.MonkeyPatch.context() as patch:
+                    if not native:
+                        patch.setattr(solver, "_native", lambda: None)
+                    g = Graph(*make())
+                built.append((g.n, g.edges, g.adjacency, g.incidence))
+            assert built[0] == built[1], make()
+
+    def test_declines_a_vertex_count_past_the_sort_key(self):
+        index = solver._native().index_graph
+        assert index(2**32, (), _PAIRS) is None
+        assert index(2**70, ((0, 1),), _PAIRS) is None
+        assert index(3, ((0, 2**70),), _PAIRS) is None
+
+    def test_rejects_a_malformed_table_or_argument(self):
+        index = solver._native().index_graph
+        edges = ((0, 1), (1, 2))
+        assert index(3, edges, _PAIRS)[0] == edges
+        wrong_entry = (_PAIRS[0], ((1, 0),), *_PAIRS[2:])
+        for pairs in (_PAIRS[:63], (*_PAIRS, ()), (_PAIRS[1], *_PAIRS[1:]), wrong_entry):
+            with pytest.raises(ValueError):
+                index(3, edges, pairs)
+        with pytest.raises(TypeError):
+            index(3, edges, list(_PAIRS))
+        with pytest.raises(TypeError):
+            index(3, edges)
 
 
 class TestGraph6:

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import io
 from dataclasses import fields
+from pathlib import Path
 
 import pytest
 
@@ -12,10 +13,12 @@ from intervalcolor import (
     SolveOutcome,
     SolveStatus,
     SurveyRecord,
+    generate_connected_catalog,
     run_survey,
     survey_graph,
     write_survey_csv,
 )
+from intervalcolor import coloring, graph
 from intervalcolor.survey import CSV_COLUMNS, record_to_row
 from smallgraphs import c4, k1, k2, k3, p3, two_k2
 
@@ -99,6 +102,19 @@ class TestCsvOutput:
 
     def test_empty_input_gives_header_only(self):
         assert self.render([]).splitlines() == [",".join(CSV_COLUMNS)]
+
+    def test_the_kernel_builds_every_graph_and_coloring_of_a_survey(self, monkeypatch):
+        # The n = 6 survey with doubling, with the Python references of
+        # Graph and EdgeColoring refusing to run: the kernel's index_graph
+        # and in_palette build every graph, witness and certificate.
+        def refuse(*args):
+            raise AssertionError("a Python reference ran")
+
+        monkeypatch.setattr(graph, "_index_py", refuse)
+        monkeypatch.setattr(coloring, "_check_colors_py", refuse)
+        text = self.render(generate_connected_catalog(6), with_doubling=True)
+        reference = Path(__file__).resolve().parent.parent / "bench" / "reference" / "survey6.csv"
+        assert text == reference.read_text()
 
     def test_byte_identical_reruns(self, catalogs):
         graphs = catalogs[4]
