@@ -2,8 +2,9 @@
  * solver._search_py, the search plan of solver._plan_py, the verdict of
  * coloring._report, the doubling certificate of doubling's Python path, the
  * derived fields of graph.Graph (graph._index_py), the color range check of
- * coloring.EdgeColoring (coloring._check_colors_py) and the canonical
- * encoding of catalog._min_code_py.
+ * coloring.EdgeColoring (coloring._check_colors_py), the canonical
+ * encoding of catalog._min_code_py and the catalog level of
+ * catalog._extend_py.
  *
  * search(n, ends, deg, t, budget, after, dist) -> (status, nodes, picked)
  *
@@ -109,7 +110,20 @@
  * is the minimum over all vertex orderings of the column-order upper-triangle
  * bits, read as one integer MSB-first. Candidate order, the prune and the
  * twin cut are those of _min_code_py; the proofs are in catalog.py's
- * docstring. */
+ * docstring.
+ *
+ * extend(size, parents) -> {code: masks}
+ *
+ * One level of catalog._extend_py: parents, any iterable, gives each
+ * parent as a tuple or list of its size - 1 adjacency masks, exact ints
+ * below 1 << (size - 1) without their own bit, 2 <= size <= 64. For each
+ * parent in turn and each nonempty subset S of its vertices in increasing
+ * order, the child joins a new vertex size - 1 to S. A child is kept only
+ * when no vertex whose removal leaves it connected (one bitmask BFS each)
+ * has a smaller (degree, -sum of its neighbours' degrees) than the new
+ * vertex, and is then canonicalised by min_code's search. The result maps
+ * each code to the masks of the first child with it, in the order found,
+ * as _extend_py's does. Malformed input raises ValueError. */
 
 #define PY_SSIZE_T_CLEAN
 #include <Python.h>
@@ -1237,6 +1251,44 @@ static int place(Canon *c, int k, uint64_t used, int below, const uint64_t *pare
     return 0;
 }
 
+/* Fills c->best with the least ordering's segments of the graph on c->n
+ * vertices with adjacency c->adj. -1 with an exception set if a signal
+ * interrupts. */
+static int canonical(Canon *c)
+{
+    for (int x = 0; x < c->n; x++) {
+        c->lower_twins[x] = 0;
+        for (int y = 0; y < x; y++)
+            if ((c->adj[x] & ~((uint64_t)1 << y)) == (c->adj[y] & ~((uint64_t)1 << x)))
+                c->lower_twins[x] |= (uint64_t)1 << y;
+    }
+    memset(c->best, 0xFF, sizeof c->best);
+    return place(c, 0, 0, 0, NULL);
+}
+
+/* code = (code << k) | best[k] for k = 1 .. n - 1, as a Python int: in one
+ * C integer while the n(n - 1)/2 bits fit, in Python integers beyond. */
+static PyObject *code_of(const Canon *c)
+{
+    if (c->n * (c->n - 1) / 2 <= 64) {
+        uint64_t code = 0;
+        for (int k = 1; k < c->n; k++)
+            code = (code << k) | c->best[k];
+        return PyLong_FromUnsignedLongLong(code);
+    }
+    PyObject *code = PyLong_FromLong(0);
+    for (int k = 1; code && k < c->n; k++) {
+        PyObject *shift = PyLong_FromLong(k);
+        PyObject *segment = PyLong_FromUnsignedLongLong(c->best[k]);
+        PyObject *shifted = shift && segment ? PyNumber_Lshift(code, shift) : NULL;
+        Py_SETREF(code, shifted ? PyNumber_Or(shifted, segment) : NULL);
+        Py_XDECREF(shift);
+        Py_XDECREF(segment);
+        Py_XDECREF(shifted);
+    }
+    return code;
+}
+
 static PyObject *min_code(PyObject *self, PyObject *masks)
 {
     Canon *c = PyMem_Calloc(1, sizeof(Canon));
@@ -1261,29 +1313,126 @@ static PyObject *min_code(PyObject *self, PyObject *masks)
             goto done;
         }
     }
-    for (int x = 0; x < n; x++)
-        for (int y = 0; y < x; y++)
-            if ((c->adj[x] & ~((uint64_t)1 << y)) == (c->adj[y] & ~((uint64_t)1 << x)))
-                c->lower_twins[x] |= (uint64_t)1 << y;
-    memset(c->best, 0xFF, sizeof c->best);
-    if (place(c, 0, 0, 0, NULL))
-        goto done;
-    /* code = (code << k) | best[k] for k = 1 .. n - 1, in Python integers:
-     * n(n - 1)/2 bits do not fit one C integer. */
-    code = PyLong_FromLong(0);
-    for (int k = 1; code && k < n; k++) {
-        PyObject *shift = PyLong_FromLong(k);
-        PyObject *segment = PyLong_FromUnsignedLongLong(c->best[k]);
-        PyObject *shifted = shift && segment ? PyNumber_Lshift(code, shift) : NULL;
-        Py_SETREF(code, shifted ? PyNumber_Or(shifted, segment) : NULL);
-        Py_XDECREF(shift);
-        Py_XDECREF(segment);
-        Py_XDECREF(shifted);
-    }
+    if (!canonical(c))
+        code = code_of(c);
 done:
     Py_XDECREF(fast);
     PyMem_Free(c);
     return code;
+}
+
+/* Whether the graph with adjacency adj on the vertices of all stays
+ * connected when vertex u is removed: one bitmask BFS. */
+static int connected_without(const uint64_t *adj, uint64_t all, int u)
+{
+    uint64_t rest = all & ~((uint64_t)1 << u);
+    uint64_t seen = rest & -rest, frontier = seen;
+    while (frontier) {
+        int x = __builtin_ctzll(frontier);
+        frontier &= frontier - 1;
+        uint64_t fresh = adj[x] & rest & ~seen;
+        seen |= fresh;
+        frontier |= fresh;
+    }
+    return seen == rest;
+}
+
+/* Whether the vertex n - 1 of the graph in c minimises f(v) = (deg v,
+ * -sum of its neighbours' degrees) over the vertices whose removal keeps
+ * the graph connected; the proof is in catalog.py's docstring. */
+static int lowest_non_cut_last(const Canon *c)
+{
+    int n = c->n, deg[64];
+    long long key[64];
+    for (int x = 0; x < n; x++)
+        deg[x] = __builtin_popcountll(c->adj[x]);
+    for (int x = 0; x < n; x++) {
+        long long around = 0;
+        for (uint64_t rest = c->adj[x]; rest; rest &= rest - 1)
+            around += deg[__builtin_ctzll(rest)];
+        key[x] = 64 * 64 * (long long)deg[x] - around; /* around < 64 * 64 */
+    }
+    uint64_t all = n == 64 ? ~(uint64_t)0 : ((uint64_t)1 << n) - 1;
+    for (int u = 0; u < n - 1; u++)
+        if (key[u] < key[n - 1] && connected_without(c->adj, all, u))
+            return 0;
+    return 1;
+}
+
+static PyObject *extend(PyObject *self, PyObject *args)
+{
+    int size;
+    PyObject *parents_obj;
+    if (!PyArg_ParseTuple(args, "iO", &size, &parents_obj))
+        return NULL;
+    if (size < 2 || size > 64) {
+        PyErr_SetString(PyExc_ValueError, "extend: size out of range");
+        return NULL;
+    }
+    PyObject *parents = PySequence_Fast(parents_obj, "extend: parents must be iterable");
+    if (!parents)
+        return NULL;
+    Canon *c = PyMem_Calloc(1, sizeof(Canon));
+    PyObject *grown = PyDict_New();
+    if (!c || !grown) {
+        if (!c)
+            PyErr_NoMemory();
+        goto fail;
+    }
+    c->n = size;
+    int old = size - 1;
+    uint64_t bit = (uint64_t)1 << old;
+    for (Py_ssize_t p = 0; p < PySequence_Fast_GET_SIZE(parents); p++) {
+        PyObject **masks;
+        Py_ssize_t len;
+        if (!exact_items(PySequence_Fast_GET_ITEM(parents, p), &masks, &len) || len != old) {
+            PyErr_SetString(PyExc_ValueError, "extend: each parent must hold size - 1 masks");
+            goto fail;
+        }
+        uint64_t parent[64];
+        for (int v = 0; v < old; v++) {
+            long long mask = exact_index(masks[v], (long long)(bit - 1));
+            if (mask < 0 || (mask >> v) & 1) {
+                PyErr_SetString(PyExc_ValueError, "extend: mask out of range");
+                goto fail;
+            }
+            parent[v] = (uint64_t)mask;
+        }
+        for (uint64_t subset = 1; subset < bit; subset++) {
+            if (!(subset & SIGNAL_CHECK_MASK) && PyErr_CheckSignals())
+                goto fail;
+            for (int v = 0; v < old; v++)
+                c->adj[v] = parent[v] | ((subset >> v) & 1 ? bit : 0);
+            c->adj[old] = subset;
+            if (!lowest_non_cut_last(c))
+                continue;
+            if (canonical(c))
+                goto fail;
+            PyObject *code = code_of(c);
+            int seen = code ? PyDict_Contains(grown, code) : -1;
+            PyObject *child = seen ? NULL : PyTuple_New(size);
+            for (int v = 0; child && v < size; v++) {
+                PyObject *mask = PyLong_FromUnsignedLongLong(c->adj[v]);
+                if (!mask)
+                    Py_CLEAR(child);
+                else
+                    PyTuple_SET_ITEM(child, v, mask);
+            }
+            int failed = seen < 0 || (!seen && (!child || PyDict_SetItem(grown, code, child)));
+            Py_XDECREF(code);
+            Py_XDECREF(child);
+            if (failed)
+                goto fail;
+        }
+    }
+    PyMem_Free(c);
+    Py_DECREF(parents);
+    return grown;
+fail:
+    PyMem_Free(c);
+    Py_DECREF(parents);
+    Py_XDECREF(grown);
+    return NULL;
 }
 
 static PyMethodDef methods[] = {
@@ -1297,6 +1446,7 @@ static PyMethodDef methods[] = {
      "index_graph(n, edges, pairs) -> (edges, adjacency, incidence) or None"},
     {"in_palette", in_palette, METH_VARARGS, "in_palette(t, colors) -> bool"},
     {"min_code", min_code, METH_O, "min_code(masks) -> int"},
+    {"extend", extend, METH_VARARGS, "extend(size, parents) -> {code: masks}"},
     {NULL, NULL, 0, NULL},
 };
 

@@ -77,8 +77,12 @@ def applicable_bounds(
 
 def best_upper_bound(g: Graph, cls: GraphClass) -> int:
     """Minimum over applicable claims, capped by |E| (each color needs an edge)."""
-    claims = applicable_bounds(g, cls)
-    return min(min(c.bound for c in claims), g.m)
+    return _best(applicable_bounds(g, cls), g.m)
+
+
+def _best(claims: tuple[BoundClaim, ...], m: int) -> int:
+    """best_upper_bound from claims already found for a graph with m edges."""
+    return min(min(c.bound for c in claims), m)
 
 
 def audit(g: Graph, w: int, claims: tuple[BoundClaim, ...]) -> BoundReport:

@@ -25,12 +25,39 @@ The search has two implementations that compute the same integer.
 search in C; it sits in ``_search.c``, the solver's compiled module, and is
 built with it by ``solver._native``. ``_min_code`` runs the C one when the
 module loads and n <= 64 (one 64-bit mask per vertex), and the Python one
-otherwise. With the kernel, the n = 8 catalog takes about 2 seconds.
+otherwise.
+
+The catalog on n vertices is built level by level. Each level extends every
+class of the level below, its parent, by a new vertex joined to a nonempty
+subset S of the parent's vertices, and keeps one child per code. Only
+children that pass a filter are canonicalised. For a vertex v let
+f(v) = (deg v, -sum of deg u over the neighbours u of v), compared
+lexicographically; a child is kept only when no non-cut vertex u (one whose
+removal leaves the child connected) has f(u) < f(new vertex). Ties are
+kept.
+
+Every class is still reached. Let G be a connected graph on n vertices and
+v a non-cut vertex that minimises f among the non-cut vertices; one exists,
+since a leaf of a spanning tree is a non-cut vertex. G - v is connected, so
+it is isomorphic to a parent P of the level below. So G is isomorphic to
+the child of P and some S with v mapped to the new vertex. f and being a
+cut vertex are invariant under isomorphism, so no non-cut vertex of that
+child has a smaller f than the new vertex, and it passes. The codes stay
+exact, so the catalog is the same with or without the filter. Both parts of
+the test are needed: without the non-cut condition the n = 7 catalog loses
+a class, and with strict ties every level is empty.
+
+Up to n = 7 the filter canonicalises 2,179 of the 7,815 children. One
+level is ``_extend``: the kernel's ``extend`` where the module loads, and
+``_extend_py``, its reference, otherwise; both visit the children in the
+same order and return equal dicts. On a 2-core Xeon (Python 3.11) the
+n = 7 catalog takes about 25 ms with the kernel and 0.6 s without, and
+n = 8 about 0.35 s and 15 s.
 """
 
 from __future__ import annotations
 
-from typing import Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from . import solver
 from .errors import DomainError
@@ -104,16 +131,58 @@ def minimum_adjacency_encoding(g: Graph) -> tuple[int, ...]:
     return tuple((code >> shift) & 1 for shift in range(g.n * (g.n - 1) // 2 - 1, -1, -1))
 
 
+def _extend(size: int, parents: Iterable[Sequence[int]]) -> dict[int, tuple[int, ...]]:
+    """The next catalog level: each class reached from ``parents``, the
+    adjacency masks of the classes on size - 1 vertices, mapped from its
+    code to the masks of the first child found with it."""
+    kernel = solver._native()
+    if kernel is None:
+        return _extend_py(size, parents)
+    return kernel.extend(size, parents)
+
+
+def _extend_py(size: int, parents: Iterable[Sequence[int]]) -> dict[int, tuple[int, ...]]:
+    bit = 1 << (size - 1)
+    grown: dict[int, tuple[int, ...]] = {}
+    for masks in parents:
+        for subset in range(1, bit):
+            child = (*(m | bit if (subset >> i) & 1 else m for i, m in enumerate(masks)), subset)
+            if _lowest_non_cut_last(child):
+                grown.setdefault(_min_code_py(size, child), child)
+    return grown
+
+
+def _lowest_non_cut_last(masks: Sequence[int]) -> bool:
+    """Whether the last vertex minimises f over the non-cut vertices."""
+    n = len(masks)
+    deg = [m.bit_count() for m in masks]
+
+    def f(x: int) -> tuple[int, int]:
+        return deg[x], -sum(deg[y] for y in range(n) if (masks[x] >> y) & 1)
+
+    def connected_without(u: int) -> bool:
+        rest = ((1 << n) - 1) & ~(1 << u)
+        seen = frontier = rest & -rest
+        while frontier:
+            x = frontier.bit_length() - 1
+            frontier &= ~(1 << x)
+            fresh = masks[x] & rest & ~seen
+            seen |= fresh
+            frontier |= fresh
+        return seen == rest
+
+    last = f(n - 1)
+    return not any(f(u) < last and connected_without(u) for u in range(n - 1))
+
+
 def generate_connected_catalog(n: int) -> Iterator[Graph]:
     """All connected graphs on n vertices, one canonical representative per
     isomorphism class, in increasing canonical-encoding order.
 
-    Built by extending the (n-1)-vertex catalog with one new vertex joined to
-    every nonempty subset of old vertices; every connected graph has a vertex
-    whose removal keeps it connected (a leaf of any spanning tree), so every
-    class is reached. Guarded at n <= 8 (11,117 classes); pipe in an
-    external graph6 stream for anything larger. n is checked, and the
-    catalog built, when this is called, before the first graph is taken.
+    Built level by level with ``_extend``; see the module docstring. Guarded
+    at n <= 8 (11,117 classes); pipe in an external graph6 stream for
+    anything larger. n is checked, and the catalog built, when this is
+    called, before the first graph is taken.
     """
     if n < 1:
         raise DomainError(f"a catalog needs n >= 1 vertices, got {n}")
@@ -124,11 +193,5 @@ def generate_connected_catalog(n: int) -> Iterator[Graph]:
         )
     level: dict[int, tuple[int, ...]] = {0: (0,)}  # code -> adjacency masks
     for size in range(2, n + 1):
-        bit = 1 << (size - 1)
-        grown: dict[int, tuple[int, ...]] = {}
-        for masks in level.values():
-            for subset in range(1, bit):
-                child = (*(m | bit if (subset >> i) & 1 else m for i, m in enumerate(masks)), subset)
-                grown.setdefault(_min_code(size, child), child)
-        level = grown
+        level = _extend(size, level.values())
     return (Graph(n, _edges_from_code(n, code)) for code in sorted(level))

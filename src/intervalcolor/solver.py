@@ -255,8 +255,8 @@ def _build_target(source: Path, command: list[str]) -> Path:
 def _native():
     """The compiled module ``_search.c`` (the search kernel, its plan, the
     coloring check, the doubling, ``Graph``'s fields, ``EdgeColoring``'s
-    range check and the catalog's ``min_code``), or None where it cannot
-    run.
+    range check, and the catalog's ``min_code`` and ``extend``), or None
+    where it cannot run.
 
     It is built on first use into the package's ``__pycache__``, under the
     name ``_build_target`` gives, and written to a private file renamed

@@ -15,7 +15,7 @@ import csv
 from dataclasses import dataclass, fields
 from typing import IO, Iterable, Iterator
 
-from .bounds import applicable_bounds, audit, best_upper_bound
+from .bounds import _best, applicable_bounds, audit
 from .doubling import double_with_certificate
 from .errors import InternalInvariantError
 from .graph import Graph, _domain_fault, classify, write_graph6
@@ -71,7 +71,7 @@ def survey_graph(
     doubling_ok: bool | None = None
     if _domain_fault(g, cls.connected) is None:
         claims = applicable_bounds(g, cls)
-        best = best_upper_bound(g, cls)
+        best = _best(claims, g.m)
         outcome = compute_W(g, limits)
         if outcome.status is SolveStatus.ABORTED:
             w = ABORTED

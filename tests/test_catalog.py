@@ -17,13 +17,14 @@ from intervalcolor import (
     write_graph6,
 )
 from intervalcolor import solver
-from intervalcolor.catalog import _min_code, _min_code_py
+from intervalcolor import catalog
+from intervalcolor.catalog import _extend_py, _min_code, _min_code_py
 from intervalcolor.graph import _code_from_edges
 from smallgraphs import c4, k3, k4, p4, star
 
 KNOWN_CONNECTED_COUNTS = {1: 1, 2: 1, 3: 2, 4: 6, 5: 21, 6: 112, 7: 853, 8: 11117}  # OEIS A001349
 # sha256 of the n = 8 catalog's graph6 lines joined by newlines; checked
-# once against the Python reference, which takes about 90 s for it.
+# once against the Python reference, which takes about 15 s for it.
 N8_SHA256 = "28b9222da489bdd97eff49da6a8d2aed76ac19453b4b69ece911cb3dd855c398"
 
 
@@ -132,6 +133,54 @@ class TestNativeMinCode:
                 kernel.min_code(masks)
 
 
+class TestExtend:
+    """One catalog level: the kernel's ``extend`` against ``_extend_py``."""
+
+    # Children that pass the minimum-degree non-cut filter, and so are
+    # canonicalised, at sizes 2..7; all 7,815 candidates were before it.
+    KEPT = {2: 1, 3: 3, 4: 11, 5: 48, 6: 248, 7: 1868}
+
+    def test_kernel_agrees_on_every_level(self):
+        kernel = solver._native()
+        level = {0: (0,)}
+        for size in range(2, 8):
+            grown = _extend_py(size, level.values())
+            native = kernel.extend(size, level.values())
+            assert list(native.items()) == list(grown.items()), size
+            assert len(grown) == KNOWN_CONNECTED_COUNTS[size]
+            level = grown
+
+    def test_kept_children_per_level(self, monkeypatch):
+        calls = []
+
+        def counted(n, masks):
+            calls.append(n)
+            return _min_code_py(n, masks)
+
+        monkeypatch.setattr(catalog, "_min_code_py", counted)
+        level = {0: (0,)}
+        for size in range(2, 8):
+            level = _extend_py(size, level.values())
+        assert {size: calls.count(size) for size in range(2, 8)} == self.KEPT
+
+    def test_kernel_rejects_bad_input(self):
+        kernel = solver._native()
+        bad = [
+            (3, [(1, 1)]),  # vertex 0's mask holds its own bit
+            (3, [(2, 5)]),  # a mask at 1 << (size - 1)
+            (3, [(2,)]),  # a parent of the wrong length
+            (3, [(2, 1, 0)]),
+            (3, [(2.0, 1)]),  # not an int
+            (3, [(-1, 1)]),
+            (3, [[2, 1], "ab"]),
+            (1, [()]),  # size out of range
+            (65, [(0,) * 64]),
+        ]
+        for size, parents in bad:
+            with pytest.raises(ValueError):
+                kernel.extend(size, parents)
+
+
 class TestCatalog:
     def test_counts(self, catalogs):
         for n in range(1, 7):
@@ -140,15 +189,17 @@ class TestCatalog:
 
     def test_n8_count_and_digest(self):
         if solver._native() is None:
-            pytest.skip("n = 8 takes about 90 s without the kernel")
+            pytest.skip("n = 8 takes about 15 s without the kernel")
         lines = [write_graph6(g) for g in generate_connected_catalog(8)]
         assert len(lines) == KNOWN_CONNECTED_COUNTS[8]
         assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == N8_SHA256
 
     def test_python_reference_gives_the_same_catalogs(self, catalogs, monkeypatch):
+        native_seven = list(generate_connected_catalog(7))
         monkeypatch.setattr(solver, "_native", lambda: None)
         for n in range(1, 7):
             assert list(generate_connected_catalog(n)) == catalogs[n]
+        assert list(generate_connected_catalog(7)) == native_seven
 
     def test_all_connected_with_right_order(self, catalogs):
         for n, graphs in catalogs.items():

@@ -18,7 +18,7 @@ from intervalcolor import (
     survey_graph,
     write_survey_csv,
 )
-from intervalcolor import coloring, graph
+from intervalcolor import bounds, coloring, graph, survey
 from intervalcolor.survey import CSV_COLUMNS, record_to_row
 from smallgraphs import c4, k1, k2, k3, p3, two_k2
 
@@ -62,6 +62,22 @@ class TestSurveyRecords:
         monkeypatch.setattr("intervalcolor.survey.compute_W", lambda g, limits: wrong)
         with pytest.raises(InternalInvariantError, match="T1_triangle_free"):
             survey_graph(p3())
+
+    def test_two_registry_walks_per_graph(self, catalogs, monkeypatch):
+        # The survey's own claims give its best bound; compute_W walks the
+        # registry once more for its cutoff.
+        walks = []
+        walk = bounds.applicable_bounds
+
+        def counted(g, cls, planar_asserted=False):
+            walks.append(g)
+            return walk(g, cls, planar_asserted)
+
+        monkeypatch.setattr(survey, "applicable_bounds", counted)
+        monkeypatch.setattr(bounds, "applicable_bounds", counted)
+        records = list(run_survey(catalogs[4]))
+        assert len(walks) == 2 * len(records) == 12
+        assert [r.best_bound for r in records] == [3, 3, 4, 3, 4, 4]
 
     def test_catalog_n4_all_sound(self, catalogs):
         records = list(run_survey(catalogs[4], with_doubling=True))
