@@ -2,9 +2,8 @@
  * solver._search_py, the search plan of solver._plan_py, the verdict of
  * coloring._report, the doubling certificate of doubling's Python path, the
  * derived fields of graph.Graph (graph._index_py), the color range check of
- * coloring.EdgeColoring (coloring._check_colors_py), the canonical
- * encoding of catalog._min_code_py and the catalog level of
- * catalog._extend_py.
+ * coloring.EdgeColoring (coloring._check_colors_py) and the catalog level
+ * of catalog._extend_py.
  *
  * search(n, ends, deg, t, budget, after, dist) -> (status, nodes, picked)
  *
@@ -57,11 +56,14 @@
  *
  * interval_ok(n, edges, colors, t) -> bool
  *
- * Whether colors, one per edge in 1..t, 1 <= t <= len(edges), is an
- * interval t-coloring: at each vertex of positive degree, with lo and hi
- * its least and greatest color, hi - lo + 1 equals the degree and no color
- * repeats, and every color in 1..t is used. This is the verdict of
- * coloring._report, which the caller runs for a t above the edge count.
+ * Whether colors, one per edge in 1..t, is an interval t-coloring of the
+ * graph on n vertices with edges as for plan(), 1 <= t <= len(edges): at
+ * each vertex of positive degree, with lo and hi its least and greatest
+ * color, hi - lo + 1 equals the degree and no color repeats, and every
+ * color in 1..t is used. This is the verdict of coloring._report, which the
+ * caller runs for a t above the edge count. colors is an exact list or
+ * tuple; an entry that is not an exact int (a float, a bool) gives False,
+ * so that _report decides.
  *
  * double(n, edges, colors, t) -> (h_edges, codes, beta, i0, final) or None
  *
@@ -77,11 +79,12 @@
  * with the matching edge at i0, the least i with min S(u_i) = 2, colored
  * 1. The result is None, and no field may be used, unless every check of
  * the Python path holds: G is connected, alpha is an interval t-coloring
- * (interval_ok's test), H's edges cross U/W and number 2m + n, H is
- * connected, an r-regular G gives an (r + 1)-regular H,
+ * of exact ints (interval_ok's test), H's edges cross U/W and number
+ * 2m + n, H is connected, an r-regular G gives an (r + 1)-regular H,
  * min S(u_i) = min S(w_i) for every i, some i has min S(u_i) = 2, and final
  * is an interval (t + 2)-coloring. The caller then runs the Python path,
- * which raises its own error. Malformed input raises ValueError.
+ * which raises its own error or accepts the input itself. Malformed input
+ * raises ValueError.
  *
  * index_graph(n, edges, pairs) -> (edges, adjacency, incidence) or None
  *
@@ -104,14 +107,6 @@
  * false, the caller runs coloring._check_colors_py, which raises its own
  * error or accepts the colors itself.
  *
- * min_code(masks) -> int
- *
- * masks holds the adjacency bitmask of each of n <= 64 vertices. The result
- * is the minimum over all vertex orderings of the column-order upper-triangle
- * bits, read as one integer MSB-first. Candidate order, the prune and the
- * twin cut are those of _min_code_py; the proofs are in catalog.py's
- * docstring.
- *
  * extend(size, parents) -> {code: masks}
  *
  * One level of catalog._extend_py: parents, any iterable, gives each
@@ -121,9 +116,13 @@
  * order, the child joins a new vertex size - 1 to S. A child is kept only
  * when no vertex whose removal leaves it connected (one bitmask BFS each)
  * has a smaller (degree, -sum of its neighbours' degrees) than the new
- * vertex, and is then canonicalised by min_code's search. The result maps
- * each code to the masks of the first child with it, in the order found,
- * as _extend_py's does. Malformed input raises ValueError. */
+ * vertex, and is then canonicalised: its code is the minimum over all
+ * vertex orderings of the column-order upper-triangle bits, read as one
+ * integer MSB-first, found by the search of catalog._min_code_py with its
+ * candidate order, prune and twin cut (the proofs are in catalog.py's
+ * docstring). The result maps each code to the masks of the first child
+ * with it, in the order found, as _extend_py's does. Malformed input
+ * raises ValueError. */
 
 #define PY_SSIZE_T_CLEAN
 #include <Python.h>
@@ -178,18 +177,65 @@ static int read_ints(PyObject *seq, Py_ssize_t len, long long low, long long bou
     return ok ? 0 : -1;
 }
 
-/* A new list of the len values; NULL with an exception set on failure. */
-static PyObject *list_of(const long long *values, Py_ssize_t len)
+/* The value of an exact int in [0, most], or -1 for any other object. */
+static long long exact_index(PyObject *obj, long long most)
 {
-    PyObject *list = PyList_New(len);
-    for (Py_ssize_t i = 0; list && i < len; i++) {
+    if (!PyLong_CheckExact(obj))
+        return -1;
+    int overflow;
+    long long value = PyLong_AsLongLongAndOverflow(obj, &overflow);
+    return overflow || value < 0 || value > most ? -1 : value;
+}
+
+/* Whether seq is an exact tuple or list, and then its items and their
+ * count; any other object's iteration could run code or be used up. */
+static int exact_items(PyObject *seq, PyObject ***items, Py_ssize_t *size)
+{
+    if (!PyTuple_CheckExact(seq) && !PyList_CheckExact(seq))
+        return 0;
+    *items = PySequence_Fast_ITEMS(seq);
+    *size = PySequence_Fast_GET_SIZE(seq);
+    return 1;
+}
+
+/* Copies colors, an exact list or tuple of one color per each of the m
+ * edges, into out: 1 if all are exact ints, 0 if one is not (the caller then
+ * leaves the colors to the Python reference, as in_palette does), -1 with
+ * ValueError if colors is malformed or an exact int lies outside 1..t. */
+static int read_colors(PyObject *colors, Py_ssize_t m, long long t, long long *out)
+{
+    PyObject **items;
+    Py_ssize_t size;
+    if (!exact_items(colors, &items, &size) || size != m) {
+        PyErr_SetString(PyExc_ValueError, "colors: one per edge, in a list or tuple");
+        return -1;
+    }
+    for (Py_ssize_t e = 0; e < m; e++) {
+        if (!PyLong_CheckExact(items[e]))
+            return 0;
+        if ((out[e] = exact_index(items[e], t)) < 1) {
+            PyErr_SetString(PyExc_ValueError, "color out of range");
+            return -1;
+        }
+    }
+    return 1;
+}
+
+/* A new list, or a tuple if tuple is set, of the len values; NULL with an
+ * exception set on failure. */
+static PyObject *ints_of(const long long *values, Py_ssize_t len, int tuple)
+{
+    PyObject *seq = tuple ? PyTuple_New(len) : PyList_New(len);
+    for (Py_ssize_t i = 0; seq && i < len; i++) {
         PyObject *v = PyLong_FromLongLong(values[i]);
         if (!v)
-            Py_CLEAR(list);
+            Py_CLEAR(seq);
+        else if (tuple)
+            PyTuple_SET_ITEM(seq, i, v);
         else
-            PyList_SET_ITEM(list, i, v);
+            PyList_SET_ITEM(seq, i, v);
     }
-    return list;
+    return seq;
 }
 
 static PyObject *search(PyObject *self, PyObject *args)
@@ -333,7 +379,7 @@ static PyObject *search(PyObject *self, PyObject *args)
         k++;
     }
     int status = k < 0 ? 0 : k == m ? 1 : 2;
-    PyObject *colors = list_of(picked, status == 1 ? m : 0);
+    PyObject *colors = ints_of(picked, status == 1 ? m : 0, 0);
     if (colors)
         result = Py_BuildValue("iLN", status, nodes, colors);
 done:
@@ -379,9 +425,11 @@ static void heap_push(uint64_t *heap, Py_ssize_t *size, uint64_t key)
     heap[i] = key;
 }
 
-/* Copies a list or tuple of m edges, each a pair of distinct vertices in
- * [0, n), into ends, flat; -1 with an exception set otherwise. */
-static int read_edges(PyObject *seq, Py_ssize_t n, Py_ssize_t m, long long *ends)
+/* Copies Graph.edges, a list or tuple of m pairs (a, b) of vertices in
+ * [0, n), a < b, strictly increasing, into edges, flat; -1 with an
+ * exception set naming the entry otherwise. */
+static int read_edges(PyObject *seq, Py_ssize_t n, Py_ssize_t m, long long *edges,
+                      const char *entry)
 {
     PyObject *fast = PySequence_Fast(seq, "expected a list or tuple of edges");
     if (!fast)
@@ -390,31 +438,16 @@ static int read_edges(PyObject *seq, Py_ssize_t n, Py_ssize_t m, long long *ends
     if (!ok)
         PyErr_SetString(PyExc_ValueError, "sequence of the wrong length");
     for (Py_ssize_t e = 0; ok && e < m; e++) {
-        ok = !read_ints(PySequence_Fast_GET_ITEM(fast, e), 2, 0, n, ends + 2 * e);
-        if (ok && ends[2 * e] == ends[2 * e + 1]) {
-            PyErr_SetString(PyExc_ValueError, "an edge joins a vertex to itself");
+        ok = !read_ints(PySequence_Fast_GET_ITEM(fast, e), 2, 0, n, edges + 2 * e);
+        long long a = edges[2 * e], b = edges[2 * e + 1];
+        if (ok && (a >= b || (e && (a < edges[2 * e - 2] ||
+                                    (a == edges[2 * e - 2] && b <= edges[2 * e - 1]))))) {
+            PyErr_Format(PyExc_ValueError, "%s: edges must be increasing pairs (a, b), a < b", entry);
             ok = 0;
         }
     }
     Py_DECREF(fast);
     return ok ? 0 : -1;
-}
-
-/* read_edges for Graph.edges: pairs (a, b), a < b, strictly increasing;
- * -1 with an exception set naming the entry otherwise. */
-static int read_sorted_edges(PyObject *seq, Py_ssize_t n, Py_ssize_t m, long long *edges,
-                             const char *entry)
-{
-    if (read_edges(seq, n, m, edges))
-        return -1;
-    for (Py_ssize_t e = 0; e < m; e++) {
-        long long a = edges[2 * e], b = edges[2 * e + 1];
-        if (a > b || (e && (a < edges[2 * e - 2] || (a == edges[2 * e - 2] && b <= edges[2 * e - 1])))) {
-            PyErr_Format(PyExc_ValueError, "%s: edges must be increasing pairs (a, b), a < b", entry);
-            return -1;
-        }
-    }
-    return 0;
 }
 
 /* The adjacency of the graph with the m sorted edges: deg, zeroed on entry,
@@ -604,7 +637,7 @@ static PyObject *plan(PyObject *self, PyObject *args)
         PyErr_NoMemory();
         goto done;
     }
-    if (read_sorted_edges(edges_obj, n, m, edges, "plan"))
+    if (read_edges(edges_obj, n, m, edges, "plan"))
         goto done;
     adjacency(n, m, edges, deg, start, nbr, inc);
     Py_ssize_t root = 0;
@@ -718,7 +751,8 @@ static PyObject *plan(PyObject *self, PyObject *args)
             goto done;
     }
     PyObject *fields[6] = {
-        list_of(order, m), list_of(ends, 2 * m), list_of(deg, n), list_of(after, m), dist,
+        ints_of(order, m, 0), ints_of(ends, 2 * m, 0), ints_of(deg, n, 0), ints_of(after, m, 0),
+        dist,
         with_dist ? PyLong_FromLongLong(longest) : Py_NewRef(Py_None),
     };
     dist = NULL; /* now in fields */
@@ -826,9 +860,11 @@ static PyObject *interval_ok(PyObject *self, PyObject *args)
         PyErr_NoMemory();
         goto done;
     }
-    if (read_edges(edges_obj, n, m, ends) || read_ints(colors_obj, m, 1, t + 1, colors))
+    if (read_edges(edges_obj, n, m, ends, "interval_ok"))
         goto done;
-    int ok = is_interval(n, m, ends, colors, t);
+    int ok = read_colors(colors_obj, m, t, colors);
+    if (ok > 0)
+        ok = is_interval(n, m, ends, colors, t);
     if (ok >= 0)
         result = PyBool_FromLong(ok);
 done:
@@ -860,20 +896,6 @@ static int connected(Py_ssize_t n, Py_ssize_t m, const long long *ends, Py_ssize
         }
     }
     return parts == 1;
-}
-
-/* A new tuple of the len values; NULL with an exception set on failure. */
-static PyObject *tuple_of(const long long *values, Py_ssize_t len)
-{
-    PyObject *tuple = PyTuple_New(len);
-    for (Py_ssize_t i = 0; tuple && i < len; i++) {
-        PyObject *v = PyLong_FromLongLong(values[i]);
-        if (!v)
-            Py_CLEAR(tuple);
-        else
-            PyTuple_SET_ITEM(tuple, i, v);
-    }
-    return tuple;
 }
 
 static PyObject *double_cover(PyObject *self, PyObject *args)
@@ -913,12 +935,13 @@ static PyObject *double_cover(PyObject *self, PyObject *args)
         PyErr_NoMemory();
         goto done;
     }
-    if (read_sorted_edges(edges_obj, n, m, edges, "double") ||
-        read_ints(colors_obj, m, 1, t + 1, colors))
+    if (read_edges(edges_obj, n, m, edges, "double"))
         goto done;
     /* From here every failed check returns None: the caller then runs the
-     * Python path, which raises its own error. */
-    int ok = connected(n, m, edges, parent) ? is_interval(n, m, edges, colors, t) : 0;
+     * Python path, which raises its own error or accepts the input itself. */
+    int ok = read_colors(colors_obj, m, t, colors);
+    if (ok > 0)
+        ok = connected(n, m, edges, parent) ? is_interval(n, m, edges, colors, t) : 0;
     if (ok < 0)
         goto done;
     if (!ok)
@@ -993,16 +1016,16 @@ static PyObject *double_cover(PyObject *self, PyObject *args)
 
     fields[0] = PyTuple_New(hm);
     for (Py_ssize_t e = 0; fields[0] && e < hm; e++) {
-        PyObject *pair = tuple_of(h_ends + 2 * e, 2);
+        PyObject *pair = ints_of(h_ends + 2 * e, 2, 1);
         if (!pair)
             Py_CLEAR(fields[0]);
         else
             PyTuple_SET_ITEM(fields[0], e, pair);
     }
-    fields[1] = tuple_of(code, hm);
-    fields[2] = tuple_of(beta, hm);
+    fields[1] = ints_of(code, hm, 1);
+    fields[2] = ints_of(beta, hm, 1);
     fields[3] = PyLong_FromSsize_t(i0);
-    fields[4] = tuple_of(final, hm);
+    fields[4] = ints_of(final, hm, 1);
     if (fields[0] && fields[1] && fields[2] && fields[3] && fields[4])
         result = PyTuple_Pack(5, fields[0], fields[1], fields[2], fields[3], fields[4]);
     goto done;
@@ -1031,31 +1054,10 @@ done:
 /* Rows of graph._PAIRS: pairs[b][a] is the shared tuple (a, b), a < b < 64. */
 #define SHARED_PAIRS 64
 
-/* The value of an exact int in [0, most], or -1 for any other object. */
-static long long exact_index(PyObject *obj, long long most)
-{
-    if (!PyLong_CheckExact(obj))
-        return -1;
-    int overflow;
-    long long value = PyLong_AsLongLongAndOverflow(obj, &overflow);
-    return overflow || value < 0 || value > most ? -1 : value;
-}
-
 static int by_key(const void *x, const void *y)
 {
     uint64_t p = *(const uint64_t *)x, q = *(const uint64_t *)y;
     return (p > q) - (p < q);
-}
-
-/* Whether seq is an exact tuple or list, and then its items and their
- * count; any other object's iteration could run code or be used up. */
-static int exact_items(PyObject *seq, PyObject ***items, Py_ssize_t *size)
-{
-    if (!PyTuple_CheckExact(seq) && !PyList_CheckExact(seq))
-        return 0;
-    *items = PySequence_Fast_ITEMS(seq);
-    *size = PySequence_Fast_GET_SIZE(seq);
-    return 1;
 }
 
 static PyObject *index_graph(PyObject *self, PyObject *args)
@@ -1198,7 +1200,7 @@ static PyObject *in_palette(PyObject *self, PyObject *args)
     return PyBool_FromLong(t > 0);
 }
 
-/* The depth-first search of min_code. prefix[k] holds the k bits
+/* The canonical search of extend. prefix[k] holds the k bits
  * (0,k),(1,k),...,(k-1,k) of the ordering being built, MSB-first, so segments
  * compare as the bits do; best holds the least complete prefix found, or all
  * ones, more than any segment, until the first is. */
@@ -1286,38 +1288,6 @@ static PyObject *code_of(const Canon *c)
         Py_XDECREF(segment);
         Py_XDECREF(shifted);
     }
-    return code;
-}
-
-static PyObject *min_code(PyObject *self, PyObject *masks)
-{
-    Canon *c = PyMem_Calloc(1, sizeof(Canon));
-    if (!c)
-        return PyErr_NoMemory();
-    PyObject *code = NULL;
-    PyObject *fast = PySequence_Fast(masks, "min_code: expected a list or tuple");
-    if (!fast)
-        goto done;
-    Py_ssize_t n = PySequence_Fast_GET_SIZE(fast);
-    if (n < 1 || n > 64) {
-        PyErr_SetString(PyExc_ValueError, "min_code: n out of range");
-        goto done;
-    }
-    c->n = (int)n;
-    for (int v = 0; v < n; v++) {
-        c->adj[v] = PyLong_AsUnsignedLongLong(PySequence_Fast_GET_ITEM(fast, v));
-        if (PyErr_Occurred())
-            goto done;
-        if ((n < 64 && c->adj[v] >> n) || ((c->adj[v] >> v) & 1)) {
-            PyErr_SetString(PyExc_ValueError, "min_code: mask out of range");
-            goto done;
-        }
-    }
-    if (!canonical(c))
-        code = code_of(c);
-done:
-    Py_XDECREF(fast);
-    PyMem_Free(c);
     return code;
 }
 
@@ -1445,7 +1415,6 @@ static PyMethodDef methods[] = {
     {"index_graph", index_graph, METH_VARARGS,
      "index_graph(n, edges, pairs) -> (edges, adjacency, incidence) or None"},
     {"in_palette", in_palette, METH_VARARGS, "in_palette(t, colors) -> bool"},
-    {"min_code", min_code, METH_O, "min_code(masks) -> int"},
     {"extend", extend, METH_VARARGS, "extend(size, parents) -> {code: masks}"},
     {NULL, NULL, 0, NULL},
 };

@@ -18,14 +18,7 @@ N(x) - y = N(y) - x. Swapping x and y is then an automorphism that fixes
 every placed vertex, so it maps the orderings that place x next one-to-one
 onto those that place y next with the same encodings. y has x's segment and
 comes first, so its subtree is searched, or cut by the prune that would cut
-x's; the minimum is unchanged.
-
-The search has two implementations that compute the same integer.
-``_min_code_py`` is the reference, in Python. ``min_code`` is the same
-search in C; it sits in ``_search.c``, the solver's compiled module, and is
-built with it by ``solver._native``. ``_min_code`` runs the C one when the
-module loads and n <= 64 (one 64-bit mask per vertex), and the Python one
-otherwise.
+x's; the minimum is unchanged. This search is ``_min_code_py``.
 
 The catalog on n vertices is built level by level. Each level extends every
 class of the level below, its parent, by a new vertex joined to a nonempty
@@ -48,11 +41,12 @@ the test are needed: without the non-cut condition the n = 7 catalog loses
 a class, and with strict ties every level is empty.
 
 Up to n = 7 the filter canonicalises 2,179 of the 7,815 children. One
-level is ``_extend``: the kernel's ``extend`` where the module loads, and
-``_extend_py``, its reference, otherwise; both visit the children in the
-same order and return equal dicts. On a 2-core Xeon (Python 3.11) the
-n = 7 catalog takes about 25 ms with the kernel and 0.6 s without, and
-n = 8 about 0.35 s and 15 s.
+level is ``_extend``: the kernel's ``extend`` (``_search.c``, built by
+``solver._native``) where the module loads, and ``_extend_py``, its
+reference, otherwise; both visit the children in the same order,
+canonicalise them with the search above, and return equal dicts. On a
+2-core Xeon (Python 3.11) the n = 7 catalog takes about 25 ms with the
+kernel and 0.6 s without, and n = 8 about 0.35 s and 15 s.
 """
 
 from __future__ import annotations
@@ -66,15 +60,8 @@ from .graph import Graph, _edges_from_code
 CATALOG_MAX_N = 8
 
 
-def _min_code(n: int, masks: Sequence[int]) -> int:
-    """Minimum encoding of the graph with adjacency bitmasks ``masks``."""
-    kernel = solver._native()
-    if kernel is None or n > 64:
-        return _min_code_py(n, masks)
-    return kernel.min_code(masks)
-
-
 def _min_code_py(n: int, masks: Sequence[int]) -> int:
+    """Minimum encoding of the graph with adjacency bitmasks ``masks``."""
     lower_twins = [
         sum(1 << y for y in range(x) if (masks[x] & ~(1 << y)) == (masks[y] & ~(1 << x)))
         for x in range(n)
@@ -127,7 +114,7 @@ def _min_code_py(n: int, masks: Sequence[int]) -> int:
 def minimum_adjacency_encoding(g: Graph) -> tuple[int, ...]:
     """Exact minimum of the column-order upper-triangle bits over all vertex
     orderings; returns the flat bit tuple (length n(n-1)/2)."""
-    code = _min_code(g.n, [sum(1 << u for u in nbrs) for nbrs in g.adjacency])
+    code = _min_code_py(g.n, [sum(1 << u for u in nbrs) for nbrs in g.adjacency])
     return tuple((code >> shift) & 1 for shift in range(g.n * (g.n - 1) // 2 - 1, -1, -1))
 
 

@@ -26,15 +26,14 @@ code and a beta color each, and picks i0 and the final coloring. It makes
 every check the Python path makes: the edges cross U/W, |E(H)| = 2m + n, H
 is connected, an r-regular G gives an (r+1)-regular H,
 min S(u_i) = min S(w_i) for every i, and the final coloring is an interval
-(t+2)-coloring. Where any check fails, or alpha is mis-sized or has t > m,
-the Python path runs from the start and raises its own error, so every
-exception and message is the reference's. Both paths give equal
-certificates.
+(t+2)-coloring. Where any check fails, or alpha is mis-sized, has t > m or
+a color that is not an exact int, the Python path runs from the start and
+raises its own error, so every exception and message is the reference's.
+Both paths give equal certificates.
 """
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 
 from . import solver
@@ -63,11 +62,21 @@ class MatchingEdge:
     vertex: int
 
 
-@functools.lru_cache(maxsize=4096)
-def _provenance(kind: type, *fields) -> CrossEdge | MatchingEdge:
-    """One shared value per distinct provenance (they are frozen), so that
-    kept certificates do not each hold their own."""
-    return kind(*fields)
+# Provenance by code: entry 3q + r is CrossEdge(q, False), CrossEdge(q, True)
+# or MatchingEdge(q) for r = 0, 1, 2, the codes of the kernel's ``double``.
+# Both paths take their values from here, so that kept certificates share
+# them (they are frozen) while q stays below _SHARED_PROVENANCE.
+_PROVENANCE: list[CrossEdge | MatchingEdge] = []
+_SHARED_PROVENANCE = 4096
+
+
+def _provenance_table(q: int) -> list[CrossEdge | MatchingEdge]:
+    """A table of the codes 0 .. 3q - 1: ``_PROVENANCE``, grown as needed,
+    or a new one for q above ``_SHARED_PROVENANCE``."""
+    table = _PROVENANCE if q <= _SHARED_PROVENANCE else []
+    for k in range(len(table) // 3, q):
+        table += (CrossEdge(k, False), CrossEdge(k, True), MatchingEdge(k))
+    return table
 
 
 @dataclass(frozen=True, slots=True)
@@ -93,12 +102,13 @@ def double_graph(g: Graph) -> DoublingResult:
     """Build H = double cover of g plus the identity matching, with checks."""
     require_connected_with_edge(g)
     n = g.n
+    table = _provenance_table(max(g.m, n))
     provenance: dict[tuple[int, int], CrossEdge | MatchingEdge] = {}
     for idx, (i, j) in enumerate(g.edges):
-        provenance[(i, n + j)] = _provenance(CrossEdge, idx, False)
-        provenance[(j, n + i)] = _provenance(CrossEdge, idx, True)
+        provenance[(i, n + j)] = table[3 * idx]
+        provenance[(j, n + i)] = table[3 * idx + 1]
     for i in range(n):
-        provenance[(i, n + i)] = _provenance(MatchingEdge, i)
+        provenance[(i, n + i)] = table[3 * i + 2]
     h = Graph(2 * n, tuple(provenance))
     result = DoublingResult(
         h=h,
@@ -187,22 +197,6 @@ def finalize_recolor(
             f"recolored lift fails validation: {[f.detail for f in report.failures]}"
         )
     return i0, final, report
-
-
-# Provenance by the kernel's code: entry 3q + r is CrossEdge(q, False),
-# CrossEdge(q, True) or MatchingEdge(q) for r = 0, 1, 2. Shared, like
-# ``_provenance``'s values, while q stays below _SHARED_PROVENANCE.
-_PROVENANCE: list[CrossEdge | MatchingEdge] = []
-_SHARED_PROVENANCE = 4096
-
-
-def _provenance_table(q: int) -> list[CrossEdge | MatchingEdge]:
-    """A table of the codes 0 .. 3q - 1: ``_PROVENANCE``, grown as needed,
-    or a new one for q above ``_SHARED_PROVENANCE``."""
-    table = _PROVENANCE if q <= _SHARED_PROVENANCE else []
-    for k in range(len(table) // 3, q):
-        table += (CrossEdge(k, False), CrossEdge(k, True), MatchingEdge(k))
-    return table
 
 
 def double_with_certificate(g: Graph, alpha: EdgeColoring) -> DoublingCertificate:

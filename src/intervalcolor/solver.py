@@ -103,6 +103,7 @@ import importlib.util
 import itertools
 import os
 import sys
+from array import array
 from collections import deque
 from dataclasses import dataclass
 from enum import Enum
@@ -206,24 +207,6 @@ def _distance_rows(adjacency, deg, pairs) -> Iterator[list[int]]:
         yield row
 
 
-def _distances_py(n: int, ends: list[int], deg: list[int]) -> tuple[bytes, int]:
-    """The distance fields of ``_plan_py``: (dist, longest), D(e, f) at
-    e * m + f as native int32 bytes, the edges given as ``ends``, and the
-    largest entry.
-    """
-    pairs = list(zip(ends[::2], ends[1::2]))
-    m = len(pairs)
-    adjacency: list[list[int]] = [[] for _ in range(n)]
-    for a, b in pairs:
-        adjacency[a].append(b)
-        adjacency[b].append(a)
-    dist = memoryview(bytearray(4 * m * m)).cast("i")
-    for e, row in enumerate(_distance_rows(adjacency, deg, pairs)):
-        for f, d in enumerate(row):
-            dist[e * m + f] = d
-    return dist.tobytes(), max(dist)
-
-
 def _include_dir() -> str:
     """The interpreter's C headers: sysconfig's ``include`` path, derived as
     sysconfig derives it on POSIX, since importing sysconfig would hold a
@@ -255,8 +238,8 @@ def _build_target(source: Path, command: list[str]) -> Path:
 def _native():
     """The compiled module ``_search.c`` (the search kernel, its plan, the
     coloring check, the doubling, ``Graph``'s fields, ``EdgeColoring``'s
-    range check, and the catalog's ``min_code`` and ``extend``), or None
-    where it cannot run.
+    range check, and the catalog's ``extend``), or None where it cannot
+    run.
 
     It is built on first use into the package's ``__pycache__``, under the
     name ``_build_target`` gives, and written to a private file renamed
@@ -378,10 +361,13 @@ def _plan_py(g: Graph) -> _Plan:
                 k, b, u = min(moved)
                 j = position[incidence[b][bisect.bisect_left(adjacency[b], u)]]
                 after[j] = max(after[j], k)
-    ends = [v for eid in order for v in g.edges[eid]]
+    pairs = [g.edges[eid] for eid in order]
+    ends = [v for pair in pairs for v in pair]
     if g.m > DISTANCE_MAX_M:
         return _Plan(order, ends, deg, after, b"", None)
-    return _Plan(order, ends, deg, after, *_distances_py(g.n, ends, deg))
+    # D(e, f) at e * m + f, in BFS positions, as native int32 bytes.
+    dist = array("i", itertools.chain.from_iterable(_distance_rows(adjacency, deg, pairs)))
+    return _Plan(order, ends, deg, after, dist.tobytes(), max(dist))
 
 
 def _search_py(

@@ -280,6 +280,7 @@ class TestNativeIntervalCheck:
             (3, edges, colors, 3),  # vertex 3 out of range
             (4, ((0, 0), *edges[1:]), colors, 3),  # a loop
             (4, ((0, 1, 2), *edges[1:]), colors, 3),
+            (4, ((0, 1), (0, 3), (2, 3), (1, 2)), colors, 3),  # not increasing
         ):
             with pytest.raises(ValueError):
                 check(*args)

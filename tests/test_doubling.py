@@ -361,12 +361,33 @@ class TestNativeDouble:
                     g, alpha = native.result.h, native.final
         assert (sources, largest) == (71, 24)
 
-    def test_a_large_path_keeps_the_shared_table_bounded(self):
+    def test_a_large_path_keeps_the_shared_table_bounded(self, monkeypatch):
         m = 3 * doubling._SHARED_PROVENANCE
         path = Graph(m + 1, tuple((i, i + 1) for i in range(m)))
-        native, reference = both_paths(path, EdgeColoring(m, tuple(range(1, m + 1))))
+        alpha = EdgeColoring(m, tuple(range(1, m + 1)))
+        native, reference = both_paths(path, alpha)
         assert native == reference
         assert len(doubling._PROVENANCE) <= 3 * doubling._SHARED_PROVENANCE
+        # The Python path alone, from an empty table: a small graph's
+        # certificate holds the table's own values, and the path leaves
+        # the table as it was.
+        monkeypatch.setattr(doubling, "_PROVENANCE", [])
+        monkeypatch.setattr(solver, "_native", lambda: None)
+        small = double_with_certificate(p3(), EdgeColoring(2, (1, 2)))
+        shared = {id(prov) for prov in doubling._PROVENANCE}
+        assert all(id(prov) in shared for prov in small.result.edge_provenance)
+        assert double_with_certificate(path, alpha) == reference
+        assert len(doubling._PROVENANCE) == 3 * p3().n
+
+    def test_float_colors_agree_with_and_without_the_kernel(self, monkeypatch):
+        # EdgeColoring takes 1.0 as a color; the kernel leaves such colors
+        # to the Python reference instead of raising.
+        g, alpha = k2(), EdgeColoring(1, (1.0,))
+        native = validate_interval(g, alpha), double_with_certificate(g, alpha)
+        monkeypatch.setattr(solver, "_native", lambda: None)
+        reference = validate_interval(g, alpha), double_with_certificate(g, alpha)
+        assert repr(native) == repr(reference)
+        assert native[0].verdict and native[1].final.colors == (1, 2.0, 2.0, 3.0)
 
     def test_domain_errors_agree(self):
         for g, alpha in (
