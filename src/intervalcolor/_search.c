@@ -2,8 +2,9 @@
  * solver._search_py, the search plan of solver._plan_py, the verdict of
  * coloring._report, the doubling certificate of doubling's Python path, the
  * derived fields of graph.Graph (graph._index_py), the color range check of
- * coloring.EdgeColoring (coloring._check_colors_py) and the catalog level
- * of catalog._extend_py.
+ * coloring.EdgeColoring (coloring._check_colors_py), the structural
+ * classification of graph.classify (graph._classify_py) and the catalog
+ * level of catalog._extend_py.
  *
  * search(n, ends, deg, t, budget, after, dist) -> (status, nodes, picked)
  *
@@ -106,6 +107,21 @@
  * or tuple, is an int in 1..t, ints being exact (no bool, no subclass). When
  * false, the caller runs coloring._check_colors_py, which raises its own
  * error or accepts the colors itself.
+ *
+ * classify(n, edges) -> (connected, bipartition, regular_degree,
+ *                        triangle_free, biregular_degrees, max_degree,
+ *                        min_degree)
+ *
+ * The fields of graph.GraphClass for the graph on n >= 1 vertices with
+ * edges as for plan(), as graph._classify_py gives them. One BFS over every
+ * component, roots in index order and each root on side 0, gives
+ * connectivity and the 2-coloring; bipartition is None unless it is proper,
+ * and otherwise the increasing vertex tuples of sides 0 and 1. An edge lies
+ * on a triangle exactly when the sorted neighbour lists of its ends share a
+ * vertex, found by a merge that binary-searches the longer list.
+ * biregular_degrees is the sorted pair of the parts' degrees when each part
+ * has a single degree, an empty part taking the other's. Malformed input
+ * raises ValueError.
  *
  * extend(size, parents) -> {code: masks}
  *
@@ -1200,6 +1216,154 @@ static PyObject *in_palette(PyObject *self, PyObject *args)
     return PyBool_FromLong(t > 0);
 }
 
+/* Whether the increasing lists x[0 .. lx) and y[0 .. ly) share an entry: a
+ * merge that walks the shorter list and finds each of its entries in the
+ * rest of the longer one by binary search, so that an edge at a hub costs
+ * O(log deg) per neighbour of its other end, not O(deg). */
+static int share(const Py_ssize_t *x, Py_ssize_t lx, const Py_ssize_t *y, Py_ssize_t ly)
+{
+    if (lx > ly)
+        return share(y, ly, x, lx);
+    Py_ssize_t lo = 0;
+    for (Py_ssize_t i = 0; i < lx; i++) {
+        Py_ssize_t hi = ly;
+        while (lo < hi) {
+            Py_ssize_t mid = lo + (hi - lo) / 2;
+            if (y[mid] < x[i])
+                lo = mid + 1;
+            else
+                hi = mid;
+        }
+        if (lo == ly)
+            return 0;
+        if (y[lo] == x[i])
+            return 1;
+    }
+    return 0;
+}
+
+static PyObject *classify(PyObject *self, PyObject *args)
+{
+    Py_ssize_t n;
+    PyObject *edges_obj;
+    if (!PyArg_ParseTuple(args, "nO", &n, &edges_obj))
+        return NULL;
+    Py_ssize_t m = PyObject_Length(edges_obj);
+    if (m < 0)
+        return NULL;
+    if (n < 1) {
+        PyErr_SetString(PyExc_ValueError, "classify: n out of range");
+        return NULL;
+    }
+    PyObject *result = NULL, *fields[7] = {NULL};
+    long long *edges = PyMem_Calloc(2 * m + 1, sizeof(long long));
+    long long *deg = PyMem_Calloc(n, sizeof(long long));
+    Py_ssize_t *start = PyMem_Calloc(n + 1, sizeof(Py_ssize_t));
+    Py_ssize_t *nbr = PyMem_Calloc(2 * m + 1, sizeof(Py_ssize_t));
+    Py_ssize_t *inc = PyMem_Calloc(2 * m + 1, sizeof(Py_ssize_t));
+    Py_ssize_t *queue = PyMem_Calloc(n, sizeof(Py_ssize_t));
+    signed char *side = PyMem_Malloc(n);
+    if (!edges || !deg || !start || !nbr || !inc || !queue || !side) {
+        PyErr_NoMemory();
+        goto done;
+    }
+    if (read_edges(edges_obj, n, m, edges, "classify"))
+        goto done;
+    adjacency(n, m, edges, deg, start, nbr, inc);
+
+    /* One BFS over every component, roots in index order, each root on
+     * side 0; the queue holds every vertex once, so one array serves all
+     * components. */
+    memset(side, -1, n);
+    Py_ssize_t components = 0, head = 0, tail = 0, in_part0 = 0;
+    int proper = 1;
+    for (Py_ssize_t root = 0; root < n; root++) {
+        if (side[root] >= 0)
+            continue;
+        components++;
+        side[root] = 0;
+        queue[tail++] = root;
+        while (head < tail) {
+            Py_ssize_t u = queue[head++];
+            for (Py_ssize_t i = start[u]; i < start[u + 1]; i++) {
+                Py_ssize_t v = nbr[i];
+                if (side[v] < 0) {
+                    side[v] = 1 - side[u];
+                    queue[tail++] = v;
+                } else if (side[v] == side[u]) {
+                    proper = 0;
+                }
+            }
+        }
+    }
+    long long most = deg[0], least = deg[0];
+    for (Py_ssize_t v = 0; v < n; v++) {
+        most = max(most, deg[v]);
+        least = min(least, deg[v]);
+        in_part0 += side[v] == 0;
+    }
+    int triangle_free = 1;
+    for (Py_ssize_t e = 0; triangle_free && e < m; e++) {
+        long long a = edges[2 * e], b = edges[2 * e + 1];
+        triangle_free = !share(nbr + start[a], deg[a], nbr + start[b], deg[b]);
+    }
+
+    fields[0] = PyBool_FromLong(components == 1);
+    fields[2] = most == least ? PyLong_FromLongLong(most) : Py_NewRef(Py_None);
+    fields[3] = PyBool_FromLong(triangle_free);
+    fields[5] = PyLong_FromLongLong(most);
+    fields[6] = PyLong_FromLongLong(least);
+    if (proper) {
+        /* Each part's single degree, or -1 once two differ; vertex 0 is in
+         * part 0, and an empty part 1 takes part 0's degree. */
+        long long part_deg[2] = {deg[0], in_part0 < n ? -2 : deg[0]};
+        PyObject *parts[2] = {PyTuple_New(in_part0), PyTuple_New(n - in_part0)};
+        Py_ssize_t filled[2] = {0, 0};
+        for (Py_ssize_t v = 0; parts[0] && parts[1] && v < n; v++) {
+            int s = side[v];
+            if (part_deg[s] == -2)
+                part_deg[s] = deg[v];
+            else if (part_deg[s] != deg[v])
+                part_deg[s] = -1;
+            PyObject *vertex = PyLong_FromSsize_t(v);
+            if (!vertex) {
+                Py_CLEAR(parts[0]);
+                break;
+            }
+            PyTuple_SET_ITEM(parts[s], filled[s]++, vertex);
+        }
+        fields[1] = parts[0] && parts[1] ? PyTuple_Pack(2, parts[0], parts[1]) : NULL;
+        Py_XDECREF(parts[0]);
+        Py_XDECREF(parts[1]);
+        if (part_deg[0] >= 0 && part_deg[1] >= 0)
+            fields[4] = Py_BuildValue("(LL)", min(part_deg[0], part_deg[1]),
+                                      max(part_deg[0], part_deg[1]));
+        else
+            fields[4] = Py_NewRef(Py_None);
+    } else {
+        fields[1] = Py_NewRef(Py_None);
+        fields[4] = Py_NewRef(Py_None);
+    }
+    result = PyTuple_New(7);
+    for (int f = 0; f < 7; f++) {
+        if (!fields[f])
+            Py_CLEAR(result);
+        if (result)
+            PyTuple_SET_ITEM(result, f, fields[f]);
+        else
+            Py_XDECREF(fields[f]);
+    }
+done:
+    PyMem_Free(edges);
+    PyMem_Free(deg);
+    PyMem_Free(start);
+    PyMem_Free(nbr);
+    PyMem_Free(inc);
+    PyMem_Free(queue);
+    PyMem_Free(side);
+    return result;
+}
+
 /* The canonical search of extend. prefix[k] holds the k bits
  * (0,k),(1,k),...,(k-1,k) of the ordering being built, MSB-first, so segments
  * compare as the bits do; best holds the least complete prefix found, or all
@@ -1415,6 +1579,9 @@ static PyMethodDef methods[] = {
     {"index_graph", index_graph, METH_VARARGS,
      "index_graph(n, edges, pairs) -> (edges, adjacency, incidence) or None"},
     {"in_palette", in_palette, METH_VARARGS, "in_palette(t, colors) -> bool"},
+    {"classify", classify, METH_VARARGS,
+     "classify(n, edges) -> (connected, bipartition, regular_degree, triangle_free, "
+     "biregular_degrees, max_degree, min_degree)"},
     {"extend", extend, METH_VARARGS, "extend(size, parents) -> {code: masks}"},
     {NULL, NULL, 0, NULL},
 };

@@ -14,6 +14,11 @@ pair of other than two entries, anything that is not an int); ``_index_py``
 then runs, so every error, and every input the kernel leaves alone, is
 handled as by the Python code alone. Both give equal fields, and both use
 the shared tuples of ``_PAIRS``.
+
+``classify`` is chosen the same way at each call: the kernel's ``classify``,
+one BFS, a triangle test by merging sorted neighbour lists and the degree
+extremes in C, or ``_classify_py``, the reference; both give equal
+``GraphClass`` fields for every ``Graph``.
 """
 
 from __future__ import annotations
@@ -169,6 +174,18 @@ def _triangle_free(g: Graph) -> bool:
 
 
 def classify(g: Graph) -> GraphClass:
+    """g's ``GraphClass``: the kernel's ``classify`` where it loads
+    (``solver._native``), and ``_classify_py``, the reference, elsewhere;
+    the two give equal fields."""
+    kernel = solver._native()
+    if kernel is None:
+        return _classify_py(g)
+    return GraphClass(*kernel.classify(g.n, g.edges))
+
+
+def _classify_py(g: Graph) -> GraphClass:
+    """``classify`` in Python: the reference for the kernel's ``classify``,
+    and its fallback."""
     degs = g.degrees()
     delta_max = max(degs)
     delta_min = min(degs)
@@ -214,10 +231,22 @@ def _code_from_edges(n: int, edges: Iterable[tuple[int, int]]) -> int:
     return sum(1 << (top - j * (j - 1) // 2 - i) for i, j in edges)
 
 
+# The pairs in column order, shared: the column order on n vertices is a
+# prefix of that on more, so bit k of any code, counted from the top, is the
+# pair _COLUMN[k].
+_COLUMN = tuple(_PAIRS[j][i] for j in range(1, 64) for i in range(j))
+
+
 def _edges_from_code(n: int, code: int) -> tuple[tuple[int, int], ...]:
-    pairs = ((i, j) for j in range(1, n) for i in range(j))
-    bits = format(code, f"0{n * (n - 1) // 2}b")
-    return tuple(pair for pair, bit in zip(pairs, bits) if bit == "1")
+    """The edges of a code, in column order: its set bits, most significant
+    first."""
+    top = n * (n - 1) // 2 - 1
+    edges = []
+    while code:
+        bit = code.bit_length() - 1
+        edges.append(_COLUMN[top - bit])
+        code ^= 1 << bit
+    return tuple(edges)
 
 
 def parse_graph6(text: str) -> Graph:

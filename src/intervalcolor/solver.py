@@ -238,8 +238,8 @@ def _build_target(source: Path, command: list[str]) -> Path:
 def _native():
     """The compiled module ``_search.c`` (the search kernel, its plan, the
     coloring check, the doubling, ``Graph``'s fields, ``EdgeColoring``'s
-    range check, and the catalog's ``extend``), or None where it cannot
-    run.
+    range check, ``classify``'s ``GraphClass`` and the catalog's
+    ``extend``), or None where it cannot run.
 
     It is built on first use into the package's ``__pycache__``, under the
     name ``_build_target`` gives, and written to a private file renamed
@@ -315,7 +315,7 @@ def _plan_py(g: Graph) -> _Plan:
     """``_plan`` in Python: the reference for the kernel's ``plan``, and its
     fallback."""
     adjacency, incidence = g.adjacency, g.incidence  # incidence[v] in adjacency[v]'s order
-    deg = list(g.degrees())
+    deg = [len(nbrs) for nbrs in adjacency]
     start = deg.index(max(deg))
     order: list[int] = []
     position = [-1] * g.m
@@ -565,7 +565,7 @@ def compute_W(g: Graph, limits: SearchLimits | None = None) -> SolveOutcome:
     capped = limits.t_override is not None and limits.t_override < cutoff
     if capped:
         cutoff = limits.t_override
-    delta = cls.max_degree  # g.degrees() runs once per call, in classify
+    delta = cls.max_degree  # the degrees are counted once per call, by classify
     status, witness, nodes, last = _descend(g, delta, cutoff, delta, limits.node_limit)
     if witness is None:
         colorable = None if capped or status is SolveStatus.ABORTED else False

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import random
+from dataclasses import fields
 
 import pytest
 
@@ -14,8 +15,16 @@ from intervalcolor import (
     parse_graph6,
     write_graph6,
 )
-from intervalcolor import generate_connected_catalog, graph, solver
-from intervalcolor.graph import EDGE_LIST_MAX_N, _PAIRS, _index_py
+from intervalcolor import GraphClass, generate_connected_catalog, graph, solver
+from intervalcolor.graph import (
+    EDGE_LIST_MAX_N,
+    GRAPH6_MAX_N,
+    _PAIRS,
+    _classify_py,
+    _code_from_edges,
+    _edges_from_code,
+    _index_py,
+)
 from smallgraphs import c4, k1, k2, k3, two_k2
 
 
@@ -173,6 +182,95 @@ class TestNativeIndex:
             index(3, edges, list(_PAIRS))
         with pytest.raises(TypeError):
             index(3, edges)
+
+
+def classify_on_both_paths(g: Graph) -> GraphClass:
+    """The kernel's ``classify`` and ``_classify_py`` on g, which must give
+    equal fields of equal types; returns the class."""
+    native = GraphClass(*solver._native().classify(g.n, g.edges))
+    reference = _classify_py(g)
+    for f in fields(GraphClass):
+        mine, theirs = getattr(native, f.name), getattr(reference, f.name)
+        assert (type(mine), mine) == (type(theirs), theirs), (f.name, g.n, g.edges)
+    return native
+
+
+class TestNativeClassify:
+    """The kernel's ``classify`` against ``_classify_py``, the reference."""
+
+    def test_agrees_on_the_catalogs_and_the_doubled_graphs(self, catalogs, doubled_graphs):
+        graphs = [g for n in range(1, 7) for g in catalogs[n]]
+        graphs += generate_connected_catalog(7)
+        graphs += doubled_graphs
+        for g in graphs:
+            classify_on_both_paths(g)
+        assert len(graphs) == 1 + 1 + 2 + 6 + 21 + 112 + 853 + 23
+
+    def test_agrees_on_seeded_random_graphs(self):
+        # Densities from edgeless to nearly complete; the sparse ones are
+        # disconnected, with isolated vertices, and many are bipartite.
+        rng = random.Random(17)
+        seen = {"disconnected": 0, "edgeless": 0, "isolated": 0, "bipartite, split": 0}
+        for n in range(1, 81):
+            for density in (0.0, 0.5 / n, 1.5 / n, 0.2, 0.6, 0.95):
+                edges = [(i, j) for j in range(n) for i in range(j) if rng.random() < density]
+                cls = classify_on_both_paths(Graph(n, edges))
+                seen["disconnected"] += not cls.connected
+                seen["edgeless"] += n > 1 and not edges
+                seen["isolated"] += n > 1 and cls.min_degree == 0 and bool(edges)
+                seen["bipartite, split"] += not cls.connected and cls.bipartition is not None
+        assert min(seen.values()) >= 50, seen
+
+    def test_k1(self):
+        assert classify_on_both_paths(k1()) == GraphClass(
+            connected=True,
+            bipartition=((0,), ()),
+            regular_degree=0,
+            triangle_free=True,
+            biregular_degrees=(0, 0),
+            max_degree=0,
+            min_degree=0,
+        )
+
+    def test_agrees_on_a_long_path_and_a_wide_star(self):
+        n = EDGE_LIST_MAX_N
+        cls = classify_on_both_paths(Graph(n, [(i, i + 1) for i in range(n - 1)]))
+        # The ends, of degree 1, lie in different parts: not biregular.
+        assert cls.connected and cls.biregular_degrees is None and cls.min_degree == 1
+        assert cls.bipartition == (tuple(range(0, n, 2)), tuple(range(1, n, 2)))
+        # Every edge meets the hub, whose neighbours lie on both sides of
+        # the leaf's one neighbour: the merge must not walk the hub's list.
+        hub = n // 2
+        cls = classify_on_both_paths(Graph(n, [(hub, v) for v in range(n) if v != hub]))
+        assert cls.triangle_free and cls.biregular_degrees == (1, n - 1)
+
+    def test_classify_takes_the_kernel_path(self, monkeypatch):
+        def refuse(g):
+            raise AssertionError("the kernel path ran _classify_py")
+
+        monkeypatch.setattr(graph, "_classify_py", refuse)
+        assert classify(c4()).bipartition == ((0, 2), (1, 3))
+        assert not classify(k3()).triangle_free
+
+    def test_rejects_malformed_input(self):
+        kernel_classify = solver._native().classify
+        for n, edges in ((3, ((1, 0),)), (3, ((0, 2), (0, 1))), (3, ((0, 3),)), (0, ())):
+            with pytest.raises(ValueError):
+                kernel_classify(n, edges)
+        with pytest.raises(TypeError):
+            kernel_classify(3, None)
+
+
+class TestColumnCode:
+    def test_decoding_inverts_encoding_in_column_order(self):
+        rng = random.Random(62)
+        for n in range(1, GRAPH6_MAX_N + 1):
+            nbits = n * (n - 1) // 2
+            for code in (0, (1 << nbits) - 1, *(rng.getrandbits(nbits) for _ in range(20))):
+                edges = _edges_from_code(n, code)
+                assert _code_from_edges(n, edges) == code, (n, code)
+                assert list(edges) == sorted(edges, key=lambda e: (e[1], e[0]))
+                assert all(e is _PAIRS[e[1]][e[0]] for e in edges)
 
 
 class TestGraph6:

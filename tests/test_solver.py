@@ -28,7 +28,6 @@ from intervalcolor import (
     brute_force_W,
     classify,
     compute_W,
-    double_with_certificate,
     find_interval_coloring,
     generate_connected_catalog,
     is_connected,
@@ -118,28 +117,39 @@ class TestFindIntervalColoring:
 
 
 class TestComputeW:
-    def test_traverses_the_graph_once(self, monkeypatch):
-        # The domain guard reads connectivity from classify's traversal.
-        calls = []
-        traverse = graph_module._traverse
-        monkeypatch.setattr(graph_module, "_traverse", lambda g: calls.append(g) or traverse(g))
-        assert compute_W(c4()).w == 3
-        assert len(calls) == 1
-        for g, match in ((two_k2(), "disconnected"), (Graph(1, ()), "no edges")):
-            with pytest.raises(DomainError, match=match):
-                compute_W(g)
-
-    def test_builds_the_degrees_once(self, catalogs, monkeypatch):
-        # classify's degree tuple also gives the descent's bottom and the
-        # overfull test; the kernel's plan counts degrees itself.
+    def test_traverses_the_graph_once(self):
+        # The domain guard reads connectivity from classify: the kernel's
+        # own traversal, or _classify_py's one _traverse.
         assert _native() is not None
-        calls = []
-        degrees = Graph.degrees
-        monkeypatch.setattr(Graph, "degrees", lambda g: calls.append(g) or degrees(g))
+        for native in (True, False):
+            with pytest.MonkeyPatch.context() as patch:
+                if not native:
+                    patch.setattr(solver, "_native", lambda: None)
+                calls = []
+                traverse = graph_module._traverse
+                patch.setattr(graph_module, "_traverse", lambda g: calls.append(g) or traverse(g))
+                assert compute_W(c4()).w == 3
+                assert len(calls) == (0 if native else 1)
+                for g, match in ((two_k2(), "disconnected"), (Graph(1, ()), "no edges")):
+                    with pytest.raises(DomainError, match=match):
+                        compute_W(g)
+
+    def test_builds_the_degrees_once(self, catalogs):
+        # classify's degrees also give the descent's bottom and the overfull
+        # test, and both plans count the degrees from the adjacency: the
+        # kernel's classify counts them itself, _classify_py calls degrees().
+        assert _native() is not None
         graphs = [g for n in range(2, 7) for g in catalogs[n]]
-        for g in graphs:
-            compute_W(g)
-        assert len(calls) == len(graphs) == 142
+        for native in (True, False):
+            with pytest.MonkeyPatch.context() as patch:
+                if not native:
+                    patch.setattr(solver, "_native", lambda: None)
+                calls = []
+                degrees = Graph.degrees
+                patch.setattr(Graph, "degrees", lambda g: calls.append(g) or degrees(g))
+                for g in graphs:
+                    compute_W(g)
+            assert len(graphs) == 142 and len(calls) == (0 if native else 142), native
 
     def test_k2(self):
         out = compute_W(k2())
@@ -491,19 +501,6 @@ class TestProvenCeiling:
                             expected = coloring
                             break
                     assert find_interval_coloring(g, t).witness == expected, (g.edges, t)
-
-
-@pytest.fixture(scope="module")
-def doubled_graphs(catalogs) -> list[Graph]:
-    """The doubled graph H of every interval colorable graph with n <= 5."""
-    doubled = []
-    for n in range(2, 6):
-        for g in catalogs[n]:
-            out = compute_W(g)
-            if out.w is not None:
-                doubled.append(double_with_certificate(g, out.witness).result.h)
-    assert len(doubled) == 23
-    return doubled
 
 
 def searched_layers(g: Graph) -> range:

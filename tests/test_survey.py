@@ -19,6 +19,7 @@ from intervalcolor import (
     write_survey_csv,
 )
 from intervalcolor import bounds, coloring, graph, survey
+from intervalcolor.cli import main
 from intervalcolor.survey import CSV_COLUMNS, record_to_row
 from smallgraphs import c4, k1, k2, k3, p3, two_k2
 
@@ -131,6 +132,18 @@ class TestCsvOutput:
         text = self.render(generate_connected_catalog(6), with_doubling=True)
         reference = Path(__file__).resolve().parent.parent / "bench" / "reference" / "survey6.csv"
         assert text == reference.read_text()
+
+    def test_the_kernel_classifies_every_graph_of_a_survey(self, capsys, monkeypatch):
+        # survey --gen-n 6 --with-doubling with _classify_py refusing to
+        # run: the kernel's classify gives the class of every surveyed
+        # graph and of every compute_W call.
+        def refuse(g):
+            raise AssertionError("_classify_py ran")
+
+        monkeypatch.setattr(graph, "_classify_py", refuse)
+        assert main(["survey", "--gen-n", "6", "--with-doubling"]) == 0
+        reference = Path(__file__).resolve().parent.parent / "bench" / "reference" / "survey6.csv"
+        assert capsys.readouterr().out == reference.read_text()
 
     def test_byte_identical_reruns(self, catalogs):
         graphs = catalogs[4]
