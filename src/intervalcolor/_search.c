@@ -17,11 +17,14 @@
  * in search order when found. Edge order, color order, node counting and
  * the prune rules (distinct, spread, surjectivity, the first edge's
  * reversal cut, the twin cut, the distance rule) are those of _search_py,
- * so status, nodes and picked agree with it on every input; plan() builds
- * the input, and the proofs are in solver.py's docstring.
+ * so status, nodes and picked agree with it on every input search takes;
+ * plan() builds the input, and the proofs are in solver.py's docstring.
  *
  * A vertex's colors are a bitmask of (t + 1) / 64 + 1 words, bit c for
- * color c, so every t runs here.
+ * color c, so every t runs here. A mask of as many words, used, marks the
+ * colors on some edge, so that the least candidate is found a word at a
+ * time: the lowest bit of the complement of both ends' masks, and of used
+ * too when each edge left must take a color not yet used.
  *
  * The distance rule: every uncolored edge f keeps a range [lo_f, hi_f] of
  * colors, and once edge k holds c, f's range is cut to within D(k, f) of
@@ -31,7 +34,10 @@
  * for some f with lo_f = 1; color t likewise. All of these are bounds on x,
  * so the first entry into depth k narrows the ranges by edge k - 1's color
  * and computes edge k's candidate interval in one pass over the uncolored
- * edges; a row of ranges per depth lets a backtrack reuse both.
+ * edges; a row of ranges per depth lets a backtrack reuse both. The
+ * ranges are int32, and dist must hold D in 0 .. 2^31 - 1 - t, so that no
+ * sum in that pass overflows; search raises ValueError, before it
+ * allocates anything, for a matrix that does not.
  *
  * plan(n, edges, max_m) -> (order, ends, deg, after, dist, longest)
  *
@@ -151,6 +157,8 @@
 
 static inline long long min(long long x, long long y) { return x < y ? x : y; }
 static inline long long max(long long x, long long y) { return x > y ? x : y; }
+static inline int32_t min32(int32_t x, int32_t y) { return x < y ? x : y; }
+static inline int32_t max32(int32_t x, int32_t y) { return x > y ? x : y; }
 
 /* Lowest set bit of a mask, or empty if there is none. */
 static long long lowest(const uint64_t *mask, long long words, long long empty)
@@ -265,8 +273,7 @@ static PyObject *search(PyObject *self, PyObject *args)
         return NULL;
     PyObject *result = NULL;
     long long *ends = NULL, *deg = NULL, *after = NULL, *slots = NULL, *color_count = NULL;
-    long long *least_at = NULL, *most_at = NULL;
-    int32_t *lo = NULL, *hi = NULL;
+    int32_t *lo = NULL, *hi = NULL, *least_at = NULL, *most_at = NULL;
     uint64_t *mask = NULL;
     Py_ssize_t m = PyObject_Length(ends_obj) / 2;
     if (m < 0)
@@ -282,8 +289,16 @@ static PyObject *search(PyObject *self, PyObject *args)
         PyErr_SetString(PyExc_ValueError, "search: dist must be empty or m * m int32");
         goto done;
     }
+    /* Every sum of the range pass (x + D, h + D, 1 + D) then stays within
+     * t + D <= INT32_MAX, and every difference above -INT32_MAX. */
+    for (size_t i = 0; dist && i < (size_t)m * (size_t)m; i++)
+        if (dist[i] < 0 || dist[i] > INT32_MAX - t) {
+            PyErr_SetString(PyExc_ValueError,
+                            "search: dist entries must lie in 0 .. 2**31 - 1 - t");
+            goto done;
+        }
     long long words = (t + 1) / 64 + 1;
-    if ((size_t)n > SIZE_MAX / sizeof(uint64_t) / (size_t)words) {
+    if ((size_t)n >= SIZE_MAX / sizeof(uint64_t) / (size_t)words) {
         PyErr_NoMemory();
         goto done;
     }
@@ -294,14 +309,15 @@ static PyObject *search(PyObject *self, PyObject *args)
     slots = PyMem_Calloc(m + 1, sizeof(long long));
     long long *picked = slots + 1;
     color_count = PyMem_Calloc(t + 1, sizeof(long long));
-    mask = PyMem_Calloc((size_t)n * words, sizeof(uint64_t));
+    /* n vertex masks, then used: bit c set while some edge holds color c. */
+    mask = PyMem_Calloc((size_t)(n + 1) * words, sizeof(uint64_t));
     if (dist) {
         /* Row k of lo and hi: the ranges at depth k, for edges k .. m - 1.
          * least_at[k] and most_at[k]: edge k's candidate interval. */
         lo = PyMem_Malloc((size_t)m * m * sizeof(int32_t));
         hi = PyMem_Malloc((size_t)m * m * sizeof(int32_t));
-        least_at = PyMem_Calloc(m, sizeof(long long));
-        most_at = PyMem_Calloc(m, sizeof(long long));
+        least_at = PyMem_Calloc(m, sizeof(int32_t));
+        most_at = PyMem_Calloc(m, sizeof(int32_t));
     }
     if (!ends || !deg || !after || !slots || !color_count || !mask ||
         (dist && (!lo || !hi || !least_at || !most_at))) {
@@ -317,6 +333,7 @@ static PyObject *search(PyObject *self, PyObject *args)
             goto done;
         }
 
+    uint64_t *used = mask + (size_t)n * words;
     long long unused = t; /* colors on no edge yet */
     long long nodes = 0;
     long long first_top = (t + 1) / 2;
@@ -329,31 +346,42 @@ static PyObject *search(PyObject *self, PyObject *args)
             uint64_t bit = (uint64_t)1 << (c & 63);
             mask_a[c >> 6] ^= bit;
             mask_b[c >> 6] ^= bit;
-            if (!--color_count[c])
+            if (!--color_count[c]) {
+                used[c >> 6] ^= bit;
                 unused++;
+            }
         } else if (dist) {
             /* First entry: narrow the ranges by edge k - 1's color x and
              * bound edge k's candidates (D(k, k) = 0 bounds it by its own
-             * range). */
-            const int32_t *near = dist + k * m, *prev = k ? near - m : near;
+             * range). Ranges stay within [1, t] and D >= 0, so at depth 0,
+             * where every range is [1, t], least is 1 and most is t. */
+            const int32_t *near = dist + k * m, t32 = (int32_t)t;
             int32_t *lo_k = lo + k * m, *hi_k = hi + k * m;
-            const int32_t *lo_prev = k ? lo_k - m : lo_k, *hi_prev = k ? hi_k - m : hi_k;
-            long long x = picked[k - 1];
-            long long least = 1, most = t, reach_one = 1, reach_top = t;
-            for (Py_ssize_t f = k; f < m; f++) {
-                long long l = k ? max(lo_prev[f], x - prev[f]) : 1;
-                long long h = k ? min(hi_prev[f], x + prev[f]) : t;
-                lo_k[f] = (int32_t)l;
-                hi_k[f] = (int32_t)h;
-                least = max(least, l - near[f]);
-                most = min(most, h + near[f]);
-                if (l == 1)
-                    reach_one = max(reach_one, 1 + near[f]);
-                if (h == t)
-                    reach_top = min(reach_top, t - near[f]);
+            int32_t least = 1, most = t32, reach_one = 1, reach_top = t32;
+            if (k) {
+                const int32_t *prev = near - m, *lo_prev = lo_k - m, *hi_prev = hi_k - m;
+                const int32_t x = (int32_t)picked[k - 1];
+                for (Py_ssize_t f = k; f < m; f++) {
+                    int32_t d = near[f];
+                    int32_t l = max32(lo_prev[f], x - prev[f]);
+                    int32_t h = min32(hi_prev[f], x + prev[f]);
+                    lo_k[f] = l;
+                    hi_k[f] = h;
+                    least = max32(least, l - d);
+                    most = min32(most, h + d);
+                    reach_one = max32(reach_one, l == 1 ? 1 + d : 1);
+                    reach_top = min32(reach_top, h == t32 ? t32 - d : t32);
+                }
+            } else {
+                for (Py_ssize_t f = 0; f < m; f++) {
+                    lo_k[f] = 1;
+                    hi_k[f] = t32;
+                    reach_one = max32(reach_one, 1 + near[f]);
+                    reach_top = min32(reach_top, t32 - near[f]);
+                }
             }
-            least_at[k] = color_count[t] ? least : max(least, reach_top);
-            most_at[k] = color_count[1] ? most : min(most, reach_one);
+            least_at[k] = color_count[t] ? least : max32(least, reach_top);
+            most_at[k] = color_count[1] ? most : min32(most, reach_one);
         }
         /* Spread: a new color at v lies in [hi - deg(v) + 1, lo + deg(v) - 1],
          * lo and hi being v's least and greatest color (hi + 1 = bit_length).
@@ -367,14 +395,24 @@ static PyObject *search(PyObject *self, PyObject *args)
             from = max(from, least_at[k]);
             top = min(top, most_at[k]);
         }
-        long long spare = m - k - 1 - unused; /* surjectivity: uncolored edges left over */
+        /* The least color in [from, top] on neither end, and on no edge at
+         * all when exactly as many edges as unused colors remain
+         * (surjectivity), taken a word at a time. */
+        long long spare = m - k - 1 - unused;
         c = 0;
-        for (long long x = from; spare >= -1 && x <= top; x++) {
-            if (!(((mask_a[x >> 6] | mask_b[x >> 6]) >> (x & 63)) & 1) &&
-                (spare >= 0 || !color_count[x])) {
-                c = x;
-                break;
+        if (spare >= -1 && from <= top) {
+            uint64_t shun = spare == -1 ? ~(uint64_t)0 : 0;
+            long long w = from >> 6, last = top >> 6;
+            uint64_t avail = ~(uint64_t)0 << (from & 63);
+            for (;; w++, avail = ~(uint64_t)0) {
+                avail &= ~(mask_a[w] | mask_b[w] | (used[w] & shun));
+                if (w == last)
+                    avail &= ~(uint64_t)0 >> (63 - (top & 63));
+                if (avail || w == last)
+                    break;
             }
+            if (avail)
+                c = 64 * w + __builtin_ctzll(avail);
         }
         if (!c) {
             picked[k] = 0;
@@ -389,8 +427,10 @@ static PyObject *search(PyObject *self, PyObject *args)
         uint64_t bit = (uint64_t)1 << (c & 63);
         mask_a[c >> 6] |= bit;
         mask_b[c >> 6] |= bit;
-        if (!color_count[c]++)
+        if (!color_count[c]++) {
+            used[c >> 6] |= bit;
             unused--;
+        }
         picked[k] = c;
         k++;
     }

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import importlib.machinery
 import os
+import random
 import shutil
 import signal
 import subprocess
@@ -727,6 +728,60 @@ class TestNativeKernel:
                 _native().search(4, plan.ends, plan.deg, 3, 0, plan.after, bad)
         with pytest.raises(ValueError):
             _native().search(4, plan.ends, plan.deg, 2**31, 0, plan.after, plan.dist)
+
+    def test_rejects_a_matrix_whose_sums_leave_int32(self):
+        # The range pass adds colors and distances in int32, so the kernel
+        # refuses a negative D, or t + D above 2**31 - 1, before it
+        # allocates anything: t = 2**31 - 1 would ask for 16 GB of color
+        # counts.
+        plan = _plan(c4())
+        search = _native().search
+        most = 2**31 - 1
+        tracemalloc.start()
+        try:
+            for t, dist in (
+                (most, plan.dist),  # D up to 1
+                (3, array("i", [most - 2] * 16).tobytes()),
+                (3, array("i", [0] * 15 + [-1]).tobytes()),
+            ):
+                with pytest.raises(ValueError):
+                    search(4, plan.ends, plan.deg, t, 0, plan.after, dist)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
+        # t + D = 2**31 - 1 is accepted, and the sums stay exact.
+        args = (4, plan.ends, plan.deg, 3, 0, plan.after, array("i", [most - 3] * 16).tobytes())
+        assert search(*args) == _search_py(*args) == (1, 4, [1, 2, 2, 3])
+
+    def test_agrees_across_mask_words_on_long_graphs(self):
+        # Seeded random connected non-path graphs with 64 < m <= 200 and a
+        # distance matrix: a path with two chords and a random tree grown
+        # on it, whose long weighted paths keep palettes near m under the
+        # ceiling. Colors up to 63 lie in the first mask word, 64 to 127 in
+        # the second and 128 on in the third, and t = m - 1 or m soon leaves
+        # surjectivity only unused colors to pick.
+        checked = 0
+        for seed in range(20):
+            rng = random.Random(seed)
+            m = rng.randint(128, 132) if seed % 4 == 0 else rng.randint(65, 68)
+            spine = rng.randint(m // 4, m // 2)
+            edges = {(i, i + 1) for i in range(spine - 1)}
+            for _ in range(2):
+                i = rng.randrange(spine - 3)
+                edges.add((i, i + rng.choice((2, 3))))
+            n = spine
+            while len(edges) < m:
+                edges.add((rng.randrange(n), n))
+                n += 1
+            g = Graph(n, tuple(edges))
+            assert is_connected(g) and g.max_degree >= 3 and _plan(g).dist
+            for t in sorted({63, 64, 127, 128, m - 1, m}):
+                if g.max_degree <= t <= m:
+                    for budget in (1, 50, 2000):
+                        assert self.agree(g, t, budget), (seed, t, budget)
+                        checked += 1
+        assert checked == 249
 
     def test_plans_agree(self, catalogs, doubled_graphs):
         # The kernel's plan against _plan_py, field by field.
