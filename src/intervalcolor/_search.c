@@ -1,27 +1,38 @@
-/* The exhaustive loops of intervalcolor, in C: the per-t search of
+/* The exhaustive loops of intervalcolor, in C: the descent of
  * solver._search_py, the search plan of solver._plan_py, the verdict of
  * coloring._report, the doubling certificate of doubling's Python path, the
- * derived fields of graph.Graph (graph._index_py), the color range check of
+ * canonical edges of graph.Graph (graph._index_py), the color range check of
  * coloring.EdgeColoring (coloring._check_colors_py), the structural
  * classification of graph.classify (graph._classify_py) and the catalog
  * level of catalog._extend_py.
  *
- * search(n, ends, deg, t, budget, after, dist) -> (status, nodes, picked)
+ * search(n, order, ends, deg, after, dist, top, bottom, budget)
+ *     -> (status, nodes, last, colors)
  *
- * ends lists the two endpoints of each edge in search order, deg the degree
- * of each of the n vertices; budget caps the nodes (0 = unlimited); edge k's
- * color must exceed that of the earlier edge after[k], or -1 for none (the
- * twin cut). dist is empty, or the m x m int32 matrix of plan() for the
- * same ends and deg, which turns on distance forward checking. status
- * is 0 infeasible, 1 found, 2 aborted; picked holds the color of each edge
- * in search order when found. Edge order, color order, node counting and
- * the prune rules (distinct, spread, surjectivity, the first edge's
- * reversal cut, the twin cut, the distance rule) are those of _search_py,
- * so status, nodes and picked agree with it on every input search takes;
- * plan() builds the input, and the proofs are in solver.py's docstring.
+ * The descent of solver._search_py over the palette sizes t = top,
+ * top - 1, ..., bottom, 1 <= bottom <= top, each layer searched in turn with
+ * one plan read and one set of buffers allocated: order, ends, deg, after
+ * and dist are the first fields of plan() for the graph on n vertices.
+ * order lists each edge's index, in search order; ends the two endpoints of
+ * each edge in that order; deg the degree of each vertex. Edge k's color
+ * must exceed that of the earlier edge after[k], or -1 for none (the twin
+ * cut). dist is empty, or the m x m int32 matrix of plan(), which turns on
+ * distance forward checking. budget caps the nodes of all layers together
+ * (0 = unlimited), and a layer whose turn comes once it is spent aborts with
+ * no node. status is 1 when a layer is feasible, 0 when every layer is
+ * infeasible and 2 when the budget ran out; last is the last t decided (the
+ * feasible one, bottom, or one above the aborted layer); colors holds each
+ * edge's color, by edge index, 0 for none: the witness, the partial
+ * coloring of an aborted layer when the budget ran out, or nothing when
+ * status is 0. Edge order, color order, node counting and the prune rules
+ * (distinct, spread, surjectivity, the first edge's reversal cut, the twin
+ * cut, the distance rule) are those of _search_py, so its four results
+ * agree with this one on every input search takes; plan() builds the
+ * input, and the proofs are in solver.py's docstring.
  *
- * A vertex's colors are a bitmask of (t + 1) / 64 + 1 words, bit c for
- * color c, so every t runs here. A mask of as many words, used, marks the
+ * A vertex's colors are a bitmask of (top + 1) / 64 + 1 words, bit c for
+ * color c, of which layer t reads the first (t + 1) / 64 + 1, so every t
+ * runs here. A mask of as many words, used, marks the
  * colors on some edge, so that the least candidate is found a word at a
  * time: the lowest bit of the complement of both ends' masks, and of used
  * too when each edge left must take a color not yet used.
@@ -35,8 +46,8 @@
  * so the first entry into depth k narrows the ranges by edge k - 1's color
  * and computes edge k's candidate interval in one pass over the uncolored
  * edges; a row of ranges per depth lets a backtrack reuse both. The
- * ranges are int32, and dist must hold D in 0 .. 2^31 - 1 - t, so that no
- * sum in that pass overflows; search raises ValueError, before it
+ * ranges are int32, and dist must hold D in 0 .. 2^31 - 1 - top, so that
+ * no sum in that pass overflows; search raises ValueError, before it
  * allocates anything, for a matrix that does not.
  *
  * plan(n, edges, max_m) -> (order, ends, deg, after, dist, longest)
@@ -93,19 +104,19 @@
  * which raises its own error or accepts the input itself. Malformed input
  * raises ValueError.
  *
- * index_graph(n, edges, pairs) -> (edges, adjacency, incidence) or None
+ * index_graph(n, edges, pairs) -> edges or None
  *
- * The fields of graph.Graph for n vertices and edges, any list or tuple of
- * pairs, pairs being graph._PAIRS: each pair oriented as (a, b), a < b, then
- * sorted and deduplicated, and the neighbours and edge indices of each
- * vertex in increasing order, as graph._index_py builds them. An edge with
- * b < 64 is the shared tuple pairs[b][a]; the tuples share one int per
- * vertex and one per edge index. The result is None for an input that
- * _index_py would treat otherwise: n not an int in 1 .. 2^32 - 1, edges or
- * a pair not an exact list or tuple, a pair of other than two entries, an
- * entry not an exact int, a loop or an endpoint out of range. The caller
- * then runs _index_py, which raises its own error or accepts the input
- * itself. A malformed pairs raises ValueError.
+ * The canonical edges of graph.Graph for n vertices and edges, any list or
+ * tuple of pairs, pairs being graph._PAIRS: each pair oriented as (a, b),
+ * a < b, then sorted and deduplicated, as graph._index_py builds them. An
+ * edge with b < 64 is the shared tuple pairs[b][a]; the others share one
+ * int per vertex. Graph builds its adjacency and incidence from these edges
+ * on first use, in Python on either path. The result is None for an input
+ * that _index_py would treat otherwise: n not an int in 1 .. 2^32 - 1,
+ * edges or a pair not an exact list or tuple, a pair of other than two
+ * entries, an entry not an exact int, a loop or an endpoint out of range.
+ * The caller then runs _index_py, which raises its own error or accepts the
+ * input itself. A malformed pairs raises ValueError.
  *
  * in_palette(t, colors) -> bool
  *
@@ -265,26 +276,27 @@ static PyObject *ints_of(const long long *values, Py_ssize_t len, int tuple)
 static PyObject *search(PyObject *self, PyObject *args)
 {
     Py_ssize_t n;
-    long long t, budget;
-    PyObject *ends_obj, *deg_obj, *after_obj;
+    long long top, bottom, budget;
+    PyObject *order_obj, *ends_obj, *deg_obj, *after_obj;
     Py_buffer dist_buf;
-    if (!PyArg_ParseTuple(args, "nOOLLOy*", &n, &ends_obj, &deg_obj, &t, &budget, &after_obj,
-                          &dist_buf))
+    if (!PyArg_ParseTuple(args, "nOOOOy*LLL", &n, &order_obj, &ends_obj, &deg_obj, &after_obj,
+                          &dist_buf, &top, &bottom, &budget))
         return NULL;
     PyObject *result = NULL;
-    long long *ends = NULL, *deg = NULL, *after = NULL, *slots = NULL, *color_count = NULL;
+    long long *order = NULL, *ends = NULL, *deg = NULL, *after = NULL, *slots = NULL;
+    long long *color_count = NULL;
     int32_t *lo = NULL, *hi = NULL, *least_at = NULL, *most_at = NULL;
     uint64_t *mask = NULL;
     Py_ssize_t m = PyObject_Length(ends_obj) / 2;
     if (m < 0)
         goto done;
-    if (n < 1 || m < 1 || t < 1 || t >= PY_SSIZE_T_MAX / 2 || budget < 0) {
-        PyErr_SetString(PyExc_ValueError, "search: n, edges, t or budget out of range");
+    if (n < 1 || m < 1 || bottom < 1 || bottom > top || top >= PY_SSIZE_T_MAX / 2 || budget < 0) {
+        PyErr_SetString(PyExc_ValueError, "search: n, edges, palette range or budget out of range");
         goto done;
     }
     /* With the distance rule, ranges are int32 and m * m of them fit a size_t. */
     const int32_t *dist = dist_buf.len ? dist_buf.buf : NULL;
-    if (dist && (t > INT32_MAX || (size_t)m > SIZE_MAX / sizeof(int32_t) / (size_t)m ||
+    if (dist && (top > INT32_MAX || (size_t)m > SIZE_MAX / sizeof(int32_t) / (size_t)m ||
                  (size_t)dist_buf.len != (size_t)m * (size_t)m * sizeof(int32_t))) {
         PyErr_SetString(PyExc_ValueError, "search: dist must be empty or m * m int32");
         goto done;
@@ -292,25 +304,27 @@ static PyObject *search(PyObject *self, PyObject *args)
     /* Every sum of the range pass (x + D, h + D, 1 + D) then stays within
      * t + D <= INT32_MAX, and every difference above -INT32_MAX. */
     for (size_t i = 0; dist && i < (size_t)m * (size_t)m; i++)
-        if (dist[i] < 0 || dist[i] > INT32_MAX - t) {
+        if (dist[i] < 0 || dist[i] > INT32_MAX - top) {
             PyErr_SetString(PyExc_ValueError,
-                            "search: dist entries must lie in 0 .. 2**31 - 1 - t");
+                            "search: dist entries must lie in 0 .. 2**31 - 1 - top");
             goto done;
         }
-    long long words = (t + 1) / 64 + 1;
-    if ((size_t)n >= SIZE_MAX / sizeof(uint64_t) / (size_t)words) {
+    /* Mask words per vertex: enough for the largest palette, top. */
+    long long stride = (top + 1) / 64 + 1;
+    if ((size_t)n >= SIZE_MAX / sizeof(uint64_t) / (size_t)stride) {
         PyErr_NoMemory();
         goto done;
     }
+    order = PyMem_Calloc(m, sizeof(long long));
     ends = PyMem_Calloc(2 * m, sizeof(long long));
     deg = PyMem_Calloc(n, sizeof(long long));
     after = PyMem_Calloc(m, sizeof(long long));
     /* picked[-1] stays 0: the floor of an edge whose after is -1. */
     slots = PyMem_Calloc(m + 1, sizeof(long long));
     long long *picked = slots + 1;
-    color_count = PyMem_Calloc(t + 1, sizeof(long long));
+    color_count = PyMem_Calloc(top + 1, sizeof(long long));
     /* n vertex masks, then used: bit c set while some edge holds color c. */
-    mask = PyMem_Calloc((size_t)(n + 1) * words, sizeof(uint64_t));
+    mask = PyMem_Calloc((size_t)(n + 1) * stride, sizeof(uint64_t));
     if (dist) {
         /* Row k of lo and hi: the ranges at depth k, for edges k .. m - 1.
          * least_at[k] and most_at[k]: edge k's candidate interval. */
@@ -319,127 +333,161 @@ static PyObject *search(PyObject *self, PyObject *args)
         least_at = PyMem_Calloc(m, sizeof(int32_t));
         most_at = PyMem_Calloc(m, sizeof(int32_t));
     }
-    if (!ends || !deg || !after || !slots || !color_count || !mask ||
+    if (!order || !ends || !deg || !after || !slots || !color_count || !mask ||
         (dist && (!lo || !hi || !least_at || !most_at))) {
         PyErr_NoMemory();
         goto done;
     }
-    if (read_ints(ends_obj, 2 * m, 0, n, ends) || read_ints(deg_obj, n, 0, n, deg) ||
-        read_ints(after_obj, m, -1, m, after))
+    if (read_ints(order_obj, m, 0, m, order) || read_ints(ends_obj, 2 * m, 0, n, ends) ||
+        read_ints(deg_obj, n, 0, n, deg) || read_ints(after_obj, m, -1, m, after))
         goto done;
     for (Py_ssize_t k = 0; k < m; k++)
         if (after[k] >= k) {
             PyErr_SetString(PyExc_ValueError, "search: after[k] must be an earlier edge");
             goto done;
         }
-
-    uint64_t *used = mask + (size_t)n * words;
-    long long unused = t; /* colors on no edge yet */
-    long long nodes = 0;
-    long long first_top = (t + 1) / 2;
-    Py_ssize_t k = 0;
-    while (k >= 0 && k < m) {
-        long long a = ends[2 * k], b = ends[2 * k + 1];
-        uint64_t *mask_a = mask + a * words, *mask_b = mask + b * words;
-        long long c = picked[k];
-        if (c) {
-            uint64_t bit = (uint64_t)1 << (c & 63);
-            mask_a[c >> 6] ^= bit;
-            mask_b[c >> 6] ^= bit;
-            if (!--color_count[c]) {
-                used[c >> 6] ^= bit;
-                unused++;
-            }
-        } else if (dist) {
-            /* First entry: narrow the ranges by edge k - 1's color x and
-             * bound edge k's candidates (D(k, k) = 0 bounds it by its own
-             * range). Ranges stay within [1, t] and D >= 0, so at depth 0,
-             * where every range is [1, t], least is 1 and most is t. */
-            const int32_t *near = dist + k * m, t32 = (int32_t)t;
-            int32_t *lo_k = lo + k * m, *hi_k = hi + k * m;
-            int32_t least = 1, most = t32, reach_one = 1, reach_top = t32;
-            if (k) {
-                const int32_t *prev = near - m, *lo_prev = lo_k - m, *hi_prev = hi_k - m;
-                const int32_t x = (int32_t)picked[k - 1];
-                for (Py_ssize_t f = k; f < m; f++) {
-                    int32_t d = near[f];
-                    int32_t l = max32(lo_prev[f], x - prev[f]);
-                    int32_t h = min32(hi_prev[f], x + prev[f]);
-                    lo_k[f] = l;
-                    hi_k[f] = h;
-                    least = max32(least, l - d);
-                    most = min32(most, h + d);
-                    reach_one = max32(reach_one, l == 1 ? 1 + d : 1);
-                    reach_top = min32(reach_top, h == t32 ? t32 - d : t32);
-                }
-            } else {
-                for (Py_ssize_t f = 0; f < m; f++) {
-                    lo_k[f] = 1;
-                    hi_k[f] = t32;
-                    reach_one = max32(reach_one, 1 + near[f]);
-                    reach_top = min32(reach_top, t32 - near[f]);
-                }
-            }
-            least_at[k] = color_count[t] ? least : max32(least, reach_top);
-            most_at[k] = color_count[1] ? most : min32(most, reach_one);
-        }
-        /* Spread: a new color at v lies in [hi - deg(v) + 1, lo + deg(v) - 1],
-         * lo and hi being v's least and greatest color (hi + 1 = bit_length).
-         * Twin cut: it lies above the color of edge after[k]. */
-        long long from = max(max(c + 1, picked[after[k]] + 1),
-                             max(bit_length(mask_a, words) - deg[a],
-                                 bit_length(mask_b, words) - deg[b]));
-        long long top = min(k ? t : first_top, min(lowest(mask_a, words, t) + deg[a] - 1,
-                                                   lowest(mask_b, words, t) + deg[b] - 1));
-        if (dist) {
-            from = max(from, least_at[k]);
-            top = min(top, most_at[k]);
-        }
-        /* The least color in [from, top] on neither end, and on no edge at
-         * all when exactly as many edges as unused colors remain
-         * (surjectivity), taken a word at a time. */
-        long long spare = m - k - 1 - unused;
-        c = 0;
-        if (spare >= -1 && from <= top) {
-            uint64_t shun = spare == -1 ? ~(uint64_t)0 : 0;
-            long long w = from >> 6, last = top >> 6;
-            uint64_t avail = ~(uint64_t)0 << (from & 63);
-            for (;; w++, avail = ~(uint64_t)0) {
-                avail &= ~(mask_a[w] | mask_b[w] | (used[w] & shun));
-                if (w == last)
-                    avail &= ~(uint64_t)0 >> (63 - (top & 63));
-                if (avail || w == last)
-                    break;
-            }
-            if (avail)
-                c = 64 * w + __builtin_ctzll(avail);
-        }
-        if (!c) {
-            picked[k] = 0;
-            k--;
-            continue;
-        }
-        if (budget && nodes >= budget)
-            break;
-        if (!(nodes & SIGNAL_CHECK_MASK) && PyErr_CheckSignals())
+    /* order must be a permutation, each edge once: marked in picked, which
+     * is zeroed again after. */
+    for (Py_ssize_t k = 0; k < m; k++)
+        if (picked[order[k]]++) {
+            PyErr_SetString(PyExc_ValueError, "search: order must list each edge once");
             goto done;
-        nodes++;
-        uint64_t bit = (uint64_t)1 << (c & 63);
-        mask_a[c >> 6] |= bit;
-        mask_b[c >> 6] |= bit;
-        if (!color_count[c]++) {
-            used[c >> 6] |= bit;
-            unused--;
         }
-        picked[k] = c;
-        k++;
+    memset(picked, 0, m * sizeof(long long));
+    uint64_t *used = mask + (size_t)n * stride;
+    long long nodes = 0, t = top;
+    int status = 0;
+    Py_ssize_t k = 0;
+    /* One layer per palette size t, from top down. A layer proven
+     * infeasible has taken every color off again (k ends at -1), so the
+     * next starts from empty masks and counts. */
+    for (; t >= bottom; t--) {
+        if (budget && nodes >= budget) {
+            status = 2; /* the budget ran out at the end of the layer above */
+            break;
+        }
+        long long words = (t + 1) / 64 + 1; /* the words colors 0..t lie in */
+        long long unused = t;               /* colors on no edge yet */
+        long long first_top = (t + 1) / 2;
+        for (k = 0; k >= 0 && k < m;) {
+            long long a = ends[2 * k], b = ends[2 * k + 1];
+            uint64_t *mask_a = mask + a * stride, *mask_b = mask + b * stride;
+            long long c = picked[k];
+            if (c) {
+                uint64_t bit = (uint64_t)1 << (c & 63);
+                mask_a[c >> 6] ^= bit;
+                mask_b[c >> 6] ^= bit;
+                if (!--color_count[c]) {
+                    used[c >> 6] ^= bit;
+                    unused++;
+                }
+            } else if (dist) {
+                /* First entry: narrow the ranges by edge k - 1's color x and
+                 * bound edge k's candidates (D(k, k) = 0 bounds it by its own
+                 * range). Ranges stay within [1, t] and D >= 0, so at depth 0,
+                 * where every range is [1, t], least is 1 and most is t. */
+                const int32_t *near = dist + k * m, t32 = (int32_t)t;
+                int32_t *lo_k = lo + k * m, *hi_k = hi + k * m;
+                int32_t least = 1, most = t32, reach_one = 1, reach_top = t32;
+                if (k) {
+                    const int32_t *prev = near - m, *lo_prev = lo_k - m, *hi_prev = hi_k - m;
+                    const int32_t x = (int32_t)picked[k - 1];
+                    for (Py_ssize_t f = k; f < m; f++) {
+                        int32_t d = near[f];
+                        int32_t l = max32(lo_prev[f], x - prev[f]);
+                        int32_t h = min32(hi_prev[f], x + prev[f]);
+                        lo_k[f] = l;
+                        hi_k[f] = h;
+                        least = max32(least, l - d);
+                        most = min32(most, h + d);
+                        reach_one = max32(reach_one, l == 1 ? 1 + d : 1);
+                        reach_top = min32(reach_top, h == t32 ? t32 - d : t32);
+                    }
+                } else {
+                    for (Py_ssize_t f = 0; f < m; f++) {
+                        lo_k[f] = 1;
+                        hi_k[f] = t32;
+                        reach_one = max32(reach_one, 1 + near[f]);
+                        reach_top = min32(reach_top, t32 - near[f]);
+                    }
+                }
+                least_at[k] = color_count[t] ? least : max32(least, reach_top);
+                most_at[k] = color_count[1] ? most : min32(most, reach_one);
+            }
+            /* Spread: a new color at v lies in [hi - deg(v) + 1, lo + deg(v) - 1],
+             * lo and hi being v's least and greatest color (hi + 1 = bit_length).
+             * Twin cut: it lies above the color of edge after[k]. */
+            long long from = max(max(c + 1, picked[after[k]] + 1),
+                                 max(bit_length(mask_a, words) - deg[a],
+                                     bit_length(mask_b, words) - deg[b]));
+            long long to = min(k ? t : first_top, min(lowest(mask_a, words, t) + deg[a] - 1,
+                                                       lowest(mask_b, words, t) + deg[b] - 1));
+            if (dist) {
+                from = max(from, least_at[k]);
+                to = min(to, most_at[k]);
+            }
+            /* The least color in [from, to] on neither end, and on no edge
+             * at all when exactly as many edges as unused colors remain
+             * (surjectivity), taken a word at a time. */
+            long long spare = m - k - 1 - unused;
+            c = 0;
+            if (spare >= -1 && from <= to) {
+                uint64_t shun = spare == -1 ? ~(uint64_t)0 : 0;
+                long long w = from >> 6, end = to >> 6;
+                uint64_t avail = ~(uint64_t)0 << (from & 63);
+                for (;; w++, avail = ~(uint64_t)0) {
+                    avail &= ~(mask_a[w] | mask_b[w] | (used[w] & shun));
+                    if (w == end)
+                        avail &= ~(uint64_t)0 >> (63 - (to & 63));
+                    if (avail || w == end)
+                        break;
+                }
+                if (avail)
+                    c = 64 * w + __builtin_ctzll(avail);
+            }
+            if (!c) {
+                picked[k] = 0;
+                k--;
+                continue;
+            }
+            if (budget && nodes >= budget) {
+                picked[k] = 0; /* its color is off: edges 0 .. k - 1 stay colored */
+                break;
+            }
+            if (!(nodes & SIGNAL_CHECK_MASK) && PyErr_CheckSignals())
+                goto done;
+            nodes++;
+            uint64_t bit = (uint64_t)1 << (c & 63);
+            mask_a[c >> 6] |= bit;
+            mask_b[c >> 6] |= bit;
+            if (!color_count[c]++) {
+                used[c >> 6] |= bit;
+                unused--;
+            }
+            picked[k] = c;
+            k++;
+        }
+        if (k >= 0) {
+            status = k == m ? 1 : 2;
+            break;
+        }
     }
-    int status = k < 0 ? 0 : k == m ? 1 : 2;
-    PyObject *colors = ints_of(picked, status == 1 ? m : 0, 0);
+    /* The last palette size decided: the witness's, bottom's, or the one
+     * above the aborted layer. */
+    long long last_t = status == 1 ? t : t + 1;
+    PyObject *colors = PyList_New(status ? m : 0);
+    for (Py_ssize_t i = 0; colors && status && i < m; i++) {
+        PyObject *v = PyLong_FromLongLong(picked[i]);
+        if (!v)
+            Py_CLEAR(colors);
+        else
+            PyList_SET_ITEM(colors, order[i], v);
+    }
     if (colors)
-        result = Py_BuildValue("iLN", status, nodes, colors);
+        result = Py_BuildValue("iLLN", status, nodes, last_t, colors);
 done:
     PyBuffer_Release(&dist_buf);
+    PyMem_Free(order);
     PyMem_Free(ends);
     PyMem_Free(deg);
     PyMem_Free(after);
@@ -1136,16 +1184,10 @@ static PyObject *index_graph(PyObject *self, PyObject *args)
     Py_ssize_t given;
     if (n < 1 || !exact_items(edges_obj, &items, &given))
         Py_RETURN_NONE;
-    PyObject *result = NULL, *fields[3] = {NULL};
+    PyObject *result = NULL, **vertex = NULL;
+    long long most = 0; /* the largest endpoint */
     uint64_t *keys = PyMem_Calloc(given + 1, sizeof(uint64_t)); /* a << 32 | b per edge */
-    long long *edges = PyMem_Calloc(2 * given + 1, sizeof(long long));
-    long long *deg = PyMem_Calloc(n, sizeof(long long));
-    Py_ssize_t *start = PyMem_Calloc(n + 1, sizeof(Py_ssize_t));
-    Py_ssize_t *nbr = PyMem_Calloc(2 * given + 1, sizeof(Py_ssize_t));
-    Py_ssize_t *inc = PyMem_Calloc(2 * given + 1, sizeof(Py_ssize_t));
-    PyObject **vertex = PyMem_Calloc(n, sizeof(PyObject *)); /* one int per vertex */
-    PyObject **index = PyMem_Calloc(given + 1, sizeof(PyObject *)); /* one per edge */
-    if (!keys || !edges || !deg || !start || !nbr || !inc || !vertex || !index) {
+    if (!keys) {
         PyErr_NoMemory();
         goto done;
     }
@@ -1158,10 +1200,19 @@ static PyObject *index_graph(PyObject *self, PyObject *args)
         int is_pair = exact_items(items[e], &ends, &arity) && arity == 2;
         long long i = is_pair ? exact_index(ends[0], n - 1) : -1;
         long long j = is_pair ? exact_index(ends[1], n - 1) : -1;
-        if (i < 0 || j < 0 || i == j)
-            goto fallback;
+        if (i < 0 || j < 0 || i == j) {
+            result = Py_NewRef(Py_None);
+            goto done;
+        }
         keys[e] = (uint64_t)min(i, j) << 32 | (uint64_t)max(i, j);
         sorted = sorted && (!e || keys[e] > keys[e - 1]);
+        most = max(most, max(i, j));
+    }
+    /* One int per vertex, shared by the pairs of endpoints past _PAIRS. */
+    vertex = PyMem_Calloc(most + 1, sizeof(PyObject *));
+    if (!vertex) {
+        PyErr_NoMemory();
+        goto done;
     }
     Py_ssize_t m = given;
     if (!sorted) {
@@ -1171,70 +1222,39 @@ static PyObject *index_graph(PyObject *self, PyObject *args)
             if (!m || keys[e] != keys[m - 1])
                 keys[m++] = keys[e];
     }
-    for (Py_ssize_t e = 0; e < m; e++) {
-        edges[2 * e] = (long long)(keys[e] >> 32);
-        edges[2 * e + 1] = (long long)(keys[e] & 0xFFFFFFFF);
-    }
-    adjacency(n, m, edges, deg, start, nbr, inc);
-
-    for (Py_ssize_t v = 0; v < n; v++)
-        if (deg[v] && !(vertex[v] = PyLong_FromLongLong(v)))
-            goto done;
-    for (Py_ssize_t e = 0; e < m; e++)
-        if (!(index[e] = PyLong_FromSsize_t(e)))
-            goto done;
-    fields[0] = PyTuple_New(m);
-    for (Py_ssize_t e = 0; fields[0] && e < m; e++) {
-        long long a = edges[2 * e], b = edges[2 * e + 1];
+    PyObject *edges = PyTuple_New(m);
+    for (Py_ssize_t e = 0; edges && e < m; e++) {
+        long long end[2] = {(long long)(keys[e] >> 32), (long long)(keys[e] & 0xFFFFFFFF)};
         PyObject *pair;
-        if (b < SHARED_PAIRS) {
-            pair = PyTuple_GET_ITEM(PyTuple_GET_ITEM(pairs, b), a);
+        if (end[1] < SHARED_PAIRS) {
+            pair = PyTuple_GET_ITEM(PyTuple_GET_ITEM(pairs, end[1]), end[0]);
             if (!PyTuple_CheckExact(pair) || PyTuple_GET_SIZE(pair) != 2 ||
-                exact_index(PyTuple_GET_ITEM(pair, 0), b) != a ||
-                exact_index(PyTuple_GET_ITEM(pair, 1), b) != b) {
+                exact_index(PyTuple_GET_ITEM(pair, 0), end[1]) != end[0] ||
+                exact_index(PyTuple_GET_ITEM(pair, 1), end[1]) != end[1]) {
                 PyErr_SetString(PyExc_ValueError, "index_graph: pairs must be graph._PAIRS");
-                goto done;
+                Py_CLEAR(edges);
+                break;
             }
             Py_INCREF(pair);
-        } else if (!(pair = PyTuple_Pack(2, vertex[a], vertex[b]))) {
-            goto done;
+        } else {
+            for (int k = 0; k < 2; k++)
+                if (!vertex[end[k]] && !(vertex[end[k]] = PyLong_FromLongLong(end[k])))
+                    break;
+            pair = vertex[end[0]] && vertex[end[1]] ? PyTuple_Pack(2, vertex[end[0]], vertex[end[1]])
+                                                   : NULL;
+            if (!pair) {
+                Py_CLEAR(edges);
+                break;
+            }
         }
-        PyTuple_SET_ITEM(fields[0], e, pair);
+        PyTuple_SET_ITEM(edges, e, pair);
     }
-    /* adjacency and incidence: per vertex, its neighbours and its edges. */
-    for (int f = 1; f < 3; f++) {
-        const Py_ssize_t *entry = f == 1 ? nbr : inc;
-        PyObject **object = f == 1 ? vertex : index;
-        fields[f] = PyTuple_New(n);
-        for (Py_ssize_t v = 0; fields[f] && v < n; v++) {
-            PyObject *row = PyTuple_New(start[v + 1] - start[v]);
-            if (!row)
-                goto done;
-            for (Py_ssize_t i = start[v]; i < start[v + 1]; i++)
-                PyTuple_SET_ITEM(row, i - start[v], Py_NewRef(object[entry[i]]));
-            PyTuple_SET_ITEM(fields[f], v, row);
-        }
-    }
-    if (fields[0] && fields[1] && fields[2])
-        result = PyTuple_Pack(3, fields[0], fields[1], fields[2]);
-    goto done;
-fallback:
-    result = Py_NewRef(Py_None);
+    result = edges;
 done:
-    for (int f = 0; f < 3; f++)
-        Py_XDECREF(fields[f]);
-    for (Py_ssize_t v = 0; vertex && v < n; v++)
+    for (Py_ssize_t v = 0; vertex && v <= most; v++)
         Py_XDECREF(vertex[v]);
-    for (Py_ssize_t e = 0; index && e < given; e++)
-        Py_XDECREF(index[e]);
     PyMem_Free(keys);
-    PyMem_Free(edges);
-    PyMem_Free(deg);
-    PyMem_Free(start);
-    PyMem_Free(nbr);
-    PyMem_Free(inc);
     PyMem_Free(vertex);
-    PyMem_Free(index);
     return result;
 }
 
@@ -1611,13 +1631,12 @@ fail:
 
 static PyMethodDef methods[] = {
     {"search", search, METH_VARARGS,
-     "search(n, ends, deg, t, budget, after, dist) -> (status, nodes, picked)"},
+     "search(n, order, ends, deg, after, dist, top, bottom, budget) -> (status, nodes, last, colors)"},
     {"plan", plan, METH_VARARGS, "plan(n, edges, max_m) -> (order, ends, deg, after, dist, longest)"},
     {"interval_ok", interval_ok, METH_VARARGS, "interval_ok(n, edges, colors, t) -> bool"},
     {"double", double_cover, METH_VARARGS,
      "double(n, edges, colors, t) -> (h_edges, codes, beta, i0, final) or None"},
-    {"index_graph", index_graph, METH_VARARGS,
-     "index_graph(n, edges, pairs) -> (edges, adjacency, incidence) or None"},
+    {"index_graph", index_graph, METH_VARARGS, "index_graph(n, edges, pairs) -> edges or None"},
     {"in_palette", in_palette, METH_VARARGS, "in_palette(t, colors) -> bool"},
     {"classify", classify, METH_VARARGS,
      "classify(n, edges) -> (connected, bipartition, regular_degree, triangle_free, "

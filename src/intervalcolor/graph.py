@@ -5,15 +5,18 @@ stored as ``(i, j)`` with ``i < j``, deduplicated, and sorted
 lexicographically, so any two construction paths to the same edge set yield
 identical ``Graph`` values.
 
-A ``Graph``'s fields have two builders, chosen at construction time through
-``solver._native()``: the compiled kernel's ``index_graph`` (``_search.c``),
-which runs first wherever it loads, and ``_index_py``, the reference. The
-kernel takes exact ints in exact lists or tuples only and returns None for
-any input it does not accept (a loop, an endpoint out of range, n < 1, a
-pair of other than two entries, anything that is not an int); ``_index_py``
-then runs, so every error, and every input the kernel leaves alone, is
-handled as by the Python code alone. Both give equal fields, and both use
-the shared tuples of ``_PAIRS``.
+A ``Graph``'s canonical edges have two builders, chosen at construction
+time through ``solver._native()``: the compiled kernel's ``index_graph``
+(``_search.c``), which runs first wherever it loads, and ``_index_py``, the
+reference. The kernel takes exact ints in exact lists or tuples only and
+returns None for any input it does not accept (a loop, an endpoint out of
+range, n < 1, a pair of other than two entries, anything that is not an
+int); ``_index_py`` then runs, so every error, and every input the kernel
+leaves alone, is handled as by the Python code alone. Both give equal
+edges, and both use the shared tuples of ``_PAIRS``. ``adjacency`` and
+``incidence`` are built on first use, from the canonical edges, by
+``_index_lists`` on either path: the kernel's entries take ``n`` and
+``edges``, so a survey builds them for no graph.
 
 ``classify`` is chosen the same way at each call: the kernel's ``classify``,
 one BFS, a triangle test by merging sorted neighbour lists and the degree
@@ -42,23 +45,35 @@ class Graph:
     """Simple undirected loopless graph with an indexed vertex set.
 
     ``adjacency`` and ``incidence`` (edge indices per vertex, in canonical
-    edge order) are derived at construction time and excluded from equality.
-    They align: edge ``incidence[v][i]`` joins v and ``adjacency[v][i]``, and
-    both lists increase because the edges are sorted.
+    edge order) are built on first use and kept in ``_lists``, which is
+    excluded from equality, hashing and repr. They align: edge
+    ``incidence[v][i]`` joins v and ``adjacency[v][i]``, and both lists
+    increase because the edges are sorted.
     """
 
     n: int
     edges: tuple[tuple[int, int], ...]
-    adjacency: tuple[tuple[int, ...], ...] = field(init=False, compare=False, repr=False)
-    incidence: tuple[tuple[int, ...], ...] = field(init=False, compare=False, repr=False)
+    _lists: tuple[tuple, tuple] | None = field(default=None, init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         kernel = solver._native()
-        built = None if kernel is None else kernel.index_graph(self.n, self.edges, _PAIRS)
-        edges, adjacency, incidence = _index_py(self.n, self.edges) if built is None else built
+        edges = None if kernel is None else kernel.index_graph(self.n, self.edges, _PAIRS)
+        if edges is None:
+            edges = _index_py(self.n, self.edges)
         object.__setattr__(self, "edges", edges)
-        object.__setattr__(self, "adjacency", adjacency)
-        object.__setattr__(self, "incidence", incidence)
+
+    def _index(self) -> tuple[tuple, tuple]:
+        if self._lists is None:
+            object.__setattr__(self, "_lists", _index_lists(self.n, self.edges))
+        return self._lists
+
+    @property
+    def adjacency(self) -> tuple[tuple[int, ...], ...]:
+        return self._index()[0]
+
+    @property
+    def incidence(self) -> tuple[tuple[int, ...], ...]:
+        return self._index()[1]
 
     @property
     def m(self) -> int:
@@ -72,9 +87,9 @@ class Graph:
         return max(self.degrees())
 
 
-def _index_py(n: int, edges: Iterable) -> tuple[tuple, tuple, tuple]:
-    """``Graph``'s edges, adjacency and incidence in Python: the reference
-    for the kernel's ``index_graph``, and the source of every error."""
+def _index_py(n: int, edges: Iterable) -> tuple[tuple[int, int], ...]:
+    """``Graph``'s canonical edges in Python: the reference for the kernel's
+    ``index_graph``, and the source of every error."""
     if n < 1:
         raise ValueError(f"vertex count must be >= 1, got {n}")
     normalized: set[tuple[int, int]] = set()
@@ -86,15 +101,21 @@ def _index_py(n: int, edges: Iterable) -> tuple[tuple, tuple, tuple]:
         if a < 0 or b >= n:
             raise ValueError(f"edge ({i}, {j}) out of range for n={n}")
         normalized.add(_PAIRS[b][a] if b < 64 else (a, b))
-    canonical = tuple(sorted(normalized))
+    return tuple(sorted(normalized))
+
+
+def _index_lists(n: int, edges: tuple[tuple[int, int], ...]) -> tuple[tuple, tuple]:
+    """The adjacency and incidence of the graph on n vertices with the
+    canonical ``edges``, for ``Graph`` on either path. The neighbours are the
+    edges' own ints, and each edge index one int at both ends."""
     adj: list[list[int]] = [[] for _ in range(n)]
     inc: list[list[int]] = [[] for _ in range(n)]
-    for idx, (a, b) in enumerate(canonical):
+    for idx, (a, b) in enumerate(edges):
         adj[a].append(b)
         adj[b].append(a)
         inc[a].append(idx)
         inc[b].append(idx)
-    return canonical, tuple(tuple(x) for x in adj), tuple(tuple(x) for x in inc)
+    return tuple(map(tuple, adj)), tuple(map(tuple, inc))
 
 
 @dataclass(frozen=True, slots=True)

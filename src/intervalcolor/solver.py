@@ -4,9 +4,9 @@ Both entry points run one descent (``_descend``) over palette sizes t,
 stopping at the first feasible one: ``compute_W`` from the tightest
 registered upper bound down to the maximum degree, so the first feasible t
 is W, and ``find_interval_coloring`` over its one t. The descent sets up
-once per graph, shares one node budget across its layers, and has
-``_decide`` search each layer by backtracking. The testing oracle that
-enumerates every assignment lives in ``oracle``.
+once per graph and makes one search call, which decides the layers by
+backtracking, one after another, with one node budget shared across them.
+The testing oracle that enumerates every assignment lives in ``oracle``.
 
 The set-up is an overfull test (``_overfull``), then the search plan
 (``_plan``) and a ceiling proven for the instance (``_proven_ceiling``). An
@@ -84,14 +84,15 @@ Where several twin pairs name the same j it keeps the latest k only: keeping
 fewer constraints is always sound. K2 has twins but no moved edge.
 
 The loop has two implementations that read the same plan and visit the
-same nodes in the same order, so status, node count and witness agree on
-every layer. ``_search_py`` is the reference, in Python. ``_search.c`` is
+same nodes in the same order, so status, node count, last t and colors
+(the witness, or an aborted layer's partial coloring) agree on every range
+of layers. ``_search_py`` is the reference, in Python. ``_search.c`` is
 the same loop in C, compiled on first use by ``_native``; on the same
 search calls (``compute_W`` over the n = 6 catalog, 200 graphs of n = 7 and
 the doubled graphs) it expands 90 to 150 times as many nodes per second. It
 takes a node's least candidate a word at a time, from the two ends' color
 masks and a mask of the colors on any edge, which surjectivity consults.
-``_decide`` runs it when it loads and the Python loop otherwise (no
+``_descend`` runs it when it loads and the Python loop otherwise (no
 compiler, no headers, a read-only install). The plan has two
 implementations too, chosen the same way by ``_plan``: ``_plan_py``, the
 reference, and the kernel's ``plan``, which gives every field equal and
@@ -143,6 +144,11 @@ class SearchLimits:
     def __post_init__(self) -> None:
         if self.node_limit < 0:
             raise ValueError(f"node_limit must be >= 0, got {self.node_limit}")
+
+
+# The limits of a call given none: no node limit and no t_override. Shared,
+# since SearchLimits is frozen.
+_NO_LIMITS = SearchLimits()
 
 
 @dataclass(frozen=True, slots=True)
@@ -380,30 +386,41 @@ def _plan_py(g: Graph) -> _Plan:
 
 def _search_py(
     n: int,
+    order: list[int],
     ends: list[int],
     deg: list[int],
-    t: int,
-    node_budget: int,
     after: list[int],
     dist: bytes,
-) -> tuple[int, int, list[int]]:
+    top: int,
+    bottom: int,
+    node_budget: int,
+) -> tuple[int, int, int, list[int]]:
     """The search loop in Python: the reference for the kernel, and its fallback.
 
-    Takes the kernel's arguments and returns what it returns: (status, nodes,
-    picked), status 0 infeasible, 1 found, 2 aborted. ``picked[k]`` is the
-    color of the k-th edge in BFS order, 0 for none. A depth entered with a
-    color picked was backtracked to: that color comes off and the next one is
-    tried. ``dist`` is ``_plan``'s matrix, or b"" to search without the
-    distance rule.
+    Takes the kernel's arguments, the first five being ``_plan``'s fields,
+    and returns what it returns: (status, nodes, last, colors). It decides
+    palette sizes top, top - 1, ..., bottom, one layer each, until one is
+    feasible (status 1), every one is infeasible (0) or the node budget
+    (0 = unlimited), shared by all layers, runs out (2); a layer whose turn
+    comes once the budget is spent aborts with no node. ``last`` is the last
+    t decided: the witness's, bottom, or one above the aborted layer.
+    ``colors`` gives each edge's color in ``Graph.edges`` order, 0 for none:
+    the witness, or an aborted layer's partial coloring when the budget ran
+    out; it is empty when every layer is infeasible.
+
+    Within a layer, ``picked[k]`` is the color of the k-th edge in BFS
+    order, 0 for none. A depth entered with a color picked was backtracked
+    to: that color comes off and the next one is tried. ``dist`` is
+    ``_plan``'s matrix, or b"" to search without the distance rule.
     """
     m = len(ends) // 2
     pairs = list(zip(ends[::2], ends[1::2]))
+    # A layer proven infeasible has taken every color off again, so the
+    # next starts from empty masks and counts.
     mask = [0] * n  # bit c set: some edge at the vertex has color c
-    color_count = [0] * (t + 1)
+    color_count = [0] * (top + 1)
     picked = [0] * (m + 1)  # picked[-1] stays 0, the floor where after[k] is -1
-    unused = t  # colors on no edge yet
     nodes = 0
-    first_top = (t + 1) // 2  # reversal cut, see the module docstring
     # The distance rule: near[k][f] = D(k, f); lows[k][f] and highs[k][f]
     # bound edge f's color at depth k, for f >= k; least_at[k] and
     # most_at[k] bound edge k's candidates.
@@ -412,106 +429,96 @@ def _search_py(
     lows = [[0] * m for _ in near]
     highs = [[0] * m for _ in near]
     least_at = [1] * m
-    most_at = [t] * m
-    k = 0
-    while 0 <= k < m:
-        a, b = pairs[k]
-        c = picked[k]
-        if c:
-            bit = 1 << c
-            mask[a] ^= bit
-            mask[b] ^= bit
-            color_count[c] -= 1
-            if not color_count[c]:
-                unused += 1
-        elif near:
-            # First entry: narrow the ranges by edge k - 1's color x and bound
-            # edge k's candidates (D(k, k) = 0 bounds it by its own range).
-            here, lo_k, hi_k = near[k], lows[k], highs[k]
-            x, prev, lo_prev, hi_prev = picked[k - 1], near[k - 1], lows[k - 1], highs[k - 1]
-            least, most, reach_one, reach_top = 1, t, 1, t
-            for f in range(k, m):
-                if k:
-                    lo = max(lo_prev[f], x - prev[f])
-                    hi = min(hi_prev[f], x + prev[f])
-                else:
-                    lo, hi = 1, t
-                lo_k[f], hi_k[f] = lo, hi
-                d = here[f]
-                least = max(least, lo - d)
-                most = min(most, hi + d)
-                if lo == 1:
-                    reach_one = max(reach_one, 1 + d)
-                if hi == t:
-                    reach_top = min(reach_top, t - d)
-            least_at[k] = least if color_count[t] else max(least, reach_top)
-            most_at[k] = most if color_count[1] else min(most, reach_one)
-        mask_a, mask_b = mask[a], mask[b]
-        # Spread: a new color at v lies in [hi - deg(v) + 1, lo + deg(v) - 1],
-        # lo and hi being v's least and greatest color (hi + 1 = bit_length).
-        # Twin cut: it lies above the color of edge after[k].
-        lo_a = (mask_a & -mask_a).bit_length() - 1 if mask_a else t
-        lo_b = (mask_b & -mask_b).bit_length() - 1 if mask_b else t
-        c = max(
-            c + 1,
-            picked[after[k]] + 1,
-            mask_a.bit_length() - deg[a],
-            mask_b.bit_length() - deg[b],
-            least_at[k],
-        )
-        top = min(t if k else first_top, lo_a + deg[a] - 1, lo_b + deg[b] - 1, most_at[k])
-        taken = mask_a | mask_b
-        spare = m - k - 1 - unused  # surjectivity: uncolored edges left over
-        while c <= top:
-            if not (taken >> c) & 1 and (spare >= 0 or (spare == -1 and not color_count[c])):
-                break
-            c += 1
-        else:
-            picked[k] = 0
-            k -= 1
-            continue
+    most_at = [top] * m
+    for t in range(top, bottom - 1, -1):
         if node_budget and nodes >= node_budget:
-            return 2, nodes, []
-        nodes += 1
-        bit = 1 << c
-        mask[a] |= bit
-        mask[b] |= bit
-        if not color_count[c]:
-            unused -= 1
-        color_count[c] += 1
-        picked[k] = c
-        k += 1
-    if k < 0:
-        return 0, nodes, []
-    return 1, nodes, picked[:m]
+            return 2, nodes, t + 1, [0] * m
+        unused = t  # colors on no edge yet
+        first_top = (t + 1) // 2  # reversal cut, see the module docstring
+        k = 0
+        while 0 <= k < m:
+            a, b = pairs[k]
+            c = picked[k]
+            if c:
+                bit = 1 << c
+                mask[a] ^= bit
+                mask[b] ^= bit
+                color_count[c] -= 1
+                if not color_count[c]:
+                    unused += 1
+            elif near:
+                # First entry: narrow the ranges by edge k - 1's color x and
+                # bound edge k's candidates (D(k, k) = 0 bounds it by its own
+                # range).
+                here, lo_k, hi_k = near[k], lows[k], highs[k]
+                x, prev, lo_prev, hi_prev = picked[k - 1], near[k - 1], lows[k - 1], highs[k - 1]
+                least, most, reach_one, reach_top = 1, t, 1, t
+                for f in range(k, m):
+                    if k:
+                        lo = max(lo_prev[f], x - prev[f])
+                        hi = min(hi_prev[f], x + prev[f])
+                    else:
+                        lo, hi = 1, t
+                    lo_k[f], hi_k[f] = lo, hi
+                    d = here[f]
+                    least = max(least, lo - d)
+                    most = min(most, hi + d)
+                    if lo == 1:
+                        reach_one = max(reach_one, 1 + d)
+                    if hi == t:
+                        reach_top = min(reach_top, t - d)
+                least_at[k] = least if color_count[t] else max(least, reach_top)
+                most_at[k] = most if color_count[1] else min(most, reach_one)
+            mask_a, mask_b = mask[a], mask[b]
+            # Spread: a new color at v lies in [hi - deg(v) + 1, lo + deg(v) - 1],
+            # lo and hi being v's least and greatest color (hi + 1 = bit_length).
+            # Twin cut: it lies above the color of edge after[k].
+            lo_a = (mask_a & -mask_a).bit_length() - 1 if mask_a else t
+            lo_b = (mask_b & -mask_b).bit_length() - 1 if mask_b else t
+            c = max(
+                c + 1,
+                picked[after[k]] + 1,
+                mask_a.bit_length() - deg[a],
+                mask_b.bit_length() - deg[b],
+                least_at[k],
+            )
+            to = min(t if k else first_top, lo_a + deg[a] - 1, lo_b + deg[b] - 1, most_at[k])
+            taken = mask_a | mask_b
+            spare = m - k - 1 - unused  # surjectivity: uncolored edges left over
+            while c <= to:
+                if not (taken >> c) & 1 and (spare >= 0 or (spare == -1 and not color_count[c])):
+                    break
+                c += 1
+            else:
+                picked[k] = 0
+                k -= 1
+                continue
+            if node_budget and nodes >= node_budget:
+                picked[k] = 0  # its color is off: edges 0 .. k - 1 stay colored
+                return 2, nodes, t + 1, _in_edge_order(order, picked)
+            nodes += 1
+            bit = 1 << c
+            mask[a] |= bit
+            mask[b] |= bit
+            if not color_count[c]:
+                unused -= 1
+            color_count[c] += 1
+            picked[k] = c
+            k += 1
+        if k == m:
+            return 1, nodes, t, _in_edge_order(order, picked)
+    return 0, nodes, bottom, []
+
+
+def _in_edge_order(order: list[int], picked: list[int]) -> list[int]:
+    """The colors of ``picked``, in BFS order, at their edges' indices."""
+    colors = [0] * len(order)
+    for eid, c in zip(order, picked):
+        colors[eid] = c
+    return colors
 
 
 _STATUS = (SolveStatus.INFEASIBLE, SolveStatus.FOUND, SolveStatus.ABORTED)
-
-
-def _decide(
-    g: Graph, plan: _Plan, t: int, budget: int
-) -> tuple[SolveStatus, EdgeColoring | None, int]:
-    """Search one palette size t with ``plan`` (from ``_plan``); returns
-    (status, re-validated witness, nodes). Runs the compiled kernel when it
-    loads and ``_search_py`` otherwise; both give the same status, nodes and
-    colors.
-    """
-    kernel = _native()
-    search = _search_py if kernel is None else kernel.search
-    # No search reaches 2**63 - 1 nodes, the kernel's largest budget.
-    code, nodes, picked = search(
-        g.n, plan.ends, plan.deg, t, min(budget, 2**63 - 1), plan.after, plan.dist
-    )
-    if code != 1:
-        return _STATUS[code], None, nodes
-    colors = [0] * g.m
-    for eid, c in zip(plan.order, picked):
-        colors[eid] = c
-    witness = EdgeColoring(t, tuple(colors))
-    if not validate_interval(g, witness).verdict:
-        raise InternalInvariantError(f"search returned a non-validating witness for t={t}")
-    return SolveStatus.FOUND, witness, nodes
 
 
 def _descend(
@@ -520,33 +527,34 @@ def _descend(
     """Decide palette sizes top, top - 1, ..., bottom until one is feasible,
     for g of maximum degree ``max_degree``.
 
-    Returns (status, witness, nodes, last_explored): FOUND with the witness
-    of the first feasible t, INFEASIBLE when every layer is, or ABORTED once
-    the node limit (0 = unlimited), shared by all layers, runs out.
-    ``last_explored`` is the last t fully decided. Layers above
-    ``_proven_ceiling`` are infeasible at 0 nodes; the rest share one plan.
-    An overfull graph has no layer to search, so it gets no plan.
+    Returns (status, witness, nodes, last_explored): FOUND with the
+    re-validated witness of the first feasible t, INFEASIBLE when every
+    layer is, or ABORTED once the node limit (0 = unlimited), shared by all
+    layers, runs out. ``last_explored`` is the last t fully decided. Layers
+    above ``_proven_ceiling`` are infeasible at 0 nodes; the rest take one
+    search call with one plan, the kernel's ``search`` where it loads and
+    ``_search_py`` otherwise; both give the same status, nodes, last t and
+    colors. An overfull graph has no layer to search, so it gets no plan.
     """
     plan = None if _overfull(g, max_degree) else _plan(g)
-    ceiling = 0 if plan is None else _proven_ceiling(g, plan.longest, cap=top)
-    nodes = 0
-    last_explored: int | None = None
-    for t in range(top, bottom - 1, -1):
-        if node_limit and nodes >= node_limit:
-            # Spent exactly; passing 0 on would mean an unlimited search.
-            return SolveStatus.ABORTED, None, nodes, last_explored
-        if t <= ceiling:
-            status, witness, spent = _decide(g, plan, t, node_limit and node_limit - nodes)
-            nodes += spent
-            if status is not SolveStatus.INFEASIBLE:
-                return status, witness, nodes, t if witness else last_explored
-        last_explored = t
-    return SolveStatus.INFEASIBLE, None, nodes, last_explored
+    high = min(top, 0 if plan is None else _proven_ceiling(g, plan.longest, cap=top))
+    if high < bottom:  # every layer, if any, lies above the ceiling
+        return SolveStatus.INFEASIBLE, None, 0, bottom if bottom <= top else None
+    kernel = _native()
+    search = _search_py if kernel is None else kernel.search
+    # No search reaches 2**63 - 1 nodes, the kernel's largest budget.
+    code, nodes, last, colors = search(g.n, *plan[:5], high, bottom, min(node_limit, 2**63 - 1))
+    if code != 1:
+        return _STATUS[code], None, nodes, last if last <= top else None
+    witness = EdgeColoring(last, tuple(colors))
+    if not validate_interval(g, witness).verdict:
+        raise InternalInvariantError(f"search returned a non-validating witness for t={last}")
+    return SolveStatus.FOUND, witness, nodes, last
 
 
 def find_interval_coloring(g: Graph, t: int, limits: SearchLimits | None = None) -> SolveOutcome:
     """Decide whether g has an interval t-coloring; exhaustive unless aborted."""
-    limits = limits or SearchLimits()
+    limits = limits or _NO_LIMITS
     require_connected_with_edge(g)
     delta = g.max_degree
     if not delta <= t <= g.m:
@@ -566,7 +574,7 @@ def compute_W(g: Graph, limits: SearchLimits | None = None) -> SolveOutcome:
     fully decided. A ``t_override`` below the theorem bound caps the descent,
     and then an exhausted descent leaves colorability open (None).
     """
-    limits = limits or SearchLimits()
+    limits = limits or _NO_LIMITS
     cls = classify(g)
     require_connected_with_edge(g, cls.connected)
     cutoff = bounds_mod.best_upper_bound(g, cls)

@@ -19,7 +19,7 @@ from .bounds import _best, applicable_bounds, audit
 from .doubling import double_with_certificate
 from .errors import InternalInvariantError
 from .graph import Graph, _domain_fault, classify, write_graph6
-from .solver import SearchLimits, SolveStatus, compute_W
+from .solver import _NO_LIMITS, SearchLimits, SolveStatus, compute_W
 
 CSV_COLUMNS = (  # the fields of SurveyRecord, in order
     "graph6",
@@ -61,7 +61,7 @@ class SurveyRecord:
 def survey_graph(
     g: Graph, limits: SearchLimits | None = None, with_doubling: bool = False
 ) -> SurveyRecord:
-    limits = limits or SearchLimits()
+    limits = limits or _NO_LIMITS
     cls = classify(g)
     graph6 = write_graph6(g)
     w: int | str | None = None
@@ -126,8 +126,11 @@ def _render(value: object) -> str:
     return str(value)
 
 
+_FIELD_NAMES = tuple(f.name for f in fields(SurveyRecord))
+
+
 def record_to_row(rec: SurveyRecord) -> list[str]:
-    return [_render(getattr(rec, f.name)) for f in fields(rec)]
+    return [_render(getattr(rec, name)) for name in _FIELD_NAMES]
 
 
 def write_survey_csv(records: Iterable[SurveyRecord], stream: IO[str]) -> None:

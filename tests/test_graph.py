@@ -15,7 +15,7 @@ from intervalcolor import (
     parse_graph6,
     write_graph6,
 )
-from intervalcolor import GraphClass, generate_connected_catalog, graph, solver
+from intervalcolor import GraphClass, generate_connected_catalog, graph, run_survey, solver
 from intervalcolor.graph import (
     EDGE_LIST_MAX_N,
     GRAPH6_MAX_N,
@@ -23,6 +23,7 @@ from intervalcolor.graph import (
     _classify_py,
     _code_from_edges,
     _edges_from_code,
+    _index_lists,
     _index_py,
 )
 from smallgraphs import c4, k1, k2, k3, two_k2
@@ -56,14 +57,29 @@ class TestGraphConstruction:
 
 def index_on_both_paths(n, edges) -> tuple:
     """The kernel's ``index_graph`` and ``_index_py`` on one input, which
-    must give equal fields with each edge (a, b), b < 64, the shared
-    ``_PAIRS[b][a]``; returns the fields."""
+    must give equal edges with each edge (a, b), b < 64, the shared
+    ``_PAIRS[b][a]``; returns the edges and the adjacency and incidence
+    ``Graph`` derives from them."""
     native = solver._native().index_graph(n, edges, _PAIRS)
     reference = _index_py(n, edges)
     assert native == reference, (n, edges)
     for built in (native, reference):
-        assert all(e is _PAIRS[e[1]][e[0]] for e in built[0] if e[1] < 64), (n, edges)
-    return native
+        assert all(e is _PAIRS[e[1]][e[0]] for e in built if e[1] < 64), (n, edges)
+    return (native, *_index_lists(n, native))
+
+
+def lists_by_definition(g: Graph) -> tuple:
+    """g's adjacency and incidence by their definition: per vertex, its
+    neighbours in increasing order and the indices of the edges to them."""
+    at = {v: [] for v in range(g.n)}
+    for idx, (a, b) in enumerate(g.edges):
+        at[a].append((b, idx))
+        at[b].append((a, idx))
+    rows = [sorted(at[v]) for v in range(g.n)]
+    return (
+        tuple(tuple(u for u, _ in row) for row in rows),
+        tuple(tuple(idx for _, idx in row) for row in rows),
+    )
 
 
 def raised_on_both_paths(n, edges) -> type:
@@ -173,7 +189,7 @@ class TestNativeIndex:
     def test_rejects_a_malformed_table_or_argument(self):
         index = solver._native().index_graph
         edges = ((0, 1), (1, 2))
-        assert index(3, edges, _PAIRS)[0] == edges
+        assert index(3, edges, _PAIRS) == edges
         wrong_entry = (_PAIRS[0], ((1, 0),), *_PAIRS[2:])
         for pairs in (_PAIRS[:63], (*_PAIRS, ()), (_PAIRS[1], *_PAIRS[1:]), wrong_entry):
             with pytest.raises(ValueError):
@@ -182,6 +198,52 @@ class TestNativeIndex:
             index(3, edges, list(_PAIRS))
         with pytest.raises(TypeError):
             index(3, edges)
+
+
+class TestListsOnFirstUse:
+    """``adjacency`` and ``incidence``, built by ``_index_lists`` on first use."""
+
+    def test_match_their_definition_on_both_paths(self, doubled_graphs):
+        graphs = [g for n in range(1, 8) for g in generate_connected_catalog(n)]
+        graphs += doubled_graphs
+        rng = random.Random(19)
+        for n in (65, 80, 130):  # no shared pairs past vertex 63
+            edges = {(i, i + 1) for i in range(n - 1)}
+            edges |= {tuple(sorted(rng.sample(range(n), 2))) for _ in range(2 * n)}
+            graphs.append(Graph(n, tuple(edges)))
+        assert len(graphs) == 1 + 1 + 2 + 6 + 21 + 112 + 853 + 23 + 3
+        for g in graphs:
+            built = []
+            for native in (True, False):
+                with pytest.MonkeyPatch.context() as patch:
+                    if not native:
+                        patch.setattr(solver, "_native", lambda: None)
+                    fresh = Graph(g.n, g.edges)
+                    assert fresh._lists is None
+                    built.append((fresh.adjacency, fresh.incidence))
+                    assert fresh._lists is not None
+            assert built[0] == built[1] == lists_by_definition(g), g.edges
+        # One int per vertex: a neighbour is its edge's own int.
+        big = graphs[-1]
+        assert all(big.adjacency[a][big.incidence[a].index(k)] is b
+                   for k, (a, b) in enumerate(big.edges))
+
+    def test_leave_equality_hash_and_repr_alone(self):
+        a, b = Graph(3, ((1, 2), (0, 1))), Graph(3, ((0, 1), (1, 2)))
+        assert a.adjacency == ((1,), (0, 2), (1,)) and b._lists is None
+        assert a == b and hash(a) == hash(b)
+        assert repr(a) == repr(b) == "Graph(n=3, edges=((0, 1), (1, 2)))"
+
+    def test_a_survey_builds_none(self, monkeypatch):
+        # survey --gen-n 6 --with-doubling on the kernel path: classify,
+        # the plan, the search, the checks and the doubling read n and the
+        # edges only, so no graph, H included, builds its lists.
+        assert solver._native() is not None
+        built = []
+        monkeypatch.setattr(graph, "_index_lists", lambda n, edges: built.append(n))
+        rows = list(run_survey(generate_connected_catalog(6), with_doubling=True))
+        assert len(rows) == 112 and sum(row.doubling_ok is True for row in rows) == 104
+        assert built == []
 
 
 def classify_on_both_paths(g: Graph) -> GraphClass:

@@ -49,6 +49,7 @@ from intervalcolor.solver import (
     _Plan,
     _proven_ceiling,
     _search_py,
+    _STATUS,
 )
 from smallgraphs import c4, cycle, k2, k3, k4, k5, p3, p4, star, two_k2
 
@@ -504,6 +505,28 @@ class TestProvenCeiling:
                     assert find_interval_coloring(g, t).witness == expected, (g.edges, t)
 
 
+def layer_args(g: Graph, plan: _Plan, t: int, budget: int) -> tuple:
+    """The arguments of the kernel's ``search`` and ``_search_py`` that
+    decide the one palette size t of g with ``plan``."""
+    return (g.n, *plan[:5], t, t, budget)
+
+
+def layer_by_layer(g: Graph, plan: _Plan, top: int, bottom: int, budget: int) -> tuple:
+    """What one search call over palette sizes top .. bottom returns, from
+    one ``_search_py`` call per layer: the layers share the budget, and a
+    layer whose turn comes once it is spent aborts with no node."""
+    nodes = 0
+    for t in range(top, bottom - 1, -1):
+        if budget and nodes >= budget:
+            return 2, nodes, t + 1, [0] * g.m
+        left = budget and budget - nodes
+        status, spent, last, colors = _search_py(*layer_args(g, plan, t, left))
+        nodes += spent
+        if status:
+            return status, nodes, last, colors
+    return 0, nodes, bottom, []
+
+
 def searched_layers(g: Graph) -> range:
     return range(g.max_degree, min(g.m, best_upper_bound(g, classify(g))) + 1)
 
@@ -614,10 +637,9 @@ class TestTwinCut:
         for g in [g for n in range(2, 7) for g in catalogs[n]] + doubled_graphs:
             plan = _plan(g)
             for t in searched_layers(g):
-                args = (g.n, plan.ends, plan.deg, t, 0)
-                status, nodes, picked = _search_py(*args, plan.after, plan.dist)
-                plain = _search_py(*args, [-1] * g.m, plan.dist)
-                assert (status, picked) == (plain[0], plain[2]), (g.edges, t)
+                status, nodes, _, colors = _search_py(*layer_args(g, plan, t, 0))
+                plain = _search_py(*layer_args(g, plan._replace(after=[-1] * g.m), t, 0))
+                assert (status, colors) == (plain[0], plain[3]), (g.edges, t)
                 assert nodes <= plain[1], (g.edges, t)
                 layers += 1
                 cut += nodes < plain[1]
@@ -635,10 +657,9 @@ class TestDistanceRule:
         for g in [g for n in range(2, 7) for g in catalogs[n]]:
             plan = _plan(g)
             for t in searched_layers(g):
-                args = (g.n, plan.ends, plan.deg, t, 0, plan.after)
-                status, nodes, picked = _search_py(*args, plan.dist)
-                plain = _search_py(*args, b"")
-                assert (status, picked) == (plain[0], plain[2]), (g.edges, t)
+                status, nodes, _, colors = _search_py(*layer_args(g, plan, t, 0))
+                plain = _search_py(*layer_args(g, plan._replace(dist=b""), t, 0))
+                assert (status, colors) == (plain[0], plain[3]), (g.edges, t)
                 assert nodes <= plain[1], (g.edges, t)
                 layers += 1
                 cut += nodes < plain[1]
@@ -650,8 +671,7 @@ class TestNativeKernel:
     given the same plan."""
 
     def agree(self, g: Graph, t: int, budget: int) -> bool:
-        plan = _plan(g)
-        args = (g.n, plan.ends, plan.deg, t, budget, plan.after, plan.dist)
+        args = layer_args(g, _plan(g), t, budget)
         return _native().search(*args) == _search_py(*args)
 
     def test_kernel_loads_here(self):
@@ -670,6 +690,109 @@ class TestNativeKernel:
                     assert self.agree(g, t, budget), (g.edges, t, budget)
                     layers += 1
         assert layers == 2640
+
+    def test_ranges_agree_with_one_call_per_layer(self, catalogs, doubled_graphs):
+        # Ranges from each of the three tops at and below min(m, ceiling)
+        # down to the maximum degree, the budget unlimited, small, or spent
+        # exactly at the end of a layer, so that the next one aborts before
+        # its first node. The descent never searches an overfull graph (K3,
+        # K5, C5, ...), but the search decides its plan's layers too.
+        ranges = boundaries = overfull = 0
+        for g in [g for n in range(2, 7) for g in catalogs[n] if g.m] + doubled_graphs:
+            plan = _plan(g)
+            delta = g.max_degree
+            overfull += _overfull(g, delta)
+            high = min(g.m, _proven_ceiling(g, plan.longest, cap=g.m))
+            for top in range(max(delta, high - 2), high + 1):
+                ends_at = set()  # the nodes spent when each layer is decided
+                for t in range(top, delta - 1, -1):
+                    status, nodes, _, _ = layer_by_layer(g, plan, top, t, 0)
+                    ends_at.add(nodes)
+                    if status:
+                        break
+                for budget in sorted({0, 1, 5, 50} | ends_at):
+                    expected = layer_by_layer(g, plan, top, delta, budget)
+                    args = (g.n, *plan[:5], top, delta, budget)
+                    assert _native().search(*args) == _search_py(*args) == expected, (
+                        g.edges, top, budget,
+                    )
+                    ranges += 1
+                    if budget in ends_at and budget and expected[0] == 2:
+                        assert expected[1] == budget and not any(expected[3])
+                        boundaries += 1
+        assert (ranges, boundaries, overfull) == (2490, 237, 5)
+
+    def test_ranges_agree_past_the_distance_matrix(self):
+        # Caterpillars of 513 and 600 edges, past DISTANCE_MAX_M, so the
+        # search runs without the distance rule: the top layer, t = m, is
+        # feasible (about 30,000 and 107,000 nodes), and budgets of 3,000 and
+        # 1 abort inside it.
+        rng = random.Random(19)
+        for m in (DISTANCE_MAX_M + 1, 600):
+            edges = [(i, i + 1) for i in range(m // 2)]
+            edges += [(rng.randrange(len(edges)), v) for v in range(m // 2 + 1, m + 1)]
+            g = Graph(m + 1, tuple(edges))
+            plan = _plan(g)
+            assert plan.dist == b"" and g.m == m
+            for top, bottom, budget in ((m, m - 3, 0), (m, g.max_degree, 3000), (m - 1, m - 2, 1)):
+                args = (g.n, *plan[:5], top, bottom, budget)
+                expected = layer_by_layer(g, plan, top, bottom, budget)
+                assert _native().search(*args) == _search_py(*args) == expected, (m, top, budget)
+
+    def test_an_aborted_layer_reports_its_partial_coloring(self):
+        # C4's layer t = 3 finds (1, 2, 2, 3) in BFS order after 4 nodes;
+        # cut after 2, edges 0 and 1 hold 1 and 2. Layer 4 is infeasible
+        # after 2 nodes, so a budget of 2 over both leaves layer 3 none.
+        g = c4()
+        plan = _plan(g)
+        for search in (_native().search, _search_py):
+            assert search(*layer_args(g, plan, 3, 2)) == (2, 2, 4, [1, 2, 0, 0])
+            assert search(g.n, *plan[:5], 4, 3, 0) == (1, 6, 3, [1, 2, 2, 3])
+            assert search(g.n, *plan[:5], 4, 3, 2) == (2, 2, 4, [0, 0, 0, 0])
+
+    def test_rejects_an_empty_range_or_a_bad_order(self):
+        plan = _plan(c4())
+        search = _native().search
+        for top, bottom in ((3, 4), (3, 0)):
+            with pytest.raises(ValueError):
+                search(4, *plan[:5], top, bottom, 0)
+        for order in ([0, 1, 2, 2], [0, 1, 2, 4], [0, 1, 2]):
+            with pytest.raises(ValueError):
+                search(4, order, *plan[1:5], 3, 3, 0)
+
+    def test_descent_agrees_with_t_override_below_the_ceiling(self, catalogs, doubled_graphs):
+        # compute_W with the cutoff capped below the registry bound and the
+        # ceiling, on both implementations, with budgets that abort in the
+        # middle of a layer and at a layer's end.
+        checked = 0
+        for g in [g for n in range(3, 7) for g in catalogs[n]] + doubled_graphs:
+            if _overfull(g, g.max_degree):
+                continue
+            plan = _plan(g)
+            ceiling = _proven_ceiling(g, plan.longest, cap=g.m)
+            cap = min(best_upper_bound(g, classify(g)), ceiling) - 1
+            if cap < g.max_degree:
+                continue
+            first = _search_py(*layer_args(g, plan, cap, 0))[1]
+            for budget in (0, 3, first, first + 1):
+                limits = SearchLimits(node_limit=budget, t_override=cap)
+                outcomes = []
+                for native in (True, False):
+                    with pytest.MonkeyPatch.context() as patch:
+                        if not native:
+                            patch.setattr(solver, "_native", lambda: None)
+                        outcomes.append(compute_W(g, limits))
+                assert outcomes[0] == outcomes[1], (g.edges, budget)
+                status, nodes, last, colors = layer_by_layer(g, plan, cap, g.max_degree, budget)
+                out = outcomes[0]
+                assert (out.status, out.nodes_expanded) == (_STATUS[status], nodes)
+                if status == 1:
+                    assert (out.w, out.witness.colors) == (last, tuple(colors))
+                else:
+                    assert out.last_explored_t == (last if last <= cap else None)
+                    assert out.interval_colorable is None
+                checked += 1
+        assert checked == 4 * 155
 
     def test_agrees_on_n7_layers(self):
         layers = 0
@@ -718,16 +841,16 @@ class TestNativeKernel:
         plan = _plan(c4())
         for bad in ([-1, 0, 2, -1], [-1, 0, 0, -2], [0, 0, 0, -1], [-1, 0, 0]):
             with pytest.raises(ValueError):
-                _native().search(4, plan.ends, plan.deg, 3, 0, bad, plan.dist)
-        assert _native().search(4, plan.ends, plan.deg, 3, 0, plan.after, plan.dist)[0] == 1
+                _native().search(*layer_args(c4(), plan._replace(after=bad), 3, 0))
+        assert _native().search(*layer_args(c4(), plan, 3, 0))[0] == 1
 
     def test_rejects_a_matrix_of_the_wrong_size(self):
         plan = _plan(c4())
         for bad in (plan.dist[:-4], plan.dist + bytes(4), bytes(3)):
             with pytest.raises(ValueError):
-                _native().search(4, plan.ends, plan.deg, 3, 0, plan.after, bad)
+                _native().search(*layer_args(c4(), plan._replace(dist=bad), 3, 0))
         with pytest.raises(ValueError):
-            _native().search(4, plan.ends, plan.deg, 2**31, 0, plan.after, plan.dist)
+            _native().search(*layer_args(c4(), plan, 2**31, 0))
 
     def test_rejects_a_matrix_whose_sums_leave_int32(self):
         # The range pass adds colors and distances in int32, so the kernel
@@ -745,14 +868,14 @@ class TestNativeKernel:
                 (3, array("i", [0] * 15 + [-1]).tobytes()),
             ):
                 with pytest.raises(ValueError):
-                    search(4, plan.ends, plan.deg, t, 0, plan.after, dist)
+                    search(*layer_args(c4(), plan._replace(dist=dist), t, 0))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert peak < 2**20
         # t + D = 2**31 - 1 is accepted, and the sums stay exact.
-        args = (4, plan.ends, plan.deg, 3, 0, plan.after, array("i", [most - 3] * 16).tobytes())
-        assert search(*args) == _search_py(*args) == (1, 4, [1, 2, 2, 3])
+        args = layer_args(c4(), plan._replace(dist=array("i", [most - 3] * 16).tobytes()), 3, 0)
+        assert search(*args) == _search_py(*args) == (1, 4, 3, [1, 2, 2, 3])
 
     def test_agrees_across_mask_words_on_long_graphs(self):
         # Seeded random connected non-path graphs with 64 < m <= 200 and a
