@@ -12,13 +12,13 @@ min S(u_i, beta) = min S(w_i, beta) for every i. Recoloring one matching
 edge whose endpoints have minimum spectrum 2 with the color 1 (the smallest
 such index is chosen, for reproducibility) yields an interval
 (t+2)-coloring of H. The source coloring and the final coloring are each
-validated once; a failure of the latter, or of any structural check, is
-raised as an internal defect because the construction cannot fail on valid
-input.
+validated once; a failure of the latter, or of any structural check, is an
+internal defect, since the construction cannot fail on valid input.
 
 The pipeline has two implementations, chosen at call time through
-``solver._native()``. The reference and fallback is Python:
-``double_graph``, then ``lift_coloring``, then ``finalize_recolor``. The
+``solver._native()``. The reference and fallback is Python: one
+``classify`` of G for its domain, then alpha's check, and only then H
+(``double_graph``), beta (``lift_coloring``) and ``finalize_recolor``. The
 compiled kernel's ``double(n, edges, colors, t)`` (``_search.c``) does the
 same work in one call. It checks that alpha is an interval t-coloring of a
 connected G, emits H's edges already in canonical order with a provenance
@@ -46,7 +46,7 @@ from .coloring import (
     validation_report_to_json,
 )
 from .errors import InternalInvariantError, InvalidColoringError
-from .graph import Graph, is_connected, require_connected_with_edge, write_graph6
+from .graph import Graph, GraphClass, classify, require_connected_with_edge, write_graph6
 
 
 @dataclass(frozen=True, slots=True)
@@ -98,31 +98,34 @@ class DoublingCertificate:
     validation: ValidationReport
 
 
+def _result(g: Graph, h: Graph, codes) -> DoublingResult:
+    """H's ``DoublingResult`` on either path, from its edges' provenance codes."""
+    n, table = g.n, _provenance_table(max(g.m, g.n))
+    provenance = tuple(map(table.__getitem__, codes))
+    return DoublingResult(h, tuple(range(n)), tuple(range(n, 2 * n)), provenance)
+
+
 def double_graph(g: Graph) -> DoublingResult:
     """Build H = double cover of g plus the identity matching, with checks."""
-    require_connected_with_edge(g)
+    cls = classify(g)
+    require_connected_with_edge(g, cls.connected)
+    return _double(g, cls)
+
+
+def _double(g: Graph, cls: GraphClass) -> DoublingResult:
+    """``double_graph`` for a g inside the domain, of class ``cls``."""
     n = g.n
-    table = _provenance_table(max(g.m, n))
-    provenance: dict[tuple[int, int], CrossEdge | MatchingEdge] = {}
+    codes = {(i, n + i): 3 * i + 2 for i in range(n)}
     for idx, (i, j) in enumerate(g.edges):
-        provenance[(i, n + j)] = table[3 * idx]
-        provenance[(j, n + i)] = table[3 * idx + 1]
-    for i in range(n):
-        provenance[(i, n + i)] = table[3 * i + 2]
-    h = Graph(2 * n, tuple(provenance))
-    result = DoublingResult(
-        h=h,
-        u_map=tuple(range(n)),
-        w_map=tuple(range(n, 2 * n)),
-        edge_provenance=tuple(provenance[e] for e in h.edges),
-    )
-    _check_structure(g, result)
+        codes[(i, n + j)], codes[(j, n + i)] = 3 * idx, 3 * idx + 1
+    h = Graph(2 * n, tuple(codes))
+    result = _result(g, h, map(codes.__getitem__, h.edges))
+    _check_structure(g, cls, result)
     return result
 
 
-def _check_structure(g: Graph, d: DoublingResult) -> None:
-    h = d.h
-    n = g.n
+def _check_structure(g: Graph, cls: GraphClass, d: DoublingResult) -> None:
+    h, n = d.h, g.n
     if h.n != 2 * n:
         raise InternalInvariantError(f"|V(H)| = {h.n}, expected {2 * n}")
     if h.m != 2 * g.m + n:
@@ -130,25 +133,33 @@ def _check_structure(g: Graph, d: DoublingResult) -> None:
     for a, b in h.edges:
         if not (a < n <= b):
             raise InternalInvariantError(f"edge ({a}, {b}) does not cross the U/W parts")
-    if not is_connected(h):
+    h_cls = classify(h)
+    if not h_cls.connected:
         raise InternalInvariantError("H is disconnected for a connected source graph")
-    g_degs = set(g.degrees())
-    if len(g_degs) == 1:
-        r = g_degs.pop()
-        h_degs = set(h.degrees())
-        if h_degs != {r + 1}:
-            raise InternalInvariantError(
-                f"H of an {r}-regular graph has degrees {sorted(h_degs)}, expected {r + 1}"
-            )
+    r = cls.regular_degree
+    if r is not None and h_cls.regular_degree != r + 1:
+        raise InternalInvariantError(
+            f"H of an {r}-regular graph has degrees {h_cls.min_degree} to "
+            f"{h_cls.max_degree}, expected {r + 1}"
+        )
 
 
-def lift_coloring(g: Graph, alpha: EdgeColoring, d: DoublingResult) -> EdgeColoring:
-    """Lift alpha to beta on H; beta uses colors 2..t+2 with palette t+2."""
+def _check_source(g: Graph, alpha: EdgeColoring) -> None:
     report = validate_interval(g, alpha)
     if not report.verdict:
         raise InvalidColoringError(
             f"source coloring is not a valid interval coloring: {[f.detail for f in report.failures]}"
         )
+
+
+def lift_coloring(g: Graph, alpha: EdgeColoring, d: DoublingResult) -> EdgeColoring:
+    """Lift alpha to beta on H; beta uses colors 2..t+2 with palette t+2."""
+    _check_source(g, alpha)
+    return _lift(g, alpha, d)
+
+
+def _lift(g: Graph, alpha: EdgeColoring, d: DoublingResult) -> EdgeColoring:
+    """``lift_coloring`` for an alpha already checked."""
     max_spectrum = [0] * g.n
     for idx, (i, j) in enumerate(g.edges):
         c = alpha.colors[idx]
@@ -184,12 +195,8 @@ def finalize_recolor(
     if not candidates:
         raise InternalInvariantError("no matching edge with minimum spectrum 2 exists")
     i0 = min(candidates)
-    matching_index = next(
-        k for k, prov in enumerate(d.edge_provenance)
-        if isinstance(prov, MatchingEdge) and prov.vertex == i0
-    )
     colors = list(beta.colors)
-    colors[matching_index] = 1
+    colors[h.edges.index((i0, n + i0))] = 1  # the matching edge u_i0 w_i0
     final = EdgeColoring(t + 2, tuple(colors))
     report = validate_interval(h, final)
     if not report.verdict:
@@ -204,30 +211,25 @@ def double_with_certificate(g: Graph, alpha: EdgeColoring) -> DoublingCertificat
 
     The kernel's ``double`` runs where it loads and alpha has one color per
     edge and t <= m; the Python path runs otherwise, and wherever the
-    kernel finds a check failing (module docstring)."""
+    kernel finds a check failing (module docstring). That path checks g's
+    domain, then alpha, and only then builds H."""
     kernel = solver._native()
     if kernel is not None and len(alpha.colors) == g.m and alpha.t <= g.m:
         built = kernel.double(g.n, g.edges, alpha.colors, alpha.t)
         if built is not None:
             h_edges, codes, beta, i0, final = built
-            n, t = g.n, alpha.t
-            table = _provenance_table(max(g.m, n))
-            result = DoublingResult(
-                h=Graph(2 * n, h_edges),
-                u_map=tuple(range(n)),
-                w_map=tuple(range(n, 2 * n)),
-                edge_provenance=tuple(map(table.__getitem__, codes)),
-            )
+            t = alpha.t
+            result = _result(g, Graph(2 * g.n, h_edges), codes)
             return DoublingCertificate(
-                g=g, alpha=alpha, result=result, beta=EdgeColoring(t + 2, beta),
-                chosen_i0=i0, final=EdgeColoring(t + 2, final), validation=_VALID,
+                g, alpha, result, EdgeColoring(t + 2, beta), i0, EdgeColoring(t + 2, final), _VALID
             )
-    d = double_graph(g)
-    beta = lift_coloring(g, alpha, d)
+    cls = classify(g)
+    require_connected_with_edge(g, cls.connected)
+    _check_source(g, alpha)
+    d = _double(g, cls)
+    beta = _lift(g, alpha, d)
     i0, final, validation = finalize_recolor(d, beta, alpha.t)
-    return DoublingCertificate(
-        g=g, alpha=alpha, result=d, beta=beta, chosen_i0=i0, final=final, validation=validation
-    )
+    return DoublingCertificate(g, alpha, d, beta, i0, final, validation)
 
 
 def _provenance_to_json(prov: CrossEdge | MatchingEdge) -> dict:

@@ -21,7 +21,8 @@ edges, and both use the shared tuples of ``_PAIRS``. ``adjacency`` and
 ``classify`` is chosen the same way at each call: the kernel's ``classify``,
 one BFS, a triangle test by merging sorted neighbour lists and the degree
 extremes in C, or ``_classify_py``, the reference; both give equal
-``GraphClass`` fields for every ``Graph``.
+``GraphClass`` fields for every ``Graph``. It gives ``is_connected``, the
+domain guard, the solver and the doubling their connectivity and degrees.
 """
 
 from __future__ import annotations
@@ -141,7 +142,8 @@ class GraphClass:
 
 def _traverse(g: Graph) -> tuple[list[int], bool, int]:
     """BFS over every component, roots in index order: the side (0 or 1) of
-    each vertex, whether that 2-coloring is proper, and the component count."""
+    each vertex, whether that 2-coloring is proper, and the component count;
+    for ``_classify_py``."""
     side = [-1] * g.n
     proper = True
     components = 0
@@ -162,14 +164,14 @@ def _traverse(g: Graph) -> tuple[list[int], bool, int]:
 
 
 def is_connected(g: Graph) -> bool:
-    return _traverse(g)[2] == 1
+    return classify(g).connected
 
 
 def _domain_fault(g: Graph, connected: bool) -> str | None:
     """Why g lies outside the domain of interval colorings and of the
     doubling, or None inside it. The domain is the connected graphs with at
     least one edge (a coloring needs color 1); ``connected`` is g's, from
-    the caller's own traversal."""
+    the caller's ``classify``."""
     if g.m == 0:
         return "graph has no edges; an interval coloring needs at least color 1"
     if not connected:
@@ -177,21 +179,13 @@ def _domain_fault(g: Graph, connected: bool) -> str | None:
     return None
 
 
-def require_connected_with_edge(g: Graph, connected: bool | None = None) -> None:
-    """Raises DomainError for a g outside the domain (``_domain_fault``). A
-    caller that knows whether g is connected (from ``classify``) passes it,
-    so that g is traversed once."""
-    fault = _domain_fault(g, is_connected(g) if connected is None else connected)
+def require_connected_with_edge(g: Graph, connected: bool) -> None:
+    """Raises DomainError for a g outside the domain (``_domain_fault``).
+    Every entry point passes ``classify(g).connected``, from the one
+    ``classify`` that also gives it g's degrees, so g is traversed once."""
+    fault = _domain_fault(g, connected)
     if fault:
         raise DomainError(fault)
-
-
-def _triangle_free(g: Graph) -> bool:
-    nbr = [set(a) for a in g.adjacency]
-    for a, b in g.edges:
-        if nbr[a] & nbr[b]:
-            return False
-    return True
 
 
 def classify(g: Graph) -> GraphClass:
@@ -220,12 +214,12 @@ def _classify_py(g: Graph) -> GraphClass:
         degs1 = {degs[v] for v in part1} or degs0
         if len(degs0) == len(degs1) == 1:
             biregular = tuple(sorted((*degs0, *degs1)))
-
+    nbr = [set(a) for a in g.adjacency]  # edge ab is on a triangle iff a, b share a neighbour
     return GraphClass(
         connected=components == 1,
         bipartition=bipartition,
         regular_degree=delta_max if delta_max == delta_min else None,
-        triangle_free=_triangle_free(g),
+        triangle_free=not any(nbr[a] & nbr[b] for a, b in g.edges),
         biregular_degrees=biregular,
         max_degree=delta_max,
         min_degree=delta_min,

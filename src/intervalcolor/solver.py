@@ -553,10 +553,12 @@ def _descend(
 
 
 def find_interval_coloring(g: Graph, t: int, limits: SearchLimits | None = None) -> SolveOutcome:
-    """Decide whether g has an interval t-coloring; exhaustive unless aborted."""
+    """Decide whether g has an interval t-coloring; exhaustive unless aborted.
+    Like ``compute_W``, it takes its domain and Delta from one ``classify``."""
     limits = limits or _NO_LIMITS
-    require_connected_with_edge(g)
-    delta = g.max_degree
+    cls = classify(g)
+    require_connected_with_edge(g, cls.connected)
+    delta = cls.max_degree
     if not delta <= t <= g.m:
         raise DomainError(f"t={t} outside the feasible range [{delta}, {g.m}]")
     status, witness, nodes, _ = _descend(g, delta, t, t, limits.node_limit)

@@ -6,6 +6,7 @@ from intervalcolor import (
     DomainError,
     EdgeColoring,
     Graph,
+    InternalInvariantError,
     InvalidColoringError,
     certificate_to_json,
     classify,
@@ -19,10 +20,10 @@ from intervalcolor import (
     parse_graph6,
     validate_interval,
 )
-from intervalcolor import doubling, solver
+from intervalcolor import doubling, graph, solver
 from intervalcolor.coloring import _VALID
 from intervalcolor.doubling import CrossEdge, MatchingEdge
-from smallgraphs import c4, corruptions, k2, k3, p3, two_k2
+from smallgraphs import c4, corruptions, k2, k3, k4, p3, two_k2
 
 
 class TestDoubleGraph:
@@ -73,6 +74,21 @@ class TestDoubleGraph:
     def test_rejects_edgeless(self):
         with pytest.raises(DomainError):
             double_graph(Graph(1, ()))
+
+    def test_structure_checks_read_the_class_of_h(self):
+        # Two wrong H for C4 (2-regular, 4 edges), each with 8 vertices and
+        # 12 edges across U/W: K_{4,3} with w_3 isolated is disconnected, and
+        # a connected H with u-degrees 4, 3, 2, 3 is not 3-regular.
+        g = c4()
+        d = double_graph(g)
+        for edges, message in (
+            ([(i, 4 + j) for i in range(4) for j in range(3)], "disconnected"),
+            ([(0, 4), (0, 5), (0, 6), (0, 7), (1, 4), (1, 5), (1, 6), (2, 4), (2, 5),
+              (3, 4), (3, 6), (3, 7)], "2-regular graph has degrees 2 to 4, expected 3"),
+        ):
+            wrong = doubling.DoublingResult(Graph(8, tuple(edges)), d.u_map, d.w_map, ())
+            with pytest.raises(InternalInvariantError, match=message):
+                doubling._check_structure(g, classify(g), wrong)
 
 
 class TestLiftColoring:
@@ -263,13 +279,13 @@ class TestCertificateWithoutKernel(TestCertificate):
 
 def both_paths(g: Graph, alpha: EdgeColoring):
     """double_with_certificate on the kernel path, which must not fall back
-    to double_graph, and on the Python path."""
+    to the Python construction of H, and on the Python path."""
 
-    def refuse(g):
-        raise AssertionError("the kernel path ran double_graph")
+    def refuse(*args):
+        raise AssertionError("the kernel path ran the Python construction")
 
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(doubling, "double_graph", refuse)
+        patch.setattr(doubling, "_double", refuse)
         native = double_with_certificate(g, alpha)
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(solver, "_native", lambda: None)
@@ -277,13 +293,18 @@ def both_paths(g: Graph, alpha: EdgeColoring):
     return native, reference
 
 
+def refuse_graph(*args):
+    raise AssertionError("H was built")
+
+
 def raised_on_both_paths(g: Graph, alpha: EdgeColoring) -> type:
     """The type of the exception double_with_certificate raises on the
     kernel path, which must equal the one on the Python path, message and
-    all."""
+    all. Neither path may build H before it raises."""
     seen = []
     for native in (True, False):
         with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(doubling, "Graph", refuse_graph)
             if not native:
                 patch.setattr(solver, "_native", lambda: None)
             with pytest.raises(Exception) as info:
@@ -396,8 +417,66 @@ class TestNativeDouble:
             (Graph(1, ()), EdgeColoring(1, ())),
             (Graph(3, ()), EdgeColoring(1, ())),
             (k2(), EdgeColoring(1, (1, 1))),  # more colors than edges
+            # Disconnected, and not interval at vertex 1: the domain comes first.
+            (Graph(5, ((0, 1), (0, 2), (1, 2), (3, 4))), EdgeColoring(3, (1, 2, 3, 1))),
         ):
             assert raised_on_both_paths(g, alpha) is DomainError
+
+    def test_invalid_colorings_agree(self):
+        # A connected graph with a non-interval alpha: the reference's
+        # message on both paths, raised before H is built.
+        prefix = "source coloring is not a valid interval coloring: "
+        for g, alpha, failures in (
+            (k3(), EdgeColoring(3, (1, 2, 3)),
+             "['spectrum [1, 3] at vertex 1 is not 2 consecutive integers']"),
+            (c4(), EdgeColoring(3, (1, 1, 2, 3)),
+             "['repeated colors [1] at vertex 0', 'spectrum [1] at vertex 0 is not 2 consecutive"
+             " integers', 'spectrum [1, 3] at vertex 3 is not 2 consecutive integers']"),
+            (k4(), EdgeColoring(6, (1, 2, 3, 4, 5, 6)),
+             "['spectrum [1, 4, 5] at vertex 1 is not 3 consecutive integers', 'spectrum [2, 4, 6]"
+             " at vertex 2 is not 3 consecutive integers', 'spectrum [3, 5, 6] at vertex 3 is not 3"
+             " consecutive integers']"),
+        ):
+            assert raised_on_both_paths(g, alpha) is InvalidColoringError
+            with pytest.raises(InvalidColoringError) as info:
+                double_with_certificate(g, alpha)
+            assert str(info.value) == prefix + failures
+
+    def test_a_rejected_alpha_is_checked_before_h(self, catalogs):
+        # The Python path checks g's domain with one classify, then alpha,
+        # then builds H: a rejected alpha builds no H on either path, and g
+        # is traversed by _classify_py alone.
+        assert solver._native() is not None
+        cases = []
+        for n in range(2, 7):
+            for g in catalogs[n]:
+                witness = compute_W(g).witness
+                if witness is not None:
+                    cases += [(g, bad) for bad in corruptions(g, witness)]
+        for native in (True, False):
+            with pytest.MonkeyPatch.context() as patch:
+                if not native:
+                    patch.setattr(solver, "_native", lambda: None)
+                traversed = []
+                traverse = graph._traverse
+                patch.setattr(graph, "_traverse", lambda g: traversed.append(g) or traverse(g))
+                patch.setattr(doubling, "Graph", refuse_graph)
+                for g, bad in cases:
+                    with pytest.raises(InvalidColoringError):
+                        double_with_certificate(g, bad)
+            assert len(traversed) == (0 if native else len(cases)), native
+        assert len(cases) == 3 * 127 - 2  # K2 has the gap corruption alone
+
+    def test_a_python_certificate_validates_alpha_and_final_once(self, monkeypatch):
+        monkeypatch.setattr(solver, "_native", lambda: None)
+        calls = []
+        validate = doubling.validate_interval
+        monkeypatch.setattr(
+            doubling, "validate_interval", lambda g, c: calls.append(c) or validate(g, c)
+        )
+        alpha = EdgeColoring(3, (1, 2, 2, 3))
+        cert = double_with_certificate(c4(), alpha)
+        assert calls == [alpha, cert.final]
 
     def test_returns_none_where_a_check_fails(self):
         double = solver._native().double

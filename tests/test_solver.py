@@ -54,6 +54,11 @@ from intervalcolor.solver import (
 from smallgraphs import c4, cycle, k2, k3, k4, k5, p3, p4, star, two_k2
 
 
+def counted(f, calls: list):
+    """f, appending the arguments of each call to calls."""
+    return lambda *args: calls.append(args) or f(*args)
+
+
 class TestFindIntervalColoring:
     def test_k3_infeasible_at_3(self):
         out = find_interval_coloring(k3(), 3)
@@ -104,6 +109,28 @@ class TestFindIntervalColoring:
         a = find_interval_coloring(c4(), 3)
         b = find_interval_coloring(c4(), 3)
         assert a.witness == b.witness and a.nodes_expanded == b.nodes_expanded
+
+    def test_takes_its_domain_and_degree_from_classify(self, catalogs):
+        # As in compute_W: the kernel's classify builds no lists, and
+        # _classify_py makes the call's one _traverse and one degrees().
+        assert _native() is not None
+        sources = [g for n in range(2, 7) for g in catalogs[n]]
+        deltas = [classify(g).max_degree for g in sources]
+        for native in (True, False):
+            graphs = [Graph(g.n, g.edges) for g in sources]  # a Graph keeps its lists
+            traversed, indexed, degrees = [], [], []
+            with pytest.MonkeyPatch.context() as patch:
+                if not native:
+                    patch.setattr(solver, "_native", lambda: None)
+                patch.setattr(graph_module, "_traverse", counted(graph_module._traverse, traversed))
+                patch.setattr(
+                    graph_module, "_index_lists", counted(graph_module._index_lists, indexed)
+                )
+                patch.setattr(Graph, "degrees", counted(Graph.degrees, degrees))
+                for g, delta in zip(graphs, deltas):
+                    find_interval_coloring(g, delta)
+            counts = len(traversed), len(indexed), len(degrees)
+            assert counts == ((0, 0, 0) if native else (142, 142, 142)), native
 
     def test_edge_order_is_bfs_from_max_degree_vertex(self):
         # star: center 0 has max degree, its edges come out in index order
