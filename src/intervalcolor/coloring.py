@@ -16,11 +16,12 @@ loads, so that a valid coloring costs no Python loop over its vertices.
 ``EdgeColoring``'s range check is chosen the same way: the kernel's
 ``in_palette(t, colors)`` first, and ``_check_colors_py``, the reference,
 wherever the kernel is missing or declines the colors, so that every error
-message is the Python loop's.
+message is the Python loop's; t and the colors are plain ints on both.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 
 from .errors import DomainError, ParseError
@@ -35,23 +36,28 @@ class EdgeColoring:
     colors: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        if self.t < 1:
-            raise ValueError(f"palette size must be >= 1, got {self.t}")
         object.__setattr__(self, "colors", tuple(self.colors))
         kernel = solver._native()
         if kernel is None or not kernel.in_palette(self.t, self.colors):
-            _check_colors_py(self.t, self.colors)
+            t, colors = _check_colors_py(self.t, self.colors)
+            object.__setattr__(self, "t", t)
+            object.__setattr__(self, "colors", colors)
 
 
-def _check_colors_py(t: int, colors: tuple[int, ...]) -> None:
+def _check_colors_py(t: int, colors: tuple) -> tuple[int, tuple[int, ...]]:
     """``EdgeColoring``'s range check in Python: the reference for the
     kernel's ``in_palette``, and the source of every error. The kernel
-    declines all but exact ints in 1..t, t <= 2**63 - 1; this loop then
-    accepts or refuses the rest, floats and bools included, as it did
-    alone."""
-    for k, c in enumerate(colors):
+    declines all but exact ints in 1..t, t <= 2**63 - 1; this loop takes
+    the rest through ``operator.index`` (so a float raises TypeError) and
+    returns t and the colors as plain ints."""
+    t = operator.index(t)
+    if t < 1:
+        raise ValueError(f"palette size must be >= 1, got {t}")
+    plain = tuple(map(operator.index, colors))
+    for k, c in enumerate(plain):
         if not 1 <= c <= t:
             raise ValueError(f"color {c} at edge index {k} outside 1..{t}")
+    return t, plain
 
 
 @dataclass(frozen=True, slots=True)

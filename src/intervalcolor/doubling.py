@@ -16,9 +16,9 @@ validated once; a failure of the latter, or of any structural check, is an
 internal defect, since the construction cannot fail on valid input.
 
 The pipeline has two implementations, chosen at call time through
-``solver._native()``. The reference and fallback is Python: one
-``classify`` of G for its domain, then alpha's check, and only then H
-(``double_graph``), beta (``lift_coloring``) and ``finalize_recolor``. The
+``solver._native()``. The reference and fallback is Python: G's domain,
+then alpha's check, and only then H (``double_graph``), beta
+(``lift_coloring``) and ``finalize_recolor``. The
 compiled kernel's ``double(n, edges, colors, t)`` (``_search.c``) does the
 same work in one call. It checks that alpha is an interval t-coloring of a
 connected G, emits H's edges already in canonical order with a provenance
@@ -46,7 +46,7 @@ from .coloring import (
     validation_report_to_json,
 )
 from .errors import InternalInvariantError, InvalidColoringError
-from .graph import Graph, GraphClass, classify, require_connected_with_edge, write_graph6
+from .graph import Graph, classify, require_connected_with_edge, write_graph6
 
 
 @dataclass(frozen=True, slots=True)
@@ -107,24 +107,18 @@ def _result(g: Graph, h: Graph, codes) -> DoublingResult:
 
 def double_graph(g: Graph) -> DoublingResult:
     """Build H = double cover of g plus the identity matching, with checks."""
-    cls = classify(g)
-    require_connected_with_edge(g, cls.connected)
-    return _double(g, cls)
-
-
-def _double(g: Graph, cls: GraphClass) -> DoublingResult:
-    """``double_graph`` for a g inside the domain, of class ``cls``."""
+    require_connected_with_edge(g)
     n = g.n
     codes = {(i, n + i): 3 * i + 2 for i in range(n)}
     for idx, (i, j) in enumerate(g.edges):
         codes[(i, n + j)], codes[(j, n + i)] = 3 * idx, 3 * idx + 1
     h = Graph(2 * n, tuple(codes))
     result = _result(g, h, map(codes.__getitem__, h.edges))
-    _check_structure(g, cls, result)
+    _check_structure(g, result)
     return result
 
 
-def _check_structure(g: Graph, cls: GraphClass, d: DoublingResult) -> None:
+def _check_structure(g: Graph, d: DoublingResult) -> None:
     h, n = d.h, g.n
     if h.n != 2 * n:
         raise InternalInvariantError(f"|V(H)| = {h.n}, expected {2 * n}")
@@ -136,7 +130,7 @@ def _check_structure(g: Graph, cls: GraphClass, d: DoublingResult) -> None:
     h_cls = classify(h)
     if not h_cls.connected:
         raise InternalInvariantError("H is disconnected for a connected source graph")
-    r = cls.regular_degree
+    r = classify(g).regular_degree
     if r is not None and h_cls.regular_degree != r + 1:
         raise InternalInvariantError(
             f"H of an {r}-regular graph has degrees {h_cls.min_degree} to "
@@ -223,10 +217,9 @@ def double_with_certificate(g: Graph, alpha: EdgeColoring) -> DoublingCertificat
             return DoublingCertificate(
                 g, alpha, result, EdgeColoring(t + 2, beta), i0, EdgeColoring(t + 2, final), _VALID
             )
-    cls = classify(g)
-    require_connected_with_edge(g, cls.connected)
+    require_connected_with_edge(g)
     _check_source(g, alpha)
-    d = _double(g, cls)
+    d = double_graph(g)
     beta = _lift(g, alpha, d)
     i0, final, validation = finalize_recolor(d, beta, alpha.t)
     return DoublingCertificate(g, alpha, d, beta, i0, final, validation)

@@ -18,15 +18,16 @@ edges, and both use the shared tuples of ``_PAIRS``. ``adjacency`` and
 ``_index_lists`` on either path: the kernel's entries take ``n`` and
 ``edges``, so a survey builds them for no graph.
 
-``classify`` is chosen the same way at each call: the kernel's ``classify``,
-one BFS, a triangle test by merging sorted neighbour lists and the degree
-extremes in C, or ``_classify_py``, the reference; both give equal
-``GraphClass`` fields for every ``Graph``. It gives ``is_connected``, the
-domain guard, the solver and the doubling their connectivity and degrees.
+``classify`` is chosen the same way on a graph's first call, and the graph
+keeps its class as it keeps its lists: the kernel's ``classify``, one BFS,
+a triangle test by merging sorted neighbour lists and the degree extremes
+in C, or ``_classify_py``, the reference, with equal ``GraphClass`` fields.
+It gives ``is_connected``, ``max_degree`` and the domain guard their facts.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
 from typing import Iterable
 
@@ -46,20 +47,22 @@ class Graph:
     """Simple undirected loopless graph with an indexed vertex set.
 
     ``adjacency`` and ``incidence`` (edge indices per vertex, in canonical
-    edge order) are built on first use and kept in ``_lists``, which is
-    excluded from equality, hashing and repr. They align: edge
-    ``incidence[v][i]`` joins v and ``adjacency[v][i]``, and both lists
-    increase because the edges are sorted.
+    edge order) are built on first use and kept in ``_lists``, and
+    ``classify``'s class in ``_class``; both are excluded from equality,
+    hashing and repr. The lists align: edge ``incidence[v][i]`` joins v and
+    ``adjacency[v][i]``, and both increase because the edges are sorted.
     """
 
     n: int
     edges: tuple[tuple[int, int], ...]
     _lists: tuple[tuple, tuple] | None = field(default=None, init=False, compare=False, repr=False)
+    _class: GraphClass | None = field(default=None, init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         kernel = solver._native()
         edges = None if kernel is None else kernel.index_graph(self.n, self.edges, _PAIRS)
         if edges is None:
+            object.__setattr__(self, "n", operator.index(self.n))
             edges = _index_py(self.n, self.edges)
         object.__setattr__(self, "edges", edges)
 
@@ -85,17 +88,17 @@ class Graph:
 
     @property
     def max_degree(self) -> int:
-        return max(self.degrees())
+        return classify(self).max_degree
 
 
 def _index_py(n: int, edges: Iterable) -> tuple[tuple[int, int], ...]:
-    """``Graph``'s canonical edges in Python: the reference for the kernel's
-    ``index_graph``, and the source of every error."""
+    """``Graph``'s canonical edges, of plain ints, in Python: the reference
+    for the kernel's ``index_graph``, and the source of every error."""
     if n < 1:
         raise ValueError(f"vertex count must be >= 1, got {n}")
     normalized: set[tuple[int, int]] = set()
     for pair in edges:
-        i, j = pair
+        i, j = map(operator.index, pair)
         if i == j:
             raise ValueError(f"loop at vertex {i} is not allowed")
         a, b = (i, j) if i < j else (j, i)
@@ -170,8 +173,7 @@ def is_connected(g: Graph) -> bool:
 def _domain_fault(g: Graph, connected: bool) -> str | None:
     """Why g lies outside the domain of interval colorings and of the
     doubling, or None inside it. The domain is the connected graphs with at
-    least one edge (a coloring needs color 1); ``connected`` is g's, from
-    the caller's ``classify``."""
+    least one edge (a coloring needs color 1); ``connected`` is g's."""
     if g.m == 0:
         return "graph has no edges; an interval coloring needs at least color 1"
     if not connected:
@@ -179,23 +181,25 @@ def _domain_fault(g: Graph, connected: bool) -> str | None:
     return None
 
 
-def require_connected_with_edge(g: Graph, connected: bool) -> None:
-    """Raises DomainError for a g outside the domain (``_domain_fault``).
-    Every entry point passes ``classify(g).connected``, from the one
-    ``classify`` that also gives it g's degrees, so g is traversed once."""
-    fault = _domain_fault(g, connected)
+def require_connected_with_edge(g: Graph) -> GraphClass:
+    """g's ``classify``, or DomainError for a g outside the domain
+    (``_domain_fault``)."""
+    cls = classify(g)
+    fault = _domain_fault(g, cls.connected)
     if fault:
         raise DomainError(fault)
+    return cls
 
 
 def classify(g: Graph) -> GraphClass:
-    """g's ``GraphClass``: the kernel's ``classify`` where it loads
-    (``solver._native``), and ``_classify_py``, the reference, elsewhere;
-    the two give equal fields."""
-    kernel = solver._native()
-    if kernel is None:
-        return _classify_py(g)
-    return GraphClass(*kernel.classify(g.n, g.edges))
+    """g's ``GraphClass``, computed on g's first call and kept on g: by the
+    kernel's ``classify`` where it loads (``solver._native``), and by
+    ``_classify_py``, the reference, elsewhere; the two give equal fields."""
+    if g._class is None:
+        kernel = solver._native()
+        cls = _classify_py(g) if kernel is None else GraphClass(*kernel.classify(g.n, g.edges))
+        object.__setattr__(g, "_class", cls)
+    return g._class
 
 
 def _classify_py(g: Graph) -> GraphClass:

@@ -120,7 +120,7 @@ from typing import Iterator, NamedTuple
 from . import bounds as bounds_mod
 from .coloring import EdgeColoring, coloring_to_json, validate_interval
 from .errors import DomainError, InternalInvariantError
-from .graph import Graph, classify, require_connected_with_edge
+from .graph import Graph, require_connected_with_edge
 
 # Graphs with more edges get no distance matrix: its m * m int32 entries,
 # and the kernel's two rows of ranges per depth, stay within 3 MB.
@@ -553,12 +553,9 @@ def _descend(
 
 
 def find_interval_coloring(g: Graph, t: int, limits: SearchLimits | None = None) -> SolveOutcome:
-    """Decide whether g has an interval t-coloring; exhaustive unless aborted.
-    Like ``compute_W``, it takes its domain and Delta from one ``classify``."""
+    """Decide whether g has an interval t-coloring; exhaustive unless aborted."""
     limits = limits or _NO_LIMITS
-    cls = classify(g)
-    require_connected_with_edge(g, cls.connected)
-    delta = cls.max_degree
+    delta = require_connected_with_edge(g).max_degree
     if not delta <= t <= g.m:
         raise DomainError(f"t={t} outside the feasible range [{delta}, {g.m}]")
     status, witness, nodes, _ = _descend(g, delta, t, t, limits.node_limit)
@@ -577,13 +574,12 @@ def compute_W(g: Graph, limits: SearchLimits | None = None) -> SolveOutcome:
     and then an exhausted descent leaves colorability open (None).
     """
     limits = limits or _NO_LIMITS
-    cls = classify(g)
-    require_connected_with_edge(g, cls.connected)
+    cls = require_connected_with_edge(g)
     cutoff = bounds_mod.best_upper_bound(g, cls)
     capped = limits.t_override is not None and limits.t_override < cutoff
     if capped:
         cutoff = limits.t_override
-    delta = cls.max_degree  # the degrees are counted once per call, by classify
+    delta = cls.max_degree
     status, witness, nodes, last = _descend(g, delta, cutoff, delta, limits.node_limit)
     if witness is None:
         colorable = None if capped or status is SolveStatus.ABORTED else False

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
 from intervalcolor import (
@@ -67,16 +68,19 @@ class TestNativePaletteCheck:
         assert EdgeColoring(1, ()).colors == ()
 
     def test_both_paths_agree(self):
-        # Floats, bools and huge values go to the Python loop, which accepts
-        # or refuses them as it did alone.
+        # Bools, numpy ints and huge values go to the Python loop, which
+        # keeps them as plain ints; a float t or color is refused.
         for t, colors in (
-            (3, (1.5,)), (3, (True,)), (2**70, (1, 2**70)), (2**63, (1,)),
-            (2.5, (1, 2)), (True, (1,)),
+            (3, (True,)), (2**70, (1, 2**70)), (2**63, (1,)), (True, (1,)),
+            (np.int64(3), (np.int64(2), 1)), (3, np.array([3, 1])),
         ):
-            assert on_both_paths(lambda: EdgeColoring(t, colors)).colors == colors
+            built = on_both_paths(lambda: EdgeColoring(t, colors))
+            assert built.t == t and built.colors == tuple(colors)
+            assert type(built.t) is int and all(type(c) is int for c in built.colors)
+        for t, colors in ((3, (1.5,)), (3, (1, 2.0)), (2.5, (1, 2)), (2.5, (3,)), (3.0, (1,))):
+            assert on_both_paths(lambda: EdgeColoring(t, colors))[0] is TypeError
         for t, colors in (
-            (3, (1, False)), (3, (1, 2**70)), (3, (0, 1)), (3, (-1,)), (3, (4, 2)),
-            (2.5, (3,)), (0, ()),
+            (3, (1, False)), (3, (1, 2**70)), (3, (0, 1)), (3, (-1,)), (3, (4, 2)), (0, ()),
         ):
             assert on_both_paths(lambda: EdgeColoring(t, colors))[0] is ValueError
 

@@ -1,5 +1,8 @@
 from __future__ import annotations
 
+import json
+
+import numpy as np
 import pytest
 
 from intervalcolor import (
@@ -10,6 +13,7 @@ from intervalcolor import (
     InvalidColoringError,
     certificate_to_json,
     classify,
+    coloring_from_json,
     compute_W,
     double_graph,
     double_with_certificate,
@@ -88,7 +92,7 @@ class TestDoubleGraph:
         ):
             wrong = doubling.DoublingResult(Graph(8, tuple(edges)), d.u_map, d.w_map, ())
             with pytest.raises(InternalInvariantError, match=message):
-                doubling._check_structure(g, classify(g), wrong)
+                doubling._check_structure(g, wrong)
 
 
 class TestLiftColoring:
@@ -285,7 +289,7 @@ def both_paths(g: Graph, alpha: EdgeColoring):
         raise AssertionError("the kernel path ran the Python construction")
 
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(doubling, "_double", refuse)
+        patch.setattr(doubling, "double_graph", refuse)
         native = double_with_certificate(g, alpha)
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(solver, "_native", lambda: None)
@@ -400,15 +404,39 @@ class TestNativeDouble:
         assert double_with_certificate(path, alpha) == reference
         assert len(doubling._PROVENANCE) == 3 * p3().n
 
-    def test_float_colors_agree_with_and_without_the_kernel(self, monkeypatch):
-        # EdgeColoring takes 1.0 as a color; the kernel leaves such colors
-        # to the Python reference instead of raising.
-        g, alpha = k2(), EdgeColoring(1, (1.0,))
-        native = validate_interval(g, alpha), double_with_certificate(g, alpha)
-        monkeypatch.setattr(solver, "_native", lambda: None)
-        reference = validate_interval(g, alpha), double_with_certificate(g, alpha)
-        assert repr(native) == repr(reference)
-        assert native[0].verdict and native[1].final.colors == (1, 2.0, 2.0, 3.0)
+    def test_float_colors_agree_with_and_without_the_kernel(self):
+        # EdgeColoring refuses a float t or color with TypeError on both
+        # paths, before any check or certificate sees it.
+        for t, colors in ((2, (1.0, 2.0)), (2, (True, 2.0)), (2.0, (1, 2)), (1, (1.0,))):
+            seen = []
+            for native in (True, False):
+                with pytest.MonkeyPatch.context() as patch:
+                    if not native:
+                        patch.setattr(solver, "_native", lambda: None)
+                    with pytest.raises(TypeError) as info:
+                        EdgeColoring(t, colors)
+                seen.append(str(info.value))
+            assert seen[0] == seen[1], (t, colors)
+
+    def test_certificates_of_bool_and_numpy_colors_are_plain_json(self):
+        # A bool or numpy color is kept as a plain int on both paths, so
+        # every certificate dumps to JSON and its documents parse back to
+        # equal colorings.
+        g = p3()
+        for native in (True, False):
+            with pytest.MonkeyPatch.context() as patch:
+                if not native:
+                    patch.setattr(solver, "_native", lambda: None)
+                for t, colors in ((2, (True, 2)), (np.int64(2), np.array([1, 2]))):
+                    alpha = EdgeColoring(t, colors)
+                    assert alpha == EdgeColoring(2, (1, 2))
+                    assert type(alpha.t) is int and all(type(c) is int for c in alpha.colors)
+                    cert = double_with_certificate(g, alpha)
+                    doc = json.loads(json.dumps(certificate_to_json(cert)))
+                    h = cert.result.h
+                    assert coloring_from_json(g, doc["alpha"]) == alpha
+                    assert coloring_from_json(h, doc["beta"]) == cert.beta
+                    assert coloring_from_json(h, doc["final"]) == cert.final
 
     def test_domain_errors_agree(self):
         for g, alpha in (
@@ -444,16 +472,19 @@ class TestNativeDouble:
 
     def test_a_rejected_alpha_is_checked_before_h(self, catalogs):
         # The Python path checks g's domain with one classify, then alpha,
-        # then builds H: a rejected alpha builds no H on either path, and g
-        # is traversed by _classify_py alone.
+        # then builds H: a rejected alpha builds no H on either path, and
+        # each fresh g is traversed once, by _classify_py alone, however
+        # many of its colorings are rejected.
         assert solver._native() is not None
-        cases = []
+        sources = []
         for n in range(2, 7):
             for g in catalogs[n]:
                 witness = compute_W(g).witness
                 if witness is not None:
-                    cases += [(g, bad) for bad in corruptions(g, witness)]
+                    sources.append((g, corruptions(g, witness)))
         for native in (True, False):
+            fresh = [(Graph(g.n, g.edges), bads) for g, bads in sources]
+            cases = [(g, bad) for g, bads in fresh for bad in bads]
             with pytest.MonkeyPatch.context() as patch:
                 if not native:
                     patch.setattr(solver, "_native", lambda: None)
@@ -464,7 +495,7 @@ class TestNativeDouble:
                 for g, bad in cases:
                     with pytest.raises(InvalidColoringError):
                         double_with_certificate(g, bad)
-            assert len(traversed) == (0 if native else len(cases)), native
+            assert len(traversed) == (0 if native else len(sources)), native
         assert len(cases) == 3 * 127 - 2  # K2 has the gap corruption alone
 
     def test_a_python_certificate_validates_alpha_and_final_once(self, monkeypatch):

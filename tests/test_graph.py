@@ -1,8 +1,11 @@
 from __future__ import annotations
 
+import copy
+import pickle
 import random
 from dataclasses import fields
 
+import numpy as np
 import pytest
 
 from intervalcolor import (
@@ -15,7 +18,7 @@ from intervalcolor import (
     parse_graph6,
     write_graph6,
 )
-from intervalcolor import GraphClass, generate_connected_catalog, graph, run_survey, solver
+from intervalcolor import GraphClass, compute_W, generate_connected_catalog, graph, run_survey, solver
 from intervalcolor.graph import (
     EDGE_LIST_MAX_N,
     GRAPH6_MAX_N,
@@ -80,6 +83,18 @@ def lists_by_definition(g: Graph) -> tuple:
         tuple(tuple(u for u, _ in row) for row in rows),
         tuple(tuple(idx for _, idx in row) for row in rows),
     )
+
+
+def on_both_paths(build) -> Graph:
+    """build() with and without the kernel, which must give equal graphs."""
+    built = []
+    for native in (True, False):
+        with pytest.MonkeyPatch.context() as patch:
+            if not native:
+                patch.setattr(solver, "_native", lambda: None)
+            built.append(build())
+    assert built[0] == built[1]
+    return built[0]
 
 
 def raised_on_both_paths(n, edges) -> type:
@@ -180,6 +195,20 @@ class TestNativeIndex:
                 built.append((g.n, g.edges, g.adjacency, g.incidence))
             assert built[0] == built[1], make()
 
+    def test_vertices_are_plain_ints_and_floats_are_refused(self):
+        # Bool and numpy vertices, which the kernel declines, become plain
+        # ints, past the shared pairs too; float ones raise TypeError on
+        # both paths, whether or not they index the shared pairs.
+        for n, edges, expected in (
+            (np.int64(70), [(np.int64(65), np.int64(1)), (True, np.int32(2))], ((1, 2), (1, 65))),
+            (True, (), ()),
+        ):
+            g = on_both_paths(lambda: Graph(n, edges))
+            assert (g.n, g.edges) == (n, expected)
+            assert type(g.n) is int and all(type(v) is int for e in g.edges for v in e)
+        for n, edges in ((70, [(1.0, 65.0)]), (6, [(1.0, 5.0)]), (6.0, [(1, 5)])):
+            assert raised_on_both_paths(n, edges) is TypeError
+
     def test_declines_a_vertex_count_past_the_sort_key(self):
         index = solver._native().index_graph
         assert index(2**32, (), _PAIRS) is None
@@ -244,6 +273,81 @@ class TestListsOnFirstUse:
         rows = list(run_survey(generate_connected_catalog(6), with_doubling=True))
         assert len(rows) == 112 and sum(row.doubling_ok is True for row in rows) == 104
         assert built == []
+
+
+class CountingKernel:
+    """The compiled kernel, with the edges of each ``classify`` call kept."""
+
+    def __init__(self):
+        self.kernel, self.classified = solver._native(), []
+
+    def __getattr__(self, name):
+        return getattr(self.kernel, name)
+
+    def classify(self, n, edges):
+        self.classified.append(edges)
+        return self.kernel.classify(n, edges)
+
+
+class TestClassOnFirstUse:
+    """``classify``'s class, computed on a graph's first call and kept in ``_class``."""
+
+    def test_leaves_equality_hash_and_repr_alone(self):
+        a, b = Graph(3, ((1, 2), (0, 1))), Graph(3, ((0, 1), (1, 2)))
+        assert classify(a).max_degree == 2 and a._class is not None and b._class is None
+        assert a == b and hash(a) == hash(b)
+        assert repr(a) == repr(b) == "Graph(n=3, edges=((0, 1), (1, 2)))"
+        for kept in (pickle.loads(pickle.dumps(a)), copy.copy(a), copy.deepcopy(a)):
+            assert kept == a == b and hash(kept) == hash(a) and classify(kept) == classify(a)
+
+    def test_is_read_on_either_path_once_computed(self, catalogs, doubled_graphs):
+        graphs = [g for n in range(1, 7) for g in catalogs[n]] + doubled_graphs
+        graphs += [two_k2(), Graph(3, ())]
+        for g in graphs:
+            kept = []
+            for first in (True, False):
+                fresh = Graph(g.n, g.edges)
+                for native in (first, not first):
+                    with pytest.MonkeyPatch.context() as patch:
+                        if not native:
+                            patch.setattr(solver, "_native", lambda: None)
+                        kept.append(classify(fresh))
+            assert kept[0] is kept[1] and kept[2] is kept[3], g.edges  # the slot, read
+            assert kept[0] == kept[2] == classify_on_both_paths(g), g.edges
+
+    def test_a_survey_classifies_each_graph_once(self, monkeypatch):
+        # survey_graph's classify, and compute_W's, which reads the class
+        # kept: 112 kernel calls for 112 graphs, and none for H.
+        catalog = list(generate_connected_catalog(6))
+        kernel = CountingKernel()
+        monkeypatch.setattr(solver, "_native", lambda: kernel)
+        rows = list(run_survey(catalog, with_doubling=True))
+        assert len(rows) == 112 and sum(row.doubling_ok is True for row in rows) == 104
+        assert kernel.classified == [g.edges for g in catalog]
+
+    def test_the_python_path_classifies_each_graph_once(self, catalogs, monkeypatch):
+        # Fresh graphs on the Python path: a second survey and a second
+        # compute_W read each graph's class, and each survey's doubling
+        # classifies the 23 new H it builds once each.
+        graphs = [Graph(g.n, g.edges) for n in range(2, 6) for g in catalogs[n]]
+        monkeypatch.setattr(solver, "_native", lambda: None)
+        classified = []
+        classify_py = graph._classify_py
+        monkeypatch.setattr(graph, "_classify_py", lambda g: classified.append(g) or classify_py(g))
+        rows = list(run_survey(graphs, with_doubling=True))
+        assert list(run_survey(graphs, with_doubling=True)) == rows
+        solved = [row.w if isinstance(row.w, int) else None for row in rows]
+        assert [compute_W(g).w for g in graphs] == solved
+        doubled = sum(row.doubling_ok is True for row in rows)
+        assert (len(graphs), doubled) == (30, 23)
+        assert len(classified) == len({id(g) for g in classified}) == 30 + 2 * 23
+
+    def test_compute_w_twice_classifies_once(self, monkeypatch):
+        kernel = CountingKernel()
+        monkeypatch.setattr(solver, "_native", lambda: kernel)
+        g = Graph(5, [(i, (i + 1) % 5) for i in range(5)])
+        assert compute_W(g) == compute_W(g) and kernel.classified == [g.edges]
+        assert g.max_degree == 2 and len(kernel.classified) == 1
 
 
 def classify_on_both_paths(g: Graph) -> GraphClass:

@@ -168,8 +168,9 @@ class TestComputeW:
         # test, and both plans count the degrees from the adjacency: the
         # kernel's classify counts them itself, _classify_py calls degrees().
         assert _native() is not None
-        graphs = [g for n in range(2, 7) for g in catalogs[n]]
+        sources = [g for n in range(2, 7) for g in catalogs[n]]
         for native in (True, False):
+            graphs = [Graph(g.n, g.edges) for g in sources]  # a Graph keeps its class
             with pytest.MonkeyPatch.context() as patch:
                 if not native:
                     patch.setattr(solver, "_native", lambda: None)
