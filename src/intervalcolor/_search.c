@@ -155,7 +155,12 @@
  * candidate order, prune and twin cut (the proofs are in catalog.py's
  * docstring). The result maps each code to the masks of the first child
  * with it, in the order found, as _extend_py's does. Malformed input
- * raises ValueError. */
+ * raises ValueError.
+ *
+ * Each entry takes its buffers from one Scratch, a fixed list of zeroed
+ * blocks, and frees them all with one release on every exit. Out of memory
+ * raises MemoryError and leaves nothing allocated, which
+ * tests/test_kernel_memory.py checks at every failing allocation. */
 
 #define PY_SSIZE_T_CLEAN
 #include <Python.h>
@@ -187,6 +192,37 @@ static long long bit_length(const uint64_t *mask, long long words)
         if (mask[w])
             return 64 * w + 64 - __builtin_clzll(mask[w]);
     return 0;
+}
+
+/* The buffers of one kernel call. take adds a block of rows * cols zeroed
+ * items of size bytes; it returns NULL and marks the list failed when that
+ * size overflows a size_t, when the list is full or when memory runs out,
+ * and takes nothing more once failed, so a caller tests failed once after
+ * its takes. A request for no items still gets a block (PyMem_Calloc's
+ * rule), so it fails only when memory does. release frees every block. */
+#define SCRATCH_BLOCKS 16
+
+typedef struct {
+    void *block[SCRATCH_BLOCKS];
+    int count, failed;
+} Scratch;
+
+static void *take(Scratch *s, size_t rows, size_t cols, size_t size)
+{
+    void *p = NULL;
+    if (!s->failed && s->count < SCRATCH_BLOCKS && (!cols || rows <= SIZE_MAX / cols / size))
+        p = PyMem_Calloc(rows * cols, size);
+    if (p)
+        s->block[s->count++] = p;
+    else
+        s->failed = 1;
+    return p;
+}
+
+static void release(Scratch *s)
+{
+    while (s->count)
+        PyMem_Free(s->block[--s->count]);
 }
 
 /* Copies a list or tuple of len ints in [low, bound) into out; -1 with an
@@ -283,10 +319,7 @@ static PyObject *search(PyObject *self, PyObject *args)
                           &dist_buf, &top, &bottom, &budget))
         return NULL;
     PyObject *result = NULL;
-    long long *order = NULL, *ends = NULL, *deg = NULL, *after = NULL, *slots = NULL;
-    long long *color_count = NULL;
-    int32_t *lo = NULL, *hi = NULL, *least_at = NULL, *most_at = NULL;
-    uint64_t *mask = NULL;
+    Scratch s = {0};
     Py_ssize_t m = PyObject_Length(ends_obj) / 2;
     if (m < 0)
         goto done;
@@ -311,33 +344,29 @@ static PyObject *search(PyObject *self, PyObject *args)
         }
     /* Mask words per vertex: enough for the largest palette, top. */
     long long stride = (top + 1) / 64 + 1;
-    if ((size_t)n >= SIZE_MAX / sizeof(uint64_t) / (size_t)stride) {
-        PyErr_NoMemory();
-        goto done;
-    }
-    order = PyMem_Calloc(m, sizeof(long long));
-    ends = PyMem_Calloc(2 * m, sizeof(long long));
-    deg = PyMem_Calloc(n, sizeof(long long));
-    after = PyMem_Calloc(m, sizeof(long long));
+    long long *order = take(&s, m, 1, sizeof(long long));
+    long long *ends = take(&s, m, 2, sizeof(long long));
+    long long *deg = take(&s, n, 1, sizeof(long long));
+    long long *after = take(&s, m, 1, sizeof(long long));
     /* picked[-1] stays 0: the floor of an edge whose after is -1. */
-    slots = PyMem_Calloc(m + 1, sizeof(long long));
-    long long *picked = slots + 1;
-    color_count = PyMem_Calloc(top + 1, sizeof(long long));
+    long long *slots = take(&s, m + 1, 1, sizeof(long long));
+    long long *color_count = take(&s, top + 1, 1, sizeof(long long));
     /* n vertex masks, then used: bit c set while some edge holds color c. */
-    mask = PyMem_Calloc((size_t)(n + 1) * stride, sizeof(uint64_t));
+    uint64_t *mask = take(&s, (size_t)n + 1, stride, sizeof(uint64_t));
+    /* Row k of lo and hi: the ranges at depth k, for edges k .. m - 1.
+     * least_at[k] and most_at[k]: edge k's candidate interval. */
+    int32_t *lo = NULL, *hi = NULL, *least_at = NULL, *most_at = NULL;
     if (dist) {
-        /* Row k of lo and hi: the ranges at depth k, for edges k .. m - 1.
-         * least_at[k] and most_at[k]: edge k's candidate interval. */
-        lo = PyMem_Malloc((size_t)m * m * sizeof(int32_t));
-        hi = PyMem_Malloc((size_t)m * m * sizeof(int32_t));
-        least_at = PyMem_Calloc(m, sizeof(int32_t));
-        most_at = PyMem_Calloc(m, sizeof(int32_t));
+        lo = take(&s, m, m, sizeof(int32_t));
+        hi = take(&s, m, m, sizeof(int32_t));
+        least_at = take(&s, m, 1, sizeof(int32_t));
+        most_at = take(&s, m, 1, sizeof(int32_t));
     }
-    if (!order || !ends || !deg || !after || !slots || !color_count || !mask ||
-        (dist && (!lo || !hi || !least_at || !most_at))) {
+    if (s.failed) {
         PyErr_NoMemory();
         goto done;
     }
+    long long *picked = slots + 1;
     if (read_ints(order_obj, m, 0, m, order) || read_ints(ends_obj, 2 * m, 0, n, ends) ||
         read_ints(deg_obj, n, 0, n, deg) || read_ints(after_obj, m, -1, m, after))
         goto done;
@@ -487,17 +516,7 @@ static PyObject *search(PyObject *self, PyObject *args)
         result = Py_BuildValue("iLLN", status, nodes, last_t, colors);
 done:
     PyBuffer_Release(&dist_buf);
-    PyMem_Free(order);
-    PyMem_Free(ends);
-    PyMem_Free(deg);
-    PyMem_Free(after);
-    PyMem_Free(slots);
-    PyMem_Free(color_count);
-    PyMem_Free(mask);
-    PyMem_Free(lo);
-    PyMem_Free(hi);
-    PyMem_Free(least_at);
-    PyMem_Free(most_at);
+    release(&s);
     return result;
 }
 
@@ -582,20 +601,14 @@ static void adjacency(Py_ssize_t n, Py_ssize_t m, const long long *edges, long l
 
 /* Writes D in BFS positions to d, m * m entries, given the ends in BFS
  * order and the adjacency (start, nbr) of a connected graph; returns the
- * largest entry, or -1 with an exception set. */
-static long long fill_distances(Py_ssize_t n, Py_ssize_t m, const long long *ends,
+ * largest entry, or -1 with an exception set. Its buffers come from s. */
+static long long fill_distances(Scratch *s, Py_ssize_t n, Py_ssize_t m, const long long *ends,
                                 const long long *deg, const Py_ssize_t *start,
                                 const Py_ssize_t *nbr, int32_t *d)
 {
-    if ((size_t)n > SIZE_MAX / sizeof(int32_t) / (size_t)n) {
-        PyErr_NoMemory();
-        return -1;
-    }
-    int32_t *walk = PyMem_Malloc((size_t)n * n * sizeof(int32_t));
-    uint64_t *heap = PyMem_Calloc(2 * m + 1, sizeof(uint64_t)); /* one push per relaxation */
-    if (!walk || !heap) {
-        PyMem_Free(walk);
-        PyMem_Free(heap);
+    int32_t *walk = take(s, n, n, sizeof(int32_t));
+    uint64_t *heap = take(s, 2 * m + 1, 1, sizeof(uint64_t)); /* one push per relaxation */
+    if (s->failed) {
         PyErr_NoMemory();
         return -1;
     }
@@ -630,8 +643,6 @@ static long long fill_distances(Py_ssize_t n, Py_ssize_t m, const long long *end
             longest = max(longest, value);
         }
     }
-    PyMem_Free(walk);
-    PyMem_Free(heap);
     return longest;
 }
 
@@ -721,23 +732,23 @@ static PyObject *plan(PyObject *self, PyObject *args)
     if (with_dist && (size_t)m > SIZE_MAX / sizeof(int32_t) / (size_t)m)
         return PyErr_NoMemory();
     PyObject *result = NULL, *dist = NULL;
-    long long *edges = PyMem_Calloc(2 * m, sizeof(long long)); /* in Graph.edges order */
-    long long *ends = PyMem_Calloc(2 * m, sizeof(long long));  /* in BFS order */
-    long long *deg = PyMem_Calloc(n, sizeof(long long));
-    long long *order = PyMem_Calloc(m, sizeof(long long));
-    long long *after = PyMem_Calloc(m, sizeof(long long));
+    Scratch s = {0};
+    long long *edges = take(&s, m, 2, sizeof(long long)); /* in Graph.edges order */
+    long long *ends = take(&s, m, 2, sizeof(long long));  /* in BFS order */
+    long long *deg = take(&s, n, 1, sizeof(long long));
+    long long *order = take(&s, m, 1, sizeof(long long));
+    long long *after = take(&s, m, 1, sizeof(long long));
     /* Adjacency: nbr[start[v] .. start[v + 1]) in increasing order, inc the
      * edge to each. */
-    Py_ssize_t *start = PyMem_Calloc(n + 1, sizeof(Py_ssize_t));
-    Py_ssize_t *nbr = PyMem_Calloc(2 * m, sizeof(Py_ssize_t));
-    Py_ssize_t *inc = PyMem_Calloc(2 * m, sizeof(Py_ssize_t));
-    Py_ssize_t *position = PyMem_Calloc(m, sizeof(Py_ssize_t));
-    Py_ssize_t *queue = PyMem_Calloc(n, sizeof(Py_ssize_t));
-    Py_ssize_t *key = PyMem_Calloc(2 * (n + 1), sizeof(Py_ssize_t)); /* two neighbourhoods */
-    Keyed *keyed = PyMem_Calloc(2 * n, sizeof(Keyed));
-    Early *early = PyMem_Calloc(n, sizeof(Early)); /* one class of twins */
-    if (!edges || !ends || !deg || !order || !after || !start || !nbr || !inc || !position ||
-        !queue || !key || !keyed || !early) {
+    Py_ssize_t *start = take(&s, n + 1, 1, sizeof(Py_ssize_t));
+    Py_ssize_t *nbr = take(&s, m, 2, sizeof(Py_ssize_t));
+    Py_ssize_t *inc = take(&s, m, 2, sizeof(Py_ssize_t));
+    Py_ssize_t *position = take(&s, m, 1, sizeof(Py_ssize_t));
+    Py_ssize_t *queue = take(&s, n, 1, sizeof(Py_ssize_t));
+    Py_ssize_t *key = take(&s, n + 1, 2, sizeof(Py_ssize_t)); /* two neighbourhoods */
+    Keyed *keyed = take(&s, n, 2, sizeof(Keyed));
+    Early *early = take(&s, n, 1, sizeof(Early)); /* one class of twins */
+    if (s.failed) {
         PyErr_NoMemory();
         goto done;
     }
@@ -850,7 +861,7 @@ static PyObject *plan(PyObject *self, PyObject *args)
     if (!dist)
         goto done;
     if (with_dist) {
-        longest = fill_distances(n, m, ends, deg, start, nbr, (int32_t *)PyBytes_AS_STRING(dist));
+        longest = fill_distances(&s, n, m, ends, deg, start, nbr, (int32_t *)PyBytes_AS_STRING(dist));
         if (longest < 0)
             goto done;
     }
@@ -872,19 +883,7 @@ static PyObject *plan(PyObject *self, PyObject *args)
     }
 done:
     Py_XDECREF(dist);
-    PyMem_Free(edges);
-    PyMem_Free(ends);
-    PyMem_Free(deg);
-    PyMem_Free(order);
-    PyMem_Free(after);
-    PyMem_Free(start);
-    PyMem_Free(nbr);
-    PyMem_Free(inc);
-    PyMem_Free(position);
-    PyMem_Free(queue);
-    PyMem_Free(key);
-    PyMem_Free(keyed);
-    PyMem_Free(early);
+    release(&s);
     return result;
 }
 
@@ -895,15 +894,16 @@ static int is_interval(Py_ssize_t n, Py_ssize_t m, const long long *ends, const 
                        long long t)
 {
     int ok = -1;
+    Scratch s = {0};
     /* Per vertex: least and greatest color, degree, and where its row of
      * seen starts; seen[base[v] + c - lo[v]] marks color c at v. */
-    long long *lo = PyMem_Calloc(n, sizeof(long long));
-    long long *hi = PyMem_Calloc(n, sizeof(long long));
-    long long *count = PyMem_Calloc(n, sizeof(long long));
-    long long *base = PyMem_Calloc(n, sizeof(long long));
-    char *seen = PyMem_Calloc(2 * m, 1);
-    char *used = PyMem_Calloc(t + 1, 1);
-    if (!lo || !hi || !count || !base || !seen || !used) {
+    long long *lo = take(&s, n, 1, sizeof(long long));
+    long long *hi = take(&s, n, 1, sizeof(long long));
+    long long *count = take(&s, n, 1, sizeof(long long));
+    long long *base = take(&s, n, 1, sizeof(long long));
+    char *seen = take(&s, m, 2, 1);
+    char *used = take(&s, t + 1, 1, 1);
+    if (s.failed) {
         PyErr_NoMemory();
         goto done;
     }
@@ -934,12 +934,7 @@ static int is_interval(Py_ssize_t n, Py_ssize_t m, const long long *ends, const 
     }
     ok = ok && distinct == t;
 done:
-    PyMem_Free(lo);
-    PyMem_Free(hi);
-    PyMem_Free(count);
-    PyMem_Free(base);
-    PyMem_Free(seen);
-    PyMem_Free(used);
+    release(&s);
     return ok;
 }
 
@@ -958,9 +953,10 @@ static PyObject *interval_ok(PyObject *self, PyObject *args)
         return NULL;
     }
     PyObject *result = NULL;
-    long long *ends = PyMem_Calloc(2 * m, sizeof(long long));
-    long long *colors = PyMem_Calloc(m, sizeof(long long));
-    if (!ends || !colors) {
+    Scratch s = {0};
+    long long *ends = take(&s, m, 2, sizeof(long long));
+    long long *colors = take(&s, m, 1, sizeof(long long));
+    if (s.failed) {
         PyErr_NoMemory();
         goto done;
     }
@@ -972,8 +968,7 @@ static PyObject *interval_ok(PyObject *self, PyObject *args)
     if (ok >= 0)
         result = PyBool_FromLong(ok);
 done:
-    PyMem_Free(ends);
-    PyMem_Free(colors);
+    release(&s);
     return result;
 }
 
@@ -1020,22 +1015,22 @@ static PyObject *double_cover(PyObject *self, PyObject *args)
         return PyErr_NoMemory();
     Py_ssize_t hn = 2 * n, hm = 2 * m + n; /* H's vertices and edges */
     PyObject *result = NULL, *fields[5] = {NULL};
-    long long *edges = PyMem_Calloc(2 * m, sizeof(long long));
-    long long *colors = PyMem_Calloc(m, sizeof(long long));
-    long long *deg = PyMem_Calloc(hn, sizeof(long long)); /* G's, then H's */
-    long long *top = PyMem_Calloc(n, sizeof(long long));  /* max S(v_i, alpha) */
-    long long *low = PyMem_Calloc(hn, sizeof(long long)); /* min S(x, beta) */
-    long long *h_ends = PyMem_Calloc(2 * hm, sizeof(long long));
-    long long *code = PyMem_Calloc(hm, sizeof(long long));
-    long long *beta = PyMem_Calloc(hm, sizeof(long long));
-    long long *final = PyMem_Calloc(hm, sizeof(long long));
-    Py_ssize_t *start = PyMem_Calloc(n + 1, sizeof(Py_ssize_t));
-    Py_ssize_t *nbr = PyMem_Calloc(2 * m, sizeof(Py_ssize_t));
-    Py_ssize_t *inc = PyMem_Calloc(2 * m, sizeof(Py_ssize_t));
-    Py_ssize_t *match = PyMem_Calloc(n, sizeof(Py_ssize_t)); /* position of u_i w_i in H */
-    Py_ssize_t *parent = PyMem_Calloc(hn, sizeof(Py_ssize_t));
-    if (!edges || !colors || !deg || !top || !low || !h_ends || !code || !beta || !final ||
-        !start || !nbr || !inc || !match || !parent) {
+    Scratch s = {0};
+    long long *edges = take(&s, m, 2, sizeof(long long));
+    long long *colors = take(&s, m, 1, sizeof(long long));
+    long long *deg = take(&s, hn, 1, sizeof(long long)); /* G's, then H's */
+    long long *top = take(&s, n, 1, sizeof(long long));  /* max S(v_i, alpha) */
+    long long *low = take(&s, hn, 1, sizeof(long long)); /* min S(x, beta) */
+    long long *h_ends = take(&s, hm, 2, sizeof(long long));
+    long long *code = take(&s, hm, 1, sizeof(long long));
+    long long *beta = take(&s, hm, 1, sizeof(long long));
+    long long *final = take(&s, hm, 1, sizeof(long long));
+    Py_ssize_t *start = take(&s, n + 1, 1, sizeof(Py_ssize_t));
+    Py_ssize_t *nbr = take(&s, m, 2, sizeof(Py_ssize_t));
+    Py_ssize_t *inc = take(&s, m, 2, sizeof(Py_ssize_t));
+    Py_ssize_t *match = take(&s, n, 1, sizeof(Py_ssize_t)); /* position of u_i w_i in H */
+    Py_ssize_t *parent = take(&s, hn, 1, sizeof(Py_ssize_t));
+    if (s.failed) {
         PyErr_NoMemory();
         goto done;
     }
@@ -1138,20 +1133,7 @@ fallback:
 done:
     for (int i = 0; i < 5; i++)
         Py_XDECREF(fields[i]);
-    PyMem_Free(edges);
-    PyMem_Free(colors);
-    PyMem_Free(deg);
-    PyMem_Free(top);
-    PyMem_Free(low);
-    PyMem_Free(h_ends);
-    PyMem_Free(code);
-    PyMem_Free(beta);
-    PyMem_Free(final);
-    PyMem_Free(start);
-    PyMem_Free(nbr);
-    PyMem_Free(inc);
-    PyMem_Free(match);
-    PyMem_Free(parent);
+    release(&s);
     return result;
 }
 
@@ -1186,15 +1168,12 @@ static PyObject *index_graph(PyObject *self, PyObject *args)
         Py_RETURN_NONE;
     PyObject *result = NULL, **vertex = NULL;
     long long most = 0; /* the largest endpoint */
-    uint64_t *keys = PyMem_Calloc(given + 1, sizeof(uint64_t)); /* a << 32 | b per edge */
-    if (!keys) {
-        PyErr_NoMemory();
-        goto done;
-    }
+    Scratch s = {0};
+    uint64_t *keys = take(&s, given, 1, sizeof(uint64_t)); /* a << 32 | b per edge */
     /* From here any input the Python path would treat otherwise returns
      * None: it then raises its own error or accepts the input itself. */
     int sorted = 1;
-    for (Py_ssize_t e = 0; e < given; e++) {
+    for (Py_ssize_t e = 0; !s.failed && e < given; e++) {
         PyObject **ends;
         Py_ssize_t arity;
         int is_pair = exact_items(items[e], &ends, &arity) && arity == 2;
@@ -1209,8 +1188,8 @@ static PyObject *index_graph(PyObject *self, PyObject *args)
         most = max(most, max(i, j));
     }
     /* One int per vertex, shared by the pairs of endpoints past _PAIRS. */
-    vertex = PyMem_Calloc(most + 1, sizeof(PyObject *));
-    if (!vertex) {
+    vertex = take(&s, most + 1, 1, sizeof(PyObject *));
+    if (s.failed) {
         PyErr_NoMemory();
         goto done;
     }
@@ -1253,8 +1232,7 @@ static PyObject *index_graph(PyObject *self, PyObject *args)
 done:
     for (Py_ssize_t v = 0; vertex && v <= most; v++)
         Py_XDECREF(vertex[v]);
-    PyMem_Free(keys);
-    PyMem_Free(vertex);
+    release(&s);
     return result;
 }
 
@@ -1316,14 +1294,15 @@ static PyObject *classify(PyObject *self, PyObject *args)
         return NULL;
     }
     PyObject *result = NULL, *fields[7] = {NULL};
-    long long *edges = PyMem_Calloc(2 * m + 1, sizeof(long long));
-    long long *deg = PyMem_Calloc(n, sizeof(long long));
-    Py_ssize_t *start = PyMem_Calloc(n + 1, sizeof(Py_ssize_t));
-    Py_ssize_t *nbr = PyMem_Calloc(2 * m + 1, sizeof(Py_ssize_t));
-    Py_ssize_t *inc = PyMem_Calloc(2 * m + 1, sizeof(Py_ssize_t));
-    Py_ssize_t *queue = PyMem_Calloc(n, sizeof(Py_ssize_t));
-    signed char *side = PyMem_Malloc(n);
-    if (!edges || !deg || !start || !nbr || !inc || !queue || !side) {
+    Scratch s = {0};
+    long long *edges = take(&s, m, 2, sizeof(long long));
+    long long *deg = take(&s, n, 1, sizeof(long long));
+    Py_ssize_t *start = take(&s, n + 1, 1, sizeof(Py_ssize_t));
+    Py_ssize_t *nbr = take(&s, m, 2, sizeof(Py_ssize_t));
+    Py_ssize_t *inc = take(&s, m, 2, sizeof(Py_ssize_t));
+    Py_ssize_t *queue = take(&s, n, 1, sizeof(Py_ssize_t));
+    signed char *side = take(&s, n, 1, 1);
+    if (s.failed) {
         PyErr_NoMemory();
         goto done;
     }
@@ -1414,13 +1393,7 @@ static PyObject *classify(PyObject *self, PyObject *args)
             Py_XDECREF(fields[f]);
     }
 done:
-    PyMem_Free(edges);
-    PyMem_Free(deg);
-    PyMem_Free(start);
-    PyMem_Free(nbr);
-    PyMem_Free(inc);
-    PyMem_Free(queue);
-    PyMem_Free(side);
+    release(&s);
     return result;
 }
 
@@ -1566,13 +1539,11 @@ static PyObject *extend(PyObject *self, PyObject *args)
     PyObject *parents = PySequence_Fast(parents_obj, "extend: parents must be iterable");
     if (!parents)
         return NULL;
-    Canon *c = PyMem_Calloc(1, sizeof(Canon));
-    PyObject *grown = PyDict_New();
-    if (!c || !grown) {
-        if (!c)
-            PyErr_NoMemory();
-        goto fail;
-    }
+    Scratch s = {0};
+    Canon *c = take(&s, 1, 1, sizeof(Canon));
+    PyObject *grown = s.failed ? PyErr_NoMemory() : PyDict_New();
+    if (!grown)
+        goto done;
     c->n = size;
     int old = size - 1;
     uint64_t bit = (uint64_t)1 << old;
@@ -1619,14 +1590,13 @@ static PyObject *extend(PyObject *self, PyObject *args)
                 goto fail;
         }
     }
-    PyMem_Free(c);
+    goto done;
+fail:
+    Py_CLEAR(grown);
+done:
+    release(&s);
     Py_DECREF(parents);
     return grown;
-fail:
-    PyMem_Free(c);
-    Py_DECREF(parents);
-    Py_XDECREF(grown);
-    return NULL;
 }
 
 static PyMethodDef methods[] = {

@@ -257,12 +257,10 @@ def _native():
 
     It is built on first use into the package's ``__pycache__``, under the
     name ``_build_target`` gives, and written to a private file renamed
-    into place, so concurrent first uses never load a partial file; a build
-    then removes this interpreter's builds of earlier sources. Without a
-    compiler, headers or a writable directory the Python code runs instead.
+    into place, so concurrent first uses never load a partial file. Without
+    a compiler, headers or a writable directory the Python code runs instead.
     """
     source = Path(__file__).with_name("_search.c")
-    suffix = importlib.machinery.EXTENSION_SUFFIXES[0]
     try:
         command = _build_command(source)
         target = _build_target(source, command)
@@ -280,12 +278,6 @@ def _native():
                 return None
             finally:
                 partial.unlink(missing_ok=True)
-            # Builds of earlier sources for this interpreter: same suffix and
-            # name length. Other interpreters' builds and other processes'
-            # partial files do not match.
-            for stale in target.parent.glob(f"_search-*{suffix}"):
-                if len(stale.name) == len(target.name) and stale != target:
-                    stale.unlink(missing_ok=True)
         spec = importlib.util.spec_from_file_location(f"{__package__}._search", target)
         kernel = importlib.util.module_from_spec(spec)
         spec.loader.exec_module(kernel)

@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 import intervalcolor
-from intervalcolor import EdgeColoring, Graph, coloring_to_json, write_graph6
+from intervalcolor import EdgeColoring, Graph, coloring_to_json, solver, write_graph6
 from intervalcolor.cli import main
 from intervalcolor.graph import EDGE_LIST_MAX_N
 from smallgraphs import c4, k3
@@ -401,3 +401,86 @@ class TestUsage:
         with pytest.raises(SystemExit) as exc:
             main(["frobnicate"])
         assert exc.value.code == 2
+
+
+
+def _coloring(t, colored):
+    return {"t": t, "edges": [{"u": u, "v": v, "color": c} for u, v, c in colored]}
+
+
+# The coloring documents that the cases below name after --coloring.
+COLORINGS = {
+    "k34": _coloring(6, [(i, 3 + j, i + j + 1) for i in range(3) for j in range(4)]),
+    "k3": _coloring(3, [(0, 1, 1), (0, 2, 2), (1, 2, 3)]),
+    "p3-t5": _coloring(5, [(0, 1, 1), (1, 2, 2)]),
+    "2k2-t1": _coloring(1, [(0, 1, 1), (2, 3, 1)]),
+    "2k2-t2": _coloring(2, [(0, 1, 1), (2, 3, 1)]),
+}
+
+# (exit code, command line); --graph takes a graph6 code, --coloring a key of COLORINGS.
+BOTH_PATHS = [
+    # K_{3,4} doubles (exit 0). K3's coloring is not interval (exit 1). 2K2
+    # is disconnected (exit 2), which is reported before its coloring,
+    # which leaves color 2 unused, is looked at.
+    (0, "double --graph FFzf? --coloring k34"),
+    (1, "double --graph Bw --coloring k3"),
+    (2, "double --graph C` --coloring 2k2-t2"),
+    # K_{3,4} colored i + j + 1 is valid (exit 0); K3 colored 1, 2, 3 is not
+    # interval (exit 1). P3 colored 1, 2 with t = 5 > m leaves colors unused
+    # (exit 1), and t > m always takes the Python report. 2K2 with both
+    # edges colored 1 is valid, disconnected or not.
+    (0, "validate --graph FFzf? --coloring k34"),
+    (1, "validate --graph Bw --coloring k3"),
+    (1, "validate --graph Bg --coloring p3-t5"),
+    (0, "validate --graph C` --coloring 2k2-t1"),
+    # C8, the Petersen graph, K_{3,5} and a star exit 0; K1 and 2K2, outside
+    # the registry's domain, exit 2.
+    (0, "bounds --graph GhCGKC"),
+    (0, "bounds --graph IheA@GUAo"),
+    (0, "bounds --graph GFzfF?"),
+    (0, "bounds --graph Esa?"),
+    (2, "bounds --graph @"),
+    (2, "bounds --graph C`"),
+    # E@NG: layers t = 6 and 5 are infeasible in 6 and 12 nodes and t = 4
+    # finds W in 8, so node limits 6 and 18 run out exactly at a layer's
+    # end, and 10 and 22 inside a layer. The Petersen graph's layers
+    # t = 7 .. 3 are all infeasible, t = 7 in 395 nodes. C8 has W = 5.
+    # Found exits 0, anything else 1; 2K2, disconnected, exits 2.
+    (0, "solve --graph E@NG"),
+    (1, "solve --graph E@NG --node-limit 6"),
+    (1, "solve --graph E@NG --node-limit 10"),
+    (1, "solve --graph E@NG --node-limit 18"),
+    (1, "solve --graph E@NG --node-limit 22"),
+    (1, "solve --graph E@NG --t 5"),
+    (1, "solve --graph E@NG --t 4 --node-limit 3"),
+    (1, "solve --graph IheA@GUAo"),
+    (1, "solve --graph IheA@GUAo --node-limit 395"),
+    (1, "solve --graph IheA@GUAo --node-limit 1000"),
+    (0, "solve --graph GhCGKC --t 5"),
+    (1, "solve --graph GhCGKC --t 4 --node-limit 2"),
+    (2, "solve --graph C` --t 1"),
+    # The n = 6 survey, whose output with the kernel is
+    # bench/reference/survey6.csv (tests/test_survey.py).
+    (0, "survey --gen-n 6 --with-doubling"),
+]
+
+
+class TestWithoutTheKernel:
+    """Each command gives the same stdout, stderr and exit code on the
+    Python path, with ``solver._native`` giving None, as with the kernel."""
+
+    @pytest.mark.parametrize("expected, line", BOTH_PATHS, ids=[line for _, line in BOTH_PATHS])
+    def test_same_output(self, capsys, monkeypatch, tmp_path, expected, line):
+        argv = line.split()
+        for flag, name, text in (
+            ("--graph", "g.g6", lambda code: code + "\n"),
+            ("--coloring", "alpha.json", lambda key: json.dumps(COLORINGS[key])),
+        ):
+            if flag in argv:
+                at = argv.index(flag) + 1
+                (tmp_path / name).write_text(text(argv[at]))
+                argv[at] = str(tmp_path / name)
+        native = run(capsys, argv)
+        monkeypatch.setattr(solver, "_native", lambda: None)
+        assert run(capsys, argv) == native
+        assert native[0] == expected

@@ -1,6 +1,5 @@
 from __future__ import annotations
 
-import importlib.machinery
 import os
 import random
 import shutil
@@ -1028,32 +1027,36 @@ class TestNativeKernel:
         )
         assert result.stdout.split() == ["True", "3", "None", "4", "5", "21", "7"]
 
-    def test_a_build_removes_this_interpreters_stale_builds(self, tmp_path):
+    def test_builds_of_different_commands_coexist(self, tmp_path):
+        # A plain build, then one with a changed command, as CI's sanitizer
+        # step makes; a third plain process, with no compiler on PATH, must
+        # still load the first.
         shutil.copytree(
             Path(intervalcolor.__file__).parent,
             tmp_path / "intervalcolor",
             ignore=shutil.ignore_patterns("__pycache__"),
         )
-        cache = tmp_path / "intervalcolor" / "__pycache__"
-        cache.mkdir()
-        suffix = importlib.machinery.EXTENSION_SUFFIXES[0]
-        stale = cache / f"_search-0123456789abcdef{suffix}"
-        kept = [
-            cache / "_search-0123456789abcdef.cpython-399-other.so",  # another interpreter
-            cache / f"_search-fedcba9876543210{suffix}.4242.tmp",  # another process's partial file
-        ]
-        for path in (stale, *kept):
-            path.write_bytes(b"not a build")
-        probe = "from intervalcolor.solver import _native\nprint(_native().__file__)"
-        env = {**os.environ, "PYTHONPATH": str(tmp_path)}
-        result = subprocess.run(
-            [sys.executable, "-c", probe],
-            capture_output=True, text=True, env=env, check=True, timeout=120,
+        (tmp_path / "bin").mkdir()
+        plain = "from intervalcolor.solver import _native\nprint(_native() and _native().__file__)"
+        changed = (
+            "import intervalcolor.solver as s\n"
+            "build = s._build_command\n"
+            "s._build_command = lambda source: [*build(source), '-DCHANGED']\n"
+            "print(s._native().__file__)"
         )
-        built = Path(result.stdout.strip())
-        assert sorted(cache.glob(f"_search-*{suffix}")) == [built]
-        assert built.parent == cache and not stale.exists()
-        assert all(path.read_bytes() == b"not a build" for path in kept)
+
+        def run(probe, path=os.environ["PATH"]):
+            env = {**os.environ, "PATH": path, "PYTHONPATH": str(tmp_path)}
+            result = subprocess.run(
+                [sys.executable, "-c", probe],
+                capture_output=True, text=True, env=env, check=True, timeout=120,
+            )
+            return Path(result.stdout.strip())
+
+        first, second = run(plain), run(changed)
+        assert first != second and first.parent == second.parent
+        assert first.is_file() and second.is_file()
+        assert run(plain, path=str(tmp_path / "bin")) == first
 
     def test_a_changed_build_command_changes_the_target(self):
         source = Path(solver.__file__).with_name("_search.c")

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import hashlib
 import io
 from dataclasses import fields
 from pathlib import Path
@@ -144,6 +145,11 @@ class TestCsvOutput:
         assert main(["survey", "--gen-n", "6", "--with-doubling"]) == 0
         reference = Path(__file__).resolve().parent.parent / "bench" / "reference" / "survey6.csv"
         assert capsys.readouterr().out == reference.read_text()
+
+    def test_the_n7_survey_matches_its_digest(self, capsys):
+        assert main(["survey", "--gen-n", "7", "--with-doubling"]) == 0
+        digest = hashlib.md5(capsys.readouterr().out.encode()).hexdigest()
+        assert digest == "4ec279f0352182cec998d82a3121938a"
 
     def test_byte_identical_reruns(self, catalogs):
         graphs = catalogs[4]
