@@ -6,18 +6,16 @@
  * classification of graph.classify (graph._classify_py) and the catalog
  * level of catalog._extend_py.
  *
- * search(n, order, ends, deg, after, dist, top, bottom, budget)
- *     -> (status, nodes, last, colors)
+ * search(n, edges, max_m, top, bottom, budget) -> (status, nodes, last, colors)
  *
  * The descent of solver._search_py over the palette sizes t = top,
- * top - 1, ..., bottom, 1 <= bottom <= top, each layer searched in turn with
- * one plan read and one set of buffers allocated: order, ends, deg, after
- * and dist are the first fields of plan() for the graph on n vertices.
- * order lists each edge's index, in search order; ends the two endpoints of
- * each edge in that order; deg the degree of each vertex. Edge k's color
- * must exceed that of the earlier edge after[k], or -1 for none (the twin
- * cut). dist is empty, or the m x m int32 matrix of plan(), which turns on
- * distance forward checking. budget caps the nodes of all layers together
+ * top - 1, ..., bottom, 1 <= bottom <= top, of the graph plan() takes, each
+ * layer searched in turn with one plan built and one set of buffers
+ * allocated. The plan is plan()'s, built by the same routine; top is then
+ * capped at m and, when the plan has the matrix, at 1 + longest, above which
+ * no layer has an interval coloring, and a range the caps leave empty gives
+ * (0, 0, bottom, []). Without the matrix the distance rule is off and the
+ * caller applies the ceiling. budget caps the nodes of all layers together
  * (0 = unlimited), and a layer whose turn comes once it is spent aborts with
  * no node. status is 1 when a layer is feasible, 0 when every layer is
  * infeasible and 2 when the budget ran out; last is the last t decided (the
@@ -27,8 +25,8 @@
  * status is 0. Edge order, color order, node counting and the prune rules
  * (distinct, spread, surjectivity, the first edge's reversal cut, the twin
  * cut, the distance rule) are those of _search_py, so its four results
- * agree with this one on every input search takes; plan() builds the
- * input, and the proofs are in solver.py's docstring.
+ * agree with this one given _plan_py's plan and the capped top; the proofs
+ * are in solver.py's docstring.
  *
  * A vertex's colors are a bitmask of (top + 1) / 64 + 1 words, bit c for
  * color c, of which layer t reads the first (t + 1) / 64 + 1, so every t
@@ -40,23 +38,28 @@
  * The distance rule: every uncolored edge f keeps a range [lo_f, hi_f] of
  * colors, and once edge k holds c, f's range is cut to within D(k, f) of
  * c. A candidate x for edge k empties f's range exactly when
- * x < lo_f - D(k, f) or x > hi_f + D(k, f). Color 1, while no edge holds
- * it, must stay in some range after x is placed: x = 1, or x <= 1 + D(k, f)
+ * x < lo_f - D(k, f) or x > hi_f + D(k, f), and as D is a metric these
+ * bounds lie within edge k's own range. Color 1, while no edge holds it,
+ * must stay in some range after x is placed: x = 1, or x <= 1 + D(k, f)
  * for some f with lo_f = 1; color t likewise. All of these are bounds on x,
  * so the first entry into depth k narrows the ranges by edge k - 1's color
  * and computes edge k's candidate interval in one pass over the uncolored
- * edges; a row of ranges per depth lets a backtrack reuse both. The
- * ranges are int32, and dist must hold D in 0 .. 2^31 - 1 - top, so that
- * no sum in that pass overflows; search raises ValueError, before it
- * allocates anything, for a matrix that does not.
+ * edges; a row of ranges per depth lets a backtrack reuse both. The ranges
+ * are int32: t <= m, and D <= 2m - n, since a cheapest path passes a vertex
+ * at most once and the vertices' deg - 1 sum to 2m - n, so every sum in
+ * that pass stays below 3m, and no plan has a matrix of more than
+ * INT32_MAX / 3 edges.
  *
  * plan(n, edges, max_m) -> (order, ends, deg, after, dist, longest)
  *
- * The fields of solver._Plan for a connected graph on n vertices, edges
- * being Graph.edges: pairs (a, b), a < b, strictly increasing. order is the
- * BFS edge order from the lowest-indexed vertex of maximum degree, each
- * vertex's edges taken in increasing neighbour order; ends the endpoints of
- * each edge in that order; deg the degrees; after the twin cut. Twins x, y
+ * The plan search builds, as the fields of solver._Plan, for the tests to
+ * compare with solver._plan_py; the package calls only search. The graph
+ * is connected, on n vertices, edges being Graph.edges: pairs (a, b),
+ * a < b, strictly increasing. order is the BFS edge order from the
+ * lowest-indexed vertex of maximum degree, each vertex's edges taken in
+ * increasing neighbour order; ends the endpoints of each edge in that
+ * order; deg the degrees; after the twin cut: edge k's color must exceed
+ * that of the earlier edge after[k], or -1 for none. Twins x, y
  * have equal open neighbourhoods N(x) = N(y) or equal closed ones
  * N[x] = N[y]: the vertices are sorted by a hash of each neighbourhood and
  * a run of equal hashes is split by comparing the neighbourhoods
@@ -200,7 +203,7 @@ static long long bit_length(const uint64_t *mask, long long words)
  * and takes nothing more once failed, so a caller tests failed once after
  * its takes. A request for no items still gets a block (PyMem_Calloc's
  * rule), so it fails only when memory does. release frees every block. */
-#define SCRATCH_BLOCKS 16
+#define SCRATCH_BLOCKS 24
 
 typedef struct {
     void *block[SCRATCH_BLOCKS];
@@ -307,217 +310,6 @@ static PyObject *ints_of(const long long *values, Py_ssize_t len, int tuple)
             PyList_SET_ITEM(seq, i, v);
     }
     return seq;
-}
-
-static PyObject *search(PyObject *self, PyObject *args)
-{
-    Py_ssize_t n;
-    long long top, bottom, budget;
-    PyObject *order_obj, *ends_obj, *deg_obj, *after_obj;
-    Py_buffer dist_buf;
-    if (!PyArg_ParseTuple(args, "nOOOOy*LLL", &n, &order_obj, &ends_obj, &deg_obj, &after_obj,
-                          &dist_buf, &top, &bottom, &budget))
-        return NULL;
-    PyObject *result = NULL;
-    Scratch s = {0};
-    Py_ssize_t m = PyObject_Length(ends_obj) / 2;
-    if (m < 0)
-        goto done;
-    if (n < 1 || m < 1 || bottom < 1 || bottom > top || top >= PY_SSIZE_T_MAX / 2 || budget < 0) {
-        PyErr_SetString(PyExc_ValueError, "search: n, edges, palette range or budget out of range");
-        goto done;
-    }
-    /* With the distance rule, ranges are int32 and m * m of them fit a size_t. */
-    const int32_t *dist = dist_buf.len ? dist_buf.buf : NULL;
-    if (dist && (top > INT32_MAX || (size_t)m > SIZE_MAX / sizeof(int32_t) / (size_t)m ||
-                 (size_t)dist_buf.len != (size_t)m * (size_t)m * sizeof(int32_t))) {
-        PyErr_SetString(PyExc_ValueError, "search: dist must be empty or m * m int32");
-        goto done;
-    }
-    /* Every sum of the range pass (x + D, h + D, 1 + D) then stays within
-     * t + D <= INT32_MAX, and every difference above -INT32_MAX. */
-    for (size_t i = 0; dist && i < (size_t)m * (size_t)m; i++)
-        if (dist[i] < 0 || dist[i] > INT32_MAX - top) {
-            PyErr_SetString(PyExc_ValueError,
-                            "search: dist entries must lie in 0 .. 2**31 - 1 - top");
-            goto done;
-        }
-    /* Mask words per vertex: enough for the largest palette, top. */
-    long long stride = (top + 1) / 64 + 1;
-    long long *order = take(&s, m, 1, sizeof(long long));
-    long long *ends = take(&s, m, 2, sizeof(long long));
-    long long *deg = take(&s, n, 1, sizeof(long long));
-    long long *after = take(&s, m, 1, sizeof(long long));
-    /* picked[-1] stays 0: the floor of an edge whose after is -1. */
-    long long *slots = take(&s, m + 1, 1, sizeof(long long));
-    long long *color_count = take(&s, top + 1, 1, sizeof(long long));
-    /* n vertex masks, then used: bit c set while some edge holds color c. */
-    uint64_t *mask = take(&s, (size_t)n + 1, stride, sizeof(uint64_t));
-    /* Row k of lo and hi: the ranges at depth k, for edges k .. m - 1.
-     * least_at[k] and most_at[k]: edge k's candidate interval. */
-    int32_t *lo = NULL, *hi = NULL, *least_at = NULL, *most_at = NULL;
-    if (dist) {
-        lo = take(&s, m, m, sizeof(int32_t));
-        hi = take(&s, m, m, sizeof(int32_t));
-        least_at = take(&s, m, 1, sizeof(int32_t));
-        most_at = take(&s, m, 1, sizeof(int32_t));
-    }
-    if (s.failed) {
-        PyErr_NoMemory();
-        goto done;
-    }
-    long long *picked = slots + 1;
-    if (read_ints(order_obj, m, 0, m, order) || read_ints(ends_obj, 2 * m, 0, n, ends) ||
-        read_ints(deg_obj, n, 0, n, deg) || read_ints(after_obj, m, -1, m, after))
-        goto done;
-    for (Py_ssize_t k = 0; k < m; k++)
-        if (after[k] >= k) {
-            PyErr_SetString(PyExc_ValueError, "search: after[k] must be an earlier edge");
-            goto done;
-        }
-    /* order must be a permutation, each edge once: marked in picked, which
-     * is zeroed again after. */
-    for (Py_ssize_t k = 0; k < m; k++)
-        if (picked[order[k]]++) {
-            PyErr_SetString(PyExc_ValueError, "search: order must list each edge once");
-            goto done;
-        }
-    memset(picked, 0, m * sizeof(long long));
-    uint64_t *used = mask + (size_t)n * stride;
-    long long nodes = 0, t = top;
-    int status = 0;
-    Py_ssize_t k = 0;
-    /* One layer per palette size t, from top down. A layer proven
-     * infeasible has taken every color off again (k ends at -1), so the
-     * next starts from empty masks and counts. */
-    for (; t >= bottom; t--) {
-        if (budget && nodes >= budget) {
-            status = 2; /* the budget ran out at the end of the layer above */
-            break;
-        }
-        long long words = (t + 1) / 64 + 1; /* the words colors 0..t lie in */
-        long long unused = t;               /* colors on no edge yet */
-        long long first_top = (t + 1) / 2;
-        for (k = 0; k >= 0 && k < m;) {
-            long long a = ends[2 * k], b = ends[2 * k + 1];
-            uint64_t *mask_a = mask + a * stride, *mask_b = mask + b * stride;
-            long long c = picked[k];
-            if (c) {
-                uint64_t bit = (uint64_t)1 << (c & 63);
-                mask_a[c >> 6] ^= bit;
-                mask_b[c >> 6] ^= bit;
-                if (!--color_count[c]) {
-                    used[c >> 6] ^= bit;
-                    unused++;
-                }
-            } else if (dist) {
-                /* First entry: narrow the ranges by edge k - 1's color x and
-                 * bound edge k's candidates (D(k, k) = 0 bounds it by its own
-                 * range). Ranges stay within [1, t] and D >= 0, so at depth 0,
-                 * where every range is [1, t], least is 1 and most is t. */
-                const int32_t *near = dist + k * m, t32 = (int32_t)t;
-                int32_t *lo_k = lo + k * m, *hi_k = hi + k * m;
-                int32_t least = 1, most = t32, reach_one = 1, reach_top = t32;
-                if (k) {
-                    const int32_t *prev = near - m, *lo_prev = lo_k - m, *hi_prev = hi_k - m;
-                    const int32_t x = (int32_t)picked[k - 1];
-                    for (Py_ssize_t f = k; f < m; f++) {
-                        int32_t d = near[f];
-                        int32_t l = max32(lo_prev[f], x - prev[f]);
-                        int32_t h = min32(hi_prev[f], x + prev[f]);
-                        lo_k[f] = l;
-                        hi_k[f] = h;
-                        least = max32(least, l - d);
-                        most = min32(most, h + d);
-                        reach_one = max32(reach_one, l == 1 ? 1 + d : 1);
-                        reach_top = min32(reach_top, h == t32 ? t32 - d : t32);
-                    }
-                } else {
-                    for (Py_ssize_t f = 0; f < m; f++) {
-                        lo_k[f] = 1;
-                        hi_k[f] = t32;
-                        reach_one = max32(reach_one, 1 + near[f]);
-                        reach_top = min32(reach_top, t32 - near[f]);
-                    }
-                }
-                least_at[k] = color_count[t] ? least : max32(least, reach_top);
-                most_at[k] = color_count[1] ? most : min32(most, reach_one);
-            }
-            /* Spread: a new color at v lies in [hi - deg(v) + 1, lo + deg(v) - 1],
-             * lo and hi being v's least and greatest color (hi + 1 = bit_length).
-             * Twin cut: it lies above the color of edge after[k]. */
-            long long from = max(max(c + 1, picked[after[k]] + 1),
-                                 max(bit_length(mask_a, words) - deg[a],
-                                     bit_length(mask_b, words) - deg[b]));
-            long long to = min(k ? t : first_top, min(lowest(mask_a, words, t) + deg[a] - 1,
-                                                       lowest(mask_b, words, t) + deg[b] - 1));
-            if (dist) {
-                from = max(from, least_at[k]);
-                to = min(to, most_at[k]);
-            }
-            /* The least color in [from, to] on neither end, and on no edge
-             * at all when exactly as many edges as unused colors remain
-             * (surjectivity), taken a word at a time. */
-            long long spare = m - k - 1 - unused;
-            c = 0;
-            if (spare >= -1 && from <= to) {
-                uint64_t shun = spare == -1 ? ~(uint64_t)0 : 0;
-                long long w = from >> 6, end = to >> 6;
-                uint64_t avail = ~(uint64_t)0 << (from & 63);
-                for (;; w++, avail = ~(uint64_t)0) {
-                    avail &= ~(mask_a[w] | mask_b[w] | (used[w] & shun));
-                    if (w == end)
-                        avail &= ~(uint64_t)0 >> (63 - (to & 63));
-                    if (avail || w == end)
-                        break;
-                }
-                if (avail)
-                    c = 64 * w + __builtin_ctzll(avail);
-            }
-            if (!c) {
-                picked[k] = 0;
-                k--;
-                continue;
-            }
-            if (budget && nodes >= budget) {
-                picked[k] = 0; /* its color is off: edges 0 .. k - 1 stay colored */
-                break;
-            }
-            if (!(nodes & SIGNAL_CHECK_MASK) && PyErr_CheckSignals())
-                goto done;
-            nodes++;
-            uint64_t bit = (uint64_t)1 << (c & 63);
-            mask_a[c >> 6] |= bit;
-            mask_b[c >> 6] |= bit;
-            if (!color_count[c]++) {
-                used[c >> 6] |= bit;
-                unused--;
-            }
-            picked[k] = c;
-            k++;
-        }
-        if (k >= 0) {
-            status = k == m ? 1 : 2;
-            break;
-        }
-    }
-    /* The last palette size decided: the witness's, bottom's, or the one
-     * above the aborted layer. */
-    long long last_t = status == 1 ? t : t + 1;
-    PyObject *colors = PyList_New(status ? m : 0);
-    for (Py_ssize_t i = 0; colors && status && i < m; i++) {
-        PyObject *v = PyLong_FromLongLong(picked[i]);
-        if (!v)
-            Py_CLEAR(colors);
-        else
-            PyList_SET_ITEM(colors, order[i], v);
-    }
-    if (colors)
-        result = Py_BuildValue("iLLN", status, nodes, last_t, colors);
-done:
-    PyBuffer_Release(&dist_buf);
-    release(&s);
-    return result;
 }
 
 /* Pops the least (cost << 32 | vertex) key of a binary min-heap of size *size. */
@@ -715,45 +507,55 @@ static void earliest_two(const Py_ssize_t *start, const Py_ssize_t *nbr, const P
     }
 }
 
-static PyObject *plan(PyObject *self, PyObject *args)
+/* The search plan of the connected graph on n vertices with the edges of
+ * edges_obj (plan()), in buffers from one Scratch: dist is the m x m matrix
+ * and longest its largest entry, or NULL and -1 when m > max_m. */
+typedef struct {
+    Py_ssize_t m;
+    long long *order, *ends, *deg, *after, longest;
+    int32_t *dist;
+} Plan;
+
+/* Builds out for plan() and search(), entry naming the caller in errors;
+ * -1 with an exception set. */
+static int make_plan(Scratch *s, Py_ssize_t n, PyObject *edges_obj, Py_ssize_t max_m,
+                     const char *entry, Plan *out)
 {
-    Py_ssize_t n, max_m;
-    PyObject *edges_obj;
-    if (!PyArg_ParseTuple(args, "nOn", &n, &edges_obj, &max_m))
-        return NULL;
     Py_ssize_t m = PyObject_Length(edges_obj);
     if (m < 0)
-        return NULL;
+        return -1;
     if (n < 1 || m < 1 || max_m < 0) {
-        PyErr_SetString(PyExc_ValueError, "plan: n, edges or max_m out of range");
-        return NULL;
+        PyErr_Format(PyExc_ValueError, "%s: n, edges or max_m out of range", entry);
+        return -1;
     }
-    int with_dist = m <= max_m;
-    if (with_dist && (size_t)m > SIZE_MAX / sizeof(int32_t) / (size_t)m)
-        return PyErr_NoMemory();
-    PyObject *result = NULL, *dist = NULL;
-    Scratch s = {0};
-    long long *edges = take(&s, m, 2, sizeof(long long)); /* in Graph.edges order */
-    long long *ends = take(&s, m, 2, sizeof(long long));  /* in BFS order */
-    long long *deg = take(&s, n, 1, sizeof(long long));
-    long long *order = take(&s, m, 1, sizeof(long long));
-    long long *after = take(&s, m, 1, sizeof(long long));
+    /* A larger matrix would take over 2^60 bytes; this bound also keeps the
+     * sums of search's range pass within int32. */
+    if (m <= max_m && m > INT32_MAX / 3) {
+        PyErr_NoMemory();
+        return -1;
+    }
+    long long *edges = take(s, m, 2, sizeof(long long)); /* in Graph.edges order */
+    long long *ends = take(s, m, 2, sizeof(long long));  /* in BFS order */
+    long long *deg = take(s, n, 1, sizeof(long long));
+    long long *order = take(s, m, 1, sizeof(long long));
+    long long *after = take(s, m, 1, sizeof(long long));
+    int32_t *dist = m <= max_m ? take(s, m, m, sizeof(int32_t)) : NULL;
     /* Adjacency: nbr[start[v] .. start[v + 1]) in increasing order, inc the
      * edge to each. */
-    Py_ssize_t *start = take(&s, n + 1, 1, sizeof(Py_ssize_t));
-    Py_ssize_t *nbr = take(&s, m, 2, sizeof(Py_ssize_t));
-    Py_ssize_t *inc = take(&s, m, 2, sizeof(Py_ssize_t));
-    Py_ssize_t *position = take(&s, m, 1, sizeof(Py_ssize_t));
-    Py_ssize_t *queue = take(&s, n, 1, sizeof(Py_ssize_t));
-    Py_ssize_t *key = take(&s, n + 1, 2, sizeof(Py_ssize_t)); /* two neighbourhoods */
-    Keyed *keyed = take(&s, n, 2, sizeof(Keyed));
-    Early *early = take(&s, n, 1, sizeof(Early)); /* one class of twins */
-    if (s.failed) {
+    Py_ssize_t *start = take(s, n + 1, 1, sizeof(Py_ssize_t));
+    Py_ssize_t *nbr = take(s, m, 2, sizeof(Py_ssize_t));
+    Py_ssize_t *inc = take(s, m, 2, sizeof(Py_ssize_t));
+    Py_ssize_t *position = take(s, m, 1, sizeof(Py_ssize_t));
+    Py_ssize_t *queue = take(s, n, 1, sizeof(Py_ssize_t));
+    Py_ssize_t *key = take(s, n + 1, 2, sizeof(Py_ssize_t)); /* two neighbourhoods */
+    Keyed *keyed = take(s, n, 2, sizeof(Keyed));
+    Early *early = take(s, n, 1, sizeof(Early)); /* one class of twins */
+    if (s->failed) {
         PyErr_NoMemory();
-        goto done;
+        return -1;
     }
-    if (read_edges(edges_obj, n, m, edges, "plan"))
-        goto done;
+    if (read_edges(edges_obj, n, m, edges, entry))
+        return -1;
     adjacency(n, m, edges, deg, start, nbr, inc);
     Py_ssize_t root = 0;
     for (Py_ssize_t v = 0; v < n; v++)
@@ -780,8 +582,8 @@ static PyObject *plan(PyObject *self, PyObject *args)
         }
     }
     if (tail < n) {
-        PyErr_SetString(PyExc_ValueError, "plan: the graph must be connected");
-        goto done;
+        PyErr_Format(PyExc_ValueError, "%s: the graph must be connected", entry);
+        return -1;
     }
     for (Py_ssize_t k = 0; k < m; k++) {
         ends[2 * k] = edges[2 * order[k]];
@@ -856,33 +658,222 @@ static PyObject *plan(PyObject *self, PyObject *args)
         }
     }
 
-    long long longest = 0;
-    dist = PyBytes_FromStringAndSize(NULL, with_dist ? (Py_ssize_t)((size_t)m * m * sizeof(int32_t)) : 0);
-    if (!dist)
+    long long longest = dist ? fill_distances(s, n, m, ends, deg, start, nbr, dist) : -1;
+    if (dist && longest < 0)
+        return -1;
+    *out = (Plan){m, order, ends, deg, after, longest, dist};
+    return 0;
+}
+
+static PyObject *plan(PyObject *self, PyObject *args)
+{
+    Py_ssize_t n, max_m;
+    PyObject *edges_obj, *result = NULL;
+    if (!PyArg_ParseTuple(args, "nOn", &n, &edges_obj, &max_m))
+        return NULL;
+    Scratch s = {0};
+    Plan p;
+    if (!make_plan(&s, n, edges_obj, max_m, "plan", &p)) {
+        Py_ssize_t m = p.m, cells = p.dist ? m * m : 0;
+        PyObject *fields[6] = {
+            ints_of(p.order, m, 0), ints_of(p.ends, 2 * m, 0), ints_of(p.deg, n, 0),
+            ints_of(p.after, m, 0),
+            PyBytes_FromStringAndSize((const char *)p.dist, cells * (Py_ssize_t)sizeof(int32_t)),
+            p.dist ? PyLong_FromLongLong(p.longest) : Py_NewRef(Py_None),
+        };
+        int built = 1;
+        for (int i = 0; i < 6; i++)
+            built = built && fields[i];
+        result = built ? PyTuple_New(6) : NULL;
+        for (int i = 0; i < 6; i++) {
+            if (result)
+                PyTuple_SET_ITEM(result, i, fields[i]);
+            else
+                Py_XDECREF(fields[i]);
+        }
+    }
+    release(&s);
+    return result;
+}
+
+static PyObject *search(PyObject *self, PyObject *args)
+{
+    Py_ssize_t n, max_m;
+    long long top, bottom, budget;
+    PyObject *edges_obj;
+    if (!PyArg_ParseTuple(args, "nOnLLL", &n, &edges_obj, &max_m, &top, &bottom, &budget))
+        return NULL;
+    if (bottom < 1 || bottom > top || budget < 0) {
+        PyErr_SetString(PyExc_ValueError, "search: palette range or budget out of range");
+        return NULL;
+    }
+    PyObject *result = NULL;
+    Scratch s = {0};
+    Plan p;
+    if (make_plan(&s, n, edges_obj, max_m, "search", &p))
         goto done;
-    if (with_dist) {
-        longest = fill_distances(&s, n, m, ends, deg, start, nbr, (int32_t *)PyBytes_AS_STRING(dist));
-        if (longest < 0)
-            goto done;
+    const Py_ssize_t m = p.m;
+    const long long *order = p.order, *ends = p.ends, *deg = p.deg, *after = p.after;
+    const int32_t *dist = p.dist;
+    /* No layer above m (surjectivity) or above the ceiling 1 + longest has
+     * an interval coloring, so these caps change no result, and they bound
+     * every buffer below by m. */
+    top = min(top, dist ? min(m, p.longest + 1) : m);
+    if (top < bottom) {
+        result = Py_BuildValue("iiL[]", 0, 0, bottom);
+        goto done;
     }
-    PyObject *fields[6] = {
-        ints_of(order, m, 0), ints_of(ends, 2 * m, 0), ints_of(deg, n, 0), ints_of(after, m, 0),
-        dist,
-        with_dist ? PyLong_FromLongLong(longest) : Py_NewRef(Py_None),
-    };
-    dist = NULL; /* now in fields */
-    int built = 1;
-    for (int i = 0; i < 6; i++)
-        built = built && fields[i];
-    result = built ? PyTuple_New(6) : NULL;
-    for (int i = 0; i < 6; i++) {
-        if (result)
-            PyTuple_SET_ITEM(result, i, fields[i]);
+    /* Mask words per vertex: enough for the largest palette, top. */
+    long long stride = (top + 1) / 64 + 1;
+    /* picked[-1] stays 0: the floor of an edge whose after is -1. */
+    long long *slots = take(&s, m + 1, 1, sizeof(long long));
+    long long *color_count = take(&s, top + 1, 1, sizeof(long long));
+    /* n vertex masks, then used: bit c set while some edge holds color c. */
+    uint64_t *mask = take(&s, (size_t)n + 1, stride, sizeof(uint64_t));
+    /* Row k of lo and hi: the ranges at depth k, for edges k .. m - 1.
+     * least_at[k] and most_at[k]: edge k's candidate interval. */
+    int32_t *lo = NULL, *hi = NULL, *least_at = NULL, *most_at = NULL;
+    if (dist) {
+        lo = take(&s, m, m, sizeof(int32_t));
+        hi = take(&s, m, m, sizeof(int32_t));
+        least_at = take(&s, m, 1, sizeof(int32_t));
+        most_at = take(&s, m, 1, sizeof(int32_t));
+    }
+    if (s.failed) {
+        PyErr_NoMemory();
+        goto done;
+    }
+    long long *picked = slots + 1;
+    uint64_t *used = mask + (size_t)n * stride;
+    long long nodes = 0, t = top;
+    int status = 0;
+    Py_ssize_t k = 0;
+    /* One layer per palette size t, from top down. A layer proven
+     * infeasible has taken every color off again (k ends at -1), so the
+     * next starts from empty masks and counts. */
+    for (; t >= bottom; t--) {
+        if (budget && nodes >= budget) {
+            status = 2; /* the budget ran out at the end of the layer above */
+            break;
+        }
+        long long words = (t + 1) / 64 + 1; /* the words colors 0..t lie in */
+        long long unused = t;               /* colors on no edge yet */
+        long long first_top = (t + 1) / 2;
+        for (k = 0; k >= 0 && k < m;) {
+            long long a = ends[2 * k], b = ends[2 * k + 1];
+            uint64_t *mask_a = mask + a * stride, *mask_b = mask + b * stride;
+            long long c = picked[k];
+            if (c) {
+                uint64_t bit = (uint64_t)1 << (c & 63);
+                mask_a[c >> 6] ^= bit;
+                mask_b[c >> 6] ^= bit;
+                if (!--color_count[c]) {
+                    used[c >> 6] ^= bit;
+                    unused++;
+                }
+            } else if (dist) {
+                /* First entry: narrow the ranges by edge k - 1's color x, and
+                 * bound edge k's candidates by its own range, which holds
+                 * every other range's bounds lo_f - D(k, f) and hi_f + D(k, f)
+                 * (solver.py), and by where colors 1 and t can still go. */
+                const int32_t *near = dist + k * m, t32 = (int32_t)t;
+                int32_t *lo_k = lo + k * m, *hi_k = hi + k * m;
+                int32_t reach_one = 1, reach_top = t32;
+                if (k) {
+                    const int32_t *prev = near - m, *lo_prev = lo_k - m, *hi_prev = hi_k - m;
+                    const int32_t x = (int32_t)picked[k - 1];
+                    for (Py_ssize_t f = k; f < m; f++) {
+                        int32_t d = near[f];
+                        int32_t l = max32(lo_prev[f], x - prev[f]);
+                        int32_t h = min32(hi_prev[f], x + prev[f]);
+                        lo_k[f] = l;
+                        hi_k[f] = h;
+                        reach_one = max32(reach_one, l == 1 ? 1 + d : 1);
+                        reach_top = min32(reach_top, h == t32 ? t32 - d : t32);
+                    }
+                } else {
+                    for (Py_ssize_t f = 0; f < m; f++) {
+                        lo_k[f] = 1;
+                        hi_k[f] = t32;
+                        reach_one = max32(reach_one, 1 + near[f]);
+                        reach_top = min32(reach_top, t32 - near[f]);
+                    }
+                }
+                least_at[k] = color_count[t] ? lo_k[k] : max32(lo_k[k], reach_top);
+                most_at[k] = color_count[1] ? hi_k[k] : min32(hi_k[k], reach_one);
+            }
+            /* Spread: a new color at v lies in [hi - deg(v) + 1, lo + deg(v) - 1],
+             * lo and hi being v's least and greatest color (hi + 1 = bit_length).
+             * Twin cut: it lies above the color of edge after[k]. */
+            long long from = max(max(c + 1, picked[after[k]] + 1),
+                                 max(bit_length(mask_a, words) - deg[a],
+                                     bit_length(mask_b, words) - deg[b]));
+            long long to = min(k ? t : first_top, min(lowest(mask_a, words, t) + deg[a] - 1,
+                                                       lowest(mask_b, words, t) + deg[b] - 1));
+            if (dist) {
+                from = max(from, least_at[k]);
+                to = min(to, most_at[k]);
+            }
+            /* The least color in [from, to] on neither end, and on no edge
+             * at all when exactly as many edges as unused colors remain
+             * (surjectivity), taken a word at a time. */
+            long long spare = m - k - 1 - unused;
+            c = 0;
+            if (spare >= -1 && from <= to) {
+                uint64_t shun = spare == -1 ? ~(uint64_t)0 : 0;
+                long long w = from >> 6, end = to >> 6;
+                uint64_t avail = ~(uint64_t)0 << (from & 63);
+                for (;; w++, avail = ~(uint64_t)0) {
+                    avail &= ~(mask_a[w] | mask_b[w] | (used[w] & shun));
+                    if (w == end)
+                        avail &= ~(uint64_t)0 >> (63 - (to & 63));
+                    if (avail || w == end)
+                        break;
+                }
+                if (avail)
+                    c = 64 * w + __builtin_ctzll(avail);
+            }
+            if (!c) {
+                picked[k] = 0;
+                k--;
+                continue;
+            }
+            if (budget && nodes >= budget) {
+                picked[k] = 0; /* its color is off: edges 0 .. k - 1 stay colored */
+                break;
+            }
+            if (!(nodes & SIGNAL_CHECK_MASK) && PyErr_CheckSignals())
+                goto done;
+            nodes++;
+            uint64_t bit = (uint64_t)1 << (c & 63);
+            mask_a[c >> 6] |= bit;
+            mask_b[c >> 6] |= bit;
+            if (!color_count[c]++) {
+                used[c >> 6] |= bit;
+                unused--;
+            }
+            picked[k] = c;
+            k++;
+        }
+        if (k >= 0) {
+            status = k == m ? 1 : 2;
+            break;
+        }
+    }
+    /* The last palette size decided: the witness's, bottom's, or the one
+     * above the aborted layer. */
+    long long last_t = status == 1 ? t : t + 1;
+    PyObject *colors = PyList_New(status ? m : 0);
+    for (Py_ssize_t i = 0; colors && status && i < m; i++) {
+        PyObject *v = PyLong_FromLongLong(picked[i]);
+        if (!v)
+            Py_CLEAR(colors);
         else
-            Py_XDECREF(fields[i]);
+            PyList_SET_ITEM(colors, order[i], v);
     }
+    if (colors)
+        result = Py_BuildValue("iLLN", status, nodes, last_t, colors);
 done:
-    Py_XDECREF(dist);
     release(&s);
     return result;
 }

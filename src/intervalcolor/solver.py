@@ -9,10 +9,12 @@ backtracking, one after another, with one node budget shared across them.
 The testing oracle that enumerates every assignment lives in ``oracle``.
 
 The set-up is an overfull test (``_overfull``), then the search plan
-(``_plan``) and a ceiling proven for the instance (``_proven_ceiling``). An
-overfull graph has no interval coloring at all, so it is decided with no
-plan, and no interval coloring uses more than 1 + max D colors (D below),
-so layers above the ceiling are infeasible at a cost of 0 nodes.
+(``_Plan``) and a ceiling proven for the instance. An overfull graph has no
+interval coloring at all, so it is decided with no plan, and no interval
+coloring uses more than 1 + max D colors (D below), so layers above the
+ceiling are infeasible at a cost of 0 nodes. Where the kernel loads, one
+call to its ``search`` builds the plan, caps the palette at that ceiling and
+searches; its ``plan`` entry gives the same plan to the tests.
 
 Search strategy (deterministic): edges are ordered by a breadth-first
 traversal from a maximum-degree vertex (ties broken by lowest vertex index)
@@ -37,8 +39,11 @@ deg(v) - 1, and the differences add up along a path. So each uncolored edge
 f keeps a range [lo_f, hi_f], at first [1, t], and once edge k holds color
 c, f's range is cut to within D(k, f) of c. A candidate x for edge k is cut
 when it would empty some range, which is exactly when x < lo_f - D(k, f) or
-x > hi_f + D(k, f) for an uncolored f (f = k keeps x in its own range). It
-is also cut when color 1 is on no edge yet and no range would still reach
+x > hi_f + D(k, f) for an uncolored f. Edge k's own range (f = k) decides
+this: with edges j < k colored x_j, lo_f = max(1, max_j x_j - D(j, f)), and
+D is a metric (``test_the_matrix_is_a_metric``), so lo_f - D(k, f) <=
+max(1, max_j x_j - D(j, k)) = lo_k, and likewise hi_f + D(k, f) >= hi_k.
+It is also cut when color 1 is on no edge yet and no range would still reach
 it: every color is used, so some uncolored f ends up with color 1, which
 asks x = 1 or x <= 1 + D(k, f) for an f with lo_f = 1; color t likewise
 asks x = t or x >= t - D(k, f) for an f with hi_f = t. An interval
@@ -49,8 +54,8 @@ x, so the first entry into depth k narrows the ranges by edge k - 1's color
 and computes edge k's candidate interval in one pass over the uncolored
 edges, and a row of ranges per depth lets a backtrack reuse both. The
 edges colored 1 and t differ by t - 1, hence the ceiling t <= 1 + max D.
-The kernel keeps the ranges in int32 and refuses a matrix whose entries
-would take t + D past 2**31 - 1, which no plan comes near.
+The kernel keeps the ranges in int32: it caps t at m, and D <= 2m - n (a
+cheapest path passes each vertex at most once), so t + D < 3m.
 
 The plan holds D as an m x m matrix for graphs of at most
 ``DISTANCE_MAX_M`` edges. Larger graphs (long paths, big complete graphs)
@@ -78,7 +83,7 @@ other than xy; s(c) is c with those edges' colors swapped. Let e_k be the
 first moved edge in BFS order and e_j its image. Every edge before e_k is
 fixed, so s(c) agrees with c there and has c(e_j) at e_k: s(c) <lex c when
 c(e_j) < c(e_k). e_k = (x, u) and e_j = (y, u) share u, so their colors
-differ, and the cut asks for c(e_k) < c(e_j). ``_plan`` records it as
+differ, and the cut asks for c(e_k) < c(e_j). The plan records it as
 after[j] = k, and the search starts edge j's colors above edge k's color.
 Where several twin pairs name the same j it keeps the latest k only: keeping
 fewer constraints is always sound. K2 has twins but no moved edge.
@@ -94,10 +99,10 @@ takes a node's least candidate a word at a time, from the two ends' color
 masks and a mask of the colors on any edge, which surjectivity consults.
 ``_descend`` runs it when it loads and the Python loop otherwise (no
 compiler, no headers, a read-only install). The plan has two
-implementations too, chosen the same way by ``_plan``: ``_plan_py``, the
-reference, and the kernel's ``plan``, which gives every field equal and
-builds the BFS order, the twin cut and the matrix in C. Both group twins in
-memory linear in n + m.
+implementations too: ``_plan_py``, the reference and the Python loop's
+plan, and one routine in C that the kernel's ``search`` runs first, so no
+plan crosses into Python; the kernel's ``plan`` returns its fields, each
+equal to ``_plan_py``'s. Both group twins in memory linear in n + m.
 """
 
 from __future__ import annotations
@@ -287,17 +292,6 @@ def _native():
 
 
 class _Plan(NamedTuple):
-    """The search's input for one graph; see ``_plan``."""
-
-    order: list[int]
-    ends: list[int]
-    deg: list[int]
-    after: list[int]
-    dist: bytes
-    longest: int | None
-
-
-def _plan(g: Graph) -> _Plan:
     """The search's input for a connected g with an edge, built once per graph.
 
     ``order`` is the BFS edge order, ``ends`` the two endpoints of each edge
@@ -307,19 +301,19 @@ def _plan(g: Graph) -> _Plan:
     vertex of maximum degree, so consecutive edges share endpoints. ``dist``
     is the distance matrix in BFS positions and ``longest`` its largest
     entry, for at most ``DISTANCE_MAX_M`` edges; above, b"" and None.
-
-    The kernel's ``plan`` builds it where the kernel loads, ``_plan_py``
-    elsewhere; the two agree field by field.
     """
-    kernel = _native()
-    if kernel is None:
-        return _plan_py(g)
-    return _Plan(*kernel.plan(g.n, g.edges, DISTANCE_MAX_M))
+
+    order: list[int]
+    ends: list[int]
+    deg: list[int]
+    after: list[int]
+    dist: bytes
+    longest: int | None
 
 
 def _plan_py(g: Graph) -> _Plan:
-    """``_plan`` in Python: the reference for the kernel's ``plan``, and its
-    fallback."""
+    """g's plan in Python: the reference for the kernel's ``plan``, which
+    gives every field equal, and the plan of ``_search_py``."""
     adjacency, incidence = g.adjacency, g.incidence  # incidence[v] in adjacency[v]'s order
     deg = [len(nbrs) for nbrs in adjacency]
     start = deg.index(max(deg))
@@ -389,21 +383,22 @@ def _search_py(
 ) -> tuple[int, int, int, list[int]]:
     """The search loop in Python: the reference for the kernel, and its fallback.
 
-    Takes the kernel's arguments, the first five being ``_plan``'s fields,
-    and returns what it returns: (status, nodes, last, colors). It decides
-    palette sizes top, top - 1, ..., bottom, one layer each, until one is
-    feasible (status 1), every one is infeasible (0) or the node budget
-    (0 = unlimited), shared by all layers, runs out (2); a layer whose turn
-    comes once the budget is spent aborts with no node. ``last`` is the last
-    t decided: the witness's, bottom, or one above the aborted layer.
+    Takes the first five fields of ``_plan_py``'s plan where the kernel's
+    ``search`` takes the graph, and returns what it returns: (status, nodes,
+    last, colors), here with no cap on top. It decides palette sizes top,
+    top - 1, ..., bottom, one layer each, until one is feasible (status 1),
+    every one is infeasible (0) or the node budget (0 = unlimited), shared by
+    all layers, runs out (2); a layer whose turn comes once the budget is
+    spent aborts with no node. ``last`` is the last t decided: the witness's,
+    bottom, or one above the aborted layer.
     ``colors`` gives each edge's color in ``Graph.edges`` order, 0 for none:
     the witness, or an aborted layer's partial coloring when the budget ran
     out; it is empty when every layer is infeasible.
 
     Within a layer, ``picked[k]`` is the color of the k-th edge in BFS
     order, 0 for none. A depth entered with a color picked was backtracked
-    to: that color comes off and the next one is tried. ``dist`` is
-    ``_plan``'s matrix, or b"" to search without the distance rule.
+    to: that color comes off and the next one is tried. ``dist`` is the
+    plan's matrix, or b"" to search without the distance rule.
     """
     m = len(ends) // 2
     pairs = list(zip(ends[::2], ends[1::2]))
@@ -440,11 +435,11 @@ def _search_py(
                     unused += 1
             elif near:
                 # First entry: narrow the ranges by edge k - 1's color x and
-                # bound edge k's candidates (D(k, k) = 0 bounds it by its own
-                # range).
+                # bound edge k's candidates by its own range and the reach of
+                # colors 1 and t (module docstring).
                 here, lo_k, hi_k = near[k], lows[k], highs[k]
                 x, prev, lo_prev, hi_prev = picked[k - 1], near[k - 1], lows[k - 1], highs[k - 1]
-                least, most, reach_one, reach_top = 1, t, 1, t
+                reach_one, reach_top = 1, t
                 for f in range(k, m):
                     if k:
                         lo = max(lo_prev[f], x - prev[f])
@@ -452,15 +447,12 @@ def _search_py(
                     else:
                         lo, hi = 1, t
                     lo_k[f], hi_k[f] = lo, hi
-                    d = here[f]
-                    least = max(least, lo - d)
-                    most = min(most, hi + d)
                     if lo == 1:
-                        reach_one = max(reach_one, 1 + d)
+                        reach_one = max(reach_one, 1 + here[f])
                     if hi == t:
-                        reach_top = min(reach_top, t - d)
-                least_at[k] = least if color_count[t] else max(least, reach_top)
-                most_at[k] = most if color_count[1] else min(most, reach_one)
+                        reach_top = min(reach_top, t - here[f])
+                least_at[k] = lo_k[k] if color_count[t] else max(lo_k[k], reach_top)
+                most_at[k] = hi_k[k] if color_count[1] else min(hi_k[k], reach_one)
             mask_a, mask_b = mask[a], mask[b]
             # Spread: a new color at v lies in [hi - deg(v) + 1, lo + deg(v) - 1],
             # lo and hi being v's least and greatest color (hi + 1 = bit_length).
@@ -523,19 +515,26 @@ def _descend(
     re-validated witness of the first feasible t, INFEASIBLE when every
     layer is, or ABORTED once the node limit (0 = unlimited), shared by all
     layers, runs out. ``last_explored`` is the last t fully decided. Layers
-    above ``_proven_ceiling`` are infeasible at 0 nodes; the rest take one
-    search call with one plan, the kernel's ``search`` where it loads and
-    ``_search_py`` otherwise; both give the same status, nodes, last t and
-    colors. An overfull graph has no layer to search, so it gets no plan.
+    above the ceiling are infeasible at 0 nodes; the rest take one search
+    call: the kernel's ``search``, which plans and caps top at its matrix's
+    ceiling (``_proven_ceiling`` caps it first for a graph without one), or
+    ``_search_py`` on ``_plan_py``'s plan, capped here. Both give the same
+    status, nodes, last t and colors. An overfull graph gets no plan.
     """
-    plan = None if _overfull(g, max_degree) else _plan(g)
-    high = min(top, 0 if plan is None else _proven_ceiling(g, plan.longest, cap=top))
+    kernel = _native()
+    if _overfull(g, max_degree):
+        high = 0
+    elif kernel is None:
+        plan = _plan_py(g)
+        search, args = _search_py, (g.n, *plan[:5])
+        high = min(top, _proven_ceiling(g, plan.longest, cap=top))
+    else:
+        search, args = kernel.search, (g.n, g.edges, DISTANCE_MAX_M)
+        high = top if g.m <= DISTANCE_MAX_M else min(top, _proven_ceiling(g, None, cap=top))
     if high < bottom:  # every layer, if any, lies above the ceiling
         return SolveStatus.INFEASIBLE, None, 0, bottom if bottom <= top else None
-    kernel = _native()
-    search = _search_py if kernel is None else kernel.search
     # No search reaches 2**63 - 1 nodes, the kernel's largest budget.
-    code, nodes, last, colors = search(g.n, *plan[:5], high, bottom, min(node_limit, 2**63 - 1))
+    code, nodes, last, colors = search(*args, high, bottom, min(node_limit, 2**63 - 1))
     if code != 1:
         return _STATUS[code], None, nodes, last if last <= top else None
     witness = EdgeColoring(last, tuple(colors))

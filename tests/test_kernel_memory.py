@@ -43,13 +43,11 @@ def calls_and_references():
                      + [(i, i + 5) for i in range(5)]
                      + [(5 + i, 5 + (i + 2) % 5) for i in range(5)])
     n, edges = petersen.n, petersen.edges
-    with_dist = kernel.plan(n, edges, DISTANCE_MAX_M)
-    without = kernel.plan(n, edges, 0)
     square = c4()
     alpha = (1, 2, 2, 3)  # an interval 3-coloring of C4's edges
     calls = {
-        "search with dist": lambda: kernel.search(n, *with_dist[:5], 6, 3, 0),
-        "search without dist": lambda: kernel.search(n, *without[:5], 6, 3, 0),
+        "search with dist": lambda: kernel.search(n, edges, DISTANCE_MAX_M, 6, 3, 0),
+        "search without dist": lambda: kernel.search(n, edges, 0, 6, 3, 0),
         "plan with the matrix": lambda: kernel.plan(n, edges, DISTANCE_MAX_M),
         "plan without the matrix": lambda: kernel.plan(n, edges, 0),
         "interval_ok": lambda: kernel.interval_ok(square.n, square.edges, alpha, 3),

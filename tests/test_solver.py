@@ -14,6 +14,7 @@ from itertools import combinations, product
 from pathlib import Path
 
 import networkx as nx
+import numpy as np
 import pytest
 
 import intervalcolor
@@ -43,7 +44,6 @@ from intervalcolor.solver import (
     _include_dir,
     _native,
     _overfull,
-    _plan,
     _plan_py,
     _Plan,
     _proven_ceiling,
@@ -133,14 +133,14 @@ class TestFindIntervalColoring:
 
     def test_edge_order_is_bfs_from_max_degree_vertex(self):
         # star: center 0 has max degree, its edges come out in index order
-        assert _plan(star(3))[0] == [0, 1, 2]
+        assert _plan_py(star(3))[0] == [0, 1, 2]
         # C4: start at vertex 0, edges discovered (0,1),(0,3),(1,2),(2,3)
-        assert [c4().edges[k] for k in _plan(c4())[0]] == [
+        assert [c4().edges[k] for k in _plan_py(c4())[0]] == [
             (0, 1), (0, 3), (1, 2), (2, 3),
         ]
         # tie on degree: lowest-index max-degree vertex starts
         g = Graph(4, ((1, 2), (2, 3), (1, 3), (0, 1)))
-        first_edge = g.edges[_plan(g)[0][0]]
+        first_edge = g.edges[_plan_py(g)[0][0]]
         assert 1 in first_edge  # vertex 1 is the lowest max-degree vertex
 
 
@@ -179,6 +179,21 @@ class TestComputeW:
                 for g in graphs:
                     compute_W(g)
             assert len(graphs) == 142 and len(calls) == (0 if native else 142), native
+
+    def test_one_kernel_call_plans_and_searches(self, catalogs, doubled_graphs, monkeypatch):
+        # A descent of a graph with the matrix: one search call, which plans
+        # too, and no plan call, in C or in Python.
+        kernel = _native()
+        searches, plans = [], []
+        monkeypatch.setattr(kernel, "search", counted(kernel.search, searches))
+        monkeypatch.setattr(kernel, "plan", counted(kernel.plan, plans))
+        monkeypatch.setattr(solver, "_plan_py", counted(_plan_py, plans))
+        graphs = [g for n in range(2, 7) for g in catalogs[n]] + doubled_graphs
+        graphs = [g for g in graphs if not _overfull(g, g.max_degree)]
+        for g in graphs:
+            compute_W(g)
+        assert max(g.m for g in graphs) <= DISTANCE_MAX_M
+        assert (len(searches), len(plans)) == (len(graphs), 0)
 
     def test_k2(self):
         out = compute_W(k2())
@@ -372,7 +387,7 @@ class TestOracleAgreement:
 def exact_ceiling(g: Graph) -> int:
     if _overfull(g, g.max_degree):
         return 0
-    return _proven_ceiling(g, _plan(g).longest, cap=g.m + 1)
+    return _proven_ceiling(g, _plan_py(g).longest, cap=g.m + 1)
 
 
 def line_graph_distances(g: Graph) -> list[list[int]]:
@@ -398,6 +413,22 @@ def _native_plan(g: Graph) -> _Plan:
     return _Plan(*_native().plan(g.n, g.edges, DISTANCE_MAX_M))
 
 
+# Edges on 4 vertices, or a vertex count, that the kernel's plan and search
+# refuse with ValueError. C4's edges are (0,1),(0,3),(1,2),(2,3).
+MALFORMED_EDGES = (
+    (4, ((0, 1), (0, 3), (2, 3), (1, 2))),  # not increasing
+    (4, ((1, 0), (0, 3), (1, 2), (2, 3))),  # a > b
+    (4, ((0, 1), (0, 1), (1, 2), (2, 3))),  # repeated
+    (4, ((0, 1), (0, 3), (1, 2), (2, 4))),  # vertex out of range
+    (4, ((0, 1), (0, 3), (1, 1), (2, 3))),  # loop
+    (4, ((0, 1), (0, 3), (1, 2, 3))),  # not a pair
+    (4, ()),  # no edge
+    (0, ((0, 1), (0, 3), (1, 2), (2, 3))),
+    (5, ((0, 1), (0, 3), (1, 2), (2, 3))),  # vertex 4 is isolated: disconnected
+    (4, ((0, 1), (2, 3))),  # disconnected
+)
+
+
 def int32s(data: bytes) -> list[int]:
     values = array("i")
     values.frombytes(data)
@@ -421,7 +452,7 @@ class TestProvenCeiling:
         for n in range(2, 7):
             for g in catalogs[n]:
                 dist = line_graph_distances(g)
-                plan = _plan(g)
+                plan = _plan_py(g)
                 expected = [dist[e][f] for e in plan.order for f in plan.order]
                 for built in (_native_plan(g), _plan_py(g)):
                     found = (int32s(built.dist), built.longest)
@@ -443,15 +474,21 @@ class TestProvenCeiling:
         assert (layer.status, layer.nodes_expanded) == (SolveStatus.INFEASIBLE, 0)
 
     def test_an_overfull_graph_gets_no_plan(self, monkeypatch):
-        def refuse(g):
+        # Neither the kernel's search, which plans, nor _plan_py may run.
+        def refuse(*args):
             raise AssertionError("an overfull graph was planned")
 
-        monkeypatch.setattr(solver, "_plan", refuse)
-        out = compute_W(k3())
-        assert (out.status, out.nodes_expanded, out.last_explored_t) == (
-            SolveStatus.INFEASIBLE, 0, 2
-        )
-        assert find_interval_coloring(k5(), 4).status is SolveStatus.INFEASIBLE
+        kernel = _native()
+        for name in ("search", "plan"):
+            monkeypatch.setattr(kernel, name, refuse)
+        monkeypatch.setattr(solver, "_plan_py", refuse)
+        for native in (kernel, None):
+            monkeypatch.setattr(solver, "_native", lambda: native)
+            out = compute_W(k3())
+            assert (out.status, out.nodes_expanded, out.last_explored_t) == (
+                SolveStatus.INFEASIBLE, 0, 2
+            )
+            assert find_interval_coloring(k5(), 4).status is SolveStatus.INFEASIBLE
 
     def test_oracle_never_exceeds_ceiling(self, catalogs):
         # Every graph with n <= 5 (all have m <= 10) and with n = 6, m <= 8;
@@ -518,7 +555,7 @@ class TestProvenCeiling:
             for g in catalogs[n]:
                 if g.m > 5:
                     continue
-                order = _plan(g)[0]
+                order = _plan_py(g)[0]
                 for t in range(g.max_degree, g.m + 1):
                     expected = None
                     for combo in product(range(1, t + 1), repeat=g.m):
@@ -562,7 +599,7 @@ def all_pairs_after(g: Graph) -> list[int]:
     """The twin cut by its definition: for every twin pair, the first moved
     edge and its image among all the edges the swap moves."""
     position = [0] * g.m
-    for k, eid in enumerate(_plan(g)[0]):
+    for k, eid in enumerate(_plan_py(g)[0]):
         position[eid] = k
     eid = {e: i for i, e in enumerate(g.edges)}
     at = [
@@ -581,10 +618,11 @@ def all_pairs_after(g: Graph) -> list[int]:
 
 
 class TestTwinCut:
-    """``_plan``'s ``after``: the twin lex-leader cut of the module docstring."""
+    """The kernel's plan's ``after``: the twin lex-leader cut of the module
+    docstring."""
 
     def after(self, g: Graph) -> list[int]:
-        return _plan(g)[3]
+        return _native_plan(g).after
 
     def test_matches_all_pairs_construction(self, catalogs, doubled_graphs):
         graphs = [g for n in range(1, 7) for g in catalogs[n] if g.m]
@@ -608,7 +646,7 @@ class TestTwinCut:
     def test_memory_is_linear_on_a_long_path(self):
         # tracemalloc sees the kernel's PyMem allocations too.
         path = Graph(40_000, tuple((i, i + 1) for i in range(39_999)))
-        for plan in (_plan, _plan_py):
+        for plan in (_native_plan, _plan_py):
             tracemalloc.start()
             try:
                 plan(path)
@@ -623,9 +661,9 @@ class TestTwinCut:
         probe = (
             "import time\n"
             "from intervalcolor import Graph\n"
-            "from intervalcolor.solver import _plan, _plan_py\n"
+            "from intervalcolor.solver import DISTANCE_MAX_M, _native, _plan_py\n"
             "g = Graph(400, tuple((i, j) for i in range(400) for j in range(i + 1, 400)))\n"
-            "for plan in (_plan, _plan_py):\n"
+            "for plan in (lambda g: _native().plan(g.n, g.edges, DISTANCE_MAX_M), _plan_py):\n"
             "    start = time.perf_counter()\n"
             "    plan(g)\n"
             "    print(time.perf_counter() - start)"
@@ -662,7 +700,7 @@ class TestTwinCut:
         # layer of the n <= 6 catalogs and the doubled graphs.
         layers = cut = 0
         for g in [g for n in range(2, 7) for g in catalogs[n]] + doubled_graphs:
-            plan = _plan(g)
+            plan = _plan_py(g)
             for t in searched_layers(g):
                 status, nodes, _, colors = _search_py(*layer_args(g, plan, t, 0))
                 plain = _search_py(*layer_args(g, plan._replace(after=[-1] * g.m), t, 0))
@@ -682,7 +720,7 @@ class TestDistanceRule:
         # without the rule; the kernel's agreement covers them).
         layers = cut = 0
         for g in [g for n in range(2, 7) for g in catalogs[n]]:
-            plan = _plan(g)
+            plan = _plan_py(g)
             for t in searched_layers(g):
                 status, nodes, _, colors = _search_py(*layer_args(g, plan, t, 0))
                 plain = _search_py(*layer_args(g, plan._replace(dist=b""), t, 0))
@@ -692,14 +730,46 @@ class TestDistanceRule:
                 cut += nodes < plain[1]
         assert layers == 545 and cut > 300
 
+    def test_the_matrix_is_a_metric(self, catalogs, doubled_graphs):
+        # The search bounds edge k's candidates by its own range alone, which
+        # holds only when D is a metric (module docstring): zero diagonal,
+        # symmetric, and D(i, j) <= D(i, k) + D(k, j) for every k.
+        rng = random.Random(29)
+        sampled = []
+        while len(sampled) < 40:
+            n = rng.randint(8, 18)
+            g = Graph(n, tuple(nx.gnp_random_graph(n, rng.uniform(0.15, 0.6), seed=rng).edges()))
+            if g.m and is_connected(g):
+                sampled.append(g)
+        for g in [g for n in range(2, 7) for g in catalogs[n]] + doubled_graphs + sampled:
+            d = np.array(int32s(_plan_py(g).dist)).reshape(g.m, g.m)
+            assert not d.diagonal().any() and (d == d.T).all(), g.edges
+            through = d[:, :, None] + d[None, :, :]  # [i, k, j]: D(i, k) + D(k, j)
+            assert (d[:, None, :] <= through).all(), g.edges
+
+
+def kernel_and_reference(g: Graph, top: int, bottom: int, budget: int, max_m: int) -> tuple:
+    """The kernel's search of g's palette sizes top .. bottom, and
+    ``_search_py``'s on ``_plan_py``'s plan with top capped as the kernel
+    caps it: at m and, when the plan has the matrix (m <= max_m), at its
+    ceiling."""
+    plan = _plan_py(g)
+    if g.m > max_m:
+        plan = plan._replace(dist=b"", longest=None)
+    ceiling = g.m if plan.longest is None else min(g.m, _proven_ceiling(g, plan.longest, cap=top))
+    return (
+        _native().search(g.n, g.edges, max_m, top, bottom, budget),
+        _search_py(g.n, *plan[:5], min(top, ceiling), bottom, budget),
+    )
+
 
 class TestNativeKernel:
-    """The compiled kernel against ``_search_py``, the reference loop, both
-    given the same plan."""
+    """The compiled kernel, which plans and searches in one call, against
+    ``_search_py``, the reference loop, given ``_plan_py``'s plan."""
 
-    def agree(self, g: Graph, t: int, budget: int) -> bool:
-        args = layer_args(g, _plan(g), t, budget)
-        return _native().search(*args) == _search_py(*args)
+    def agree(self, g: Graph, t: int, budget: int, max_m: int = DISTANCE_MAX_M) -> bool:
+        native, reference = kernel_and_reference(g, t, t, budget, max_m)
+        return native == reference
 
     def test_kernel_loads_here(self):
         # Without it the tests below would compare the Python loop with itself.
@@ -709,14 +779,17 @@ class TestNativeKernel:
         assert _include_dir() == sysconfig.get_paths()["include"]
 
     def test_agrees_on_catalog_and_doubled_layers(self, catalogs, doubled_graphs):
-        graphs = [g for n in range(2, 7) for g in catalogs[n]]
+        # With the matrix, and on the catalogs also without it (max_m = 0);
+        # the doubled graphs take seconds in Python without the rule.
+        runs = [(g, max_m) for n in range(2, 7) for g in catalogs[n] for max_m in (DISTANCE_MAX_M, 0)]
+        runs += [(g, DISTANCE_MAX_M) for g in doubled_graphs]
         layers = 0
-        for g in graphs + doubled_graphs:
+        for g, max_m in runs:
             for t in searched_layers(g):
                 for budget in (0, 1, 5, 50):
-                    assert self.agree(g, t, budget), (g.edges, t, budget)
+                    assert self.agree(g, t, budget, max_m), (g.edges, t, budget, max_m)
                     layers += 1
-        assert layers == 2640
+        assert layers == 2640 + 2180
 
     def test_ranges_agree_with_one_call_per_layer(self, catalogs, doubled_graphs):
         # Ranges from each of the three tops at and below min(m, ceiling)
@@ -726,7 +799,7 @@ class TestNativeKernel:
         # K5, C5, ...), but the search decides its plan's layers too.
         ranges = boundaries = overfull = 0
         for g in [g for n in range(2, 7) for g in catalogs[n] if g.m] + doubled_graphs:
-            plan = _plan(g)
+            plan = _plan_py(g)
             delta = g.max_degree
             overfull += _overfull(g, delta)
             high = min(g.m, _proven_ceiling(g, plan.longest, cap=g.m))
@@ -739,10 +812,8 @@ class TestNativeKernel:
                         break
                 for budget in sorted({0, 1, 5, 50} | ends_at):
                     expected = layer_by_layer(g, plan, top, delta, budget)
-                    args = (g.n, *plan[:5], top, delta, budget)
-                    assert _native().search(*args) == _search_py(*args) == expected, (
-                        g.edges, top, budget,
-                    )
+                    found = kernel_and_reference(g, top, delta, budget, DISTANCE_MAX_M)
+                    assert found == (expected, expected), (g.edges, top, budget)
                     ranges += 1
                     if budget in ends_at and budget and expected[0] == 2:
                         assert expected[1] == budget and not any(expected[3])
@@ -759,33 +830,50 @@ class TestNativeKernel:
             edges = [(i, i + 1) for i in range(m // 2)]
             edges += [(rng.randrange(len(edges)), v) for v in range(m // 2 + 1, m + 1)]
             g = Graph(m + 1, tuple(edges))
-            plan = _plan(g)
+            plan = _plan_py(g)
             assert plan.dist == b"" and g.m == m
             for top, bottom, budget in ((m, m - 3, 0), (m, g.max_degree, 3000), (m - 1, m - 2, 1)):
-                args = (g.n, *plan[:5], top, bottom, budget)
                 expected = layer_by_layer(g, plan, top, bottom, budget)
-                assert _native().search(*args) == _search_py(*args) == expected, (m, top, budget)
+                found = kernel_and_reference(g, top, bottom, budget, DISTANCE_MAX_M)
+                assert found == (expected, expected), (m, top, budget)
 
     def test_an_aborted_layer_reports_its_partial_coloring(self):
         # C4's layer t = 3 finds (1, 2, 2, 3) in BFS order after 4 nodes;
-        # cut after 2, edges 0 and 1 hold 1 and 2. Layer 4 is infeasible
-        # after 2 nodes, so a budget of 2 over both leaves layer 3 none.
+        # cut after 2, edges 0 and 1 hold 1 and 2. Layer 4 lies above C4's
+        # ceiling, 3: the kernel skips it when it has the matrix, proves it
+        # infeasible in 4 nodes when it has not, and _search_py, uncapped,
+        # in 2. A budget spent on layer 4 leaves layer 3 none.
         g = c4()
-        plan = _plan(g)
-        for search in (_native().search, _search_py):
-            assert search(*layer_args(g, plan, 3, 2)) == (2, 2, 4, [1, 2, 0, 0])
-            assert search(g.n, *plan[:5], 4, 3, 0) == (1, 6, 3, [1, 2, 2, 3])
-            assert search(g.n, *plan[:5], 4, 3, 2) == (2, 2, 4, [0, 0, 0, 0])
-
-    def test_rejects_an_empty_range_or_a_bad_order(self):
-        plan = _plan(c4())
+        plan = _plan_py(g)
+        for max_m in (DISTANCE_MAX_M, 0):
+            for top, budget in ((3, 2), (4, 2), (4, 0), (4, 4)):
+                native, reference = kernel_and_reference(g, top, 3, budget, max_m)
+                assert native == reference, (max_m, top, budget)
         search = _native().search
-        for top, bottom in ((3, 4), (3, 0)):
+        assert search(4, g.edges, DISTANCE_MAX_M, 4, 3, 2) == (2, 2, 4, [1, 2, 0, 0])
+        assert search(4, g.edges, DISTANCE_MAX_M, 4, 3, 0) == (1, 4, 3, [1, 2, 2, 3])
+        assert search(4, g.edges, 0, 4, 3, 0) == (1, 8, 3, [1, 2, 2, 3])
+        assert search(4, g.edges, 0, 4, 3, 4) == (2, 4, 4, [0, 0, 0, 0])
+        assert _search_py(*layer_args(g, plan, 3, 2)) == (2, 2, 4, [1, 2, 0, 0])
+        assert _search_py(g.n, *plan[:5], 4, 3, 0) == (1, 6, 3, [1, 2, 2, 3])
+        assert _search_py(g.n, *plan[:5], 4, 3, 2) == (2, 2, 4, [0, 0, 0, 0])
+
+    def test_search_rejects_malformed_input(self):
+        # The edges as plan reads them, and the range as asked: an empty one
+        # is an error even where the caps would empty it anyway.
+        search = _native().search
+        edges = c4().edges
+        for top, bottom, budget in ((3, 4, 0), (3, 0, 0), (3, 3, -1)):
             with pytest.raises(ValueError):
-                search(4, *plan[:5], top, bottom, 0)
-        for order in ([0, 1, 2, 2], [0, 1, 2, 4], [0, 1, 2]):
-            with pytest.raises(ValueError):
-                search(4, order, *plan[1:5], 3, 3, 0)
+                search(4, edges, DISTANCE_MAX_M, top, bottom, budget)
+        with pytest.raises(TypeError):
+            search(3, 5, DISTANCE_MAX_M, 3, 1, 0)
+        for n, bad in MALFORMED_EDGES:
+            with pytest.raises(ValueError) as planned:
+                _native().plan(n, bad, DISTANCE_MAX_M)
+            with pytest.raises(ValueError) as searched:
+                search(n, bad, DISTANCE_MAX_M, 3, 1, 0)
+            assert str(searched.value) == str(planned.value).replace("plan:", "search:")
 
     def test_descent_agrees_with_t_override_below_the_ceiling(self, catalogs, doubled_graphs):
         # compute_W with the cutoff capped below the registry bound and the
@@ -795,7 +883,7 @@ class TestNativeKernel:
         for g in [g for n in range(3, 7) for g in catalogs[n]] + doubled_graphs:
             if _overfull(g, g.max_degree):
                 continue
-            plan = _plan(g)
+            plan = _plan_py(g)
             ceiling = _proven_ceiling(g, plan.longest, cap=g.m)
             cap = min(best_upper_bound(g, classify(g)), ceiling) - 1
             if cap < g.max_degree:
@@ -864,45 +952,22 @@ class TestNativeKernel:
             child.kill()
         assert child.returncode == -signal.SIGINT and "KeyboardInterrupt" in err
 
-    def test_rejects_an_after_that_is_not_an_earlier_edge(self):
-        plan = _plan(c4())
-        for bad in ([-1, 0, 2, -1], [-1, 0, 0, -2], [0, 0, 0, -1], [-1, 0, 0]):
-            with pytest.raises(ValueError):
-                _native().search(*layer_args(c4(), plan._replace(after=bad), 3, 0))
-        assert _native().search(*layer_args(c4(), plan, 3, 0))[0] == 1
-
-    def test_rejects_a_matrix_of_the_wrong_size(self):
-        plan = _plan(c4())
-        for bad in (plan.dist[:-4], plan.dist + bytes(4), bytes(3)):
-            with pytest.raises(ValueError):
-                _native().search(*layer_args(c4(), plan._replace(dist=bad), 3, 0))
-        with pytest.raises(ValueError):
-            _native().search(*layer_args(c4(), plan, 2**31, 0))
-
-    def test_rejects_a_matrix_whose_sums_leave_int32(self):
-        # The range pass adds colors and distances in int32, so the kernel
-        # refuses a negative D, or t + D above 2**31 - 1, before it
-        # allocates anything: t = 2**31 - 1 would ask for 16 GB of color
-        # counts.
-        plan = _plan(c4())
-        search = _native().search
-        most = 2**31 - 1
+    def test_caps_top_at_m_in_a_small_peak(self):
+        # The search caps top at m, so a top far past int32 decides what
+        # top = m decides, in buffers sized by m: uncapped, 2**40 colors
+        # would ask for 8 TB of color counts.
         tracemalloc.start()
         try:
-            for t, dist in (
-                (most, plan.dist),  # D up to 1
-                (3, array("i", [most - 2] * 16).tobytes()),
-                (3, array("i", [0] * 15 + [-1]).tobytes()),
-            ):
-                with pytest.raises(ValueError):
-                    search(*layer_args(c4(), plan._replace(dist=dist), t, 0))
+            for g in (c4(), k4()):
+                for max_m in (DISTANCE_MAX_M, 0):
+                    expected = _native().search(g.n, g.edges, max_m, g.m, g.max_degree, 0)
+                    for top in (2**40, 2**63 - 1):
+                        found = _native().search(g.n, g.edges, max_m, top, g.max_degree, 0)
+                        assert found == expected, (g.edges, max_m, top)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert peak < 2**20
-        # t + D = 2**31 - 1 is accepted, and the sums stay exact.
-        args = layer_args(c4(), plan._replace(dist=array("i", [most - 3] * 16).tobytes()), 3, 0)
-        assert search(*args) == _search_py(*args) == (1, 4, 3, [1, 2, 2, 3])
 
     def test_agrees_across_mask_words_on_long_graphs(self):
         # Seeded random connected non-path graphs with 64 < m <= 200 and a
@@ -925,7 +990,7 @@ class TestNativeKernel:
                 edges.add((rng.randrange(n), n))
                 n += 1
             g = Graph(n, tuple(edges))
-            assert is_connected(g) and g.max_degree >= 3 and _plan(g).dist
+            assert is_connected(g) and g.max_degree >= 3 and _plan_py(g).dist
             for t in sorted({63, 64, 127, 128, m - 1, m}):
                 if g.max_degree <= t <= m:
                     for budget in (1, 50, 2000):
@@ -969,18 +1034,7 @@ class TestNativeKernel:
         plan = _native().plan
         edges = c4().edges  # (0,1),(0,3),(1,2),(2,3)
         assert _Plan(*plan(4, edges, DISTANCE_MAX_M)) == _plan_py(c4())
-        for n, bad in (
-            (4, ((0, 1), (0, 3), (2, 3), (1, 2))),  # not increasing
-            (4, ((1, 0), (0, 3), (1, 2), (2, 3))),  # a > b
-            (4, ((0, 1), (0, 1), (1, 2), (2, 3))),  # repeated
-            (4, ((0, 1), (0, 3), (1, 2), (2, 4))),  # vertex out of range
-            (4, ((0, 1), (0, 3), (1, 1), (2, 3))),  # loop
-            (4, ((0, 1), (0, 3), (1, 2, 3))),  # not a pair
-            (4, ()),  # no edge
-            (0, edges),
-            (5, edges),  # vertex 4 is isolated: disconnected
-            (4, ((0, 1), (2, 3))),  # disconnected
-        ):
+        for n, bad in MALFORMED_EDGES:
             with pytest.raises(ValueError):
                 plan(n, bad, DISTANCE_MAX_M)
         with pytest.raises(ValueError):
@@ -993,7 +1047,7 @@ class TestNativeKernel:
         # gets the matrix and the rule, the second neither.
         for m in (DISTANCE_MAX_M, DISTANCE_MAX_M + 1):
             path = Graph(m + 1, tuple((i, i + 1) for i in range(m)))
-            plan = _plan(path)
+            plan = _plan_py(path)
             with_matrix = m <= DISTANCE_MAX_M
             expected = (4 * m * m, m - 1) if with_matrix else (0, None)
             assert (len(plan.dist), plan.longest) == expected
