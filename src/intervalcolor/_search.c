@@ -86,14 +86,19 @@
  * tuple; an entry that is not an exact int (a float, a bool) gives False,
  * so that _report decides.
  *
- * double(n, edges, colors, t) -> (h_edges, codes, beta, i0, final) or None
+ * double(n, edges, colors, t, pairs, provenance)
+ *     -> (h_edges, provenance, beta, i0, final) or None
  *
  * The doubling certificate of alpha, the interval t-coloring colors of the
  * graph G on n vertices with edges as for plan(), 1 <= t <= len(edges):
  * what doubling.double_graph, lift_coloring and finalize_recolor build. H
  * has u_i = i and w_i = n + i, and h_edges lists its edges in canonical
  * order: for each i, the pairs (i, n + j) for the neighbours j of v_i and
- * for j = i, in increasing j. codes gives each edge's provenance, 3 idx for
+ * for j = i, in increasing j. Each pair (a, b) with b < 64 is the shared
+ * tuple pairs[b][a], pairs being graph._PAIRS as for index_graph, and each
+ * other pair a new tuple. Each edge's provenance is the object
+ * provenance[code], provenance being a list of at least 3 max(m, n)
+ * entries (doubling._PROVENANCE), and its code 3 idx for
  * the cover edge of source edge idx, 3 idx + 1 for its flipped copy
  * (i > j) and 3 i + 2 for the matching edge u_i w_i. beta gives a cover
  * edge alpha + 1 and the matching edge at i max S(v_i) + 2; final is beta
@@ -156,9 +161,17 @@
  * vertex orderings of the column-order upper-triangle bits, read as one
  * integer MSB-first, found by the search of catalog._min_code_py with its
  * candidate order, prune and twin cut (the proofs are in catalog.py's
- * docstring). The result maps each code to the masks of the first child
- * with it, in the order found, as _extend_py's does. Malformed input
- * raises ValueError.
+ * docstring). Only one child per orbit of the parent's automorphisms is
+ * canonicalised: the canonical search runs on the parent first, and
+ * each of its later leaves with the parent's code gives an automorphism
+ * (PARENT_AUTS of them are kept), as does the swap of each vertex with its
+ * least lower twin. The subsets are marked orbit by orbit under the group
+ * these generate, in 2^(size - 1) bits and a queue of as many entries, and
+ * a subset is skipped when an earlier one has marked it; for size - 1 above
+ * ORBIT_MAX_OLD no marks are kept and every child is canonicalised. The
+ * result maps each code to the masks of the first child with it, in the
+ * order found, equal item for item to _extend_py's (the proof is in
+ * catalog.py's docstring). Malformed input raises ValueError.
  *
  * Each entry takes its buffers from one Scratch, a fixed list of zeroed
  * blocks, and frees them all with one release on every exit. Out of memory
@@ -310,6 +323,38 @@ static PyObject *ints_of(const long long *values, Py_ssize_t len, int tuple)
             PyList_SET_ITEM(seq, i, v);
     }
     return seq;
+}
+
+/* Rows of graph._PAIRS: pairs[b][a] is the shared tuple (a, b), a < b < 64. */
+#define SHARED_PAIRS 64
+
+/* Whether pairs has the shape of graph._PAIRS, 64 exact tuples, row b of b
+ * entries; 0 with ValueError naming entry otherwise. */
+static int pairs_ok(PyObject *pairs, const char *entry)
+{
+    int ok = PyTuple_CheckExact(pairs) && PyTuple_GET_SIZE(pairs) == SHARED_PAIRS;
+    for (Py_ssize_t b = 0; ok && b < SHARED_PAIRS; b++) {
+        PyObject *row = PyTuple_GET_ITEM(pairs, b);
+        ok = PyTuple_CheckExact(row) && PyTuple_GET_SIZE(row) == b;
+    }
+    if (!ok)
+        PyErr_Format(PyExc_ValueError, "%s: pairs must be graph._PAIRS", entry);
+    return ok;
+}
+
+/* A new reference to pairs[b][a], a < b < 64, of a pairs that passed
+ * pairs_ok, checked to be the tuple (a, b); NULL with ValueError naming
+ * entry otherwise. */
+static PyObject *shared_pair(PyObject *pairs, long long a, long long b, const char *entry)
+{
+    PyObject *pair = PyTuple_GET_ITEM(PyTuple_GET_ITEM(pairs, b), a);
+    if (!PyTuple_CheckExact(pair) || PyTuple_GET_SIZE(pair) != 2 ||
+        exact_index(PyTuple_GET_ITEM(pair, 0), b) != a ||
+        exact_index(PyTuple_GET_ITEM(pair, 1), b) != b) {
+        PyErr_Format(PyExc_ValueError, "%s: pairs must be graph._PAIRS", entry);
+        return NULL;
+    }
+    return Py_NewRef(pair);
 }
 
 /* Pops the least (cost << 32 | vertex) key of a binary min-heap of size *size. */
@@ -992,8 +1037,8 @@ static PyObject *double_cover(PyObject *self, PyObject *args)
 {
     Py_ssize_t n;
     long long t;
-    PyObject *edges_obj, *colors_obj;
-    if (!PyArg_ParseTuple(args, "nOOL", &n, &edges_obj, &colors_obj, &t))
+    PyObject *edges_obj, *colors_obj, *pairs, *provenance;
+    if (!PyArg_ParseTuple(args, "nOOLOO", &n, &edges_obj, &colors_obj, &t, &pairs, &provenance))
         return NULL;
     Py_ssize_t m = PyObject_Length(edges_obj);
     if (m < 0)
@@ -1004,6 +1049,12 @@ static PyObject *double_cover(PyObject *self, PyObject *args)
     }
     if (m > (PY_SSIZE_T_MAX / 4 - n) / 2)
         return PyErr_NoMemory();
+    if (!pairs_ok(pairs, "double"))
+        return NULL;
+    if (!PyList_CheckExact(provenance) || PyList_GET_SIZE(provenance) / 3 < max(m, n)) {
+        PyErr_SetString(PyExc_ValueError, "double: provenance must be a list of 3 max(m, n) codes");
+        return NULL;
+    }
     Py_ssize_t hn = 2 * n, hm = 2 * m + n; /* H's vertices and edges */
     PyObject *result = NULL, *fields[5] = {NULL};
     Scratch s = {0};
@@ -1104,15 +1155,26 @@ static PyObject *double_cover(PyObject *self, PyObject *args)
     if (!ok)
         goto fallback;
 
+    /* H's pairs and provenance are the caller's shared objects where they
+     * exist: pairs[b][a] for b < 64, provenance[code] for every edge. */
     fields[0] = PyTuple_New(hm);
-    for (Py_ssize_t e = 0; fields[0] && e < hm; e++) {
-        PyObject *pair = ints_of(h_ends + 2 * e, 2, 1);
-        if (!pair)
+    fields[1] = PyTuple_New(hm);
+    for (Py_ssize_t e = 0; fields[0] && fields[1] && e < hm; e++) {
+        long long a = h_ends[2 * e], b = h_ends[2 * e + 1];
+        PyObject *pair = b < SHARED_PAIRS ? shared_pair(pairs, a, b, "double")
+                                          : ints_of(h_ends + 2 * e, 2, 1);
+        if (!pair) {
             Py_CLEAR(fields[0]);
-        else
-            PyTuple_SET_ITEM(fields[0], e, pair);
+            break;
+        }
+        PyTuple_SET_ITEM(fields[0], e, pair);
+        if (code[e] >= PyList_GET_SIZE(provenance)) { /* a finalizer shrank it */
+            PyErr_SetString(PyExc_ValueError, "double: provenance changed size");
+            Py_CLEAR(fields[1]);
+            break;
+        }
+        PyTuple_SET_ITEM(fields[1], e, Py_NewRef(PyList_GET_ITEM(provenance, code[e])));
     }
-    fields[1] = ints_of(code, hm, 1);
     fields[2] = ints_of(beta, hm, 1);
     fields[3] = PyLong_FromSsize_t(i0);
     fields[4] = ints_of(final, hm, 1);
@@ -1128,9 +1190,6 @@ done:
     return result;
 }
 
-/* Rows of graph._PAIRS: pairs[b][a] is the shared tuple (a, b), a < b < 64. */
-#define SHARED_PAIRS 64
-
 static int by_key(const void *x, const void *y)
 {
     uint64_t p = *(const uint64_t *)x, q = *(const uint64_t *)y;
@@ -1142,15 +1201,8 @@ static PyObject *index_graph(PyObject *self, PyObject *args)
     PyObject *n_obj, *edges_obj, *pairs;
     if (!PyArg_ParseTuple(args, "OOO!", &n_obj, &edges_obj, &PyTuple_Type, &pairs))
         return NULL;
-    int table_ok = PyTuple_GET_SIZE(pairs) == SHARED_PAIRS;
-    for (Py_ssize_t b = 0; table_ok && b < SHARED_PAIRS; b++) {
-        PyObject *row = PyTuple_GET_ITEM(pairs, b);
-        table_ok = PyTuple_CheckExact(row) && PyTuple_GET_SIZE(row) == b;
-    }
-    if (!table_ok) {
-        PyErr_SetString(PyExc_ValueError, "index_graph: pairs must be graph._PAIRS");
+    if (!pairs_ok(pairs, "index_graph"))
         return NULL;
-    }
     /* Vertices are 32-bit halves of a sort key. */
     long long n = exact_index(n_obj, UINT32_MAX);
     PyObject **items;
@@ -1197,15 +1249,10 @@ static PyObject *index_graph(PyObject *self, PyObject *args)
         long long end[2] = {(long long)(keys[e] >> 32), (long long)(keys[e] & 0xFFFFFFFF)};
         PyObject *pair;
         if (end[1] < SHARED_PAIRS) {
-            pair = PyTuple_GET_ITEM(PyTuple_GET_ITEM(pairs, end[1]), end[0]);
-            if (!PyTuple_CheckExact(pair) || PyTuple_GET_SIZE(pair) != 2 ||
-                exact_index(PyTuple_GET_ITEM(pair, 0), end[1]) != end[0] ||
-                exact_index(PyTuple_GET_ITEM(pair, 1), end[1]) != end[1]) {
-                PyErr_SetString(PyExc_ValueError, "index_graph: pairs must be graph._PAIRS");
+            if (!(pair = shared_pair(pairs, end[0], end[1], "index_graph"))) {
                 Py_CLEAR(edges);
                 break;
             }
-            Py_INCREF(pair);
         } else {
             for (int k = 0; k < 2; k++)
                 if (!vertex[end[k]] && !(vertex[end[k]] = PyLong_FromLongLong(end[k])))
@@ -1391,7 +1438,9 @@ done:
 /* The canonical search of extend. prefix[k] holds the k bits
  * (0,k),(1,k),...,(k-1,k) of the ordering being built, MSB-first, so segments
  * compare as the bits do; best holds the least complete prefix found, or all
- * ones, more than any segment, until the first is. */
+ * ones, more than any segment, until the first is, and order its ordering.
+ * While record is nonzero, each later leaf with best's code adds the
+ * automorphism order[i] -> chosen[i] to auts, up to record of them. */
 typedef struct {
     int n;
     uint64_t adj[64];
@@ -1399,6 +1448,9 @@ typedef struct {
     int chosen[64];
     uint64_t prefix[64];
     uint64_t best[64];
+    int order[64];
+    uint8_t (*auts)[64];
+    int naut, record;
     unsigned long long nodes;
 } Canon;
 
@@ -1408,8 +1460,14 @@ typedef struct {
 static int place(Canon *c, int k, uint64_t used, int below, const uint64_t *parent_seg)
 {
     if (k == c->n) {
-        if (below)
+        if (below) {
             memcpy(c->best, c->prefix, sizeof c->best);
+            memcpy(c->order, c->chosen, sizeof c->order);
+        } else if (c->naut < c->record) { /* a second ordering with best's code */
+            for (int i = 0; i < c->n; i++)
+                c->auts[c->naut][c->order[i]] = (uint8_t)c->chosen[i];
+            c->naut++;
+        }
         return 0;
     }
     if (!(++c->nodes & SIGNAL_CHECK_MASK) && PyErr_CheckSignals())
@@ -1517,6 +1575,52 @@ static int lowest_non_cut_last(const Canon *c)
     return 1;
 }
 
+/* The most automorphisms kept from one parent's canonical search. */
+#define PARENT_AUTS 64
+/* Orbits are marked for parents of at most this many vertices: the marks
+ * take 2^ORBIT_MAX_OLD bits and the queue as many 32-bit entries. */
+#define ORBIT_MAX_OLD 20
+
+/* The subsets of a parent's vertices, marked orbit by orbit under the group
+ * that the parent's kept automorphisms and twin swaps generate. */
+typedef struct {
+    uint64_t *marks; /* bit S: S lies in an orbit already met */
+    uint32_t *queue;
+    int twins, twin_x[64], twin_y[64]; /* the swaps (x y) */
+} Orbits;
+
+static int marked(const Orbits *o, uint64_t subset)
+{
+    return (o->marks[subset >> 6] >> (subset & 63)) & 1;
+}
+
+/* Marks the orbit of subset: the subsets that the swaps and the
+ * automorphisms of c, applied in turn, reach from it. */
+static void mark_orbit(Orbits *o, const Canon *c, uint64_t subset)
+{
+    Py_ssize_t head = 0, tail = 0;
+    o->marks[subset >> 6] |= (uint64_t)1 << (subset & 63);
+    o->queue[tail++] = (uint32_t)subset;
+    while (head < tail) {
+        uint64_t from = o->queue[head++];
+        for (int g = 0; g < o->twins + c->naut; g++) {
+            uint64_t image = 0;
+            if (g < o->twins) {
+                uint64_t swap = (uint64_t)1 << o->twin_x[g] | (uint64_t)1 << o->twin_y[g];
+                uint64_t both = from & swap;
+                image = both && both != swap ? from ^ swap : from;
+            } else {
+                for (uint64_t rest = from; rest; rest &= rest - 1)
+                    image |= (uint64_t)1 << c->auts[g - o->twins][__builtin_ctzll(rest)];
+            }
+            if (!marked(o, image)) {
+                o->marks[image >> 6] |= (uint64_t)1 << (image & 63);
+                o->queue[tail++] = (uint32_t)image;
+            }
+        }
+    }
+}
+
 static PyObject *extend(PyObject *self, PyObject *args)
 {
     int size;
@@ -1530,14 +1634,24 @@ static PyObject *extend(PyObject *self, PyObject *args)
     PyObject *parents = PySequence_Fast(parents_obj, "extend: parents must be iterable");
     if (!parents)
         return NULL;
+    int old = size - 1;
+    uint64_t bit = (uint64_t)1 << old;
     Scratch s = {0};
     Canon *c = take(&s, 1, 1, sizeof(Canon));
+    uint8_t(*auts)[64] = take(&s, PARENT_AUTS, 64, sizeof(uint8_t));
+    Orbits *o = take(&s, 1, 1, sizeof(Orbits));
+    uint64_t *marks = NULL;
+    uint32_t *queue = NULL;
+    if (old <= ORBIT_MAX_OLD) {
+        marks = take(&s, bit / 64 + 1, 1, sizeof(uint64_t));
+        queue = take(&s, bit, 1, sizeof(uint32_t));
+    }
     PyObject *grown = s.failed ? PyErr_NoMemory() : PyDict_New();
     if (!grown)
         goto done;
-    c->n = size;
-    int old = size - 1;
-    uint64_t bit = (uint64_t)1 << old;
+    c->auts = auts;
+    o->marks = marks;
+    o->queue = queue;
     for (Py_ssize_t p = 0; p < PySequence_Fast_GET_SIZE(parents); p++) {
         PyObject **masks;
         Py_ssize_t len;
@@ -1554,9 +1668,34 @@ static PyObject *extend(PyObject *self, PyObject *args)
             }
             parent[v] = (uint64_t)mask;
         }
+        /* The parent's automorphisms: the other leaves with its code in its
+         * canonical search, and the swap of each vertex with its least
+         * lower twin. */
+        c->naut = o->twins = 0;
+        if (o->marks) {
+            c->n = old;
+            memcpy(c->adj, parent, old * sizeof *parent);
+            c->record = PARENT_AUTS;
+            if (canonical(c))
+                goto fail;
+            c->record = 0;
+            for (int x = 0; x < old; x++)
+                if (c->lower_twins[x]) {
+                    o->twin_x[o->twins] = x;
+                    o->twin_y[o->twins++] = __builtin_ctzll(c->lower_twins[x]);
+                }
+            if (o->twins + c->naut)
+                memset(o->marks, 0, (bit / 64 + 1) * sizeof(uint64_t));
+        }
+        c->n = size;
         for (uint64_t subset = 1; subset < bit; subset++) {
             if (!(subset & SIGNAL_CHECK_MASK) && PyErr_CheckSignals())
                 goto fail;
+            if (o->twins + c->naut) { /* one subset per orbit, the least */
+                if (marked(o, subset))
+                    continue;
+                mark_orbit(o, c, subset);
+            }
             for (int v = 0; v < old; v++)
                 c->adj[v] = parent[v] | ((subset >> v) & 1 ? bit : 0);
             c->adj[old] = subset;
@@ -1592,11 +1731,12 @@ done:
 
 static PyMethodDef methods[] = {
     {"search", search, METH_VARARGS,
-     "search(n, order, ends, deg, after, dist, top, bottom, budget) -> (status, nodes, last, colors)"},
+     "search(n, edges, max_m, top, bottom, budget) -> (status, nodes, last, colors)"},
     {"plan", plan, METH_VARARGS, "plan(n, edges, max_m) -> (order, ends, deg, after, dist, longest)"},
     {"interval_ok", interval_ok, METH_VARARGS, "interval_ok(n, edges, colors, t) -> bool"},
     {"double", double_cover, METH_VARARGS,
-     "double(n, edges, colors, t) -> (h_edges, codes, beta, i0, final) or None"},
+     "double(n, edges, colors, t, pairs, provenance) -> (h_edges, provenance, beta, i0, final) "
+     "or None"},
     {"index_graph", index_graph, METH_VARARGS, "index_graph(n, edges, pairs) -> edges or None"},
     {"in_palette", in_palette, METH_VARARGS, "in_palette(t, colors) -> bool"},
     {"classify", classify, METH_VARARGS,

@@ -15,11 +15,18 @@ bounds, for connected graphs on n vertices with at least one edge:
 The surjectivity cap W <= |E| is applied in best_upper_bound, not stored as
 a claim; best_upper_bound never includes the planar bound, because only a
 caller can assert planarity. The 11n/6 bound is floored because W is an integer.
+
+There is one registry, ``_registry``: the only statement of each theorem's
+precondition, its bound and the evidence a claim records. Only
+``applicable_bounds`` builds ``BoundClaim``s from it; ``best_upper_bound``,
+which ``compute_W`` calls for its ceiling on every graph, takes its minimum
+from the same walk and builds no claim and no evidence dict.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Iterator
 
 from .errors import DomainError
 from .graph import Graph, GraphClass
@@ -47,37 +54,51 @@ class BoundReport:
     violations: tuple[BoundClaim, ...]
 
 
-def applicable_bounds(
-    g: Graph, cls: GraphClass, planar_asserted: bool = False
-) -> tuple[BoundClaim, ...]:
-    """All claims whose preconditions hold, in fixed registry order."""
+def _registry(n: int, cls: GraphClass, planar_asserted: bool) -> Iterator[tuple]:
+    """(theorem_id, bound, evidence pairs beyond n) for each theorem whose
+    precondition holds on a graph on n vertices of class cls, in registry
+    order; DomainError outside the registry's domain."""
     if not cls.connected:
         raise DomainError("bound registry applies to connected graphs only")
     if cls.max_degree == 0:
         raise DomainError("bound registry needs a graph with at least one edge")
-    n = g.n
-    claims: list[BoundClaim] = []
     if cls.triangle_free:
-        claims.append(BoundClaim(T1_TRIANGLE_FREE, n - 1, {"n": n}))
+        yield T1_TRIANGLE_FREE, n - 1, ()
     if cls.biregular_degrees is not None:
         a, b = cls.biregular_degrees
         if n >= 2 * (a + b):
-            claims.append(BoundClaim(T2_BIREGULAR, n - 3, {"n": n, "a": a, "b": b}))
-    claims.append(BoundClaim(T3_GENERAL, 2 * n - 3, {"n": n}))
+            yield T2_BIREGULAR, n - 3, (("a", a), ("b", b))
+    yield T3_GENERAL, 2 * n - 3, ()
     if n >= 3:
-        claims.append(BoundClaim(T4_GENERAL_N3, 2 * n - 4, {"n": n}))
+        yield T4_GENERAL_N3, 2 * n - 4, ()
     if planar_asserted:
+        yield T6_PLANAR_ASSERTED, (11 * n) // 6, (("planar_asserted", True),)
+    r = cls.regular_degree
+    if r is not None and n >= 2 * r + 2:
+        yield T7_REGULAR, 2 * n - 5, (("r", r),)
+
+
+def applicable_bounds(
+    g: Graph, cls: GraphClass, planar_asserted: bool = False
+) -> tuple[BoundClaim, ...]:
+    """All claims whose preconditions hold, in fixed registry order."""
+    n = g.n
+    claims = []
+    for theorem_id, bound, evidence in _registry(n, cls, planar_asserted):
         claims.append(
-            BoundClaim(T6_PLANAR_ASSERTED, (11 * n) // 6, {"n": n, "planar_asserted": True})
+            BoundClaim(theorem_id, bound, dict((("n", n), *evidence)) if evidence else {"n": n})
         )
-    if cls.regular_degree is not None and n >= 2 * cls.regular_degree + 2:
-        claims.append(BoundClaim(T7_REGULAR, 2 * n - 5, {"n": n, "r": cls.regular_degree}))
     return tuple(claims)
 
 
 def best_upper_bound(g: Graph, cls: GraphClass) -> int:
-    """Minimum over applicable claims, capped by |E| (each color needs an edge)."""
-    return _best(applicable_bounds(g, cls), g.m)
+    """Minimum over applicable claims, capped by |E| (each color needs an
+    edge), without building the claims."""
+    best = g.m
+    for _, bound, _ in _registry(g.n, cls, False):
+        if bound < best:
+            best = bound
+    return best
 
 
 def _best(claims: tuple[BoundClaim, ...], m: int) -> int:

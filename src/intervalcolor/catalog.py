@@ -40,13 +40,39 @@ exact, so the catalog is the same with or without the filter. Both parts of
 the test are needed: without the non-cut condition the n = 7 catalog loses
 a class, and with strict ties every level is empty.
 
-Up to n = 7 the filter canonicalises 2,179 of the 7,815 children. One
-level is ``_extend``: the kernel's ``extend`` (``_search.c``, built by
+One level is ``_extend``: the kernel's ``extend`` (``_search.c``, built by
 ``solver._native``) where the module loads, and ``_extend_py``, its
-reference, otherwise; both visit the children in the same order,
-canonicalise them with the search above, and return equal dicts. On a
-2-core Xeon (Python 3.11) the n = 7 catalog takes about 25 ms with the
-kernel and 0.6 s without, and n = 8 about 0.35 s and 15 s.
+reference, otherwise. Both go through the parents, and each parent's
+subsets, in the same order, and both canonicalise with the search above.
+The reference canonicalises every child that passes the filter: up to
+n = 7, 2,179 of the 7,815 children.
+
+The kernel canonicalises one child per orbit of the parent's
+automorphisms, the first rule of canonical augmentation (McKay,
+"Isomorph-free exhaustive generation", J. Algorithms 1998). It runs the
+search above on each parent P first and takes automorphisms from two
+sources. Two leaves with P's minimum code give one: the vertex at position
+i of one ordering maps to the vertex at position i of the other. Each
+vertex x with a lower twin y gives the swap of x and y. With G the group
+these generate, the kernel goes through the subsets S in increasing order,
+canonicalises the child of S only when no earlier subset lies in S's
+G-orbit, and then marks that orbit. The two dicts are still equal item
+for item, insertion order included. If S = g(S') for some g in G, then g,
+with the new vertex fixed, maps the child of S' onto the child of S: it
+keeps P's edges, and it maps the new vertex's neighbours S' onto S. So the
+two children have the same code and the same filter verdict, since f and
+being a cut vertex are invariant under isomorphism. Hence the first child
+found with a code, in the order both share, comes from the least subset
+of its orbit, as an earlier subset of that orbit would have given the
+code earlier; and every child the kernel skips has a code found before
+it. So both keep the same first child per code, in the same order. Any
+subgroup of the automorphisms keeps this true, so the kernel may keep
+only some of the leaves. At the n = 7 level the reference canonicalises
+1,868 children and the kernel 903, plus its 112 parents; at n = 8,
+20,286 against 12,113, plus 853 parents.
+
+On a 2-core Xeon (Python 3.11) the n = 7 catalog takes about 8 ms with
+the kernel and 0.6 s without, and n = 8 about 0.17 s and 15 s.
 """
 
 from __future__ import annotations

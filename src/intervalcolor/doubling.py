@@ -19,10 +19,14 @@ The pipeline has two implementations, chosen at call time through
 ``solver._native()``. The reference and fallback is Python: G's domain,
 then alpha's check, and only then H (``double_graph``), beta
 (``lift_coloring``) and ``finalize_recolor``. The
-compiled kernel's ``double(n, edges, colors, t)`` (``_search.c``) does the
-same work in one call. It checks that alpha is an interval t-coloring of a
-connected G, emits H's edges already in canonical order with a provenance
-code and a beta color each, and picks i0 and the final coloring. It makes
+compiled kernel's ``double(n, edges, colors, t, pairs, provenance)``
+(``_search.c``) does the same work in one call. It checks that alpha is an
+interval t-coloring of a connected G, emits H's edges already in canonical
+order with a provenance and a beta color each, and picks i0 and the final
+coloring. The edges are ``graph._PAIRS``'s shared tuples (below 64
+vertices) and the provenance the shared objects of ``_PROVENANCE``, so the
+kernel path does no per-edge Python work and builds no pair that
+``Graph(H)``, which still checks H's edges, would throw away. It makes
 every check the Python path makes: the edges cross U/W, |E(H)| = 2m + n, H
 is connected, an r-regular G gives an (r+1)-regular H,
 min S(u_i) = min S(w_i) for every i, and the final coloring is an interval
@@ -46,7 +50,7 @@ from .coloring import (
     validation_report_to_json,
 )
 from .errors import InternalInvariantError, InvalidColoringError
-from .graph import Graph, classify, require_connected_with_edge, write_graph6
+from .graph import _PAIRS, Graph, classify, require_connected_with_edge, write_graph6
 
 
 @dataclass(frozen=True, slots=True)
@@ -63,9 +67,10 @@ class MatchingEdge:
 
 
 # Provenance by code: entry 3q + r is CrossEdge(q, False), CrossEdge(q, True)
-# or MatchingEdge(q) for r = 0, 1, 2, the codes of the kernel's ``double``.
-# Both paths take their values from here, so that kept certificates share
-# them (they are frozen) while q stays below _SHARED_PROVENANCE.
+# or MatchingEdge(q) for r = 0, 1, 2, the codes of the kernel's ``double``,
+# which returns the table's objects themselves. Both paths take their
+# values from here, so that kept certificates share them (they are frozen)
+# while q stays below _SHARED_PROVENANCE.
 _PROVENANCE: list[CrossEdge | MatchingEdge] = []
 _SHARED_PROVENANCE = 4096
 
@@ -98,13 +103,6 @@ class DoublingCertificate:
     validation: ValidationReport
 
 
-def _result(g: Graph, h: Graph, codes) -> DoublingResult:
-    """H's ``DoublingResult`` on either path, from its edges' provenance codes."""
-    n, table = g.n, _provenance_table(max(g.m, g.n))
-    provenance = tuple(map(table.__getitem__, codes))
-    return DoublingResult(h, tuple(range(n)), tuple(range(n, 2 * n)), provenance)
-
-
 def double_graph(g: Graph) -> DoublingResult:
     """Build H = double cover of g plus the identity matching, with checks."""
     require_connected_with_edge(g)
@@ -113,7 +111,9 @@ def double_graph(g: Graph) -> DoublingResult:
     for idx, (i, j) in enumerate(g.edges):
         codes[(i, n + j)], codes[(j, n + i)] = 3 * idx, 3 * idx + 1
     h = Graph(2 * n, tuple(codes))
-    result = _result(g, h, map(codes.__getitem__, h.edges))
+    table = _provenance_table(max(g.m, n))
+    provenance = tuple(map(table.__getitem__, map(codes.__getitem__, h.edges)))
+    result = DoublingResult(h, tuple(range(n)), tuple(range(n, 2 * n)), provenance)
     _check_structure(g, result)
     return result
 
@@ -208,12 +208,15 @@ def double_with_certificate(g: Graph, alpha: EdgeColoring) -> DoublingCertificat
     kernel finds a check failing (module docstring). That path checks g's
     domain, then alpha, and only then builds H."""
     kernel = solver._native()
-    if kernel is not None and len(alpha.colors) == g.m and alpha.t <= g.m:
-        built = kernel.double(g.n, g.edges, alpha.colors, alpha.t)
+    n, t = g.n, alpha.t
+    if kernel is not None and len(alpha.colors) == g.m and t <= g.m:
+        table = _provenance_table(max(g.m, n))
+        built = kernel.double(n, g.edges, alpha.colors, t, _PAIRS, table)
         if built is not None:
-            h_edges, codes, beta, i0, final = built
-            t = alpha.t
-            result = _result(g, Graph(2 * g.n, h_edges), codes)
+            h_edges, provenance, beta, i0, final = built
+            result = DoublingResult(
+                Graph(2 * n, h_edges), tuple(range(n)), tuple(range(n, 2 * n)), provenance
+            )
             return DoublingCertificate(
                 g, alpha, result, EdgeColoring(t + 2, beta), i0, EdgeColoring(t + 2, final), _VALID
             )
@@ -221,7 +224,7 @@ def double_with_certificate(g: Graph, alpha: EdgeColoring) -> DoublingCertificat
     _check_source(g, alpha)
     d = double_graph(g)
     beta = _lift(g, alpha, d)
-    i0, final, validation = finalize_recolor(d, beta, alpha.t)
+    i0, final, validation = finalize_recolor(d, beta, t)
     return DoublingCertificate(g, alpha, d, beta, i0, final, validation)
 
 

@@ -12,7 +12,7 @@ lowercase true/false.
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from typing import IO, Iterable, Iterator
 
 from .bounds import _best, applicable_bounds, audit
@@ -116,21 +116,28 @@ def run_survey(
         yield survey_graph(g, limits, with_doubling)
 
 
-def _render(value: object) -> str:
-    if value is None:
-        return ""
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, tuple):
-        return ";".join(value)
-    return str(value)
-
-
-_FIELD_NAMES = tuple(f.name for f in fields(SurveyRecord))
+_FLAG = {True: "true", False: "false", None: ""}  # the text of a bool | None column
 
 
 def record_to_row(rec: SurveyRecord) -> list[str]:
-    return [_render(getattr(rec, name)) for name in _FIELD_NAMES]
+    """rec's CSV row, each column rendered by the type SurveyRecord declares:
+    None as empty, a bool as true/false, the theorems joined by ";"."""
+    regular, w, best, slack = rec.regular_r, rec.w, rec.best_bound, rec.slack
+    return [
+        rec.graph6,
+        str(rec.n),
+        str(rec.m),
+        str(rec.delta),
+        _FLAG[rec.connected],
+        _FLAG[rec.bipartite],
+        "" if regular is None else str(regular),
+        _FLAG[rec.triangle_free],
+        "" if w is None else str(w),
+        "" if best is None else str(best),
+        "" if slack is None else str(slack),
+        ";".join(rec.tight_theorems),
+        _FLAG[rec.doubling_ok],
+    ]
 
 
 def write_survey_csv(records: Iterable[SurveyRecord], stream: IO[str]) -> None:

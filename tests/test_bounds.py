@@ -1,13 +1,19 @@
 from __future__ import annotations
 
+import random
+
 import pytest
 
 from intervalcolor import (
     DomainError,
+    Graph,
     applicable_bounds,
     audit,
     best_upper_bound,
+    bounds,
     classify,
+    generate_connected_catalog,
+    is_connected,
 )
 from intervalcolor.bounds import bound_report_to_json
 from smallgraphs import c4, cycle, k2, k4, p3, star, two_k2
@@ -56,6 +62,10 @@ class TestApplicableBounds:
         by_id = {c.theorem_id: c for c in applicable_bounds(cycle(8), classify(cycle(8)))}
         assert by_id["T2_biregular"].evidence == {"n": 8, "a": 2, "b": 2}
         assert by_id["T7_regular"].evidence == {"n": 8, "r": 2}
+        assert by_id["T1_triangle_free"].evidence == {"n": 8}
+        (planar,) = [c for c in applicable_bounds(c4(), classify(c4()), True)
+                     if c.theorem_id == "T6_planar_asserted"]
+        assert planar.evidence == {"n": 4, "planar_asserted": True}
 
     def test_rejects_disconnected(self):
         with pytest.raises(DomainError):
@@ -85,6 +95,40 @@ class TestBestUpperBound:
     def test_edge_cap_binds(self):
         # P3: claims give 2, |E| = 2; K1,3: T1 gives 3 = |E|
         assert best_upper_bound(p3(), classify(p3())) == 2
+
+    def test_is_the_least_claim_capped_by_m(self, catalogs, doubled_graphs):
+        # On the n <= 7 catalogs, the doubled graphs and seeded random
+        # connected graphs: the same minimum as the claims give.
+        rng = random.Random(24)
+        seeded = []
+        while len(seeded) < 200:
+            n, p = rng.randint(2, 12), rng.random()
+            g = Graph(n, [(i, j) for j in range(n) for i in range(j) if rng.random() < p])
+            if g.m and is_connected(g):
+                seeded.append(g)
+        graphs = [g for n in range(2, 7) for g in catalogs[n]]
+        graphs += [*generate_connected_catalog(7), *doubled_graphs, *seeded]
+        for g in graphs:
+            cls = classify(g)
+            expected = min(min(c.bound for c in applicable_bounds(g, cls)), g.m)
+            assert best_upper_bound(g, cls) == expected, g.edges
+        assert len(graphs) == 1 + 2 + 6 + 21 + 112 + 853 + 23 + 200
+
+    def test_builds_no_claim(self, catalogs, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("best_upper_bound built a BoundClaim")
+
+        monkeypatch.setattr(bounds, "BoundClaim", refuse)
+        for g in catalogs[5] + [cycle(8), k4()]:
+            best_upper_bound(g, classify(g))
+        with pytest.raises(AssertionError, match="built a BoundClaim"):
+            applicable_bounds(k2(), classify(k2()))
+
+    def test_refuses_what_the_claims_refuse(self):
+        for g in (two_k2(), Graph(1, ()), Graph(3, ())):
+            for call in (applicable_bounds, best_upper_bound):
+                with pytest.raises(DomainError):
+                    call(g, classify(g))
 
     def test_never_below_max_degree_when_colorable(self, catalogs):
         from intervalcolor import compute_W

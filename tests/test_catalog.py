@@ -121,6 +121,65 @@ class TestExtend:
         assert list(native.items()) == list(_extend_py(12, [parent]).items())
         assert len(native) == 11 and max(native).bit_length() == 66
 
+    def test_kernel_agrees_on_symmetric_parents(self):
+        # The kernel canonicalises one child per orbit of the parent's
+        # automorphisms, which it takes from the parent's canonical search
+        # and its twin swaps; these parents have large groups. Every vertex
+        # of an edgeless or complete graph is a twin of every other; a
+        # cycle, the cube and the 3 x 3 rook's graph have no twins, and the
+        # rook's graph's search meets more equal-code leaves than the
+        # kernel keeps.
+        def shape(n, edges):
+            return n, tuple(masks_of(Graph(n, tuple(edges))))
+
+        def cycle(n):
+            return shape(n, [(i, (i + 1) % n) for i in range(n)])
+
+        def complete_bipartite(a, b):
+            return shape(a + b, [(i, a + j) for i in range(a) for j in range(b)])
+
+        def union(*parts):
+            n, edges = 0, []
+            for size, masks in parts:
+                edges += [(n + a, n + b) for a in range(size) for b in range(a) if masks[a] >> b & 1]
+                n += size
+            return shape(n, edges)
+
+        edgeless = [shape(n, []) for n in range(1, 9)]
+        complete = [shape(n, [(i, j) for j in range(n) for i in range(j)]) for n in range(1, 10)]
+        stars = [shape(n, [(0, i) for i in range(1, n)]) for n in range(2, 8)]
+        cycles = [cycle(n) for n in range(3, 9)]
+        bipartite = [complete_bipartite(a, b) for a in range(1, 5) for b in range(a, 9 - a)]
+        k2, k3, k1 = complete[1], complete[2], edgeless[0]
+        unions = [union(k2, k2), union(k2, k2, k2), union(k3, k3, k1), union(k3, k1, k1),
+                  union(cycles[1], cycles[1]), union(stars[2], stars[2]), union(k1, cycles[2])]
+        cube = shape(8, [(i, i ^ 1 << d) for i in range(8) for d in range(3) if i < i ^ 1 << d])
+        rook = shape(9, [(i, j) for j in range(9) for i in range(j) if i // 3 == j // 3 or i % 3 == j % 3])
+        parents = [*edgeless, *complete, *stars, *cycles, *bipartite, *unions, cube, rook]
+        kernel = solver._native()
+        for n, masks in parents:
+            native = kernel.extend(n + 1, [masks])
+            assert list(native.items()) == list(_extend_py(n + 1, [masks]).items()), masks
+        # Several symmetric parents in one call, as a catalog level passes
+        # them: the marks of one parent's orbits must not carry over.
+        level = [masks for _, masks in (cycle(6), complete_bipartite(3, 3), complete_bipartite(1, 5),
+                                        union(k3, k3), complete[5], edgeless[5])]
+        assert list(kernel.extend(7, level).items()) == list(_extend_py(7, level).items())
+
+    def test_an_edgeless_parent_of_twelve_vertices(self):
+        # Each subset S of an edgeless parent gives a child isomorphic to
+        # that of any other subset of |S| vertices, so the result is the
+        # reference's on the least subset of each size; the reference takes
+        # about a minute over all 4,095 subsets, the kernel one child per size.
+        native = solver._native().extend(13, [(0,) * 12])
+        expected = {}
+        for k in range(1, 13):
+            child = (*([1 << 12] * k), *([0] * (12 - k)), (1 << k) - 1)
+            if catalog._lowest_non_cut_last(child):
+                expected.setdefault(_min_code_py(13, child), child)
+        assert list(native.items()) == list(expected.items())
+        assert len(native) == 10
+
     def test_twins_collapse_the_widest_masks(self):
         # Every vertex of an edgeless or complete graph is a twin of every
         # other, so one ordering is searched, at any n.

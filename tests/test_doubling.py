@@ -27,6 +27,7 @@ from intervalcolor import (
 from intervalcolor import doubling, graph, solver
 from intervalcolor.coloring import _VALID
 from intervalcolor.doubling import CrossEdge, MatchingEdge
+from intervalcolor.graph import _PAIRS
 from smallgraphs import c4, corruptions, k2, k3, k4, p3, two_k2
 
 
@@ -301,6 +302,13 @@ def refuse_graph(*args):
     raise AssertionError("H was built")
 
 
+def shared_double():
+    """The kernel's ``double`` with the shared pairs and a provenance table
+    long enough for graphs with max(m, n) <= 8, as its caller passes them."""
+    double, table = solver._native().double, doubling._provenance_table(8)
+    return lambda n, edges, colors, t: double(n, edges, colors, t, _PAIRS, table)
+
+
 def raised_on_both_paths(g: Graph, alpha: EdgeColoring) -> type:
     """The type of the exception double_with_certificate raises on the
     kernel path, which must equal the one on the Python path, message and
@@ -510,14 +518,33 @@ class TestNativeDouble:
         assert calls == [alpha, cert.final]
 
     def test_returns_none_where_a_check_fails(self):
-        double = solver._native().double
+        double = shared_double()
         assert double(4, two_k2().edges, (1, 1), 1) is None  # disconnected
         assert double(3, k3().edges, (1, 2, 3), 3) is None  # not interval
         assert double(3, p3().edges, (1, 1), 1) is None  # repeated color
         assert double(3, p3().edges, (1, 2), 2) is not None
 
+    def test_returns_the_shared_pairs_and_provenance(self):
+        # H's edges are graph._PAIRS's tuples and its provenance the
+        # table's objects, by identity, below 64 vertices; past them each
+        # edge at a w vertex >= 64 is a tuple of its own, equal to Graph's.
+        table = doubling._provenance_table(40)
+        for g, alpha in ((c4(), (1, 2, 2, 3)), (Graph(40, [(i, i + 1) for i in range(39)]),
+                                                  tuple(range(1, 40)))):
+            h_edges, provenance, *_ = solver._native().double(
+                g.n, g.edges, alpha, len(set(alpha)), _PAIRS, table
+            )
+            assert h_edges == Graph(2 * g.n, h_edges).edges
+            shared = [pair for pair in h_edges if pair[1] < 64]
+            assert all(pair is _PAIRS[pair[1]][pair[0]] for pair in shared)
+            # The path's H: w_0 has 2 edges and w_1 .. w_23 have 3 each.
+            assert len(shared) == (12 if g.n == 4 else 2 + 3 * 23)
+            ids = {id(prov) for prov in table}
+            assert all(id(prov) in ids for prov in provenance)
+            assert provenance == double_graph(g).edge_provenance
+
     def test_rejects_malformed_input(self):
-        double = solver._native().double
+        double = shared_double()
         edges, colors = c4().edges, (1, 2, 2, 3)  # (0,1),(0,3),(1,2),(2,3)
         assert double(4, edges, colors, 3) is not None
         for args in (
@@ -539,3 +566,18 @@ class TestNativeDouble:
                 double(*args)
         with pytest.raises(TypeError):
             double(4, 5, colors, 3)
+        # The shared objects: H's pair (3, 7) wrong in row 7, a row short,
+        # not a tuple, a table of fewer than 3 max(m, n) = 12 codes, or not
+        # a list.
+        wrong = (*_PAIRS[:7], (*_PAIRS[7][:3], (0, 7), *_PAIRS[7][4:]), *_PAIRS[8:])
+        table = doubling._provenance_table(4)
+        for pairs, provenance in (
+            (wrong, table),
+            (_PAIRS[:63], table),
+            ((*_PAIRS[:7], _PAIRS[7][:6], *_PAIRS[8:]), table),
+            (list(_PAIRS), table),
+            (_PAIRS, table[:11]),
+            (_PAIRS, tuple(table)),
+        ):
+            with pytest.raises(ValueError):
+                solver._native().double(4, edges, colors, 3, pairs, provenance)

@@ -21,6 +21,7 @@ import tracemalloc
 import pytest
 
 from intervalcolor import Graph
+from intervalcolor.doubling import _provenance_table
 from intervalcolor.graph import _PAIRS
 from intervalcolor.solver import DISTANCE_MAX_M, _native
 from smallgraphs import c4
@@ -45,13 +46,14 @@ def calls_and_references():
     n, edges = petersen.n, petersen.edges
     square = c4()
     alpha = (1, 2, 2, 3)  # an interval 3-coloring of C4's edges
+    table = _provenance_table(4)
     calls = {
         "search with dist": lambda: kernel.search(n, edges, DISTANCE_MAX_M, 6, 3, 0),
         "search without dist": lambda: kernel.search(n, edges, 0, 6, 3, 0),
         "plan with the matrix": lambda: kernel.plan(n, edges, DISTANCE_MAX_M),
         "plan without the matrix": lambda: kernel.plan(n, edges, 0),
         "interval_ok": lambda: kernel.interval_ok(square.n, square.edges, alpha, 3),
-        "double": lambda: kernel.double(square.n, square.edges, alpha, 3),
+        "double": lambda: kernel.double(square.n, square.edges, alpha, 3, _PAIRS, table),
         "in_palette": lambda: kernel.in_palette(3, alpha),
         "index_graph": lambda: kernel.index_graph(70, [(66, 65), (0, 1), (1, 65), (0, 1)], _PAIRS),
         "classify": lambda: kernel.classify(n, edges),

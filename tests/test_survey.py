@@ -65,9 +65,9 @@ class TestSurveyRecords:
         with pytest.raises(InternalInvariantError, match="T1_triangle_free"):
             survey_graph(p3())
 
-    def test_two_registry_walks_per_graph(self, catalogs, monkeypatch):
-        # The survey's own claims give its best bound; compute_W walks the
-        # registry once more for its cutoff.
+    def test_one_claims_walk_per_graph(self, catalogs, monkeypatch):
+        # The survey's own claims give its best bound; compute_W takes its
+        # cutoff from the registry without building claims.
         walks = []
         walk = bounds.applicable_bounds
 
@@ -78,7 +78,7 @@ class TestSurveyRecords:
         monkeypatch.setattr(survey, "applicable_bounds", counted)
         monkeypatch.setattr(bounds, "applicable_bounds", counted)
         records = list(run_survey(catalogs[4]))
-        assert len(walks) == 2 * len(records) == 12
+        assert len(walks) == len(records) == 6
         assert [r.best_bound for r in records] == [3, 3, 4, 3, 4, 4]
 
     def test_catalog_n4_all_sound(self, catalogs):
@@ -112,6 +112,40 @@ class TestCsvOutput:
         row = record_to_row(survey_graph(k3()))
         assert row == ["Bw", "3", "3", "2", "true", "false", "2", "false",
                        "not-colorable", "2", "", "", ""]
+
+    def test_every_value_kind_in_every_column(self):
+        # Each column's values, None included where its type allows one,
+        # rendered by hand; SurveyRecord's fields are the columns, in order.
+        kinds = {
+            "graph6": [("Bw", "Bw")],
+            "n": [(3, "3"), (12, "12")],
+            "m": [(0, "0"), (3, "3")],
+            "delta": [(0, "0"), (2, "2")],
+            "connected": [(True, "true"), (False, "false")],
+            "bipartite": [(True, "true"), (False, "false")],
+            "regular_r": [(None, ""), (0, "0"), (2, "2")],
+            "triangle_free": [(True, "true"), (False, "false")],
+            "W": [(None, ""), ("aborted", "aborted"), ("not-colorable", "not-colorable"),
+                  (7, "7")],
+            "best_bound": [(None, ""), (9, "9")],
+            "slack": [(None, ""), (0, "0"), (2, "2")],
+            "tight_theorems": [((), ""), (("T1_triangle_free",), "T1_triangle_free"),
+                               (("T1_triangle_free", "T4_general_n3"),
+                                "T1_triangle_free;T4_general_n3")],
+            "doubling_ok": [(None, ""), (True, "true"), (False, "false")],
+        }
+        assert list(kinds) == list(CSV_COLUMNS)
+        names = [f.name for f in fields(SurveyRecord)]
+        base = {name: values[0] for name, values in zip(names, kinds.values())}
+        rows = 0
+        for column, (name, values) in enumerate(zip(names, kinds.values())):
+            for value, text in values:
+                fields_of = {**base, name: (value, text)}
+                rec = SurveyRecord(**{k: v for k, (v, _) in fields_of.items()})
+                assert record_to_row(rec) == [t for _, t in fields_of.values()], (name, value)
+                assert record_to_row(rec)[column] == text
+                rows += 1
+        assert rows == 31
 
     def test_missing_values_render_empty(self):
         row = record_to_row(survey_graph(two_k2()))
