@@ -21,12 +21,15 @@ precondition, its bound and the evidence a claim records. Only
 ``applicable_bounds`` builds ``BoundClaim``s from it; ``best_upper_bound``,
 which ``compute_W`` calls for its ceiling on every graph, takes its minimum
 from the same walk and builds no claim and no evidence dict.
+
+``BoundClaim`` and ``BoundReport`` are ``NamedTuple``s, like the package's
+other value records (see the package docstring); a claim's evidence is a
+dict, so neither is hashable.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterator
+from typing import Iterator, NamedTuple
 
 from .errors import DomainError
 from .graph import Graph, GraphClass
@@ -39,15 +42,13 @@ T6_PLANAR_ASSERTED = "T6_planar_asserted"
 T7_REGULAR = "T7_regular"
 
 
-@dataclass(frozen=True, slots=True)
-class BoundClaim:
+class BoundClaim(NamedTuple):
     theorem_id: str
     bound: int
     evidence: dict
 
 
-@dataclass(frozen=True, slots=True)
-class BoundReport:
+class BoundReport(NamedTuple):
     claims: tuple[BoundClaim, ...]
     best: int
     audited_W: int | None

@@ -17,12 +17,16 @@ loads, so that a valid coloring costs no Python loop over its vertices.
 ``in_palette(t, colors)`` first, and ``_check_colors_py``, the reference,
 wherever the kernel is missing or declines the colors, so that every error
 message is the Python loop's; t and the colors are plain ints on both.
+
+``Failure`` and ``ValidationReport`` are ``NamedTuple``s (see the package
+docstring); ``EdgeColoring`` is a frozen dataclass.
 """
 
 from __future__ import annotations
 
 import operator
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import DomainError, ParseError
 from .graph import Graph
@@ -30,7 +34,10 @@ from .graph import Graph
 
 @dataclass(frozen=True, slots=True)
 class EdgeColoring:
-    """One positive color per edge, indexed like ``Graph.edges``, plus t."""
+    """One positive color per edge, indexed like ``Graph.edges``, plus t.
+
+    A dataclass, not a ``NamedTuple``, because construction checks the
+    palette (``in_palette`` or ``_check_colors_py``) and keeps plain ints."""
 
     t: int
     colors: tuple[int, ...]
@@ -60,15 +67,13 @@ def _check_colors_py(t: int, colors: tuple) -> tuple[int, tuple[int, ...]]:
     return t, plain
 
 
-@dataclass(frozen=True, slots=True)
-class Failure:
+class Failure(NamedTuple):
     kind: str  # "proper" | "interval" | "surjective"
     subject: int  # vertex for proper/interval, color for surjective
     detail: str
 
 
-@dataclass(frozen=True, slots=True)
-class ValidationReport:
+class ValidationReport(NamedTuple):
     proper: bool
     interval_at_every_vertex: bool
     surjective: bool

@@ -34,11 +34,14 @@ min S(u_i) = min S(w_i) for every i, and the final coloring is an interval
 a color that is not an exact int, the Python path runs from the start and
 raises its own error, so every exception and message is the reference's.
 Both paths give equal certificates.
+
+``CrossEdge``, ``MatchingEdge``, ``DoublingResult`` and
+``DoublingCertificate`` are ``NamedTuple``s (see the package docstring).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from . import solver
 from .coloring import (
@@ -53,23 +56,21 @@ from .errors import InternalInvariantError, InvalidColoringError
 from .graph import _PAIRS, Graph, classify, require_connected_with_edge, write_graph6
 
 
-@dataclass(frozen=True, slots=True)
-class CrossEdge:
+class CrossEdge(NamedTuple):
     """Cover copy of source edge (v_i, v_j): u_i w_j, or u_j w_i when flipped."""
 
     source_index: int
     flipped: bool
 
 
-@dataclass(frozen=True, slots=True)
-class MatchingEdge:
+class MatchingEdge(NamedTuple):
     vertex: int
 
 
 # Provenance by code: entry 3q + r is CrossEdge(q, False), CrossEdge(q, True)
 # or MatchingEdge(q) for r = 0, 1, 2, the codes of the kernel's ``double``,
 # which returns the table's objects themselves. Both paths take their
-# values from here, so that kept certificates share them (they are frozen)
+# values from here, so that kept certificates share them (they are immutable)
 # while q stays below _SHARED_PROVENANCE.
 _PROVENANCE: list[CrossEdge | MatchingEdge] = []
 _SHARED_PROVENANCE = 4096
@@ -84,16 +85,14 @@ def _provenance_table(q: int) -> list[CrossEdge | MatchingEdge]:
     return table
 
 
-@dataclass(frozen=True, slots=True)
-class DoublingResult:
+class DoublingResult(NamedTuple):
     h: Graph
     u_map: tuple[int, ...]
     w_map: tuple[int, ...]
     edge_provenance: tuple[CrossEdge | MatchingEdge, ...]  # aligned with h.edges
 
 
-@dataclass(frozen=True, slots=True)
-class DoublingCertificate:
+class DoublingCertificate(NamedTuple):
     g: Graph
     alpha: EdgeColoring
     result: DoublingResult

@@ -23,13 +23,16 @@ keeps its class as it keeps its lists: the kernel's ``classify``, one BFS,
 a triangle test by merging sorted neighbour lists and the degree extremes
 in C, or ``_classify_py``, the reference, with equal ``GraphClass`` fields.
 It gives ``is_connected``, ``max_degree`` and the domain guard their facts.
+
+``GraphClass`` is a ``NamedTuple`` (see the package docstring); ``Graph``
+is a frozen dataclass.
 """
 
 from __future__ import annotations
 
 import operator
 from dataclasses import dataclass, field
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 from .errors import DomainError, ParseError
 
@@ -45,6 +48,10 @@ _PAIRS = tuple(tuple((a, b) for a in range(b)) for b in range(64))
 @dataclass(frozen=True, slots=True)
 class Graph:
     """Simple undirected loopless graph with an indexed vertex set.
+
+    A dataclass, not a ``NamedTuple``: construction makes the edges
+    canonical through ``index_graph`` or ``_index_py``, and the caches below
+    are fields that equality, hashing and repr leave out.
 
     ``adjacency`` and ``incidence`` (edge indices per vertex, in canonical
     edge order) are built on first use and kept in ``_lists``, and
@@ -122,8 +129,7 @@ def _index_lists(n: int, edges: tuple[tuple[int, int], ...]) -> tuple[tuple, tup
     return tuple(map(tuple, adj)), tuple(map(tuple, inc))
 
 
-@dataclass(frozen=True, slots=True)
-class GraphClass:
+class GraphClass(NamedTuple):
     """Structural facts about a graph, as used by the bound registry.
 
     ``bipartition`` is present iff the graph is bipartite; parts are sorted
@@ -197,7 +203,7 @@ def classify(g: Graph) -> GraphClass:
     ``_classify_py``, the reference, elsewhere; the two give equal fields."""
     if g._class is None:
         kernel = solver._native()
-        cls = _classify_py(g) if kernel is None else GraphClass(*kernel.classify(g.n, g.edges))
+        cls = _classify_py(g) if kernel is None else GraphClass._make(kernel.classify(g.n, g.edges))
         object.__setattr__(g, "_class", cls)
     return g._class
 

@@ -113,6 +113,7 @@ import heapq
 import importlib.machinery
 import importlib.util
 import itertools
+import operator
 import os
 import sys
 from array import array
@@ -141,14 +142,22 @@ class SolveStatus(Enum):
 @dataclass(frozen=True, slots=True)
 class SearchLimits:
     """node_limit caps backtracking nodes (0 = unlimited); t_override caps
-    the palette sizes compute_W will consider."""
+    the palette sizes compute_W will consider.
+
+    A dataclass, not a ``NamedTuple``, because ``__post_init__`` checks the
+    fields and takes both through ``operator.index``: each is a plain int
+    (t_override may be None), and a float raises TypeError."""
 
     node_limit: int = 0
     t_override: int | None = None
 
     def __post_init__(self) -> None:
-        if self.node_limit < 0:
-            raise ValueError(f"node_limit must be >= 0, got {self.node_limit}")
+        node_limit = operator.index(self.node_limit)
+        if node_limit < 0:
+            raise ValueError(f"node_limit must be >= 0, got {node_limit}")
+        object.__setattr__(self, "node_limit", node_limit)
+        if self.t_override is not None:
+            object.__setattr__(self, "t_override", operator.index(self.t_override))
 
 
 # The limits of a call given none: no node limit and no t_override. Shared,
@@ -158,6 +167,11 @@ _NO_LIMITS = SearchLimits()
 
 @dataclass(frozen=True, slots=True)
 class SolveOutcome:
+    """The answer of ``compute_W`` or ``find_interval_coloring``.
+
+    A dataclass, not a ``NamedTuple``, because ``bench/selftest.py``
+    derives tampered outcomes from it with ``dataclasses.replace``."""
+
     status: SolveStatus
     witness: EdgeColoring | None = None
     nodes_expanded: int = 0
@@ -546,6 +560,7 @@ def _descend(
 def find_interval_coloring(g: Graph, t: int, limits: SearchLimits | None = None) -> SolveOutcome:
     """Decide whether g has an interval t-coloring; exhaustive unless aborted."""
     limits = limits or _NO_LIMITS
+    t = operator.index(t)  # a plain int on both search paths and in the outcome
     delta = require_connected_with_edge(g).max_degree
     if not delta <= t <= g.m:
         raise DomainError(f"t={t} outside the feasible range [{delta}, {g.m}]")

@@ -6,14 +6,14 @@ fields, never abort the stream. A computed W that exceeds an applicable
 bound, or a doubling certificate that fails validation, is escalated as an
 internal defect instead, because those are correctness bugs. Output is
 deterministic: records appear in input order and booleans render as
-lowercase true/false.
+lowercase true/false. ``SurveyRecord`` is a ``NamedTuple`` (see the
+package docstring) whose fields are the CSV columns, in order.
 """
 
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass
-from typing import IO, Iterable, Iterator
+from typing import IO, Iterable, Iterator, NamedTuple
 
 from .bounds import _best, applicable_bounds, audit
 from .doubling import double_with_certificate
@@ -41,8 +41,7 @@ NOT_COLORABLE = "not-colorable"
 ABORTED = "aborted"
 
 
-@dataclass(frozen=True, slots=True)
-class SurveyRecord:
+class SurveyRecord(NamedTuple):
     graph6: str
     n: int
     m: int

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import json
 import os
 import random
 import shutil
@@ -49,6 +50,7 @@ from intervalcolor.solver import (
     _proven_ceiling,
     _search_py,
     _STATUS,
+    outcome_to_json,
 )
 from smallgraphs import c4, cycle, k2, k3, k4, k5, p3, p4, star, two_k2
 
@@ -130,6 +132,32 @@ class TestFindIntervalColoring:
                     find_interval_coloring(g, delta)
             counts = len(traversed), len(indexed), len(degrees)
             assert counts == ((0, 0, 0) if native else (142, 142, 142)), native
+
+    @pytest.mark.parametrize("native", [True, False], ids=["kernel", "python"])
+    def test_palette_arguments_are_plain_ints(self, native, monkeypatch):
+        # t, node_limit and t_override go through operator.index on entry, so
+        # a float raises the same TypeError on both paths, and a numpy int
+        # leaves no numpy int in the outcome or its JSON.
+        assert _native() is not None
+        if not native:
+            monkeypatch.setattr(solver, "_native", lambda: None)
+        calls = [
+            lambda: find_interval_coloring(c4(), 3.0),
+            lambda: SearchLimits(node_limit=1.5),
+            lambda: SearchLimits(t_override=3.0),
+        ]
+        for call in calls:
+            with pytest.raises(TypeError, match="'float' object cannot be interpreted"):
+                call()
+        out = find_interval_coloring(c4(), np.int64(3))
+        assert out == find_interval_coloring(c4(), 3)
+        assert [type(t) for t in out.feasible_t_set] == [int]
+        assert json.loads(json.dumps(outcome_to_json(out, c4())))["feasible_t_set"] == [3]
+        limits = SearchLimits(np.int64(2), np.int64(3))
+        assert (type(limits.node_limit), type(limits.t_override)) == (int, int)
+        assert limits == SearchLimits(2, 3)
+        capped = find_interval_coloring(c4(), 3, limits)
+        assert (capped.status, capped.nodes_expanded) == (SolveStatus.ABORTED, 2)
 
     def test_edge_order_is_bfs_from_max_degree_vertex(self):
         # star: center 0 has max degree, its edges come out in index order
