@@ -9,24 +9,47 @@
  * search(n, edges, max_m, top, bottom, budget) -> (status, nodes, last, colors)
  *
  * The descent of solver._search_py over the palette sizes t = top,
- * top - 1, ..., bottom, 1 <= bottom <= top, of the graph plan() takes, each
- * layer searched in turn with one plan built and one set of buffers
- * allocated. The plan is plan()'s, built by the same routine; top is then
- * capped at m and, when the plan has the matrix, at 1 + longest, above which
- * no layer has an interval coloring, and a range the caps leave empty gives
- * (0, 0, bottom, []). Without the matrix the distance rule is off and the
- * caller applies the ceiling. budget caps the nodes of all layers together
- * (0 = unlimited), and a layer whose turn comes once it is spent aborts with
- * no node. status is 1 when a layer is feasible, 0 when every layer is
- * infeasible and 2 when the budget ran out; last is the last t decided (the
- * feasible one, bottom, or one above the aborted layer); colors holds each
- * edge's color, by edge index, 0 for none: the witness, the partial
- * coloring of an aborted layer when the budget ran out, or nothing when
- * status is 0. Edge order, color order, node counting and the prune rules
- * (distinct, spread, surjectivity, the first edge's reversal cut, the twin
- * cut, the distance rule) are those of _search_py, so its four results
- * agree with this one given _plan_py's plan and the capped top; the proofs
- * are in solver.py's docstring.
+ * top - 1, ..., bottom, 1 <= bottom <= top, of the connected graph on n
+ * vertices with edges Graph.edges: pairs (a, b), a < b, strictly
+ * increasing. One plan is built and one set of buffers allocated, and the
+ * layers are searched in turn.
+ *
+ * The plan holds what solver._Plan holds, each field equal to
+ * solver._plan_py's, which the tests check through this entry's results.
+ * order is the BFS edge order from the lowest-indexed vertex of maximum
+ * degree, each vertex's edges taken in increasing neighbour order; ends the
+ * endpoints of each edge in that order; deg the degrees; after the twin
+ * cut: edge k's color must exceed that of the earlier edge after[k], or -1
+ * for none. Twins x, y have equal open neighbourhoods N(x) = N(y) or equal
+ * closed ones N[x] = N[y]: the vertices are sorted by a hash of each
+ * neighbourhood and a run of equal hashes is split by comparing the
+ * neighbourhoods themselves, so memory stays linear in n + m. For each twin
+ * pair, the first moved edge k, the earliest edge at x or y other than xy,
+ * is among each twin's two earliest edges, and after[j] = max(after[j], k)
+ * for its image j. For m <= max_m, dist holds D(e, f) at e * m + f in BFS
+ * positions and longest is its largest entry; otherwise there is no matrix.
+ * D(e, f) is the cheapest path from edge e to edge f, a step between two
+ * edges that share a vertex v costing deg(v) - 1, and D(e, e) = 0. One
+ * Dijkstra from each vertex gives walk(u, v), the cheapest walk from u to v
+ * with each vertex on it (ends included) costing deg - 1, and D(e, f) for
+ * e != f is the least walk from an end of e to an end of f.
+ *
+ * top is then capped at m and, when the plan has the matrix, at
+ * 1 + longest, above which no layer has an interval coloring, and a range
+ * the caps leave empty gives (0, 0, bottom, []). Without the matrix the
+ * distance rule is off and the caller applies the ceiling. budget caps the
+ * nodes of all layers together (0 = unlimited), and a layer whose turn
+ * comes once it is spent aborts with no node. status is 1 when a layer is
+ * feasible, 0 when every layer is infeasible and 2 when the budget ran out;
+ * last is the last t decided (the feasible one, bottom, or one above the
+ * aborted layer); colors holds each edge's color, by edge index, 0 for
+ * none: the witness, the partial coloring of an aborted layer when the
+ * budget ran out, or nothing when status is 0. Edge order, color order,
+ * node counting and the prune rules (distinct, spread, surjectivity, the
+ * first edge's reversal cut, the twin cut, the distance rule) are those of
+ * _search_py, so its four results agree with this one given _plan_py's plan
+ * and the capped top; the proofs are in solver.py's docstring. Malformed
+ * input raises ValueError (TypeError for edges that are not a sequence).
  *
  * A vertex's colors are a bitmask of (top + 1) / 64 + 1 words, bit c for
  * color c, of which layer t reads the first (t + 1) / 64 + 1, so every t
@@ -50,35 +73,10 @@
  * that pass stays below 3m, and no plan has a matrix of more than
  * INT32_MAX / 3 edges.
  *
- * plan(n, edges, max_m) -> (order, ends, deg, after, dist, longest)
- *
- * The plan search builds, as the fields of solver._Plan, for the tests to
- * compare with solver._plan_py; the package calls only search. The graph
- * is connected, on n vertices, edges being Graph.edges: pairs (a, b),
- * a < b, strictly increasing. order is the BFS edge order from the
- * lowest-indexed vertex of maximum degree, each vertex's edges taken in
- * increasing neighbour order; ends the endpoints of each edge in that
- * order; deg the degrees; after the twin cut: edge k's color must exceed
- * that of the earlier edge after[k], or -1 for none. Twins x, y
- * have equal open neighbourhoods N(x) = N(y) or equal closed ones
- * N[x] = N[y]: the vertices are sorted by a hash of each neighbourhood and
- * a run of equal hashes is split by comparing the neighbourhoods
- * themselves, so memory stays linear in n + m. For each twin pair, the
- * first moved edge k, the earliest edge at x or y other than xy, is among
- * each twin's two earliest edges, and after[j] = max(after[j], k) for its
- * image j. For m <= max_m, dist holds D(e, f) at e * m + f in BFS positions
- * as native int32 bytes and longest is its largest entry; otherwise dist
- * is empty and longest None. D(e, f) is the cheapest path from edge e to
- * edge f, a step between two edges that share a vertex v costing
- * deg(v) - 1, and D(e, e) = 0. One Dijkstra from each vertex gives
- * walk(u, v), the cheapest walk from u to v with each vertex on it (ends
- * included) costing deg - 1, and D(e, f) for e != f is the least walk from
- * an end of e to an end of f. Every field equals _plan_py's.
- *
  * interval_ok(n, edges, colors, t) -> bool
  *
  * Whether colors, one per edge in 1..t, is an interval t-coloring of the
- * graph on n vertices with edges as for plan(), 1 <= t <= len(edges): at
+ * graph on n vertices with edges as for search(), 1 <= t <= len(edges): at
  * each vertex of positive degree, with lo and hi its least and greatest
  * color, hi - lo + 1 equals the degree and no color repeats, and every
  * color in 1..t is used. This is the verdict of coloring._report, which the
@@ -90,7 +88,7 @@
  *     -> (h_edges, provenance, beta, i0, final) or None
  *
  * The doubling certificate of alpha, the interval t-coloring colors of the
- * graph G on n vertices with edges as for plan(), 1 <= t <= len(edges):
+ * graph G on n vertices with edges as for search(), 1 <= t <= len(edges):
  * what doubling.double_graph, lift_coloring and finalize_recolor build. H
  * has u_i = i and w_i = n + i, and h_edges lists its edges in canonical
  * order: for each i, the pairs (i, n + j) for the neighbours j of v_i and
@@ -138,7 +136,7 @@
  *                        min_degree)
  *
  * The fields of graph.GraphClass for the graph on n >= 1 vertices with
- * edges as for plan(), as graph._classify_py gives them. One BFS over every
+ * edges as for search(), as graph._classify_py gives them. One BFS over every
  * component, roots in index order and each root on side 0, gives
  * connectivity and the 2-coloring; bipartition is None unless it is proper,
  * and otherwise the increasing vertex tuples of sides 0 and 1. An edge lies
@@ -553,7 +551,7 @@ static void earliest_two(const Py_ssize_t *start, const Py_ssize_t *nbr, const P
 }
 
 /* The search plan of the connected graph on n vertices with the edges of
- * edges_obj (plan()), in buffers from one Scratch: dist is the m x m matrix
+ * edges_obj (search()), in buffers from one Scratch: dist is the m x m matrix
  * and longest its largest entry, or NULL and -1 when m > max_m. */
 typedef struct {
     Py_ssize_t m;
@@ -561,16 +559,14 @@ typedef struct {
     int32_t *dist;
 } Plan;
 
-/* Builds out for plan() and search(), entry naming the caller in errors;
- * -1 with an exception set. */
-static int make_plan(Scratch *s, Py_ssize_t n, PyObject *edges_obj, Py_ssize_t max_m,
-                     const char *entry, Plan *out)
+/* Builds out for search(); -1 with an exception set. */
+static int make_plan(Scratch *s, Py_ssize_t n, PyObject *edges_obj, Py_ssize_t max_m, Plan *out)
 {
     Py_ssize_t m = PyObject_Length(edges_obj);
     if (m < 0)
         return -1;
     if (n < 1 || m < 1 || max_m < 0) {
-        PyErr_Format(PyExc_ValueError, "%s: n, edges or max_m out of range", entry);
+        PyErr_SetString(PyExc_ValueError, "search: n, edges or max_m out of range");
         return -1;
     }
     /* A larger matrix would take over 2^60 bytes; this bound also keeps the
@@ -599,7 +595,7 @@ static int make_plan(Scratch *s, Py_ssize_t n, PyObject *edges_obj, Py_ssize_t m
         PyErr_NoMemory();
         return -1;
     }
-    if (read_edges(edges_obj, n, m, edges, entry))
+    if (read_edges(edges_obj, n, m, edges, "search"))
         return -1;
     adjacency(n, m, edges, deg, start, nbr, inc);
     Py_ssize_t root = 0;
@@ -627,7 +623,7 @@ static int make_plan(Scratch *s, Py_ssize_t n, PyObject *edges_obj, Py_ssize_t m
         }
     }
     if (tail < n) {
-        PyErr_Format(PyExc_ValueError, "%s: the graph must be connected", entry);
+        PyErr_SetString(PyExc_ValueError, "search: the graph must be connected");
         return -1;
     }
     for (Py_ssize_t k = 0; k < m; k++) {
@@ -710,37 +706,6 @@ static int make_plan(Scratch *s, Py_ssize_t n, PyObject *edges_obj, Py_ssize_t m
     return 0;
 }
 
-static PyObject *plan(PyObject *self, PyObject *args)
-{
-    Py_ssize_t n, max_m;
-    PyObject *edges_obj, *result = NULL;
-    if (!PyArg_ParseTuple(args, "nOn", &n, &edges_obj, &max_m))
-        return NULL;
-    Scratch s = {0};
-    Plan p;
-    if (!make_plan(&s, n, edges_obj, max_m, "plan", &p)) {
-        Py_ssize_t m = p.m, cells = p.dist ? m * m : 0;
-        PyObject *fields[6] = {
-            ints_of(p.order, m, 0), ints_of(p.ends, 2 * m, 0), ints_of(p.deg, n, 0),
-            ints_of(p.after, m, 0),
-            PyBytes_FromStringAndSize((const char *)p.dist, cells * (Py_ssize_t)sizeof(int32_t)),
-            p.dist ? PyLong_FromLongLong(p.longest) : Py_NewRef(Py_None),
-        };
-        int built = 1;
-        for (int i = 0; i < 6; i++)
-            built = built && fields[i];
-        result = built ? PyTuple_New(6) : NULL;
-        for (int i = 0; i < 6; i++) {
-            if (result)
-                PyTuple_SET_ITEM(result, i, fields[i]);
-            else
-                Py_XDECREF(fields[i]);
-        }
-    }
-    release(&s);
-    return result;
-}
-
 static PyObject *search(PyObject *self, PyObject *args)
 {
     Py_ssize_t n, max_m;
@@ -755,7 +720,7 @@ static PyObject *search(PyObject *self, PyObject *args)
     PyObject *result = NULL;
     Scratch s = {0};
     Plan p;
-    if (make_plan(&s, n, edges_obj, max_m, "search", &p))
+    if (make_plan(&s, n, edges_obj, max_m, &p))
         goto done;
     const Py_ssize_t m = p.m;
     const long long *order = p.order, *ends = p.ends, *deg = p.deg, *after = p.after;
@@ -1732,7 +1697,6 @@ done:
 static PyMethodDef methods[] = {
     {"search", search, METH_VARARGS,
      "search(n, edges, max_m, top, bottom, budget) -> (status, nodes, last, colors)"},
-    {"plan", plan, METH_VARARGS, "plan(n, edges, max_m) -> (order, ends, deg, after, dist, longest)"},
     {"interval_ok", interval_ok, METH_VARARGS, "interval_ok(n, edges, colors, t) -> bool"},
     {"double", double_cover, METH_VARARGS,
      "double(n, edges, colors, t, pairs, provenance) -> (h_edges, provenance, beta, i0, final) "

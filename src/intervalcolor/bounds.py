@@ -107,15 +107,11 @@ def _best(claims: tuple[BoundClaim, ...], m: int) -> int:
     return min(min(c.bound for c in claims), m)
 
 
-def audit(g: Graph, w: int, claims: tuple[BoundClaim, ...]) -> BoundReport:
-    """Check a computed W against every claim; violations must stay empty."""
-    violations = tuple(c for c in claims if w > c.bound)
-    return BoundReport(
-        claims=claims,
-        best=min(c.bound for c in claims),
-        audited_W=w,
-        violations=violations,
-    )
+def audit(g: Graph, w: int | None, claims: tuple[BoundClaim, ...]) -> BoundReport:
+    """Check a computed W against every claim; violations must stay empty.
+    With w None (no W computed) there is nothing to check."""
+    violations = () if w is None else tuple(c for c in claims if w > c.bound)
+    return BoundReport(claims, min(c.bound for c in claims), w, violations)
 
 
 def claim_to_json(claim: BoundClaim) -> dict:

@@ -139,7 +139,8 @@ def _min_code_py(n: int, masks: Sequence[int]) -> int:
 
 def minimum_adjacency_encoding(g: Graph) -> tuple[int, ...]:
     """Exact minimum of the column-order upper-triangle bits over all vertex
-    orderings; returns the flat bit tuple (length n(n-1)/2)."""
+    orderings; returns the flat bit tuple (length n(n-1)/2). Generation no
+    longer calls it; ``bench/run.py`` wraps it by name, so it stays."""
     code = _min_code_py(g.n, [sum(1 << u for u in nbrs) for nbrs in g.adjacency])
     return tuple((code >> shift) & 1 for shift in range(g.n * (g.n - 1) // 2 - 1, -1, -1))
 

@@ -15,7 +15,7 @@ import sys
 from contextlib import contextmanager, nullcontext
 from typing import IO, Iterator
 
-from .bounds import BoundReport, applicable_bounds, bound_report_to_json
+from .bounds import applicable_bounds, audit, bound_report_to_json
 from .catalog import generate_connected_catalog
 from .coloring import coloring_from_json, validate_interval, validation_report_to_json
 from .doubling import certificate_to_json, double_with_certificate
@@ -107,10 +107,7 @@ def _cmd_double(args: argparse.Namespace) -> int:
 def _cmd_bounds(args: argparse.Namespace) -> int:
     g = _load_graph(args.graph, args.format)
     claims = applicable_bounds(g, classify(g), planar_asserted=args.planar)
-    report = BoundReport(
-        claims=claims, best=min(c.bound for c in claims), audited_W=None, violations=()
-    )
-    _print_json(bound_report_to_json(report))
+    _print_json(bound_report_to_json(audit(g, None, claims)))
     return EXIT_OK
 
 

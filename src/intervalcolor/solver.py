@@ -12,9 +12,7 @@ The set-up is an overfull test (``_overfull``), then the search plan
 (``_Plan``) and a ceiling proven for the instance. An overfull graph has no
 interval coloring at all, so it is decided with no plan, and no interval
 coloring uses more than 1 + max D colors (D below), so layers above the
-ceiling are infeasible at a cost of 0 nodes. Where the kernel loads, one
-call to its ``search`` builds the plan, caps the palette at that ceiling and
-searches; its ``plan`` entry gives the same plan to the tests.
+ceiling are infeasible at a cost of 0 nodes.
 
 Search strategy (deterministic): edges are ordered by a breadth-first
 traversal from a maximum-degree vertex (ties broken by lowest vertex index)
@@ -100,14 +98,16 @@ masks and a mask of the colors on any edge, which surjectivity consults.
 ``_descend`` runs it when it loads and the Python loop otherwise (no
 compiler, no headers, a read-only install). The plan has two
 implementations too: ``_plan_py``, the reference and the Python loop's
-plan, and one routine in C that the kernel's ``search`` runs first, so no
-plan crosses into Python; the kernel's ``plan`` returns its fields, each
-equal to ``_plan_py``'s. Both group twins in memory linear in n + m.
+plan, and one routine in C that the kernel's ``search`` runs first, so one
+call plans, caps the palette at the ceiling and searches, and no plan
+crosses into Python; the tests check it through ``search``'s results. Both
+group twins in memory linear in n + m.
 """
 
 from __future__ import annotations
 
 import bisect
+import contextlib
 import functools
 import heapq
 import importlib.machinery
@@ -169,8 +169,8 @@ _NO_LIMITS = SearchLimits()
 class SolveOutcome:
     """The answer of ``compute_W`` or ``find_interval_coloring``.
 
-    A dataclass, not a ``NamedTuple``, because ``bench/selftest.py``
-    derives tampered outcomes from it with ``dataclasses.replace``."""
+    A dataclass, not a ``NamedTuple``, because ``bench/selftest.py``, which
+    CI runs, derives tampered outcomes from it with ``dataclasses.replace``."""
 
     status: SolveStatus
     witness: EdgeColoring | None = None
@@ -255,29 +255,30 @@ def _build_command(source: Path) -> list[str]:
 
 
 def _build_target(source: Path, command: list[str]) -> Path:
-    """Where the kernel that ``command`` builds from ``source`` is kept: a
-    name keyed by the source, the command and the interpreter's extension
-    suffix, so that a changed source, flag or header directory never loads
-    an earlier build."""
+    """Where the kernel that ``command`` builds from ``source`` is kept:
+    ``_search-<source digest>-<command digest>``, the command's taking in the
+    interpreter's extension suffix too, so that a changed source, flag or
+    header directory never loads an earlier build."""
     import hashlib  # here, not at the top: only the first use needs it
 
     suffix = importlib.machinery.EXTENSION_SUFFIXES[0]
-    key = source.read_bytes() + "\0".join([*command, suffix]).encode()
-    digest = hashlib.sha256(key).hexdigest()[:16]
-    return source.parent / "__pycache__" / f"_search-{digest}{suffix}"
+    code = hashlib.sha256(source.read_bytes()).hexdigest()[:16]
+    how = hashlib.sha256("\0".join([*command, suffix]).encode()).hexdigest()[:16]
+    return source.parent / "__pycache__" / f"_search-{code}-{how}{suffix}"
 
 
 @functools.cache
 def _native():
-    """The compiled module ``_search.c`` (the search kernel, its plan, the
+    """The compiled module ``_search.c`` (the search kernel, which plans, the
     coloring check, the doubling, ``Graph``'s fields, ``EdgeColoring``'s
     range check, ``classify``'s ``GraphClass`` and the catalog's
     ``extend``), or None where it cannot run.
 
     It is built on first use into the package's ``__pycache__``, under the
     name ``_build_target`` gives, and written to a private file renamed
-    into place, so concurrent first uses never load a partial file. Without
-    a compiler, headers or a writable directory the Python code runs instead.
+    into place, so concurrent first uses never load a partial file; a build
+    removes those of other sources. Without a compiler, headers or a
+    writable directory the Python code runs instead.
     """
     source = Path(__file__).with_name("_search.c")
     try:
@@ -297,6 +298,11 @@ def _native():
                 return None
             finally:
                 partial.unlink(missing_ok=True)
+            code = target.name.split("-", 2)[1]  # this source's other builds stay
+            for old in target.parent.glob(f"_search-*{target.suffix}"):
+                if old.name.split("-", 2)[1] != code:
+                    with contextlib.suppress(OSError):  # gone already, or not ours
+                        old.unlink()
         spec = importlib.util.spec_from_file_location(f"{__package__}._search", target)
         kernel = importlib.util.module_from_spec(spec)
         spec.loader.exec_module(kernel)
@@ -326,8 +332,8 @@ class _Plan(NamedTuple):
 
 
 def _plan_py(g: Graph) -> _Plan:
-    """g's plan in Python: the reference for the kernel's ``plan``, which
-    gives every field equal, and the plan of ``_search_py``."""
+    """g's plan in Python: the plan of ``_search_py``, and the reference
+    for the plan the kernel's ``search`` builds, checked through its results."""
     adjacency, incidence = g.adjacency, g.incidence  # incidence[v] in adjacency[v]'s order
     deg = [len(nbrs) for nbrs in adjacency]
     start = deg.index(max(deg))

@@ -164,6 +164,13 @@ class TestAudit:
         report = audit(c4(), 4, claims)
         assert [c.theorem_id for c in report.violations] == ["T1_triangle_free"]
 
+    def test_no_w_means_no_violation(self):
+        # The CLI's bounds report: no W computed, so nothing is audited.
+        claims = applicable_bounds(k4(), classify(k4()))
+        report = audit(k4(), None, claims)
+        assert (report.best, report.audited_W, report.violations) == (4, None, ())
+        assert report.claims == claims
+
     def test_report_json(self):
         claims = applicable_bounds(p3(), classify(p3()))
         doc = bound_report_to_json(audit(p3(), 2, claims))

@@ -50,8 +50,6 @@ def calls_and_references():
     calls = {
         "search with dist": lambda: kernel.search(n, edges, DISTANCE_MAX_M, 6, 3, 0),
         "search without dist": lambda: kernel.search(n, edges, 0, 6, 3, 0),
-        "plan with the matrix": lambda: kernel.plan(n, edges, DISTANCE_MAX_M),
-        "plan without the matrix": lambda: kernel.plan(n, edges, 0),
         "interval_ok": lambda: kernel.interval_ok(square.n, square.edges, alpha, 3),
         "double": lambda: kernel.double(square.n, square.edges, alpha, 3, _PAIRS, table),
         "in_palette": lambda: kernel.in_palette(3, alpha),

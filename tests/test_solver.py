@@ -210,11 +210,12 @@ class TestComputeW:
 
     def test_one_kernel_call_plans_and_searches(self, catalogs, doubled_graphs, monkeypatch):
         # A descent of a graph with the matrix: one search call, which plans
-        # too, and no plan call, in C or in Python.
+        # too, and no plan built in Python. The kernel has no other way in
+        # to its plan.
         kernel = _native()
+        assert not hasattr(kernel, "plan")
         searches, plans = [], []
         monkeypatch.setattr(kernel, "search", counted(kernel.search, searches))
-        monkeypatch.setattr(kernel, "plan", counted(kernel.plan, plans))
         monkeypatch.setattr(solver, "_plan_py", counted(_plan_py, plans))
         graphs = [g for n in range(2, 7) for g in catalogs[n]] + doubled_graphs
         graphs = [g for g in graphs if not _overfull(g, g.max_degree)]
@@ -437,23 +438,23 @@ def line_graph_distances(g: Graph) -> list[list[int]]:
     return dist
 
 
-def _native_plan(g: Graph) -> _Plan:
-    return _Plan(*_native().plan(g.n, g.edges, DISTANCE_MAX_M))
-
-
-# Edges on 4 vertices, or a vertex count, that the kernel's plan and search
-# refuse with ValueError. C4's edges are (0,1),(0,3),(1,2),(2,3).
+# Edges on 4 vertices, or a vertex count, that the kernel's search refuses
+# while it plans, with the ValueError's message. C4's edges are
+# (0,1),(0,3),(1,2),(2,3).
+NOT_INCREASING = "search: edges must be increasing pairs (a, b), a < b"
+OUT_OF_RANGE = "search: n, edges or max_m out of range"
+DISCONNECTED = "search: the graph must be connected"
 MALFORMED_EDGES = (
-    (4, ((0, 1), (0, 3), (2, 3), (1, 2))),  # not increasing
-    (4, ((1, 0), (0, 3), (1, 2), (2, 3))),  # a > b
-    (4, ((0, 1), (0, 1), (1, 2), (2, 3))),  # repeated
-    (4, ((0, 1), (0, 3), (1, 2), (2, 4))),  # vertex out of range
-    (4, ((0, 1), (0, 3), (1, 1), (2, 3))),  # loop
-    (4, ((0, 1), (0, 3), (1, 2, 3))),  # not a pair
-    (4, ()),  # no edge
-    (0, ((0, 1), (0, 3), (1, 2), (2, 3))),
-    (5, ((0, 1), (0, 3), (1, 2), (2, 3))),  # vertex 4 is isolated: disconnected
-    (4, ((0, 1), (2, 3))),  # disconnected
+    (4, ((0, 1), (0, 3), (2, 3), (1, 2)), NOT_INCREASING),
+    (4, ((1, 0), (0, 3), (1, 2), (2, 3)), NOT_INCREASING),  # a > b
+    (4, ((0, 1), (0, 1), (1, 2), (2, 3)), NOT_INCREASING),  # repeated
+    (4, ((0, 1), (0, 3), (1, 2), (2, 4)), "value out of range"),
+    (4, ((0, 1), (0, 3), (1, 1), (2, 3)), NOT_INCREASING),  # loop
+    (4, ((0, 1), (0, 3), (1, 2, 3)), "sequence of the wrong length"),  # not a pair
+    (4, (), OUT_OF_RANGE),  # no edge
+    (0, ((0, 1), (0, 3), (1, 2), (2, 3)), OUT_OF_RANGE),
+    (5, ((0, 1), (0, 3), (1, 2), (2, 3)), DISCONNECTED),  # vertex 4 is isolated
+    (4, ((0, 1), (2, 3)), DISCONNECTED),
 )
 
 
@@ -475,16 +476,16 @@ class TestProvenCeiling:
         assert exact_ceiling(k4()) == 5  # W(K4) = 4; opposite edges: 2 steps of cost 2
 
     def test_matches_line_graph_floyd_warshall(self, catalogs):
-        # Both implementations of the matrix, in BFS positions, and the
-        # ceiling from it and from the capped Dijkstra of larger graphs.
+        # _plan_py's matrix, in BFS positions, and the ceiling from it and
+        # from the capped Dijkstra of larger graphs. The kernel's matrix is
+        # checked against _plan_py's through its search (test_plans_agree).
         for n in range(2, 7):
             for g in catalogs[n]:
                 dist = line_graph_distances(g)
                 plan = _plan_py(g)
                 expected = [dist[e][f] for e in plan.order for f in plan.order]
-                for built in (_native_plan(g), _plan_py(g)):
-                    found = (int32s(built.dist), built.longest)
-                    assert found == (expected, max(expected)), g.edges
+                found = (int32s(plan.dist), plan.longest)
+                assert found == (expected, max(expected)), g.edges
                 if g.m > g.max_degree * (n // 2):
                     assert exact_ceiling(g) == 0
                     continue
@@ -507,8 +508,7 @@ class TestProvenCeiling:
             raise AssertionError("an overfull graph was planned")
 
         kernel = _native()
-        for name in ("search", "plan"):
-            monkeypatch.setattr(kernel, name, refuse)
+        monkeypatch.setattr(kernel, "search", refuse)
         monkeypatch.setattr(solver, "_plan_py", refuse)
         for native in (kernel, None):
             monkeypatch.setattr(solver, "_native", lambda: native)
@@ -619,15 +619,61 @@ def layer_by_layer(g: Graph, plan: _Plan, top: int, bottom: int, budget: int) ->
     return 0, nodes, bottom, []
 
 
+@pytest.fixture(scope="module")
+def plan_families(catalogs, doubled_graphs) -> list[tuple[Graph, _Plan]]:
+    """The graphs on which the plans are checked, each with ``_plan_py``'s
+    plan, built once for both checks: the connected catalogs with n <= 7,
+    the doubled graphs, seeded gnp graphs with n = 8 to 24, and twin-rich
+    ones (complete, complete multipartite, stars)."""
+    graphs = [g for n in range(1, 7) for g in catalogs[n] if g.m]
+    graphs += [*generate_connected_catalog(7), *doubled_graphs]
+    for n in range(8, 25):
+        for p in (0.1, 0.3, 0.6, 0.9):
+            for seed in range(5):
+                graphs.append(Graph(n, tuple(nx.gnp_random_graph(n, p, seed=seed).edges())))
+    for n in range(2, 13):
+        graphs.append(Graph(n, tuple(combinations(range(n), 2))))
+        graphs.append(star(n))
+    for parts in [(a, b) for a in range(1, 6) for b in range(a, 7)] + [
+        (1, 1, 1), (2, 2, 2), (1, 2, 3), (3, 3, 3), (1, 1, 4, 4), (2, 2, 2, 2, 2),
+    ]:
+        graphs.append(Graph(sum(parts), tuple(nx.complete_multipartite_graph(*parts).edges())))
+    return [(g, _plan_py(g)) for g in graphs if is_connected(g)]
+
+
+def copy_package(tmp_path: Path) -> Path:
+    """A copy of the package under tmp_path, with no built kernel."""
+    package = tmp_path / "intervalcolor"
+    source = Path(intervalcolor.__file__).parent
+    shutil.copytree(source, package, ignore=shutil.ignore_patterns("__pycache__"))
+    return package
+
+
+def run_probe(tmp_path: Path, probe: str, path: str = os.environ["PATH"]) -> str:
+    """The output of probe, run in a fresh interpreter on the package copy
+    under tmp_path, with ``path`` as PATH."""
+    env = {**os.environ, "PATH": path, "PYTHONPATH": str(tmp_path)}
+    result = subprocess.run(
+        [sys.executable, "-c", probe], capture_output=True, text=True, env=env, check=True,
+        timeout=120,
+    )
+    return result.stdout.strip()
+
+
+# Prints the path of the kernel a fresh process loads, or None.
+LOADED = "from intervalcolor.solver import _native\nprint(_native() and _native().__file__)"
+
+
 def searched_layers(g: Graph) -> range:
     return range(g.max_degree, min(g.m, best_upper_bound(g, classify(g))) + 1)
 
 
-def all_pairs_after(g: Graph) -> list[int]:
-    """The twin cut by its definition: for every twin pair, the first moved
-    edge and its image among all the edges the swap moves."""
+def all_pairs_after(g: Graph, order: list[int]) -> list[int]:
+    """The twin cut by its definition, for the BFS edge order ``order``: for
+    every twin pair, the first moved edge and its image among all the edges
+    the swap moves."""
     position = [0] * g.m
-    for k, eid in enumerate(_plan_py(g)[0]):
+    for k, eid in enumerate(order):
         position[eid] = k
     eid = {e: i for i, e in enumerate(g.edges)}
     at = [
@@ -646,35 +692,25 @@ def all_pairs_after(g: Graph) -> list[int]:
 
 
 class TestTwinCut:
-    """The kernel's plan's ``after``: the twin lex-leader cut of the module
-    docstring."""
+    """``_plan_py``'s ``after``: the twin lex-leader cut of the module
+    docstring. The kernel's is checked against it through its search
+    (``TestNativeKernel.test_plans_agree``)."""
 
     def after(self, g: Graph) -> list[int]:
-        return _native_plan(g).after
+        return _plan_py(g).after
 
-    def test_matches_all_pairs_construction(self, catalogs, doubled_graphs):
-        graphs = [g for n in range(1, 7) for g in catalogs[n] if g.m]
-        graphs += generate_connected_catalog(7)
-        graphs += doubled_graphs
-        graphs += [Graph(n, tuple(combinations(range(n), 2))) for n in range(8, 13)]
-        for n in range(8, 25):
-            for p in (0.1, 0.3, 0.6, 0.9):
-                for seed in range(5):
-                    g = Graph(n, tuple(nx.gnp_random_graph(n, p, seed=seed).edges()))
-                    graphs.append(g)
-        checked = cut = 0
-        for g in graphs:
-            if g.m and is_connected(g):
-                after = self.after(g)
-                assert after == all_pairs_after(g), g.edges
-                checked += 1
-                cut += after != [-1] * g.m
-        assert checked > 1250 and cut > 750
+    def test_matches_all_pairs_construction(self, plan_families):
+        cut = 0
+        for g, plan in plan_families:
+            assert plan.after == all_pairs_after(g, plan.order), g.edges
+            cut += plan.after != [-1] * g.m
+        assert (len(plan_families), cut) == (1309, 810)
 
     def test_memory_is_linear_on_a_long_path(self):
-        # tracemalloc sees the kernel's PyMem allocations too.
+        # tracemalloc sees the kernel's PyMem allocations too; a search of
+        # one node is mostly its plan.
         path = Graph(40_000, tuple((i, i + 1) for i in range(39_999)))
-        for plan in (_native_plan, _plan_py):
+        for plan in (lambda g: _native().search(g.n, g.edges, DISTANCE_MAX_M, 2, 2, 1), _plan_py):
             tracemalloc.start()
             try:
                 plan(path)
@@ -691,7 +727,8 @@ class TestTwinCut:
             "from intervalcolor import Graph\n"
             "from intervalcolor.solver import DISTANCE_MAX_M, _native, _plan_py\n"
             "g = Graph(400, tuple((i, j) for i in range(400) for j in range(i + 1, 400)))\n"
-            "for plan in (lambda g: _native().plan(g.n, g.edges, DISTANCE_MAX_M), _plan_py):\n"
+            "search = _native().search\n"
+            "for plan in (lambda g: search(g.n, g.edges, DISTANCE_MAX_M, 399, 399, 1), _plan_py):\n"
             "    start = time.perf_counter()\n"
             "    plan(g)\n"
             "    print(time.perf_counter() - start)"
@@ -776,12 +813,14 @@ class TestDistanceRule:
             assert (d[:, None, :] <= through).all(), g.edges
 
 
-def kernel_and_reference(g: Graph, top: int, bottom: int, budget: int, max_m: int) -> tuple:
+def kernel_and_reference(
+    g: Graph, top: int, bottom: int, budget: int, max_m: int, plan: _Plan | None = None
+) -> tuple:
     """The kernel's search of g's palette sizes top .. bottom, and
-    ``_search_py``'s on ``_plan_py``'s plan with top capped as the kernel
-    caps it: at m and, when the plan has the matrix (m <= max_m), at its
-    ceiling."""
-    plan = _plan_py(g)
+    ``_search_py``'s on ``_plan_py``'s plan (``plan``, where the caller has
+    it) with top capped as the kernel caps it: at m and, when the plan has
+    the matrix (m <= max_m), at its ceiling."""
+    plan = plan or _plan_py(g)
     if g.m > max_m:
         plan = plan._replace(dist=b"", longest=None)
     ceiling = g.m if plan.longest is None else min(g.m, _proven_ceiling(g, plan.longest, cap=top))
@@ -840,7 +879,7 @@ class TestNativeKernel:
                         break
                 for budget in sorted({0, 1, 5, 50} | ends_at):
                     expected = layer_by_layer(g, plan, top, delta, budget)
-                    found = kernel_and_reference(g, top, delta, budget, DISTANCE_MAX_M)
+                    found = kernel_and_reference(g, top, delta, budget, DISTANCE_MAX_M, plan)
                     assert found == (expected, expected), (g.edges, top, budget)
                     ranges += 1
                     if budget in ends_at and budget and expected[0] == 2:
@@ -862,7 +901,7 @@ class TestNativeKernel:
             assert plan.dist == b"" and g.m == m
             for top, bottom, budget in ((m, m - 3, 0), (m, g.max_degree, 3000), (m - 1, m - 2, 1)):
                 expected = layer_by_layer(g, plan, top, bottom, budget)
-                found = kernel_and_reference(g, top, bottom, budget, DISTANCE_MAX_M)
+                found = kernel_and_reference(g, top, bottom, budget, DISTANCE_MAX_M, plan)
                 assert found == (expected, expected), (m, top, budget)
 
     def test_an_aborted_layer_reports_its_partial_coloring(self):
@@ -875,7 +914,7 @@ class TestNativeKernel:
         plan = _plan_py(g)
         for max_m in (DISTANCE_MAX_M, 0):
             for top, budget in ((3, 2), (4, 2), (4, 0), (4, 4)):
-                native, reference = kernel_and_reference(g, top, 3, budget, max_m)
+                native, reference = kernel_and_reference(g, top, 3, budget, max_m, plan)
                 assert native == reference, (max_m, top, budget)
         search = _native().search
         assert search(4, g.edges, DISTANCE_MAX_M, 4, 3, 2) == (2, 2, 4, [1, 2, 0, 0])
@@ -887,21 +926,15 @@ class TestNativeKernel:
         assert _search_py(g.n, *plan[:5], 4, 3, 2) == (2, 2, 4, [0, 0, 0, 0])
 
     def test_search_rejects_malformed_input(self):
-        # The edges as plan reads them, and the range as asked: an empty one
-        # is an error even where the caps would empty it anyway.
+        # The range as asked: an empty one is an error even where the caps
+        # would empty it anyway.
         search = _native().search
         edges = c4().edges
         for top, bottom, budget in ((3, 4, 0), (3, 0, 0), (3, 3, -1)):
-            with pytest.raises(ValueError):
+            with pytest.raises(ValueError, match="palette range or budget out of range"):
                 search(4, edges, DISTANCE_MAX_M, top, bottom, budget)
         with pytest.raises(TypeError):
             search(3, 5, DISTANCE_MAX_M, 3, 1, 0)
-        for n, bad in MALFORMED_EDGES:
-            with pytest.raises(ValueError) as planned:
-                _native().plan(n, bad, DISTANCE_MAX_M)
-            with pytest.raises(ValueError) as searched:
-                search(n, bad, DISTANCE_MAX_M, 3, 1, 0)
-            assert str(searched.value) == str(planned.value).replace("plan:", "search:")
 
     def test_descent_agrees_with_t_override_below_the_ceiling(self, catalogs, doubled_graphs):
         # compute_W with the cutoff capped below the registry bound and the
@@ -1026,49 +1059,46 @@ class TestNativeKernel:
                         checked += 1
         assert checked == 249
 
-    def test_plans_agree(self, catalogs, doubled_graphs):
-        # The kernel's plan against _plan_py, field by field.
-        graphs = [g for n in range(2, 7) for g in catalogs[n]]
-        graphs += [*generate_connected_catalog(7), *doubled_graphs]
-        for n in range(8, 17):
-            for p in (0.1, 0.3, 0.6, 0.9):
-                for seed in range(5):
-                    graphs.append(Graph(n, tuple(nx.gnp_random_graph(n, p, seed=seed).edges())))
-        # Twin-rich families: complete, complete bipartite and complete
-        # multipartite graphs, and stars.
-        for n in range(2, 13):
-            graphs.append(Graph(n, tuple(combinations(range(n), 2))))
-            graphs.append(star(n))
-        for parts in [(a, b) for a in range(1, 6) for b in range(a, 7)] + [
-            (1, 1, 1), (2, 2, 2), (1, 2, 3), (3, 3, 3), (1, 1, 4, 4), (2, 2, 2, 2, 2),
-        ]:
-            graphs.append(Graph(sum(parts), tuple(nx.complete_multipartite_graph(*parts).edges())))
+    def test_plans_agree(self, plan_families):
+        # The kernel's plan against _plan_py's through its search, whose
+        # results show the edge order, the twin cut (in the nodes) and the
+        # matrix (in the nodes and the ceiling): the layer t = max degree and
+        # the range from min(m, ceiling) down to it, at a budget of m nodes.
+        # The gnp graphs stop at n = 16, as the Python loop takes seconds on
+        # the larger ones. The paths have DISTANCE_MAX_M and DISTANCE_MAX_M + 1
+        # edges, on both sides of the matrix.
+        runs = [(g, plan) for g, plan in plan_families if g.n <= 16]
         for m in (DISTANCE_MAX_M, DISTANCE_MAX_M + 1):
-            graphs.append(Graph(m + 1, tuple((i, i + 1) for i in range(m))))
+            path = Graph(m + 1, tuple((i, i + 1) for i in range(m)))
+            runs.append((path, _plan_py(path)))
         checked = 0
-        for g in graphs:
-            if g.m and is_connected(g):
-                assert _native_plan(g) == _plan_py(g), g.edges
+        for g, plan in runs:
+            ceiling = g.m if plan.longest is None else _proven_ceiling(g, plan.longest, cap=g.m)
+            delta = g.max_degree
+            for top in {delta, max(delta, min(g.m, ceiling))}:
+                native, reference = kernel_and_reference(g, top, delta, g.m, DISTANCE_MAX_M, plan)
+                assert native == reference, (g.edges, top)
                 checked += 1
-        assert checked == 1135 + 48 + 2  # catalogs, doubled and gnp; twin-rich; paths
+        assert checked == 2343  # over 1,185 graphs
 
     def test_plans_agree_on_k400_and_a_long_path(self):
+        # The plans of graphs past the matrix, through one node of search.
         k400 = Graph(400, tuple(combinations(range(400), 2)))
         path = Graph(100_000, tuple((i, i + 1) for i in range(99_999)))
         for g in (k400, path):
-            assert _native_plan(g) == _plan_py(g)
+            t = g.max_degree
+            native, reference = kernel_and_reference(g, t, t, 1, DISTANCE_MAX_M)
+            assert native == reference and native[:3] == (2, 1, t + 1), g.n
 
     def test_plan_rejects_malformed_input(self):
-        plan = _native().plan
-        edges = c4().edges  # (0,1),(0,3),(1,2),(2,3)
-        assert _Plan(*plan(4, edges, DISTANCE_MAX_M)) == _plan_py(c4())
-        for n, bad in MALFORMED_EDGES:
-            with pytest.raises(ValueError):
-                plan(n, bad, DISTANCE_MAX_M)
-        with pytest.raises(ValueError):
-            plan(4, edges, -1)
-        with pytest.raises(TypeError):
-            plan(4, 5, DISTANCE_MAX_M)
+        # Edges, vertex count and max_m as the search reads them to plan.
+        search = _native().search
+        for n, bad, message in MALFORMED_EDGES:
+            with pytest.raises(ValueError) as refused:
+                search(n, bad, DISTANCE_MAX_M, 3, 1, 0)
+            assert str(refused.value) == message, bad
+        with pytest.raises(ValueError, match=OUT_OF_RANGE):
+            search(4, c4().edges, -1, 3, 1, 0)
 
     def test_agrees_on_both_sides_of_the_distance_threshold(self):
         # Paths of DISTANCE_MAX_M and DISTANCE_MAX_M + 1 edges: the first
@@ -1085,11 +1115,7 @@ class TestNativeKernel:
     def test_python_loop_runs_without_a_compiler(self, tmp_path):
         # A copy of the package with no built kernel, in a fresh interpreter
         # that finds no compiler on PATH.
-        shutil.copytree(
-            Path(intervalcolor.__file__).parent,
-            tmp_path / "intervalcolor",
-            ignore=shutil.ignore_patterns("__pycache__"),
-        )
+        copy_package(tmp_path)
         (tmp_path / "bin").mkdir()
         probe = (
             "from intervalcolor import Graph, compute_W, double_with_certificate\n"
@@ -1102,43 +1128,40 @@ class TestNativeKernel:
             "print(len(list(generate_connected_catalog(5))))\n"
             "print(double_with_certificate(g, compute_W(g).witness).final.t)"
         )
-        env = {**os.environ, "PATH": str(tmp_path / "bin"), "PYTHONPATH": str(tmp_path)}
-        result = subprocess.run(
-            [sys.executable, "-c", probe],
-            capture_output=True, text=True, env=env, check=True, timeout=120,
-        )
-        assert result.stdout.split() == ["True", "3", "None", "4", "5", "21", "7"]
+        output = run_probe(tmp_path, probe, path=str(tmp_path / "bin"))
+        assert output.split() == ["True", "3", "None", "4", "5", "21", "7"]
 
     def test_builds_of_different_commands_coexist(self, tmp_path):
         # A plain build, then one with a changed command, as CI's sanitizer
         # step makes; a third plain process, with no compiler on PATH, must
         # still load the first.
-        shutil.copytree(
-            Path(intervalcolor.__file__).parent,
-            tmp_path / "intervalcolor",
-            ignore=shutil.ignore_patterns("__pycache__"),
-        )
+        copy_package(tmp_path)
         (tmp_path / "bin").mkdir()
-        plain = "from intervalcolor.solver import _native\nprint(_native() and _native().__file__)"
         changed = (
             "import intervalcolor.solver as s\n"
             "build = s._build_command\n"
             "s._build_command = lambda source: [*build(source), '-DCHANGED']\n"
             "print(s._native().__file__)"
         )
-
-        def run(probe, path=os.environ["PATH"]):
-            env = {**os.environ, "PATH": path, "PYTHONPATH": str(tmp_path)}
-            result = subprocess.run(
-                [sys.executable, "-c", probe],
-                capture_output=True, text=True, env=env, check=True, timeout=120,
-            )
-            return Path(result.stdout.strip())
-
-        first, second = run(plain), run(changed)
+        first, second = Path(run_probe(tmp_path, LOADED)), Path(run_probe(tmp_path, changed))
         assert first != second and first.parent == second.parent
         assert first.is_file() and second.is_file()
-        assert run(plain, path=str(tmp_path / "bin")) == first
+        assert Path(run_probe(tmp_path, LOADED, path=str(tmp_path / "bin"))) == first
+
+    def test_a_build_removes_the_builds_of_earlier_sources(self, tmp_path):
+        # A build, then the source edited and built again: the first build
+        # goes. An entry the build cannot remove, a directory named like a
+        # build, stays and does not cost the kernel.
+        package = copy_package(tmp_path)
+        first = Path(run_probe(tmp_path, LOADED))
+        stuck = first.with_name(f"_search-stale-0{first.suffix}")
+        stuck.mkdir()
+        with open(package / "_search.c", "a") as source:
+            source.write("/* edited */\n")
+        second = Path(run_probe(tmp_path, LOADED))
+        assert second.parent == first.parent and second.is_file()
+        assert not first.exists() and stuck.is_dir()
+        assert sorted(first.parent.glob("_search-*")) == sorted([second, stuck])
 
     def test_a_changed_build_command_changes_the_target(self):
         source = Path(solver.__file__).with_name("_search.c")
