@@ -1,21 +1,22 @@
 /* The exhaustive loops of intervalcolor, in C: the descent of
- * solver._search_py, the search plan of solver._plan_py, the verdict of
- * coloring._report, the doubling certificate of doubling's Python path, the
- * canonical edges of graph.Graph (graph._index_py), the color range check of
- * coloring.EdgeColoring (coloring._check_colors_py), the structural
- * classification of graph.classify (graph._classify_py) and the catalog
- * level of catalog._extend_py.
+ * _reference._search_py, the search plan of _reference._plan_py, the
+ * verdict of coloring._report, the doubling certificate of doubling's
+ * Python path, the canonical edges of graph.Graph (graph._index_py), the
+ * color range check of coloring.EdgeColoring (coloring._check_colors_py),
+ * the structural classification of graph.classify
+ * (_reference._classify_py) and the catalog level of
+ * _reference._extend_py.
  *
  * search(n, edges, max_m, top, bottom, budget) -> (status, nodes, last, colors)
  *
- * The descent of solver._search_py over the palette sizes t = top,
+ * The descent of _reference._search_py over the palette sizes t = top,
  * top - 1, ..., bottom, 1 <= bottom <= top, of the connected graph on n
  * vertices with edges Graph.edges: pairs (a, b), a < b, strictly
  * increasing. One plan is built and one set of buffers allocated, and the
  * layers are searched in turn.
  *
- * The plan holds what solver._Plan holds, each field equal to
- * solver._plan_py's, which the tests check through this entry's results.
+ * The plan holds what _reference._Plan holds, each field equal to
+ * _reference._plan_py's, which the tests check through this entry's results.
  * order is the BFS edge order from the lowest-indexed vertex of maximum
  * degree, each vertex's edges taken in increasing neighbour order; ends the
  * endpoints of each edge in that order; deg the degrees; after the twin
@@ -136,19 +137,20 @@
  *                        min_degree)
  *
  * The fields of graph.GraphClass for the graph on n >= 1 vertices with
- * edges as for search(), as graph._classify_py gives them. One BFS over every
- * component, roots in index order and each root on side 0, gives
- * connectivity and the 2-coloring; bipartition is None unless it is proper,
- * and otherwise the increasing vertex tuples of sides 0 and 1. An edge lies
- * on a triangle exactly when the sorted neighbour lists of its ends share a
- * vertex, found by a merge that binary-searches the longer list.
+ * edges as for search(), as _reference._classify_py gives them. One BFS
+ * over every component, roots in index order and each root on side 0,
+ * gives connectivity and the 2-coloring; bipartition is None unless it is
+ * proper, and otherwise the increasing vertex tuples of sides 0 and 1. An
+ * edge lies on a triangle exactly when the sorted neighbour lists of its
+ * ends share a vertex, found by a merge that binary-searches the longer
+ * list.
  * biregular_degrees is the sorted pair of the parts' degrees when each part
  * has a single degree, an empty part taking the other's. Malformed input
  * raises ValueError.
  *
  * extend(size, parents) -> {code: masks}
  *
- * One level of catalog._extend_py: parents, any iterable, gives each
+ * One level of _reference._extend_py: parents, any iterable, gives each
  * parent as a tuple or list of its size - 1 adjacency masks, exact ints
  * below 1 << (size - 1) without their own bit, 2 <= size <= 64. For each
  * parent in turn and each nonempty subset S of its vertices in increasing
@@ -157,8 +159,8 @@
  * has a smaller (degree, -sum of its neighbours' degrees) than the new
  * vertex, and is then canonicalised: its code is the minimum over all
  * vertex orderings of the column-order upper-triangle bits, read as one
- * integer MSB-first, found by the search of catalog._min_code_py with its
- * candidate order, prune and twin cut (the proofs are in catalog.py's
+ * integer MSB-first, found by the search of _reference._min_code_py with
+ * its candidate order, prune and twin cut (the proofs are in catalog.py's
  * docstring). Only one child per orbit of the parent's automorphisms is
  * canonicalised: the canonical search runs on the parent first, and
  * each of its later leaves with the parent's code gives an automorphism
@@ -237,29 +239,6 @@ static void release(Scratch *s)
 {
     while (s->count)
         PyMem_Free(s->block[--s->count]);
-}
-
-/* Copies a list or tuple of len ints in [low, bound) into out; -1 with an
- * exception set otherwise. */
-static int read_ints(PyObject *seq, Py_ssize_t len, long long low, long long bound, long long *out)
-{
-    PyObject *fast = PySequence_Fast(seq, "expected a list or tuple");
-    if (!fast)
-        return -1;
-    int ok = PySequence_Fast_GET_SIZE(fast) == len;
-    if (!ok)
-        PyErr_SetString(PyExc_ValueError, "sequence of the wrong length");
-    for (Py_ssize_t i = 0; ok && i < len; i++) {
-        out[i] = PyLong_AsLongLong(PySequence_Fast_GET_ITEM(fast, i));
-        if (out[i] == -1 && PyErr_Occurred())
-            ok = 0;
-        else if (out[i] < low || out[i] >= bound) {
-            PyErr_SetString(PyExc_ValueError, "value out of range");
-            ok = 0;
-        }
-    }
-    Py_DECREF(fast);
-    return ok ? 0 : -1;
 }
 
 /* The value of an exact int in [0, most], or -1 for any other object. */
@@ -385,7 +364,8 @@ static void heap_push(uint64_t *heap, Py_ssize_t *size, uint64_t key)
 
 /* Copies Graph.edges, a list or tuple of m pairs (a, b) of vertices in
  * [0, n), a < b, strictly increasing, into edges, flat; -1 with an
- * exception set naming the entry otherwise. */
+ * exception set otherwise, whose ValueError names the entry and, where one
+ * edge is at fault, its index. */
 static int read_edges(PyObject *seq, Py_ssize_t n, Py_ssize_t m, long long *edges,
                       const char *entry)
 {
@@ -394,9 +374,25 @@ static int read_edges(PyObject *seq, Py_ssize_t n, Py_ssize_t m, long long *edge
         return -1;
     int ok = PySequence_Fast_GET_SIZE(fast) == m;
     if (!ok)
-        PyErr_SetString(PyExc_ValueError, "sequence of the wrong length");
+        PyErr_Format(PyExc_ValueError, "%s: expected %zd edges", entry, m);
     for (Py_ssize_t e = 0; ok && e < m; e++) {
-        ok = !read_ints(PySequence_Fast_GET_ITEM(fast, e), 2, 0, n, edges + 2 * e);
+        PyObject *pair =
+            PySequence_Fast(PySequence_Fast_GET_ITEM(fast, e), "expected a list or tuple");
+        ok = pair && PySequence_Fast_GET_SIZE(pair) == 2;
+        if (pair && !ok)
+            PyErr_Format(PyExc_ValueError, "%s: edge %zd is not a pair (a, b)", entry, e);
+        for (int i = 0; ok && i < 2; i++) {
+            long long v = PyLong_AsLongLong(PySequence_Fast_GET_ITEM(pair, i));
+            if (v == -1 && PyErr_Occurred())
+                ok = 0;
+            else if (v < 0 || v >= n) {
+                PyErr_Format(PyExc_ValueError, "%s: edge %zd has an end outside [0, %zd)", entry,
+                             e, n);
+                ok = 0;
+            }
+            edges[2 * e + i] = v;
+        }
+        Py_XDECREF(pair);
         long long a = edges[2 * e], b = edges[2 * e + 1];
         if (ok && (a >= b || (e && (a < edges[2 * e - 2] ||
                                     (a == edges[2 * e - 2] && b <= edges[2 * e - 1]))))) {
@@ -634,7 +630,7 @@ static int make_plan(Scratch *s, Py_ssize_t n, PyObject *edges_obj, Py_ssize_t m
 
     /* Twins: vertices with equal open or equal closed neighbourhoods. No
      * open one equals a closed one, and a vertex has twins of one kind only
-     * (solver._plan_py). */
+     * (_reference._plan_py). */
     for (Py_ssize_t v = 0; v < n; v++) {
         uint64_t hash = 0;
         for (Py_ssize_t i = start[v]; i < start[v + 1]; i++)

@@ -18,7 +18,8 @@ N(x) - y = N(y) - x. Swapping x and y is then an automorphism that fixes
 every placed vertex, so it maps the orderings that place x next one-to-one
 onto those that place y next with the same encodings. y has x's segment and
 comes first, so its subtree is searched, or cut by the prune that would cut
-x's; the minimum is unchanged. This search is ``_min_code_py``.
+x's; the minimum is unchanged. This search is ``_reference._min_code_py``
+in Python, and a routine of the kernel's ``extend`` in C.
 
 The catalog on n vertices is built level by level. Each level extends every
 class of the level below, its parent, by a new vertex joined to a nonempty
@@ -42,8 +43,11 @@ a class, and with strict ties every level is empty.
 
 One level is ``_extend``: the kernel's ``extend`` (``_search.c``, built by
 ``solver._native``) where the module loads, and ``_extend_py``, its
-reference, otherwise. Both go through the parents, and each parent's
-subsets, in the same order, and both canonicalise with the search above.
+reference, otherwise. The reference, with the filter
+(``_lowest_non_cut_last``) and the search in Python, lives in
+``_reference``, which ``_extend`` imports only where the kernel does not
+load. Both go through the parents, and each parent's subsets, in the same
+order, and both canonicalise with the search above.
 The reference canonicalises every child that passes the filter: up to
 n = 7, 2,179 of the 7,815 children.
 
@@ -86,62 +90,15 @@ from .graph import Graph, _edges_from_code
 CATALOG_MAX_N = 8
 
 
-def _min_code_py(n: int, masks: Sequence[int]) -> int:
-    """Minimum encoding of the graph with adjacency bitmasks ``masks``."""
-    lower_twins = [
-        sum(1 << y for y in range(x) if (masks[x] & ~(1 << y)) == (masks[y] & ~(1 << x)))
-        for x in range(n)
-    ]
-    # prefix is one integer per placed vertex k, its segment; segment lengths
-    # align, so comparing these integer lists positionally is the bit-string
-    # comparison.
-    best: list[int] | None = None
-    chosen: list[int] = []
-    prefix: list[int] = []
-
-    def place(used: int) -> None:
-        nonlocal best
-        k = len(chosen)
-        if k == n:
-            if best is None or prefix < best:
-                best = prefix.copy()
-            return
-        scored = []
-        for x in range(n):
-            if (used >> x) & 1 or lower_twins[x] & ~used:
-                continue
-            segment = 0
-            mask_x = masks[x]
-            for i in range(k):
-                segment = (segment << 1) | ((mask_x >> chosen[i]) & 1)
-            scored.append((segment, x))
-        scored.sort()
-        for segment, x in scored:
-            if best is not None:
-                prefix.append(segment)
-                worse = prefix > best[: k + 1]
-                prefix.pop()
-                if worse:
-                    break  # candidates are sorted; the rest only get larger
-            chosen.append(x)
-            prefix.append(segment)
-            place(used | (1 << x))
-            prefix.pop()
-            chosen.pop()
-
-    place(0)
-    assert best is not None
-    code = 0
-    for k, segment in enumerate(best):
-        code = (code << k) | segment
-    return code
-
-
 def minimum_adjacency_encoding(g: Graph) -> tuple[int, ...]:
     """Exact minimum of the column-order upper-triangle bits over all vertex
     orderings; returns the flat bit tuple (length n(n-1)/2). Generation no
-    longer calls it; ``bench/run.py`` wraps it by name, so it stays."""
-    code = _min_code_py(g.n, [sum(1 << u for u in nbrs) for nbrs in g.adjacency])
+    longer calls it; ``bench/run.py`` wraps it by name, so it stays. It runs
+    the canonical search in Python (``_reference._min_code_py``), so it
+    imports ``_reference`` when called."""
+    from . import _reference  # the kernel has no entry for one graph's code
+
+    code = _reference._min_code_py(g.n, [sum(1 << u for u in nbrs) for nbrs in g.adjacency])
     return tuple((code >> shift) & 1 for shift in range(g.n * (g.n - 1) // 2 - 1, -1, -1))
 
 
@@ -151,42 +108,10 @@ def _extend(size: int, parents: Iterable[Sequence[int]]) -> dict[int, tuple[int,
     code to the masks of the first child found with it."""
     kernel = solver._native()
     if kernel is None:
-        return _extend_py(size, parents)
+        from . import _reference  # only a process without the kernel needs it
+
+        return _reference._extend_py(size, parents)
     return kernel.extend(size, parents)
-
-
-def _extend_py(size: int, parents: Iterable[Sequence[int]]) -> dict[int, tuple[int, ...]]:
-    bit = 1 << (size - 1)
-    grown: dict[int, tuple[int, ...]] = {}
-    for masks in parents:
-        for subset in range(1, bit):
-            child = (*(m | bit if (subset >> i) & 1 else m for i, m in enumerate(masks)), subset)
-            if _lowest_non_cut_last(child):
-                grown.setdefault(_min_code_py(size, child), child)
-    return grown
-
-
-def _lowest_non_cut_last(masks: Sequence[int]) -> bool:
-    """Whether the last vertex minimises f over the non-cut vertices."""
-    n = len(masks)
-    deg = [m.bit_count() for m in masks]
-
-    def f(x: int) -> tuple[int, int]:
-        return deg[x], -sum(deg[y] for y in range(n) if (masks[x] >> y) & 1)
-
-    def connected_without(u: int) -> bool:
-        rest = ((1 << n) - 1) & ~(1 << u)
-        seen = frontier = rest & -rest
-        while frontier:
-            x = frontier.bit_length() - 1
-            frontier &= ~(1 << x)
-            fresh = masks[x] & rest & ~seen
-            seen |= fresh
-            frontier |= fresh
-        return seen == rest
-
-    last = f(n - 1)
-    return not any(f(u) < last and connected_without(u) for u in range(n - 1))
 
 
 def generate_connected_catalog(n: int) -> Iterator[Graph]:

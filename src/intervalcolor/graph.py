@@ -22,7 +22,10 @@ edges, and both use the shared tuples of ``_PAIRS``. ``adjacency`` and
 keeps its class as it keeps its lists: the kernel's ``classify``, one BFS,
 a triangle test by merging sorted neighbour lists and the degree extremes
 in C, or ``_classify_py``, the reference, with equal ``GraphClass`` fields.
-It gives ``is_connected``, ``max_degree`` and the domain guard their facts.
+The reference runs only without the kernel, so it lives in ``_reference``,
+which ``classify`` imports only then; ``_index_py`` stays here, since it
+raises every error on either path. ``classify`` gives ``is_connected``,
+``max_degree`` and the domain guard their facts.
 
 ``GraphClass`` is a ``NamedTuple`` (see the package docstring); ``Graph``
 is a frozen dataclass.
@@ -149,29 +152,6 @@ class GraphClass(NamedTuple):
     min_degree: int
 
 
-def _traverse(g: Graph) -> tuple[list[int], bool, int]:
-    """BFS over every component, roots in index order: the side (0 or 1) of
-    each vertex, whether that 2-coloring is proper, and the component count;
-    for ``_classify_py``."""
-    side = [-1] * g.n
-    proper = True
-    components = 0
-    for root in range(g.n):
-        if side[root] != -1:
-            continue
-        components += 1
-        side[root] = 0
-        queue = [root]
-        for u in queue:  # the list grows while it is read: a FIFO queue
-            for v in g.adjacency[u]:
-                if side[v] == -1:
-                    side[v] = 1 - side[u]
-                    queue.append(v)
-                elif side[v] == side[u]:
-                    proper = False
-    return side, proper, components
-
-
 def is_connected(g: Graph) -> bool:
     return classify(g).connected
 
@@ -200,40 +180,18 @@ def require_connected_with_edge(g: Graph) -> GraphClass:
 def classify(g: Graph) -> GraphClass:
     """g's ``GraphClass``, computed on g's first call and kept on g: by the
     kernel's ``classify`` where it loads (``solver._native``), and by
-    ``_classify_py``, the reference, elsewhere; the two give equal fields."""
+    ``_reference._classify_py``, the reference, elsewhere; the two give
+    equal fields."""
     if g._class is None:
         kernel = solver._native()
-        cls = _classify_py(g) if kernel is None else GraphClass._make(kernel.classify(g.n, g.edges))
+        if kernel is None:
+            from . import _reference  # only a process without the kernel needs it
+
+            cls = _reference._classify_py(g)
+        else:
+            cls = GraphClass._make(kernel.classify(g.n, g.edges))
         object.__setattr__(g, "_class", cls)
     return g._class
-
-
-def _classify_py(g: Graph) -> GraphClass:
-    """``classify`` in Python: the reference for the kernel's ``classify``,
-    and its fallback."""
-    degs = g.degrees()
-    delta_max = max(degs)
-    delta_min = min(degs)
-    side, proper, components = _traverse(g)
-    bipartition: tuple[tuple[int, ...], tuple[int, ...]] | None = None
-    biregular: tuple[int, int] | None = None
-    if proper:
-        part0, part1 = (tuple(v for v in range(g.n) if side[v] == s) for s in (0, 1))
-        bipartition = (part0, part1)
-        degs0 = {degs[v] for v in part0}  # vertex 0 is in part0, so it is nonempty
-        degs1 = {degs[v] for v in part1} or degs0
-        if len(degs0) == len(degs1) == 1:
-            biregular = tuple(sorted((*degs0, *degs1)))
-    nbr = [set(a) for a in g.adjacency]  # edge ab is on a triangle iff a, b share a neighbour
-    return GraphClass(
-        connected=components == 1,
-        bipartition=bipartition,
-        regular_degree=delta_max if delta_max == delta_min else None,
-        triangle_free=not any(nbr[a] & nbr[b] for a, b in g.edges),
-        biregular_degrees=biregular,
-        max_degree=delta_max,
-        min_degree=delta_min,
-    )
 
 
 # --------------------------------------------------------------------------

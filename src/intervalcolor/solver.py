@@ -9,10 +9,10 @@ backtracking, one after another, with one node budget shared across them.
 The testing oracle that enumerates every assignment lives in ``oracle``.
 
 The set-up is an overfull test (``_overfull``), then the search plan
-(``_Plan``) and a ceiling proven for the instance. An overfull graph has no
-interval coloring at all, so it is decided with no plan, and no interval
-coloring uses more than 1 + max D colors (D below), so layers above the
-ceiling are infeasible at a cost of 0 nodes.
+(``_reference._Plan``) and a ceiling proven for the instance. An overfull
+graph has no interval coloring at all, so it is decided with no plan, and
+no interval coloring uses more than 1 + max D colors (D below), so layers
+above the ceiling are infeasible at a cost of 0 nodes.
 
 Search strategy (deterministic): edges are ordered by a breadth-first
 traversal from a maximum-degree vertex (ties broken by lowest vertex index)
@@ -89,39 +89,36 @@ fewer constraints is always sound. K2 has twins but no moved edge.
 The loop has two implementations that read the same plan and visit the
 same nodes in the same order, so status, node count, last t and colors
 (the witness, or an aborted layer's partial coloring) agree on every range
-of layers. ``_search_py`` is the reference, in Python. ``_search.c`` is
-the same loop in C, compiled on first use by ``_native``; on the same
-search calls (``compute_W`` over the n = 6 catalog, 200 graphs of n = 7 and
-the doubled graphs) it expands 90 to 150 times as many nodes per second. It
-takes a node's least candidate a word at a time, from the two ends' color
-masks and a mask of the colors on any edge, which surjectivity consults.
-``_descend`` runs it when it loads and the Python loop otherwise (no
-compiler, no headers, a read-only install). The plan has two
-implementations too: ``_plan_py``, the reference and the Python loop's
-plan, and one routine in C that the kernel's ``search`` runs first, so one
-call plans, caps the palette at the ceiling and searches, and no plan
-crosses into Python; the tests check it through ``search``'s results. Both
-group twins in memory linear in n + m.
+of layers. ``_search.c`` is the loop in C, compiled on first use by
+``_native``; on the same search calls (``compute_W`` over the n = 6
+catalog, 200 graphs of n = 7 and the doubled graphs) it expands 90 to 150
+times as many nodes per second as the Python loop. It takes a node's least
+candidate a word at a time, from the two ends' color masks and a mask of
+the colors on any edge, which surjectivity consults. ``_descend`` runs it
+when it loads. The reference, ``_search_py``, lives in ``_reference``,
+which ``_descend`` imports only where the kernel does not load (no
+compiler, no headers, a read-only install) and runs there instead. The
+plan has two implementations too: one routine in C that the kernel's
+``search`` runs first, so one call plans, caps the palette at the ceiling
+and searches, and no plan crosses into Python, and ``_reference._plan_py``,
+the reference and the Python loop's plan; the tests check the C plan
+through ``search``'s results. Both group twins in memory linear in n + m.
 """
 
 from __future__ import annotations
 
-import bisect
 import contextlib
 import functools
 import heapq
 import importlib.machinery
 import importlib.util
-import itertools
 import operator
 import os
 import sys
-from array import array
-from collections import deque
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
-from typing import Iterator, NamedTuple
+from typing import Iterator
 
 from . import bounds as bounds_mod
 from .coloring import EdgeColoring, coloring_to_json, validate_interval
@@ -311,217 +308,6 @@ def _native():
     return kernel
 
 
-class _Plan(NamedTuple):
-    """The search's input for a connected g with an edge, built once per graph.
-
-    ``order`` is the BFS edge order, ``ends`` the two endpoints of each edge
-    in that order, flat, and ``deg`` the vertex degrees. ``after[j]`` is the
-    position of the earlier edge whose color edge j's must exceed (the twin
-    cut of the module docstring), or -1. The BFS starts at the lowest-indexed
-    vertex of maximum degree, so consecutive edges share endpoints. ``dist``
-    is the distance matrix in BFS positions and ``longest`` its largest
-    entry, for at most ``DISTANCE_MAX_M`` edges; above, b"" and None.
-    """
-
-    order: list[int]
-    ends: list[int]
-    deg: list[int]
-    after: list[int]
-    dist: bytes
-    longest: int | None
-
-
-def _plan_py(g: Graph) -> _Plan:
-    """g's plan in Python: the plan of ``_search_py``, and the reference
-    for the plan the kernel's ``search`` builds, checked through its results."""
-    adjacency, incidence = g.adjacency, g.incidence  # incidence[v] in adjacency[v]'s order
-    deg = [len(nbrs) for nbrs in adjacency]
-    start = deg.index(max(deg))
-    order: list[int] = []
-    position = [-1] * g.m
-    visited = [False] * g.n
-    visited[start] = True
-    queue = deque([start])
-    while queue:
-        u = queue.popleft()
-        for v, eid in zip(adjacency[u], incidence[u]):
-            if position[eid] < 0:
-                position[eid] = len(order)
-                order.append(eid)
-            if not visited[v]:
-                visited[v] = True
-                queue.append(v)
-    # Twins have equal open neighbourhoods (x, y apart) or equal closed ones
-    # (x, y adjacent). No open one equals a closed one (N(w) = N[v] would put
-    # v in N(w) but w outside N[v]), so one dict groups both.
-    groups: dict[tuple[int, ...], list[int]] = {}
-    for v, nbrs in enumerate(adjacency):
-        i = bisect.bisect(nbrs, v)
-        groups.setdefault(nbrs, []).append(v)
-        groups.setdefault((*nbrs[:i], v, *nbrs[i:]), []).append(v)
-    after = [-1] * g.m
-    for twins in groups.values():
-        if len(twins) == 1:
-            continue
-        # Each twin's two earliest edges, as (position, neighbour). A vertex
-        # has twins of one kind only (an open twin x and a closed twin y of v
-        # would make x adjacent to y, so to v, against N(x) = N(v)), so this
-        # ranks it once.
-        first_two = {
-            v: sorted((position[e], u) for u, e in zip(adjacency[v], incidence[v]))[:2]
-            for v in twins
-        }
-        for x, y in itertools.combinations(twins, 2):
-            # The x<->y swap moves the edges at x or y other than xy. A twin
-            # has at most one edge to its partner, so the first moved edge,
-            # (a, u) at position k, is among each twin's two earliest, and
-            # its image (b, u) joins the partner b to u.
-            moved = [(k, b, u) for a, b in ((x, y), (y, x)) for k, u in first_two[a] if u != b]
-            if moved:  # K2 has none
-                k, b, u = min(moved)
-                j = position[incidence[b][bisect.bisect_left(adjacency[b], u)]]
-                after[j] = max(after[j], k)
-    pairs = [g.edges[eid] for eid in order]
-    ends = [v for pair in pairs for v in pair]
-    if g.m > DISTANCE_MAX_M:
-        return _Plan(order, ends, deg, after, b"", None)
-    # D(e, f) at e * m + f, in BFS positions, as native int32 bytes.
-    dist = array("i", itertools.chain.from_iterable(_distance_rows(adjacency, deg, pairs)))
-    return _Plan(order, ends, deg, after, dist.tobytes(), max(dist))
-
-
-def _search_py(
-    n: int,
-    order: list[int],
-    ends: list[int],
-    deg: list[int],
-    after: list[int],
-    dist: bytes,
-    top: int,
-    bottom: int,
-    node_budget: int,
-) -> tuple[int, int, int, list[int]]:
-    """The search loop in Python: the reference for the kernel, and its fallback.
-
-    Takes the first five fields of ``_plan_py``'s plan where the kernel's
-    ``search`` takes the graph, and returns what it returns: (status, nodes,
-    last, colors), here with no cap on top. It decides palette sizes top,
-    top - 1, ..., bottom, one layer each, until one is feasible (status 1),
-    every one is infeasible (0) or the node budget (0 = unlimited), shared by
-    all layers, runs out (2); a layer whose turn comes once the budget is
-    spent aborts with no node. ``last`` is the last t decided: the witness's,
-    bottom, or one above the aborted layer.
-    ``colors`` gives each edge's color in ``Graph.edges`` order, 0 for none:
-    the witness, or an aborted layer's partial coloring when the budget ran
-    out; it is empty when every layer is infeasible.
-
-    Within a layer, ``picked[k]`` is the color of the k-th edge in BFS
-    order, 0 for none. A depth entered with a color picked was backtracked
-    to: that color comes off and the next one is tried. ``dist`` is the
-    plan's matrix, or b"" to search without the distance rule.
-    """
-    m = len(ends) // 2
-    pairs = list(zip(ends[::2], ends[1::2]))
-    # A layer proven infeasible has taken every color off again, so the
-    # next starts from empty masks and counts.
-    mask = [0] * n  # bit c set: some edge at the vertex has color c
-    color_count = [0] * (top + 1)
-    picked = [0] * (m + 1)  # picked[-1] stays 0, the floor where after[k] is -1
-    nodes = 0
-    # The distance rule: near[k][f] = D(k, f); lows[k][f] and highs[k][f]
-    # bound edge f's color at depth k, for f >= k; least_at[k] and
-    # most_at[k] bound edge k's candidates.
-    flat = memoryview(dist).cast("i")
-    near = [flat[k * m : (k + 1) * m].tolist() for k in range(m)] if dist else []
-    lows = [[0] * m for _ in near]
-    highs = [[0] * m for _ in near]
-    least_at = [1] * m
-    most_at = [top] * m
-    for t in range(top, bottom - 1, -1):
-        if node_budget and nodes >= node_budget:
-            return 2, nodes, t + 1, [0] * m
-        unused = t  # colors on no edge yet
-        first_top = (t + 1) // 2  # reversal cut, see the module docstring
-        k = 0
-        while 0 <= k < m:
-            a, b = pairs[k]
-            c = picked[k]
-            if c:
-                bit = 1 << c
-                mask[a] ^= bit
-                mask[b] ^= bit
-                color_count[c] -= 1
-                if not color_count[c]:
-                    unused += 1
-            elif near:
-                # First entry: narrow the ranges by edge k - 1's color x and
-                # bound edge k's candidates by its own range and the reach of
-                # colors 1 and t (module docstring).
-                here, lo_k, hi_k = near[k], lows[k], highs[k]
-                x, prev, lo_prev, hi_prev = picked[k - 1], near[k - 1], lows[k - 1], highs[k - 1]
-                reach_one, reach_top = 1, t
-                for f in range(k, m):
-                    if k:
-                        lo = max(lo_prev[f], x - prev[f])
-                        hi = min(hi_prev[f], x + prev[f])
-                    else:
-                        lo, hi = 1, t
-                    lo_k[f], hi_k[f] = lo, hi
-                    if lo == 1:
-                        reach_one = max(reach_one, 1 + here[f])
-                    if hi == t:
-                        reach_top = min(reach_top, t - here[f])
-                least_at[k] = lo_k[k] if color_count[t] else max(lo_k[k], reach_top)
-                most_at[k] = hi_k[k] if color_count[1] else min(hi_k[k], reach_one)
-            mask_a, mask_b = mask[a], mask[b]
-            # Spread: a new color at v lies in [hi - deg(v) + 1, lo + deg(v) - 1],
-            # lo and hi being v's least and greatest color (hi + 1 = bit_length).
-            # Twin cut: it lies above the color of edge after[k].
-            lo_a = (mask_a & -mask_a).bit_length() - 1 if mask_a else t
-            lo_b = (mask_b & -mask_b).bit_length() - 1 if mask_b else t
-            c = max(
-                c + 1,
-                picked[after[k]] + 1,
-                mask_a.bit_length() - deg[a],
-                mask_b.bit_length() - deg[b],
-                least_at[k],
-            )
-            to = min(t if k else first_top, lo_a + deg[a] - 1, lo_b + deg[b] - 1, most_at[k])
-            taken = mask_a | mask_b
-            spare = m - k - 1 - unused  # surjectivity: uncolored edges left over
-            while c <= to:
-                if not (taken >> c) & 1 and (spare >= 0 or (spare == -1 and not color_count[c])):
-                    break
-                c += 1
-            else:
-                picked[k] = 0
-                k -= 1
-                continue
-            if node_budget and nodes >= node_budget:
-                picked[k] = 0  # its color is off: edges 0 .. k - 1 stay colored
-                return 2, nodes, t + 1, _in_edge_order(order, picked)
-            nodes += 1
-            bit = 1 << c
-            mask[a] |= bit
-            mask[b] |= bit
-            if not color_count[c]:
-                unused -= 1
-            color_count[c] += 1
-            picked[k] = c
-            k += 1
-        if k == m:
-            return 1, nodes, t, _in_edge_order(order, picked)
-    return 0, nodes, bottom, []
-
-
-def _in_edge_order(order: list[int], picked: list[int]) -> list[int]:
-    """The colors of ``picked``, in BFS order, at their edges' indices."""
-    colors = [0] * len(order)
-    for eid, c in zip(order, picked):
-        colors[eid] = c
-    return colors
-
-
 _STATUS = (SolveStatus.INFEASIBLE, SolveStatus.FOUND, SolveStatus.ABORTED)
 
 
@@ -538,15 +324,18 @@ def _descend(
     above the ceiling are infeasible at 0 nodes; the rest take one search
     call: the kernel's ``search``, which plans and caps top at its matrix's
     ceiling (``_proven_ceiling`` caps it first for a graph without one), or
-    ``_search_py`` on ``_plan_py``'s plan, capped here. Both give the same
-    status, nodes, last t and colors. An overfull graph gets no plan.
+    ``_reference._search_py`` on ``_reference._plan_py``'s plan, capped
+    here. Both give the same status, nodes, last t and colors. An overfull
+    graph gets no plan.
     """
     kernel = _native()
     if _overfull(g, max_degree):
         high = 0
     elif kernel is None:
-        plan = _plan_py(g)
-        search, args = _search_py, (g.n, *plan[:5])
+        from . import _reference  # only a process without the kernel needs it
+
+        plan = _reference._plan_py(g)
+        search, args = _reference._search_py, (g.n, *plan[:5])
         high = min(top, _proven_ceiling(g, plan.longest, cap=top))
     else:
         search, args = kernel.search, (g.n, g.edges, DISTANCE_MAX_M)

@@ -79,11 +79,12 @@ def survey_graph(
         else:
             w = outcome.w
             assert w is not None and outcome.witness is not None
-            report = audit(g, w, claims)
-            if report.violations:
+            # best is at most every claim's bound, so only w > best can
+            # violate one; only then is a report built.
+            if w > best and (violations := audit(g, w, claims).violations):
                 raise InternalInvariantError(
                     f"W={w} for {graph6} violates "
-                    + ", ".join(f"{c.theorem_id} (bound {c.bound})" for c in report.violations)
+                    + ", ".join(f"{c.theorem_id} (bound {c.bound})" for c in violations)
                 )
             slack = best - w
             tight = tuple(c.theorem_id for c in claims if c.bound == w)

@@ -16,9 +16,8 @@ from intervalcolor import (
     minimum_adjacency_encoding,
     write_graph6,
 )
-from intervalcolor import solver
-from intervalcolor import catalog
-from intervalcolor.catalog import _extend_py, _min_code_py
+from intervalcolor import _reference, solver
+from intervalcolor._reference import _extend_py, _min_code_py
 from intervalcolor.graph import _code_from_edges
 from smallgraphs import c4, k3, k4, p4, star
 
@@ -175,7 +174,7 @@ class TestExtend:
         expected = {}
         for k in range(1, 13):
             child = (*([1 << 12] * k), *([0] * (12 - k)), (1 << k) - 1)
-            if catalog._lowest_non_cut_last(child):
+            if _reference._lowest_non_cut_last(child):
                 expected.setdefault(_min_code_py(13, child), child)
         assert list(native.items()) == list(expected.items())
         assert len(native) == 10
@@ -206,7 +205,7 @@ class TestExtend:
             calls.append(n)
             return _min_code_py(n, masks)
 
-        monkeypatch.setattr(catalog, "_min_code_py", counted)
+        monkeypatch.setattr(_reference, "_min_code_py", counted)
         level = {0: (0,)}
         for size in range(2, 8):
             level = _extend_py(size, level.values())

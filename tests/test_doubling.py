@@ -24,7 +24,7 @@ from intervalcolor import (
     parse_graph6,
     validate_interval,
 )
-from intervalcolor import doubling, graph, solver
+from intervalcolor import _reference, doubling, solver
 from intervalcolor.coloring import _VALID
 from intervalcolor.doubling import CrossEdge, MatchingEdge
 from intervalcolor.graph import _PAIRS
@@ -497,8 +497,8 @@ class TestNativeDouble:
                 if not native:
                     patch.setattr(solver, "_native", lambda: None)
                 traversed = []
-                traverse = graph._traverse
-                patch.setattr(graph, "_traverse", lambda g: traversed.append(g) or traverse(g))
+                traverse = _reference._traverse
+                patch.setattr(_reference, "_traverse", lambda g: traversed.append(g) or traverse(g))
                 patch.setattr(doubling, "Graph", refuse_graph)
                 for g, bad in cases:
                     with pytest.raises(InvalidColoringError):

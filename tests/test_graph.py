@@ -18,11 +18,12 @@ from intervalcolor import (
     write_graph6,
 )
 from intervalcolor import GraphClass, compute_W, generate_connected_catalog, graph, run_survey, solver
+from intervalcolor import _reference
+from intervalcolor._reference import _classify_py
 from intervalcolor.graph import (
     EDGE_LIST_MAX_N,
     GRAPH6_MAX_N,
     _PAIRS,
-    _classify_py,
     _code_from_edges,
     _edges_from_code,
     _index_lists,
@@ -331,8 +332,10 @@ class TestClassOnFirstUse:
         graphs = [Graph(g.n, g.edges) for n in range(2, 6) for g in catalogs[n]]
         monkeypatch.setattr(solver, "_native", lambda: None)
         classified = []
-        classify_py = graph._classify_py
-        monkeypatch.setattr(graph, "_classify_py", lambda g: classified.append(g) or classify_py(g))
+        classify_py = _reference._classify_py
+        monkeypatch.setattr(
+            _reference, "_classify_py", lambda g: classified.append(g) or classify_py(g)
+        )
         rows = list(run_survey(graphs, with_doubling=True))
         assert list(run_survey(graphs, with_doubling=True)) == rows
         solved = [row.w if isinstance(row.w, int) else None for row in rows]
@@ -412,7 +415,7 @@ class TestNativeClassify:
         def refuse(g):
             raise AssertionError("the kernel path ran _classify_py")
 
-        monkeypatch.setattr(graph, "_classify_py", refuse)
+        monkeypatch.setattr(_reference, "_classify_py", refuse)
         assert classify(c4()).bipartition == ((0, 2), (1, 3))
         assert not classify(k3()).triangle_free
 

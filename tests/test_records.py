@@ -5,6 +5,7 @@ dataclasses only."""
 
 from __future__ import annotations
 
+import json
 import os
 import pickle
 import subprocess
@@ -19,6 +20,7 @@ from intervalcolor import (
     applicable_bounds,
     audit,
     classify,
+    coloring_to_json,
     double_graph,
     double_with_certificate,
     survey_graph,
@@ -159,3 +161,65 @@ def test_import_processes_four_dataclasses():
     )
     processed = sorted(result.stdout.split())
     assert processed == ["EdgeColoring", "Graph", "SearchLimits", "SolveOutcome"]
+
+
+def test_the_kernel_path_imports_no_reference(tmp_path):
+    # Fresh interpreters, one per path: this one has imported the references
+    # for the tests. With the kernel, the library calls and the CLI commands
+    # leave _reference unimported; with _native giving None they import it
+    # and print the same results.
+    g = c4()
+    graph = tmp_path / "c4.g6"
+    graph.write_text("Cl\n")
+    valid, invalid = tmp_path / "valid.json", tmp_path / "invalid.json"
+    valid.write_text(json.dumps(coloring_to_json(g, EdgeColoring(3, (1, 2, 2, 3)))))
+    invalid.write_text(json.dumps(coloring_to_json(g, EdgeColoring(2, (1, 1, 2, 2)))))
+    probe = (
+        "import contextlib, io, sys\n"
+        "from intervalcolor import (\n"
+        "    EdgeColoring, compute_W, find_interval_coloring, generate_connected_catalog,\n"
+        "    parse_graph6, run_survey, solver, validate_interval,\n"
+        ")\n"
+        "from intervalcolor.cli import main\n"
+        "path, graph, valid, invalid = sys.argv[1:]\n"
+        "if path == 'python':\n"
+        "    solver._native = lambda: None\n"
+        "assert (solver._native() is None) == (path == 'python')\n"
+        "g = parse_graph6('Cl')\n"
+        "results = [\n"
+        "    compute_W(g),\n"
+        "    find_interval_coloring(g, 3),\n"
+        "    list(generate_connected_catalog(6)),\n"
+        "    list(run_survey(generate_connected_catalog(6), with_doubling=True)),\n"
+        "    validate_interval(g, EdgeColoring(2, (1, 1, 2, 2))),\n"
+        "]\n"
+        "commands = [\n"
+        "    ['validate', '--graph', graph, '--coloring', invalid],\n"
+        "    ['solve', '--graph', graph],\n"
+        "    ['solve', '--graph', graph, '--t', '3'],\n"
+        "    ['double', '--graph', graph, '--coloring', valid],\n"
+        "    ['bounds', '--graph', graph],\n"
+        "    ['survey', '--gen-n', '5', '--with-doubling'],\n"
+        "]\n"
+        "out = io.StringIO()\n"
+        "with contextlib.redirect_stdout(out):\n"
+        "    codes = [main(command) for command in commands]\n"
+        "print(repr(results))\n"
+        "print(codes)\n"
+        "print(out.getvalue())\n"
+        "print('intervalcolor._reference' in sys.modules)"
+    )
+    src = str(Path(intervalcolor.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    printed = {}
+    for path in ("kernel", "python"):
+        result = subprocess.run(
+            [sys.executable, "-c", probe, path, str(graph), str(valid), str(invalid)],
+            capture_output=True, text=True, env=env, check=True, timeout=300,
+        )
+        *text, imported = result.stdout.splitlines()
+        assert imported == str(path == "python"), path
+        printed[path] = text
+    assert printed["kernel"] == printed["python"]
+    assert printed["kernel"][0].count("SurveyRecord(") == 112  # the n = 6 catalog
+    assert printed["kernel"][1] == "[1, 0, 0, 0, 0, 0]"  # the invalid coloring exits 1

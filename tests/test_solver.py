@@ -36,8 +36,9 @@ from intervalcolor import (
     parse_graph6,
     validate_interval,
 )
+from intervalcolor import _reference, solver
 from intervalcolor import graph as graph_module
-from intervalcolor import solver
+from intervalcolor._reference import _plan_py, _Plan, _search_py
 from intervalcolor.solver import (
     DISTANCE_MAX_M,
     _build_command,
@@ -45,10 +46,7 @@ from intervalcolor.solver import (
     _include_dir,
     _native,
     _overfull,
-    _plan_py,
-    _Plan,
     _proven_ceiling,
-    _search_py,
     _STATUS,
     outcome_to_json,
 )
@@ -123,7 +121,7 @@ class TestFindIntervalColoring:
             with pytest.MonkeyPatch.context() as patch:
                 if not native:
                     patch.setattr(solver, "_native", lambda: None)
-                patch.setattr(graph_module, "_traverse", counted(graph_module._traverse, traversed))
+                patch.setattr(_reference, "_traverse", counted(_reference._traverse, traversed))
                 patch.setattr(
                     graph_module, "_index_lists", counted(graph_module._index_lists, indexed)
                 )
@@ -182,8 +180,8 @@ class TestComputeW:
                 if not native:
                     patch.setattr(solver, "_native", lambda: None)
                 calls = []
-                traverse = graph_module._traverse
-                patch.setattr(graph_module, "_traverse", lambda g: calls.append(g) or traverse(g))
+                traverse = _reference._traverse
+                patch.setattr(_reference, "_traverse", lambda g: calls.append(g) or traverse(g))
                 assert compute_W(c4()).w == 3
                 assert len(calls) == (0 if native else 1)
                 for g, match in ((two_k2(), "disconnected"), (Graph(1, ()), "no edges")):
@@ -216,7 +214,7 @@ class TestComputeW:
         assert not hasattr(kernel, "plan")
         searches, plans = [], []
         monkeypatch.setattr(kernel, "search", counted(kernel.search, searches))
-        monkeypatch.setattr(solver, "_plan_py", counted(_plan_py, plans))
+        monkeypatch.setattr(_reference, "_plan_py", counted(_plan_py, plans))
         graphs = [g for n in range(2, 7) for g in catalogs[n]] + doubled_graphs
         graphs = [g for g in graphs if not _overfull(g, g.max_degree)]
         for g in graphs:
@@ -448,9 +446,9 @@ MALFORMED_EDGES = (
     (4, ((0, 1), (0, 3), (2, 3), (1, 2)), NOT_INCREASING),
     (4, ((1, 0), (0, 3), (1, 2), (2, 3)), NOT_INCREASING),  # a > b
     (4, ((0, 1), (0, 1), (1, 2), (2, 3)), NOT_INCREASING),  # repeated
-    (4, ((0, 1), (0, 3), (1, 2), (2, 4)), "value out of range"),
+    (4, ((0, 1), (0, 3), (1, 2), (2, 4)), "search: edge 3 has an end outside [0, 4)"),
     (4, ((0, 1), (0, 3), (1, 1), (2, 3)), NOT_INCREASING),  # loop
-    (4, ((0, 1), (0, 3), (1, 2, 3)), "sequence of the wrong length"),  # not a pair
+    (4, ((0, 1), (0, 3), (1, 2, 3)), "search: edge 2 is not a pair (a, b)"),
     (4, (), OUT_OF_RANGE),  # no edge
     (0, ((0, 1), (0, 3), (1, 2), (2, 3)), OUT_OF_RANGE),
     (5, ((0, 1), (0, 3), (1, 2), (2, 3)), DISCONNECTED),  # vertex 4 is isolated
@@ -509,7 +507,7 @@ class TestProvenCeiling:
 
         kernel = _native()
         monkeypatch.setattr(kernel, "search", refuse)
-        monkeypatch.setattr(solver, "_plan_py", refuse)
+        monkeypatch.setattr(_reference, "_plan_py", refuse)
         for native in (kernel, None):
             monkeypatch.setattr(solver, "_native", lambda: native)
             out = compute_W(k3())
@@ -725,7 +723,8 @@ class TestTwinCut:
         probe = (
             "import time\n"
             "from intervalcolor import Graph\n"
-            "from intervalcolor.solver import DISTANCE_MAX_M, _native, _plan_py\n"
+            "from intervalcolor._reference import _plan_py\n"
+            "from intervalcolor.solver import DISTANCE_MAX_M, _native\n"
             "g = Graph(400, tuple((i, j) for i in range(400) for j in range(i + 1, 400)))\n"
             "search = _native().search\n"
             "for plan in (lambda g: search(g.n, g.edges, DISTANCE_MAX_M, 399, 399, 1), _plan_py):\n"

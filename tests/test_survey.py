@@ -18,7 +18,7 @@ from intervalcolor import (
     survey_graph,
     write_survey_csv,
 )
-from intervalcolor import bounds, coloring, graph, survey
+from intervalcolor import _reference, bounds, coloring, graph, survey
 from intervalcolor.cli import main
 from intervalcolor.survey import CSV_COLUMNS, record_to_row
 from smallgraphs import c4, k1, k2, k3, p3, two_k2
@@ -174,7 +174,7 @@ class TestCsvOutput:
         def refuse(g):
             raise AssertionError("_classify_py ran")
 
-        monkeypatch.setattr(graph, "_classify_py", refuse)
+        monkeypatch.setattr(_reference, "_classify_py", refuse)
         assert main(["survey", "--gen-n", "6", "--with-doubling"]) == 0
         reference = Path(__file__).resolve().parent.parent / "bench" / "reference" / "survey6.csv"
         assert capsys.readouterr().out == reference.read_text()
