@@ -102,12 +102,3 @@ __all__ = [
     "write_survey_csv",
 ]
 
-
-def __getattr__(name: str):
-    # The oracle needs numpy, a test-only dependency; import it on first use.
-    # It stays out of __all__ so that a star import does not need numpy.
-    if name == "brute_force_W":
-        from .oracle import brute_force_W
-
-        return brute_force_W
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -1,24 +1,24 @@
-"""The Python references of the compiled kernel's loops, and their fallbacks.
+"""The compiled kernel's Python twin: the module ``solver._native`` returns
+where ``_search.c`` cannot be built or loaded (no compiler, no headers, a
+read-only install), so that no caller asks which one it has.
 
-This module holds only code that never runs when the kernel
-(``solver._native``) loads: the search plan and loop (``_plan_py``,
-``_search_py``), the classification (``_classify_py``) and a catalog level
-(``_extend_py``, with its canonical search ``_min_code_py``). So a process
-with the kernel neither imports nor compiles it. Its callers import it
-inside the code that runs it: ``solver._descend``, ``graph.classify`` and
-``catalog._extend`` in their branches without the kernel, and
-``catalog.minimum_adjacency_encoding``, which has no kernel twin and which
-no other code of the package calls. Each looks its function up here by
-name, so a test that patches one patches every call. The tests import it
-too, to check each kernel entry against its reference.
+It has the kernel's seven entries, with the kernel's arguments and results.
+``search``, ``classify`` and ``extend`` run the Python references of the
+kernel's loops: the search plan and loop (``_plan_py``, ``_search_py``),
+the classification (``_classify_py``) and a catalog level (``extend``, with
+its canonical search ``_min_code_py``). They take the graph as the kernel
+does, as n and canonical edges, and build their own ``Graph`` from them.
+``index_graph``, ``in_palette``, ``interval_ok`` and ``double`` always
+decline, as the kernel does for input it leaves to Python: their callers'
+own code is the reference and raises every error (``graph._index_py``,
+``coloring._check_colors_py``, ``coloring._report`` and the doubling's
+Python path). A process with the kernel neither imports nor compiles this
+module; ``catalog.minimum_adjacency_encoding``, which has no kernel twin,
+imports it when called. Each function looks the others up here by name, so
+a test that patches one patches every call.
 
-Python code that also runs with the kernel stays in its own module: the
-error messages and failure reports (``graph._index_py``,
-``coloring._check_colors_py``, ``coloring._report``), the doubling's
-construction, which is public and which the kernel falls back to, and the
-distances that cap graphs too large for a matrix (``solver._distance_rows``).
-The proofs of what each loop does are in the docstrings of ``solver``
-(the search), ``graph`` (the classification) and ``catalog`` (the catalog).
+The proofs of what each loop does are in the docstrings of ``solver`` (the
+search), ``graph`` (the classification) and ``catalog`` (the catalog).
 """
 
 from __future__ import annotations
@@ -46,8 +46,8 @@ class _Plan(NamedTuple):
     cut of ``solver``'s docstring), or -1. The BFS starts at the
     lowest-indexed vertex of maximum degree, so consecutive edges share
     endpoints. ``dist`` is the distance matrix in BFS positions and
-    ``longest`` its largest entry, for at most ``DISTANCE_MAX_M`` edges;
-    above, b"" and None.
+    ``longest`` its largest entry, for at most ``max_m`` edges (the
+    argument of ``_plan_py``); above, b"" and None.
     """
 
     order: list[int]
@@ -58,9 +58,9 @@ class _Plan(NamedTuple):
     longest: int | None
 
 
-def _plan_py(g: Graph) -> _Plan:
-    """g's plan in Python: the plan of ``_search_py``, and the reference
-    for the plan the kernel's ``search`` builds, checked through its results."""
+def _plan_py(g: Graph, max_m: int = DISTANCE_MAX_M) -> _Plan:
+    """g's plan in Python, with the matrix for at most ``max_m`` edges: the
+    plan of ``search``, and the reference for the kernel's."""
     adjacency, incidence = g.adjacency, g.incidence  # incidence[v] in adjacency[v]'s order
     deg = [len(nbrs) for nbrs in adjacency]
     start = deg.index(max(deg))
@@ -110,11 +110,24 @@ def _plan_py(g: Graph) -> _Plan:
                 after[j] = max(after[j], k)
     pairs = [g.edges[eid] for eid in order]
     ends = [v for pair in pairs for v in pair]
-    if g.m > DISTANCE_MAX_M:
+    if g.m > max_m:
         return _Plan(order, ends, deg, after, b"", None)
     # D(e, f) at e * m + f, in BFS positions, as native int32 bytes.
     dist = array("i", itertools.chain.from_iterable(_distance_rows(adjacency, deg, pairs)))
     return _Plan(order, ends, deg, after, dist.tobytes(), max(dist))
+
+
+def search(
+    n: int, edges: Sequence[tuple[int, int]], max_m: int, top: int, bottom: int, budget: int
+) -> tuple[int, int, int, list[int]]:
+    """The kernel's ``search``: ``_plan_py``'s plan, top capped at m and,
+    with the matrix, at the ceiling 1 + longest, then ``_search_py``."""
+    g = Graph(n, edges)
+    plan = _plan_py(g, max_m)
+    top = min(top, g.m) if plan.longest is None else min(top, g.m, 1 + plan.longest)
+    if top < bottom:
+        return 0, 0, bottom, []
+    return _search_py(n, *plan[:5], top, bottom, budget)
 
 
 def _search_py(
@@ -128,19 +141,18 @@ def _search_py(
     bottom: int,
     node_budget: int,
 ) -> tuple[int, int, int, list[int]]:
-    """The search loop in Python: the reference for the kernel, and its fallback.
+    """The search loop in Python, on the first five fields of a plan.
 
-    Takes the first five fields of ``_plan_py``'s plan where the kernel's
-    ``search`` takes the graph, and returns what it returns: (status, nodes,
-    last, colors), here with no cap on top. It decides palette sizes top,
-    top - 1, ..., bottom, one layer each, until one is feasible (status 1),
-    every one is infeasible (0) or the node budget (0 = unlimited), shared by
-    all layers, runs out (2); a layer whose turn comes once the budget is
-    spent aborts with no node. ``last`` is the last t decided: the witness's,
-    bottom, or one above the aborted layer.
-    ``colors`` gives each edge's color in ``Graph.edges`` order, 0 for none:
-    the witness, or an aborted layer's partial coloring when the budget ran
-    out; it is empty when every layer is infeasible.
+    Returns what ``search`` returns: (status, nodes, last, colors), here
+    with no cap on top. It decides palette sizes top, top - 1, ..., bottom,
+    one layer each, until one is feasible (status 1), every one is
+    infeasible (0) or the node budget (0 = unlimited), shared by all layers,
+    runs out (2); a layer whose turn comes once the budget is spent aborts
+    with no node. ``last`` is the last t decided: the witness's, bottom, or
+    one above the aborted layer. ``colors`` gives each edge's color in
+    ``Graph.edges`` order, 0 for none: the witness, or an aborted layer's
+    partial coloring when the budget ran out; it is empty when every layer
+    is infeasible.
 
     Within a layer, ``picked[k]`` is the color of the k-th edge in BFS
     order, 0 for none. A depth entered with a color picked was backtracked
@@ -277,9 +289,13 @@ def _traverse(g: Graph) -> tuple[list[int], bool, int]:
     return side, proper, components
 
 
+def classify(n: int, edges: Sequence[tuple[int, int]]) -> GraphClass:
+    """The kernel's ``classify``: ``_classify_py``'s fields."""
+    return _classify_py(Graph(n, edges))
+
+
 def _classify_py(g: Graph) -> GraphClass:
-    """``classify`` in Python: the reference for the kernel's ``classify``,
-    and its fallback."""
+    """``graph.classify`` in Python: the reference for the kernel's."""
     degs = g.degrees()
     delta_max = max(degs)
     delta_min = min(degs)
@@ -361,9 +377,11 @@ def _min_code_py(n: int, masks: Sequence[int]) -> int:
     return code
 
 
-def _extend_py(size: int, parents: Iterable[Sequence[int]]) -> dict[int, tuple[int, ...]]:
-    """``catalog._extend`` in Python: the reference for the kernel's
-    ``extend``, and its fallback."""
+def extend(size: int, parents: Iterable[Sequence[int]]) -> dict[int, tuple[int, ...]]:
+    """One catalog level in Python: each class reached from ``parents``, the
+    adjacency masks of the classes on size - 1 vertices, mapped from its
+    code to the masks of the first child found with it; the reference for
+    the kernel's ``extend``."""
     bit = 1 << (size - 1)
     grown: dict[int, tuple[int, ...]] = {}
     for masks in parents:
@@ -395,3 +413,27 @@ def _lowest_non_cut_last(masks: Sequence[int]) -> bool:
 
     last = f(n - 1)
     return not any(f(u) < last and connected_without(u) for u in range(n - 1))
+
+
+# --------------------------------------------------------------------------
+# The entries the kernel declines for input it leaves to Python, and this
+# module for all: the caller's own code then runs.
+# --------------------------------------------------------------------------
+
+
+def index_graph(n: int, edges: Iterable, pairs: tuple) -> None:
+    return None
+
+
+def in_palette(t: int, colors: Sequence[int]) -> bool:
+    return False
+
+
+def interval_ok(n: int, edges: Sequence[tuple[int, int]], colors: Sequence[int], t: int) -> bool:
+    return False
+
+
+def double(
+    n: int, edges: Sequence, colors: Sequence[int], t: int, pairs: tuple, provenance: list
+) -> None:
+    return None

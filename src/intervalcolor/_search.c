@@ -5,15 +5,17 @@
  * color range check of coloring.EdgeColoring (coloring._check_colors_py),
  * the structural classification of graph.classify
  * (_reference._classify_py) and the catalog level of
- * _reference._extend_py.
+ * _reference.extend. _reference is this module's Python twin, with the
+ * same seven entries and arguments, which solver._native returns where
+ * this module cannot be built or loaded.
  *
  * search(n, edges, max_m, top, bottom, budget) -> (status, nodes, last, colors)
  *
  * The descent of _reference._search_py over the palette sizes t = top,
  * top - 1, ..., bottom, 1 <= bottom <= top, of the connected graph on n
- * vertices with edges Graph.edges: pairs (a, b), a < b, strictly
- * increasing. One plan is built and one set of buffers allocated, and the
- * layers are searched in turn.
+ * vertices with edges Graph.edges: an exact list or tuple of exact pairs
+ * (a, b) of exact ints, a < b, strictly increasing. One plan is built and
+ * one set of buffers allocated, and the layers are searched in turn.
  *
  * The plan holds what _reference._Plan holds, each field equal to
  * _reference._plan_py's, which the tests check through this entry's results.
@@ -150,7 +152,7 @@
  *
  * extend(size, parents) -> {code: masks}
  *
- * One level of _reference._extend_py: parents, any iterable, gives each
+ * One level of _reference.extend: parents, any iterable, gives each
  * parent as a tuple or list of its size - 1 adjacency masks, exact ints
  * below 1 << (size - 1) without their own bit, 2 <= size <= 64. For each
  * parent in turn and each nonempty subset S of its vertices in increasing
@@ -170,7 +172,7 @@
  * a subset is skipped when an earlier one has marked it; for size - 1 above
  * ORBIT_MAX_OLD no marks are kept and every child is canonicalised. The
  * result maps each code to the masks of the first child with it, in the
- * order found, equal item for item to _extend_py's (the proof is in
+ * order found, equal item for item to _reference.extend's (the proof is in
  * catalog.py's docstring). Malformed input raises ValueError.
  *
  * Each entry takes its buffers from one Scratch, a fixed list of zeroed
@@ -362,46 +364,44 @@ static void heap_push(uint64_t *heap, Py_ssize_t *size, uint64_t key)
     heap[i] = key;
 }
 
-/* Copies Graph.edges, a list or tuple of m pairs (a, b) of vertices in
- * [0, n), a < b, strictly increasing, into edges, flat; -1 with an
- * exception set otherwise, whose ValueError names the entry and, where one
- * edge is at fault, its index. */
+/* Copies Graph.edges, an exact list or tuple of m exact pairs (a, b) of
+ * exact ints in [0, n), a < b, strictly increasing, into edges, flat, as
+ * index_graph reads them; -1 otherwise, with a ValueError that names the
+ * entry and, where one edge is at fault, its index. No Python code runs. */
 static int read_edges(PyObject *seq, Py_ssize_t n, Py_ssize_t m, long long *edges,
                       const char *entry)
 {
-    PyObject *fast = PySequence_Fast(seq, "expected a list or tuple of edges");
-    if (!fast)
+    PyObject **items, **ends;
+    Py_ssize_t size, arity;
+    if (!exact_items(seq, &items, &size) || size != m) {
+        PyErr_Format(PyExc_ValueError, "%s: edges must be a list or tuple", entry);
         return -1;
-    int ok = PySequence_Fast_GET_SIZE(fast) == m;
-    if (!ok)
-        PyErr_Format(PyExc_ValueError, "%s: expected %zd edges", entry, m);
-    for (Py_ssize_t e = 0; ok && e < m; e++) {
-        PyObject *pair =
-            PySequence_Fast(PySequence_Fast_GET_ITEM(fast, e), "expected a list or tuple");
-        ok = pair && PySequence_Fast_GET_SIZE(pair) == 2;
-        if (pair && !ok)
+    }
+    for (Py_ssize_t e = 0; e < m; e++) {
+        if (!exact_items(items[e], &ends, &arity) || arity != 2) {
             PyErr_Format(PyExc_ValueError, "%s: edge %zd is not a pair (a, b)", entry, e);
-        for (int i = 0; ok && i < 2; i++) {
-            long long v = PyLong_AsLongLong(PySequence_Fast_GET_ITEM(pair, i));
-            if (v == -1 && PyErr_Occurred())
-                ok = 0;
-            else if (v < 0 || v >= n) {
+            return -1;
+        }
+        for (int i = 0; i < 2; i++) {
+            if (!PyLong_CheckExact(ends[i])) {
+                PyErr_Format(PyExc_ValueError, "%s: edge %zd has an end that is not an int",
+                             entry, e);
+                return -1;
+            }
+            if ((edges[2 * e + i] = exact_index(ends[i], n - 1)) < 0) {
                 PyErr_Format(PyExc_ValueError, "%s: edge %zd has an end outside [0, %zd)", entry,
                              e, n);
-                ok = 0;
+                return -1;
             }
-            edges[2 * e + i] = v;
         }
-        Py_XDECREF(pair);
         long long a = edges[2 * e], b = edges[2 * e + 1];
-        if (ok && (a >= b || (e && (a < edges[2 * e - 2] ||
-                                    (a == edges[2 * e - 2] && b <= edges[2 * e - 1]))))) {
+        if (a >= b || (e && (a < edges[2 * e - 2] ||
+                             (a == edges[2 * e - 2] && b <= edges[2 * e - 1])))) {
             PyErr_Format(PyExc_ValueError, "%s: edges must be increasing pairs (a, b), a < b", entry);
-            ok = 0;
+            return -1;
         }
     }
-    Py_DECREF(fast);
-    return ok ? 0 : -1;
+    return 0;
 }
 
 /* The adjacency of the graph with the m sorted edges: deg, zeroed on entry,

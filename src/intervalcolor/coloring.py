@@ -9,14 +9,13 @@ certificates even though the solver itself rejects edgeless graphs. Unused
 colors are reported one by one while there are at most m + 1 of them, else
 as maximal runs, so a report stays O(m) for any t.
 
-The check has two implementations: ``_report`` in Python, which builds the
-full report, and the compiled kernel's ``interval_ok(n, edges, colors, t)``
-(``_search.c``), which gives only the verdict and runs first wherever it
-loads, so that a valid coloring costs no Python loop over its vertices.
-``EdgeColoring``'s range check is chosen the same way: the kernel's
-``in_palette(t, colors)`` first, and ``_check_colors_py``, the reference,
-wherever the kernel is missing or declines the colors, so that every error
-message is the Python loop's; t and the colors are plain ints on both.
+The kernel's ``interval_ok`` (``solver._native``) gives the verdict first,
+so that a valid coloring costs no Python loop over its vertices, and
+``_report`` builds the report of every other coloring. ``EdgeColoring``'s
+range check is the kernel's ``in_palette`` first, and
+``_check_colors_py``, the reference, wherever it declines the colors, so
+that every error message is the Python loop's; t and the colors are plain
+ints either way.
 
 ``Failure`` and ``ValidationReport`` are ``NamedTuple``s (see the package
 docstring); ``EdgeColoring`` is a frozen dataclass.
@@ -44,8 +43,7 @@ class EdgeColoring:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "colors", tuple(self.colors))
-        kernel = solver._native()
-        if kernel is None or not kernel.in_palette(self.t, self.colors):
+        if not solver._native().in_palette(self.t, self.colors):
             t, colors = _check_colors_py(self.t, self.colors)
             object.__setattr__(self, "t", t)
             object.__setattr__(self, "colors", colors)
@@ -93,15 +91,13 @@ _VALID = ValidationReport(True, True, True, True, ())
 def validate_interval(g: Graph, c: EdgeColoring) -> ValidationReport:
     """Full validity check; failures accumulate instead of short-circuiting.
 
-    Where the compiled kernel loads (``solver._native``), its
-    ``interval_ok`` gives the verdict first, and a valid coloring gets the
-    shared all-true report. Any other coloring, a t above the edge count
-    (never surjective, and possibly too large for C) and a run without the
-    kernel get ``_report``, whose verdict ``interval_ok`` equals.
+    The kernel's ``interval_ok`` gives the verdict first, and a valid
+    coloring gets the shared all-true report. Any other coloring, and a t
+    above the edge count (never surjective, and possibly too large for C),
+    get ``_report``, whose verdict ``interval_ok`` equals.
     """
     _check_sized(g, c)
-    kernel = solver._native()
-    if kernel is not None and c.t <= g.m and kernel.interval_ok(g.n, g.edges, c.colors, c.t):
+    if c.t <= g.m and solver._native().interval_ok(g.n, g.edges, c.colors, c.t):
         return _VALID
     return _report(g, c)
 

@@ -15,15 +15,13 @@ such index is chosen, for reproducibility) yields an interval
 validated once; a failure of the latter, or of any structural check, is an
 internal defect, since the construction cannot fail on valid input.
 
-The pipeline has two implementations, chosen at call time through
-``solver._native()``. The reference and fallback is Python: G's domain,
-then alpha's check, and only then H (``double_graph``), beta
-(``lift_coloring``) and ``finalize_recolor``. The
-compiled kernel's ``double(n, edges, colors, t, pairs, provenance)``
-(``_search.c``) does the same work in one call. It checks that alpha is an
-interval t-coloring of a connected G, emits H's edges already in canonical
-order with a provenance and a beta color each, and picks i0 and the final
-coloring. The edges are ``graph._PAIRS``'s shared tuples (below 64
+The pipeline has two implementations. The reference is Python: G's
+domain, then alpha's check, and only then H (``double_graph``), beta
+(``lift_coloring``) and ``finalize_recolor``. The kernel's ``double``
+(``solver._native``) does the same work in one call. It checks that alpha
+is an interval t-coloring of a connected G, emits H's edges already in
+canonical order with a provenance and a beta color each, and picks i0 and
+the final coloring. The edges are ``graph._PAIRS``'s shared tuples (below 64
 vertices) and the provenance the shared objects of ``_PROVENANCE``, so the
 kernel path does no per-edge Python work and builds no pair that
 ``Graph(H)``, which still checks H's edges, would throw away. It makes
@@ -202,15 +200,14 @@ def finalize_recolor(
 def double_with_certificate(g: Graph, alpha: EdgeColoring) -> DoublingCertificate:
     """Full pipeline: build H, lift, recolor and validate, package.
 
-    The kernel's ``double`` runs where it loads and alpha has one color per
-    edge and t <= m; the Python path runs otherwise, and wherever the
-    kernel finds a check failing (module docstring). That path checks g's
-    domain, then alpha, and only then builds H."""
-    kernel = solver._native()
+    The kernel's ``double`` runs where alpha has one color per edge and
+    t <= m; the Python path runs otherwise, and wherever the kernel declines
+    (module docstring). That path checks g's domain, then alpha, and only
+    then builds H."""
     n, t = g.n, alpha.t
-    if kernel is not None and len(alpha.colors) == g.m and t <= g.m:
+    if len(alpha.colors) == g.m and t <= g.m:
         table = _provenance_table(max(g.m, n))
-        built = kernel.double(n, g.edges, alpha.colors, t, _PAIRS, table)
+        built = solver._native().double(n, g.edges, alpha.colors, t, _PAIRS, table)
         if built is not None:
             h_edges, provenance, beta, i0, final = built
             result = DoublingResult(

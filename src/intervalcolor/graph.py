@@ -5,27 +5,19 @@ stored as ``(i, j)`` with ``i < j``, deduplicated, and sorted
 lexicographically, so any two construction paths to the same edge set yield
 identical ``Graph`` values.
 
-A ``Graph``'s canonical edges have two builders, chosen at construction
-time through ``solver._native()``: the compiled kernel's ``index_graph``
-(``_search.c``), which runs first wherever it loads, and ``_index_py``, the
-reference. The kernel takes exact ints in exact lists or tuples only and
-returns None for any input it does not accept (a loop, an endpoint out of
-range, n < 1, a pair of other than two entries, anything that is not an
-int); ``_index_py`` then runs, so every error, and every input the kernel
-leaves alone, is handled as by the Python code alone. Both give equal
-edges, and both use the shared tuples of ``_PAIRS``. ``adjacency`` and
-``incidence`` are built on first use, from the canonical edges, by
-``_index_lists`` on either path: the kernel's entries take ``n`` and
+A ``Graph``'s canonical edges come from the kernel's ``index_graph``
+(``solver._native``), which takes exact ints in exact lists or tuples only
+and declines (None) any other input: a loop, an endpoint out of range,
+n < 1, a pair of other than two entries, anything that is not an int.
+``_index_py``, the reference, then runs, so every error is the Python
+code's. Both give equal edges, and both use the shared tuples of
+``_PAIRS``. ``adjacency`` and ``incidence`` are built on first use, from the
+canonical edges, by ``_index_lists``: the kernel's entries take ``n`` and
 ``edges``, so a survey builds them for no graph.
 
-``classify`` is chosen the same way on a graph's first call, and the graph
-keeps its class as it keeps its lists: the kernel's ``classify``, one BFS,
-a triangle test by merging sorted neighbour lists and the degree extremes
-in C, or ``_classify_py``, the reference, with equal ``GraphClass`` fields.
-The reference runs only without the kernel, so it lives in ``_reference``,
-which ``classify`` imports only then; ``_index_py`` stays here, since it
-raises every error on either path. ``classify`` gives ``is_connected``,
-``max_degree`` and the domain guard their facts.
+``classify`` is the kernel's ``classify`` on a graph's first call, and the
+graph keeps its class as it keeps its lists. ``classify`` gives
+``is_connected``, ``max_degree`` and the domain guard their facts.
 
 ``GraphClass`` is a ``NamedTuple`` (see the package docstring); ``Graph``
 is a frozen dataclass.
@@ -69,8 +61,7 @@ class Graph:
     _class: GraphClass | None = field(default=None, init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
-        kernel = solver._native()
-        edges = None if kernel is None else kernel.index_graph(self.n, self.edges, _PAIRS)
+        edges = solver._native().index_graph(self.n, self.edges, _PAIRS)
         if edges is None:
             object.__setattr__(self, "n", operator.index(self.n))
             edges = _index_py(self.n, self.edges)
@@ -120,7 +111,7 @@ def _index_py(n: int, edges: Iterable) -> tuple[tuple[int, int], ...]:
 
 def _index_lists(n: int, edges: tuple[tuple[int, int], ...]) -> tuple[tuple, tuple]:
     """The adjacency and incidence of the graph on n vertices with the
-    canonical ``edges``, for ``Graph`` on either path. The neighbours are the
+    canonical ``edges``, for ``Graph``. The neighbours are the
     edges' own ints, and each edge index one int at both ends."""
     adj: list[list[int]] = [[] for _ in range(n)]
     inc: list[list[int]] = [[] for _ in range(n)]
@@ -178,19 +169,10 @@ def require_connected_with_edge(g: Graph) -> GraphClass:
 
 
 def classify(g: Graph) -> GraphClass:
-    """g's ``GraphClass``, computed on g's first call and kept on g: by the
-    kernel's ``classify`` where it loads (``solver._native``), and by
-    ``_reference._classify_py``, the reference, elsewhere; the two give
-    equal fields."""
+    """g's ``GraphClass``, computed by the kernel's ``classify``
+    (``solver._native``) on g's first call and kept on g."""
     if g._class is None:
-        kernel = solver._native()
-        if kernel is None:
-            from . import _reference  # only a process without the kernel needs it
-
-            cls = _reference._classify_py(g)
-        else:
-            cls = GraphClass._make(kernel.classify(g.n, g.edges))
-        object.__setattr__(g, "_class", cls)
+        object.__setattr__(g, "_class", GraphClass._make(solver._native().classify(g.n, g.edges)))
     return g._class
 
 

@@ -6,13 +6,12 @@ registered upper bound down to the maximum degree, so the first feasible t
 is W, and ``find_interval_coloring`` over its one t. The descent sets up
 once per graph and makes one search call, which decides the layers by
 backtracking, one after another, with one node budget shared across them.
-The testing oracle that enumerates every assignment lives in ``oracle``.
 
-The set-up is an overfull test (``_overfull``), then the search plan
-(``_reference._Plan``) and a ceiling proven for the instance. An overfull
-graph has no interval coloring at all, so it is decided with no plan, and
-no interval coloring uses more than 1 + max D colors (D below), so layers
-above the ceiling are infeasible at a cost of 0 nodes.
+The set-up is an overfull test (``_overfull``), then the search plan and a
+ceiling proven for the instance. An overfull graph has no interval coloring
+at all, so it is decided with no plan, and no interval coloring uses more
+than 1 + max D colors (D below), so layers above the ceiling are infeasible
+at a cost of 0 nodes.
 
 Search strategy (deterministic): edges are ordered by a breadth-first
 traversal from a maximum-degree vertex (ties broken by lowest vertex index)
@@ -86,23 +85,17 @@ after[j] = k, and the search starts edge j's colors above edge k's color.
 Where several twin pairs name the same j it keeps the latest k only: keeping
 fewer constraints is always sound. K2 has twins but no moved edge.
 
-The loop has two implementations that read the same plan and visit the
-same nodes in the same order, so status, node count, last t and colors
-(the witness, or an aborted layer's partial coloring) agree on every range
-of layers. ``_search.c`` is the loop in C, compiled on first use by
-``_native``; on the same search calls (``compute_W`` over the n = 6
-catalog, 200 graphs of n = 7 and the doubled graphs) it expands 90 to 150
-times as many nodes per second as the Python loop. It takes a node's least
-candidate a word at a time, from the two ends' color masks and a mask of
-the colors on any edge, which surjectivity consults. ``_descend`` runs it
-when it loads. The reference, ``_search_py``, lives in ``_reference``,
-which ``_descend`` imports only where the kernel does not load (no
-compiler, no headers, a read-only install) and runs there instead. The
-plan has two implementations too: one routine in C that the kernel's
-``search`` runs first, so one call plans, caps the palette at the ceiling
-and searches, and no plan crosses into Python, and ``_reference._plan_py``,
-the reference and the Python loop's plan; the tests check the C plan
-through ``search``'s results. Both group twins in memory linear in n + m.
+The search is the kernel's ``search`` (``_native``), one call that plans,
+caps the palette at the ceiling and searches, so no plan crosses into
+Python. Its C loop and the Python twin's (``_reference._plan_py`` and
+``_search_py``) read the same plan and visit the same nodes in the same
+order, so status, node count, last t and colors (the witness, or an
+aborted layer's partial coloring) agree on every range of layers. On the
+same search calls (``compute_W`` over the n = 6 catalog, 200 graphs of
+n = 7 and the doubled graphs) the C loop expands 90 to 150 times as many
+nodes per second. It takes a node's least candidate a word at a time, from
+the two ends' color masks and a mask of the colors on any edge, which
+surjectivity consults. Both plans group twins in memory linear in n + m.
 """
 
 from __future__ import annotations
@@ -192,21 +185,20 @@ def _overfull(g: Graph, max_degree: int) -> bool:
     return g.m > max_degree * (g.n // 2)
 
 
-def _proven_ceiling(g: Graph, longest: int | None, cap: int) -> int:
-    """Largest palette size the path ceiling leaves for g.
+def _proven_ceiling(g: Graph, cap: int) -> int:
+    """Largest palette size the path ceiling leaves for g, a graph whose
+    plan has no matrix.
 
-    Every interval t-coloring has t <= 1 + max D (module docstring).
-    ``longest`` is max D from the plan's matrix, or None when the plan has
-    none; then the distances are computed one edge at a time, stopping once
-    the ceiling reaches ``cap``, the largest t the caller asks about, so the
-    result is exact below cap and at least cap otherwise.
+    Every interval t-coloring has t <= 1 + max D (module docstring). The
+    distances are computed one edge at a time, stopping once the ceiling
+    reaches ``cap``, the largest t the caller asks about, so the result is
+    exact below cap and at least cap otherwise.
     """
-    if longest is None:
-        longest = 0
-        for row in _distance_rows(g.adjacency, g.degrees(), g.edges):
-            longest = max(longest, max(row))
-            if longest + 1 >= cap:
-                break
+    longest = 0
+    for row in _distance_rows(g.adjacency, g.degrees(), g.edges):
+        longest = max(longest, max(row))
+        if longest + 1 >= cap:
+            break
     return 1 + longest
 
 
@@ -266,16 +258,20 @@ def _build_target(source: Path, command: list[str]) -> Path:
 
 @functools.cache
 def _native():
-    """The compiled module ``_search.c`` (the search kernel, which plans, the
-    coloring check, the doubling, ``Graph``'s fields, ``EdgeColoring``'s
-    range check, ``classify``'s ``GraphClass`` and the catalog's
-    ``extend``), or None where it cannot run.
+    """The kernel: the compiled module ``_search.c``, or its Python twin
+    ``_reference`` where that cannot be built or loaded.
 
-    It is built on first use into the package's ``__pycache__``, under the
-    name ``_build_target`` gives, and written to a private file renamed
-    into place, so concurrent first uses never load a partial file; a build
-    removes those of other sources. Without a compiler, headers or a
-    writable directory the Python code runs instead.
+    This is where the package chooses, once per process. Both modules have
+    the same seven entries, with the same arguments and results: ``search``
+    (which plans), ``classify``, ``extend``, ``index_graph``,
+    ``in_palette``, ``interval_ok`` and ``double``. Every caller runs
+    ``_native().<entry>(...)``, and where an entry declines (None or
+    False), its own Python code. The C module is built on first use into
+    the package's ``__pycache__``, under the name ``_build_target`` gives,
+    and written to a private file renamed into place, so concurrent first
+    uses never load a partial file; a build removes those of other sources.
+    Without a compiler, headers or a writable directory, ``_reference`` is
+    imported instead, so a process with the C module never imports it.
     """
     source = Path(__file__).with_name("_search.c")
     try:
@@ -291,8 +287,8 @@ def _native():
                     [*command, "-o", str(partial)], capture_output=True, check=True, timeout=120
                 )
                 os.replace(partial, target)
-            except subprocess.SubprocessError:
-                return None
+            except subprocess.SubprocessError as failed:
+                raise ImportError("the kernel did not build") from failed
             finally:
                 partial.unlink(missing_ok=True)
             code = target.name.split("-", 2)[1]  # this source's other builds stay
@@ -303,9 +299,11 @@ def _native():
         spec = importlib.util.spec_from_file_location(f"{__package__}._search", target)
         kernel = importlib.util.module_from_spec(spec)
         spec.loader.exec_module(kernel)
+        return kernel
     except (OSError, ImportError):
-        return None
-    return kernel
+        from . import _reference
+
+        return _reference
 
 
 _STATUS = (SolveStatus.INFEASIBLE, SolveStatus.FOUND, SolveStatus.ABORTED)
@@ -321,29 +319,21 @@ def _descend(
     re-validated witness of the first feasible t, INFEASIBLE when every
     layer is, or ABORTED once the node limit (0 = unlimited), shared by all
     layers, runs out. ``last_explored`` is the last t fully decided. Layers
-    above the ceiling are infeasible at 0 nodes; the rest take one search
-    call: the kernel's ``search``, which plans and caps top at its matrix's
-    ceiling (``_proven_ceiling`` caps it first for a graph without one), or
-    ``_reference._search_py`` on ``_reference._plan_py``'s plan, capped
-    here. Both give the same status, nodes, last t and colors. An overfull
-    graph gets no plan.
+    above the ceiling are infeasible at 0 nodes, and an overfull graph gets
+    no plan. Every other graph takes one ``search`` call, which plans and
+    caps top at its matrix's ceiling; ``_proven_ceiling`` caps it first for
+    a graph without one.
     """
-    kernel = _native()
     if _overfull(g, max_degree):
         high = 0
-    elif kernel is None:
-        from . import _reference  # only a process without the kernel needs it
-
-        plan = _reference._plan_py(g)
-        search, args = _reference._search_py, (g.n, *plan[:5])
-        high = min(top, _proven_ceiling(g, plan.longest, cap=top))
     else:
-        search, args = kernel.search, (g.n, g.edges, DISTANCE_MAX_M)
-        high = top if g.m <= DISTANCE_MAX_M else min(top, _proven_ceiling(g, None, cap=top))
+        high = top if g.m <= DISTANCE_MAX_M else min(top, _proven_ceiling(g, cap=top))
     if high < bottom:  # every layer, if any, lies above the ceiling
         return SolveStatus.INFEASIBLE, None, 0, bottom if bottom <= top else None
     # No search reaches 2**63 - 1 nodes, the kernel's largest budget.
-    code, nodes, last, colors = search(*args, high, bottom, min(node_limit, 2**63 - 1))
+    code, nodes, last, colors = _native().search(
+        g.n, g.edges, DISTANCE_MAX_M, high, bottom, min(node_limit, 2**63 - 1)
+    )
     if code != 1:
         return _STATUS[code], None, nodes, last if last <= top else None
     witness = EdgeColoring(last, tuple(colors))

@@ -3,6 +3,14 @@ from __future__ import annotations
 import pytest
 
 from intervalcolor import Graph, compute_W, double_with_certificate, generate_connected_catalog
+from intervalcolor import _reference, solver
+
+
+def force_python_path(patch: pytest.MonkeyPatch) -> None:
+    """Run the kernel's Python twin, ``_reference``, in place of the compiled
+    kernel while ``patch`` lasts, as where the kernel cannot be built:
+    ``solver._native`` returns it."""
+    patch.setattr(solver, "_native", lambda: _reference)
 
 
 @pytest.fixture(scope="session")

@@ -11,10 +11,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .coloring import EdgeColoring, validate_interval
-from .errors import DomainError, InternalInvariantError
-from .graph import Graph
-from .solver import SolveOutcome, SolveStatus
+from intervalcolor import DomainError, EdgeColoring, Graph, InternalInvariantError
+from intervalcolor import SolveOutcome, SolveStatus, validate_interval
 
 _ORACLE_EDGE_LIMIT = 10
 _ORACLE_T_LIMIT = 8

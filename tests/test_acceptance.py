@@ -16,7 +16,6 @@ from intervalcolor import (
     Graph,
     SolveOutcome,
     SolveStatus,
-    brute_force_W,
     classify,
     compute_W,
     double_with_certificate,
@@ -27,6 +26,7 @@ from intervalcolor import (
     write_graph6,
     write_survey_csv,
 )
+from oracle import brute_force_W
 from smallgraphs import c4, k2, k3, k4, p3, star
 
 EXPECTED_CATALOG_SIZES = {2: 1, 3: 2, 4: 6, 5: 21}

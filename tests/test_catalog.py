@@ -17,8 +17,9 @@ from intervalcolor import (
     write_graph6,
 )
 from intervalcolor import _reference, solver
-from intervalcolor._reference import _extend_py, _min_code_py
+from intervalcolor._reference import _min_code_py
 from intervalcolor.graph import _code_from_edges
+from conftest import force_python_path
 from smallgraphs import c4, k3, k4, p4, star
 
 KNOWN_CONNECTED_COUNTS = {1: 1, 2: 1, 3: 2, 4: 6, 5: 21, 6: 112, 7: 853, 8: 11117}  # OEIS A001349
@@ -88,7 +89,7 @@ class TestMinimumEncoding:
 
 
 class TestExtend:
-    """One catalog level: the kernel's ``extend`` against ``_extend_py``."""
+    """One catalog level: the kernel's ``extend`` against its Python twin's."""
 
     # Children that pass the minimum-degree non-cut filter, and so are
     # canonicalised, at sizes 2..7; all 7,815 candidates were before it.
@@ -96,7 +97,7 @@ class TestExtend:
 
     def test_kernel_loads_here(self):
         # Without it the tests below would compare the Python level with itself.
-        assert solver._native() is not None
+        assert solver._native() is not _reference
 
     def test_kernel_agrees_on_seeded_parents(self):
         # Each parent is a seeded graph on 1..8 vertices, connected or not,
@@ -110,14 +111,14 @@ class TestExtend:
             pairs = [(i, j) for j in range(size - 1) for i in range(j) if rng.random() < p]
             parent = tuple(masks_of(Graph(size - 1, tuple(pairs))))
             native = kernel.extend(size, [parent])
-            assert list(native.items()) == list(_extend_py(size, [parent]).items()), parent
+            assert list(native.items()) == list(_reference.extend(size, [parent]).items()), parent
 
     def test_kernel_agrees_past_64_code_bits(self):
         # K11 plus a vertex: 66 code bits, past one C integer, and a search
         # kept short by the twins on each side of the new vertex.
         parent = tuple(((1 << 11) - 1) & ~(1 << v) for v in range(11))
         native = solver._native().extend(12, [parent])
-        assert list(native.items()) == list(_extend_py(12, [parent]).items())
+        assert list(native.items()) == list(_reference.extend(12, [parent]).items())
         assert len(native) == 11 and max(native).bit_length() == 66
 
     def test_kernel_agrees_on_symmetric_parents(self):
@@ -158,12 +159,12 @@ class TestExtend:
         kernel = solver._native()
         for n, masks in parents:
             native = kernel.extend(n + 1, [masks])
-            assert list(native.items()) == list(_extend_py(n + 1, [masks]).items()), masks
+            assert list(native.items()) == list(_reference.extend(n + 1, [masks]).items()), masks
         # Several symmetric parents in one call, as a catalog level passes
         # them: the marks of one parent's orbits must not carry over.
         level = [masks for _, masks in (cycle(6), complete_bipartite(3, 3), complete_bipartite(1, 5),
                                         union(k3, k3), complete[5], edgeless[5])]
-        assert list(kernel.extend(7, level).items()) == list(_extend_py(7, level).items())
+        assert list(kernel.extend(7, level).items()) == list(_reference.extend(7, level).items())
 
     def test_an_edgeless_parent_of_twelve_vertices(self):
         # Each subset S of an edgeless parent gives a child isomorphic to
@@ -192,7 +193,7 @@ class TestExtend:
         kernel = solver._native()
         level = {0: (0,)}
         for size in range(2, 8):
-            grown = _extend_py(size, level.values())
+            grown = _reference.extend(size, level.values())
             native = kernel.extend(size, level.values())
             assert list(native.items()) == list(grown.items()), size
             assert len(grown) == KNOWN_CONNECTED_COUNTS[size]
@@ -208,7 +209,7 @@ class TestExtend:
         monkeypatch.setattr(_reference, "_min_code_py", counted)
         level = {0: (0,)}
         for size in range(2, 8):
-            level = _extend_py(size, level.values())
+            level = _reference.extend(size, level.values())
         assert {size: calls.count(size) for size in range(2, 8)} == self.KEPT
 
     def test_kernel_rejects_bad_input(self):
@@ -236,7 +237,7 @@ class TestCatalog:
         assert sum(1 for _ in generate_connected_catalog(7)) == KNOWN_CONNECTED_COUNTS[7]
 
     def test_n8_count_and_digest(self):
-        if solver._native() is None:
+        if solver._native() is _reference:
             pytest.skip("n = 8 takes about 15 s without the kernel")
         lines = [write_graph6(g) for g in generate_connected_catalog(8)]
         assert len(lines) == KNOWN_CONNECTED_COUNTS[8]
@@ -244,7 +245,7 @@ class TestCatalog:
 
     def test_python_reference_gives_the_same_catalogs(self, catalogs, monkeypatch):
         native_seven = list(generate_connected_catalog(7))
-        monkeypatch.setattr(solver, "_native", lambda: None)
+        force_python_path(monkeypatch)
         for n in range(1, 7):
             assert list(generate_connected_catalog(n)) == catalogs[n]
         assert list(generate_connected_catalog(7)) == native_seven

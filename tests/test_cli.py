@@ -10,9 +10,10 @@ from pathlib import Path
 import pytest
 
 import intervalcolor
-from intervalcolor import EdgeColoring, Graph, coloring_to_json, solver, write_graph6
+from intervalcolor import EdgeColoring, Graph, coloring_to_json, write_graph6
 from intervalcolor.cli import main
 from intervalcolor.graph import EDGE_LIST_MAX_N
+from conftest import force_python_path
 from smallgraphs import c4, k3
 
 try:
@@ -467,7 +468,7 @@ BOTH_PATHS = [
 
 class TestWithoutTheKernel:
     """Each command gives the same stdout, stderr and exit code on the
-    Python path, with ``solver._native`` giving None, as with the kernel."""
+    Python path, with ``solver._native`` giving the twin, as with the kernel."""
 
     @pytest.mark.parametrize("expected, line", BOTH_PATHS, ids=[line for _, line in BOTH_PATHS])
     def test_same_output(self, capsys, monkeypatch, tmp_path, expected, line):
@@ -481,6 +482,6 @@ class TestWithoutTheKernel:
                 (tmp_path / name).write_text(text(argv[at]))
                 argv[at] = str(tmp_path / name)
         native = run(capsys, argv)
-        monkeypatch.setattr(solver, "_native", lambda: None)
+        force_python_path(monkeypatch)
         assert run(capsys, argv) == native
         assert native[0] == expected

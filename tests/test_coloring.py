@@ -18,6 +18,7 @@ from intervalcolor import (
 from intervalcolor import coloring, solver
 from intervalcolor.coloring import _VALID, _report
 from intervalcolor.solver import _native
+from conftest import force_python_path
 from smallgraphs import c4, corruptions, k2, k3, p3
 
 
@@ -46,7 +47,7 @@ def on_both_paths(build):
     for native in (True, False):
         with pytest.MonkeyPatch.context() as patch:
             if not native:
-                patch.setattr(solver, "_native", lambda: None)
+                force_python_path(patch)
             try:
                 seen.append(build())
             except Exception as exc:  # compared below

@@ -28,6 +28,7 @@ from intervalcolor import _reference, doubling, solver
 from intervalcolor.coloring import _VALID
 from intervalcolor.doubling import CrossEdge, MatchingEdge
 from intervalcolor.graph import _PAIRS
+from conftest import force_python_path
 from smallgraphs import c4, corruptions, k2, k3, k4, p3, two_k2
 
 
@@ -279,7 +280,7 @@ class TestCertificateWithoutKernel(TestCertificate):
 
     @pytest.fixture(autouse=True)
     def python_path(self, monkeypatch):
-        monkeypatch.setattr(solver, "_native", lambda: None)
+        force_python_path(monkeypatch)
 
 
 def both_paths(g: Graph, alpha: EdgeColoring):
@@ -293,7 +294,7 @@ def both_paths(g: Graph, alpha: EdgeColoring):
         patch.setattr(doubling, "double_graph", refuse)
         native = double_with_certificate(g, alpha)
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(solver, "_native", lambda: None)
+        force_python_path(patch)
         reference = double_with_certificate(g, alpha)
     return native, reference
 
@@ -318,7 +319,7 @@ def raised_on_both_paths(g: Graph, alpha: EdgeColoring) -> type:
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(doubling, "Graph", refuse_graph)
             if not native:
-                patch.setattr(solver, "_native", lambda: None)
+                force_python_path(patch)
             with pytest.raises(Exception) as info:
                 double_with_certificate(g, alpha)
         seen.append((type(info.value), str(info.value)))
@@ -405,7 +406,7 @@ class TestNativeDouble:
         # certificate holds the table's own values, and the path leaves
         # the table as it was.
         monkeypatch.setattr(doubling, "_PROVENANCE", [])
-        monkeypatch.setattr(solver, "_native", lambda: None)
+        force_python_path(monkeypatch)
         small = double_with_certificate(p3(), EdgeColoring(2, (1, 2)))
         shared = {id(prov) for prov in doubling._PROVENANCE}
         assert all(id(prov) in shared for prov in small.result.edge_provenance)
@@ -420,7 +421,7 @@ class TestNativeDouble:
             for native in (True, False):
                 with pytest.MonkeyPatch.context() as patch:
                     if not native:
-                        patch.setattr(solver, "_native", lambda: None)
+                        force_python_path(patch)
                     with pytest.raises(TypeError) as info:
                         EdgeColoring(t, colors)
                 seen.append(str(info.value))
@@ -434,7 +435,7 @@ class TestNativeDouble:
         for native in (True, False):
             with pytest.MonkeyPatch.context() as patch:
                 if not native:
-                    patch.setattr(solver, "_native", lambda: None)
+                    force_python_path(patch)
                 for t, colors in ((2, (True, 2)), (np.int64(2), np.array([1, 2]))):
                     alpha = EdgeColoring(t, colors)
                     assert alpha == EdgeColoring(2, (1, 2))
@@ -483,7 +484,7 @@ class TestNativeDouble:
         # then builds H: a rejected alpha builds no H on either path, and
         # each fresh g is traversed once, by _classify_py alone, however
         # many of its colorings are rejected.
-        assert solver._native() is not None
+        assert solver._native() is not _reference
         sources = []
         for n in range(2, 7):
             for g in catalogs[n]:
@@ -495,7 +496,7 @@ class TestNativeDouble:
             cases = [(g, bad) for g, bads in fresh for bad in bads]
             with pytest.MonkeyPatch.context() as patch:
                 if not native:
-                    patch.setattr(solver, "_native", lambda: None)
+                    force_python_path(patch)
                 traversed = []
                 traverse = _reference._traverse
                 patch.setattr(_reference, "_traverse", lambda g: traversed.append(g) or traverse(g))
@@ -507,7 +508,7 @@ class TestNativeDouble:
         assert len(cases) == 3 * 127 - 2  # K2 has the gap corruption alone
 
     def test_a_python_certificate_validates_alpha_and_final_once(self, monkeypatch):
-        monkeypatch.setattr(solver, "_native", lambda: None)
+        force_python_path(monkeypatch)
         calls = []
         validate = doubling.validate_interval
         monkeypatch.setattr(

@@ -28,8 +28,8 @@ from intervalcolor import (
     find_interval_coloring,
     generate_connected_catalog,
 )
-from intervalcolor import solver
 from intervalcolor.solver import outcome_to_json
+from conftest import force_python_path
 
 NODE_TOTALS = {2: 1, 3: 2, 4: 40, 5: 385}
 GOLDEN_LINES = 53
@@ -45,7 +45,7 @@ def implementation(name: str):
     """Search with the compiled kernel, or with the Python loop."""
     with pytest.MonkeyPatch.context() as patch:
         if name == "python":
-            patch.setattr(solver, "_native", lambda: None)
+            force_python_path(patch)
         yield
 
 

@@ -29,6 +29,7 @@ from intervalcolor.graph import (
     _index_lists,
     _index_py,
 )
+from conftest import force_python_path
 from smallgraphs import c4, k1, k2, k3, two_k2
 
 
@@ -91,7 +92,7 @@ def on_both_paths(build) -> Graph:
     for native in (True, False):
         with pytest.MonkeyPatch.context() as patch:
             if not native:
-                patch.setattr(solver, "_native", lambda: None)
+                force_python_path(patch)
             built.append(build())
     assert built[0] == built[1]
     return built[0]
@@ -106,7 +107,7 @@ def raised_on_both_paths(n, edges) -> type:
     for native in (True, False):
         with pytest.MonkeyPatch.context() as patch:
             if not native:
-                patch.setattr(solver, "_native", lambda: None)
+                force_python_path(patch)
             with pytest.raises(Exception) as info:
                 Graph(n, edges)
         seen.append((type(info.value), str(info.value)))
@@ -190,7 +191,7 @@ class TestNativeIndex:
             for native in (True, False):
                 with pytest.MonkeyPatch.context() as patch:
                     if not native:
-                        patch.setattr(solver, "_native", lambda: None)
+                        force_python_path(patch)
                     g = Graph(*make())
                 built.append((g.n, g.edges, g.adjacency, g.incidence))
             assert built[0] == built[1], make()
@@ -246,7 +247,7 @@ class TestListsOnFirstUse:
             for native in (True, False):
                 with pytest.MonkeyPatch.context() as patch:
                     if not native:
-                        patch.setattr(solver, "_native", lambda: None)
+                        force_python_path(patch)
                     fresh = Graph(g.n, g.edges)
                     assert fresh._lists is None
                     built.append((fresh.adjacency, fresh.incidence))
@@ -267,7 +268,7 @@ class TestListsOnFirstUse:
         # survey --gen-n 6 --with-doubling on the kernel path: classify,
         # the plan, the search, the checks and the doubling read n and the
         # edges only, so no graph, H included, builds its lists.
-        assert solver._native() is not None
+        assert solver._native() is not _reference
         built = []
         monkeypatch.setattr(graph, "_index_lists", lambda n, edges: built.append(n))
         rows = list(run_survey(generate_connected_catalog(6), with_doubling=True))
@@ -310,7 +311,7 @@ class TestClassOnFirstUse:
                 for native in (first, not first):
                     with pytest.MonkeyPatch.context() as patch:
                         if not native:
-                            patch.setattr(solver, "_native", lambda: None)
+                            force_python_path(patch)
                         kept.append(classify(fresh))
             assert kept[0] is kept[1] and kept[2] is kept[3], g.edges  # the slot, read
             assert kept[0] == kept[2] == classify_on_both_paths(g), g.edges
@@ -330,7 +331,7 @@ class TestClassOnFirstUse:
         # compute_W read each graph's class, and each survey's doubling
         # classifies the 23 new H it builds once each.
         graphs = [Graph(g.n, g.edges) for n in range(2, 6) for g in catalogs[n]]
-        monkeypatch.setattr(solver, "_native", lambda: None)
+        force_python_path(monkeypatch)
         classified = []
         classify_py = _reference._classify_py
         monkeypatch.setattr(

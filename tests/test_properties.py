@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 from intervalcolor import (
     EdgeColoring,
     Graph,
-    brute_force_W,
     classify,
     compute_W,
     double_graph,
@@ -20,6 +19,7 @@ from intervalcolor import (
     validate_interval,
     write_graph6,
 )
+from oracle import brute_force_W
 
 
 @st.composite

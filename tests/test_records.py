@@ -166,8 +166,8 @@ def test_import_processes_four_dataclasses():
 def test_the_kernel_path_imports_no_reference(tmp_path):
     # Fresh interpreters, one per path: this one has imported the references
     # for the tests. With the kernel, the library calls and the CLI commands
-    # leave _reference unimported; with _native giving None they import it
-    # and print the same results.
+    # leave _reference unimported; on the Python path (conftest's
+    # force_python_path) they import it and print the same results.
     g = c4()
     graph = tmp_path / "c4.g6"
     graph.write_text("Cl\n")
@@ -183,8 +183,10 @@ def test_the_kernel_path_imports_no_reference(tmp_path):
         "from intervalcolor.cli import main\n"
         "path, graph, valid, invalid = sys.argv[1:]\n"
         "if path == 'python':\n"
-        "    solver._native = lambda: None\n"
-        "assert (solver._native() is None) == (path == 'python')\n"
+        "    import pytest\n"
+        "    from conftest import force_python_path\n"
+        "    force_python_path(pytest.MonkeyPatch())\n"
+        "assert (solver._native().__name__ == 'intervalcolor._reference') == (path == 'python')\n"
         "g = parse_graph6('Cl')\n"
         "results = [\n"
         "    compute_W(g),\n"
@@ -210,7 +212,7 @@ def test_the_kernel_path_imports_no_reference(tmp_path):
         "print('intervalcolor._reference' in sys.modules)"
     )
     src = str(Path(intervalcolor.__file__).resolve().parents[1])
-    env = {**os.environ, "PYTHONPATH": src}
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, str(Path(__file__).parent)])}
     printed = {}
     for path in ("kernel", "python"):
         result = subprocess.run(

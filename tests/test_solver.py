@@ -1,8 +1,10 @@
 from __future__ import annotations
 
+import inspect
 import json
 import os
 import random
+import re
 import shutil
 import signal
 import subprocess
@@ -27,7 +29,6 @@ from intervalcolor import (
     SolveStatus,
     applicable_bounds,
     best_upper_bound,
-    brute_force_W,
     classify,
     compute_W,
     find_interval_coloring,
@@ -50,6 +51,8 @@ from intervalcolor.solver import (
     _STATUS,
     outcome_to_json,
 )
+from conftest import force_python_path
+from oracle import brute_force_W
 from smallgraphs import c4, cycle, k2, k3, k4, k5, p3, p4, star, two_k2
 
 
@@ -111,8 +114,12 @@ class TestFindIntervalColoring:
 
     def test_takes_its_domain_and_degree_from_classify(self, catalogs):
         # As in compute_W: the kernel's classify builds no lists, and
-        # _classify_py makes the call's one _traverse and one degrees().
-        assert _native() is not None
+        # _classify_py makes the call's one _traverse and one degrees(). The
+        # twins take n and the edges, as the kernel does, and build their own
+        # Graph, so the Python path builds lists three times: for classify
+        # (142 graphs), for the search (the 137 that are not overfull) and,
+        # on g itself, for _report's check of each of the 121 witnesses.
+        assert _native() is not _reference
         sources = [g for n in range(2, 7) for g in catalogs[n]]
         deltas = [classify(g).max_degree for g in sources]
         for native in (True, False):
@@ -120,7 +127,7 @@ class TestFindIntervalColoring:
             traversed, indexed, degrees = [], [], []
             with pytest.MonkeyPatch.context() as patch:
                 if not native:
-                    patch.setattr(solver, "_native", lambda: None)
+                    force_python_path(patch)
                 patch.setattr(_reference, "_traverse", counted(_reference._traverse, traversed))
                 patch.setattr(
                     graph_module, "_index_lists", counted(graph_module._index_lists, indexed)
@@ -129,16 +136,16 @@ class TestFindIntervalColoring:
                 for g, delta in zip(graphs, deltas):
                     find_interval_coloring(g, delta)
             counts = len(traversed), len(indexed), len(degrees)
-            assert counts == ((0, 0, 0) if native else (142, 142, 142)), native
+            assert counts == ((0, 0, 0) if native else (142, 142 + 137 + 121, 142)), native
 
     @pytest.mark.parametrize("native", [True, False], ids=["kernel", "python"])
     def test_palette_arguments_are_plain_ints(self, native, monkeypatch):
         # t, node_limit and t_override go through operator.index on entry, so
         # a float raises the same TypeError on both paths, and a numpy int
         # leaves no numpy int in the outcome or its JSON.
-        assert _native() is not None
+        assert _native() is not _reference
         if not native:
-            monkeypatch.setattr(solver, "_native", lambda: None)
+            force_python_path(monkeypatch)
         calls = [
             lambda: find_interval_coloring(c4(), 3.0),
             lambda: SearchLimits(node_limit=1.5),
@@ -174,11 +181,11 @@ class TestComputeW:
     def test_traverses_the_graph_once(self):
         # The domain guard reads connectivity from classify: the kernel's
         # own traversal, or _classify_py's one _traverse.
-        assert _native() is not None
+        assert _native() is not _reference
         for native in (True, False):
             with pytest.MonkeyPatch.context() as patch:
                 if not native:
-                    patch.setattr(solver, "_native", lambda: None)
+                    force_python_path(patch)
                 calls = []
                 traverse = _reference._traverse
                 patch.setattr(_reference, "_traverse", lambda g: calls.append(g) or traverse(g))
@@ -192,13 +199,13 @@ class TestComputeW:
         # classify's degrees also give the descent's bottom and the overfull
         # test, and both plans count the degrees from the adjacency: the
         # kernel's classify counts them itself, _classify_py calls degrees().
-        assert _native() is not None
+        assert _native() is not _reference
         sources = [g for n in range(2, 7) for g in catalogs[n]]
         for native in (True, False):
             graphs = [Graph(g.n, g.edges) for g in sources]  # a Graph keeps its class
             with pytest.MonkeyPatch.context() as patch:
                 if not native:
-                    patch.setattr(solver, "_native", lambda: None)
+                    force_python_path(patch)
                 calls = []
                 degrees = Graph.degrees
                 patch.setattr(Graph, "degrees", lambda g: calls.append(g) or degrees(g))
@@ -279,7 +286,7 @@ class TestComputeW:
         # of the limit; layer 3 then has no budget left, and must not search
         # as if 0 meant unlimited (it finds W = 3 after 8 more nodes).
         if not native:
-            monkeypatch.setattr(solver, "_native", lambda: None)
+            force_python_path(monkeypatch)
         g = parse_graph6("CN")
         layer = find_interval_coloring(g, 4)
         assert (layer.status, layer.nodes_expanded) == (SolveStatus.INFEASIBLE, 4)
@@ -332,21 +339,19 @@ class TestBruteForce:
         out = brute_force_W(Graph(2, ()), 3)
         assert out.interval_colorable is False
 
-    def test_package_import_leaves_numpy_to_the_oracle(self):
-        # A fresh interpreter: this one has imported the oracle already.
+    def test_package_import_loads_no_numpy_and_no_oracle(self):
+        # A fresh interpreter: this one has imported numpy for the oracle,
+        # which lives in tests/, not in the package.
         probe = (
             "import sys, intervalcolor\n"
-            "before = 'numpy' in sys.modules\n"
-            "from intervalcolor import brute_force_W\n"
-            "from intervalcolor.oracle import brute_force_W as oracle\n"
-            "print(before, brute_force_W is oracle)"
+            "print('numpy' in sys.modules, hasattr(intervalcolor, 'brute_force_W'))"
         )
         src = str(Path(intervalcolor.__file__).resolve().parents[1])
         env = {**os.environ, "PYTHONPATH": src}
         result = subprocess.run(
             [sys.executable, "-c", probe], capture_output=True, text=True, env=env, check=True
         )
-        assert result.stdout.split() == ["False", "True"]
+        assert result.stdout.split() == ["False", "False"]
 
     def test_star_import_without_numpy(self):
         # A fresh interpreter in which importing numpy fails.
@@ -414,7 +419,7 @@ class TestOracleAgreement:
 def exact_ceiling(g: Graph) -> int:
     if _overfull(g, g.max_degree):
         return 0
-    return _proven_ceiling(g, _plan_py(g).longest, cap=g.m + 1)
+    return _proven_ceiling(g, cap=g.m + 1)
 
 
 def line_graph_distances(g: Graph) -> list[list[int]]:
@@ -449,6 +454,10 @@ MALFORMED_EDGES = (
     (4, ((0, 1), (0, 3), (1, 2), (2, 4)), "search: edge 3 has an end outside [0, 4)"),
     (4, ((0, 1), (0, 3), (1, 1), (2, 3)), NOT_INCREASING),  # loop
     (4, ((0, 1), (0, 3), (1, 2, 3)), "search: edge 2 is not a pair (a, b)"),
+    (4, ((0, 1), (0, 3), (1, 2), 5), "search: edge 3 is not a pair (a, b)"),
+    (4, ((0, 1), (0, 3), (1, 2), (0, "a")), "search: edge 3 has an end that is not an int"),
+    (4, ((0, 1), (0, 3), (1, 2), (0, 2**70)), "search: edge 3 has an end outside [0, 4)"),
+    (4, range(4), "search: edges must be a list or tuple"),
     (4, (), OUT_OF_RANGE),  # no edge
     (0, ((0, 1), (0, 3), (1, 2), (2, 3)), OUT_OF_RANGE),
     (5, ((0, 1), (0, 3), (1, 2), (2, 3)), DISCONNECTED),  # vertex 4 is isolated
@@ -474,9 +483,9 @@ class TestProvenCeiling:
         assert exact_ceiling(k4()) == 5  # W(K4) = 4; opposite edges: 2 steps of cost 2
 
     def test_matches_line_graph_floyd_warshall(self, catalogs):
-        # _plan_py's matrix, in BFS positions, and the ceiling from it and
-        # from the capped Dijkstra of larger graphs. The kernel's matrix is
-        # checked against _plan_py's through its search (test_plans_agree).
+        # _plan_py's matrix, in BFS positions, and the ceiling from the
+        # capped Dijkstra of larger graphs. The kernel's matrix is checked
+        # against _plan_py's through its search (test_plans_agree).
         for n in range(2, 7):
             for g in catalogs[n]:
                 dist = line_graph_distances(g)
@@ -490,7 +499,7 @@ class TestProvenCeiling:
                 exact = 1 + max(expected)
                 assert exact_ceiling(g) == exact, g.edges
                 for cap in range(1, exact + 2):
-                    capped = _proven_ceiling(g, None, cap=cap)
+                    capped = _proven_ceiling(g, cap=cap)
                     assert capped == exact if exact < cap else capped >= cap
 
     def test_layers_above_ceiling_cost_no_nodes(self):
@@ -508,7 +517,7 @@ class TestProvenCeiling:
         kernel = _native()
         monkeypatch.setattr(kernel, "search", refuse)
         monkeypatch.setattr(_reference, "_plan_py", refuse)
-        for native in (kernel, None):
+        for native in (kernel, _reference):
             monkeypatch.setattr(solver, "_native", lambda: native)
             out = compute_W(k3())
             assert (out.status, out.nodes_expanded, out.last_explored_t) == (
@@ -658,8 +667,8 @@ def run_probe(tmp_path: Path, probe: str, path: str = os.environ["PATH"]) -> str
     return result.stdout.strip()
 
 
-# Prints the path of the kernel a fresh process loads, or None.
-LOADED = "from intervalcolor.solver import _native\nprint(_native() and _native().__file__)"
+# Prints the path of the kernel a fresh process loads.
+LOADED = "from intervalcolor.solver import _native\nprint(_native().__file__)"
 
 
 def searched_layers(g: Graph) -> range:
@@ -812,34 +821,37 @@ class TestDistanceRule:
             assert (d[:, None, :] <= through).all(), g.edges
 
 
-def kernel_and_reference(
-    g: Graph, top: int, bottom: int, budget: int, max_m: int, plan: _Plan | None = None
-) -> tuple:
-    """The kernel's search of g's palette sizes top .. bottom, and
-    ``_search_py``'s on ``_plan_py``'s plan (``plan``, where the caller has
-    it) with top capped as the kernel caps it: at m and, when the plan has
-    the matrix (m <= max_m), at its ceiling."""
-    plan = plan or _plan_py(g)
-    if g.m > max_m:
-        plan = plan._replace(dist=b"", longest=None)
-    ceiling = g.m if plan.longest is None else min(g.m, _proven_ceiling(g, plan.longest, cap=top))
-    return (
-        _native().search(g.n, g.edges, max_m, top, bottom, budget),
-        _search_py(g.n, *plan[:5], min(top, ceiling), bottom, budget),
-    )
+def both_searches(g: Graph, top: int, bottom: int, budget: int, max_m: int) -> tuple:
+    """The kernel's ``search`` of g's palette sizes top .. bottom, and its
+    Python twin's."""
+    args = (g.n, g.edges, max_m, top, bottom, budget)
+    return _native().search(*args), _reference.search(*args)
 
 
 class TestNativeKernel:
     """The compiled kernel, which plans and searches in one call, against
-    ``_search_py``, the reference loop, given ``_plan_py``'s plan."""
+    its Python twin, ``_reference.search``."""
 
     def agree(self, g: Graph, t: int, budget: int, max_m: int = DISTANCE_MAX_M) -> bool:
-        native, reference = kernel_and_reference(g, t, t, budget, max_m)
+        native, reference = both_searches(g, t, t, budget, max_m)
         return native == reference
 
     def test_kernel_loads_here(self):
         # Without it the tests below would compare the Python loop with itself.
-        assert _native() is not None
+        assert _native() is not _reference
+
+    def test_the_twin_has_every_entry_with_its_arguments(self):
+        # _native returns _reference where the kernel does not load, so each
+        # entry of the kernel must be there, with the parameters its
+        # methods[] docstring names.
+        kernel = _native()
+        entries = [name for name in dir(kernel) if not name.startswith("_")]
+        assert len(entries) == 7
+        for name in entries:
+            named = re.match(rf"{name}\((.*?)\)", getattr(kernel, name).__doc__)
+            twin = getattr(_reference, name)
+            assert callable(twin), name
+            assert list(inspect.signature(twin).parameters) == named[1].split(", "), name
 
     def test_headers_are_where_sysconfig_says(self):
         assert _include_dir() == sysconfig.get_paths()["include"]
@@ -868,7 +880,7 @@ class TestNativeKernel:
             plan = _plan_py(g)
             delta = g.max_degree
             overfull += _overfull(g, delta)
-            high = min(g.m, _proven_ceiling(g, plan.longest, cap=g.m))
+            high = min(g.m, 1 + plan.longest)
             for top in range(max(delta, high - 2), high + 1):
                 ends_at = set()  # the nodes spent when each layer is decided
                 for t in range(top, delta - 1, -1):
@@ -878,7 +890,7 @@ class TestNativeKernel:
                         break
                 for budget in sorted({0, 1, 5, 50} | ends_at):
                     expected = layer_by_layer(g, plan, top, delta, budget)
-                    found = kernel_and_reference(g, top, delta, budget, DISTANCE_MAX_M, plan)
+                    found = both_searches(g, top, delta, budget, DISTANCE_MAX_M)
                     assert found == (expected, expected), (g.edges, top, budget)
                     ranges += 1
                     if budget in ends_at and budget and expected[0] == 2:
@@ -900,20 +912,20 @@ class TestNativeKernel:
             assert plan.dist == b"" and g.m == m
             for top, bottom, budget in ((m, m - 3, 0), (m, g.max_degree, 3000), (m - 1, m - 2, 1)):
                 expected = layer_by_layer(g, plan, top, bottom, budget)
-                found = kernel_and_reference(g, top, bottom, budget, DISTANCE_MAX_M, plan)
+                found = both_searches(g, top, bottom, budget, DISTANCE_MAX_M)
                 assert found == (expected, expected), (m, top, budget)
 
     def test_an_aborted_layer_reports_its_partial_coloring(self):
         # C4's layer t = 3 finds (1, 2, 2, 3) in BFS order after 4 nodes;
         # cut after 2, edges 0 and 1 hold 1 and 2. Layer 4 lies above C4's
-        # ceiling, 3: the kernel skips it when it has the matrix, proves it
+        # ceiling, 3: the search skips it when it has the matrix, proves it
         # infeasible in 4 nodes when it has not, and _search_py, uncapped,
         # in 2. A budget spent on layer 4 leaves layer 3 none.
         g = c4()
         plan = _plan_py(g)
         for max_m in (DISTANCE_MAX_M, 0):
             for top, budget in ((3, 2), (4, 2), (4, 0), (4, 4)):
-                native, reference = kernel_and_reference(g, top, 3, budget, max_m, plan)
+                native, reference = both_searches(g, top, 3, budget, max_m)
                 assert native == reference, (max_m, top, budget)
         search = _native().search
         assert search(4, g.edges, DISTANCE_MAX_M, 4, 3, 2) == (2, 2, 4, [1, 2, 0, 0])
@@ -944,8 +956,7 @@ class TestNativeKernel:
             if _overfull(g, g.max_degree):
                 continue
             plan = _plan_py(g)
-            ceiling = _proven_ceiling(g, plan.longest, cap=g.m)
-            cap = min(best_upper_bound(g, classify(g)), ceiling) - 1
+            cap = min(best_upper_bound(g, classify(g)), exact_ceiling(g)) - 1
             if cap < g.max_degree:
                 continue
             first = _search_py(*layer_args(g, plan, cap, 0))[1]
@@ -955,7 +966,7 @@ class TestNativeKernel:
                 for native in (True, False):
                     with pytest.MonkeyPatch.context() as patch:
                         if not native:
-                            patch.setattr(solver, "_native", lambda: None)
+                            force_python_path(patch)
                         outcomes.append(compute_W(g, limits))
                 assert outcomes[0] == outcomes[1], (g.edges, budget)
                 status, nodes, last, colors = layer_by_layer(g, plan, cap, g.max_degree, budget)
@@ -991,7 +1002,7 @@ class TestNativeKernel:
         probe = (
             "from intervalcolor import compute_W, parse_graph6\n"
             "from intervalcolor.solver import _native\n"
-            "assert _native() is not None\n"
+            "assert _native().__name__ == 'intervalcolor._search'\n"
             "print('searching', flush=True)\n"
             "compute_W(parse_graph6('KMeF`]~dsTJJ'))"
         )
@@ -1059,26 +1070,24 @@ class TestNativeKernel:
         assert checked == 249
 
     def test_plans_agree(self, plan_families):
-        # The kernel's plan against _plan_py's through its search, whose
+        # The kernel's plan against _plan_py's through their searches, whose
         # results show the edge order, the twin cut (in the nodes) and the
         # matrix (in the nodes and the ceiling): the layer t = max degree and
-        # the range from min(m, ceiling) down to it, at a budget of m nodes.
+        # the range from m, which both cap at the ceiling, down to it, at a
+        # budget of m nodes.
         # The gnp graphs stop at n = 16, as the Python loop takes seconds on
         # the larger ones. The paths have DISTANCE_MAX_M and DISTANCE_MAX_M + 1
         # edges, on both sides of the matrix.
-        runs = [(g, plan) for g, plan in plan_families if g.n <= 16]
+        runs = [g for g, _ in plan_families if g.n <= 16]
         for m in (DISTANCE_MAX_M, DISTANCE_MAX_M + 1):
-            path = Graph(m + 1, tuple((i, i + 1) for i in range(m)))
-            runs.append((path, _plan_py(path)))
+            runs.append(Graph(m + 1, tuple((i, i + 1) for i in range(m))))
         checked = 0
-        for g, plan in runs:
-            ceiling = g.m if plan.longest is None else _proven_ceiling(g, plan.longest, cap=g.m)
-            delta = g.max_degree
-            for top in {delta, max(delta, min(g.m, ceiling))}:
-                native, reference = kernel_and_reference(g, top, delta, g.m, DISTANCE_MAX_M, plan)
+        for g in runs:
+            for top in {g.max_degree, g.m}:
+                native, reference = both_searches(g, top, g.max_degree, g.m, DISTANCE_MAX_M)
                 assert native == reference, (g.edges, top)
                 checked += 1
-        assert checked == 2343  # over 1,185 graphs
+        assert checked == 2346  # over 1,185 graphs
 
     def test_plans_agree_on_k400_and_a_long_path(self):
         # The plans of graphs past the matrix, through one node of search.
@@ -1086,7 +1095,7 @@ class TestNativeKernel:
         path = Graph(100_000, tuple((i, i + 1) for i in range(99_999)))
         for g in (k400, path):
             t = g.max_degree
-            native, reference = kernel_and_reference(g, t, t, 1, DISTANCE_MAX_M)
+            native, reference = both_searches(g, t, t, 1, DISTANCE_MAX_M)
             assert native == reference and native[:3] == (2, 1, t + 1), g.n
 
     def test_plan_rejects_malformed_input(self):
@@ -1120,7 +1129,7 @@ class TestNativeKernel:
             "from intervalcolor import Graph, compute_W, double_with_certificate\n"
             "from intervalcolor import generate_connected_catalog\n"
             "from intervalcolor.solver import _native\n"
-            "print(_native() is None)\n"
+            "print(_native().__name__)\n"
             "for n in (4, 5, 6, 8):\n"
             "    g = Graph(n, tuple((i, (i + 1) % n) for i in range(n)))\n"
             "    print(compute_W(g).w)\n"
@@ -1128,7 +1137,7 @@ class TestNativeKernel:
             "print(double_with_certificate(g, compute_W(g).witness).final.t)"
         )
         output = run_probe(tmp_path, probe, path=str(tmp_path / "bin"))
-        assert output.split() == ["True", "3", "None", "4", "5", "21", "7"]
+        assert output.split() == ["intervalcolor._reference", "3", "None", "4", "5", "21", "7"]
 
     def test_builds_of_different_commands_coexist(self, tmp_path):
         # A plain build, then one with a changed command, as CI's sanitizer
