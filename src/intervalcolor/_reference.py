@@ -24,13 +24,14 @@ search), ``graph`` (the classification) and ``catalog`` (the catalog).
 from __future__ import annotations
 
 import bisect
+import heapq
 import itertools
 from array import array
 from collections import deque
-from typing import Iterable, NamedTuple, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .graph import Graph, GraphClass
-from .solver import DISTANCE_MAX_M, _distance_rows
+from .solver import DISTANCE_MAX_M
 
 # --------------------------------------------------------------------------
 # The search (solver)
@@ -117,17 +118,47 @@ def _plan_py(g: Graph, max_m: int = DISTANCE_MAX_M) -> _Plan:
     return _Plan(order, ends, deg, after, dist.tobytes(), max(dist))
 
 
+def _distance_rows(adjacency, deg, pairs) -> Iterator[list[int]]:
+    """Row e: D(e, f) for every edge f, the edges listed as vertex pairs.
+
+    A path from edge e to edge f steps through a walk of vertices from an
+    end of e to an end of f, so one Dijkstra over the vertices from both
+    ends of e, each vertex costing deg(v) - 1, gives e's whole row.
+    """
+    for e, (a, b) in enumerate(pairs):
+        # reach[v]: cheapest walk from a or b to v, each vertex on it (ends
+        # included) costing deg - 1.
+        reach = [-1] * len(adjacency)
+        heap = [(deg[a] - 1, a), (deg[b] - 1, b)]
+        while heap:
+            d, u = heapq.heappop(heap)
+            if reach[u] >= 0:
+                continue
+            reach[u] = d
+            for v in adjacency[u]:
+                if reach[v] < 0:
+                    heapq.heappush(heap, (d + deg[v] - 1, v))
+        row = [min(reach[x], reach[y]) for x, y in pairs]
+        row[e] = 0
+        yield row
+
+
 def search(
     n: int, edges: Sequence[tuple[int, int]], max_m: int, top: int, bottom: int, budget: int
 ) -> tuple[int, int, int, list[int]]:
-    """The kernel's ``search``: ``_plan_py``'s plan, top capped at m and,
-    with the matrix, at the ceiling 1 + longest, then ``_search_py``."""
+    """The kernel's ``search``: ``_plan_py``'s plan, top capped at m and at
+    1 + max D (without the matrix, D's rows read until that reaches top),
+    then ``_search_py``, which decides an empty range as (0, 0, bottom, [])."""
     g = Graph(n, edges)
     plan = _plan_py(g, max_m)
-    top = min(top, g.m) if plan.longest is None else min(top, g.m, 1 + plan.longest)
-    if top < bottom:
-        return 0, 0, bottom, []
-    return _search_py(n, *plan[:5], top, bottom, budget)
+    longest = plan.longest
+    if longest is None:
+        longest = 0
+        for row in _distance_rows(g.adjacency, plan.deg, [g.edges[e] for e in plan.order]):
+            longest = max(longest, max(row))
+            if longest + 1 >= top:
+                break
+    return _search_py(n, *plan[:5], min(top, g.m, 1 + longest), bottom, budget)
 
 
 def _search_py(

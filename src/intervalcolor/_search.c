@@ -32,27 +32,30 @@
  * for its image j. For m <= max_m, dist holds D(e, f) at e * m + f in BFS
  * positions and longest is its largest entry; otherwise there is no matrix.
  * D(e, f) is the cheapest path from edge e to edge f, a step between two
- * edges that share a vertex v costing deg(v) - 1, and D(e, e) = 0. One
- * Dijkstra from each vertex gives walk(u, v), the cheapest walk from u to v
+ * edges that share a vertex v costing deg(v) - 1, and D(e, e) = 0. A
+ * Dijkstra from vertex u gives walk(u, v), the cheapest walk from u to v
  * with each vertex on it (ends included) costing deg - 1, and D(e, f) for
  * e != f is the least walk from an end of e to an end of f.
  *
- * top is then capped at m and, when the plan has the matrix, at
- * 1 + longest, above which no layer has an interval coloring, and a range
- * the caps leave empty gives (0, 0, bottom, []). Without the matrix the
- * distance rule is off and the caller applies the ceiling. budget caps the
- * nodes of all layers together (0 = unlimited), and a layer whose turn
- * comes once it is spent aborts with no node. status is 1 when a layer is
- * feasible, 0 when every layer is infeasible and 2 when the budget ran out;
- * last is the last t decided (the feasible one, bottom, or one above the
- * aborted layer); colors holds each edge's color, by edge index, 0 for
- * none: the witness, the partial coloring of an aborted layer when the
- * budget ran out, or nothing when status is 0. Edge order, color order,
- * node counting and the prune rules (distinct, spread, surjectivity, the
- * first edge's reversal cut, the twin cut, the distance rule) are those of
- * _search_py, so its four results agree with this one given _plan_py's plan
- * and the capped top; the proofs are in solver.py's docstring. Malformed
- * input raises ValueError (TypeError for edges that are not a sequence).
+ * top is then capped at m and at the ceiling 1 + max D, above which no layer
+ * has an interval coloring, and a range the caps leave empty gives
+ * (0, 0, bottom, []). With the matrix, max D is longest. Without it, the
+ * distance rule is off and D is read one row at a time, in BFS order, from
+ * the walks from each edge's two ends, until the ceiling reaches top, so
+ * that the cap is exact below top; above INT32_MAX / 3 edges, where a walk
+ * could leave int32, the cap is m alone. budget caps the nodes of all
+ * layers together (0 = unlimited), and a layer whose turn comes once it is
+ * spent aborts with no node. status is 1 when a layer is feasible, 0 when
+ * every layer is infeasible and 2 when the budget ran out; last is the last
+ * t decided (the feasible one, bottom, or one above the aborted layer);
+ * colors holds each edge's color, by edge index, 0 for none: the witness,
+ * the partial coloring of an aborted layer when the budget ran out, or
+ * nothing when status is 0. Edge order, color order, node counting and the
+ * prune rules (distinct, spread, surjectivity, the first edge's reversal
+ * cut, the twin cut, the distance rule) are those of _search_py, so its four
+ * results agree with this one given _plan_py's plan and the capped top; the
+ * proofs are in solver.py's docstring. Malformed input raises ValueError
+ * (TypeError for edges that are not a sequence).
  *
  * A vertex's colors are a bitmask of (top + 1) / 64 + 1 words, bit c for
  * color c, of which layer t reads the first (t + 1) / 64 + 1, so every t
@@ -266,21 +269,23 @@ static int exact_items(PyObject *seq, PyObject ***items, Py_ssize_t *size)
 
 /* Copies colors, an exact list or tuple of one color per each of the m
  * edges, into out: 1 if all are exact ints, 0 if one is not (the caller then
- * leaves the colors to the Python reference, as in_palette does), -1 with
- * ValueError if colors is malformed or an exact int lies outside 1..t. */
-static int read_colors(PyObject *colors, Py_ssize_t m, long long t, long long *out)
+ * leaves them to the Python reference, as in_palette does), -1 with a
+ * ValueError naming entry if colors is malformed or one lies outside 1..t. */
+static int read_colors(PyObject *colors, Py_ssize_t m, long long t, long long *out,
+                       const char *entry)
 {
     PyObject **items;
     Py_ssize_t size;
     if (!exact_items(colors, &items, &size) || size != m) {
-        PyErr_SetString(PyExc_ValueError, "colors: one per edge, in a list or tuple");
+        PyErr_Format(PyExc_ValueError, "%s: colors must be a list or tuple, one per edge", entry);
         return -1;
     }
     for (Py_ssize_t e = 0; e < m; e++) {
         if (!PyLong_CheckExact(items[e]))
             return 0;
         if ((out[e] = exact_index(items[e], t)) < 1) {
-            PyErr_SetString(PyExc_ValueError, "color out of range");
+            PyErr_Format(PyExc_ValueError, "%s: edge %zd has color %R outside 1..%lld", entry, e,
+                         items[e], t);
             return -1;
         }
     }
@@ -430,51 +435,59 @@ static void adjacency(Py_ssize_t n, Py_ssize_t m, const long long *edges, long l
     start[0] = 0;
 }
 
-/* Writes D in BFS positions to d, m * m entries, given the ends in BFS
- * order and the adjacency (start, nbr) of a connected graph; returns the
- * largest entry, or -1 with an exception set. Its buffers come from s. */
-static long long fill_distances(Scratch *s, Py_ssize_t n, Py_ssize_t m, const long long *ends,
-                                const long long *deg, const Py_ssize_t *start,
-                                const Py_ssize_t *nbr, int32_t *d)
+/* cost[v] = walk(source, v) for every vertex v (search()), on the adjacency
+ * (start, nbr); heap holds 2m + 1 keys, one push per relaxation. */
+static void walk_from(Py_ssize_t source, Py_ssize_t n, const long long *deg,
+                      const Py_ssize_t *start, const Py_ssize_t *nbr, uint64_t *heap, int32_t *cost)
 {
-    int32_t *walk = take(s, n, n, sizeof(int32_t));
-    uint64_t *heap = take(s, 2 * m + 1, 1, sizeof(uint64_t)); /* one push per relaxation */
-    if (s->failed) {
-        PyErr_NoMemory();
-        return -1;
-    }
-    for (Py_ssize_t s = 0; s < n; s++) {
-        int32_t *cost = walk + s * n;
-        for (Py_ssize_t v = 0; v < n; v++)
-            cost[v] = INT32_MAX;
-        Py_ssize_t size = 0;
-        cost[s] = (int32_t)(deg[s] - 1);
-        heap_push(heap, &size, (uint64_t)cost[s] << 32 | (uint64_t)s);
-        while (size) {
-            uint64_t key = heap_pop(heap, &size);
-            long long c = (long long)(key >> 32), u = (long long)(key & 0xFFFFFFFF);
-            if (c > cost[u])
-                continue;
-            for (Py_ssize_t i = start[u]; i < start[u + 1]; i++) {
-                Py_ssize_t v = nbr[i];
-                if (c + deg[v] - 1 < cost[v]) {
-                    cost[v] = (int32_t)(c + deg[v] - 1);
-                    heap_push(heap, &size, (uint64_t)cost[v] << 32 | (uint64_t)v);
-                }
+    for (Py_ssize_t v = 0; v < n; v++)
+        cost[v] = INT32_MAX;
+    Py_ssize_t size = 0;
+    cost[source] = (int32_t)(deg[source] - 1);
+    heap_push(heap, &size, (uint64_t)cost[source] << 32 | (uint64_t)source);
+    while (size) {
+        uint64_t key = heap_pop(heap, &size);
+        long long c = (long long)(key >> 32), u = (long long)(key & 0xFFFFFFFF);
+        if (c > cost[u])
+            continue;
+        for (Py_ssize_t i = start[u]; i < start[u + 1]; i++) {
+            Py_ssize_t v = nbr[i];
+            if (c + deg[v] - 1 < cost[v]) {
+                cost[v] = (int32_t)(c + deg[v] - 1);
+                heap_push(heap, &size, (uint64_t)cost[v] << 32 | (uint64_t)v);
             }
         }
     }
+}
+
+/* The ceiling search() caps top at, for the ends in BFS order, filling d
+ * when given, with the walk rows and heap make_plan takes for it. */
+static long long path_ceiling(Py_ssize_t n, Py_ssize_t m, const long long *ends,
+                              const long long *deg, const Py_ssize_t *start, const Py_ssize_t *nbr,
+                              int32_t *walk, uint64_t *heap, int32_t *d, long long top)
+{
+    for (Py_ssize_t v = 0; d && v < n; v++)
+        walk_from(v, n, deg, start, nbr, heap, walk + v * n);
     long long longest = 0;
     for (Py_ssize_t e = 0; e < m; e++) {
-        const int32_t *from_a = walk + ends[2 * e] * n, *from_b = walk + ends[2 * e + 1] * n;
+        long long a = ends[2 * e], b = ends[2 * e + 1];
+        if (!d) { /* the walks from e's ends, in rows 0 and 1 */
+            walk_from(a, n, deg, start, nbr, heap, walk);
+            walk_from(b, n, deg, start, nbr, heap, walk + n);
+            a = 0, b = 1;
+        }
+        const int32_t *from_a = walk + a * n, *from_b = walk + b * n;
         for (Py_ssize_t f = 0; f < m; f++) {
             long long x = ends[2 * f], y = ends[2 * f + 1];
             long long value = e == f ? 0 : min(min(from_a[x], from_a[y]), min(from_b[x], from_b[y]));
-            d[e * m + f] = (int32_t)value;
+            if (d)
+                d[e * m + f] = (int32_t)value;
             longest = max(longest, value);
         }
+        if (!d && longest + 1 >= top)
+            break;
     }
-    return longest;
+    return 1 + longest;
 }
 
 /* splitmix64's finaliser: a vertex's contribution to a neighbourhood hash. */
@@ -548,15 +561,16 @@ static void earliest_two(const Py_ssize_t *start, const Py_ssize_t *nbr, const P
 
 /* The search plan of the connected graph on n vertices with the edges of
  * edges_obj (search()), in buffers from one Scratch: dist is the m x m matrix
- * and longest its largest entry, or NULL and -1 when m > max_m. */
+ * or NULL when m > max_m, and ceiling what path_ceiling returns for top. */
 typedef struct {
     Py_ssize_t m;
-    long long *order, *ends, *deg, *after, longest;
+    long long *order, *ends, *deg, *after, ceiling;
     int32_t *dist;
 } Plan;
 
 /* Builds out for search(); -1 with an exception set. */
-static int make_plan(Scratch *s, Py_ssize_t n, PyObject *edges_obj, Py_ssize_t max_m, Plan *out)
+static int make_plan(Scratch *s, Py_ssize_t n, PyObject *edges_obj, Py_ssize_t max_m,
+                     long long top, Plan *out)
 {
     Py_ssize_t m = PyObject_Length(edges_obj);
     if (m < 0)
@@ -587,6 +601,11 @@ static int make_plan(Scratch *s, Py_ssize_t n, PyObject *edges_obj, Py_ssize_t m
     Py_ssize_t *key = take(s, n + 1, 2, sizeof(Py_ssize_t)); /* two neighbourhoods */
     Keyed *keyed = take(s, n, 2, sizeof(Keyed));
     Early *early = take(s, n, 1, sizeof(Early)); /* one class of twins */
+    /* path_ceiling's walks (a row per vertex, or per end of one edge without
+     * dist) and heap, unless a walk cost could leave int32. */
+    int walks = m <= INT32_MAX / 3;
+    int32_t *walk = walks ? take(s, dist ? n : 2, n, sizeof(int32_t)) : NULL;
+    uint64_t *heap = walks ? take(s, 2 * m + 1, 1, sizeof(uint64_t)) : NULL;
     if (s->failed) {
         PyErr_NoMemory();
         return -1;
@@ -695,10 +714,9 @@ static int make_plan(Scratch *s, Py_ssize_t n, PyObject *edges_obj, Py_ssize_t m
         }
     }
 
-    long long longest = dist ? fill_distances(s, n, m, ends, deg, start, nbr, dist) : -1;
-    if (dist && longest < 0)
-        return -1;
-    *out = (Plan){m, order, ends, deg, after, longest, dist};
+    long long ceiling =
+        walks ? path_ceiling(n, m, ends, deg, start, nbr, walk, heap, dist, top) : m;
+    *out = (Plan){m, order, ends, deg, after, ceiling, dist};
     return 0;
 }
 
@@ -716,15 +734,15 @@ static PyObject *search(PyObject *self, PyObject *args)
     PyObject *result = NULL;
     Scratch s = {0};
     Plan p;
-    if (make_plan(&s, n, edges_obj, max_m, &p))
+    if (make_plan(&s, n, edges_obj, max_m, top, &p))
         goto done;
     const Py_ssize_t m = p.m;
     const long long *order = p.order, *ends = p.ends, *deg = p.deg, *after = p.after;
     const int32_t *dist = p.dist;
-    /* No layer above m (surjectivity) or above the ceiling 1 + longest has
+    /* No layer above m (surjectivity) or above the ceiling 1 + max D has
      * an interval coloring, so these caps change no result, and they bound
      * every buffer below by m. */
-    top = min(top, dist ? min(m, p.longest + 1) : m);
+    top = min(top, min(m, p.ceiling));
     if (top < bottom) {
         result = Py_BuildValue("iiL[]", 0, 0, bottom);
         goto done;
@@ -959,7 +977,7 @@ static PyObject *interval_ok(PyObject *self, PyObject *args)
     }
     if (read_edges(edges_obj, n, m, ends, "interval_ok"))
         goto done;
-    int ok = read_colors(colors_obj, m, t, colors);
+    int ok = read_colors(colors_obj, m, t, colors, "interval_ok");
     if (ok > 0)
         ok = is_interval(n, m, ends, colors, t);
     if (ok >= 0)
@@ -1041,7 +1059,7 @@ static PyObject *double_cover(PyObject *self, PyObject *args)
         goto done;
     /* From here every failed check returns None: the caller then runs the
      * Python path, which raises its own error or accepts the input itself. */
-    int ok = read_colors(colors_obj, m, t, colors);
+    int ok = read_colors(colors_obj, m, t, colors, "double");
     if (ok > 0)
         ok = connected(n, m, edges, parent) ? is_interval(n, m, edges, colors, t) : 0;
     if (ok < 0)

@@ -7,11 +7,11 @@ is W, and ``find_interval_coloring`` over its one t. The descent sets up
 once per graph and makes one search call, which decides the layers by
 backtracking, one after another, with one node budget shared across them.
 
-The set-up is an overfull test (``_overfull``), then the search plan and a
-ceiling proven for the instance. An overfull graph has no interval coloring
-at all, so it is decided with no plan, and no interval coloring uses more
-than 1 + max D colors (D below), so layers above the ceiling are infeasible
-at a cost of 0 nodes.
+The set-up is an overfull test (``_overfull``), then, in the search call,
+the search plan and a ceiling proven for the instance. An overfull graph has
+no interval coloring at all, so it is decided with no plan, and no interval
+coloring uses more than 1 + max D colors (D below), so layers above the
+ceiling are infeasible at a cost of 0 nodes.
 
 Search strategy (deterministic): edges are ordered by a breadth-first
 traversal from a maximum-degree vertex (ties broken by lowest vertex index)
@@ -56,9 +56,9 @@ cheapest path passes each vertex at most once), so t + D < 3m.
 
 The plan holds D as an m x m matrix for graphs of at most
 ``DISTANCE_MAX_M`` edges. Larger graphs (long paths, big complete graphs)
-get no matrix: the distance rule is off and ``_proven_ceiling`` runs a
-Dijkstra from one edge after another until the ceiling reaches the largest
-t asked about.
+get no matrix and no distance rule, and ``search``, which applies the
+ceiling either way, reads D a row at a time until the ceiling reaches the
+largest t asked about.
 
 Two cuts skip colorings that a symmetry maps to a smaller one. A symmetry s
 here maps interval t-colorings to interval t-colorings, and each cut removes
@@ -102,7 +102,6 @@ from __future__ import annotations
 
 import contextlib
 import functools
-import heapq
 import importlib.machinery
 import importlib.util
 import operator
@@ -111,7 +110,6 @@ import sys
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
-from typing import Iterator
 
 from . import bounds as bounds_mod
 from .coloring import EdgeColoring, coloring_to_json, validate_interval
@@ -183,48 +181,6 @@ def _overfull(g: Graph, max_degree: int) -> bool:
     Kamalian, JCTB 1994).
     """
     return g.m > max_degree * (g.n // 2)
-
-
-def _proven_ceiling(g: Graph, cap: int) -> int:
-    """Largest palette size the path ceiling leaves for g, a graph whose
-    plan has no matrix.
-
-    Every interval t-coloring has t <= 1 + max D (module docstring). The
-    distances are computed one edge at a time, stopping once the ceiling
-    reaches ``cap``, the largest t the caller asks about, so the result is
-    exact below cap and at least cap otherwise.
-    """
-    longest = 0
-    for row in _distance_rows(g.adjacency, g.degrees(), g.edges):
-        longest = max(longest, max(row))
-        if longest + 1 >= cap:
-            break
-    return 1 + longest
-
-
-def _distance_rows(adjacency, deg, pairs) -> Iterator[list[int]]:
-    """Row e: D(e, f) for every edge f, the edges listed as vertex pairs.
-
-    A path from edge e to edge f steps through a walk of vertices from an
-    end of e to an end of f, so one Dijkstra over the vertices from both
-    ends of e, each vertex costing deg(v) - 1, gives e's whole row.
-    """
-    for e, (a, b) in enumerate(pairs):
-        # reach[v]: cheapest walk from a or b to v, each vertex on it (ends
-        # included) costing deg - 1.
-        reach = [-1] * len(adjacency)
-        heap = [(deg[a] - 1, a), (deg[b] - 1, b)]
-        while heap:
-            d, u = heapq.heappop(heap)
-            if reach[u] >= 0:
-                continue
-            reach[u] = d
-            for v in adjacency[u]:
-                if reach[v] < 0:
-                    heapq.heappush(heap, (d + deg[v] - 1, v))
-        row = [min(reach[x], reach[y]) for x, y in pairs]
-        row[e] = 0
-        yield row
 
 
 def _include_dir() -> str:
@@ -321,18 +277,13 @@ def _descend(
     layers, runs out. ``last_explored`` is the last t fully decided. Layers
     above the ceiling are infeasible at 0 nodes, and an overfull graph gets
     no plan. Every other graph takes one ``search`` call, which plans and
-    caps top at its matrix's ceiling; ``_proven_ceiling`` caps it first for
-    a graph without one.
+    caps top at the ceiling, with or without the matrix.
     """
-    if _overfull(g, max_degree):
-        high = 0
-    else:
-        high = top if g.m <= DISTANCE_MAX_M else min(top, _proven_ceiling(g, cap=top))
-    if high < bottom:  # every layer, if any, lies above the ceiling
+    if top < bottom or _overfull(g, max_degree):  # no layer, or none below the ceiling
         return SolveStatus.INFEASIBLE, None, 0, bottom if bottom <= top else None
     # No search reaches 2**63 - 1 nodes, the kernel's largest budget.
     code, nodes, last, colors = _native().search(
-        g.n, g.edges, DISTANCE_MAX_M, high, bottom, min(node_limit, 2**63 - 1)
+        g.n, g.edges, DISTANCE_MAX_M, top, bottom, min(node_limit, 2**63 - 1)
     )
     if code != 1:
         return _STATUS[code], None, nodes, last if last <= top else None

@@ -275,20 +275,26 @@ class TestNativeIntervalCheck:
         check = _native().interval_ok
         edges, colors = c4().edges, c4_cyclic_132().colors
         assert check(4, edges, colors, 3) is True
-        for args in (
-            (4, edges, colors[:-1], 3),  # one color short
-            (4, edges, (0, *colors[1:]), 3),  # color 0
-            (4, edges, (4, *colors[1:]), 3),  # color above t
-            (4, edges, colors, 0),
-            (4, edges, colors, 5),  # t above the edge count
-            (0, edges, colors, 3),
-            (3, edges, colors, 3),  # vertex 3 out of range
-            (4, ((0, 0), *edges[1:]), colors, 3),  # a loop
-            (4, ((0, 1, 2), *edges[1:]), colors, 3),
-            (4, ((0, 1), (0, 3), (2, 3), (1, 2)), colors, 3),  # not increasing
+        # Each message names the entry, and the edge where one is at fault.
+        out_of_range = "n or t out of range"
+        not_increasing = "edges must be increasing pairs (a, b), a < b"
+        for args, message in (
+            ((4, edges, colors[:-1], 3), "colors must be a list or tuple, one per edge"),
+            ((4, edges, set(colors), 3), "colors must be a list or tuple, one per edge"),
+            ((4, edges, (0, *colors[1:]), 3), "edge 0 has color 0 outside 1..3"),
+            ((4, edges, (*colors[:3], 4), 3), "edge 3 has color 4 outside 1..3"),
+            ((4, edges, (1, 2**70, *colors[2:]), 3), f"edge 1 has color {2**70} outside 1..3"),
+            ((4, edges, colors, 0), out_of_range),
+            ((4, edges, colors, 5), out_of_range),  # t above the edge count
+            ((0, edges, colors, 3), out_of_range),
+            ((3, edges, colors, 3), "edge 1 has an end outside [0, 3)"),
+            ((4, ((0, 0), *edges[1:]), colors, 3), not_increasing),  # a loop
+            ((4, ((0, 1, 2), *edges[1:]), colors, 3), "edge 0 is not a pair (a, b)"),
+            ((4, ((0, 1), (0, 3), (2, 3), (1, 2)), colors, 3), not_increasing),
         ):
-            with pytest.raises(ValueError):
+            with pytest.raises(ValueError) as refused:
                 check(*args)
+            assert str(refused.value) == f"interval_ok: {message}", args
         with pytest.raises(OverflowError):
             check(4, edges, colors, 2**70)
         with pytest.raises(TypeError):

@@ -548,23 +548,29 @@ class TestNativeDouble:
         double = shared_double()
         edges, colors = c4().edges, (1, 2, 2, 3)  # (0,1),(0,3),(1,2),(2,3)
         assert double(4, edges, colors, 3) is not None
-        for args in (
-            (4, edges, colors[:-1], 3),  # one color short
-            (4, edges, (0, *colors[1:]), 3),  # color 0
-            (4, edges, (4, *colors[1:]), 3),  # color above t
-            (4, edges, colors, 0),
-            (4, edges, colors, 5),  # t above the edge count
-            (0, edges, colors, 3),
-            (3, edges, colors, 3),  # vertex 3 out of range
-            (4, ((0, 1), (0, 3), (2, 3), (1, 2)), colors, 3),  # not increasing
-            (4, ((1, 0), (0, 3), (1, 2), (2, 3)), colors, 3),  # a > b
-            (4, ((0, 1), (0, 1), (1, 2), (2, 3)), colors, 3),  # repeated
-            (4, ((0, 0), *edges[1:]), colors, 3),  # a loop
-            (4, ((0, 1, 2), *edges[1:]), colors, 3),  # not a pair
-            (4, (), (), 1),  # no edge
+        # Each message names the entry, and the edge where one is at fault.
+        out_of_range = "n, edges or t out of range"
+        not_increasing = "edges must be increasing pairs (a, b), a < b"
+        for args, message in (
+            ((4, edges, colors[:-1], 3), "colors must be a list or tuple, one per edge"),
+            ((4, edges, set(colors), 3), "colors must be a list or tuple, one per edge"),
+            ((4, edges, (0, *colors[1:]), 3), "edge 0 has color 0 outside 1..3"),
+            ((4, edges, (*colors[:3], 4), 3), "edge 3 has color 4 outside 1..3"),
+            ((4, edges, (1, -1, *colors[2:]), 3), "edge 1 has color -1 outside 1..3"),
+            ((4, edges, colors, 0), out_of_range),
+            ((4, edges, colors, 5), out_of_range),  # t above the edge count
+            ((0, edges, colors, 3), out_of_range),
+            ((3, edges, colors, 3), "edge 1 has an end outside [0, 3)"),
+            ((4, ((0, 1), (0, 3), (2, 3), (1, 2)), colors, 3), not_increasing),
+            ((4, ((1, 0), (0, 3), (1, 2), (2, 3)), colors, 3), not_increasing),  # a > b
+            ((4, ((0, 1), (0, 1), (1, 2), (2, 3)), colors, 3), not_increasing),  # repeated
+            ((4, ((0, 0), *edges[1:]), colors, 3), not_increasing),  # a loop
+            ((4, ((0, 1, 2), *edges[1:]), colors, 3), "edge 0 is not a pair (a, b)"),
+            ((4, (), (), 1), out_of_range),  # no edge
         ):
-            with pytest.raises(ValueError):
+            with pytest.raises(ValueError) as refused:
                 double(*args)
+            assert str(refused.value) == f"double: {message}", args
         with pytest.raises(TypeError):
             double(4, 5, colors, 3)
         # The shared objects: H's pair (3, 7) wrong in row 7, a row short,

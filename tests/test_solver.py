@@ -47,7 +47,6 @@ from intervalcolor.solver import (
     _include_dir,
     _native,
     _overfull,
-    _proven_ceiling,
     _STATUS,
     outcome_to_json,
 )
@@ -416,10 +415,22 @@ class TestOracleAgreement:
                 assert max(bf.feasible_t_set) == cw.w
 
 
+def searches(search, g: Graph, t: int, max_m: int = DISTANCE_MAX_M) -> bool:
+    """Whether ``search``, asked for g's layer t alone, searches it: whether
+    t <= min(m, 1 + max D), the caps it applies. Such a layer spends the
+    one node of the budget, since its first edge may take any color from
+    max(1, t - M) to min((t + 1) // 2, 1 + M), M being the largest D from
+    that edge, and t <= 1 + max D <= 1 + 2M (D is a metric); a capped one
+    spends none."""
+    return search(g.n, g.edges, max_m, t, t, 1)[1] == 1
+
+
 def exact_ceiling(g: Graph) -> int:
+    """min(m, 1 + max D), read from the kernel's ``search``, or 0 for an
+    overfull graph, which the descent never searches."""
     if _overfull(g, g.max_degree):
         return 0
-    return _proven_ceiling(g, cap=g.m + 1)
+    return next(t for t in range(g.m, 0, -1) if searches(_native().search, g, t))
 
 
 def line_graph_distances(g: Graph) -> list[list[int]]:
@@ -483,9 +494,13 @@ class TestProvenCeiling:
         assert exact_ceiling(k4()) == 5  # W(K4) = 4; opposite edges: 2 steps of cost 2
 
     def test_matches_line_graph_floyd_warshall(self, catalogs):
-        # _plan_py's matrix, in BFS positions, and the ceiling from the
-        # capped Dijkstra of larger graphs. The kernel's matrix is checked
-        # against _plan_py's through its search (test_plans_agree).
+        # _plan_py's matrix, in BFS positions, and the ceiling that both
+        # twins' search applies with the matrix and without it (max_m = 0),
+        # where it stops reading rows once the ceiling reaches top: exact
+        # below top, and not below the ceiling at or above it, so the layer
+        # top is searched exactly when top <= min(m, 1 + max D). The
+        # kernel's matrix is checked against _plan_py's through its search
+        # (test_plans_agree).
         for n in range(2, 7):
             for g in catalogs[n]:
                 dist = line_graph_distances(g)
@@ -493,14 +508,46 @@ class TestProvenCeiling:
                 expected = [dist[e][f] for e in plan.order for f in plan.order]
                 found = (int32s(plan.dist), plan.longest)
                 assert found == (expected, max(expected)), g.edges
-                if g.m > g.max_degree * (n // 2):
-                    assert exact_ceiling(g) == 0
-                    continue
                 exact = 1 + max(expected)
-                assert exact_ceiling(g) == exact, g.edges
-                for cap in range(1, exact + 2):
-                    capped = _proven_ceiling(g, cap=cap)
-                    assert capped == exact if exact < cap else capped >= cap
+                overfull = g.m > g.max_degree * (n // 2)
+                assert exact_ceiling(g) == (0 if overfull else min(g.m, exact)), g.edges
+                for search, max_m, top in product(
+                    (_native().search, _reference.search), (DISTANCE_MAX_M, 0), range(1, exact + 2)
+                ):
+                    assert searches(search, g, top, max_m) == (top <= min(g.m, exact)), (
+                        g.edges, search, max_m, top
+                    )
+
+    def test_past_the_matrix_one_row_can_settle_the_ceiling(self, monkeypatch):
+        # K33 (528 edges, every D 31 or 62, so each row reaches the ceiling
+        # 63) and a caterpillar of 600 edges whose first BFS edge, (0, 1),
+        # ends its longest path (a spine 1 .. 300 with leaf 0; vertex 1,
+        # of degree 4, has two more leaves and each inner spine vertex one),
+        # so that row 0 reaches the ceiling m. Past DISTANCE_MAX_M neither
+        # has the matrix, and asked for the layer at the ceiling, both
+        # twins search it after reading one row, which the Python twin's
+        # count of rows shows; one above it, they read every row and
+        # search nothing.
+        k33 = Graph(33, tuple(combinations(range(33), 2)))
+        spine = [(i, i + 1) for i in range(1, 300)]
+        leaves = [(0, 1), (1, 301), (1, 302)] + [(i, 301 + i) for i in range(2, 300)]
+        caterpillar = Graph(601, tuple(spine + leaves))
+        rows = []
+        distance_rows = _reference._distance_rows
+
+        def counted_rows(*args):
+            for row in distance_rows(*args):
+                rows.append(row)
+                yield row
+
+        monkeypatch.setattr(_reference, "_distance_rows", counted_rows)
+        for g, ceiling in ((k33, 63), (caterpillar, 600)):
+            assert g.m > DISTANCE_MAX_M and _plan_py(g).dist == b""
+            for top, read in ((ceiling, 1), (ceiling + 1, g.m)):
+                rows.clear()
+                native, reference = both_searches(g, top, top, 1, DISTANCE_MAX_M)
+                assert native == reference, (g.m, top)
+                assert (native[1], len(rows)) == (1 if top == ceiling else 0, read), (g.m, top)
 
     def test_layers_above_ceiling_cost_no_nodes(self):
         out = compute_W(k5())
@@ -918,9 +965,9 @@ class TestNativeKernel:
     def test_an_aborted_layer_reports_its_partial_coloring(self):
         # C4's layer t = 3 finds (1, 2, 2, 3) in BFS order after 4 nodes;
         # cut after 2, edges 0 and 1 hold 1 and 2. Layer 4 lies above C4's
-        # ceiling, 3: the search skips it when it has the matrix, proves it
-        # infeasible in 4 nodes when it has not, and _search_py, uncapped,
-        # in 2. A budget spent on layer 4 leaves layer 3 none.
+        # ceiling, 3: the search skips it with the matrix and without, and
+        # _search_py, uncapped, proves it infeasible in 2 nodes, so that a
+        # budget spent on layer 4 leaves layer 3 none.
         g = c4()
         plan = _plan_py(g)
         for max_m in (DISTANCE_MAX_M, 0):
@@ -930,8 +977,8 @@ class TestNativeKernel:
         search = _native().search
         assert search(4, g.edges, DISTANCE_MAX_M, 4, 3, 2) == (2, 2, 4, [1, 2, 0, 0])
         assert search(4, g.edges, DISTANCE_MAX_M, 4, 3, 0) == (1, 4, 3, [1, 2, 2, 3])
-        assert search(4, g.edges, 0, 4, 3, 0) == (1, 8, 3, [1, 2, 2, 3])
-        assert search(4, g.edges, 0, 4, 3, 4) == (2, 4, 4, [0, 0, 0, 0])
+        assert search(4, g.edges, 0, 4, 3, 0) == (1, 4, 3, [1, 2, 2, 3])
+        assert search(4, g.edges, 0, 4, 3, 4) == (1, 4, 3, [1, 2, 2, 3])
         assert _search_py(*layer_args(g, plan, 3, 2)) == (2, 2, 4, [1, 2, 0, 0])
         assert _search_py(g.n, *plan[:5], 4, 3, 0) == (1, 6, 3, [1, 2, 2, 3])
         assert _search_py(g.n, *plan[:5], 4, 3, 2) == (2, 2, 4, [0, 0, 0, 0])
