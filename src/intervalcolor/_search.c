@@ -24,9 +24,9 @@
  * endpoints of each edge in that order; deg the degrees; after the twin
  * cut: edge k's color must exceed that of the earlier edge after[k], or -1
  * for none. Twins x, y have equal open neighbourhoods N(x) = N(y) or equal
- * closed ones N[x] = N[y]: the vertices are sorted by a hash of each
- * neighbourhood and a run of equal hashes is split by comparing the
- * neighbourhoods themselves, so memory stays linear in n + m. For each twin
+ * closed ones N[x] = N[y]: the 2n neighbourhoods are sorted by their
+ * entries, each read in place from the adjacency, and each run of equal
+ * ones is a class, so memory stays linear in n + m. For each twin
  * pair, the first moved edge k, the earliest edge at x or y other than xy,
  * is among each twin's two earliest edges, and after[j] = max(after[j], k)
  * for its image j. For m <= max_m, dist holds D(e, f) at e * m + f in BFS
@@ -292,19 +292,16 @@ static int read_colors(PyObject *colors, Py_ssize_t m, long long t, long long *o
     return 1;
 }
 
-/* A new list, or a tuple if tuple is set, of the len values; NULL with an
- * exception set on failure. */
-static PyObject *ints_of(const long long *values, Py_ssize_t len, int tuple)
+/* A new tuple of the len values; NULL with an exception set on failure. */
+static PyObject *ints_of(const long long *values, Py_ssize_t len)
 {
-    PyObject *seq = tuple ? PyTuple_New(len) : PyList_New(len);
+    PyObject *seq = PyTuple_New(len);
     for (Py_ssize_t i = 0; seq && i < len; i++) {
         PyObject *v = PyLong_FromLongLong(values[i]);
         if (!v)
             Py_CLEAR(seq);
-        else if (tuple)
-            PyTuple_SET_ITEM(seq, i, v);
         else
-            PyList_SET_ITEM(seq, i, v);
+            PyTuple_SET_ITEM(seq, i, v);
     }
     return seq;
 }
@@ -490,48 +487,38 @@ static long long path_ceiling(Py_ssize_t n, Py_ssize_t m, const long long *ends,
     return 1 + longest;
 }
 
-/* splitmix64's finaliser: a vertex's contribution to a neighbourhood hash. */
-static uint64_t mix(uint64_t x)
-{
-    x += 0x9E3779B97F4A7C15ULL;
-    x = (x ^ (x >> 30)) * 0xBF58476D1CE4E5B9ULL;
-    x = (x ^ (x >> 27)) * 0x94D049BB133111EBULL;
-    return x ^ (x >> 31);
-}
-
-/* A vertex's open (closed = 0) or closed (closed = 1) neighbourhood, by hash. */
+/* A vertex v's open or closed neighbourhood of size entries, read in place
+ * from v's increasing neighbours nbr with v itself at slot: entry i is
+ * nbr[i] below slot, v at slot and nbr[i - 1] above it. N(v) has slot
+ * size, past its last entry. */
 typedef struct {
-    uint64_t hash;
-    Py_ssize_t v;
-    int closed;
-} Keyed;
+    const Py_ssize_t *nbr;
+    Py_ssize_t size, slot, v;
+} Hood;
 
-static int by_hash(const void *x, const void *y)
+static Py_ssize_t entry(const Hood *h, Py_ssize_t i)
 {
-    const Keyed *p = x, *q = y;
-    if (p->hash != q->hash)
-        return p->hash < q->hash ? -1 : 1;
-    if (p->closed != q->closed)
-        return p->closed - q->closed;
-    return (p->v > q->v) - (p->v < q->v);
+    return i < h->slot ? h->nbr[i] : i == h->slot ? h->v : h->nbr[i - 1];
 }
 
-/* Writes N(v), or N[v] when closed, in increasing order to key and returns
- * its size; nbr[start[v] ..] lists N(v) in increasing order. */
-static Py_ssize_t neighbourhood(const Py_ssize_t *start, const Py_ssize_t *nbr, Py_ssize_t v,
-                                int closed, Py_ssize_t *key)
+/* Neighbourhoods by size and entries: 0 for equal ones. */
+static int by_entries(const Hood *p, const Hood *q)
 {
-    Py_ssize_t size = 0;
-    for (Py_ssize_t i = start[v]; i < start[v + 1]; i++) {
-        if (closed && nbr[i] > v) {
-            key[size++] = v;
-            closed = 0;
-        }
-        key[size++] = nbr[i];
+    if (p->size != q->size)
+        return p->size < q->size ? -1 : 1;
+    for (Py_ssize_t i = 0; i < p->size; i++) {
+        Py_ssize_t a = entry(p, i), b = entry(q, i);
+        if (a != b)
+            return a < b ? -1 : 1;
     }
-    if (closed)
-        key[size++] = v;
-    return size;
+    return 0;
+}
+
+static int by_hood(const void *x, const void *y)
+{
+    const Hood *p = x, *q = y;
+    int order = by_entries(p, q);
+    return order ? order : (p->v > q->v) - (p->v < q->v);
 }
 
 /* A vertex v and the positions and far ends of its two earliest edges in
@@ -598,8 +585,8 @@ static int make_plan(Scratch *s, Py_ssize_t n, PyObject *edges_obj, Py_ssize_t m
     Py_ssize_t *inc = take(s, m, 2, sizeof(Py_ssize_t));
     Py_ssize_t *position = take(s, m, 1, sizeof(Py_ssize_t));
     Py_ssize_t *queue = take(s, n, 1, sizeof(Py_ssize_t));
-    Py_ssize_t *key = take(s, n + 1, 2, sizeof(Py_ssize_t)); /* two neighbourhoods */
-    Keyed *keyed = take(s, n, 2, sizeof(Keyed));
+    char *visited = take(s, n, 1, 1);
+    Hood *hood = take(s, n, 2, sizeof(Hood)); /* each vertex's two */
     Early *early = take(s, n, 1, sizeof(Early)); /* one class of twins */
     /* path_ceiling's walks (a row per vertex, or per end of one edge without
      * dist) and heap, unless a walk cost could leave int32. */
@@ -621,7 +608,6 @@ static int make_plan(Scratch *s, Py_ssize_t n, PyObject *edges_obj, Py_ssize_t m
     for (Py_ssize_t e = 0; e < m; e++)
         position[e] = -1;
     Py_ssize_t placed = 0, head = 0, tail = 0;
-    Py_ssize_t *visited = key; /* zeroed; the twins reuse it below */
     visited[root] = 1;
     queue[tail++] = root;
     while (head < tail) {
@@ -648,68 +634,50 @@ static int make_plan(Scratch *s, Py_ssize_t n, PyObject *edges_obj, Py_ssize_t m
     }
 
     /* Twins: vertices with equal open or equal closed neighbourhoods. No
-     * open one equals a closed one, and a vertex has twins of one kind only
-     * (_reference._plan_py). */
+     * open one equals a closed one (_reference._plan_py), so each run of
+     * equal neighbourhoods in sorted order is one class. */
     for (Py_ssize_t v = 0; v < n; v++) {
-        uint64_t hash = 0;
-        for (Py_ssize_t i = start[v]; i < start[v + 1]; i++)
-            hash += mix((uint64_t)nbr[i]);
-        keyed[2 * v] = (Keyed){hash, v, 0};
-        keyed[2 * v + 1] = (Keyed){hash + mix((uint64_t)v), v, 1};
+        Py_ssize_t size = start[v + 1] - start[v], slot = 0;
+        while (slot < size && nbr[start[v] + slot] < v)
+            slot++;
+        hood[2 * v] = (Hood){nbr + start[v], size, size, v};
+        hood[2 * v + 1] = (Hood){nbr + start[v], size + 1, slot, v};
     }
-    qsort(keyed, 2 * n, sizeof(Keyed), by_hash);
-    Py_ssize_t *mine = key, *theirs = key + n + 1;
+    qsort(hood, 2 * n, sizeof(Hood), by_hood);
     for (Py_ssize_t lo = 0, hi; lo < 2 * n; lo = hi) {
-        for (hi = lo + 1; hi < 2 * n && keyed[hi].hash == keyed[lo].hash &&
-                          keyed[hi].closed == keyed[lo].closed;
-             hi++)
-            ;
-        /* Split the run [lo, hi) into classes of equal neighbourhoods; v = -1
-         * marks a vertex already in a class. */
-        for (Py_ssize_t i = lo; hi - lo > 1 && i < hi; i++) {
-            if (keyed[i].v < 0)
-                continue;
-            int closed = keyed[i].closed;
-            Py_ssize_t size = neighbourhood(start, nbr, keyed[i].v, closed, mine), count = 0;
-            early[count++].v = keyed[i].v;
-            for (Py_ssize_t j = i + 1; j < hi; j++) {
-                if (keyed[j].v >= 0 && neighbourhood(start, nbr, keyed[j].v, closed, theirs) == size &&
-                    !memcmp(mine, theirs, size * sizeof(Py_ssize_t))) {
-                    early[count++].v = keyed[j].v;
-                    keyed[j].v = -1;
-                }
-            }
-            for (Py_ssize_t c = 0; count > 1 && c < count; c++)
-                earliest_two(start, nbr, inc, position, &early[c]);
-            /* The x<->y swap moves the edges at x or y other than xy. A twin
-             * has at most one edge to its partner, so the first moved edge,
-             * (x, u) at position k, is among each twin's two earliest, and
-             * its image (y, u) joins the partner y to u. */
-            for (Py_ssize_t p = 0; p < count; p++) {
-                for (Py_ssize_t q = p + 1; q < count; q++) {
-                    Py_ssize_t k = PY_SSIZE_T_MAX, y = -1, u = -1;
-                    for (int side = 0; side < 2; side++) {
-                        const Early *x = &early[side ? q : p], *partner = &early[side ? p : q];
-                        int i2 = x->nbr[0] == partner->v; /* skip the edge xy */
-                        if (x->pos[i2] < k) {
-                            k = x->pos[i2];
-                            y = partner->v;
-                            u = x->nbr[i2];
-                        }
+        Py_ssize_t count = 0;
+        for (hi = lo; hi < 2 * n && !by_entries(&hood[hi], &hood[lo]); hi++)
+            early[count++].v = hood[hi].v;
+        for (Py_ssize_t c = 0; count > 1 && c < count; c++)
+            earliest_two(start, nbr, inc, position, &early[c]);
+        /* The x<->y swap moves the edges at x or y other than xy. A twin
+         * has at most one edge to its partner, so the first moved edge,
+         * (x, u) at position k, is among each twin's two earliest, and its
+         * image (y, u) joins the partner y to u. */
+        for (Py_ssize_t p = 0; p < count; p++) {
+            for (Py_ssize_t q = p + 1; q < count; q++) {
+                Py_ssize_t k = PY_SSIZE_T_MAX, y = -1, u = -1;
+                for (int side = 0; side < 2; side++) {
+                    const Early *x = &early[side ? q : p], *partner = &early[side ? p : q];
+                    int i2 = x->nbr[0] == partner->v; /* skip the edge xy */
+                    if (x->pos[i2] < k) {
+                        k = x->pos[i2];
+                        y = partner->v;
+                        u = x->nbr[i2];
                     }
-                    if (y < 0)
-                        continue; /* K2: no edge moves */
-                    Py_ssize_t at = start[y], end = start[y + 1];
-                    while (at < end) { /* u among y's increasing neighbours */
-                        Py_ssize_t mid = at + (end - at) / 2;
-                        if (nbr[mid] < u)
-                            at = mid + 1;
-                        else
-                            end = mid;
-                    }
-                    if (at < start[y + 1] && nbr[at] == u)
-                        after[position[inc[at]]] = max(after[position[inc[at]]], k);
                 }
+                if (y < 0)
+                    continue; /* K2: no edge moves */
+                Py_ssize_t at = start[y], end = start[y + 1];
+                while (at < end) { /* u among y's increasing neighbours */
+                    Py_ssize_t mid = at + (end - at) / 2;
+                    if (nbr[mid] < u)
+                        at = mid + 1;
+                    else
+                        end = mid;
+                }
+                if (at < start[y + 1] && nbr[at] == u)
+                    after[position[inc[at]]] = max(after[position[inc[at]]], k);
             }
         }
     }
@@ -1141,7 +1109,7 @@ static PyObject *double_cover(PyObject *self, PyObject *args)
     for (Py_ssize_t e = 0; fields[0] && fields[1] && e < hm; e++) {
         long long a = h_ends[2 * e], b = h_ends[2 * e + 1];
         PyObject *pair = b < SHARED_PAIRS ? shared_pair(pairs, a, b, "double")
-                                          : ints_of(h_ends + 2 * e, 2, 1);
+                                          : ints_of(h_ends + 2 * e, 2);
         if (!pair) {
             Py_CLEAR(fields[0]);
             break;
@@ -1154,9 +1122,9 @@ static PyObject *double_cover(PyObject *self, PyObject *args)
         }
         PyTuple_SET_ITEM(fields[1], e, Py_NewRef(PyList_GET_ITEM(provenance, code[e])));
     }
-    fields[2] = ints_of(beta, hm, 1);
+    fields[2] = ints_of(beta, hm);
     fields[3] = PyLong_FromSsize_t(i0);
-    fields[4] = ints_of(final, hm, 1);
+    fields[4] = ints_of(final, hm);
     if (fields[0] && fields[1] && fields[2] && fields[3] && fields[4])
         result = PyTuple_Pack(5, fields[0], fields[1], fields[2], fields[3], fields[4]);
     goto done;

@@ -21,22 +21,6 @@ from .errors import InternalInvariantError
 from .graph import Graph, _domain_fault, classify, write_graph6
 from .solver import _NO_LIMITS, SearchLimits, SolveStatus, compute_W
 
-CSV_COLUMNS = (  # the fields of SurveyRecord, in order
-    "graph6",
-    "n",
-    "m",
-    "delta",
-    "connected",
-    "bipartite",
-    "regular_r",
-    "triangle_free",
-    "W",
-    "best_bound",
-    "slack",
-    "tight_theorems",
-    "doubling_ok",
-)
-
 NOT_COLORABLE = "not-colorable"
 ABORTED = "aborted"
 
@@ -55,6 +39,9 @@ class SurveyRecord(NamedTuple):
     slack: int | None
     tight_theorems: tuple[str, ...]
     doubling_ok: bool | None
+
+
+CSV_COLUMNS = tuple("W" if f == "w" else f for f in SurveyRecord._fields)
 
 
 def survey_graph(
