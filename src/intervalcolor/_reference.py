@@ -199,14 +199,12 @@ def _search_py(
     picked = [0] * (m + 1)  # picked[-1] stays 0, the floor where after[k] is -1
     nodes = 0
     # The distance rule: near[k][f] = D(k, f); lows[k][f] and highs[k][f]
-    # bound edge f's color at depth k, for f >= k; least_at[k] and
-    # most_at[k] bound edge k's candidates.
+    # bound edge f's color at depth k, for f > k, and edge k's candidates at
+    # f = k, as depth k + 1 reads only f > k.
     flat = memoryview(dist).cast("i")
     near = [flat[k * m : (k + 1) * m].tolist() for k in range(m)] if dist else []
     lows = [[0] * m for _ in near]
     highs = [[0] * m for _ in near]
-    least_at = [1] * m
-    most_at = [top] * m
     for t in range(top, bottom - 1, -1):
         if node_budget and nodes >= node_budget:
             return 2, nodes, t + 1, [0] * m
@@ -241,9 +239,10 @@ def _search_py(
                         reach_one = max(reach_one, 1 + here[f])
                     if hi == t:
                         reach_top = min(reach_top, t - here[f])
-                least_at[k] = lo_k[k] if color_count[t] else max(lo_k[k], reach_top)
-                most_at[k] = hi_k[k] if color_count[1] else min(hi_k[k], reach_one)
+                lo_k[k] = lo_k[k] if color_count[t] else max(lo_k[k], reach_top)
+                hi_k[k] = hi_k[k] if color_count[1] else min(hi_k[k], reach_one)
             mask_a, mask_b = mask[a], mask[b]
+            least, most = (lows[k][k], highs[k][k]) if near else (1, t)
             # Spread: a new color at v lies in [hi - deg(v) + 1, lo + deg(v) - 1],
             # lo and hi being v's least and greatest color (hi + 1 = bit_length).
             # Twin cut: it lies above the color of edge after[k].
@@ -254,9 +253,9 @@ def _search_py(
                 picked[after[k]] + 1,
                 mask_a.bit_length() - deg[a],
                 mask_b.bit_length() - deg[b],
-                least_at[k],
+                least,
             )
-            to = min(t if k else first_top, lo_a + deg[a] - 1, lo_b + deg[b] - 1, most_at[k])
+            to = min(t if k else first_top, lo_a + deg[a] - 1, lo_b + deg[b] - 1, most)
             taken = mask_a | mask_b
             spare = m - k - 1 - unused  # surjectivity: uncolored edges left over
             while c <= to:

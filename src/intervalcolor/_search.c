@@ -40,22 +40,23 @@
  * top is then capped at m and at the ceiling 1 + max D, above which no layer
  * has an interval coloring, and a range the caps leave empty gives
  * (0, 0, bottom, []). With the matrix, max D is longest. Without it, the
- * distance rule is off and D is read one row at a time, in BFS order, from
- * the walks from each edge's two ends, until the ceiling reaches top, so
- * that the cap is exact below top; above INT32_MAX / 3 edges, where a walk
- * could leave int32, the cap is m alone. budget caps the nodes of all
- * layers together (0 = unlimited), and a layer whose turn comes once it is
- * spent aborts with no node. status is 1 when a layer is feasible, 0 when
- * every layer is infeasible and 2 when the budget ran out; last is the last
- * t decided (the feasible one, bottom, or one above the aborted layer);
- * colors holds each edge's color, by edge index, 0 for none: the witness,
- * the partial coloring of an aborted layer when the budget ran out, or
- * nothing when status is 0. Edge order, color order, node counting and the
- * prune rules (distinct, spread, surjectivity, the first edge's reversal
- * cut, the twin cut, the distance rule) are those of _search_py, so its four
- * results agree with this one given _plan_py's plan and the capped top; the
- * proofs are in solver.py's docstring. Malformed input raises ValueError
- * (TypeError for edges that are not a sequence).
+ * distance rule is off and D is read one row at a time, in BFS order, each
+ * from one Dijkstra seeded at both ends of its edge, until the ceiling
+ * reaches top, so that the cap is exact below top; above INT32_MAX / 3 edges,
+ * where a walk could leave int32, the cap is m alone. Ctrl-C (a signal
+ * handler that raises) stops either pass after its current walk. budget caps
+ * the nodes of all layers together (0 = unlimited), and a layer whose turn
+ * comes once it is spent aborts with no node. status is 1 when a layer is
+ * feasible, 0 when every layer is infeasible and 2 when the budget ran out;
+ * last is the last t decided (the feasible one, bottom, or one above the
+ * aborted layer); colors holds each edge's color, by edge index, 0 for none:
+ * the witness, the partial coloring of an aborted layer when the budget ran
+ * out, or nothing when status is 0. Edge order, color order, node counting
+ * and the prune rules (distinct, spread, surjectivity, the first edge's
+ * reversal cut, the twin cut, the distance rule) are those of _search_py, so
+ * its four results agree with this one given _plan_py's plan and the capped
+ * top; the proofs are in solver.py's docstring. Malformed input raises
+ * ValueError (TypeError for edges that are not a sequence).
  *
  * A vertex's colors are a bitmask of (top + 1) / 64 + 1 words, bit c for
  * color c, of which layer t reads the first (t + 1) / 64 + 1, so every t
@@ -178,13 +179,15 @@
  * order found, equal item for item to _reference.extend's (the proof is in
  * catalog.py's docstring). Malformed input raises ValueError.
  *
- * Each entry takes its buffers from one Scratch, a fixed list of zeroed
- * blocks, and frees them all with one release on every exit. Out of memory
- * raises MemoryError and leaves nothing allocated, which
- * tests/test_kernel_memory.py checks at every failing allocation. */
+ * Each entry carves its buffers from one Scratch, a chain of zeroed chunks,
+ * so that a small call allocates once, and frees them all with one release
+ * on every exit. Out of memory raises MemoryError and leaves nothing
+ * allocated, which tests/test_kernel_memory.py checks at every failing
+ * allocation. */
 
 #define PY_SSIZE_T_CLEAN
 #include <Python.h>
+#include <stddef.h>
 #include <stdint.h>
 #include <string.h>
 
@@ -215,35 +218,60 @@ static long long bit_length(const uint64_t *mask, long long words)
     return 0;
 }
 
-/* The buffers of one kernel call. take adds a block of rows * cols zeroed
- * items of size bytes; it returns NULL and marks the list failed when that
- * size overflows a size_t, when the list is full or when memory runs out,
- * and takes nothing more once failed, so a caller tests failed once after
- * its takes. A request for no items still gets a block (PyMem_Calloc's
- * rule), so it fails only when memory does. release frees every block. */
-#define SCRATCH_BLOCKS 24
+/* The buffers of one kernel call, carved from zeroed chunks. take hands out
+ * rows * cols items of size bytes at the next ALIGN boundary of the newest
+ * chunk, a place of its own even for no items; a request that does not fit
+ * gets a new chunk of max(request, CHUNK) bytes, whose first word points to
+ * the chunk before it. take raises MemoryError and returns NULL when the
+ * size overflows a size_t or memory runs out, and takes nothing more once
+ * failed, so a caller tests failed once after its takes. release frees
+ * every chunk. CHUNK, one page, holds every buffer of a search with the
+ * matrix on up to 11 edges, and of the other entries on small graphs, so
+ * such a call allocates once. 16 KiB would hold a search on 30 edges, but
+ * zeroing it costs the small calls more than it saves the searches: in
+ * paired benchmark runs a page was faster on survey6 and doubled. */
+#define CHUNK 4096
+#define ALIGN _Alignof(max_align_t)
 
 typedef struct {
-    void *block[SCRATCH_BLOCKS];
-    int count, failed;
+    void **chunk; /* the newest, or NULL */
+    size_t used, size;
+    int failed;
 } Scratch;
 
 static void *take(Scratch *s, size_t rows, size_t cols, size_t size)
 {
-    void *p = NULL;
-    if (!s->failed && s->count < SCRATCH_BLOCKS && (!cols || rows <= SIZE_MAX / cols / size))
-        p = PyMem_Calloc(rows * cols, size);
-    if (p)
-        s->block[s->count++] = p;
-    else
+    if (s->failed)
+        return NULL;
+    /* The place in whole ALIGN units, at least one; with the chunk's header
+     * it stays within a size_t. */
+    int fits = !cols || rows <= (SIZE_MAX - 2 * ALIGN) / cols / size;
+    size_t bytes = fits ? (rows * cols * size + ALIGN - 1) / ALIGN * ALIGN : 0;
+    bytes = bytes ? bytes : ALIGN;
+    if (fits && s->size - s->used < bytes) { /* a new chunk; the first has size 0 */
+        size_t whole = bytes + ALIGN > CHUNK ? bytes + ALIGN : CHUNK;
+        void **chunk = PyMem_Calloc(1, whole);
+        if ((fits = chunk != NULL)) {
+            *chunk = s->chunk;
+            *s = (Scratch){chunk, ALIGN, whole, 0};
+        }
+    }
+    if (!fits) {
         s->failed = 1;
-    return p;
+        PyErr_NoMemory();
+        return NULL;
+    }
+    s->used += bytes;
+    return (char *)s->chunk + s->used - bytes;
 }
 
 static void release(Scratch *s)
 {
-    while (s->count)
-        PyMem_Free(s->block[--s->count]);
+    while (s->chunk) {
+        void **before = *s->chunk;
+        PyMem_Free(s->chunk);
+        s->chunk = before;
+    }
 }
 
 /* The value of an exact int in [0, most], or -1 for any other object. */
@@ -432,16 +460,19 @@ static void adjacency(Py_ssize_t n, Py_ssize_t m, const long long *edges, long l
     start[0] = 0;
 }
 
-/* cost[v] = walk(source, v) for every vertex v (search()), on the adjacency
- * (start, nbr); heap holds 2m + 1 keys, one push per relaxation. */
-static void walk_from(Py_ssize_t source, Py_ssize_t n, const long long *deg,
-                      const Py_ssize_t *start, const Py_ssize_t *nbr, uint64_t *heap, int32_t *cost)
+/* cost[v] = min(walk(a, v), walk(b, v)) for every vertex v (search()), on
+ * the adjacency (start, nbr); heap holds 2m + 2 keys, one push per end and
+ * per relaxation. Python then handles signals: -1 with an exception set if
+ * a handler raises, as Ctrl-C's does. */
+static int walk_from(Py_ssize_t a, Py_ssize_t b, Py_ssize_t n, const long long *deg,
+                     const Py_ssize_t *start, const Py_ssize_t *nbr, uint64_t *heap, int32_t *cost)
 {
     for (Py_ssize_t v = 0; v < n; v++)
         cost[v] = INT32_MAX;
     Py_ssize_t size = 0;
-    cost[source] = (int32_t)(deg[source] - 1);
-    heap_push(heap, &size, (uint64_t)cost[source] << 32 | (uint64_t)source);
+    cost[a] = (int32_t)(deg[a] - 1), cost[b] = (int32_t)(deg[b] - 1);
+    heap_push(heap, &size, (uint64_t)cost[a] << 32 | (uint64_t)a);
+    heap_push(heap, &size, (uint64_t)cost[b] << 32 | (uint64_t)b);
     while (size) {
         uint64_t key = heap_pop(heap, &size);
         long long c = (long long)(key >> 32), u = (long long)(key & 0xFFFFFFFF);
@@ -455,23 +486,26 @@ static void walk_from(Py_ssize_t source, Py_ssize_t n, const long long *deg,
             }
         }
     }
+    return PyErr_CheckSignals();
 }
 
 /* The ceiling search() caps top at, for the ends in BFS order, filling d
- * when given, with the walk rows and heap make_plan takes for it. */
+ * when given, with the walk rows and heap make_plan takes for it; -1 with
+ * an exception set if a signal handler raises after a walk. */
 static long long path_ceiling(Py_ssize_t n, Py_ssize_t m, const long long *ends,
                               const long long *deg, const Py_ssize_t *start, const Py_ssize_t *nbr,
                               int32_t *walk, uint64_t *heap, int32_t *d, long long top)
 {
     for (Py_ssize_t v = 0; d && v < n; v++)
-        walk_from(v, n, deg, start, nbr, heap, walk + v * n);
+        if (walk_from(v, v, n, deg, start, nbr, heap, walk + v * n))
+            return -1;
     long long longest = 0;
     for (Py_ssize_t e = 0; e < m; e++) {
         long long a = ends[2 * e], b = ends[2 * e + 1];
-        if (!d) { /* the walks from e's ends, in rows 0 and 1 */
-            walk_from(a, n, deg, start, nbr, heap, walk);
-            walk_from(b, n, deg, start, nbr, heap, walk + n);
-            a = 0, b = 1;
+        if (!d) { /* one walk from both of e's ends, in row 0 */
+            if (walk_from(a, b, n, deg, start, nbr, heap, walk))
+                return -1;
+            a = b = 0;
         }
         const int32_t *from_a = walk + a * n, *from_b = walk + b * n;
         for (Py_ssize_t f = 0; f < m; f++) {
@@ -588,15 +622,13 @@ static int make_plan(Scratch *s, Py_ssize_t n, PyObject *edges_obj, Py_ssize_t m
     char *visited = take(s, n, 1, 1);
     Hood *hood = take(s, n, 2, sizeof(Hood)); /* each vertex's two */
     Early *early = take(s, n, 1, sizeof(Early)); /* one class of twins */
-    /* path_ceiling's walks (a row per vertex, or per end of one edge without
-     * dist) and heap, unless a walk cost could leave int32. */
+    /* path_ceiling's walks (a row per vertex, or one row, from both ends of
+     * an edge, without dist) and heap, unless a walk cost could leave int32. */
     int walks = m <= INT32_MAX / 3;
-    int32_t *walk = walks ? take(s, dist ? n : 2, n, sizeof(int32_t)) : NULL;
-    uint64_t *heap = walks ? take(s, 2 * m + 1, 1, sizeof(uint64_t)) : NULL;
-    if (s->failed) {
-        PyErr_NoMemory();
+    int32_t *walk = walks ? take(s, dist ? n : 1, n, sizeof(int32_t)) : NULL;
+    uint64_t *heap = walks ? take(s, 2 * m + 2, 1, sizeof(uint64_t)) : NULL;
+    if (s->failed)
         return -1;
-    }
     if (read_edges(edges_obj, n, m, edges, "search"))
         return -1;
     adjacency(n, m, edges, deg, start, nbr, inc);
@@ -685,7 +717,7 @@ static int make_plan(Scratch *s, Py_ssize_t n, PyObject *edges_obj, Py_ssize_t m
     long long ceiling =
         walks ? path_ceiling(n, m, ends, deg, start, nbr, walk, heap, dist, top) : m;
     *out = (Plan){m, order, ends, deg, after, ceiling, dist};
-    return 0;
+    return ceiling < 0 ? -1 : 0;
 }
 
 static PyObject *search(PyObject *self, PyObject *args)
@@ -722,19 +754,13 @@ static PyObject *search(PyObject *self, PyObject *args)
     long long *color_count = take(&s, top + 1, 1, sizeof(long long));
     /* n vertex masks, then used: bit c set while some edge holds color c. */
     uint64_t *mask = take(&s, (size_t)n + 1, stride, sizeof(uint64_t));
-    /* Row k of lo and hi: the ranges at depth k, for edges k .. m - 1.
-     * least_at[k] and most_at[k]: edge k's candidate interval. */
-    int32_t *lo = NULL, *hi = NULL, *least_at = NULL, *most_at = NULL;
-    if (dist) {
-        lo = take(&s, m, m, sizeof(int32_t));
-        hi = take(&s, m, m, sizeof(int32_t));
-        least_at = take(&s, m, 1, sizeof(int32_t));
-        most_at = take(&s, m, 1, sizeof(int32_t));
-    }
-    if (s.failed) {
-        PyErr_NoMemory();
+    /* Row k of lo and hi: the ranges at depth k, for edges k + 1 .. m - 1,
+     * and at f = k edge k's candidate interval, as depth k + 1 reads only
+     * f > k. */
+    int32_t *lo = dist ? take(&s, m, m, sizeof(int32_t)) : NULL;
+    int32_t *hi = dist ? take(&s, m, m, sizeof(int32_t)) : NULL;
+    if (s.failed)
         goto done;
-    }
     long long *picked = slots + 1;
     uint64_t *used = mask + (size_t)n * stride;
     long long nodes = 0, t = top;
@@ -791,8 +817,8 @@ static PyObject *search(PyObject *self, PyObject *args)
                         reach_top = min32(reach_top, t32 - near[f]);
                     }
                 }
-                least_at[k] = color_count[t] ? lo_k[k] : max32(lo_k[k], reach_top);
-                most_at[k] = color_count[1] ? hi_k[k] : min32(hi_k[k], reach_one);
+                lo_k[k] = color_count[t] ? lo_k[k] : max32(lo_k[k], reach_top);
+                hi_k[k] = color_count[1] ? hi_k[k] : min32(hi_k[k], reach_one);
             }
             /* Spread: a new color at v lies in [hi - deg(v) + 1, lo + deg(v) - 1],
              * lo and hi being v's least and greatest color (hi + 1 = bit_length).
@@ -803,8 +829,8 @@ static PyObject *search(PyObject *self, PyObject *args)
             long long to = min(k ? t : first_top, min(lowest(mask_a, words, t) + deg[a] - 1,
                                                        lowest(mask_b, words, t) + deg[b] - 1));
             if (dist) {
-                from = max(from, least_at[k]);
-                to = min(to, most_at[k]);
+                from = max(from, lo[k * m + k]);
+                to = min(to, hi[k * m + k]);
             }
             /* The least color in [from, to] on neither end, and on no edge
              * at all when exactly as many edges as unused colors remain
@@ -871,25 +897,21 @@ done:
 }
 
 /* Whether colors, one per edge in 1..t, is an interval t-coloring of the
- * graph on n vertices with the m edges in ends, flat (interval_ok); -1 with
- * an exception set if memory runs out. */
-static int is_interval(Py_ssize_t n, Py_ssize_t m, const long long *ends, const long long *colors,
-                       long long t)
+ * graph on n vertices with the m edges in ends, flat (interval_ok), in
+ * buffers taken from s; -1 with an exception set if memory runs out. */
+static int is_interval(Scratch *s, Py_ssize_t n, Py_ssize_t m, const long long *ends,
+                       const long long *colors, long long t)
 {
-    int ok = -1;
-    Scratch s = {0};
     /* Per vertex: least and greatest color, degree, and where its row of
      * seen starts; seen[base[v] + c - lo[v]] marks color c at v. */
-    long long *lo = take(&s, n, 1, sizeof(long long));
-    long long *hi = take(&s, n, 1, sizeof(long long));
-    long long *count = take(&s, n, 1, sizeof(long long));
-    long long *base = take(&s, n, 1, sizeof(long long));
-    char *seen = take(&s, m, 2, 1);
-    char *used = take(&s, t + 1, 1, 1);
-    if (s.failed) {
-        PyErr_NoMemory();
-        goto done;
-    }
+    long long *lo = take(s, n, 1, sizeof(long long));
+    long long *hi = take(s, n, 1, sizeof(long long));
+    long long *count = take(s, n, 1, sizeof(long long));
+    long long *base = take(s, n, 1, sizeof(long long));
+    char *seen = take(s, m, 2, 1);
+    char *used = take(s, t + 1, 1, 1);
+    if (s->failed)
+        return -1;
     for (Py_ssize_t v = 0; v < n; v++)
         lo[v] = t + 1;
     for (Py_ssize_t i = 0; i < 2 * m; i++) {
@@ -898,7 +920,7 @@ static int is_interval(Py_ssize_t n, Py_ssize_t m, const long long *ends, const 
         hi[v] = max(hi[v], c);
         count[v]++;
     }
-    ok = 1;
+    int ok = 1;
     for (Py_ssize_t v = 0; v < n; v++) {
         ok = ok && (!count[v] || hi[v] - lo[v] + 1 == count[v]);
         base[v] = v ? base[v - 1] + count[v - 1] : 0;
@@ -915,10 +937,7 @@ static int is_interval(Py_ssize_t n, Py_ssize_t m, const long long *ends, const 
         distinct += !used[colors[e]];
         used[colors[e]] = 1;
     }
-    ok = ok && distinct == t;
-done:
-    release(&s);
-    return ok;
+    return ok && distinct == t;
 }
 
 static PyObject *interval_ok(PyObject *self, PyObject *args)
@@ -939,15 +958,13 @@ static PyObject *interval_ok(PyObject *self, PyObject *args)
     Scratch s = {0};
     long long *ends = take(&s, m, 2, sizeof(long long));
     long long *colors = take(&s, m, 1, sizeof(long long));
-    if (s.failed) {
-        PyErr_NoMemory();
+    if (s.failed)
         goto done;
-    }
     if (read_edges(edges_obj, n, m, ends, "interval_ok"))
         goto done;
     int ok = read_colors(colors_obj, m, t, colors, "interval_ok");
     if (ok > 0)
-        ok = is_interval(n, m, ends, colors, t);
+        ok = is_interval(&s, n, m, ends, colors, t);
     if (ok >= 0)
         result = PyBool_FromLong(ok);
 done:
@@ -1003,7 +1020,7 @@ static PyObject *double_cover(PyObject *self, PyObject *args)
         return NULL;
     }
     Py_ssize_t hn = 2 * n, hm = 2 * m + n; /* H's vertices and edges */
-    PyObject *result = NULL, *fields[5] = {NULL};
+    PyObject *result = NULL;
     Scratch s = {0};
     long long *edges = take(&s, m, 2, sizeof(long long));
     long long *colors = take(&s, m, 1, sizeof(long long));
@@ -1019,17 +1036,15 @@ static PyObject *double_cover(PyObject *self, PyObject *args)
     Py_ssize_t *inc = take(&s, m, 2, sizeof(Py_ssize_t));
     Py_ssize_t *match = take(&s, n, 1, sizeof(Py_ssize_t)); /* position of u_i w_i in H */
     Py_ssize_t *parent = take(&s, hn, 1, sizeof(Py_ssize_t));
-    if (s.failed) {
-        PyErr_NoMemory();
+    if (s.failed)
         goto done;
-    }
     if (read_edges(edges_obj, n, m, edges, "double"))
         goto done;
     /* From here every failed check returns None: the caller then runs the
      * Python path, which raises its own error or accepts the input itself. */
     int ok = read_colors(colors_obj, m, t, colors, "double");
     if (ok > 0)
-        ok = connected(n, m, edges, parent) ? is_interval(n, m, edges, colors, t) : 0;
+        ok = connected(n, m, edges, parent) ? is_interval(&s, n, m, edges, colors, t) : 0;
     if (ok < 0)
         goto done;
     if (!ok)
@@ -1096,7 +1111,7 @@ static PyObject *double_cover(PyObject *self, PyObject *args)
         goto fallback;
     memcpy(final, beta, hm * sizeof(long long));
     final[match[i0]] = 1;
-    ok = is_interval(hn, hm, h_ends, final, t + 2);
+    ok = is_interval(&s, hn, hm, h_ends, final, t + 2);
     if (ok < 0)
         goto done;
     if (!ok)
@@ -1104,35 +1119,30 @@ static PyObject *double_cover(PyObject *self, PyObject *args)
 
     /* H's pairs and provenance are the caller's shared objects where they
      * exist: pairs[b][a] for b < 64, provenance[code] for every edge. */
-    fields[0] = PyTuple_New(hm);
-    fields[1] = PyTuple_New(hm);
-    for (Py_ssize_t e = 0; fields[0] && fields[1] && e < hm; e++) {
+    PyObject *h_edges = PyTuple_New(hm), *origin = PyTuple_New(hm);
+    for (Py_ssize_t e = 0; h_edges && origin && e < hm; e++) {
         long long a = h_ends[2 * e], b = h_ends[2 * e + 1];
         PyObject *pair = b < SHARED_PAIRS ? shared_pair(pairs, a, b, "double")
                                           : ints_of(h_ends + 2 * e, 2);
         if (!pair) {
-            Py_CLEAR(fields[0]);
+            Py_CLEAR(h_edges);
             break;
         }
-        PyTuple_SET_ITEM(fields[0], e, pair);
+        PyTuple_SET_ITEM(h_edges, e, pair);
         if (code[e] >= PyList_GET_SIZE(provenance)) { /* a finalizer shrank it */
             PyErr_SetString(PyExc_ValueError, "double: provenance changed size");
-            Py_CLEAR(fields[1]);
+            Py_CLEAR(origin);
             break;
         }
-        PyTuple_SET_ITEM(fields[1], e, Py_NewRef(PyList_GET_ITEM(provenance, code[e])));
+        PyTuple_SET_ITEM(origin, e, Py_NewRef(PyList_GET_ITEM(provenance, code[e])));
     }
-    fields[2] = ints_of(beta, hm);
-    fields[3] = PyLong_FromSsize_t(i0);
-    fields[4] = ints_of(final, hm);
-    if (fields[0] && fields[1] && fields[2] && fields[3] && fields[4])
-        result = PyTuple_Pack(5, fields[0], fields[1], fields[2], fields[3], fields[4]);
+    /* N hands each field to the tuple, and frees them all if one is NULL. */
+    result = Py_BuildValue("(NNNNN)", h_edges, origin, ints_of(beta, hm), PyLong_FromSsize_t(i0),
+                           ints_of(final, hm));
     goto done;
 fallback:
     result = Py_NewRef(Py_None);
 done:
-    for (int i = 0; i < 5; i++)
-        Py_XDECREF(fields[i]);
     release(&s);
     return result;
 }
@@ -1179,10 +1189,8 @@ static PyObject *index_graph(PyObject *self, PyObject *args)
     }
     /* One int per vertex, shared by the pairs of endpoints past _PAIRS. */
     vertex = take(&s, most + 1, 1, sizeof(PyObject *));
-    if (s.failed) {
-        PyErr_NoMemory();
+    if (s.failed)
         goto done;
-    }
     Py_ssize_t m = given;
     if (!sorted) {
         qsort(keys, given, sizeof(uint64_t), by_key);
@@ -1278,7 +1286,7 @@ static PyObject *classify(PyObject *self, PyObject *args)
         PyErr_SetString(PyExc_ValueError, "classify: n out of range");
         return NULL;
     }
-    PyObject *result = NULL, *fields[7] = {NULL};
+    PyObject *result = NULL;
     Scratch s = {0};
     long long *edges = take(&s, m, 2, sizeof(long long));
     long long *deg = take(&s, n, 1, sizeof(long long));
@@ -1287,10 +1295,8 @@ static PyObject *classify(PyObject *self, PyObject *args)
     Py_ssize_t *inc = take(&s, m, 2, sizeof(Py_ssize_t));
     Py_ssize_t *queue = take(&s, n, 1, sizeof(Py_ssize_t));
     signed char *side = take(&s, n, 1, 1);
-    if (s.failed) {
-        PyErr_NoMemory();
+    if (s.failed)
         goto done;
-    }
     if (read_edges(edges_obj, n, m, edges, "classify"))
         goto done;
     adjacency(n, m, edges, deg, start, nbr, inc);
@@ -1332,11 +1338,7 @@ static PyObject *classify(PyObject *self, PyObject *args)
         triangle_free = !share(nbr + start[a], deg[a], nbr + start[b], deg[b]);
     }
 
-    fields[0] = PyBool_FromLong(components == 1);
-    fields[2] = most == least ? PyLong_FromLongLong(most) : Py_NewRef(Py_None);
-    fields[3] = PyBool_FromLong(triangle_free);
-    fields[5] = PyLong_FromLongLong(most);
-    fields[6] = PyLong_FromLongLong(least);
+    PyObject *bipartition, *biregular;
     if (proper) {
         /* Each part's single degree, or -1 once two differ; vertex 0 is in
          * part 0, and an empty part 1 takes part 0's degree. */
@@ -1356,27 +1358,22 @@ static PyObject *classify(PyObject *self, PyObject *args)
             }
             PyTuple_SET_ITEM(parts[s], filled[s]++, vertex);
         }
-        fields[1] = parts[0] && parts[1] ? PyTuple_Pack(2, parts[0], parts[1]) : NULL;
+        bipartition = parts[0] && parts[1] ? PyTuple_Pack(2, parts[0], parts[1]) : NULL;
         Py_XDECREF(parts[0]);
         Py_XDECREF(parts[1]);
         if (part_deg[0] >= 0 && part_deg[1] >= 0)
-            fields[4] = Py_BuildValue("(LL)", min(part_deg[0], part_deg[1]),
+            biregular = Py_BuildValue("(LL)", min(part_deg[0], part_deg[1]),
                                       max(part_deg[0], part_deg[1]));
         else
-            fields[4] = Py_NewRef(Py_None);
+            biregular = Py_NewRef(Py_None);
     } else {
-        fields[1] = Py_NewRef(Py_None);
-        fields[4] = Py_NewRef(Py_None);
+        bipartition = Py_NewRef(Py_None);
+        biregular = Py_NewRef(Py_None);
     }
-    result = PyTuple_New(7);
-    for (int f = 0; f < 7; f++) {
-        if (!fields[f])
-            Py_CLEAR(result);
-        if (result)
-            PyTuple_SET_ITEM(result, f, fields[f]);
-        else
-            Py_XDECREF(fields[f]);
-    }
+    result = Py_BuildValue("(NNNNNNN)", PyBool_FromLong(components == 1), bipartition,
+                           most == least ? PyLong_FromLongLong(most) : Py_NewRef(Py_None),
+                           PyBool_FromLong(triangle_free), biregular, PyLong_FromLongLong(most),
+                           PyLong_FromLongLong(least));
 done:
     release(&s);
     return result;
@@ -1593,7 +1590,7 @@ static PyObject *extend(PyObject *self, PyObject *args)
         marks = take(&s, bit / 64 + 1, 1, sizeof(uint64_t));
         queue = take(&s, bit, 1, sizeof(uint32_t));
     }
-    PyObject *grown = s.failed ? PyErr_NoMemory() : PyDict_New();
+    PyObject *grown = s.failed ? NULL : PyDict_New();
     if (!grown)
         goto done;
     c->auts = auts;

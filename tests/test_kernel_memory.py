@@ -4,13 +4,16 @@ MemoryError or returns what a clean call returns, and no failure leaks.
 ``_testcapi.set_nomemory(k, 0)`` lets the first k allocations of the
 interpreter succeed and fails every later one, so sweeping k from 0 walks
 each allocation of a call and the exit it takes when that allocation
-fails: every ``PyErr_NoMemory`` branch and every ``release`` of
-``_search.c``, and the failures of the objects a call builds. The sweep
-also fails the k-th allocation alone (``set_nomemory(k, k + 1)``), where
-an error return that sets no exception shows as SystemError; failing
-every later allocation too turns it into MemoryError. The index at which
-a call first succeeds is not pinned: a sanitizer build, or the state of
-the interpreter's free lists, moves it.
+fails: each chunk that ``take`` in ``_search.c`` allocates, raising the
+MemoryError itself, with the ``release`` on that exit, and the failures of
+the objects a call builds. A small call carves all its buffers from one
+chunk, so it fails at a few indices and returns its result at the rest.
+The sweep also fails the k-th allocation alone
+(``set_nomemory(k, k + 1)``), where an error return that sets no exception
+shows as SystemError; failing every later allocation too turns it into
+MemoryError. The index at which a call first succeeds is not pinned: a
+sanitizer build, or the state of the interpreter's free lists, moves it.
+Under UBSan, as in CI, a buffer carved at a misaligned place ends the run.
 """
 
 from __future__ import annotations

@@ -1041,18 +1041,21 @@ class TestNativeKernel:
         for t in (1199, 1200):
             assert self.agree(path, t, 0)
 
-    def test_ctrl_c_stops_a_long_search(self):
-        # Uncapped, compute_W on this graph runs far longer than this test
-        # waits: networkx's gnp_random_graph(12, 0.6, seed=0), which is not
-        # overfull and has no automorphism but the identity, so that no
-        # symmetry cut can shorten its search.
-        probe = (
-            "from intervalcolor import compute_W, parse_graph6\n"
-            "from intervalcolor.solver import _native\n"
-            "assert _native().__name__ == 'intervalcolor._search'\n"
-            "print('searching', flush=True)\n"
-            "compute_W(parse_graph6('KMeF`]~dsTJJ'))"
+    @staticmethod
+    def seconds_to_interrupt(build: str, limits: str) -> float:
+        """Seconds from a SIGINT, sent a second into compute_W(g, limits) on
+        the kernel in a child process, g bound by the statements build, to
+        the child's end by KeyboardInterrupt."""
+        lines = (
+            "import random",
+            "from intervalcolor import Graph, SearchLimits, compute_W, parse_graph6",
+            "from intervalcolor.solver import _native",
+            "assert _native().__name__ == 'intervalcolor._search'",
+            build,
+            "print('searching', flush=True)",
+            f"compute_W(g, {limits})",
         )
+        probe = "\n".join(lines)
         src = str(Path(intervalcolor.__file__).resolve().parents[1])
         child = subprocess.Popen(
             [sys.executable, "-c", probe],
@@ -1065,10 +1068,34 @@ class TestNativeKernel:
             assert child.stdout.readline() == "searching\n"
             time.sleep(1)
             child.send_signal(signal.SIGINT)
+            sent = time.perf_counter()
             _, err = child.communicate(timeout=30)
         finally:
             child.kill()
         assert child.returncode == -signal.SIGINT and "KeyboardInterrupt" in err
+        return time.perf_counter() - sent
+
+    def test_ctrl_c_stops_a_long_search(self):
+        # Uncapped, compute_W on this graph runs far longer than this test
+        # waits: networkx's gnp_random_graph(12, 0.6, seed=0), which is not
+        # overfull and has no automorphism but the identity, so that no
+        # symmetry cut can shorten its search.
+        self.seconds_to_interrupt("g = parse_graph6('KMeF`]~dsTJJ')", "SearchLimits()")
+
+    def test_ctrl_c_stops_the_ceiling_pass(self):
+        # Past DISTANCE_MAX_M, search reads D's rows until the ceiling
+        # reaches top, here the registry bound, far above the ceiling of
+        # this sparse graph (a random tree on 10,000 vertices and random
+        # edges up to 29,999), so every row is read before the one node:
+        # 37 s on a 2-core Xeon. Ctrl-C stops the pass after one walk.
+        build = (
+            "rng = random.Random(1)\n"
+            "edges = {(rng.randrange(i), i) for i in range(1, 10000)}\n"
+            "while len(edges) < 29999:\n"
+            "    edges.add(tuple(sorted(rng.sample(range(10000), 2))))\n"
+            "g = Graph(10000, sorted(edges))"
+        )
+        assert self.seconds_to_interrupt(build, "SearchLimits(node_limit=1)") < 5
 
     def test_caps_top_at_m_in_a_small_peak(self):
         # The search caps top at m, so a top far past int32 decides what
