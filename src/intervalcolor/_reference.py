@@ -161,6 +161,12 @@ def search(
     return _search_py(n, *plan[:5], min(top, g.m, 1 + longest), bottom, budget)
 
 
+def _anchored(pairs: int, m: int) -> bool:
+    """Whether a layer whose anchor pairs number ``pairs`` is decided by a
+    sweep over them: at most 2m of them (solver's docstring)."""
+    return pairs <= 2 * m
+
+
 def _search_py(
     n: int,
     order: list[int],
@@ -182,70 +188,131 @@ def _search_py(
     with no node. ``last`` is the last t decided: the witness's, bottom, or
     one above the aborted layer. ``colors`` gives each edge's color in
     ``Graph.edges`` order, 0 for none: the witness, or an aborted layer's
-    partial coloring when the budget ran out; it is empty when every layer
-    is infeasible.
+    partial coloring when the budget ran out (in a sweep, its run's, the
+    anchor pair included); it is empty when every layer is infeasible.
 
-    Within a layer, ``picked[k]`` is the color of the k-th edge in BFS
-    order, 0 for none. A depth entered with a color picked was backtracked
-    to: that color comes off and the next one is tried. ``dist`` is the
-    plan's matrix, or b"" to search without the distance rule.
+    A layer is one run of the loop, or, with the matrix and when
+    ``_anchored`` accepts its anchor pairs, a sweep: one run per pair
+    (e, f), e ascending and f descending in BFS positions, with e holding 1
+    and f holding t at no node, and each run after the first coloring found
+    searching only below the least so far (solver's docstring). In a run,
+    ``picked[k]`` is the color of the k-th edge in BFS order, 0 for none. A
+    depth entered with a color picked was backtracked to: that color comes
+    off and the next one is tried. ``dist`` is the plan's matrix, or b"" to
+    search without the distance rule and the sweep.
     """
     m = len(ends) // 2
     pairs = list(zip(ends[::2], ends[1::2]))
-    # A layer proven infeasible has taken every color off again, so the
-    # next starts from empty masks and counts.
+    # A run that finds no coloring has taken every color off again, and a
+    # sweep takes a found one off, so each run starts from empty masks and
+    # counts.
     mask = [0] * n  # bit c set: some edge at the vertex has color c
     color_count = [0] * (top + 1)
     picked = [0] * (m + 1)  # picked[-1] stays 0, the floor where after[k] is -1
     nodes = 0
-    # The distance rule: near[k][f] = D(k, f); lows[k][f] and highs[k][f]
-    # bound edge f's color at depth k, for f > k, and edge k's candidates at
-    # f = k, as depth k + 1 reads only f > k.
+    # The distance rule: near[k][g] = D(k, g); lows[k][g] and highs[k][g]
+    # bound edge g's color at depth k, for g > k, and edge k's candidates at
+    # g = k, as later depths read only g > k. far[d]: the ordered pairs of
+    # edges with D >= d.
     flat = memoryview(dist).cast("i")
     near = [flat[k * m : (k + 1) * m].tolist() for k in range(m)] if dist else []
     lows = [[0] * m for _ in near]
     highs = [[0] * m for _ in near]
-    for t in range(top, bottom - 1, -1):
-        if node_budget and nodes >= node_budget:
-            return 2, nodes, t + 1, [0] * m
-        unused = t  # colors on no edge yet
+    far = [0] * (max(flat, default=0) + 2)
+    for d in flat:
+        far[d] += 1
+    for d in reversed(range(len(far) - 1)):
+        far[d] += far[d + 1]
+
+    def toggle(k: int, c: int) -> None:
+        a, b = pairs[k]
+        mask[a] ^= 1 << c
+        mask[b] ^= 1 << c
+
+    def take_off(k: int) -> None:
+        c = picked[k]
+        toggle(k, c)
+        color_count[c] -= 1
+        picked[k] = 0
+
+    def clear_colors() -> None:
+        for k in range(m):
+            if picked[k]:
+                take_off(k)
+
+    def tie_from(best: list[int], q: int, e: int, f: int, t: int) -> int:
+        # Where the run stops matching best, given that it matches before q:
+        # past the pre-colored positions from q on that match; -2 when one
+        # of them holds a larger color, so that nothing below best is left.
+        while q < m and q in (e, f):
+            c = 1 if q == e else t
+            if c != best[q]:
+                return q if c < best[q] else -2
+            q += 1
+        return q
+
+    def run(t: int, e: int, f: int, best: list[int] | None) -> int:
+        """One run of the loop at palette size t over the edges but e and f,
+        which hold 1 and t at no node (none when e is -1; e = f when t = 1),
+        and below ``best`` when given: 1 when it colors every edge, 0 when
+        it cannot (every color taken off again), 2 when the budget runs
+        out."""
+        nonlocal nodes
         first_top = (t + 1) // 2  # reversal cut, see solver's docstring
-        k = 0
+        unused = t  # colors on no edge yet
+        tie = -1  # the positions before tie match best
+        if e >= 0:
+            # Nothing below best: a pre-colored position above best's comes
+            # before any free one, or the first free one, before e, where no
+            # 1 may go, holds 1 in best.
+            if best and ((tie := tie_from(best, 0, e, f, t)) == -2 or (tie < e and best[tie] == 1)):
+                return 0
+            for k, c in {e: 1, f: t}.items():
+                toggle(k, c)
+                color_count[c] += 1
+                picked[k] = c
+                unused -= 1
+        k = 0  # it steps over e and f; without a pair, e = f = -1 lets it reach -2
+        while k in (e, f):
+            k += 1
         while 0 <= k < m:
             a, b = pairs[k]
             c = picked[k]
             if c:
-                bit = 1 << c
-                mask[a] ^= bit
-                mask[b] ^= bit
+                toggle(k, c)
                 color_count[c] -= 1
                 if not color_count[c]:
                     unused += 1
             elif near:
-                # First entry: narrow the ranges by edge k - 1's color x and
-                # bound edge k's candidates by its own range and the reach of
-                # colors 1 and t (solver's docstring).
+                # First entry: narrow the ranges of the free depth before by
+                # its color x, or take those the pair leaves, and bound edge
+                # k's candidates by its own range and the reach of colors 1
+                # and t (solver's docstring).
+                back = 1
+                while k - back in (e, f):
+                    back += 1
                 here, lo_k, hi_k = near[k], lows[k], highs[k]
-                x, prev, lo_prev, hi_prev = picked[k - 1], near[k - 1], lows[k - 1], highs[k - 1]
-                reach_one, reach_top = 1, t
-                for f in range(k, m):
-                    if k:
-                        lo = max(lo_prev[f], x - prev[f])
-                        hi = min(hi_prev[f], x + prev[f])
+                for g in range(k, m):
+                    if back <= k:
+                        p = k - back
+                        lo_k[g] = max(lows[p][g], picked[p] - near[p][g])
+                        hi_k[g] = min(highs[p][g], picked[p] + near[p][g])
+                    elif e >= 0:
+                        lo_k[g], hi_k[g] = max(1, t - near[f][g]), min(t, 1 + near[e][g])
                     else:
-                        lo, hi = 1, t
-                    lo_k[f], hi_k[f] = lo, hi
-                    if lo == 1:
-                        reach_one = max(reach_one, 1 + here[f])
-                    if hi == t:
-                        reach_top = min(reach_top, t - here[f])
+                        lo_k[g], hi_k[g] = 1, t
+                reach_one = max([1] + [1 + here[g] for g in range(k, m) if lo_k[g] == 1])
+                reach_top = min([t] + [t - here[g] for g in range(k, m) if hi_k[g] == t])
                 lo_k[k] = lo_k[k] if color_count[t] else max(lo_k[k], reach_top)
                 hi_k[k] = hi_k[k] if color_count[1] else min(hi_k[k], reach_one)
             mask_a, mask_b = mask[a], mask[b]
             least, most = (lows[k][k], highs[k][k]) if near else (1, t)
             # Spread: a new color at v lies in [hi - deg(v) + 1, lo + deg(v) - 1],
             # lo and hi being v's least and greatest color (hi + 1 = bit_length).
-            # Twin cut: it lies above the color of edge after[k].
+            # Twin cut: it lies above the color of edge after[k]. The pair's
+            # edges hold the first 1 and the first t: no 1 before e, no t
+            # before f. Below best: where the positions before k match best,
+            # it is at most best's.
             lo_a = (mask_a & -mask_a).bit_length() - 1 if mask_a else t
             lo_b = (mask_b & -mask_b).bit_length() - 1 if mask_b else t
             c = max(
@@ -254,10 +321,19 @@ def _search_py(
                 mask_a.bit_length() - deg[a],
                 mask_b.bit_length() - deg[b],
                 least,
+                2 if k < e else 1,
             )
-            to = min(t if k else first_top, lo_a + deg[a] - 1, lo_b + deg[b] - 1, most)
+            to = min(
+                t if k else first_top,
+                t - 1 if k < f else t,
+                best[k] if tie >= k else t,
+                lo_a + deg[a] - 1,
+                lo_b + deg[b] - 1,
+                most,
+            )
             taken = mask_a | mask_b
-            spare = m - k - 1 - unused  # surjectivity: uncolored edges left over
+            # surjectivity: uncolored edges left over
+            spare = m - k - 1 - (e > k) - (f > k and f != e) - unused
             while c <= to:
                 if not (taken >> c) & 1 and (spare >= 0 or (spare == -1 and not color_count[c])):
                     break
@@ -265,21 +341,57 @@ def _search_py(
             else:
                 picked[k] = 0
                 k -= 1
+                while k in (e, f):
+                    k -= 1
                 continue
             if node_budget and nodes >= node_budget:
-                picked[k] = 0  # its color is off: edges 0 .. k - 1 stay colored
-                return 2, nodes, t + 1, _in_edge_order(order, picked)
+                picked[k] = 0  # its color is off: the run's edges before k stay colored
+                return 2
             nodes += 1
-            bit = 1 << c
-            mask[a] |= bit
-            mask[b] |= bit
+            toggle(k, c)
             if not color_count[c]:
                 unused -= 1
             color_count[c] += 1
             picked[k] = c
+            if tie >= k and (tie := tie_from(best, k + 1, e, f, t) if c == best[k] else k) == -2:
+                clear_colors()
+                return 0
             k += 1
-        if k == m:
-            return 1, nodes, t, _in_edge_order(order, picked)
+            while k in (e, f):
+                k += 1
+        if k >= 0:
+            return 1
+        for k in {e, f} - {-1}:
+            take_off(k)
+        return 0
+
+    for t in range(top, bottom - 1, -1):
+        if node_budget and nodes >= node_budget:
+            return 2, nodes, t + 1, [0] * m
+        anchors = m if t == 1 else far[min(t - 1, len(far) - 1)]
+        if not near or not _anchored(anchors, m):
+            status = run(t, -1, -1, None)
+            if status:
+                return status, nodes, t + (status == 2), _in_edge_order(order, picked)
+            continue
+        # The reversal and twin cuts, as plain constraints on the pair: no
+        # edge after[e] holds a color below e's 1, and edge 0 holds at most
+        # (t + 1) // 2, less than t when t >= 2.
+        best = None
+        for e in range(m):
+            if after[e] >= 0:
+                continue
+            for f in reversed(range(m)):
+                if e != f if t == 1 else f == 0 or near[e][f] < t - 1:
+                    continue
+                status = run(t, e, f, best)
+                if status == 2:
+                    return 2, nodes, t + 1, _in_edge_order(order, picked)
+                if status == 1:
+                    best = picked[:m]
+                    clear_colors()
+        if best:
+            return 1, nodes, t, _in_edge_order(order, best)
     return 0, nodes, bottom, []
 
 

@@ -51,9 +51,11 @@
  * last is the last t decided (the feasible one, bottom, or one above the
  * aborted layer); colors holds each edge's color, by edge index, 0 for none:
  * the witness, the partial coloring of an aborted layer when the budget ran
- * out, or nothing when status is 0. Edge order, color order, node counting
- * and the prune rules (distinct, spread, surjectivity, the first edge's
- * reversal cut, the twin cut, the distance rule) are those of _search_py, so
+ * out (in a sweep, its run's, the anchor pair included), or nothing when
+ * status is 0. Edge order, color order, node counting, the anchor sweep
+ * below and the prune rules (distinct, spread, surjectivity, the first
+ * edge's reversal cut, the twin cut, the distance rule) are those of
+ * _search_py, so
  * its four results agree with this one given _plan_py's plan and the capped
  * top; the proofs are in solver.py's docstring. Malformed input raises
  * ValueError (TypeError for edges that are not a sequence).
@@ -79,6 +81,20 @@
  * at most once and the vertices' deg - 1 sum to 2m - n, so every sum in
  * that pass stays below 3m, and no plan has a matrix of more than
  * INT32_MAX / 3 edges.
+ *
+ * The anchor sweep: with the matrix, a layer t whose anchor pairs, the
+ * ordered pairs of edges (e, f) with D(e, f) >= t - 1 (for t = 1, the pairs
+ * (e, e)), number at most 2m is decided by one run of the loop per pair, e
+ * ascending and f descending in BFS positions, instead of one run over all
+ * edges. A run colors e with 1 and f with t at no node and the other edges
+ * as the loop does, stepping over e and f, with no 1 before e and no t
+ * before f; its first ranges are those the pair leaves, [t - D(f, g),
+ * 1 + D(e, g)] within [1, t]. Once a run has found a coloring, best, each
+ * later run searches only below it: where its positions so far match best,
+ * a candidate is at most best's color, and a larger pre-colored color ends
+ * it. The layer's witness is the least coloring found, and the node budget
+ * runs on across the runs. far, counted while the matrix is filled, gives
+ * each layer's pair count at once. The proof is in solver.py's docstring.
  *
  * interval_ok(n, edges, colors, t) -> bool
  *
@@ -490,11 +506,13 @@ static int walk_from(Py_ssize_t a, Py_ssize_t b, Py_ssize_t n, const long long *
 }
 
 /* The ceiling search() caps top at, for the ends in BFS order, filling d
- * when given, with the walk rows and heap make_plan takes for it; -1 with
- * an exception set if a signal handler raises after a walk. */
+ * when given, and counting in far[min(D, m)] the ordered pairs at each
+ * distance, with the walk rows and heap make_plan takes for it; -1 with an
+ * exception set if a signal handler raises after a walk. */
 static long long path_ceiling(Py_ssize_t n, Py_ssize_t m, const long long *ends,
                               const long long *deg, const Py_ssize_t *start, const Py_ssize_t *nbr,
-                              int32_t *walk, uint64_t *heap, int32_t *d, long long top)
+                              int32_t *walk, uint64_t *heap, int32_t *d, long long *far,
+                              long long top)
 {
     for (Py_ssize_t v = 0; d && v < n; v++)
         if (walk_from(v, v, n, deg, start, nbr, heap, walk + v * n))
@@ -511,8 +529,10 @@ static long long path_ceiling(Py_ssize_t n, Py_ssize_t m, const long long *ends,
         for (Py_ssize_t f = 0; f < m; f++) {
             long long x = ends[2 * f], y = ends[2 * f + 1];
             long long value = e == f ? 0 : min(min(from_a[x], from_a[y]), min(from_b[x], from_b[y]));
-            if (d)
+            if (d) {
                 d[e * m + f] = (int32_t)value;
+                far[min(value, m)]++;
+            }
             longest = max(longest, value);
         }
         if (!d && longest + 1 >= top)
@@ -582,10 +602,12 @@ static void earliest_two(const Py_ssize_t *start, const Py_ssize_t *nbr, const P
 
 /* The search plan of the connected graph on n vertices with the edges of
  * edges_obj (search()), in buffers from one Scratch: dist is the m x m matrix
- * or NULL when m > max_m, and ceiling what path_ceiling returns for top. */
+ * or NULL when m > max_m, far[d] for 0 <= d <= m the ordered pairs of edges
+ * with D(e, f) >= d, with dist, and ceiling what path_ceiling returns for
+ * top. */
 typedef struct {
     Py_ssize_t m;
-    long long *order, *ends, *deg, *after, ceiling;
+    long long *order, *ends, *deg, *after, *far, ceiling;
     int32_t *dist;
 } Plan;
 
@@ -612,6 +634,7 @@ static int make_plan(Scratch *s, Py_ssize_t n, PyObject *edges_obj, Py_ssize_t m
     long long *order = take(s, m, 1, sizeof(long long));
     long long *after = take(s, m, 1, sizeof(long long));
     int32_t *dist = m <= max_m ? take(s, m, m, sizeof(int32_t)) : NULL;
+    long long *far = dist ? take(s, m + 1, 1, sizeof(long long)) : NULL;
     /* Adjacency: nbr[start[v] .. start[v + 1]) in increasing order, inc the
      * edge to each. */
     Py_ssize_t *start = take(s, n + 1, 1, sizeof(Py_ssize_t));
@@ -715,9 +738,254 @@ static int make_plan(Scratch *s, Py_ssize_t n, PyObject *edges_obj, Py_ssize_t m
     }
 
     long long ceiling =
-        walks ? path_ceiling(n, m, ends, deg, start, nbr, walk, heap, dist, top) : m;
-    *out = (Plan){m, order, ends, deg, after, ceiling, dist};
+        walks ? path_ceiling(n, m, ends, deg, start, nbr, walk, heap, dist, far, top) : m;
+    for (Py_ssize_t d = m - 1; dist && d >= 0; d--)
+        far[d] += far[d + 1];
+    *out = (Plan){m, order, ends, deg, after, far, ceiling, dist};
     return ceiling < 0 ? -1 : 0;
+}
+
+/* The buffers and counts that the runs of one search() call share. A run
+ * that finds no coloring has taken every color off again, and a sweep takes
+ * a found one off (clear_colors), so each run starts from empty masks and
+ * counts. */
+typedef struct {
+    Py_ssize_t m;
+    const long long *ends, *deg, *after;
+    const int32_t *dist;
+    long long stride, budget, nodes;
+    /* picked[k]: the color of the k-th edge in BFS order, 0 for none;
+     * picked[-1] stays 0, the floor of an edge whose after is -1. best: the
+     * least coloring a layer's sweep has found. */
+    long long *picked, *best, *color_count;
+    /* n vertex masks, then used: bit c set while some edge holds color c. */
+    uint64_t *mask, *used;
+    /* Row k of lo and hi: the ranges at depth k, for edges k + 1 .. m - 1,
+     * and at f = k edge k's candidate interval, as later depths read only
+     * f > k. */
+    int32_t *lo, *hi;
+} Layer;
+
+static void toggle(Layer *L, Py_ssize_t k, long long c)
+{
+    uint64_t bit = (uint64_t)1 << (c & 63);
+    L->mask[L->ends[2 * k] * L->stride + (c >> 6)] ^= bit;
+    L->mask[L->ends[2 * k + 1] * L->stride + (c >> 6)] ^= bit;
+}
+
+/* Puts color c on the edge at position k, at no node. */
+static void put(Layer *L, Py_ssize_t k, long long c)
+{
+    toggle(L, k, c);
+    if (!L->color_count[c]++)
+        L->used[c >> 6] |= (uint64_t)1 << (c & 63);
+    L->picked[k] = c;
+}
+
+/* Takes the color off the edge at position k. */
+static void take_off(Layer *L, Py_ssize_t k)
+{
+    long long c = L->picked[k];
+    toggle(L, k, c);
+    if (!--L->color_count[c])
+        L->used[c >> 6] ^= (uint64_t)1 << (c & 63);
+    L->picked[k] = 0;
+}
+
+/* Takes every color off again. */
+static void clear_colors(Layer *L)
+{
+    for (Py_ssize_t k = 0; k < L->m; k++)
+        if (L->picked[k])
+            take_off(L, k);
+}
+
+/* Where a run's coloring stops matching best, given that it matches before
+ * q: past the pre-colored positions from q on that match; -2 when one of
+ * them holds a larger color, so that nothing below best is left. */
+static Py_ssize_t tie_from(const Layer *L, Py_ssize_t q, Py_ssize_t e, Py_ssize_t f, long long t)
+{
+    for (; q < L->m && (q == e || q == f); q++) {
+        long long c = q == e ? 1 : t;
+        if (c != L->best[q])
+            return c < L->best[q] ? q : -2;
+    }
+    return q;
+}
+
+/* One run of the loop at palette size t, over the edges but e and f, which
+ * hold the first 1 and the first t at no node (none when e is -1; e = f
+ * when t = 1), and, when bounded, below best. 1 when it colors every edge, 0
+ * when it cannot, with every color taken off again, 2 when the budget runs
+ * out (picked then holds the partial coloring), -1 with an exception set.
+ * Inlined, so that the run without a pair compiles with e = f = -1 folded
+ * in: as a function of its own it cost the benchmark's search calls about
+ * 5% (paired runs, 2-core Xeon). */
+static inline __attribute__((always_inline)) int run(Layer *L, long long t, Py_ssize_t e,
+                                                     Py_ssize_t f, int bounded)
+{
+    const Py_ssize_t m = L->m;
+    const long long *ends = L->ends, *deg = L->deg, *after = L->after, *best = L->best;
+    const int32_t *dist = L->dist;
+    long long *picked = L->picked, *color_count = L->color_count;
+    uint64_t *mask = L->mask, *used = L->used;
+    int32_t *lo = L->lo, *hi = L->hi;
+    const long long stride = L->stride, budget = L->budget;
+    const long long words = (t + 1) / 64 + 1; /* the words colors 0..t lie in */
+    const long long first_top = (t + 1) / 2;  /* the reversal cut */
+    long long nodes = L->nodes, unused = t;   /* colors on no edge yet */
+    Py_ssize_t tie = -1;                      /* the positions before tie match best */
+    if (e >= 0) {
+        /* Nothing below best: a pre-colored position above best's comes
+         * before any free one, or the first free one, before e, where no 1
+         * may go, holds 1 in best. */
+        if (bounded && ((tie = tie_from(L, 0, e, f, t)) == -2 || (tie < e && best[tie] == 1)))
+            return 0;
+        put(L, e, 1);
+        if (f != e)
+            put(L, f, t);
+        unused -= 1 + (f != e);
+    }
+    int result = 0;
+    /* k steps over e and f; without a pair, e = f = -1 lets it reach -2. */
+    Py_ssize_t k = 0;
+    while (k == e || k == f)
+        k++;
+    while (k >= 0 && k < m) {
+        long long a = ends[2 * k], b = ends[2 * k + 1];
+        uint64_t *mask_a = mask + a * stride, *mask_b = mask + b * stride;
+        long long c = picked[k];
+        if (c) {
+            uint64_t bit = (uint64_t)1 << (c & 63);
+            mask_a[c >> 6] ^= bit;
+            mask_b[c >> 6] ^= bit;
+            if (!--color_count[c]) {
+                used[c >> 6] ^= bit;
+                unused++;
+            }
+        } else if (dist) {
+            /* First entry: narrow the ranges of the depth back before, the
+             * run's last one, by its color x, or take those the pair leaves,
+             * and bound edge k's candidates by its own range, which holds
+             * every other range's bounds lo_f - D(k, f) and hi_f + D(k, f)
+             * (solver.py), and by where colors 1 and t can still go. */
+            const int32_t *near = dist + k * m, t32 = (int32_t)t;
+            int32_t *lo_k = lo + k * m, *hi_k = hi + k * m;
+            int32_t reach_one = 1, reach_top = t32;
+            Py_ssize_t back = 1; /* to the free depth before */
+            while (k - back == e || k - back == f)
+                back++;
+            if (back <= k) {
+                const int32_t *prev = near - back * m, *lo_prev = lo_k - back * m,
+                              *hi_prev = hi_k - back * m;
+                const int32_t x = (int32_t)picked[k - back];
+                for (Py_ssize_t g = k; g < m; g++) {
+                    int32_t d = near[g];
+                    int32_t l = max32(lo_prev[g], x - prev[g]);
+                    int32_t h = min32(hi_prev[g], x + prev[g]);
+                    lo_k[g] = l;
+                    hi_k[g] = h;
+                    reach_one = max32(reach_one, l == 1 ? 1 + d : 1);
+                    reach_top = min32(reach_top, h == t32 ? t32 - d : t32);
+                }
+            } else if (e >= 0) { /* within D(f, g) of t and D(e, g) of 1 */
+                const int32_t *from_e = dist + e * m, *from_f = dist + f * m;
+                for (Py_ssize_t g = k; g < m; g++) {
+                    lo_k[g] = max32(1, t32 - from_f[g]);
+                    hi_k[g] = min32(t32, 1 + from_e[g]);
+                }
+            } else {
+                for (Py_ssize_t g = k; g < m; g++) {
+                    lo_k[g] = 1;
+                    hi_k[g] = t32;
+                    reach_one = max32(reach_one, 1 + near[g]);
+                    reach_top = min32(reach_top, t32 - near[g]);
+                }
+            }
+            lo_k[k] = color_count[t] ? lo_k[k] : max32(lo_k[k], reach_top);
+            hi_k[k] = color_count[1] ? hi_k[k] : min32(hi_k[k], reach_one);
+        }
+        /* Spread: a new color at v lies in [hi - deg(v) + 1, lo + deg(v) - 1],
+         * lo and hi being v's least and greatest color (hi + 1 = bit_length).
+         * Twin cut: it lies above the color of edge after[k]. The pair holds
+         * the first 1 and the first t: no 1 before e, no t before f. Below
+         * best: where the run matches best before k, it is at most best's. */
+        long long from = max(max(c + 1, picked[after[k]] + 1),
+                             max(bit_length(mask_a, words) - deg[a],
+                                 bit_length(mask_b, words) - deg[b]));
+        long long to = min(k ? t : first_top, min(lowest(mask_a, words, t) + deg[a] - 1,
+                                                   lowest(mask_b, words, t) + deg[b] - 1));
+        if (tie >= k)
+            to = min(to, best[k]);
+        if (k < f)
+            to = min(to, t - 1);
+        if (k < e)
+            from = max(from, 2);
+        if (dist) {
+            from = max(from, lo[k * m + k]);
+            to = min(to, hi[k * m + k]);
+        }
+        /* The least color in [from, to] on neither end, and on no edge
+         * at all when exactly as many edges as unused colors remain
+         * (surjectivity), taken a word at a time. */
+        long long spare = m - k - 1 - (e > k) - (f > k && f != e) - unused;
+        c = 0;
+        if (spare >= -1 && from <= to) {
+            uint64_t shun = spare == -1 ? ~(uint64_t)0 : 0;
+            long long w = from >> 6, end = to >> 6;
+            uint64_t avail = ~(uint64_t)0 << (from & 63);
+            for (;; w++, avail = ~(uint64_t)0) {
+                avail &= ~(mask_a[w] | mask_b[w] | (used[w] & shun));
+                if (w == end)
+                    avail &= ~(uint64_t)0 >> (63 - (to & 63));
+                if (avail || w == end)
+                    break;
+            }
+            if (avail)
+                c = 64 * w + __builtin_ctzll(avail);
+        }
+        if (!c) {
+            picked[k] = 0;
+            do
+                k--;
+            while (k == e || k == f);
+            continue;
+        }
+        if (budget && nodes >= budget) {
+            picked[k] = 0; /* its color is off: the run's edges before k stay colored */
+            result = 2;
+            goto out;
+        }
+        if (!(nodes & SIGNAL_CHECK_MASK) && PyErr_CheckSignals()) {
+            result = -1;
+            goto out;
+        }
+        nodes++;
+        uint64_t bit = (uint64_t)1 << (c & 63);
+        mask_a[c >> 6] |= bit;
+        mask_b[c >> 6] |= bit;
+        if (!color_count[c]++) {
+            used[c >> 6] |= bit;
+            unused--;
+        }
+        picked[k] = c;
+        if (tie >= k && (tie = c == best[k] ? tie_from(L, k + 1, e, f, t) : k) == -2) {
+            clear_colors(L);
+            goto out;
+        }
+        do
+            k++;
+        while (k == e || k == f);
+    }
+    result = k >= 0;
+    if (!result && e >= 0) {
+        take_off(L, e);
+        if (f != e)
+            take_off(L, f);
+    }
+out:
+    L->nodes = nodes;
+    return result;
 }
 
 static PyObject *search(PyObject *self, PyObject *args)
@@ -737,7 +1005,6 @@ static PyObject *search(PyObject *self, PyObject *args)
     if (make_plan(&s, n, edges_obj, max_m, top, &p))
         goto done;
     const Py_ssize_t m = p.m;
-    const long long *order = p.order, *ends = p.ends, *deg = p.deg, *after = p.after;
     const int32_t *dist = p.dist;
     /* No layer above m (surjectivity) or above the ceiling 1 + max D has
      * an interval coloring, so these caps change no result, and they bound
@@ -749,148 +1016,70 @@ static PyObject *search(PyObject *self, PyObject *args)
     }
     /* Mask words per vertex: enough for the largest palette, top. */
     long long stride = (top + 1) / 64 + 1;
-    /* picked[-1] stays 0: the floor of an edge whose after is -1. */
     long long *slots = take(&s, m + 1, 1, sizeof(long long));
+    long long *best = take(&s, m, 1, sizeof(long long));
     long long *color_count = take(&s, top + 1, 1, sizeof(long long));
-    /* n vertex masks, then used: bit c set while some edge holds color c. */
     uint64_t *mask = take(&s, (size_t)n + 1, stride, sizeof(uint64_t));
-    /* Row k of lo and hi: the ranges at depth k, for edges k + 1 .. m - 1,
-     * and at f = k edge k's candidate interval, as depth k + 1 reads only
-     * f > k. */
     int32_t *lo = dist ? take(&s, m, m, sizeof(int32_t)) : NULL;
     int32_t *hi = dist ? take(&s, m, m, sizeof(int32_t)) : NULL;
     if (s.failed)
         goto done;
-    long long *picked = slots + 1;
-    uint64_t *used = mask + (size_t)n * stride;
-    long long nodes = 0, t = top;
+    Layer L = {m, p.ends, p.deg, p.after, dist, stride, budget, 0, slots + 1, best,
+               color_count, mask, mask + (size_t)n * stride, lo, hi};
+    long long t = top;
     int status = 0;
-    Py_ssize_t k = 0;
-    /* One layer per palette size t, from top down. A layer proven
-     * infeasible has taken every color off again (k ends at -1), so the
-     * next starts from empty masks and counts. */
+    /* One layer per palette size t, from top down: one run, or the anchor
+     * sweep when its pairs number at most 2m. */
     for (; t >= bottom; t--) {
-        if (budget && nodes >= budget) {
+        if (budget && L.nodes >= budget) {
             status = 2; /* the budget ran out at the end of the layer above */
             break;
         }
-        long long words = (t + 1) / 64 + 1; /* the words colors 0..t lie in */
-        long long unused = t;               /* colors on no edge yet */
-        long long first_top = (t + 1) / 2;
-        for (k = 0; k >= 0 && k < m;) {
-            long long a = ends[2 * k], b = ends[2 * k + 1];
-            uint64_t *mask_a = mask + a * stride, *mask_b = mask + b * stride;
-            long long c = picked[k];
-            if (c) {
-                uint64_t bit = (uint64_t)1 << (c & 63);
-                mask_a[c >> 6] ^= bit;
-                mask_b[c >> 6] ^= bit;
-                if (!--color_count[c]) {
-                    used[c >> 6] ^= bit;
-                    unused++;
-                }
-            } else if (dist) {
-                /* First entry: narrow the ranges by edge k - 1's color x, and
-                 * bound edge k's candidates by its own range, which holds
-                 * every other range's bounds lo_f - D(k, f) and hi_f + D(k, f)
-                 * (solver.py), and by where colors 1 and t can still go. */
-                const int32_t *near = dist + k * m, t32 = (int32_t)t;
-                int32_t *lo_k = lo + k * m, *hi_k = hi + k * m;
-                int32_t reach_one = 1, reach_top = t32;
-                if (k) {
-                    const int32_t *prev = near - m, *lo_prev = lo_k - m, *hi_prev = hi_k - m;
-                    const int32_t x = (int32_t)picked[k - 1];
-                    for (Py_ssize_t f = k; f < m; f++) {
-                        int32_t d = near[f];
-                        int32_t l = max32(lo_prev[f], x - prev[f]);
-                        int32_t h = min32(hi_prev[f], x + prev[f]);
-                        lo_k[f] = l;
-                        hi_k[f] = h;
-                        reach_one = max32(reach_one, l == 1 ? 1 + d : 1);
-                        reach_top = min32(reach_top, h == t32 ? t32 - d : t32);
-                    }
-                } else {
-                    for (Py_ssize_t f = 0; f < m; f++) {
-                        lo_k[f] = 1;
-                        hi_k[f] = t32;
-                        reach_one = max32(reach_one, 1 + near[f]);
-                        reach_top = min32(reach_top, t32 - near[f]);
+        if (!dist || (t == 1 ? m : p.far[t - 1]) > 2 * m) {
+            status = run(&L, t, -1, -1, 0);
+        } else {
+            /* The reversal and twin cuts, as plain constraints on the pair
+             * (solver.py): no edge after[e] holds a color below e's 1, and
+             * edge 0 holds at most (t + 1) / 2, less than t when t >= 2. */
+            int found = 0;
+            for (Py_ssize_t e = 0; e < m && status == 0; e++) {
+                if (p.after[e] >= 0)
+                    continue;
+                for (Py_ssize_t f = m - 1; f >= 0 && status == 0; f--) {
+                    if (t == 1 ? e != f : f == 0 || dist[e * m + f] < t - 1)
+                        continue;
+                    status = run(&L, t, e, f, found);
+                    if (status == 1) {
+                        memcpy(best, L.picked, m * sizeof(long long));
+                        clear_colors(&L);
+                        found = 1;
+                        status = 0;
                     }
                 }
-                lo_k[k] = color_count[t] ? lo_k[k] : max32(lo_k[k], reach_top);
-                hi_k[k] = color_count[1] ? hi_k[k] : min32(hi_k[k], reach_one);
             }
-            /* Spread: a new color at v lies in [hi - deg(v) + 1, lo + deg(v) - 1],
-             * lo and hi being v's least and greatest color (hi + 1 = bit_length).
-             * Twin cut: it lies above the color of edge after[k]. */
-            long long from = max(max(c + 1, picked[after[k]] + 1),
-                                 max(bit_length(mask_a, words) - deg[a],
-                                     bit_length(mask_b, words) - deg[b]));
-            long long to = min(k ? t : first_top, min(lowest(mask_a, words, t) + deg[a] - 1,
-                                                       lowest(mask_b, words, t) + deg[b] - 1));
-            if (dist) {
-                from = max(from, lo[k * m + k]);
-                to = min(to, hi[k * m + k]);
+            if (status == 0 && found) {
+                memcpy(L.picked, best, m * sizeof(long long));
+                status = 1;
             }
-            /* The least color in [from, to] on neither end, and on no edge
-             * at all when exactly as many edges as unused colors remain
-             * (surjectivity), taken a word at a time. */
-            long long spare = m - k - 1 - unused;
-            c = 0;
-            if (spare >= -1 && from <= to) {
-                uint64_t shun = spare == -1 ? ~(uint64_t)0 : 0;
-                long long w = from >> 6, end = to >> 6;
-                uint64_t avail = ~(uint64_t)0 << (from & 63);
-                for (;; w++, avail = ~(uint64_t)0) {
-                    avail &= ~(mask_a[w] | mask_b[w] | (used[w] & shun));
-                    if (w == end)
-                        avail &= ~(uint64_t)0 >> (63 - (to & 63));
-                    if (avail || w == end)
-                        break;
-                }
-                if (avail)
-                    c = 64 * w + __builtin_ctzll(avail);
-            }
-            if (!c) {
-                picked[k] = 0;
-                k--;
-                continue;
-            }
-            if (budget && nodes >= budget) {
-                picked[k] = 0; /* its color is off: edges 0 .. k - 1 stay colored */
-                break;
-            }
-            if (!(nodes & SIGNAL_CHECK_MASK) && PyErr_CheckSignals())
-                goto done;
-            nodes++;
-            uint64_t bit = (uint64_t)1 << (c & 63);
-            mask_a[c >> 6] |= bit;
-            mask_b[c >> 6] |= bit;
-            if (!color_count[c]++) {
-                used[c >> 6] |= bit;
-                unused--;
-            }
-            picked[k] = c;
-            k++;
         }
-        if (k >= 0) {
-            status = k == m ? 1 : 2;
+        if (status < 0)
+            goto done;
+        if (status)
             break;
-        }
     }
     /* The last palette size decided: the witness's, bottom's, or the one
      * above the aborted layer. */
     long long last_t = status == 1 ? t : t + 1;
     PyObject *colors = PyList_New(status ? m : 0);
     for (Py_ssize_t i = 0; colors && status && i < m; i++) {
-        PyObject *v = PyLong_FromLongLong(picked[i]);
+        PyObject *v = PyLong_FromLongLong(L.picked[i]);
         if (!v)
             Py_CLEAR(colors);
         else
-            PyList_SET_ITEM(colors, order[i], v);
+            PyList_SET_ITEM(colors, p.order[i], v);
     }
     if (colors)
-        result = Py_BuildValue("iLLN", status, nodes, last_t, colors);
+        result = Py_BuildValue("iLLN", status, L.nodes, last_t, colors);
 done:
     release(&s);
     return result;

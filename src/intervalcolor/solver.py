@@ -85,6 +85,44 @@ after[j] = k, and the search starts edge j's colors above edge k's color.
 Where several twin pairs name the same j it keeps the latest k only: keeping
 fewer constraints is always sound. K2 has twins but no moved edge.
 
+Anchor sweep (the ceiling's argument as a branching rule). An interval
+t-coloring c puts 1 on some edge and t on some edge; let e be the first edge
+colored 1 and f the first colored t, in BFS order. Then t - 1 = c(f) - c(e)
+<= D(e, f), so (e, f) is an anchor pair of the layer: an ordered pair of
+edges with D(e, f) >= t - 1, e != f as D(e, e) = 0, or for t = 1 the pair
+(e, e). A run for the pair colors e with 1 and f with t at no node, allows no
+1 on an edge before e and no t on one before f, starts every other edge g's
+range at [max(1, t - D(f, g)), min(t, 1 + D(e, g))] (the distance rule from
+the pair) and colors the other edges as the loop does. So every coloring lies
+in exactly one run. The two cuts above stay as plain constraints on each
+coloring, not as an order: edge 0 holds at most (t+1)//2, which rules out a
+pair with f = 0 for t >= 2; c(after[j]) < c(j) for every j, which rules out a
+pair with after[e] >= 0 (no color lies below 1), holds at j = f by itself
+(edges after[f] and f meet, so after[f] holds a color other than t), and is
+checked for the other edges as in the loop, a colored after[j] being
+pre-colored or not. So the runs together cover exactly the colorings the
+static loop searches, each once. A run meets its colorings in lexicographic
+order too, so the first it finds is its least. Once one has been found,
+best, every later run searches only below it: at a depth whose positions so
+far, pre-colored ones included, match best, a candidate is at most best's
+color, and a pre-colored position holding more than best's ends the run, as
+every earlier position then sits at its cap; so does a first free position
+before e where best holds 1, as it may hold no 1 itself. No later run can
+meet best itself, which lies in another run, so whatever it finds is
+smaller. The least coloring found is then the least coloring of the union,
+the static loop's witness, and a layer whose runs find none is infeasible.
+A layer above the ceiling has no anchor pair. The node budget runs on
+across the runs, and a run that spends it aborts the layer.
+
+A layer is swept when its anchor pairs number at most 2m, and searched in
+one run otherwise, and always in one run without the matrix. The rule reads
+only t and D, so that ``find_interval_coloring`` and the descent search each
+layer alike. Search nodes against the static loop alone, with the rules
+pairs <= m, 2m, 3m, 4m and every layer swept: x0.851, 0.811, 0.830, 0.996
+and 1.316 on the n = 6 survey, x0.874, 0.832, 0.850, 0.902 and 1.027 on the
+n = 7 survey capped at 2,000 nodes per graph, and x0.793, 0.531, 0.560,
+0.723 and 0.724 on the doubled graphs of n <= 5.
+
 The search is the kernel's ``search`` (``_native``), one call that plans,
 caps the palette at the ceiling and searches, so no plan crosses into
 Python. Its C loop and the Python twin's (``_reference._plan_py`` and

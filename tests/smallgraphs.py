@@ -45,6 +45,16 @@ def cycle(n: int) -> Graph:
     return Graph(n, tuple((i, (i + 1) % n) for i in range(n)))
 
 
+def hypercube(d: int) -> Graph:
+    """Q_d: the 2^d bit strings, joined where they differ in one bit."""
+    n = 1 << d
+    return Graph(n, tuple((v, v | 1 << i) for v in range(n) for i in range(d) if not v >> i & 1))
+
+
+def complete_bipartite(a: int, b: int) -> Graph:
+    return Graph(a + b, tuple((i, a + j) for i in range(a) for j in range(b)))
+
+
 def two_k2() -> Graph:
     """Disconnected: two disjoint edges."""
     return Graph(4, ((0, 1), (2, 3)))

@@ -442,19 +442,23 @@ BOTH_PATHS = [
     (0, "bounds --graph Esa?"),
     (2, "bounds --graph @"),
     (2, "bounds --graph C`"),
-    # E@NG: layers t = 6 and 5 are infeasible in 6 and 12 nodes and t = 4
-    # finds W in 8, so node limits 6 and 18 run out exactly at a layer's
-    # end, and 10 and 22 inside a layer. The Petersen graph's layers
-    # t = 7 .. 3 are all infeasible, t = 7 in 395 nodes. C8 has W = 5.
-    # Found exits 0, anything else 1; 2K2, disconnected, exits 2.
+    # E@NG: layers t = 6 and 5 are infeasible in 2 and 9 nodes and t = 4
+    # finds W in 8, so node limits 2 and 11 run out exactly at a layer's
+    # end, 6, 10 and 18 inside a layer, and 22 leaves room. The Petersen
+    # graph's layers t = 7 .. 3 are all infeasible, t = 7 in 312 nodes and
+    # t = 6 in 1,875. C8 has W = 5. Found exits 0, anything else 1; 2K2,
+    # disconnected, exits 2.
     (0, "solve --graph E@NG"),
+    (1, "solve --graph E@NG --node-limit 2"),
     (1, "solve --graph E@NG --node-limit 6"),
     (1, "solve --graph E@NG --node-limit 10"),
+    (1, "solve --graph E@NG --node-limit 11"),
     (1, "solve --graph E@NG --node-limit 18"),
-    (1, "solve --graph E@NG --node-limit 22"),
+    (0, "solve --graph E@NG --node-limit 22"),
     (1, "solve --graph E@NG --t 5"),
     (1, "solve --graph E@NG --t 4 --node-limit 3"),
     (1, "solve --graph IheA@GUAo"),
+    (1, "solve --graph IheA@GUAo --node-limit 312"),
     (1, "solve --graph IheA@GUAo --node-limit 395"),
     (1, "solve --graph IheA@GUAo --node-limit 1000"),
     (0, "solve --graph GhCGKC --t 5"),

@@ -52,7 +52,9 @@ from intervalcolor.solver import (
 )
 from conftest import force_python_path
 from oracle import brute_force_W
-from smallgraphs import c4, cycle, k2, k3, k4, k5, p3, p4, star, two_k2
+from smallgraphs import (
+    c4, complete_bipartite, cycle, hypercube, k2, k3, k4, k5, p3, p4, star, two_k2
+)
 
 
 def counted(f, calls: list):
@@ -102,9 +104,10 @@ class TestFindIntervalColoring:
             assert validate_interval(path, out.witness).verdict
 
     def test_aborts_on_node_limit(self):
-        out = find_interval_coloring(c4(), 3, SearchLimits(node_limit=2))
+        # C4's layer 3 takes 2 nodes (test_an_aborted_layer_reports_its_partial_coloring).
+        out = find_interval_coloring(c4(), 3, SearchLimits(node_limit=1))
         assert out.status is SolveStatus.ABORTED
-        assert out.nodes_expanded == 2
+        assert out.nodes_expanded == 1
 
     def test_deterministic_witness(self):
         a = find_interval_coloring(c4(), 3)
@@ -157,11 +160,11 @@ class TestFindIntervalColoring:
         assert out == find_interval_coloring(c4(), 3)
         assert [type(t) for t in out.feasible_t_set] == [int]
         assert json.loads(json.dumps(outcome_to_json(out, c4())))["feasible_t_set"] == [3]
-        limits = SearchLimits(np.int64(2), np.int64(3))
+        limits = SearchLimits(np.int64(1), np.int64(3))
         assert (type(limits.node_limit), type(limits.t_override)) == (int, int)
-        assert limits == SearchLimits(2, 3)
+        assert limits == SearchLimits(1, 3)
         capped = find_interval_coloring(c4(), 3, limits)
-        assert (capped.status, capped.nodes_expanded) == (SolveStatus.ABORTED, 2)
+        assert (capped.status, capped.nodes_expanded) == (SolveStatus.ABORTED, 1)
 
     def test_edge_order_is_bfs_from_max_degree_vertex(self):
         # star: center 0 has max degree, its edges come out in index order
@@ -281,17 +284,18 @@ class TestComputeW:
 
     @pytest.mark.parametrize("native", [True, False], ids=["kernel", "python"])
     def test_budget_spent_exactly_aborts(self, native, monkeypatch):
-        # Layer 4 of this graph is proven infeasible in exactly the 4 nodes
+        # Layer 4 of this graph is proven infeasible in exactly the 1 node
         # of the limit; layer 3 then has no budget left, and must not search
-        # as if 0 meant unlimited (it finds W = 3 after 8 more nodes).
+        # as if 0 meant unlimited (it finds W = 3 after 4 more nodes).
         if not native:
             force_python_path(monkeypatch)
         g = parse_graph6("CN")
         layer = find_interval_coloring(g, 4)
-        assert (layer.status, layer.nodes_expanded) == (SolveStatus.INFEASIBLE, 4)
-        out = compute_W(g, SearchLimits(node_limit=4))
+        assert (layer.status, layer.nodes_expanded) == (SolveStatus.INFEASIBLE, 1)
+        assert compute_W(g).nodes_expanded == 5
+        out = compute_W(g, SearchLimits(node_limit=1))
         assert out.status is SolveStatus.ABORTED
-        assert (out.nodes_expanded, out.last_explored_t) == (4, 4)
+        assert (out.nodes_expanded, out.last_explored_t) == (1, 4)
 
     def test_odd_cycles_not_colorable(self):
         for n in (3, 5, 7):
@@ -396,15 +400,19 @@ class TestOracleAgreement:
                 assert bf.w == cw.w
 
     def test_per_t_feasibility_agreement(self, catalogs):
-        # the search decision for each single t matches the enumeration oracle
-        for n in (2, 3, 4):
+        # the search decision for each single t matches the enumeration oracle,
+        # for every t the oracle enumerates (n = 5 has up to 10 edges)
+        layers = 0
+        for n in (2, 3, 4, 5):
             for g in catalogs[n]:
                 oracle_feasible = set(brute_force_W(g, min(g.m, 8)).feasible_t_set)
                 delta = max(g.degrees())
-                for t in range(delta, g.m + 1):
+                for t in range(delta, min(g.m, 8) + 1):
                     decided = find_interval_coloring(g, t).status
                     expected = SolveStatus.FOUND if t in oracle_feasible else SolveStatus.INFEASIBLE
                     assert decided is expected, (g.edges, t)
+                    layers += 1
+        assert layers == 95
 
     def test_infeasible_t_never_in_oracle_set(self, catalogs):
         # downward search proves infeasibility strictly above W
@@ -415,14 +423,15 @@ class TestOracleAgreement:
                 assert max(bf.feasible_t_set) == cw.w
 
 
-def searches(search, g: Graph, t: int, max_m: int = DISTANCE_MAX_M) -> bool:
-    """Whether ``search``, asked for g's layer t alone, searches it: whether
-    t <= min(m, 1 + max D), the caps it applies. Such a layer spends the
-    one node of the budget, since its first edge may take any color from
-    max(1, t - M) to min((t + 1) // 2, 1 + M), M being the largest D from
-    that edge, and t <= 1 + max D <= 1 + 2M (D is a metric); a capped one
-    spends none."""
-    return search(g.n, g.edges, max_m, t, t, 1)[1] == 1
+def searches(search, g: Graph, t: int) -> bool:
+    """Whether ``search``, asked for g's layer t alone without the matrix,
+    searches it: whether t <= min(m, 1 + max D), the caps it applies, D's
+    rows read until the ceiling reaches t. Such a layer runs the loop once
+    and spends the one node of the budget on the first edge, which may take
+    color 1; a capped one spends none. (With the matrix, a layer above the
+    ceiling has no anchor pair either, so that there the cap shows only in
+    the result.)"""
+    return search(g.n, g.edges, 0, t, t, 1)[1] == 1
 
 
 def exact_ceiling(g: Graph) -> int:
@@ -498,8 +507,10 @@ class TestProvenCeiling:
         # twins' search applies with the matrix and without it (max_m = 0),
         # where it stops reading rows once the ceiling reaches top: exact
         # below top, and not below the ceiling at or above it, so the layer
-        # top is searched exactly when top <= min(m, 1 + max D). The
-        # kernel's matrix is checked against _plan_py's through its search
+        # top is searched exactly when top <= min(m, 1 + max D): without the
+        # matrix its one node is spent, and with it the result is the
+        # uncapped loop's, or the empty one above the cap. The kernel's
+        # matrix is checked against _plan_py's through its search
         # (test_plans_agree).
         for n in range(2, 7):
             for g in catalogs[n]:
@@ -511,12 +522,14 @@ class TestProvenCeiling:
                 exact = 1 + max(expected)
                 overfull = g.m > g.max_degree * (n // 2)
                 assert exact_ceiling(g) == (0 if overfull else min(g.m, exact)), g.edges
-                for search, max_m, top in product(
-                    (_native().search, _reference.search), (DISTANCE_MAX_M, 0), range(1, exact + 2)
+                for search, top in product(
+                    (_native().search, _reference.search), range(1, exact + 2)
                 ):
-                    assert searches(search, g, top, max_m) == (top <= min(g.m, exact)), (
-                        g.edges, search, max_m, top
-                    )
+                    searched = top <= min(g.m, exact)
+                    assert searches(search, g, top) == searched, (g.edges, search, top)
+                    uncapped = _search_py(g.n, *plan[:5], top, top, 1) if searched else None
+                    found = search(g.n, g.edges, DISTANCE_MAX_M, top, top, 1)
+                    assert found == (uncapped or (0, 0, top, [])), (g.edges, search, top)
 
     def test_past_the_matrix_one_row_can_settle_the_ceiling(self, monkeypatch):
         # K33 (528 edges, every D 31 or 62, so each row reaches the ceiling
@@ -817,18 +830,28 @@ class TestTwinCut:
 
     def test_cut_keeps_status_and_witness_and_saves_nodes(self, catalogs, doubled_graphs):
         # The same Python loop with and without the cut, on every searched
-        # layer of the n <= 6 catalogs and the doubled graphs.
-        layers = cut = 0
-        for g in [g for n in range(2, 7) for g in catalogs[n]] + doubled_graphs:
-            plan = _plan_py(g)
-            for t in searched_layers(g):
-                status, nodes, _, colors = _search_py(*layer_args(g, plan, t, 0))
-                plain = _search_py(*layer_args(g, plan._replace(after=[-1] * g.m), t, 0))
-                assert (status, colors) == (plain[0], plain[3]), (g.edges, t)
-                assert nodes <= plain[1], (g.edges, t)
-                layers += 1
-                cut += nodes < plain[1]
-        assert layers == 660 and cut > 0
+        # layer of the n <= 6 catalogs and the doubled graphs: the static
+        # loop alone, and with the anchor sweep where _anchored takes it.
+        # Each run of a sweep loses nodes to the cut, but a feasible layer's
+        # later runs search below the least coloring found, which the cut
+        # can raise, so there the saving shows in the total.
+        for sweep in (False, True):
+            layers = cut = total = plain_total = 0
+            with pytest.MonkeyPatch.context() as patch:
+                if not sweep:
+                    patch.setattr(_reference, "_anchored", lambda pairs, m: False)
+                for g in [g for n in range(2, 7) for g in catalogs[n]] + doubled_graphs:
+                    plan = _plan_py(g)
+                    for t in searched_layers(g):
+                        status, nodes, _, colors = _search_py(*layer_args(g, plan, t, 0))
+                        plain = _search_py(*layer_args(g, plan._replace(after=[-1] * g.m), t, 0))
+                        assert (status, colors) == (plain[0], plain[3]), (g.edges, t)
+                        assert nodes <= plain[1] or (sweep and status == 1), (g.edges, t)
+                        layers += 1
+                        cut += nodes < plain[1]
+                        total += nodes
+                        plain_total += plain[1]
+            assert layers == 660 and cut > 0 and total < plain_total, sweep
 
 
 class TestDistanceRule:
@@ -837,18 +860,25 @@ class TestDistanceRule:
     def test_rule_keeps_status_and_witness_and_saves_nodes(self, catalogs):
         # The same Python loop with and without the matrix, on every searched
         # layer of the n <= 6 catalogs (the doubled graphs take seconds
-        # without the rule; the kernel's agreement covers them).
-        layers = cut = 0
-        for g in [g for n in range(2, 7) for g in catalogs[n]]:
-            plan = _plan_py(g)
-            for t in searched_layers(g):
-                status, nodes, _, colors = _search_py(*layer_args(g, plan, t, 0))
-                plain = _search_py(*layer_args(g, plan._replace(dist=b""), t, 0))
-                assert (status, colors) == (plain[0], plain[3]), (g.edges, t)
-                assert nodes <= plain[1], (g.edges, t)
-                layers += 1
-                cut += nodes < plain[1]
-        assert layers == 545 and cut > 300
+        # without the rule; the kernel's agreement covers them): the static
+        # loop alone, and with the anchor sweep, which needs the matrix,
+        # where _anchored takes it. A feasible layer's sweep pays for runs
+        # that find no coloring below the least, so there it need not save.
+        for sweep in (False, True):
+            layers = cut = 0
+            with pytest.MonkeyPatch.context() as patch:
+                if not sweep:
+                    patch.setattr(_reference, "_anchored", lambda pairs, m: False)
+                for g in [g for n in range(2, 7) for g in catalogs[n]]:
+                    plan = _plan_py(g)
+                    for t in searched_layers(g):
+                        status, nodes, _, colors = _search_py(*layer_args(g, plan, t, 0))
+                        plain = _search_py(*layer_args(g, plan._replace(dist=b""), t, 0))
+                        assert (status, colors) == (plain[0], plain[3]), (g.edges, t)
+                        assert nodes <= plain[1] or (sweep and status == 1), (g.edges, t)
+                        layers += 1
+                        cut += nodes < plain[1]
+            assert layers == 545 and cut > 300, sweep
 
     def test_the_matrix_is_a_metric(self, catalogs, doubled_graphs):
         # The search bounds edge k's candidates by its own range alone, which
@@ -943,7 +973,7 @@ class TestNativeKernel:
                     if budget in ends_at and budget and expected[0] == 2:
                         assert expected[1] == budget and not any(expected[3])
                         boundaries += 1
-        assert (ranges, boundaries, overfull) == (2490, 237, 5)
+        assert (ranges, boundaries, overfull) == (2467, 237, 5)
 
     def test_ranges_agree_past_the_distance_matrix(self):
         # Caterpillars of 513 and 600 edges, past DISTANCE_MAX_M, so the
@@ -963,25 +993,32 @@ class TestNativeKernel:
                 assert found == (expected, expected), (m, top, budget)
 
     def test_an_aborted_layer_reports_its_partial_coloring(self):
-        # C4's layer t = 3 finds (1, 2, 2, 3) in BFS order after 4 nodes;
-        # cut after 2, edges 0 and 1 hold 1 and 2. Layer 4 lies above C4's
-        # ceiling, 3: the search skips it with the matrix and without, and
-        # _search_py, uncapped, proves it infeasible in 2 nodes, so that a
-        # budget spent on layer 4 leaves layer 3 none.
+        # C4's layer t = 3 has 4 anchor pairs (opposite edges, D = 2), so
+        # its first run pins BFS edges 0 and 3 to 1 and 3 and finds
+        # (1, 2, 2, 3) in BFS order after 2 nodes; cut after 1, edge 1
+        # holds 2 beside the pinned pair. Without the matrix the one run
+        # finds it after 4 nodes; cut after 2, edges 0 and 1 hold 1 and 2.
+        # Layer 4 lies above C4's ceiling, 3: the search skips it with the
+        # matrix and without. _search_py, uncapped, finds no anchor pair
+        # there with the matrix, and without it proves the layer infeasible
+        # in 4 nodes, so that a budget spent on layer 4 leaves layer 3 none.
         g = c4()
         plan = _plan_py(g)
         for max_m in (DISTANCE_MAX_M, 0):
-            for top, budget in ((3, 2), (4, 2), (4, 0), (4, 4)):
+            for top, budget in ((3, 1), (3, 2), (4, 2), (4, 0), (4, 4)):
                 native, reference = both_searches(g, top, 3, budget, max_m)
                 assert native == reference, (max_m, top, budget)
         search = _native().search
-        assert search(4, g.edges, DISTANCE_MAX_M, 4, 3, 2) == (2, 2, 4, [1, 2, 0, 0])
-        assert search(4, g.edges, DISTANCE_MAX_M, 4, 3, 0) == (1, 4, 3, [1, 2, 2, 3])
+        assert search(4, g.edges, DISTANCE_MAX_M, 4, 3, 1) == (2, 1, 4, [1, 2, 0, 3])
+        assert search(4, g.edges, DISTANCE_MAX_M, 4, 3, 0) == (1, 2, 3, [1, 2, 2, 3])
+        assert search(4, g.edges, 0, 4, 3, 2) == (2, 2, 4, [1, 2, 0, 0])
         assert search(4, g.edges, 0, 4, 3, 0) == (1, 4, 3, [1, 2, 2, 3])
         assert search(4, g.edges, 0, 4, 3, 4) == (1, 4, 3, [1, 2, 2, 3])
-        assert _search_py(*layer_args(g, plan, 3, 2)) == (2, 2, 4, [1, 2, 0, 0])
-        assert _search_py(g.n, *plan[:5], 4, 3, 0) == (1, 6, 3, [1, 2, 2, 3])
-        assert _search_py(g.n, *plan[:5], 4, 3, 2) == (2, 2, 4, [0, 0, 0, 0])
+        assert _search_py(*layer_args(g, plan, 3, 1)) == (2, 1, 4, [1, 2, 0, 3])
+        assert _search_py(g.n, *plan[:5], 4, 3, 0) == (1, 2, 3, [1, 2, 2, 3])
+        plain = plan._replace(dist=b"")
+        assert _search_py(g.n, *plain[:5], 4, 3, 0) == (1, 8, 3, [1, 2, 2, 3])
+        assert _search_py(g.n, *plain[:5], 4, 3, 4) == (2, 4, 4, [0, 0, 0, 0])
 
     def test_search_rejects_malformed_input(self):
         # The range as asked: an empty one is an error even where the caps
@@ -1275,3 +1312,114 @@ class TestNativeKernel:
             cwd=tmp_path, capture_output=True, check=True, timeout=120,
         )
         assert (tmp_path / "out" / "intervalcolor" / "_search.c").is_file()
+
+
+def anchor_pairs(plan: _Plan, t: int) -> int:
+    """The anchor pairs of a layer t with ``plan``'s matrix: the ordered
+    pairs of edges (e, f) with D(e, f) >= t - 1, or the m pairs (e, e)
+    when t = 1."""
+    if t == 1:
+        return len(plan.order)
+    return sum(d >= t - 1 for d in int32s(plan.dist))
+
+
+class TestAnchor:
+    """The anchor sweep of the module docstring: ``_search_py``'s against
+    the static loop, the kernel's against ``_search_py``'s."""
+
+    def test_sweep_keeps_every_verdict_and_witness(self, catalogs, monkeypatch):
+        # Every layer t in [max degree, m] of the n <= 6 catalogs, swept
+        # whatever the 2m rule says: the runs together find a coloring
+        # exactly when the static loop does, and the least of theirs is its
+        # witness. Layers above the ceiling have no anchor pair, and K2's
+        # t = 1 has its one edge as the pair (e, e). The node totals pin
+        # the cuts that only prune.
+        layers = feasible = swept = 0
+        nodes = [0, 0]
+        for g in [g for n in range(2, 7) for g in catalogs[n]]:
+            plan = _plan_py(g)
+            for t in range(g.max_degree, g.m + 1):
+                outcomes = []
+                for sweep in (False, True):
+                    monkeypatch.setattr(_reference, "_anchored", lambda pairs, m: sweep)
+                    outcomes.append(_search_py(*layer_args(g, plan, t, 0)))
+                    nodes[sweep] += outcomes[-1][1]
+                static, anchored = outcomes
+                assert (anchored[0], anchored[3]) == (static[0], static[3]), (g.edges, t)
+                layers += 1
+                feasible += static[0] == 1
+                swept += anchor_pairs(plan, t) <= 2 * g.m
+        assert (layers, feasible, swept, *nodes) == (710, 260, 448, 22418, 26108)
+
+    def test_the_rule_sweeps_at_most_2m_pairs(self, catalogs, doubled_graphs, monkeypatch):
+        # _anchored is asked with the layer's anchor pairs, and the built
+        # loop is the sweep, nodes included, where they number at most 2m,
+        # and the static loop elsewhere.
+        rule = _reference._anchored
+        asked = []
+        swept = layers = 0
+        for g in [g for n in range(2, 7) for g in catalogs[n]] + doubled_graphs:
+            plan = _plan_py(g)
+            for t in searched_layers(g):
+                outcomes = []
+                for decide in (rule, lambda pairs, m: False, lambda pairs, m: True):
+                    asked.clear()
+                    def recorded(pairs, m, decide=decide):
+                        return asked.append(pairs) or decide(pairs, m)
+
+                    monkeypatch.setattr(_reference, "_anchored", recorded)
+                    outcomes.append(_search_py(*layer_args(g, plan, t, 0)))
+                    assert asked == [anchor_pairs(plan, t)], (g.edges, t)
+                built, static, anchored = outcomes
+                sweeps = anchor_pairs(plan, t) <= 2 * g.m
+                assert built == (anchored if sweeps else static), (g.edges, t)
+                swept += sweeps
+                layers += 1
+        assert (layers, swept) == (660, 317)
+
+    def test_kernel_agrees_when_the_budget_runs_out_in_a_sweep(self, catalogs, doubled_graphs):
+        # Ranges from min(m, ceiling) down to the maximum degree, with every
+        # budget that runs out inside a swept layer (up to 12 of them per
+        # layer, spread over it), against one _search_py call per layer.
+        aborted = 0
+        for g in [g for n in range(2, 7) for g in catalogs[n] if g.m] + doubled_graphs:
+            plan = _plan_py(g)
+            top = min(g.m, 1 + plan.longest)
+            spent = 0
+            for t in range(top, g.max_degree - 1, -1):
+                status, nodes, _, _ = layer_by_layer(g, plan, t, t, 0)
+                if anchor_pairs(plan, t) <= 2 * g.m and nodes > 1:
+                    step = max(1, nodes // 12)
+                    for budget in range(spent + 1, spent + nodes, step):
+                        expected = layer_by_layer(g, plan, top, g.max_degree, budget)
+                        found = both_searches(g, top, g.max_degree, budget, DISTANCE_MAX_M)
+                        assert found == (expected, expected), (g.edges, top, budget)
+                        assert expected[:3] == (2, budget, t + 1), (g.edges, top, budget)
+                        aborted += 1
+                spent += nodes
+                if status:
+                    break
+        assert aborted == 1667
+
+    def test_symmetric_families(self, monkeypatch):
+        # W(Q3) = 6 and W(Q4) = 10 = d(d + 1) / 2; W(K_{a,b}) = a + b - 1
+        # for K_{4,4} and K_{5,5}. Q4's descent took 2,239,038 nodes in the
+        # static loop alone.
+        cases = ((hypercube(3), 6, 34), (hypercube(4), 10, 9153))
+        cases += ((complete_bipartite(4, 4), 7, 23), (complete_bipartite(5, 5), 9, 55))
+        for native in (True, False):
+            if not native:
+                force_python_path(monkeypatch)
+            for g, w, nodes in cases:
+                out = compute_W(g)
+                assert (out.w, out.nodes_expanded) == (w, nodes), (g.n, native)
+
+    def test_q5_is_infeasible_above_17(self):
+        # Q5's ceiling leaves t <= 21; each layer from 21 down to 18 stayed
+        # undecided at 100M nodes in the static loop. The kernel alone: the
+        # Python loop takes minutes on t = 18.
+        assert _native() is not _reference
+        q5 = hypercube(5)
+        for t, nodes in ((21, 180), (20, 592), (19, 14846), (18, 805839)):
+            out = find_interval_coloring(q5, t)
+            assert (out.status, out.nodes_expanded) == (SolveStatus.INFEASIBLE, nodes), t
