@@ -188,14 +188,16 @@ def _search_py(
     with no node. ``last`` is the last t decided: the witness's, bottom, or
     one above the aborted layer. ``colors`` gives each edge's color in
     ``Graph.edges`` order, 0 for none: the witness, or an aborted layer's
-    partial coloring when the budget ran out (in a sweep, its run's, the
-    anchor pair included); it is empty when every layer is infeasible.
+    partial coloring when the budget ran out (in a sweep, its run's); it is
+    empty when every layer is infeasible.
 
     A layer is one run of the loop, or, with the matrix and when
     ``_anchored`` accepts its anchor pairs, a sweep: one run per pair
-    (e, f), e ascending and f descending in BFS positions, with e holding 1
-    and f holding t at no node, and each run after the first coloring found
-    searching only below the least so far (solver's docstring). In a run,
+    (e, f), e ascending and f descending in BFS positions. A run for a pair
+    is the same loop with other first ranges, which hold e at 1 and f at t,
+    two forced placements that count no node, and each run after the first
+    coloring found searches only below the least so far (solver's
+    docstring). In a run,
     ``picked[k]`` is the color of the k-th edge in BFS order, 0 for none. A
     depth entered with a color picked was backtracked to: that color comes
     off and the next one is tried. ``dist`` is the plan's matrix, or b"" to
@@ -224,81 +226,41 @@ def _search_py(
     for d in reversed(range(len(far) - 1)):
         far[d] += far[d + 1]
 
-    def toggle(k: int, c: int) -> None:
-        a, b = pairs[k]
-        mask[a] ^= 1 << c
-        mask[b] ^= 1 << c
-
-    def take_off(k: int) -> None:
-        c = picked[k]
-        toggle(k, c)
-        color_count[c] -= 1
-        picked[k] = 0
-
-    def clear_colors() -> None:
-        for k in range(m):
-            if picked[k]:
-                take_off(k)
-
-    def tie_from(best: list[int], q: int, e: int, f: int, t: int) -> int:
-        # Where the run stops matching best, given that it matches before q:
-        # past the pre-colored positions from q on that match; -2 when one
-        # of them holds a larger color, so that nothing below best is left.
-        while q < m and q in (e, f):
-            c = 1 if q == e else t
-            if c != best[q]:
-                return q if c < best[q] else -2
-            q += 1
-        return q
-
     def run(t: int, e: int, f: int, best: list[int] | None) -> int:
-        """One run of the loop at palette size t over the edges but e and f,
-        which hold 1 and t at no node (none when e is -1; e = f when t = 1),
-        and below ``best`` when given: 1 when it colors every edge, 0 when
-        it cannot (every color taken off again), 2 when the budget runs
-        out."""
+        """One run of the loop at palette size t: for an anchor pair (e, f),
+        its first ranges hold e at 1 and f at t, which it places at no node
+        (no pair when e is -1; e = f when t = 1), and it searches below
+        ``best`` when given. 1 when it colors every edge, 0 when it cannot
+        (every color taken off again), 2 when the budget runs out."""
         nonlocal nodes
         first_top = (t + 1) // 2  # reversal cut, see solver's docstring
         unused = t  # colors on no edge yet
-        tie = -1  # the positions before tie match best
-        if e >= 0:
-            # Nothing below best: a pre-colored position above best's comes
-            # before any free one, or the first free one, before e, where no
-            # 1 may go, holds 1 in best.
-            if best and ((tie := tie_from(best, 0, e, f, t)) == -2 or (tie < e and best[tie] == 1)):
-                return 0
-            for k, c in {e: 1, f: t}.items():
-                toggle(k, c)
-                color_count[c] += 1
-                picked[k] = c
-                unused -= 1
-        k = 0  # it steps over e and f; without a pair, e = f = -1 lets it reach -2
-        while k in (e, f):
-            k += 1
+        tie = 0 if best else -1  # the positions before tie match best
+        k = 0
         while 0 <= k < m:
             a, b = pairs[k]
             c = picked[k]
             if c:
-                toggle(k, c)
+                mask[a] ^= 1 << c
+                mask[b] ^= 1 << c
                 color_count[c] -= 1
                 if not color_count[c]:
                     unused += 1
             elif near:
-                # First entry: narrow the ranges of the free depth before by
-                # its color x, or take those the pair leaves, and bound edge
-                # k's candidates by its own range and the reach of colors 1
-                # and t (solver's docstring).
-                back = 1
-                while k - back in (e, f):
-                    back += 1
+                # First entry: narrow the ranges of depth k - 1 by its color,
+                # or at depth 0 take row 0: [1, t], or the pair's, within
+                # D(f, g) of t and D(e, g) of 1, with no 1 before e and no t
+                # before f. Then bound edge k's candidates by its own range
+                # and the reach of colors 1 and t (solver's docstring).
                 here, lo_k, hi_k = near[k], lows[k], highs[k]
                 for g in range(k, m):
-                    if back <= k:
-                        p = k - back
+                    if k:
+                        p = k - 1
                         lo_k[g] = max(lows[p][g], picked[p] - near[p][g])
                         hi_k[g] = min(highs[p][g], picked[p] + near[p][g])
                     elif e >= 0:
-                        lo_k[g], hi_k[g] = max(1, t - near[f][g]), min(t, 1 + near[e][g])
+                        lo_k[g] = max(2 if g < e else 1, t - near[f][g])
+                        hi_k[g] = min(t - 1 if g < f else t, 1 + near[e][g])
                     else:
                         lo_k[g], hi_k[g] = 1, t
                 reach_one = max([1] + [1 + here[g] for g in range(k, m) if lo_k[g] == 1])
@@ -309,10 +271,8 @@ def _search_py(
             least, most = (lows[k][k], highs[k][k]) if near else (1, t)
             # Spread: a new color at v lies in [hi - deg(v) + 1, lo + deg(v) - 1],
             # lo and hi being v's least and greatest color (hi + 1 = bit_length).
-            # Twin cut: it lies above the color of edge after[k]. The pair's
-            # edges hold the first 1 and the first t: no 1 before e, no t
-            # before f. Below best: where the positions before k match best,
-            # it is at most best's.
+            # Twin cut: it lies above the color of edge after[k]. Below best:
+            # where the positions before k match best, it is at most best's.
             lo_a = (mask_a & -mask_a).bit_length() - 1 if mask_a else t
             lo_b = (mask_b & -mask_b).bit_length() - 1 if mask_b else t
             c = max(
@@ -321,19 +281,16 @@ def _search_py(
                 mask_a.bit_length() - deg[a],
                 mask_b.bit_length() - deg[b],
                 least,
-                2 if k < e else 1,
             )
             to = min(
                 t if k else first_top,
-                t - 1 if k < f else t,
                 best[k] if tie >= k else t,
                 lo_a + deg[a] - 1,
                 lo_b + deg[b] - 1,
                 most,
             )
             taken = mask_a | mask_b
-            # surjectivity: uncolored edges left over
-            spare = m - k - 1 - (e > k) - (f > k and f != e) - unused
+            spare = m - k - 1 - unused  # surjectivity: uncolored edges left over
             while c <= to:
                 if not (taken >> c) & 1 and (spare >= 0 or (spare == -1 and not color_count[c])):
                     break
@@ -341,29 +298,22 @@ def _search_py(
             else:
                 picked[k] = 0
                 k -= 1
-                while k in (e, f):
-                    k -= 1
                 continue
-            if node_budget and nodes >= node_budget:
-                picked[k] = 0  # its color is off: the run's edges before k stay colored
-                return 2
-            nodes += 1
-            toggle(k, c)
+            if k not in (e, f):  # the pair's placements are forced: no node
+                if node_budget and nodes >= node_budget:
+                    picked[k] = 0  # its color is off: the run's edges before k stay colored
+                    return 2
+                nodes += 1
+            mask[a] |= 1 << c
+            mask[b] |= 1 << c
             if not color_count[c]:
                 unused -= 1
             color_count[c] += 1
             picked[k] = c
-            if tie >= k and (tie := tie_from(best, k + 1, e, f, t) if c == best[k] else k) == -2:
-                clear_colors()
-                return 0
+            if tie >= k:
+                tie = k + 1 if c == best[k] else k
             k += 1
-            while k in (e, f):
-                k += 1
-        if k >= 0:
-            return 1
-        for k in {e, f} - {-1}:
-            take_off(k)
-        return 0
+        return int(k >= 0)
 
     for t in range(top, bottom - 1, -1):
         if node_budget and nodes >= node_budget:
@@ -388,8 +338,11 @@ def _search_py(
                 if status == 2:
                     return 2, nodes, t + 1, _in_edge_order(order, picked)
                 if status == 1:
+                    # It colored every edge: take every color off again.
                     best = picked[:m]
-                    clear_colors()
+                    mask[:] = [0] * n
+                    color_count[:] = [0] * (top + 1)
+                    picked[:m] = [0] * m
         if best:
             return 1, nodes, t, _in_edge_order(order, best)
     return 0, nodes, bottom, []

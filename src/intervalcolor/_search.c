@@ -51,13 +51,12 @@
  * last is the last t decided (the feasible one, bottom, or one above the
  * aborted layer); colors holds each edge's color, by edge index, 0 for none:
  * the witness, the partial coloring of an aborted layer when the budget ran
- * out (in a sweep, its run's, the anchor pair included), or nothing when
- * status is 0. Edge order, color order, node counting, the anchor sweep
- * below and the prune rules (distinct, spread, surjectivity, the first
- * edge's reversal cut, the twin cut, the distance rule) are those of
- * _search_py, so
- * its four results agree with this one given _plan_py's plan and the capped
- * top; the proofs are in solver.py's docstring. Malformed input raises
+ * out (in a sweep, its run's), or nothing when status is 0. Edge order,
+ * color order, node counting, the anchor sweep below and the prune rules
+ * (distinct, spread, surjectivity, the first edge's reversal cut, the twin
+ * cut, the distance rule) are those of _search_py, so its four results
+ * agree with this one given _plan_py's plan and the capped top; the proofs
+ * are in solver.py's docstring. Malformed input raises
  * ValueError (TypeError for edges that are not a sequence).
  *
  * A vertex's colors are a bitmask of (top + 1) / 64 + 1 words, bit c for
@@ -86,15 +85,15 @@
  * ordered pairs of edges (e, f) with D(e, f) >= t - 1 (for t = 1, the pairs
  * (e, e)), number at most 2m is decided by one run of the loop per pair, e
  * ascending and f descending in BFS positions, instead of one run over all
- * edges. A run colors e with 1 and f with t at no node and the other edges
- * as the loop does, stepping over e and f, with no 1 before e and no t
- * before f; its first ranges are those the pair leaves, [t - D(f, g),
- * 1 + D(e, g)] within [1, t]. Once a run has found a coloring, best, each
- * later run searches only below it: where its positions so far match best,
- * a candidate is at most best's color, and a larger pre-colored color ends
- * it. The layer's witness is the least coloring found, and the node budget
- * runs on across the runs. far, counted while the matrix is filled, gives
- * each layer's pair count at once. The proof is in solver.py's docstring.
+ * edges. A run for a pair is the loop with other first ranges: edge g's is
+ * [t - D(f, g), 1 + D(e, g)] within [1, t], at least 2 for g < e and at
+ * most t - 1 for g < f, which holds e at 1 and f at t, forced placements
+ * that count no node. Once a run has found a coloring, best, each later
+ * run searches only below it: where its positions so far match best, a
+ * candidate is at most best's color. The layer's witness is the least
+ * coloring found, and the node budget runs on across the runs. far,
+ * counted while the matrix is filled, gives each layer's pair count at
+ * once. The proof is in solver.py's docstring.
  *
  * interval_ok(n, edges, colors, t) -> bool
  *
@@ -766,29 +765,15 @@ typedef struct {
     int32_t *lo, *hi;
 } Layer;
 
-static void toggle(Layer *L, Py_ssize_t k, long long c)
-{
-    uint64_t bit = (uint64_t)1 << (c & 63);
-    L->mask[L->ends[2 * k] * L->stride + (c >> 6)] ^= bit;
-    L->mask[L->ends[2 * k + 1] * L->stride + (c >> 6)] ^= bit;
-}
-
-/* Puts color c on the edge at position k, at no node. */
-static void put(Layer *L, Py_ssize_t k, long long c)
-{
-    toggle(L, k, c);
-    if (!L->color_count[c]++)
-        L->used[c >> 6] |= (uint64_t)1 << (c & 63);
-    L->picked[k] = c;
-}
-
 /* Takes the color off the edge at position k. */
 static void take_off(Layer *L, Py_ssize_t k)
 {
     long long c = L->picked[k];
-    toggle(L, k, c);
+    uint64_t bit = (uint64_t)1 << (c & 63);
+    L->mask[L->ends[2 * k] * L->stride + (c >> 6)] ^= bit;
+    L->mask[L->ends[2 * k + 1] * L->stride + (c >> 6)] ^= bit;
     if (!--L->color_count[c])
-        L->used[c >> 6] ^= (uint64_t)1 << (c & 63);
+        L->used[c >> 6] ^= bit;
     L->picked[k] = 0;
 }
 
@@ -800,33 +785,20 @@ static void clear_colors(Layer *L)
             take_off(L, k);
 }
 
-/* Where a run's coloring stops matching best, given that it matches before
- * q: past the pre-colored positions from q on that match; -2 when one of
- * them holds a larger color, so that nothing below best is left. */
-static Py_ssize_t tie_from(const Layer *L, Py_ssize_t q, Py_ssize_t e, Py_ssize_t f, long long t)
-{
-    for (; q < L->m && (q == e || q == f); q++) {
-        long long c = q == e ? 1 : t;
-        if (c != L->best[q])
-            return c < L->best[q] ? q : -2;
-    }
-    return q;
-}
-
-/* One run of the loop at palette size t, over the edges but e and f, which
- * hold the first 1 and the first t at no node (none when e is -1; e = f
- * when t = 1), and, when bounded, below best. 1 when it colors every edge, 0
- * when it cannot, with every color taken off again, 2 when the budget runs
- * out (picked then holds the partial coloring), -1 with an exception set.
- * Inlined, so that the run without a pair compiles with e = f = -1 folded
- * in: as a function of its own it cost the benchmark's search calls about
- * 5% (paired runs, 2-core Xeon). */
+/* One run of the loop at palette size t: for an anchor pair (e, f), its
+ * first ranges hold e at 1 and f at t, which it places at no node (no pair
+ * when e is -1; e = f when t = 1), and, when bounded, it searches below best.
+ * 1 when it colors every edge, 0 when it cannot, with every color taken off
+ * again, 2 when the budget runs out (picked then holds the partial
+ * coloring), -1 with an exception set. Inlined, so that the run without a
+ * pair compiles with e = f = -1 folded in: as a function of its own it cost
+ * the benchmark's search calls about 5% (paired runs, 2-core Xeon). */
 static inline __attribute__((always_inline)) int run(Layer *L, long long t, Py_ssize_t e,
                                                      Py_ssize_t f, int bounded)
 {
     const Py_ssize_t m = L->m;
     const long long *ends = L->ends, *deg = L->deg, *after = L->after, *best = L->best;
-    const int32_t *dist = L->dist;
+    const int32_t *dist = L->dist, t32 = (int32_t)t;
     long long *picked = L->picked, *color_count = L->color_count;
     uint64_t *mask = L->mask, *used = L->used;
     int32_t *lo = L->lo, *hi = L->hi;
@@ -834,23 +806,9 @@ static inline __attribute__((always_inline)) int run(Layer *L, long long t, Py_s
     const long long words = (t + 1) / 64 + 1; /* the words colors 0..t lie in */
     const long long first_top = (t + 1) / 2;  /* the reversal cut */
     long long nodes = L->nodes, unused = t;   /* colors on no edge yet */
-    Py_ssize_t tie = -1;                      /* the positions before tie match best */
-    if (e >= 0) {
-        /* Nothing below best: a pre-colored position above best's comes
-         * before any free one, or the first free one, before e, where no 1
-         * may go, holds 1 in best. */
-        if (bounded && ((tie = tie_from(L, 0, e, f, t)) == -2 || (tie < e && best[tie] == 1)))
-            return 0;
-        put(L, e, 1);
-        if (f != e)
-            put(L, f, t);
-        unused -= 1 + (f != e);
-    }
-    int result = 0;
-    /* k steps over e and f; without a pair, e = f = -1 lets it reach -2. */
+    Py_ssize_t tie = bounded ? 0 : -1;        /* the positions before tie match best */
+    int result;
     Py_ssize_t k = 0;
-    while (k == e || k == f)
-        k++;
     while (k >= 0 && k < m) {
         long long a = ends[2 * k], b = ends[2 * k + 1];
         uint64_t *mask_a = mask + a * stride, *mask_b = mask + b * stride;
@@ -864,21 +822,20 @@ static inline __attribute__((always_inline)) int run(Layer *L, long long t, Py_s
                 unused++;
             }
         } else if (dist) {
-            /* First entry: narrow the ranges of the depth back before, the
-             * run's last one, by its color x, or take those the pair leaves,
-             * and bound edge k's candidates by its own range, which holds
-             * every other range's bounds lo_f - D(k, f) and hi_f + D(k, f)
-             * (solver.py), and by where colors 1 and t can still go. */
-            const int32_t *near = dist + k * m, t32 = (int32_t)t;
+            /* First entry: narrow the ranges of depth k - 1 by its color x,
+             * or at depth 0 take row 0, and bound edge k's candidates by its
+             * own range, which holds every other range's bounds
+             * lo_f - D(k, f) and hi_f + D(k, f) (solver.py), and by where
+             * colors 1 and t can still go. Two loops, each reading D before
+             * it writes a range: one loop over both cases ran the static
+             * loop's feasible layers about 40% slower (GCC 12 -O2, 2-core
+             * Xeon). */
+            const int32_t *near = dist + k * m;
             int32_t *lo_k = lo + k * m, *hi_k = hi + k * m;
             int32_t reach_one = 1, reach_top = t32;
-            Py_ssize_t back = 1; /* to the free depth before */
-            while (k - back == e || k - back == f)
-                back++;
-            if (back <= k) {
-                const int32_t *prev = near - back * m, *lo_prev = lo_k - back * m,
-                              *hi_prev = hi_k - back * m;
-                const int32_t x = (int32_t)picked[k - back];
+            if (k) {
+                const int32_t *prev = near - m, *lo_prev = lo_k - m, *hi_prev = hi_k - m;
+                const int32_t x = (int32_t)picked[k - 1];
                 for (Py_ssize_t g = k; g < m; g++) {
                     int32_t d = near[g];
                     int32_t l = max32(lo_prev[g], x - prev[g]);
@@ -888,18 +845,17 @@ static inline __attribute__((always_inline)) int run(Layer *L, long long t, Py_s
                     reach_one = max32(reach_one, l == 1 ? 1 + d : 1);
                     reach_top = min32(reach_top, h == t32 ? t32 - d : t32);
                 }
-            } else if (e >= 0) { /* within D(f, g) of t and D(e, g) of 1 */
-                const int32_t *from_e = dist + e * m, *from_f = dist + f * m;
-                for (Py_ssize_t g = k; g < m; g++) {
-                    lo_k[g] = max32(1, t32 - from_f[g]);
-                    hi_k[g] = min32(t32, 1 + from_e[g]);
-                }
-            } else {
-                for (Py_ssize_t g = k; g < m; g++) {
-                    lo_k[g] = 1;
-                    hi_k[g] = t32;
-                    reach_one = max32(reach_one, 1 + near[g]);
-                    reach_top = min32(reach_top, t32 - near[g]);
+            } else { /* row 0: [1, t], or the pair's (solver.py) */
+                for (Py_ssize_t g = 0; g < m; g++) {
+                    int32_t d = near[g], l = 1, h = t32;
+                    if (e >= 0) {
+                        l = max32(g < e ? 2 : 1, t32 - dist[f * m + g]);
+                        h = min32(g < f ? t32 - 1 : t32, 1 + dist[e * m + g]);
+                    }
+                    lo_k[g] = l;
+                    hi_k[g] = h;
+                    reach_one = max32(reach_one, l == 1 ? 1 + d : 1);
+                    reach_top = min32(reach_top, h == t32 ? t32 - d : t32);
                 }
             }
             lo_k[k] = color_count[t] ? lo_k[k] : max32(lo_k[k], reach_top);
@@ -907,9 +863,8 @@ static inline __attribute__((always_inline)) int run(Layer *L, long long t, Py_s
         }
         /* Spread: a new color at v lies in [hi - deg(v) + 1, lo + deg(v) - 1],
          * lo and hi being v's least and greatest color (hi + 1 = bit_length).
-         * Twin cut: it lies above the color of edge after[k]. The pair holds
-         * the first 1 and the first t: no 1 before e, no t before f. Below
-         * best: where the run matches best before k, it is at most best's. */
+         * Twin cut: it lies above the color of edge after[k]. Below best:
+         * where the run matches best before k, it is at most best's. */
         long long from = max(max(c + 1, picked[after[k]] + 1),
                              max(bit_length(mask_a, words) - deg[a],
                                  bit_length(mask_b, words) - deg[b]));
@@ -917,10 +872,6 @@ static inline __attribute__((always_inline)) int run(Layer *L, long long t, Py_s
                                                    lowest(mask_b, words, t) + deg[b] - 1));
         if (tie >= k)
             to = min(to, best[k]);
-        if (k < f)
-            to = min(to, t - 1);
-        if (k < e)
-            from = max(from, 2);
         if (dist) {
             from = max(from, lo[k * m + k]);
             to = min(to, hi[k * m + k]);
@@ -928,7 +879,7 @@ static inline __attribute__((always_inline)) int run(Layer *L, long long t, Py_s
         /* The least color in [from, to] on neither end, and on no edge
          * at all when exactly as many edges as unused colors remain
          * (surjectivity), taken a word at a time. */
-        long long spare = m - k - 1 - (e > k) - (f > k && f != e) - unused;
+        long long spare = m - k - 1 - unused;
         c = 0;
         if (spare >= -1 && from <= to) {
             uint64_t shun = spare == -1 ? ~(uint64_t)0 : 0;
@@ -945,22 +896,22 @@ static inline __attribute__((always_inline)) int run(Layer *L, long long t, Py_s
                 c = 64 * w + __builtin_ctzll(avail);
         }
         if (!c) {
-            picked[k] = 0;
-            do
-                k--;
-            while (k == e || k == f);
+            picked[k--] = 0;
             continue;
         }
-        if (budget && nodes >= budget) {
-            picked[k] = 0; /* its color is off: the run's edges before k stay colored */
-            result = 2;
-            goto out;
+        /* The pair's placements are forced: they count no node. */
+        if (k != e && k != f) {
+            if (budget && nodes >= budget) {
+                picked[k] = 0; /* its color is off: the run's edges before k stay colored */
+                result = 2;
+                goto out;
+            }
+            if (!(nodes & SIGNAL_CHECK_MASK) && PyErr_CheckSignals()) {
+                result = -1;
+                goto out;
+            }
+            nodes++;
         }
-        if (!(nodes & SIGNAL_CHECK_MASK) && PyErr_CheckSignals()) {
-            result = -1;
-            goto out;
-        }
-        nodes++;
         uint64_t bit = (uint64_t)1 << (c & 63);
         mask_a[c >> 6] |= bit;
         mask_b[c >> 6] |= bit;
@@ -969,20 +920,11 @@ static inline __attribute__((always_inline)) int run(Layer *L, long long t, Py_s
             unused--;
         }
         picked[k] = c;
-        if (tie >= k && (tie = c == best[k] ? tie_from(L, k + 1, e, f, t) : k) == -2) {
-            clear_colors(L);
-            goto out;
-        }
-        do
-            k++;
-        while (k == e || k == f);
+        if (tie >= k)
+            tie = c == best[k] ? k + 1 : k;
+        k++;
     }
     result = k >= 0;
-    if (!result && e >= 0) {
-        take_off(L, e);
-        if (f != e)
-            take_off(L, f);
-    }
 out:
     L->nodes = nodes;
     return result;

@@ -90,29 +90,65 @@ t-coloring c puts 1 on some edge and t on some edge; let e be the first edge
 colored 1 and f the first colored t, in BFS order. Then t - 1 = c(f) - c(e)
 <= D(e, f), so (e, f) is an anchor pair of the layer: an ordered pair of
 edges with D(e, f) >= t - 1, e != f as D(e, e) = 0, or for t = 1 the pair
-(e, e). A run for the pair colors e with 1 and f with t at no node, allows no
-1 on an edge before e and no t on one before f, starts every other edge g's
-range at [max(1, t - D(f, g)), min(t, 1 + D(e, g))] (the distance rule from
-the pair) and colors the other edges as the loop does. So every coloring lies
-in exactly one run. The two cuts above stay as plain constraints on each
-coloring, not as an order: edge 0 holds at most (t+1)//2, which rules out a
-pair with f = 0 for t >= 2; c(after[j]) < c(j) for every j, which rules out a
-pair with after[e] >= 0 (no color lies below 1), holds at j = f by itself
-(edges after[f] and f meet, so after[f] holds a color other than t), and is
-checked for the other edges as in the loop, a colored after[j] being
-pre-colored or not. So the runs together cover exactly the colorings the
-static loop searches, each once. A run meets its colorings in lexicographic
-order too, so the first it finds is its least. Once one has been found,
-best, every later run searches only below it: at a depth whose positions so
-far, pre-colored ones included, match best, a candidate is at most best's
-color, and a pre-colored position holding more than best's ends the run, as
-every earlier position then sits at its cap; so does a first free position
-before e where best holds 1, as it may hold no 1 itself. No later run can
-meet best itself, which lies in another run, so whatever it finds is
-smaller. The least coloring found is then the least coloring of the union,
-the static loop's witness, and a layer whose runs find none is infeasible.
-A layer above the ceiling has no anchor pair. The node budget runs on
-across the runs, and a run that spends it aborts the layer.
+(e, e). The run for the pair is the loop with other first ranges, row 0:
+edge g starts at [max(1, t - D(f, g)), min(t, 1 + D(e, g))], the distance
+rule from c(e) = 1 and c(f) = t, raised to at least 2 for g < e and lowered
+to at most t - 1 for g < f, as no 1 lies before e and no t before f; every
+later depth narrows these as before. The two cuts above stay as plain
+constraints on each coloring, not as an order: edge 0 holds at most
+(t+1)//2, which rules out a pair with f = 0 for t >= 2, and c(after[j]) <
+c(j), which rules out a pair with after[e] >= 0 (no color lies below 1) and
+is checked at every edge as in the loop. So every coloring lies in exactly
+one run, and the runs together cover exactly the colorings the static loop
+searches.
+
+Row 0 forces the pair: e's range is [max(1, t - D(f, e)), min(t, 1 + 0)]
+= [1, 1], as D(f, e) = D(e, f) >= t - 1, and f's is [max(1, t - 0),
+min(t, 1 + D(e, f))] = [t, t]. The floor of 2 and the cap of t - 1 leave
+both alone: for t = 1, e = f and neither applies, and for t >= 2, e < f caps
+e's range at t - 1 >= 1 and f < e raises f's to 2 <= t.
+
+Edge k's own range still bounds every other range, so the one pass per depth
+still decides the distance rule. Row 0's terms on g are new bounds to check,
+but k's own range implies each: for g != k, D(k, g) >= 1, so a floor of 2 on
+g asks x >= 2 - D(k, g), at most 1, and a cap of t - 1 asks x <= t - 1 +
+D(k, g), at least t, both of which [1, t] gives; and by the triangle
+inequality t - D(f, g) - D(k, g) <= t - D(f, k) and 1 + D(e, g) + D(k, g) >=
+1 + D(e, k), which are k's own row 0 bounds.
+
+The reach tests for colors 1 and t cut nothing in a run for a pair. The
+test for 1 runs at the depths k <= e, where color 1 is on no edge, and there
+e's range is still [1, 1], as no candidate empties a range; so f = e lets
+color 1 be reached up to x <= 1 + D(k, e), a cap row 0 already puts on k.
+Likewise the test for t at the depths k <= f, with f.
+
+The placements at e and f are forced, so they count no node and check no
+budget, and a run's nodes are its placements on the other edges. These see
+the same candidates as with e and f colored before the first edge. Before
+f, f's t at a shared end v would bar x = t, which the cap of t - 1 bars,
+and ask x >= t - deg(v) + 1 (spread), which row 0's floor t - D(f, k)
+asks, as a step through v costs deg(v) - 1 >= D(f, k); before e, e's 1
+likewise. Surjectivity counts e and f among the edges left exactly where it
+counts 1 and t among the colors not yet used. A forced placement never
+fails but on the cap below best (next): its range stays nonempty; an edge
+j before e at an end v of e holds at most 1 + D(e, j) <= deg(v), and one
+before f at an end v of f at least t - deg(v) + 1, so spread and distinct
+allow 1 at e and t at f; after[f] < f holds at most t - 1 (twin cut); the
+reversal cut allows 1 at edge 0, which is f only where t = 1 and e = f; and
+the surjectivity count, kept at the depth before, leaves room for a new
+color.
+
+A run meets its colorings in lexicographic order too, so the first it finds
+is its least. Once one has been found, best, every later run searches only
+below it: at a depth whose positions so far match best, a candidate is at
+most best's color. Where a forced color exceeds best's there, or a floor of
+2 meets best's 1, every earlier depth sits at its cap, so the run backtracks
+to its start with no node. No later run can meet best itself, which lies in
+another run, so whatever it finds is smaller. The least coloring found is
+then the least coloring of the union, the static loop's witness, and a
+layer whose runs find none is infeasible. A layer above the ceiling has no
+anchor pair. The node budget runs on across the runs, and a run that spends
+it aborts the layer.
 
 A layer is swept when its anchor pairs number at most 2m, and searched in
 one run otherwise, and always in one run without the matrix. The rule reads

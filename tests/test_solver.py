@@ -994,9 +994,10 @@ class TestNativeKernel:
 
     def test_an_aborted_layer_reports_its_partial_coloring(self):
         # C4's layer t = 3 has 4 anchor pairs (opposite edges, D = 2), so
-        # its first run pins BFS edges 0 and 3 to 1 and 3 and finds
-        # (1, 2, 2, 3) in BFS order after 2 nodes; cut after 1, edge 1
-        # holds 2 beside the pinned pair. Without the matrix the one run
+        # its first run's ranges hold BFS edges 0 and 3 at 1 and 3, and it
+        # finds (1, 2, 2, 3) in BFS order after 2 nodes, the forced edges
+        # counting none; cut after 1, edges 0 and 1 hold 1 and 2, and edge
+        # 3, not reached yet, holds none. Without the matrix the one run
         # finds it after 4 nodes; cut after 2, edges 0 and 1 hold 1 and 2.
         # Layer 4 lies above C4's ceiling, 3: the search skips it with the
         # matrix and without. _search_py, uncapped, finds no anchor pair
@@ -1009,12 +1010,12 @@ class TestNativeKernel:
                 native, reference = both_searches(g, top, 3, budget, max_m)
                 assert native == reference, (max_m, top, budget)
         search = _native().search
-        assert search(4, g.edges, DISTANCE_MAX_M, 4, 3, 1) == (2, 1, 4, [1, 2, 0, 3])
+        assert search(4, g.edges, DISTANCE_MAX_M, 4, 3, 1) == (2, 1, 4, [1, 2, 0, 0])
         assert search(4, g.edges, DISTANCE_MAX_M, 4, 3, 0) == (1, 2, 3, [1, 2, 2, 3])
         assert search(4, g.edges, 0, 4, 3, 2) == (2, 2, 4, [1, 2, 0, 0])
         assert search(4, g.edges, 0, 4, 3, 0) == (1, 4, 3, [1, 2, 2, 3])
         assert search(4, g.edges, 0, 4, 3, 4) == (1, 4, 3, [1, 2, 2, 3])
-        assert _search_py(*layer_args(g, plan, 3, 1)) == (2, 1, 4, [1, 2, 0, 3])
+        assert _search_py(*layer_args(g, plan, 3, 1)) == (2, 1, 4, [1, 2, 0, 0])
         assert _search_py(g.n, *plan[:5], 4, 3, 0) == (1, 2, 3, [1, 2, 2, 3])
         plain = plan._replace(dist=b"")
         assert _search_py(g.n, *plain[:5], 4, 3, 0) == (1, 8, 3, [1, 2, 2, 3])
