@@ -2,9 +2,10 @@
 where ``_search.c`` cannot be built or loaded (no compiler, no headers, a
 read-only install), so that no caller asks which one it has.
 
-It has the kernel's seven entries, with the kernel's arguments and results.
-``search``, ``classify`` and ``extend`` run the Python references of the
-kernel's loops: the search plan and loop (``_plan_py``, ``_search_py``),
+It has the kernel's eight entries, with the kernel's arguments and results.
+``search``, ``automorphisms``, ``classify`` and ``extend`` run the Python
+references of the kernel's loops: the search plan, with its automorphism
+harvest, and loop (``_plan_py``, ``_harvest``, ``_search_py``),
 the classification (``_classify_py``) and a catalog level (``extend``, with
 its canonical search ``_min_code_py``). They take the graph as the kernel
 does, as n and canonical edges, and build their own ``Graph`` from them.
@@ -25,9 +26,7 @@ from __future__ import annotations
 
 import bisect
 import heapq
-import itertools
 from array import array
-from collections import deque
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .graph import Graph, GraphClass
@@ -42,43 +41,62 @@ class _Plan(NamedTuple):
     """The search's input for a connected g with an edge, built once per graph.
 
     ``order`` is the BFS edge order, ``ends`` the two endpoints of each edge
-    in that order, flat, and ``deg`` the vertex degrees. ``after[j]`` is the
-    position of the earlier edge whose color edge j's must exceed (the twin
-    cut of ``solver``'s docstring), or -1. The BFS starts at the
-    lowest-indexed vertex of maximum degree, so consecutive edges share
-    endpoints. ``dist`` is the distance matrix in BFS positions and
-    ``longest`` its largest entry, for at most ``max_m`` edges (the
-    argument of ``_plan_py``); above, b"" and None.
+    in that order, flat, and ``deg`` the vertex degrees. The BFS starts at
+    the lowest-indexed vertex of maximum degree, so consecutive edges share
+    endpoints. ``floors[j]`` lists the orbit rule's pairs (i, step), i < j:
+    the least coloring has c(j) >= c(i) + step (``solver``'s docstring), one
+    per automorphism of ``_harvest`` and per twin swap. ``orbit[j]`` is
+    whether edge j lies in edge 0's orbit under the group they generate (the
+    reversal rule). ``dist`` is the distance matrix in BFS positions and
+    ``longest`` its largest entry, for at most ``max_m`` edges (the argument
+    of ``_plan_py``); above, b"" and None.
     """
 
     order: list[int]
     ends: list[int]
     deg: list[int]
-    after: list[int]
+    floors: list[list[tuple[int, int]]]
+    orbit: list[bool]
     dist: bytes
     longest: int | None
+
+
+# The harvest's work bound: walk comparisons, as _search.c's HARVEST_WORK.
+HARVEST_WORK = 1 << 22
 
 
 def _plan_py(g: Graph, max_m: int = DISTANCE_MAX_M) -> _Plan:
     """g's plan in Python, with the matrix for at most ``max_m`` edges: the
     plan of ``search``, and the reference for the kernel's."""
+    plan, _ = _plan_and_harvest(g, max_m)
+    return plan
+
+
+def _plan_and_harvest(g: Graph, max_m: int) -> tuple[_Plan, list[tuple[int, ...]]]:
+    """g's plan and the automorphisms ``_harvest`` found for it."""
     adjacency, incidence = g.adjacency, g.incidence  # incidence[v] in adjacency[v]'s order
     deg = [len(nbrs) for nbrs in adjacency]
     start = deg.index(max(deg))
     order: list[int] = []
     position = [-1] * g.m
-    visited = [False] * g.n
-    visited[start] = True
-    queue = deque([start])
-    while queue:
-        u = queue.popleft()
+    parent = [-1] * g.n
+    visit = [start]  # the BFS vertex order; the list grows while it is read
+    parent[start] = start
+    for u in visit:
         for v, eid in zip(adjacency[u], incidence[u]):
             if position[eid] < 0:
                 position[eid] = len(order)
                 order.append(eid)
-            if not visited[v]:
-                visited[v] = True
-                queue.append(v)
+            if parent[v] < 0:
+                parent[v] = u
+                visit.append(v)
+    pairs = [g.edges[eid] for eid in order]
+    ends = [v for pair in pairs for v in pair]
+
+    def at(x: int, u: int) -> int:
+        """The BFS position of edge xu."""
+        return position[incidence[x][bisect.bisect_left(adjacency[x], u)]]
+
     # Twins have equal open neighbourhoods (x, y apart) or equal closed ones
     # (x, y adjacent). No open one equals a closed one (N(w) = N[v] would put
     # v in N(w) but w outside N[v]), so one dict groups both.
@@ -87,57 +105,184 @@ def _plan_py(g: Graph, max_m: int = DISTANCE_MAX_M) -> _Plan:
         i = bisect.bisect(nbrs, v)
         groups.setdefault(nbrs, []).append(v)
         groups.setdefault((*nbrs[:i], v, *nbrs[i:]), []).append(v)
-    after = [-1] * g.m
+    # The twin swaps: each twin after the first of its class in BFS order,
+    # with the twin just before it and with the first (solver's docstring).
+    rank = {v: k for k, v in enumerate(visit)}
+    swaps = []
     for twins in groups.values():
-        if len(twins) == 1:
-            continue
-        # Each twin's two earliest edges, as (position, neighbour). A vertex
-        # has twins of one kind only (an open twin x and a closed twin y of v
-        # would make x adjacent to y, so to v, against N(x) = N(v)), so this
-        # ranks it once.
-        first_two = {
-            v: sorted((position[e], u) for u, e in zip(adjacency[v], incidence[v]))[:2]
-            for v in twins
-        }
-        for x, y in itertools.combinations(twins, 2):
-            # The x<->y swap moves the edges at x or y other than xy. A twin
-            # has at most one edge to its partner, so the first moved edge,
-            # (a, u) at position k, is among each twin's two earliest, and
-            # its image (b, u) joins the partner b to u.
-            moved = [(k, b, u) for a, b in ((x, y), (y, x)) for k, u in first_two[a] if u != b]
-            if moved:  # K2 has none
-                k, b, u = min(moved)
-                j = position[incidence[b][bisect.bisect_left(adjacency[b], u)]]
-                after[j] = max(after[j], k)
-    pairs = [g.edges[eid] for eid in order]
-    ends = [v for pair in pairs for v in pair]
+        ranked = sorted(twins, key=rank.__getitem__)
+        for j in range(1, len(ranked)):
+            swaps.append((ranked[j - 1], ranked[j]))
+            if j > 1:
+                swaps.append((ranked[0], ranked[j]))
+    floors: list[list[tuple[int, int]]] = [[] for _ in range(g.m)]
+    for x, y in swaps:
+        # The x<->y swap moves the edges at x or y other than xy; the first
+        # moved edge, (a, u) at position k, receives (b, u), which joins the
+        # partner b to u.
+        moved = [
+            (position[e], b, u)
+            for a, b in ((x, y), (y, x))
+            for u, e in zip(adjacency[a], incidence[a])
+            if u != b
+        ]
+        if moved:  # K2 has none
+            k, b, u = min(moved)
+            floors[at(b, u)].append((k, 1))
     if g.m > max_m:
-        return _Plan(order, ends, deg, after, b"", None)
-    # D(e, f) at e * m + f, in BFS positions, as native int32 bytes.
-    dist = array("i", itertools.chain.from_iterable(_distance_rows(adjacency, deg, pairs)))
-    return _Plan(order, ends, deg, after, dist.tobytes(), max(dist))
+        found: list[tuple[int, ...]] = []
+        dist, longest = b"", None
+    else:
+        walk = [_walk(adjacency, deg, (v,)) for v in range(g.n)]
+        # D(e, f) at e * m + f, in BFS positions, as native int32 bytes.
+        matrix = array("i", (0 if e == f else min(walk[a][x], walk[a][y], walk[b][x], walk[b][y])
+                             for e, (a, b) in enumerate(pairs) for f, (x, y) in enumerate(pairs)))
+        dist, longest = matrix.tobytes(), max(matrix)
+        found = _harvest(adjacency, deg, visit, parent, walk, swaps)
+    # Edge 0's orbit: the edges joined to it by a twin swap or a harvested
+    # automorphism, in a union-find over BFS positions.
+    root = list(range(g.m))
+    for x, y in swaps:
+        for u in adjacency[x]:
+            if u != y:
+                _join(root, at(x, u), at(y, u))
+    for sigma in found:
+        moves = [at(sigma[a], sigma[b]) for a, b in pairs]  # moves[k]: the image of edge k
+        for k, j in enumerate(moves):
+            _join(root, k, j)
+        # The orbit rule: i, the first edge sigma moves, receives edge j.
+        # Only K2's swap moves no edge, and the twins have it already.
+        i = next(k for k, j in enumerate(moves) if j != k)
+        j = moves.index(i)
+        floors[j].append((i, int(not {*pairs[i]}.isdisjoint(pairs[j]))))
+    orbit = [_find(root, k) == _find(root, 0) for k in range(g.m)]
+    return _Plan(order, ends, deg, floors, orbit, dist, longest), found
+
+
+def _find(root: list[int], v: int) -> int:
+    """The root of v's tree in the union-find forest ``root``, halving the
+    path to it."""
+    while root[v] != v:
+        root[v] = root[root[v]]
+        v = root[v]
+    return v
+
+
+def _join(root: list[int], x: int, y: int) -> None:
+    root[_find(root, x)] = _find(root, y)
+
+
+def _walk(adjacency, deg, sources) -> list[int]:
+    """The cheapest walk from any of ``sources`` to each vertex, each vertex
+    on it (ends included) costing deg - 1: one Dijkstra."""
+    reach = [-1] * len(adjacency)
+    heap = [(deg[s] - 1, s) for s in sources]
+    while heap:
+        d, u = heapq.heappop(heap)
+        if reach[u] >= 0:
+            continue
+        reach[u] = d
+        for v in adjacency[u]:
+            if reach[v] < 0:
+                heapq.heappush(heap, (d + deg[v] - 1, v))
+    return reach
+
+
+def _harvest(adjacency, deg, visit, parent, walk, swaps) -> list[tuple[int, ...]]:
+    """Automorphisms of the graph, as vertex images, found level by level
+    down the BFS vertex order ``visit`` = b_0, b_1, ... (``solver``'s
+    docstring): the reference for the kernel's.
+
+    At level i, deepest first, for each w in ascending order that is not yet
+    in b_i's orbit under the swaps and automorphisms that fix b_0 .. b_i-1
+    found so far, it keeps the least automorphism that fixes b_0 .. b_i-1
+    and sends b_i to w, if there is one: images are chosen for b_i+1, b_i+2,
+    ... in turn, each among the neighbours of its BFS parent's image, least
+    first. An image v of x must have x's degree and walk total, and the
+    same walk to the image of every vertex mapped before as x to that
+    vertex. Between distinct vertices of equal degrees the walk tells
+    whether they are adjacent (a path through another vertex costs at least
+    one more), so every full map is an automorphism. The twin swaps (x, y),
+    x before y, are found already: each joins their orbits from x's level
+    on. Each comparison of the walks of a candidate counts one
+    unit of work, at most ``HARVEST_WORK`` in all; there the harvest stops
+    with what it has.
+    """
+    n = len(adjacency)
+    at = [0] * n
+    for k, v in enumerate(visit):
+        at[v] = k
+    total = [sum(row) for row in walk]
+    root = list(range(n))  # the orbits of b_i under what fixes b_0 .. b_i-1, as a union-find
+    joins: dict[int, list[int]] = {}
+    for x, y in swaps:
+        joins.setdefault(x, []).append(y)
+    found: list[tuple[int, ...]] = []
+    work = 0
+    sigma = [-1] * n
+    taken = [False] * n
+    choice = [0] * n
+    for i in reversed(range(n)):
+        u = visit[i]
+        for y in joins.get(u, ()):
+            _join(root, u, y)
+        for w in range(n) if i == 0 else adjacency[parent[u]]:
+            if at[w] <= i or deg[w] != deg[u] or total[w] != total[u]:
+                continue
+            if _find(root, w) == _find(root, u):
+                continue
+            work += i
+            if work > HARVEST_WORK:
+                return found
+            if any(walk[x][u] != walk[x][w] for x in visit[:i]):
+                continue
+            sigma[:] = [-1] * n
+            taken[:] = [False] * n
+            for x in visit[:i]:
+                sigma[x] = x
+                taken[x] = True
+            sigma[u], taken[w] = w, True
+            k = i + 1
+            while i < k < n:
+                x = visit[k]
+                options = adjacency[sigma[parent[x]]]
+                if sigma[x] >= 0:  # backtracked to: the next option
+                    taken[sigma[x]] = False
+                    sigma[x] = -1
+                    choice[k] += 1
+                else:
+                    choice[k] = 0
+                while choice[k] < len(options):
+                    v = options[choice[k]]
+                    if not taken[v] and deg[v] == deg[x] and total[v] == total[x]:
+                        work += k
+                        if work > HARVEST_WORK:
+                            return found
+                        if all(walk[y][x] == walk[sigma[y]][v] for y in visit[:k]):
+                            break
+                    choice[k] += 1
+                else:
+                    k -= 1
+                    continue
+                sigma[x] = options[choice[k]]
+                taken[sigma[x]] = True
+                k += 1
+            if k == n:
+                found.append(tuple(sigma))
+                for x in range(n):
+                    _join(root, x, sigma[x])
+    return found
 
 
 def _distance_rows(adjacency, deg, pairs) -> Iterator[list[int]]:
     """Row e: D(e, f) for every edge f, the edges listed as vertex pairs.
 
     A path from edge e to edge f steps through a walk of vertices from an
-    end of e to an end of f, so one Dijkstra over the vertices from both
-    ends of e, each vertex costing deg(v) - 1, gives e's whole row.
+    end of e to an end of f, so one walk from both ends of e gives e's whole
+    row.
     """
     for e, (a, b) in enumerate(pairs):
-        # reach[v]: cheapest walk from a or b to v, each vertex on it (ends
-        # included) costing deg - 1.
-        reach = [-1] * len(adjacency)
-        heap = [(deg[a] - 1, a), (deg[b] - 1, b)]
-        while heap:
-            d, u = heapq.heappop(heap)
-            if reach[u] >= 0:
-                continue
-            reach[u] = d
-            for v in adjacency[u]:
-                if reach[v] < 0:
-                    heapq.heappush(heap, (d + deg[v] - 1, v))
+        reach = _walk(adjacency, deg, (a, b))
         row = [min(reach[x], reach[y]) for x, y in pairs]
         row[e] = 0
         yield row
@@ -158,7 +303,13 @@ def search(
             longest = max(longest, max(row))
             if longest + 1 >= top:
                 break
-    return _search_py(n, *plan[:5], min(top, g.m, 1 + longest), bottom, budget)
+    return _search_py(n, *plan[:6], min(top, g.m, 1 + longest), bottom, budget)
+
+
+def automorphisms(n: int, edges: Sequence[tuple[int, int]], max_m: int) -> list[tuple[int, ...]]:
+    """The kernel's ``automorphisms``: what ``_harvest`` finds for
+    ``_plan_py``'s plan."""
+    return _plan_and_harvest(Graph(n, edges), max_m)[1]
 
 
 def _anchored(pairs: int, m: int) -> bool:
@@ -172,13 +323,14 @@ def _search_py(
     order: list[int],
     ends: list[int],
     deg: list[int],
-    after: list[int],
+    floors: list[list[tuple[int, int]]],
+    orbit: list[bool],
     dist: bytes,
     top: int,
     bottom: int,
     node_budget: int,
 ) -> tuple[int, int, int, list[int]]:
-    """The search loop in Python, on the first five fields of a plan.
+    """The search loop in Python, on the first six fields of a plan.
 
     Returns what ``search`` returns: (status, nodes, last, colors), here
     with no cap on top. It decides palette sizes top, top - 1, ..., bottom,
@@ -193,11 +345,11 @@ def _search_py(
 
     A layer is one run of the loop, or, with the matrix and when
     ``_anchored`` accepts its anchor pairs, a sweep: one run per pair
-    (e, f), e ascending and f descending in BFS positions. A run for a pair
-    is the same loop with other first ranges, which hold e at 1 and f at t,
-    two forced placements that count no node, and each run after the first
-    coloring found searches only below the least so far (solver's
-    docstring). In a run,
+    (e, f), e ascending and f descending in BFS positions, less the pairs
+    the symmetry rules rule out. A run for a pair is the same loop with
+    other first ranges, which hold e at 1 and f at t, two forced placements
+    that count no node, and each run after the first coloring found
+    searches only below the least so far (solver's docstring). In a run,
     ``picked[k]`` is the color of the k-th edge in BFS order, 0 for none. A
     depth entered with a color picked was backtracked to: that color comes
     off and the next one is tried. ``dist`` is the plan's matrix, or b"" to
@@ -210,12 +362,15 @@ def _search_py(
     # counts.
     mask = [0] * n  # bit c set: some edge at the vertex has color c
     color_count = [0] * (top + 1)
-    picked = [0] * (m + 1)  # picked[-1] stays 0, the floor where after[k] is -1
+    picked = [0] * m
     nodes = 0
+    # least[k] and most[k]: the bounds on edge k's candidates that its first
+    # entry finds, which hold until a depth before it changes its color.
+    least = [0] * m
+    most = [0] * m
     # The distance rule: near[k][g] = D(k, g); lows[k][g] and highs[k][g]
-    # bound edge g's color at depth k, for g > k, and edge k's candidates at
-    # g = k, as later depths read only g > k. far[d]: the ordered pairs of
-    # edges with D >= d.
+    # bound edge g's color at depth k, for g > k, as later depths read only
+    # g > k. far[d]: the ordered pairs of edges with D >= d.
     flat = memoryview(dist).cast("i")
     near = [flat[k * m : (k + 1) * m].tolist() for k in range(m)] if dist else []
     lows = [[0] * m for _ in near]
@@ -233,7 +388,6 @@ def _search_py(
         ``best`` when given. 1 when it colors every edge, 0 when it cannot
         (every color taken off again), 2 when the budget runs out."""
         nonlocal nodes
-        first_top = (t + 1) // 2  # reversal cut, see solver's docstring
         unused = t  # colors on no edge yet
         tie = 0 if best else -1  # the positions before tie match best
         k = 0
@@ -246,53 +400,74 @@ def _search_py(
                 color_count[c] -= 1
                 if not color_count[c]:
                     unused += 1
-            elif near:
-                # First entry: narrow the ranges of depth k - 1 by its color,
-                # or at depth 0 take row 0: [1, t], or the pair's, within
-                # D(f, g) of t and D(e, g) of 1, with no 1 before e and no t
-                # before f. Then bound edge k's candidates by its own range
-                # and the reach of colors 1 and t (solver's docstring).
-                here, lo_k, hi_k = near[k], lows[k], highs[k]
-                for g in range(k, m):
-                    if k:
-                        p = k - 1
-                        lo_k[g] = max(lows[p][g], picked[p] - near[p][g])
-                        hi_k[g] = min(highs[p][g], picked[p] + near[p][g])
-                    elif e >= 0:
-                        lo_k[g] = max(2 if g < e else 1, t - near[f][g])
-                        hi_k[g] = min(t - 1 if g < f else t, 1 + near[e][g])
+            else:
+                # First entry. Spread: a new color at v lies in
+                # [hi - deg(v) + 1, lo + deg(v) - 1], lo and hi being v's
+                # least and greatest color (hi + 1 = bit_length). Orbit
+                # rule: at least c(i) + step for each floor (i, step).
+                # Reversal rule: edge 0 holds at most (t + 1) // 2, and
+                # every other edge of its orbit at most t + 1 - c(0). Below
+                # best: where the positions before k match best, at most
+                # best's color. Surjectivity: no more colors left unused
+                # than edges left, but for this one.
+                mask_a, mask_b = mask[a], mask[b]
+                lo_a = (mask_a & -mask_a).bit_length() - 1 if mask_a else t
+                lo_b = (mask_b & -mask_b).bit_length() - 1 if mask_b else t
+                low = max(
+                    [mask_a.bit_length() - deg[a], mask_b.bit_length() - deg[b]]
+                    + [picked[i] + step for i, step in floors[k]]
+                )
+                high = min(
+                    lo_a + deg[a] - 1,
+                    lo_b + deg[b] - 1,
+                    (t + 1) // 2 if not k else t + 1 - picked[0] if orbit[k] else t,
+                    best[k] if tie >= k else t,
+                    t if unused <= m - k else 0,
+                )
+                if near:
+                    # The distance rule: the ranges of depth k - 1 narrowed
+                    # by its color, or row 0: [1, t], or the pair's, within
+                    # D(f, g) of t and D(e, g) of 1, with no 1 before e and no
+                    # t before f. Edge k's own range comes first, and only
+                    # when it leaves a candidate does the pass narrow the
+                    # later ranges and bound edge k's candidates by the reach
+                    # of colors 1 and t (solver's docstring).
+                    here, lo_k, hi_k = near[k], lows[k], highs[k]
+                    reach_one, reach_top = 1, t
+                    for g in range(k, m):
+                        if k:
+                            p = k - 1
+                            lo = max(lows[p][g], picked[p] - near[p][g])
+                            hi = min(highs[p][g], picked[p] + near[p][g])
+                        elif e >= 0:
+                            lo = max(2 if g < e else 1, t - near[f][g])
+                            hi = min(t - 1 if g < f else t, 1 + near[e][g])
+                        else:
+                            lo, hi = 1, t
+                        if g == k:
+                            low, high = max(low, lo), min(high, hi)
+                            if low > high:
+                                break
+                            continue
+                        lo_k[g], hi_k[g] = lo, hi
+                        if lo == 1:
+                            reach_one = max(reach_one, 1 + here[g])
+                        if hi == t:
+                            reach_top = min(reach_top, t - here[g])
                     else:
-                        lo_k[g], hi_k[g] = 1, t
-                reach_one = max([1] + [1 + here[g] for g in range(k, m) if lo_k[g] == 1])
-                reach_top = min([t] + [t - here[g] for g in range(k, m) if hi_k[g] == t])
-                lo_k[k] = lo_k[k] if color_count[t] else max(lo_k[k], reach_top)
-                hi_k[k] = hi_k[k] if color_count[1] else min(hi_k[k], reach_one)
-            mask_a, mask_b = mask[a], mask[b]
-            least, most = (lows[k][k], highs[k][k]) if near else (1, t)
-            # Spread: a new color at v lies in [hi - deg(v) + 1, lo + deg(v) - 1],
-            # lo and hi being v's least and greatest color (hi + 1 = bit_length).
-            # Twin cut: it lies above the color of edge after[k]. Below best:
-            # where the positions before k match best, it is at most best's.
-            lo_a = (mask_a & -mask_a).bit_length() - 1 if mask_a else t
-            lo_b = (mask_b & -mask_b).bit_length() - 1 if mask_b else t
-            c = max(
-                c + 1,
-                picked[after[k]] + 1,
-                mask_a.bit_length() - deg[a],
-                mask_b.bit_length() - deg[b],
-                least,
-            )
-            to = min(
-                t if k else first_top,
-                best[k] if tie >= k else t,
-                lo_a + deg[a] - 1,
-                lo_b + deg[b] - 1,
-                most,
-            )
-            taken = mask_a | mask_b
-            spare = m - k - 1 - unused  # surjectivity: uncolored edges left over
-            while c <= to:
-                if not (taken >> c) & 1 and (spare >= 0 or (spare == -1 and not color_count[c])):
+                        if not color_count[t]:
+                            low = max(low, reach_top)
+                        if not color_count[1]:
+                            high = min(high, reach_one)
+                least[k], most[k] = low, high
+            # The least color in [max(c + 1, least), most] on neither end,
+            # and on no edge at all when exactly as many edges as unused
+            # colors remain (surjectivity).
+            c = max(c + 1, least[k])
+            taken = mask[a] | mask[b]
+            shun = unused == m - k
+            while c <= most[k]:
+                if not (taken >> c) & 1 and not (shun and color_count[c]):
                     break
                 c += 1
             else:
@@ -324,25 +499,25 @@ def _search_py(
             if status:
                 return status, nodes, t + (status == 2), _in_edge_order(order, picked)
             continue
-        # The reversal and twin cuts, as plain constraints on the pair: no
-        # edge after[e] holds a color below e's 1, and edge 0 holds at most
-        # (t + 1) // 2, less than t when t >= 2.
+        # The symmetry rules, as plain constraints on the pair: an edge with
+        # a floor holds more than some earlier edge, so not the first 1,
+        # and the first t lies in edge 0's orbit only where edge 0 holds 1.
         best = None
         for e in range(m):
-            if after[e] >= 0:
+            if floors[e]:
                 continue
             for f in reversed(range(m)):
-                if e != f if t == 1 else f == 0 or near[e][f] < t - 1:
+                if (e != f if t == 1 else near[e][f] < t - 1) or (e and orbit[f]):
                     continue
                 status = run(t, e, f, best)
                 if status == 2:
                     return 2, nodes, t + 1, _in_edge_order(order, picked)
                 if status == 1:
                     # It colored every edge: take every color off again.
-                    best = picked[:m]
+                    best = picked[:]
                     mask[:] = [0] * n
                     color_count[:] = [0] * (top + 1)
-                    picked[:m] = [0] * m
+                    picked[:] = [0] * m
         if best:
             return 1, nodes, t, _in_edge_order(order, best)
     return 0, nodes, bottom, []

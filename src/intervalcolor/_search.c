@@ -6,7 +6,7 @@
  * the structural classification of graph.classify
  * (_reference._classify_py) and the catalog level of
  * _reference.extend. _reference is this module's Python twin, with the
- * same seven entries and arguments, which solver._native returns where
+ * same eight entries and arguments, which solver._native returns where
  * this module cannot be built or loaded.
  *
  * search(n, edges, max_m, top, bottom, budget) -> (status, nodes, last, colors)
@@ -21,21 +21,30 @@
  * _reference._plan_py's, which the tests check through this entry's results.
  * order is the BFS edge order from the lowest-indexed vertex of maximum
  * degree, each vertex's edges taken in increasing neighbour order; ends the
- * endpoints of each edge in that order; deg the degrees; after the twin
- * cut: edge k's color must exceed that of the earlier edge after[k], or -1
- * for none. Twins x, y have equal open neighbourhoods N(x) = N(y) or equal
- * closed ones N[x] = N[y]: the 2n neighbourhoods are sorted by their
- * entries, each read in place from the adjacency, and each run of equal
- * ones is a class, so memory stays linear in n + m. For each twin
- * pair, the first moved edge k, the earliest edge at x or y other than xy,
- * is among each twin's two earliest edges, and after[j] = max(after[j], k)
- * for its image j. For m <= max_m, dist holds D(e, f) at e * m + f in BFS
+ * endpoints of each edge in that order; deg the degrees; floors the orbit
+ * rule: edge j's color is at least c(i) + step for each of its floors
+ * (i, step), i < j, kept as 2 i + step; orbit the reversal rule: edge j != 0
+ * of edge 0's orbit holds at most t + 1 - c(0). Each floor comes from an
+ * automorphism: i is the first edge it moves and j the edge it sends onto i,
+ * step 1 where they share a vertex. Twins x, y have equal open
+ * neighbourhoods N(x) = N(y) or equal closed ones N[x] = N[y]: the 2n
+ * neighbourhoods are sorted by their entries, each read in place from the
+ * adjacency, and each run of equal ones is a class, so memory stays linear
+ * in n + m. Each twin after the first of its class in BFS order is swapped
+ * with the twin before it and with the first, 2c - 3 swaps in a class of
+ * c; a swap's first moved edge k, the earliest edge at x or y other than
+ * xy, gives the edge j that receives it the floor (k, 1). For m <= max_m, dist holds D(e, f) at e * m + f in BFS
  * positions and longest is its largest entry; otherwise there is no matrix.
  * D(e, f) is the cheapest path from edge e to edge f, a step between two
  * edges that share a vertex v costing deg(v) - 1, and D(e, e) = 0. A
  * Dijkstra from vertex u gives walk(u, v), the cheapest walk from u to v
  * with each vertex on it (ends included) costing deg - 1, and D(e, f) for
- * e != f is the least walk from an end of e to an end of f.
+ * e != f is the least walk from an end of e to an end of f. With the
+ * matrix, the harvest of _reference._harvest adds the automorphisms it
+ * finds level by level down the BFS vertex order, pruned by degree, walk
+ * total and walk, within HARVEST_WORK walk comparisons, letting Python
+ * handle signals every HARVEST_POLL; edge 0's orbit is taken under them and
+ * the twin swaps together.
  *
  * top is then capped at m and at the ceiling 1 + max D, above which no layer
  * has an interval coloring, and a range the caps leave empty gives
@@ -53,8 +62,8 @@
  * the witness, the partial coloring of an aborted layer when the budget ran
  * out (in a sweep, its run's), or nothing when status is 0. Edge order,
  * color order, node counting, the anchor sweep below and the prune rules
- * (distinct, spread, surjectivity, the first edge's reversal cut, the twin
- * cut, the distance rule) are those of _search_py, so its four results
+ * (distinct, spread, surjectivity, the orbit and reversal rules, the
+ * distance rule) are those of _search_py, so its four results
  * agree with this one given _plan_py's plan and the capped top; the proofs
  * are in solver.py's docstring. Malformed input raises
  * ValueError (TypeError for edges that are not a sequence).
@@ -75,7 +84,11 @@
  * for some f with lo_f = 1; color t likewise. All of these are bounds on x,
  * so the first entry into depth k narrows the ranges by edge k - 1's color
  * and computes edge k's candidate interval in one pass over the uncolored
- * edges; a row of ranges per depth lets a backtrack reuse both. The ranges
+ * edges; a row of ranges per depth lets a backtrack reuse both. The pass
+ * runs only when the cheap bounds (spread, the floors and caps, the cap
+ * below best, surjectivity and edge k's own range, from row k - 1 in O(1))
+ * leave a candidate, and least and most keep edge k's bounds for its
+ * backtracks. The ranges
  * are int32: t <= m, and D <= 2m - n, since a cheapest path passes a vertex
  * at most once and the vertices' deg - 1 sum to 2m - n, so every sum in
  * that pass stays below 3m, and no plan has a matrix of more than
@@ -93,7 +106,16 @@
  * candidate is at most best's color. The layer's witness is the least
  * coloring found, and the node budget runs on across the runs. far,
  * counted while the matrix is filled, gives each layer's pair count at
- * once. The proof is in solver.py's docstring.
+ * once. The sweep skips the pairs the symmetry rules rule out: every e with
+ * a floor, and every (e, f) with f in edge 0's orbit and e != 0. The proof
+ * is in solver.py's docstring.
+ *
+ * automorphisms(n, edges, max_m) -> [images, ...]
+ *
+ * The automorphisms that search's plan harvests for the same n, edges and
+ * max_m, each as a tuple of the n vertices' images, in the order found:
+ * _reference.automorphisms's list. Malformed input raises ValueError as for
+ * search, naming this entry.
  *
  * interval_ok(n, edges, colors, t) -> bool
  *
@@ -202,6 +224,7 @@
 
 #define PY_SSIZE_T_CLEAN
 #include <Python.h>
+#include <limits.h>
 #include <stddef.h>
 #include <stdint.h>
 #include <string.h>
@@ -574,51 +597,231 @@ static int by_hood(const void *x, const void *y)
     return order ? order : (p->v > q->v) - (p->v < q->v);
 }
 
-/* A vertex v and the positions and far ends of its two earliest edges in
- * BFS order; a vertex of degree 1 has position PY_SSIZE_T_MAX second. */
-typedef struct {
-    Py_ssize_t v, pos[2], nbr[2];
-} Early;
-
-static void earliest_two(const Py_ssize_t *start, const Py_ssize_t *nbr, const Py_ssize_t *inc,
-                         const Py_ssize_t *position, Early *x)
+/* The root of v's tree in a union-find forest, halving the path to it. */
+static Py_ssize_t root_of(Py_ssize_t *parent, Py_ssize_t v)
 {
-    x->pos[0] = x->pos[1] = PY_SSIZE_T_MAX;
-    x->nbr[0] = x->nbr[1] = -1;
-    for (Py_ssize_t i = start[x->v]; i < start[x->v + 1]; i++) {
-        Py_ssize_t at = position[inc[i]];
-        int slot = at < x->pos[0] ? 0 : at < x->pos[1] ? 1 : 2;
-        if (slot == 0) {
-            x->pos[1] = x->pos[0];
-            x->nbr[1] = x->nbr[0];
-        }
-        if (slot < 2) {
-            x->pos[slot] = at;
-            x->nbr[slot] = nbr[i];
+    while (parent[v] != v)
+        v = parent[v] = parent[parent[v]];
+    return v;
+}
+
+static void join(Py_ssize_t *parent, Py_ssize_t x, Py_ssize_t y)
+{
+    parent[root_of(parent, x)] = root_of(parent, y);
+}
+
+/* The symmetry rules as make_plan collects them: the orbit rule's floors,
+ * each as its edge j and code 2 i + step (c(j) >= c(i) + step), in the
+ * order found, and a union-find over the edges' BFS positions whose class
+ * of 0 is edge 0's orbit. found, when not NULL, gets each harvested
+ * automorphism as a tuple of images (automorphisms()). */
+typedef struct {
+    Py_ssize_t m, floors;
+    const long long *ends;
+    const Py_ssize_t *start, *nbr, *inc, *position;
+    Py_ssize_t *orbit, *image;
+    long long *floor_at, *floor_code;
+    PyObject *found;
+} Symmetry;
+
+/* The BFS position of edge vu, u one of v's increasing neighbours. */
+static Py_ssize_t edge_at(const Symmetry *y, Py_ssize_t v, Py_ssize_t u)
+{
+    Py_ssize_t at = y->start[v], end = y->start[v + 1];
+    while (at < end) {
+        Py_ssize_t mid = at + (end - at) / 2;
+        if (y->nbr[mid] < u)
+            at = mid + 1;
+        else
+            end = mid;
+    }
+    return y->position[y->inc[at]];
+}
+
+/* Adds the floor of the swap of twins x and v: it moves the edges at x or v
+ * other than xv, and the first moved edge, (x, u) at position k, receives
+ * (v, u), which joins the partner v to u, so the floor (k, 1) on it. K2's
+ * swap moves no edge. */
+static void twin_swap(Symmetry *y, Py_ssize_t x, Py_ssize_t v)
+{
+    Py_ssize_t k = PY_SSIZE_T_MAX, partner = -1, u = -1;
+    for (int side = 0; side < 2; side++) {
+        Py_ssize_t a = side ? v : x, b = side ? x : v;
+        for (Py_ssize_t j = y->start[a]; j < y->start[a + 1]; j++) {
+            if (y->nbr[j] != b && y->position[y->inc[j]] < k) {
+                k = y->position[y->inc[j]];
+                partner = b;
+                u = y->nbr[j];
+            }
         }
     }
+    if (partner >= 0) {
+        y->floor_at[y->floors] = edge_at(y, partner, u);
+        y->floor_code[y->floors++] = 2 * k + 1;
+    }
+}
+
+/* Takes the automorphism sigma, of n vertices: joins each edge to its image
+ * and adds the orbit rule's floor on the edge that the first moved edge
+ * receives (only K2's swap moves no edge); -1 with an exception set. */
+static int record(Symmetry *y, const Py_ssize_t *sigma, Py_ssize_t n)
+{
+    const long long *ends = y->ends;
+    Py_ssize_t first = -1, j = 0;
+    for (Py_ssize_t k = 0; k < y->m; k++) {
+        y->image[k] = edge_at(y, sigma[ends[2 * k]], sigma[ends[2 * k + 1]]);
+        join(y->orbit, k, y->image[k]);
+        if (first < 0 && y->image[k] != k)
+            first = k;
+    }
+    if (first >= 0) {
+        while (y->image[j] != first)
+            j++;
+        long long a = ends[2 * first], b = ends[2 * first + 1];
+        int share = ends[2 * j] == a || ends[2 * j] == b || ends[2 * j + 1] == a ||
+                    ends[2 * j + 1] == b;
+        y->floor_at[y->floors] = j;
+        y->floor_code[y->floors++] = 2 * first + share;
+    }
+    if (!y->found)
+        return 0;
+    PyObject *tuple = PyTuple_New(n);
+    for (Py_ssize_t v = 0; tuple && v < n; v++) {
+        PyObject *image = PyLong_FromSsize_t(sigma[v]);
+        if (!image)
+            Py_CLEAR(tuple);
+        else
+            PyTuple_SET_ITEM(tuple, v, image);
+    }
+    int failed = !tuple || PyList_Append(y->found, tuple);
+    Py_XDECREF(tuple);
+    return -failed;
+}
+
+/* The harvest's bound on its work, walk comparisons, as
+ * _reference.HARVEST_WORK, and how often it lets Python handle signals. */
+#define HARVEST_WORK (1LL << 22)
+#define HARVEST_POLL (1LL << 16)
+
+/* The automorphisms of _reference._harvest, each given to record as found,
+ * for the graph with the adjacency (start, nbr) and the walk rows of
+ * path_ceiling, in the BFS vertex order visit with BFS parents parent, and
+ * next[x] the twin after x in that order, or -1. The rest are buffers of n.
+ * -1 with an exception set, as when a signal handler raises. */
+static int harvest(Symmetry *y, Py_ssize_t n, const long long *deg, const Py_ssize_t *visit,
+                   const Py_ssize_t *parent, const Py_ssize_t *next, const int32_t *walk,
+                   long long *total, Py_ssize_t *at, Py_ssize_t *root, Py_ssize_t *sigma,
+                   char *taken, Py_ssize_t *choice)
+{
+    const Py_ssize_t *start = y->start, *nbr = y->nbr;
+    for (Py_ssize_t k = 0; k < n; k++) {
+        at[visit[k]] = k;
+        root[k] = k;
+        total[k] = 0;
+        for (Py_ssize_t v = 0; v < n; v++)
+            total[k] += walk[k * n + v];
+    }
+    long long work = 0, poll = HARVEST_POLL;
+#define SPEND(units)                                                                               \
+    do {                                                                                           \
+        if ((work += (units)) > HARVEST_WORK)                                                      \
+            return 0;                                                                              \
+        if (work >= poll) {                                                                        \
+            poll += HARVEST_POLL;                                                                  \
+            if (PyErr_CheckSignals())                                                              \
+                return -1;                                                                         \
+        }                                                                                          \
+    } while (0)
+    for (Py_ssize_t i = n - 1; i >= 0; i--) {
+        Py_ssize_t u = visit[i];
+        if (next[u] >= 0)
+            join(root, u, next[u]);
+        /* Images of u: any vertex at the root, else a neighbour of its
+         * parent, which stays fixed. */
+        Py_ssize_t from = i ? start[parent[u]] : 0, to = i ? start[parent[u] + 1] : n;
+        for (Py_ssize_t q = from; q < to; q++) {
+            Py_ssize_t w = i ? nbr[q] : q, k;
+            if (at[w] <= i || deg[w] != deg[u] || total[w] != total[u] ||
+                root_of(root, w) == root_of(root, u))
+                continue;
+            SPEND(i);
+            const int32_t *row_u = walk + u * n, *row_w = walk + w * n;
+            for (k = 0; k < i && row_u[visit[k]] == row_w[visit[k]]; k++)
+                ;
+            if (k < i)
+                continue;
+            for (k = 0; k < n; k++) {
+                sigma[visit[k]] = k < i ? visit[k] : -1;
+                taken[visit[k]] = k < i;
+            }
+            sigma[u] = w;
+            taken[w] = 1;
+            for (k = i + 1; i < k && k < n;) {
+                Py_ssize_t x = visit[k], image = sigma[parent[x]];
+                Py_ssize_t base = start[image], size = start[image + 1] - base;
+                if (sigma[x] >= 0) { /* backtracked to: the next option */
+                    taken[sigma[x]] = 0;
+                    sigma[x] = -1;
+                    choice[k]++;
+                } else {
+                    choice[k] = 0;
+                }
+                for (; choice[k] < size; choice[k]++) {
+                    Py_ssize_t v = nbr[base + choice[k]], j;
+                    if (taken[v] || deg[v] != deg[x] || total[v] != total[x])
+                        continue;
+                    SPEND(k);
+                    const int32_t *row_x = walk + x * n, *row_v = walk + v * n;
+                    for (j = 0; j < k && row_x[visit[j]] == row_v[sigma[visit[j]]]; j++)
+                        ;
+                    if (j == k)
+                        break;
+                }
+                if (choice[k] == size) {
+                    k--;
+                    continue;
+                }
+                sigma[x] = nbr[base + choice[k]];
+                taken[sigma[x]] = 1;
+                k++;
+            }
+            if (k < n)
+                continue;
+            if (record(y, sigma, n))
+                return -1;
+            for (Py_ssize_t v = 0; v < n; v++)
+                join(root, v, sigma[v]);
+        }
+    }
+#undef SPEND
+    return 0;
 }
 
 /* The search plan of the connected graph on n vertices with the edges of
  * edges_obj (search()), in buffers from one Scratch: dist is the m x m matrix
  * or NULL when m > max_m, far[d] for 0 <= d <= m the ordered pairs of edges
  * with D(e, f) >= d, with dist, and ceiling what path_ceiling returns for
- * top. */
+ * top. floor_code[floor_start[j] .. floor_start[j + 1]) holds edge j's
+ * floors, 2 i + step each, and orbit[j] is 1 for the edges of edge 0's
+ * orbit. */
 typedef struct {
     Py_ssize_t m;
-    long long *order, *ends, *deg, *after, *far, ceiling;
+    long long *order, *ends, *deg, *floor_start, *floor_code, *far, ceiling;
+    char *orbit;
     int32_t *dist;
 } Plan;
 
-/* Builds out for search(); -1 with an exception set. */
-static int make_plan(Scratch *s, Py_ssize_t n, PyObject *edges_obj, Py_ssize_t max_m,
-                     long long top, Plan *out)
+/* Builds out for search(), with the harvested automorphisms appended to
+ * found when it is not NULL; -1 with an exception set, whose message names
+ * entry. */
+static int make_plan(Scratch *s, const char *entry, Py_ssize_t n, PyObject *edges_obj,
+                     Py_ssize_t max_m, long long top, Plan *out, PyObject *found)
 {
     Py_ssize_t m = PyObject_Length(edges_obj);
     if (m < 0)
         return -1;
     if (n < 1 || m < 1 || max_m < 0) {
-        PyErr_SetString(PyExc_ValueError, "search: n, edges or max_m out of range");
+        PyErr_Format(PyExc_ValueError, "%s: n, edges or max_m out of range", entry);
         return -1;
     }
     /* A larger matrix would take over 2^60 bytes; this bound also keeps the
@@ -631,7 +834,8 @@ static int make_plan(Scratch *s, Py_ssize_t n, PyObject *edges_obj, Py_ssize_t m
     long long *ends = take(s, m, 2, sizeof(long long));  /* in BFS order */
     long long *deg = take(s, n, 1, sizeof(long long));
     long long *order = take(s, m, 1, sizeof(long long));
-    long long *after = take(s, m, 1, sizeof(long long));
+    long long *floor_start = take(s, m + 1, 1, sizeof(long long));
+    char *orbit = take(s, m, 1, 1);
     int32_t *dist = m <= max_m ? take(s, m, m, sizeof(int32_t)) : NULL;
     long long *far = dist ? take(s, m + 1, 1, sizeof(long long)) : NULL;
     /* Adjacency: nbr[start[v] .. start[v + 1]) in increasing order, inc the
@@ -640,56 +844,72 @@ static int make_plan(Scratch *s, Py_ssize_t n, PyObject *edges_obj, Py_ssize_t m
     Py_ssize_t *nbr = take(s, m, 2, sizeof(Py_ssize_t));
     Py_ssize_t *inc = take(s, m, 2, sizeof(Py_ssize_t));
     Py_ssize_t *position = take(s, m, 1, sizeof(Py_ssize_t));
-    Py_ssize_t *queue = take(s, n, 1, sizeof(Py_ssize_t));
-    char *visited = take(s, n, 1, 1);
+    Py_ssize_t *visit = take(s, n, 1, sizeof(Py_ssize_t)); /* the BFS queue */
+    Py_ssize_t *parent = take(s, n, 1, sizeof(Py_ssize_t));
+    Py_ssize_t *next = take(s, n, 1, sizeof(Py_ssize_t)); /* the next twin in BFS order */
+    Py_ssize_t *group = take(s, n, 3, sizeof(Py_ssize_t)); /* each vertex's class, -1 for none */
+    Py_ssize_t *latest = group + n, *lead = group + 2 * n;
+    Py_ssize_t *edge_root = take(s, m, 1, sizeof(Py_ssize_t));
+    Py_ssize_t *image = take(s, m, 1, sizeof(Py_ssize_t));
     Hood *hood = take(s, n, 2, sizeof(Hood)); /* each vertex's two */
-    Early *early = take(s, n, 1, sizeof(Early)); /* one class of twins */
+    /* The floors, at most one per twin swap (2n of them) and n - 1
+     * harvested, as edge and code in the order found, then the codes sorted
+     * by edge. */
+    long long *floor_at = take(s, n, 3, sizeof(long long));
+    long long *floor_code = take(s, n, 6, sizeof(long long));
     /* path_ceiling's walks (a row per vertex, or one row, from both ends of
-     * an edge, without dist) and heap, unless a walk cost could leave int32. */
+     * an edge, without dist) and heap, unless a walk cost could leave int32;
+     * with dist, the harvest's buffers. */
     int walks = m <= INT32_MAX / 3;
     int32_t *walk = walks ? take(s, dist ? n : 1, n, sizeof(int32_t)) : NULL;
     uint64_t *heap = walks ? take(s, 2 * m + 2, 1, sizeof(uint64_t)) : NULL;
+    long long *total = dist ? take(s, n, 1, sizeof(long long)) : NULL;
+    Py_ssize_t *at = dist ? take(s, n, 3, sizeof(Py_ssize_t)) : NULL;
+    char *taken = dist ? take(s, n, 1, 1) : NULL;
     if (s->failed)
         return -1;
-    if (read_edges(edges_obj, n, m, edges, "search"))
+    if (read_edges(edges_obj, n, m, edges, entry))
         return -1;
     adjacency(n, m, edges, deg, start, nbr, inc);
     Py_ssize_t root = 0;
-    for (Py_ssize_t v = 0; v < n; v++)
+    for (Py_ssize_t v = 0; v < n; v++) {
         if (deg[v] > deg[root])
             root = v;
+        parent[v] = next[v] = group[v] = latest[v] = -1;
+    }
 
     for (Py_ssize_t e = 0; e < m; e++)
         position[e] = -1;
     Py_ssize_t placed = 0, head = 0, tail = 0;
-    visited[root] = 1;
-    queue[tail++] = root;
+    parent[root] = root;
+    visit[tail++] = root;
     while (head < tail) {
-        Py_ssize_t u = queue[head++];
+        Py_ssize_t u = visit[head++];
         for (Py_ssize_t i = start[u]; i < start[u + 1]; i++) {
             if (position[inc[i]] < 0) {
                 position[inc[i]] = placed;
                 order[placed++] = inc[i];
             }
-            if (!visited[nbr[i]]) {
-                visited[nbr[i]] = 1;
-                queue[tail++] = nbr[i];
+            if (parent[nbr[i]] < 0) {
+                parent[nbr[i]] = u;
+                visit[tail++] = nbr[i];
             }
         }
     }
     if (tail < n) {
-        PyErr_SetString(PyExc_ValueError, "search: the graph must be connected");
+        PyErr_Format(PyExc_ValueError, "%s: the graph must be connected", entry);
         return -1;
     }
     for (Py_ssize_t k = 0; k < m; k++) {
         ends[2 * k] = edges[2 * order[k]];
         ends[2 * k + 1] = edges[2 * order[k] + 1];
-        after[k] = -1;
+        edge_root[k] = k;
     }
 
     /* Twins: vertices with equal open or equal closed neighbourhoods. No
      * open one equals a closed one (_reference._plan_py), so each run of
-     * equal neighbourhoods in sorted order is one class. */
+     * equal neighbourhoods in sorted order is one class, named here by its
+     * least vertex, the run's first. */
     for (Py_ssize_t v = 0; v < n; v++) {
         Py_ssize_t size = start[v + 1] - start[v], slot = 0;
         while (slot < size && nbr[start[v] + slot] < v)
@@ -698,50 +918,55 @@ static int make_plan(Scratch *s, Py_ssize_t n, PyObject *edges_obj, Py_ssize_t m
         hood[2 * v + 1] = (Hood){nbr + start[v], size + 1, slot, v};
     }
     qsort(hood, 2 * n, sizeof(Hood), by_hood);
-    for (Py_ssize_t lo = 0, hi; lo < 2 * n; lo = hi) {
-        Py_ssize_t count = 0;
-        for (hi = lo; hi < 2 * n && !by_entries(&hood[hi], &hood[lo]); hi++)
-            early[count++].v = hood[hi].v;
-        for (Py_ssize_t c = 0; count > 1 && c < count; c++)
-            earliest_two(start, nbr, inc, position, &early[c]);
-        /* The x<->y swap moves the edges at x or y other than xy. A twin
-         * has at most one edge to its partner, so the first moved edge,
-         * (x, u) at position k, is among each twin's two earliest, and its
-         * image (y, u) joins the partner y to u. */
-        for (Py_ssize_t p = 0; p < count; p++) {
-            for (Py_ssize_t q = p + 1; q < count; q++) {
-                Py_ssize_t k = PY_SSIZE_T_MAX, y = -1, u = -1;
-                for (int side = 0; side < 2; side++) {
-                    const Early *x = &early[side ? q : p], *partner = &early[side ? p : q];
-                    int i2 = x->nbr[0] == partner->v; /* skip the edge xy */
-                    if (x->pos[i2] < k) {
-                        k = x->pos[i2];
-                        y = partner->v;
-                        u = x->nbr[i2];
-                    }
-                }
-                if (y < 0)
-                    continue; /* K2: no edge moves */
-                Py_ssize_t at = start[y], end = start[y + 1];
-                while (at < end) { /* u among y's increasing neighbours */
-                    Py_ssize_t mid = at + (end - at) / 2;
-                    if (nbr[mid] < u)
-                        at = mid + 1;
-                    else
-                        end = mid;
-                }
-                if (at < start[y + 1] && nbr[at] == u)
-                    after[position[inc[at]]] = max(after[position[inc[at]]], k);
-            }
-        }
+    for (Py_ssize_t lo = 0, hi; lo < 2 * n; lo = hi)
+        for (hi = lo + 1; hi < 2 * n && !by_entries(&hood[hi], &hood[lo]); hi++)
+            group[hood[hi].v] = group[hood[lo].v] = hood[lo].v;
+    /* The twin swaps: each twin after the first of its class in BFS order,
+     * with the twin just before it and with the first (_reference._plan_py),
+     * lead[c] being class c's first and latest[c] its last so far. The
+     * swaps with the twin before generate every swap of a class, so they
+     * join edge 0's orbit as all of them would, and next links them for the
+     * harvest. */
+    Symmetry y = {m, 0, ends, start, nbr, inc, position, edge_root, image, floor_at, floor_code,
+                  found};
+    for (Py_ssize_t i = 0; i < n; i++) {
+        Py_ssize_t v = visit[i], c = group[v], before = c >= 0 ? latest[c] : -1;
+        if (c >= 0)
+            latest[c] = v;
+        if (c >= 0 && before < 0)
+            lead[c] = v;
+        if (before < 0)
+            continue;
+        next[before] = v;
+        twin_swap(&y, before, v);
+        if (lead[c] != before)
+            twin_swap(&y, lead[c], v);
+        for (Py_ssize_t j = start[before]; j < start[before + 1]; j++)
+            if (nbr[j] != v)
+                join(edge_root, position[inc[j]], edge_at(&y, v, nbr[j]));
     }
 
     long long ceiling =
         walks ? path_ceiling(n, m, ends, deg, start, nbr, walk, heap, dist, far, top) : m;
+    if (ceiling < 0 || (dist && harvest(&y, n, deg, visit, parent, next, walk, total, at,
+                                        at + n, at + 2 * n, taken, group /* spent */)))
+        return -1;
     for (Py_ssize_t d = m - 1; dist && d >= 0; d--)
         far[d] += far[d + 1];
-    *out = (Plan){m, order, ends, deg, after, far, ceiling, dist};
-    return ceiling < 0 ? -1 : 0;
+    /* Each edge's floors together, in the order found; image[j] is where
+     * edge j's next one goes. */
+    long long *code = floor_code + 3 * n;
+    for (Py_ssize_t q = 0; q < y.floors; q++)
+        floor_start[floor_at[q] + 1]++;
+    for (Py_ssize_t j = 0; j < m; j++) {
+        floor_start[j + 1] += floor_start[j];
+        image[j] = floor_start[j];
+        orbit[j] = root_of(edge_root, j) == root_of(edge_root, 0);
+    }
+    for (Py_ssize_t q = 0; q < y.floors; q++)
+        code[image[floor_at[q]]++] = floor_code[q];
+    *out = (Plan){m, order, ends, deg, floor_start, code, far, ceiling, orbit, dist};
+    return 0;
 }
 
 /* The buffers and counts that the runs of one search() call share. A run
@@ -750,18 +975,18 @@ static int make_plan(Scratch *s, Py_ssize_t n, PyObject *edges_obj, Py_ssize_t m
  * counts. */
 typedef struct {
     Py_ssize_t m;
-    const long long *ends, *deg, *after;
+    const long long *ends, *deg, *floor_start, *floor_code;
+    const char *orbit;
     const int32_t *dist;
     long long stride, budget, nodes;
-    /* picked[k]: the color of the k-th edge in BFS order, 0 for none;
-     * picked[-1] stays 0, the floor of an edge whose after is -1. best: the
-     * least coloring a layer's sweep has found. */
-    long long *picked, *best, *color_count;
+    /* picked[k]: the color of the k-th edge in BFS order, 0 for none. best:
+     * the least coloring a layer's sweep has found. least[k] and most[k]:
+     * the bounds on edge k's candidates that its first entry finds, which
+     * hold until a depth before it changes its color. */
+    long long *picked, *best, *color_count, *least, *most;
     /* n vertex masks, then used: bit c set while some edge holds color c. */
     uint64_t *mask, *used;
-    /* Row k of lo and hi: the ranges at depth k, for edges k + 1 .. m - 1,
-     * and at f = k edge k's candidate interval, as later depths read only
-     * f > k. */
+    /* Row k of lo and hi: the ranges at depth k, for edges k + 1 .. m - 1. */
     int32_t *lo, *hi;
 } Layer;
 
@@ -797,14 +1022,16 @@ static inline __attribute__((always_inline)) int run(Layer *L, long long t, Py_s
                                                      Py_ssize_t f, int bounded)
 {
     const Py_ssize_t m = L->m;
-    const long long *ends = L->ends, *deg = L->deg, *after = L->after, *best = L->best;
+    const long long *ends = L->ends, *deg = L->deg, *best = L->best;
+    const long long *floor_start = L->floor_start, *floor_code = L->floor_code;
+    const char *orbit = L->orbit;
     const int32_t *dist = L->dist, t32 = (int32_t)t;
     long long *picked = L->picked, *color_count = L->color_count;
+    long long *least = L->least, *most = L->most;
     uint64_t *mask = L->mask, *used = L->used;
     int32_t *lo = L->lo, *hi = L->hi;
     const long long stride = L->stride, budget = L->budget;
     const long long words = (t + 1) / 64 + 1; /* the words colors 0..t lie in */
-    const long long first_top = (t + 1) / 2;  /* the reversal cut */
     long long nodes = L->nodes, unused = t;   /* colors on no edge yet */
     Py_ssize_t tie = bounded ? 0 : -1;        /* the positions before tie match best */
     int result;
@@ -821,68 +1048,88 @@ static inline __attribute__((always_inline)) int run(Layer *L, long long t, Py_s
                 used[c >> 6] ^= bit;
                 unused++;
             }
-        } else if (dist) {
-            /* First entry: narrow the ranges of depth k - 1 by its color x,
-             * or at depth 0 take row 0, and bound edge k's candidates by its
-             * own range, which holds every other range's bounds
-             * lo_f - D(k, f) and hi_f + D(k, f) (solver.py), and by where
-             * colors 1 and t can still go. Two loops, each reading D before
-             * it writes a range: one loop over both cases ran the static
-             * loop's feasible layers about 40% slower (GCC 12 -O2, 2-core
-             * Xeon). */
-            const int32_t *near = dist + k * m;
-            int32_t *lo_k = lo + k * m, *hi_k = hi + k * m;
-            int32_t reach_one = 1, reach_top = t32;
-            if (k) {
-                const int32_t *prev = near - m, *lo_prev = lo_k - m, *hi_prev = hi_k - m;
-                const int32_t x = (int32_t)picked[k - 1];
-                for (Py_ssize_t g = k; g < m; g++) {
-                    int32_t d = near[g];
-                    int32_t l = max32(lo_prev[g], x - prev[g]);
-                    int32_t h = min32(hi_prev[g], x + prev[g]);
-                    lo_k[g] = l;
-                    hi_k[g] = h;
-                    reach_one = max32(reach_one, l == 1 ? 1 + d : 1);
-                    reach_top = min32(reach_top, h == t32 ? t32 - d : t32);
-                }
-            } else { /* row 0: [1, t], or the pair's (solver.py) */
-                for (Py_ssize_t g = 0; g < m; g++) {
-                    int32_t d = near[g], l = 1, h = t32;
-                    if (e >= 0) {
-                        l = max32(g < e ? 2 : 1, t32 - dist[f * m + g]);
-                        h = min32(g < f ? t32 - 1 : t32, 1 + dist[e * m + g]);
+        } else {
+            /* First entry. Spread: a new color at v lies in
+             * [hi - deg(v) + 1, lo + deg(v) - 1], lo and hi being v's least
+             * and greatest color (hi + 1 = bit_length). Orbit rule: at least
+             * c(i) + step for each floor. Reversal rule: edge 0 holds at
+             * most (t + 1) / 2, and each other edge of its orbit at most
+             * t + 1 - c(0). Below best: where the run matches best before
+             * k, at most best's color. Surjectivity: no more colors unused
+             * than edges left. */
+            long long low = max(bit_length(mask_a, words) - deg[a],
+                                bit_length(mask_b, words) - deg[b]);
+            for (long long q = floor_start[k]; q < floor_start[k + 1]; q++)
+                low = max(low, picked[floor_code[q] >> 1] + (floor_code[q] & 1));
+            long long high = min(lowest(mask_a, words, t) + deg[a] - 1,
+                                 lowest(mask_b, words, t) + deg[b] - 1);
+            high = min(high, !k ? (t + 1) / 2 : orbit[k] ? t + 1 - picked[0] : t);
+            if (tie >= k)
+                high = min(high, best[k]);
+            if (unused > m - k)
+                high = 0;
+            if (dist) {
+                /* The distance rule: edge k's own range, from the ranges of
+                 * depth k - 1 narrowed by its color x, or from row 0: [1, t],
+                 * or the pair's (solver.py). Only when that leaves a
+                 * candidate does the pass narrow the later ranges, and bound
+                 * edge k's candidates by where colors 1 and t can still go;
+                 * each later range's bounds lo_f - D(k, f) and
+                 * hi_f + D(k, f) lie within edge k's own. Two loops, each
+                 * reading D before it writes a range: one loop over both
+                 * cases ran the static loop's feasible layers about 40%
+                 * slower (GCC 12 -O2, 2-core Xeon). */
+                const int32_t *near = dist + k * m;
+                int32_t *lo_k = lo + k * m, *hi_k = hi + k * m;
+                int32_t reach_one = 1, reach_top = t32, l = 1, h = t32;
+                if (k) {
+                    const int32_t *prev = near - m, *lo_prev = lo_k - m, *hi_prev = hi_k - m;
+                    const int32_t x = (int32_t)picked[k - 1];
+                    l = max32(lo_prev[k], x - prev[k]);
+                    h = min32(hi_prev[k], x + prev[k]);
+                    if (max(low, l) <= min(high, h)) {
+                        for (Py_ssize_t g = k + 1; g < m; g++) {
+                            int32_t d = near[g];
+                            int32_t lg = max32(lo_prev[g], x - prev[g]);
+                            int32_t hg = min32(hi_prev[g], x + prev[g]);
+                            lo_k[g] = lg;
+                            hi_k[g] = hg;
+                            reach_one = max32(reach_one, lg == 1 ? 1 + d : 1);
+                            reach_top = min32(reach_top, hg == t32 ? t32 - d : t32);
+                        }
                     }
-                    lo_k[g] = l;
-                    hi_k[g] = h;
-                    reach_one = max32(reach_one, l == 1 ? 1 + d : 1);
-                    reach_top = min32(reach_top, h == t32 ? t32 - d : t32);
+                } else {
+                    if (e >= 0) {
+                        l = max32(0 < e ? 2 : 1, t32 - dist[f * m]);
+                        h = min32(0 < f ? t32 - 1 : t32, 1 + dist[e * m]);
+                    }
+                    if (max(low, l) <= min(high, h)) {
+                        for (Py_ssize_t g = 1; g < m; g++) {
+                            int32_t d = near[g], lg = 1, hg = t32;
+                            if (e >= 0) {
+                                lg = max32(g < e ? 2 : 1, t32 - dist[f * m + g]);
+                                hg = min32(g < f ? t32 - 1 : t32, 1 + dist[e * m + g]);
+                            }
+                            lo_k[g] = lg;
+                            hi_k[g] = hg;
+                            reach_one = max32(reach_one, lg == 1 ? 1 + d : 1);
+                            reach_top = min32(reach_top, hg == t32 ? t32 - d : t32);
+                        }
+                    }
                 }
+                low = max(low, color_count[t] ? l : max32(l, reach_top));
+                high = min(high, color_count[1] ? h : min32(h, reach_one));
             }
-            lo_k[k] = color_count[t] ? lo_k[k] : max32(lo_k[k], reach_top);
-            hi_k[k] = color_count[1] ? hi_k[k] : min32(hi_k[k], reach_one);
+            least[k] = low;
+            most[k] = high;
         }
-        /* Spread: a new color at v lies in [hi - deg(v) + 1, lo + deg(v) - 1],
-         * lo and hi being v's least and greatest color (hi + 1 = bit_length).
-         * Twin cut: it lies above the color of edge after[k]. Below best:
-         * where the run matches best before k, it is at most best's. */
-        long long from = max(max(c + 1, picked[after[k]] + 1),
-                             max(bit_length(mask_a, words) - deg[a],
-                                 bit_length(mask_b, words) - deg[b]));
-        long long to = min(k ? t : first_top, min(lowest(mask_a, words, t) + deg[a] - 1,
-                                                   lowest(mask_b, words, t) + deg[b] - 1));
-        if (tie >= k)
-            to = min(to, best[k]);
-        if (dist) {
-            from = max(from, lo[k * m + k]);
-            to = min(to, hi[k * m + k]);
-        }
-        /* The least color in [from, to] on neither end, and on no edge
-         * at all when exactly as many edges as unused colors remain
-         * (surjectivity), taken a word at a time. */
-        long long spare = m - k - 1 - unused;
+        /* The least color in [max(c + 1, least), most] on neither end, and
+         * on no edge at all when exactly as many edges as unused colors
+         * remain (surjectivity), taken a word at a time. */
+        long long from = max(c + 1, least[k]), to = most[k];
         c = 0;
-        if (spare >= -1 && from <= to) {
-            uint64_t shun = spare == -1 ? ~(uint64_t)0 : 0;
+        if (from <= to) {
+            uint64_t shun = unused == m - k ? ~(uint64_t)0 : 0;
             long long w = from >> 6, end = to >> 6;
             uint64_t avail = ~(uint64_t)0 << (from & 63);
             for (;; w++, avail = ~(uint64_t)0) {
@@ -944,7 +1191,7 @@ static PyObject *search(PyObject *self, PyObject *args)
     PyObject *result = NULL;
     Scratch s = {0};
     Plan p;
-    if (make_plan(&s, n, edges_obj, max_m, top, &p))
+    if (make_plan(&s, "search", n, edges_obj, max_m, top, &p, NULL))
         goto done;
     const Py_ssize_t m = p.m;
     const int32_t *dist = p.dist;
@@ -958,16 +1205,17 @@ static PyObject *search(PyObject *self, PyObject *args)
     }
     /* Mask words per vertex: enough for the largest palette, top. */
     long long stride = (top + 1) / 64 + 1;
-    long long *slots = take(&s, m + 1, 1, sizeof(long long));
-    long long *best = take(&s, m, 1, sizeof(long long));
+    long long *picked = take(&s, m, 4, sizeof(long long)); /* then best, least and most */
     long long *color_count = take(&s, top + 1, 1, sizeof(long long));
     uint64_t *mask = take(&s, (size_t)n + 1, stride, sizeof(uint64_t));
     int32_t *lo = dist ? take(&s, m, m, sizeof(int32_t)) : NULL;
     int32_t *hi = dist ? take(&s, m, m, sizeof(int32_t)) : NULL;
     if (s.failed)
         goto done;
-    Layer L = {m, p.ends, p.deg, p.after, dist, stride, budget, 0, slots + 1, best,
-               color_count, mask, mask + (size_t)n * stride, lo, hi};
+    long long *best = picked + m;
+    Layer L = {m, p.ends, p.deg, p.floor_start, p.floor_code, p.orbit, dist, stride, budget, 0,
+               picked, best, color_count, best + m, best + 2 * m, mask,
+               mask + (size_t)n * stride, lo, hi};
     long long t = top;
     int status = 0;
     /* One layer per palette size t, from top down: one run, or the anchor
@@ -980,15 +1228,16 @@ static PyObject *search(PyObject *self, PyObject *args)
         if (!dist || (t == 1 ? m : p.far[t - 1]) > 2 * m) {
             status = run(&L, t, -1, -1, 0);
         } else {
-            /* The reversal and twin cuts, as plain constraints on the pair
-             * (solver.py): no edge after[e] holds a color below e's 1, and
-             * edge 0 holds at most (t + 1) / 2, less than t when t >= 2. */
+            /* The symmetry rules, as plain constraints on the pair
+             * (solver.py): an edge with a floor holds more than some earlier
+             * edge, so not the first 1, and the first t lies in edge 0's
+             * orbit only where edge 0 holds 1. */
             int found = 0;
             for (Py_ssize_t e = 0; e < m && status == 0; e++) {
-                if (p.after[e] >= 0)
+                if (p.floor_start[e] < p.floor_start[e + 1])
                     continue;
                 for (Py_ssize_t f = m - 1; f >= 0 && status == 0; f--) {
-                    if (t == 1 ? e != f : f == 0 || dist[e * m + f] < t - 1)
+                    if ((t == 1 ? e != f : dist[e * m + f] < t - 1) || (e && p.orbit[f]))
                         continue;
                     status = run(&L, t, e, f, found);
                     if (status == 1) {
@@ -1025,6 +1274,21 @@ static PyObject *search(PyObject *self, PyObject *args)
 done:
     release(&s);
     return result;
+}
+
+static PyObject *automorphisms(PyObject *self, PyObject *args)
+{
+    Py_ssize_t n, max_m;
+    PyObject *edges_obj;
+    if (!PyArg_ParseTuple(args, "nOn", &n, &edges_obj, &max_m))
+        return NULL;
+    PyObject *found = PyList_New(0);
+    Scratch s = {0};
+    Plan p;
+    if (found && make_plan(&s, "automorphisms", n, edges_obj, max_m, LLONG_MAX, &p, found))
+        Py_CLEAR(found);
+    release(&s);
+    return found;
 }
 
 /* Whether colors, one per edge in 1..t, is an interval t-coloring of the
@@ -1101,14 +1365,6 @@ static PyObject *interval_ok(PyObject *self, PyObject *args)
 done:
     release(&s);
     return result;
-}
-
-/* The root of v's tree in a union-find forest, halving the path to it. */
-static Py_ssize_t root_of(Py_ssize_t *parent, Py_ssize_t v)
-{
-    while (parent[v] != v)
-        v = parent[v] = parent[parent[v]];
-    return v;
 }
 
 /* Whether the graph on n vertices with the m edges in ends, flat, is
@@ -1807,6 +2063,8 @@ done:
 static PyMethodDef methods[] = {
     {"search", search, METH_VARARGS,
      "search(n, edges, max_m, top, bottom, budget) -> (status, nodes, last, colors)"},
+    {"automorphisms", automorphisms, METH_VARARGS,
+     "automorphisms(n, edges, max_m) -> [images, ...]"},
     {"interval_ok", interval_ok, METH_VARARGS, "interval_ok(n, edges, colors, t) -> bool"},
     {"double", double_cover, METH_VARARGS,
      "double(n, edges, colors, t, pairs, provenance) -> (h_edges, provenance, beta, i0, final) "

@@ -49,7 +49,13 @@ and reaches 1 and t, so these tests cut no partial coloring that has a
 completion, and change no verdict and no witness. Each test is a bound on
 x, so the first entry into depth k narrows the ranges by edge k - 1's color
 and computes edge k's candidate interval in one pass over the uncolored
-edges, and a row of ranges per depth lets a backtrack reuse both. The
+edges, and a row of ranges per depth lets a backtrack reuse both. That
+first entry takes the cheap bounds first (spread, the symmetry rules' floors
+and caps, the cap below best of the anchor sweep, surjectivity and edge k's
+own range, which row k - 1 gives in O(1)) and runs the pass only when they
+leave a candidate, since the pass can only narrow edge k's interval further:
+this changes no node. The bounds it finds hold until a depth before k changes
+its color, so a backtrack to depth k reuses them too. The
 edges colored 1 and t differ by t - 1, hence the ceiling t <= 1 + max D.
 The kernel keeps the ranges in int32: it caps t at m, and D <= 2m - n (a
 cheapest path passes each vertex at most once), so t + D < 3m.
@@ -60,30 +66,62 @@ get no matrix and no distance rule, and ``search``, which applies the
 ceiling either way, reads D a row at a time until the ceiling reaches the
 largest t asked about.
 
-Two cuts skip colorings that a symmetry maps to a smaller one. A symmetry s
-here maps interval t-colorings to interval t-colorings, and each cut removes
-only colorings c with s(c) <lex c, comparing colors in BFS edge order. So
-neither removes the lexicographically least interval t-coloring, and the two
-hold together for it. That coloring is the one the search meets first, since
-colors are tried in lexicographic order
-(``test_first_witness_is_lexicographically_smallest`` checks it). So no cut
-changes a witness or makes a feasible layer infeasible.
+Symmetry rules (lex-leader constraints; Crawford, Ginsberg, Luks and Roy,
+KR 1996). An automorphism sigma of the graph maps edges to edges and
+interval t-colorings to interval t-colorings: c^sigma(sigma(e)) = c(e). So
+does the reversal, c -> t + 1 - c. The least interval t-coloring L, comparing
+colors in BFS edge order, is the one the search meets first, since colors are
+tried in lexicographic order (``test_first_witness_is_lexicographically_
+smallest`` checks it). No image of L under these maps is smaller than L, so
+every constraint below holds for L, all of them at once, and the rules cut
+only colorings that are not the least: no rule changes a witness or makes a
+feasible layer infeasible.
 
-Reversal cut: s(c) = t+1-c. If c(e0) > (t+1)//2 on the first edge e0, then
-s(c)(e0) = t+1-c(e0) < c(e0), so the first edge tries only colors up to
-(t+1)//2.
+Orbit rule. Let i be the first BFS position that sigma moves and j the
+position of the edge sigma sends onto edge i. Every edge before i is fixed,
+so L^sigma agrees with L there and holds L(j) at i; as L^sigma is not
+smaller, L(j) >= L(i), and L(j) > L(i) when edges i and j share a vertex,
+whose colors differ. j > i, as the positions before i are fixed. The plan
+records it as the floor (i, step) on edge j, step 1 or 0, and the search
+starts edge j's colors at c(i) + step. A twin swap, x <-> y for twins
+(N(x) - y = N(y) - x), is one case: it moves exactly the edges at x or y
+other than xy, and its first moved edge (x, u) receives (y, u), which shares
+u with it. The plan swaps each twin after the first of its class, in BFS
+vertex order, with the twin just before it and with the first: 2c - 3 swaps
+in a class of c, which keeps the floors linear in n, where all c(c - 1)/2
+swaps gave the same node totals over n <= 7, the doubled graphs and K8.
 
-Twin cut (a lex-leader constraint; Crawford, Ginsberg, Luks and Roy, KR
-1996): vertices x and y are twins when N(x) - y = N(y) - x, and then
-swapping them is an automorphism that moves exactly the edges at x or y
-other than xy; s(c) is c with those edges' colors swapped. Let e_k be the
-first moved edge in BFS order and e_j its image. Every edge before e_k is
-fixed, so s(c) agrees with c there and has c(e_j) at e_k: s(c) <lex c when
-c(e_j) < c(e_k). e_k = (x, u) and e_j = (y, u) share u, so their colors
-differ, and the cut asks for c(e_k) < c(e_j). The plan records it as
-after[j] = k, and the search starts edge j's colors above edge k's color.
-Where several twin pairs name the same j it keeps the latest k only: keeping
-fewer constraints is always sound. K2 has twins but no moved edge.
+Reversal rule. For every edge j != 0 in edge 0's orbit, take sigma with
+sigma(j) = 0 and compose it with the reversal: the image of L holds
+t + 1 - L(j) at position 0, so L(0) <= t + 1 - L(j), that is
+L(j) <= t + 1 - L(0). For j = 0 itself (sigma the identity) this is
+L(0) <= (t + 1)//2, the cut on the first edge.
+
+The automorphisms come from the harvest in the plan (``_reference._harvest``
+and the kernel's ``harvest``, which find the same list). It walks the BFS
+vertex order b_0, b_1, ..., deepest level first. At level i it takes each w
+in ascending order that is not yet in b_i's orbit under the swaps and
+automorphisms fixing b_0 .. b_i-1 found so far, and keeps the least
+automorphism that fixes b_0 .. b_i-1 and sends b_i to w, images chosen
+vertex by vertex in BFS order, smallest first: each among the neighbours of
+its BFS parent's image, with the vertex's degree and walk total and the same
+walk cost to every vertex mapped before. The walk cost from u to v is the
+cheapest walk from u to v, each vertex on it (ends included) costing
+deg - 1, from which the plan reads D (above), and the walk total is the sum
+of a vertex's walk costs. Both are invariant under automorphisms, and
+between distinct vertices of known degrees the cost tells whether they are
+adjacent (a path through a third vertex, of degree at least 2, costs at
+least one more), so every complete map is an automorphism. The twin swaps,
+which the neighbourhood sort finds for free, join their twins' orbits from
+the earlier twin's level on. As in Schreier-Sims, each level then ends with
+b_i's whole orbit under the stabiliser of b_0 .. b_i-1, so the harvest with
+the swaps generates the whole group (``test_every_harvested_permutation_is_
+an_automorphism`` checks it against networkx). It stops after 2^22 walk
+comparisons, keeping what it has, since any subset of the automorphisms
+leaves every rule sound; on a 512-edge spider that takes the kernel about
+10 ms, and the kernel lets Python handle signals every 2^16. A graph without
+the matrix gets the twin swaps alone, and edge 0's orbit is taken under the
+group that all of them generate.
 
 Anchor sweep (the ceiling's argument as a branching rule). An interval
 t-coloring c puts 1 on some edge and t on some edge; let e be the first edge
@@ -94,13 +132,16 @@ edges with D(e, f) >= t - 1, e != f as D(e, e) = 0, or for t = 1 the pair
 edge g starts at [max(1, t - D(f, g)), min(t, 1 + D(e, g))], the distance
 rule from c(e) = 1 and c(f) = t, raised to at least 2 for g < e and lowered
 to at most t - 1 for g < f, as no 1 lies before e and no t before f; every
-later depth narrows these as before. The two cuts above stay as plain
-constraints on each coloring, not as an order: edge 0 holds at most
-(t+1)//2, which rules out a pair with f = 0 for t >= 2, and c(after[j]) <
-c(j), which rules out a pair with after[e] >= 0 (no color lies below 1) and
-is checked at every edge as in the loop. So every coloring lies in exactly
-one run, and the runs together cover exactly the colorings the static loop
-searches.
+later depth narrows these as before. The symmetry rules stay as plain
+constraints on each coloring, not as an order, checked at every edge as in
+the loop, and they rule out pairs. An edge e with a floor (i, step) holds at
+least c(i), and c(i) >= 2 when e is the first edge colored 1, as i < e: so e
+is not. If the first t lies at f in edge 0's orbit, the reversal rule asks
+c(0) <= t + 1 - t = 1 for f != 0, and t <= (t+1)//2, so t = 1, for f = 0:
+either way edge 0 holds 1, so e = 0. The sweep skips every e with a floor
+and every pair (e, f) with f in edge 0's orbit and e != 0. So every coloring
+the rules keep lies in exactly one run, and the runs together cover exactly
+the colorings the static loop searches.
 
 Row 0 forces the pair: e's range is [max(1, t - D(f, e)), min(t, 1 + 0)]
 = [1, 1], as D(f, e) = D(e, f) >= t - 1, and f's is [max(1, t - 0),
@@ -133,10 +174,13 @@ counts 1 and t among the colors not yet used. A forced placement never
 fails but on the cap below best (next): its range stays nonempty; an edge
 j before e at an end v of e holds at most 1 + D(e, j) <= deg(v), and one
 before f at an end v of f at least t - deg(v) + 1, so spread and distinct
-allow 1 at e and t at f; after[f] < f holds at most t - 1 (twin cut); the
-reversal cut allows 1 at edge 0, which is f only where t = 1 and e = f; and
-the surjectivity count, kept at the depth before, leaves room for a new
-color.
+allow 1 at e and t at f; the floors and caps allow them too, since e has
+no floor and its cap, (t+1)//2 at edge 0 or t + 1 - c(0) elsewhere in edge
+0's orbit, is at least 1, each floor (i, step) on f asks at most
+c(i) + 1 <= t, as i < f holds at most t - 1, and f gets a cap only in edge
+0's orbit, where e = 0 holds 1 and the cap is t, or where f = 0, t = 1 and
+e = f; and the surjectivity count, kept at the depth before, leaves room for
+a new color.
 
 A run meets its colorings in lexicographic order too, so the first it finds
 is its least. Once one has been found, best, every later run searches only
@@ -292,9 +336,10 @@ def _native():
     ``_reference`` where that cannot be built or loaded.
 
     This is where the package chooses, once per process. Both modules have
-    the same seven entries, with the same arguments and results: ``search``
-    (which plans), ``classify``, ``extend``, ``index_graph``,
-    ``in_palette``, ``interval_ok`` and ``double``. Every caller runs
+    the same eight entries, with the same arguments and results: ``search``
+    (which plans), ``automorphisms`` (the plan's harvest, for the tests),
+    ``classify``, ``extend``, ``index_graph``, ``in_palette``,
+    ``interval_ok`` and ``double``. Every caller runs
     ``_native().<entry>(...)``, and where an entry declines (None or
     False), its own Python code. The C module is built on first use into
     the package's ``__pycache__``, under the name ``_build_target`` gives,

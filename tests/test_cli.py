@@ -442,22 +442,26 @@ BOTH_PATHS = [
     (0, "bounds --graph Esa?"),
     (2, "bounds --graph @"),
     (2, "bounds --graph C`"),
-    # E@NG: layers t = 6 and 5 are infeasible in 2 and 9 nodes and t = 4
-    # finds W in 8, so node limits 2 and 11 run out exactly at a layer's
-    # end, 6, 10 and 18 inside a layer, and 22 leaves room. The Petersen
-    # graph's layers t = 7 .. 3 are all infeasible, t = 7 in 312 nodes and
-    # t = 6 in 1,875. C8 has W = 5. Found exits 0, anything else 1; 2K2,
-    # disconnected, exits 2.
+    # E@NG: layers t = 6 and 5 are infeasible in 2 and 8 nodes and t = 4
+    # finds W in 8, so node limits 2 and 10 run out exactly at a layer's
+    # end, 6, 11 and 17 inside a layer, 18 is just enough and 22 leaves
+    # room. The Petersen graph's layers t = 7 .. 3 are all infeasible, in
+    # 2, 31, 202, 150 and 32 nodes, so 33 runs out exactly at the end of
+    # t = 6, 312 and 395 inside t = 4 and t = 3, and 1,000 leaves room.
+    # C8 has W = 5. Found exits 0, anything else 1; 2K2, disconnected,
+    # exits 2.
     (0, "solve --graph E@NG"),
     (1, "solve --graph E@NG --node-limit 2"),
     (1, "solve --graph E@NG --node-limit 6"),
     (1, "solve --graph E@NG --node-limit 10"),
     (1, "solve --graph E@NG --node-limit 11"),
-    (1, "solve --graph E@NG --node-limit 18"),
+    (1, "solve --graph E@NG --node-limit 17"),
+    (0, "solve --graph E@NG --node-limit 18"),
     (0, "solve --graph E@NG --node-limit 22"),
     (1, "solve --graph E@NG --t 5"),
     (1, "solve --graph E@NG --t 4 --node-limit 3"),
     (1, "solve --graph IheA@GUAo"),
+    (1, "solve --graph IheA@GUAo --node-limit 33"),
     (1, "solve --graph IheA@GUAo --node-limit 312"),
     (1, "solve --graph IheA@GUAo --node-limit 395"),
     (1, "solve --graph IheA@GUAo --node-limit 1000"),

@@ -31,9 +31,9 @@ from intervalcolor import (
 from intervalcolor.solver import outcome_to_json
 from conftest import force_python_path
 
-NODE_TOTALS = {2: 0, 3: 0, 4: 20, 5: 298}
+NODE_TOTALS = {2: 0, 3: 0, 4: 20, 5: 227}
 GOLDEN_LINES = 53
-GOLDEN_SHA256 = "1de81614028291cc6be09433fed3fbaeb395943a6ff20e6b4c842a3ce14de1bd"
+GOLDEN_SHA256 = "0071035d16774fd48bfa9f511083c443f97f326948e83e49fcd414b487189b89"
 ANSWERS_SHA256 = "cced4f8c5b2423fc0308a1dc3c2c627e8fb71469feb07d49d235f97f21b240a4"
 
 

@@ -50,9 +50,13 @@ def calls_and_references():
     square = c4()
     alpha = (1, 2, 2, 3)  # an interval 3-coloring of C4's edges
     table = _provenance_table(4)
+    # The Petersen graph's harvest finds automorphisms, so these reach
+    # every buffer of the plan, the harvest's and the floors' included, and
+    # the tuples that automorphisms builds.
     calls = {
         "search with dist": lambda: kernel.search(n, edges, DISTANCE_MAX_M, 6, 3, 0),
         "search without dist": lambda: kernel.search(n, edges, 0, 6, 3, 0),
+        "automorphisms": lambda: kernel.automorphisms(n, edges, DISTANCE_MAX_M),
         "interval_ok": lambda: kernel.interval_ok(square.n, square.edges, alpha, 3),
         "double": lambda: kernel.double(square.n, square.edges, alpha, 3, _PAIRS, table),
         "in_palette": lambda: kernel.in_palette(3, alpha),
@@ -61,7 +65,9 @@ def calls_and_references():
         "classify edgeless": lambda: kernel.classify(3, ()),
         "extend": lambda: kernel.extend(4, [(0b110, 0b101, 0b011), (0b010, 0b101, 0b010)]),
     }
-    return calls, {name: call() for name, call in calls.items()}
+    references = {name: call() for name, call in calls.items()}
+    assert references["automorphisms"]
+    return calls, references
 
 
 def failing_at(call, k, stop):

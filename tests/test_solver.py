@@ -51,6 +51,7 @@ from intervalcolor.solver import (
     outcome_to_json,
 )
 from conftest import force_python_path
+from exact_cover import interval_colorable
 from oracle import brute_force_W
 from smallgraphs import (
     c4, complete_bipartite, cycle, hypercube, k2, k3, k4, k5, p3, p4, star, two_k2
@@ -230,6 +231,25 @@ class TestComputeW:
             compute_W(g)
         assert max(g.m for g in graphs) <= DISTANCE_MAX_M
         assert (len(searches), len(plans)) == (len(graphs), 0)
+
+    def test_capped_answers_match_uncapped_on_n7(self):
+        # compute_W at 2,000 nodes per graph on the n = 7 catalog, as the
+        # n7_capped benchmark runs it: each graph either aborts or gives the
+        # uncapped W and witness. Among the decided are FBn~w (W = 8) and
+        # FJfvw (W = 7), whose rows in bench/reference/n7_cap300000.csv read
+        # aborted, so the benchmark does not check their W. The kernel
+        # alone, as the uncapped run takes the Python loop about 10 s.
+        assert _native() is not _reference
+        decided = {}
+        for g in generate_connected_catalog(7):
+            capped = compute_W(g, SearchLimits(node_limit=2000))
+            if capped.status is SolveStatus.ABORTED:
+                continue
+            full = compute_W(g)
+            assert (capped.status, capped.w, capped.witness) == (full.status, full.w, full.witness)
+            decided[g] = capped.w
+        assert len(decided) == 804
+        assert decided[parse_graph6("FBn~w")] == 8 and decided[parse_graph6("FJfvw")] == 7
 
     def test_k2(self):
         out = compute_W(k2())
@@ -527,7 +547,7 @@ class TestProvenCeiling:
                 ):
                     searched = top <= min(g.m, exact)
                     assert searches(search, g, top) == searched, (g.edges, search, top)
-                    uncapped = _search_py(g.n, *plan[:5], top, top, 1) if searched else None
+                    uncapped = _search_py(g.n, *plan[:6], top, top, 1) if searched else None
                     found = search(g.n, g.edges, DISTANCE_MAX_M, top, top, 1)
                     assert found == (uncapped or (0, 0, top, [])), (g.edges, search, top)
 
@@ -667,7 +687,7 @@ class TestProvenCeiling:
 def layer_args(g: Graph, plan: _Plan, t: int, budget: int) -> tuple:
     """The arguments of the kernel's ``search`` and ``_search_py`` that
     decide the one palette size t of g with ``plan``."""
-    return (g.n, *plan[:5], t, t, budget)
+    return (g.n, *plan[:6], t, t, budget)
 
 
 def layer_by_layer(g: Graph, plan: _Plan, top: int, bottom: int, budget: int) -> tuple:
@@ -735,10 +755,14 @@ def searched_layers(g: Graph) -> range:
     return range(g.max_degree, min(g.m, best_upper_bound(g, classify(g))) + 1)
 
 
-def all_pairs_after(g: Graph, order: list[int]) -> list[int]:
-    """The twin cut by its definition, for the BFS edge order ``order``: for
-    every twin pair, the first moved edge and its image among all the edges
-    the swap moves."""
+def twin_floors(g: Graph, order: list[int]) -> list[list[tuple[int, int]]]:
+    """The twin swaps' case of the orbit rule by its definition, for the BFS
+    edge order ``order``: twins found among all pairs of vertices, and each
+    twin y after the first of its class in the BFS vertex order swapped with
+    the twin just before it and with the first. For each swap, the first
+    edge k it moves, among all the edges it moves, and the edge j that
+    receives it, which shares an end with k, give the floor (k, 1) on j;
+    each edge's floors sorted."""
     position = [0] * g.m
     for k, eid in enumerate(order):
         position[eid] = k
@@ -746,31 +770,33 @@ def all_pairs_after(g: Graph, order: list[int]) -> list[int]:
     at = [
         {u: position[eid[min(v, u), max(v, u)]] for u in nbrs} for v, nbrs in enumerate(g.adjacency)
     ]
-    after = [-1] * g.m
-    for x, y in combinations(range(g.n), 2):
-        moved = set(at[x]) - {y}
-        if moved != set(at[y]) - {x}:
-            continue
-        swaps = [sorted((at[x][u], at[y][u])) for u in moved]
-        if swaps:
-            k, j = min(swaps)
-            after[j] = max(after[j], k)
-    return after
+    floors: list[list[tuple[int, int]]] = [[] for _ in range(g.m)]
+    visit = bfs_vertices(g)
+    for i, y in enumerate(visit):
+        earlier = [x for x in visit[:i] if set(at[x]) - {y} == set(at[y]) - {x}]
+        for x in {*earlier[:1], *earlier[-1:]}:
+            swaps = [sorted((at[x][u], at[y][u])) for u in set(at[x]) - {y}]
+            if swaps:
+                k, j = min(swaps)
+                floors[j].append((k, 1))
+    return [sorted(floor) for floor in floors]
 
 
 class TestTwinCut:
-    """``_plan_py``'s ``after``: the twin lex-leader cut of the module
-    docstring. The kernel's is checked against it through its search
+    """The twin swaps' floors in ``_plan_py``: the orbit rule of the module
+    docstring for each swap of twins, which a plan without the matrix has
+    alone. The kernel's are checked against them through its search
     (``TestNativeKernel.test_plans_agree``)."""
 
-    def after(self, g: Graph) -> list[int]:
-        return _plan_py(g).after
+    def floors(self, g: Graph, max_m: int = 0) -> list[list[tuple[int, int]]]:
+        return [sorted(floor) for floor in _plan_py(g, max_m).floors]
 
     def test_matches_all_pairs_construction(self, plan_families):
         cut = 0
         for g, plan in plan_families:
-            assert plan.after == all_pairs_after(g, plan.order), g.edges
-            cut += plan.after != [-1] * g.m
+            floors = twin_floors(g, plan.order)
+            assert self.floors(g) == floors, g.edges
+            cut += floors != [[]] * g.m
         assert (len(plan_families), cut) == (1309, 810)
 
     def test_memory_is_linear_on_a_long_path(self):
@@ -810,31 +836,42 @@ class TestTwinCut:
         assert all(float(seconds) < 5 for seconds in result.stdout.split())
 
     def test_hand_checked_plans(self):
-        # K1,3: the leaves are twins, so the three edges at the center rise.
-        assert self.after(star(3)) == [-1, 0, 1]
+        # K1,3: the leaves are twins, so each edge at the center holds more
+        # than every edge before it.
+        assert self.floors(star(3)) == [[], [(0, 1)], [(0, 1), (1, 1)]]
         # C4, BFS order (0,1),(0,3),(1,2),(2,3): swapping 1 and 3 moves
         # (0,1) to (0,3); swapping 0 and 2 moves (0,1) to (1,2).
-        assert self.after(c4()) == [-1, 0, 0, -1]
+        assert self.floors(c4()) == [[], [(0, 1)], [(0, 1)], []]
         # K4, BFS order (0,1),(0,2),(0,3),(1,2),(1,3),(2,3): every pair is a
-        # twin pair; (1,2) is the image of (0,2) under 0<->1 (k = 1) and of
-        # (0,1) under 0<->2 (k = 0), so it keeps 1, and so on.
-        assert self.after(k4()) == [-1, 0, 1, 1, 0, -1]
+        # twin pair, and the swaps are 0<->1, 1<->2, 0<->2, 2<->3 and 0<->3;
+        # (1,2) receives (0,2) under 0<->1 (k = 1) and (0,1) under 0<->2
+        # (k = 0), and keeps both.
+        assert self.floors(k4()) == [[], [(0, 1)], [(1, 1)], [(0, 1), (1, 1)], [(0, 1)], []]
         # K2: twins, but the swap moves no edge.
-        assert self.after(k2()) == [-1]
+        assert self.floors(k2()) == [[]]
+        # With the matrix the harvest adds C4's 0<->1, 2<->3, which fixes
+        # (0,1) and sends (1,2) onto (0,3): the floor (1, 0) on (1,2).
+        assert self.floors(c4(), DISTANCE_MAX_M) == [[], [(0, 1)], [(0, 1), (1, 0)], []]
 
     def test_twin_free_graphs_get_no_cut(self):
-        # P4, C5 and an asymmetric graph on 12 vertices
+        # P4, C5 and an asymmetric graph on 12 vertices; the last has no
+        # automorphism, so no floor with the matrix either, and edge 0's
+        # orbit is edge 0 alone.
         asymmetric = intervalcolor.parse_graph6("KMeF`]~dsTJJ")
         for g in (p4(), cycle(5), asymmetric):
-            assert self.after(g) == [-1] * g.m
+            assert self.floors(g) == [[]] * g.m
+        plan = _plan_py(asymmetric)
+        assert plan.floors == [[]] * asymmetric.m
+        assert plan.orbit == [True] + [False] * (asymmetric.m - 1)
 
     def test_cut_keeps_status_and_witness_and_saves_nodes(self, catalogs, doubled_graphs):
-        # The same Python loop with and without the cut, on every searched
-        # layer of the n <= 6 catalogs and the doubled graphs: the static
-        # loop alone, and with the anchor sweep where _anchored takes it.
-        # Each run of a sweep loses nodes to the cut, but a feasible layer's
-        # later runs search below the least coloring found, which the cut
-        # can raise, so there the saving shows in the total.
+        # The same Python loop with and without the symmetry rules (no
+        # floor, and edge 0's orbit edge 0 alone, which leaves its own
+        # reversal cut), on every searched layer of the n <= 6 catalogs and
+        # the doubled graphs: the static loop alone, and with the anchor
+        # sweep where _anchored takes it. A feasible layer's later runs
+        # search below the least coloring found, which the rules can raise,
+        # so there the saving shows in the total.
         for sweep in (False, True):
             layers = cut = total = plain_total = 0
             with pytest.MonkeyPatch.context() as patch:
@@ -842,9 +879,10 @@ class TestTwinCut:
                     patch.setattr(_reference, "_anchored", lambda pairs, m: False)
                 for g in [g for n in range(2, 7) for g in catalogs[n]] + doubled_graphs:
                     plan = _plan_py(g)
+                    bare = plan._replace(floors=[[]] * g.m, orbit=[True] + [False] * (g.m - 1))
                     for t in searched_layers(g):
                         status, nodes, _, colors = _search_py(*layer_args(g, plan, t, 0))
-                        plain = _search_py(*layer_args(g, plan._replace(after=[-1] * g.m), t, 0))
+                        plain = _search_py(*layer_args(g, bare, t, 0))
                         assert (status, colors) == (plain[0], plain[3]), (g.edges, t)
                         assert nodes <= plain[1] or (sweep and status == 1), (g.edges, t)
                         layers += 1
@@ -923,7 +961,7 @@ class TestNativeKernel:
         # methods[] docstring names.
         kernel = _native()
         entries = [name for name in dir(kernel) if not name.startswith("_")]
-        assert len(entries) == 7
+        assert len(entries) == 8
         for name in entries:
             named = re.match(rf"{name}\((.*?)\)", getattr(kernel, name).__doc__)
             twin = getattr(_reference, name)
@@ -973,7 +1011,7 @@ class TestNativeKernel:
                     if budget in ends_at and budget and expected[0] == 2:
                         assert expected[1] == budget and not any(expected[3])
                         boundaries += 1
-        assert (ranges, boundaries, overfull) == (2467, 237, 5)
+        assert (ranges, boundaries, overfull) == (2462, 237, 5)
 
     def test_ranges_agree_past_the_distance_matrix(self):
         # Caterpillars of 513 and 600 edges, past DISTANCE_MAX_M, so the
@@ -1016,10 +1054,10 @@ class TestNativeKernel:
         assert search(4, g.edges, 0, 4, 3, 0) == (1, 4, 3, [1, 2, 2, 3])
         assert search(4, g.edges, 0, 4, 3, 4) == (1, 4, 3, [1, 2, 2, 3])
         assert _search_py(*layer_args(g, plan, 3, 1)) == (2, 1, 4, [1, 2, 0, 0])
-        assert _search_py(g.n, *plan[:5], 4, 3, 0) == (1, 2, 3, [1, 2, 2, 3])
+        assert _search_py(g.n, *plan[:6], 4, 3, 0) == (1, 2, 3, [1, 2, 2, 3])
         plain = plan._replace(dist=b"")
-        assert _search_py(g.n, *plain[:5], 4, 3, 0) == (1, 8, 3, [1, 2, 2, 3])
-        assert _search_py(g.n, *plain[:5], 4, 3, 4) == (2, 4, 4, [0, 0, 0, 0])
+        assert _search_py(g.n, *plain[:6], 4, 3, 0) == (1, 8, 3, [1, 2, 2, 3])
+        assert _search_py(g.n, *plain[:6], 4, 3, 4) == (2, 4, 4, [0, 0, 0, 0])
 
     def test_search_rejects_malformed_input(self):
         # The range as asked: an empty one is an error even where the caps
@@ -1183,7 +1221,7 @@ class TestNativeKernel:
 
     def test_plans_agree(self, plan_families):
         # The kernel's plan against _plan_py's through their searches, whose
-        # results show the edge order, the twin cut (in the nodes) and the
+        # results show the edge order, the floors and orbit (in the nodes) and the
         # matrix (in the nodes and the ceiling): the layer t = max degree and
         # the range from m, which both cap at the ceiling, down to it, at a
         # budget of m nodes.
@@ -1211,14 +1249,20 @@ class TestNativeKernel:
             assert native == reference and native[:3] == (2, 1, t + 1), g.n
 
     def test_plan_rejects_malformed_input(self):
-        # Edges, vertex count and max_m as the search reads them to plan.
-        search = _native().search
-        for n, bad, message in MALFORMED_EDGES:
+        # Edges, vertex count and max_m as the search reads them to plan,
+        # and as automorphisms reads them, whose messages name it.
+        kernel = _native()
+        calls = {
+            "search": lambda n, edges, max_m: kernel.search(n, edges, max_m, 3, 1, 0),
+            "automorphisms": kernel.automorphisms,
+        }
+        for (entry, call), (n, bad, message) in product(calls.items(), MALFORMED_EDGES):
             with pytest.raises(ValueError) as refused:
-                search(n, bad, DISTANCE_MAX_M, 3, 1, 0)
-            assert str(refused.value) == message, bad
-        with pytest.raises(ValueError, match=OUT_OF_RANGE):
-            search(4, c4().edges, -1, 3, 1, 0)
+                call(n, bad, DISTANCE_MAX_M)
+            assert str(refused.value) == message.replace("search", entry, 1), (entry, bad)
+        for entry, call in calls.items():
+            with pytest.raises(ValueError, match=OUT_OF_RANGE.replace("search", entry, 1)):
+                call(4, c4().edges, -1)
 
     def test_agrees_on_both_sides_of_the_distance_threshold(self):
         # Paths of DISTANCE_MAX_M and DISTANCE_MAX_M + 1 edges: the first
@@ -1350,7 +1394,7 @@ class TestAnchor:
                 layers += 1
                 feasible += static[0] == 1
                 swept += anchor_pairs(plan, t) <= 2 * g.m
-        assert (layers, feasible, swept, *nodes) == (710, 260, 448, 22418, 26108)
+        assert (layers, feasible, swept, *nodes) == (710, 260, 448, 18231, 19998)
 
     def test_the_rule_sweeps_at_most_2m_pairs(self, catalogs, doubled_graphs, monkeypatch):
         # _anchored is asked with the layer's anchor pairs, and the built
@@ -1400,13 +1444,14 @@ class TestAnchor:
                 spent += nodes
                 if status:
                     break
-        assert aborted == 1667
+        assert aborted == 1601
 
     def test_symmetric_families(self, monkeypatch):
         # W(Q3) = 6 and W(Q4) = 10 = d(d + 1) / 2; W(K_{a,b}) = a + b - 1
         # for K_{4,4} and K_{5,5}. Q4's descent took 2,239,038 nodes in the
-        # static loop alone.
-        cases = ((hypercube(3), 6, 34), (hypercube(4), 10, 9153))
+        # static loop alone, and 9,153 with the sweep before the orbit and
+        # reversal rules.
+        cases = ((hypercube(3), 6, 12), (hypercube(4), 10, 299))
         cases += ((complete_bipartite(4, 4), 7, 23), (complete_bipartite(5, 5), 9, 55))
         for native in (True, False):
             if not native:
@@ -1417,10 +1462,165 @@ class TestAnchor:
 
     def test_q5_is_infeasible_above_17(self):
         # Q5's ceiling leaves t <= 21; each layer from 21 down to 18 stayed
-        # undecided at 100M nodes in the static loop. The kernel alone: the
-        # Python loop takes minutes on t = 18.
+        # undecided at 100M nodes in the static loop, and the sweep alone
+        # took 180, 592, 14,846 and 805,839 nodes. The kernel alone, as the
+        # Python loop took minutes on t = 18 before the orbit and reversal
+        # rules.
         assert _native() is not _reference
         q5 = hypercube(5)
-        for t, nodes in ((21, 180), (20, 592), (19, 14846), (18, 805839)):
+        for t, nodes in ((21, 1), (20, 3), (19, 7), (18, 211)):
             out = find_interval_coloring(q5, t)
             assert (out.status, out.nodes_expanded) == (SolveStatus.INFEASIBLE, nodes), t
+
+
+def petersen() -> Graph:
+    return Graph(10, [(i, (i + 1) % 5) for i in range(5)] + [(i, i + 5) for i in range(5)]
+                 + [(5 + i, 5 + (i + 2) % 5) for i in range(5)])
+
+
+def spider(legs: int, length: int) -> Graph:
+    """legs paths of length edges each, joined at vertex 0."""
+    edges = [(0 if j == 0 else 1 + i * length + j - 1, 1 + i * length + j)
+             for i in range(legs) for j in range(length)]
+    return Graph(legs * length + 1, tuple(sorted(edges)))
+
+
+def bfs_vertices(g: Graph) -> list[int]:
+    """The plan's BFS vertex order: from the lowest-indexed vertex of
+    maximum degree, each vertex's neighbours in increasing order."""
+    degrees = g.degrees()
+    visit = [degrees.index(max(degrees))]
+    for u in visit:
+        visit += [v for v in g.adjacency[u] if v not in visit]
+    return visit
+
+
+def twin_swaps(g: Graph) -> list[tuple[int, ...]]:
+    """The swap of every pair of twins, as vertex images."""
+    swaps = []
+    for x, y in combinations(range(g.n), 2):
+        if set(g.adjacency[x]) - {y} == set(g.adjacency[y]) - {x}:
+            images = list(range(g.n))
+            images[x], images[y] = y, x
+            swaps.append(tuple(images))
+    return swaps
+
+
+def group_order(n: int, generators: list[tuple[int, ...]]) -> int:
+    """The order of the permutation group the generators generate."""
+    seen = {tuple(range(n))}
+    frontier = list(seen)
+    while frontier:
+        sigma = frontier.pop()
+        for gen in generators:
+            product_ = tuple(gen[v] for v in sigma)
+            if product_ not in seen:
+                seen.add(product_)
+                frontier.append(product_)
+    return len(seen)
+
+
+def automorphism_count(g: Graph) -> int:
+    """|Aut(g)|, counted by networkx's VF2, which shares nothing with the
+    harvest."""
+    h = nx.Graph(g.edges)
+    return sum(1 for _ in nx.algorithms.isomorphism.GraphMatcher(h, h).isomorphisms_iter())
+
+
+@pytest.fixture(scope="module")
+def symmetric_families(catalogs, doubled_graphs) -> list[Graph]:
+    """The graphs whose harvests are checked: the connected catalogs with
+    n <= 6, the doubled graphs, Q4, K8 and the Petersen graph."""
+    graphs = [g for n in range(2, 7) for g in catalogs[n]] + doubled_graphs
+    return graphs + [hypercube(4), Graph(8, tuple(combinations(range(8), 2))), petersen()]
+
+
+class TestSymmetry:
+    """The automorphism harvest and the orbit and reversal rules of the
+    module docstring, on both twins."""
+
+    def test_every_harvested_permutation_is_an_automorphism(self, symmetric_families):
+        # Both twins give the same list. Each permutation fixes a prefix of
+        # the BFS vertex order; with the twin swaps they generate the whole
+        # group, as networkx counts it (K8, whose group is its twin swaps',
+        # is left to the first checks). Without the matrix there is none.
+        found = complete = 0
+        for g in symmetric_families:
+            harvest = _native().automorphisms(g.n, g.edges, DISTANCE_MAX_M)
+            assert harvest == _reference.automorphisms(g.n, g.edges, DISTANCE_MAX_M), g.edges
+            assert _native().automorphisms(g.n, g.edges, 0) == [], g.edges
+            edges = set(g.edges)
+            visit = bfs_vertices(g)
+            levels = []
+            for sigma in harvest:
+                assert sorted(sigma) == list(range(g.n)), (g.edges, sigma)
+                assert {tuple(sorted((sigma[a], sigma[b]))) for a, b in g.edges} == edges
+                levels.append(next(i for i, v in enumerate(visit) if sigma[v] != v))
+            assert levels == sorted(levels, reverse=True), g.edges  # deepest level first
+            found += len(harvest)
+            if g.n <= 10:
+                assert group_order(g.n, twin_swaps(g) + harvest) == automorphism_count(g), g.edges
+                complete += 1
+        assert (found, complete) == (119, 167)
+
+    def test_plans_hold_each_rule_by_its_definition(self, symmetric_families):
+        # The floors: the twin swaps' and, for each harvested sigma, with i
+        # the first BFS position it moves and j the edge it sends onto i,
+        # (i, 1) on j where edges i and j share an end, else (i, 0). The
+        # orbit: edge 0's images under the group they generate.
+        for g in symmetric_families:
+            plan = _plan_py(g)
+            pairs = [g.edges[eid] for eid in plan.order]
+            position = {pair: k for k, pair in enumerate(pairs)}
+            harvest = _reference.automorphisms(g.n, g.edges, DISTANCE_MAX_M)
+            floors = twin_floors(g, plan.order)
+            moves = [
+                [position[tuple(sorted((sigma[a], sigma[b])))] for a, b in pairs]
+                for sigma in twin_swaps(g) + harvest
+            ]
+            for images in moves[len(moves) - len(harvest):]:
+                i = next(k for k, j in enumerate(images) if j != k)
+                j = images.index(i)
+                floors[j] = sorted([*floors[j], (i, int(bool(set(pairs[i]) & set(pairs[j]))))])
+            assert [sorted(floor) for floor in plan.floors] == floors, g.edges
+            orbit = {0}
+            frontier = [0]
+            while frontier:
+                k = frontier.pop()
+                for images in moves:
+                    if images[k] not in orbit:
+                        orbit.add(images[k])
+                        frontier.append(images[k])
+            assert plan.orbit == [k in orbit for k in range(g.m)], g.edges
+
+    def test_the_harvest_stops_at_its_work_bound(self):
+        # A spider of 64 legs of 8 edges has the matrix (512 edges, the
+        # most) and a harvest that would need 63 automorphisms, each checked
+        # against every vertex mapped before it: the work bound stops it
+        # first, on both twins alike, and the kernel within a second.
+        g = spider(64, 8)
+        assert g.m == DISTANCE_MAX_M
+        start = time.perf_counter()
+        harvest = _native().automorphisms(g.n, g.edges, DISTANCE_MAX_M)
+        assert time.perf_counter() - start < 1
+        assert 0 < len(harvest) < 63
+        assert harvest == _reference.automorphisms(g.n, g.edges, DISTANCE_MAX_M)
+
+
+class TestExactCover:
+    """The search against the exact-cover oracle of ``tests/exact_cover.py``,
+    which shares no rule with it."""
+
+    def test_every_layer_of_n6_agrees(self, catalogs):
+        # Every layer from the maximum degree to min(m, 2n - 3), the paper's
+        # ceiling, of the connected graphs with n <= 6.
+        layers = feasible = 0
+        for g in [g for n in range(2, 7) for g in catalogs[n]]:
+            for t in range(g.max_degree, min(g.m, 2 * g.n - 3) + 1):
+                expected = interval_colorable(g, t)
+                found = find_interval_coloring(g, t).status is SolveStatus.FOUND
+                assert found == expected, (g.edges, t)
+                layers += 1
+                feasible += expected
+        assert (layers, feasible) == (636, 260)
+
