@@ -4,11 +4,12 @@ read-only install), so that no caller asks which one it has.
 
 It has the kernel's eight entries, with the kernel's arguments and results.
 ``search``, ``automorphisms``, ``classify`` and ``extend`` run the Python
-references of the kernel's loops: the search plan, with its automorphism
-harvest, and loop (``_plan_py``, ``_harvest``, ``_search_py``),
-the classification (``_classify_py``) and a catalog level (``extend``, with
-its canonical search ``_min_code_py``). They take the graph as the kernel
-does, as n and canonical edges, and build their own ``Graph`` from them.
+references of the kernel's loops: the halving test, the search plan,
+with its automorphism harvest, and loop (``_halves``, ``_plan_py``,
+``_harvest``, ``_search_py``), the classification (``_classify_py``) and
+a catalog level (``extend``, with its canonical search ``_min_code_py``).
+They take the graph as the kernel does, as n and canonical edges, and
+build their own ``Graph`` from them.
 ``index_graph``, ``in_palette``, ``interval_ok`` and ``double`` always
 decline, as the kernel does for input it leaves to Python: their callers'
 own code is the reference and raises every error (``graph._index_py``,
@@ -27,6 +28,7 @@ from __future__ import annotations
 import bisect
 import heapq
 from array import array
+from collections import Counter
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .graph import Graph, GraphClass
@@ -288,13 +290,39 @@ def _distance_rows(adjacency, deg, pairs) -> Iterator[list[int]]:
         yield row
 
 
+def _halves(deg: Sequence[int], m: int) -> bool:
+    """Whether some sub-multiset of the degrees ``deg`` sums to m, which
+    every interval colorable graph's do (solver's docstring): the kernel's
+    ``halves``, a subset sum on the bits of an int, bit s set when some
+    sub-multiset sums to s. Each distinct degree d of count c enters as the
+    items d, 2d, 4d, ... and the rest of c times d, whose sums give every
+    multiple of d up to c d."""
+    sums, full = 1, (2 << m) - 1  # sums above m are dropped
+    for d, count in Counter(deg).items():
+        k = 1
+        while count:
+            item = min(k, count)
+            sums |= (sums << d * item) & full
+            count -= item
+            k *= 2
+    return bool(sums >> m & 1)
+
+
 def search(
     n: int, edges: Sequence[tuple[int, int]], max_m: int, top: int, bottom: int, budget: int
 ) -> tuple[int, int, int, list[int]]:
-    """The kernel's ``search``: ``_plan_py``'s plan, top capped at m and at
-    1 + max D (without the matrix, D's rows read until that reaches top),
-    then ``_search_py``, which decides an empty range as (0, 0, bottom, [])."""
+    """The kernel's ``search``: (0, 0, bottom, []) with no plan where the
+    degrees do not halve (``_halves``), else ``_plan_py``'s plan, top capped
+    at m and at 1 + max D (without the matrix, D's rows read until that
+    reaches top), then ``_search_py``, which decides an empty range as
+    (0, 0, bottom, [])."""
     g = Graph(n, edges)
+    deg = [0] * n
+    for a, b in g.edges:
+        deg[a] += 1
+        deg[b] += 1
+    if not _halves(deg, g.m):
+        return 0, 0, bottom, []
     plan = _plan_py(g, max_m)
     longest = plan.longest
     if longest is None:

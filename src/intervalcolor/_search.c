@@ -17,6 +17,14 @@
  * (a, b) of exact ints, a < b, strictly increasing. One plan is built and
  * one set of buffers allocated, and the layers are searched in turn.
  *
+ * Before the plan, once the edges are read, the degrees counted and the
+ * BFS has found the graph connected, halves() asks whether some
+ * sub-multiset of the degrees sums to m. Where none does, the graph has no
+ * interval coloring (the proof is in solver.py's docstring), and the
+ * result is (0, 0, bottom, []) with no plan built, as for a range the caps
+ * below leave empty; _reference._halves is its twin. This rejects every
+ * overfull graph, m > Delta * floor(n/2), and no bipartite one.
+ *
  * The plan holds what _reference._Plan holds, each field equal to
  * _reference._plan_py's, which the tests check through this entry's results.
  * order is the BFS edge order from the lowest-indexed vertex of maximum
@@ -527,6 +535,39 @@ static int walk_from(Py_ssize_t a, Py_ssize_t b, Py_ssize_t n, const long long *
     return PyErr_CheckSignals();
 }
 
+/* Whether some sub-multiset of the n degrees deg sums to m, which every
+ * interval colorable graph's do (search(); the proof is in solver.py's
+ * docstring): 1 or 0, or -1 with MemoryError. A subset sum on a bitset of
+ * the sums 0 .. m, bit s of sums[s / 64] set when some sub-multiset sums
+ * to s, over the distinct degrees: a degree d of count c enters as the
+ * items d, 2d, 4d, ... and the rest of c times d, whose sums give every
+ * multiple of d up to c d, so that a path takes a few dozen shifts. Each
+ * item shifts the bitset onto itself, the words read before they are
+ * written; sums above m are dropped, as a shift only raises a sum. */
+static int halves(Scratch *s, Py_ssize_t n, Py_ssize_t m, const long long *deg)
+{
+    Py_ssize_t *count = take(s, n, 1, sizeof(Py_ssize_t)); /* degrees are below n */
+    Py_ssize_t words = m / 64 + 1;
+    uint64_t *sums = take(s, words, 1, sizeof(uint64_t));
+    if (s->failed)
+        return -1;
+    for (Py_ssize_t v = 0; v < n; v++)
+        count[deg[v]]++;
+    sums[0] = 1;
+    for (Py_ssize_t d = 1; d < n; d++) {
+        for (Py_ssize_t left = count[d], k = 1; left > 0; k *= 2) {
+            Py_ssize_t item = k < left ? k : left, shift = d * item, q = shift / 64;
+            int r = shift % 64;
+            left -= item;
+            for (Py_ssize_t w = words - 1; w >= q; w--)
+                sums[w] |= sums[w - q] << r | (r && w > q ? sums[w - q - 1] >> (64 - r) : 0);
+            if (sums[m / 64] >> (m % 64) & 1)
+                return 1;
+        }
+    }
+    return 0;
+}
+
 /* The ceiling search() caps top at, for the ends in BFS order, filling d
  * when given, and counting in far[min(D, m)] the ordered pairs at each
  * distance, with the walk rows and heap make_plan takes for it; -1 with an
@@ -813,9 +854,10 @@ typedef struct {
 
 /* Builds out for search(), with the harvested automorphisms appended to
  * found when it is not NULL; -1 with an exception set, whose message names
- * entry. */
+ * entry. With halve set, a graph whose degrees halves() rejects gets no
+ * plan past the BFS that checks it is connected: 1, out left unset. */
 static int make_plan(Scratch *s, const char *entry, Py_ssize_t n, PyObject *edges_obj,
-                     Py_ssize_t max_m, long long top, Plan *out, PyObject *found)
+                     Py_ssize_t max_m, long long top, int halve, Plan *out, PyObject *found)
 {
     Py_ssize_t m = PyObject_Length(edges_obj);
     if (m < 0)
@@ -831,13 +873,8 @@ static int make_plan(Scratch *s, const char *entry, Py_ssize_t n, PyObject *edge
         return -1;
     }
     long long *edges = take(s, m, 2, sizeof(long long)); /* in Graph.edges order */
-    long long *ends = take(s, m, 2, sizeof(long long));  /* in BFS order */
     long long *deg = take(s, n, 1, sizeof(long long));
     long long *order = take(s, m, 1, sizeof(long long));
-    long long *floor_start = take(s, m + 1, 1, sizeof(long long));
-    char *orbit = take(s, m, 1, 1);
-    int32_t *dist = m <= max_m ? take(s, m, m, sizeof(int32_t)) : NULL;
-    long long *far = dist ? take(s, m + 1, 1, sizeof(long long)) : NULL;
     /* Adjacency: nbr[start[v] .. start[v + 1]) in increasing order, inc the
      * edge to each. */
     Py_ssize_t *start = take(s, n + 1, 1, sizeof(Py_ssize_t));
@@ -846,26 +883,6 @@ static int make_plan(Scratch *s, const char *entry, Py_ssize_t n, PyObject *edge
     Py_ssize_t *position = take(s, m, 1, sizeof(Py_ssize_t));
     Py_ssize_t *visit = take(s, n, 1, sizeof(Py_ssize_t)); /* the BFS queue */
     Py_ssize_t *parent = take(s, n, 1, sizeof(Py_ssize_t));
-    Py_ssize_t *next = take(s, n, 1, sizeof(Py_ssize_t)); /* the next twin in BFS order */
-    Py_ssize_t *group = take(s, n, 3, sizeof(Py_ssize_t)); /* each vertex's class, -1 for none */
-    Py_ssize_t *latest = group + n, *lead = group + 2 * n;
-    Py_ssize_t *edge_root = take(s, m, 1, sizeof(Py_ssize_t));
-    Py_ssize_t *image = take(s, m, 1, sizeof(Py_ssize_t));
-    Hood *hood = take(s, n, 2, sizeof(Hood)); /* each vertex's two */
-    /* The floors, at most one per twin swap (2n of them) and n - 1
-     * harvested, as edge and code in the order found, then the codes sorted
-     * by edge. */
-    long long *floor_at = take(s, n, 3, sizeof(long long));
-    long long *floor_code = take(s, n, 6, sizeof(long long));
-    /* path_ceiling's walks (a row per vertex, or one row, from both ends of
-     * an edge, without dist) and heap, unless a walk cost could leave int32;
-     * with dist, the harvest's buffers. */
-    int walks = m <= INT32_MAX / 3;
-    int32_t *walk = walks ? take(s, dist ? n : 1, n, sizeof(int32_t)) : NULL;
-    uint64_t *heap = walks ? take(s, 2 * m + 2, 1, sizeof(uint64_t)) : NULL;
-    long long *total = dist ? take(s, n, 1, sizeof(long long)) : NULL;
-    Py_ssize_t *at = dist ? take(s, n, 3, sizeof(Py_ssize_t)) : NULL;
-    char *taken = dist ? take(s, n, 1, 1) : NULL;
     if (s->failed)
         return -1;
     if (read_edges(edges_obj, n, m, edges, entry))
@@ -875,7 +892,7 @@ static int make_plan(Scratch *s, const char *entry, Py_ssize_t n, PyObject *edge
     for (Py_ssize_t v = 0; v < n; v++) {
         if (deg[v] > deg[root])
             root = v;
-        parent[v] = next[v] = group[v] = latest[v] = -1;
+        parent[v] = -1;
     }
 
     for (Py_ssize_t e = 0; e < m; e++)
@@ -900,6 +917,39 @@ static int make_plan(Scratch *s, const char *entry, Py_ssize_t n, PyObject *edge
         PyErr_Format(PyExc_ValueError, "%s: the graph must be connected", entry);
         return -1;
     }
+    int halved = halve ? halves(s, n, m, deg) : 1;
+    if (halved <= 0)
+        return halved ? -1 : 1;
+
+    long long *ends = take(s, m, 2, sizeof(long long)); /* in BFS order */
+    long long *floor_start = take(s, m + 1, 1, sizeof(long long));
+    char *orbit = take(s, m, 1, 1);
+    int32_t *dist = m <= max_m ? take(s, m, m, sizeof(int32_t)) : NULL;
+    long long *far = dist ? take(s, m + 1, 1, sizeof(long long)) : NULL;
+    Py_ssize_t *next = take(s, n, 1, sizeof(Py_ssize_t)); /* the next twin in BFS order */
+    Py_ssize_t *group = take(s, n, 3, sizeof(Py_ssize_t)); /* each vertex's class, -1 for none */
+    Py_ssize_t *latest = group + n, *lead = group + 2 * n;
+    Py_ssize_t *edge_root = take(s, m, 1, sizeof(Py_ssize_t));
+    Py_ssize_t *image = take(s, m, 1, sizeof(Py_ssize_t));
+    Hood *hood = take(s, n, 2, sizeof(Hood)); /* each vertex's two */
+    /* The floors, at most one per twin swap (2n of them) and n - 1
+     * harvested, as edge and code in the order found, then the codes sorted
+     * by edge. */
+    long long *floor_at = take(s, n, 3, sizeof(long long));
+    long long *floor_code = take(s, n, 6, sizeof(long long));
+    /* path_ceiling's walks (a row per vertex, or one row, from both ends of
+     * an edge, without dist) and heap, unless a walk cost could leave int32;
+     * with dist, the harvest's buffers. */
+    int walks = m <= INT32_MAX / 3;
+    int32_t *walk = walks ? take(s, dist ? n : 1, n, sizeof(int32_t)) : NULL;
+    uint64_t *heap = walks ? take(s, 2 * m + 2, 1, sizeof(uint64_t)) : NULL;
+    long long *total = dist ? take(s, n, 1, sizeof(long long)) : NULL;
+    Py_ssize_t *at = dist ? take(s, n, 3, sizeof(Py_ssize_t)) : NULL;
+    char *taken = dist ? take(s, n, 1, 1) : NULL;
+    if (s->failed)
+        return -1;
+    for (Py_ssize_t v = 0; v < n; v++)
+        next[v] = group[v] = latest[v] = -1;
     for (Py_ssize_t k = 0; k < m; k++) {
         ends[2 * k] = edges[2 * order[k]];
         ends[2 * k + 1] = edges[2 * order[k] + 1];
@@ -1191,18 +1241,20 @@ static PyObject *search(PyObject *self, PyObject *args)
     PyObject *result = NULL;
     Scratch s = {0};
     Plan p;
-    if (make_plan(&s, "search", n, edges_obj, max_m, top, &p, NULL))
+    int unplanned = make_plan(&s, "search", n, edges_obj, max_m, top, 1, &p, NULL);
+    if (unplanned < 0)
         goto done;
-    const Py_ssize_t m = p.m;
-    const int32_t *dist = p.dist;
-    /* No layer above m (surjectivity) or above the ceiling 1 + max D has
-     * an interval coloring, so these caps change no result, and they bound
-     * every buffer below by m. */
-    top = min(top, min(m, p.ceiling));
+    /* No layer of a graph whose degrees cannot be halved, above m
+     * (surjectivity) or above the ceiling 1 + max D has an interval
+     * coloring, so these caps change no result, and they bound every
+     * buffer below by m. */
+    top = unplanned ? 0 : min(top, min(p.m, p.ceiling));
     if (top < bottom) {
         result = Py_BuildValue("iiL[]", 0, 0, bottom);
         goto done;
     }
+    const Py_ssize_t m = p.m;
+    const int32_t *dist = p.dist;
     /* Mask words per vertex: enough for the largest palette, top. */
     long long stride = (top + 1) / 64 + 1;
     long long *picked = take(&s, m, 4, sizeof(long long)); /* then best, least and most */
@@ -1285,7 +1337,7 @@ static PyObject *automorphisms(PyObject *self, PyObject *args)
     PyObject *found = PyList_New(0);
     Scratch s = {0};
     Plan p;
-    if (found && make_plan(&s, "automorphisms", n, edges_obj, max_m, LLONG_MAX, &p, found))
+    if (found && make_plan(&s, "automorphisms", n, edges_obj, max_m, LLONG_MAX, 0, &p, found))
         Py_CLEAR(found);
     release(&s);
     return found;

@@ -7,11 +7,37 @@ is W, and ``find_interval_coloring`` over its one t. The descent sets up
 once per graph and makes one search call, which decides the layers by
 backtracking, one after another, with one node budget shared across them.
 
-The set-up is an overfull test (``_overfull``), then, in the search call,
-the search plan and a ceiling proven for the instance. An overfull graph has
-no interval coloring at all, so it is decided with no plan, and no interval
-coloring uses more than 1 + max D colors (D below), so layers above the
-ceiling are infeasible at a cost of 0 nodes.
+The set-up, in the search call, is a halving test on the degrees, then the
+search plan and a ceiling proven for the instance. A graph whose degrees do
+not halve has no interval coloring at all, so it is decided with no plan,
+and no interval coloring uses more than 1 + max D colors (D below), so
+layers above the ceiling are infeasible at a cost of 0 nodes.
+
+Halving test. The degrees halve when some sub-multiset of them sums to m,
+and those of a graph with an interval t-coloring c do. Vertex v's colors
+fill its window [s_v, s_v + deg(v) - 1]; draw it as an edge s_v -> s_v +
+deg(v) on the points 1 .. t + 1. A color p lies in the windows of the two
+ends of each edge colored p, so in an even number N(p) of windows, and
+N(0) = N(t + 1) = 0. The windows that start at p, less those that end at
+p - 1, number N(p) - N(p - 1), an even number, so every point meets an
+even number of the drawn edges, which therefore split into closed
+circuits (Euler). Orient each circuit: it moves right by the degrees of
+the vertices whose edge it runs forward and left by those of the others,
+and returns to its start, so the two sums agree. Over all circuits, the
+forward vertices' degrees sum to half of 2m, which is m. The search tests
+it by a subset sum over the distinct degrees (``_reference._halves`` and
+the kernel's ``halves``) before it plans. Of the connected graphs it
+rejects 1 with n = 3 (K3), 6 with n = 5, 8 with n = 6, and 67 with n = 7,
+of the 81 there that have no interval coloring. A graph whose degrees are
+all even and whose m is odd is one: no sum of even degrees is odd.
+
+It subsumes the overfull test, m > Delta * floor(n/2) (Asratian and
+Kamalian, JCTB 1994). Overfull n is odd, since for even n, Delta * n/2 is
+at least half the degree sum, m. A split of odd n has a side of at most
+floor(n/2) vertices, whose degrees sum to at most Delta * floor(n/2) < m,
+so an overfull graph's degrees do not halve. A bipartite graph's always
+do: each edge has one end on each side, so either side sums to m. The
+doubled graphs, all bipartite, are therefore always searched.
 
 Search strategy (deterministic): edges are ordered by a breadth-first
 traversal from a maximum-degree vertex (ties broken by lowest vertex index)
@@ -203,17 +229,18 @@ and 1.316 on the n = 6 survey, x0.874, 0.832, 0.850, 0.902 and 1.027 on the
 n = 7 survey capped at 2,000 nodes per graph, and x0.793, 0.531, 0.560,
 0.723 and 0.724 on the doubled graphs of n <= 5.
 
-The search is the kernel's ``search`` (``_native``), one call that plans,
-caps the palette at the ceiling and searches, so no plan crosses into
-Python. Its C loop and the Python twin's (``_reference._plan_py`` and
-``_search_py``) read the same plan and visit the same nodes in the same
-order, so status, node count, last t and colors (the witness, or an
-aborted layer's partial coloring) agree on every range of layers. On the
-same search calls (``compute_W`` over the n = 6 catalog, 200 graphs of
-n = 7 and the doubled graphs) the C loop expands 90 to 150 times as many
-nodes per second. It takes a node's least candidate a word at a time, from
-the two ends' color masks and a mask of the colors on any edge, which
-surjectivity consults. Both plans group twins in memory linear in n + m.
+The search is the kernel's ``search`` (``_native``), one call that tests
+the degrees, plans, caps the palette at the ceiling and searches, so no
+plan crosses into Python. Its C loop and the Python twin's
+(``_reference._plan_py`` and ``_search_py``) read the same plan and visit
+the same nodes in the same order, so status, node count, last t and
+colors (the witness, or an aborted layer's partial coloring) agree on
+every range of layers. On the same search calls (``compute_W`` over the
+n = 6 catalog, 200 graphs of n = 7 and the doubled graphs) the C loop
+expands 90 to 150 times as many nodes per second. It takes a node's least
+candidate a word at a time, from the two ends' color masks and a mask of
+the colors on any edge, which surjectivity consults. Both plans group
+twins in memory linear in n + m.
 """
 
 from __future__ import annotations
@@ -285,20 +312,6 @@ class SolveOutcome:
     interval_colorable: bool | None = None
     feasible_t_set: tuple[int, ...] = ()
     last_explored_t: int | None = None
-
-
-def _overfull(g: Graph, max_degree: int) -> bool:
-    """Whether m > Delta * floor(n/2), Delta = ``max_degree``, which rules
-    out every interval coloring.
-
-    Taking an interval coloring's colors mod Delta gives a proper
-    Delta-edge-coloring, since the colors at a vertex are at most Delta
-    consecutive integers and so stay distinct mod Delta. Each of its Delta
-    color classes is a matching of at most floor(n/2) edges, so m is at most
-    Delta * floor(n/2) (interval colorable implies class 1; Asratian and
-    Kamalian, JCTB 1994).
-    """
-    return g.m > max_degree * (g.n // 2)
 
 
 def _include_dir() -> str:
@@ -385,21 +398,22 @@ _STATUS = (SolveStatus.INFEASIBLE, SolveStatus.FOUND, SolveStatus.ABORTED)
 
 
 def _descend(
-    g: Graph, max_degree: int, top: int, bottom: int, node_limit: int
+    g: Graph, top: int, bottom: int, node_limit: int
 ) -> tuple[SolveStatus, EdgeColoring | None, int, int | None]:
-    """Decide palette sizes top, top - 1, ..., bottom until one is feasible,
-    for g of maximum degree ``max_degree``.
+    """Decide palette sizes top, top - 1, ..., bottom of g until one is
+    feasible.
 
     Returns (status, witness, nodes, last_explored): FOUND with the
     re-validated witness of the first feasible t, INFEASIBLE when every
     layer is, or ABORTED once the node limit (0 = unlimited), shared by all
-    layers, runs out. ``last_explored`` is the last t fully decided. Layers
-    above the ceiling are infeasible at 0 nodes, and an overfull graph gets
-    no plan. Every other graph takes one ``search`` call, which plans and
-    caps top at the ceiling, with or without the matrix.
+    layers, runs out. ``last_explored`` is the last t fully decided. A
+    nonempty range takes one ``search`` call, which decides a graph whose
+    degrees do not halve with no plan, and otherwise plans and caps top at
+    the ceiling, with or without the matrix: layers above it are infeasible
+    at 0 nodes.
     """
-    if top < bottom or _overfull(g, max_degree):  # no layer, or none below the ceiling
-        return SolveStatus.INFEASIBLE, None, 0, bottom if bottom <= top else None
+    if top < bottom:
+        return SolveStatus.INFEASIBLE, None, 0, None
     # No search reaches 2**63 - 1 nodes, the kernel's largest budget.
     code, nodes, last, colors = _native().search(
         g.n, g.edges, DISTANCE_MAX_M, top, bottom, min(node_limit, 2**63 - 1)
@@ -419,7 +433,7 @@ def find_interval_coloring(g: Graph, t: int, limits: SearchLimits | None = None)
     delta = require_connected_with_edge(g).max_degree
     if not delta <= t <= g.m:
         raise DomainError(f"t={t} outside the feasible range [{delta}, {g.m}]")
-    status, witness, nodes, _ = _descend(g, delta, t, t, limits.node_limit)
+    status, witness, nodes, _ = _descend(g, t, t, limits.node_limit)
     if witness is None:
         return SolveOutcome(status, nodes_expanded=nodes)
     return SolveOutcome(status, witness, nodes, interval_colorable=True, feasible_t_set=(t,))
@@ -441,7 +455,7 @@ def compute_W(g: Graph, limits: SearchLimits | None = None) -> SolveOutcome:
     if capped:
         cutoff = limits.t_override
     delta = cls.max_degree
-    status, witness, nodes, last = _descend(g, delta, cutoff, delta, limits.node_limit)
+    status, witness, nodes, last = _descend(g, cutoff, delta, limits.node_limit)
     if witness is None:
         colorable = None if capped or status is SolveStatus.ABORTED else False
         return SolveOutcome(

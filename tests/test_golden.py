@@ -31,9 +31,9 @@ from intervalcolor import (
 from intervalcolor.solver import outcome_to_json
 from conftest import force_python_path
 
-NODE_TOTALS = {2: 0, 3: 0, 4: 20, 5: 227}
+NODE_TOTALS = {2: 0, 3: 0, 4: 20, 5: 159}
 GOLDEN_LINES = 53
-GOLDEN_SHA256 = "0071035d16774fd48bfa9f511083c443f97f326948e83e49fcd414b487189b89"
+GOLDEN_SHA256 = "644388b8d31e2cca52a76150333038b816d202a54f22010b2c5aeb06a8951162"
 ANSWERS_SHA256 = "cced4f8c5b2423fc0308a1dc3c2c627e8fb71469feb07d49d235f97f21b240a4"
 
 

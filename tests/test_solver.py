@@ -39,14 +39,13 @@ from intervalcolor import (
 )
 from intervalcolor import _reference, solver
 from intervalcolor import graph as graph_module
-from intervalcolor._reference import _plan_py, _Plan, _search_py
+from intervalcolor._reference import _halves, _plan_py, _Plan, _search_py
 from intervalcolor.solver import (
     DISTANCE_MAX_M,
     _build_command,
     _build_target,
     _include_dir,
     _native,
-    _overfull,
     _STATUS,
     outcome_to_json,
 )
@@ -120,8 +119,9 @@ class TestFindIntervalColoring:
         # _classify_py makes the call's one _traverse and one degrees(). The
         # twins take n and the edges, as the kernel does, and build their own
         # Graph, so the Python path builds lists three times: for classify
-        # (142 graphs), for the search (the 137 that are not overfull) and,
-        # on g itself, for _report's check of each of the 121 witnesses.
+        # (142 graphs), for the plan (the 127 whose degrees halve, as the
+        # twin counts the degrees from the edges) and, on g itself, for
+        # _report's check of each of the 121 witnesses.
         assert _native() is not _reference
         sources = [g for n in range(2, 7) for g in catalogs[n]]
         deltas = [classify(g).max_degree for g in sources]
@@ -139,7 +139,7 @@ class TestFindIntervalColoring:
                 for g, delta in zip(graphs, deltas):
                     find_interval_coloring(g, delta)
             counts = len(traversed), len(indexed), len(degrees)
-            assert counts == ((0, 0, 0) if native else (142, 142 + 137 + 121, 142)), native
+            assert counts == ((0, 0, 0) if native else (142, 142 + 127 + 121, 142)), native
 
     @pytest.mark.parametrize("native", [True, False], ids=["kernel", "python"])
     def test_palette_arguments_are_plain_ints(self, native, monkeypatch):
@@ -199,8 +199,8 @@ class TestComputeW:
                         compute_W(g)
 
     def test_builds_the_degrees_once(self, catalogs):
-        # classify's degrees also give the descent's bottom and the overfull
-        # test, and both plans count the degrees from the adjacency: the
+        # classify's degrees also give the descent's bottom, and both
+        # searches count their own, for the halving test and the plan: the
         # kernel's classify counts them itself, _classify_py calls degrees().
         assert _native() is not _reference
         sources = [g for n in range(2, 7) for g in catalogs[n]]
@@ -226,7 +226,7 @@ class TestComputeW:
         monkeypatch.setattr(kernel, "search", counted(kernel.search, searches))
         monkeypatch.setattr(_reference, "_plan_py", counted(_plan_py, plans))
         graphs = [g for n in range(2, 7) for g in catalogs[n]] + doubled_graphs
-        graphs = [g for g in graphs if not _overfull(g, g.max_degree)]
+        graphs = [g for g in graphs if _halves(g.degrees(), g.m)]
         for g in graphs:
             compute_W(g)
         assert max(g.m for g in graphs) <= DISTANCE_MAX_M
@@ -237,8 +237,10 @@ class TestComputeW:
         # n7_capped benchmark runs it: each graph either aborts or gives the
         # uncapped W and witness. Among the decided are FBn~w (W = 8) and
         # FJfvw (W = 7), whose rows in bench/reference/n7_cap300000.csv read
-        # aborted, so the benchmark does not check their W. The kernel
-        # alone, as the uncapped run takes the Python loop about 10 s.
+        # aborted, so the benchmark does not check their W, and the 67
+        # graphs whose degrees do not halve, at 0 nodes each; searched, 19
+        # of them aborted. The kernel alone, as the uncapped run takes the
+        # Python loop about 10 s.
         assert _native() is not _reference
         decided = {}
         for g in generate_connected_catalog(7):
@@ -248,7 +250,7 @@ class TestComputeW:
             full = compute_W(g)
             assert (capped.status, capped.w, capped.witness) == (full.status, full.w, full.witness)
             decided[g] = capped.w
-        assert len(decided) == 804
+        assert len(decided) == 823
         assert decided[parse_graph6("FBn~w")] == 8 and decided[parse_graph6("FJfvw")] == 7
 
     def test_k2(self):
@@ -455,9 +457,9 @@ def searches(search, g: Graph, t: int) -> bool:
 
 
 def exact_ceiling(g: Graph) -> int:
-    """min(m, 1 + max D), read from the kernel's ``search``, or 0 for an
-    overfull graph, which the descent never searches."""
-    if _overfull(g, g.max_degree):
+    """min(m, 1 + max D), read from the kernel's ``search``, or 0 for a
+    graph whose degrees do not halve, which it never searches."""
+    if not _halves(g.degrees(), g.m):
         return 0
     return next(t for t in range(g.m, 0, -1) if searches(_native().search, g, t))
 
@@ -513,7 +515,8 @@ def int32s(data: bytes) -> list[int]:
 
 class TestProvenCeiling:
     def test_hand_computed_ceilings(self):
-        # overfull (m > Delta * floor(n/2)): K3, K5, C5
+        # degrees that do not halve: K3, K5, C5 (all overfull, m > Delta *
+        # floor(n/2))
         assert [exact_ceiling(g) for g in (k3(), k5(), cycle(5))] == [0, 0, 0]
         # a path's edge count, a star's leaf count and C4's are W itself
         assert exact_ceiling(k2()) == 1
@@ -527,9 +530,9 @@ class TestProvenCeiling:
         # twins' search applies with the matrix and without it (max_m = 0),
         # where it stops reading rows once the ceiling reaches top: exact
         # below top, and not below the ceiling at or above it, so the layer
-        # top is searched exactly when top <= min(m, 1 + max D): without the
-        # matrix its one node is spent, and with it the result is the
-        # uncapped loop's, or the empty one above the cap. The kernel's
+        # top is searched exactly when the degrees halve and top <= min(m,
+        # 1 + max D): without the matrix its one node is spent, and with it
+        # the result is the uncapped loop's, or the empty one. The kernel's
         # matrix is checked against _plan_py's through its search
         # (test_plans_agree).
         for n in range(2, 7):
@@ -540,20 +543,20 @@ class TestProvenCeiling:
                 found = (int32s(plan.dist), plan.longest)
                 assert found == (expected, max(expected)), g.edges
                 exact = 1 + max(expected)
-                overfull = g.m > g.max_degree * (n // 2)
-                assert exact_ceiling(g) == (0 if overfull else min(g.m, exact)), g.edges
+                halves = _halves(g.degrees(), g.m)
+                assert exact_ceiling(g) == (min(g.m, exact) if halves else 0), g.edges
                 for search, top in product(
                     (_native().search, _reference.search), range(1, exact + 2)
                 ):
-                    searched = top <= min(g.m, exact)
+                    searched = halves and top <= min(g.m, exact)
                     assert searches(search, g, top) == searched, (g.edges, search, top)
                     uncapped = _search_py(g.n, *plan[:6], top, top, 1) if searched else None
                     found = search(g.n, g.edges, DISTANCE_MAX_M, top, top, 1)
                     assert found == (uncapped or (0, 0, top, [])), (g.edges, search, top)
 
     def test_past_the_matrix_one_row_can_settle_the_ceiling(self, monkeypatch):
-        # K33 (528 edges, every D 31 or 62, so each row reaches the ceiling
-        # 63) and a caterpillar of 600 edges whose first BFS edge, (0, 1),
+        # K34 (561 edges, every D 32 or 64, so each row reaches the ceiling
+        # 65) and a caterpillar of 600 edges whose first BFS edge, (0, 1),
         # ends its longest path (a spine 1 .. 300 with leaf 0; vertex 1,
         # of degree 4, has two more leaves and each inner spine vertex one),
         # so that row 0 reaches the ceiling m. Past DISTANCE_MAX_M neither
@@ -561,7 +564,7 @@ class TestProvenCeiling:
         # twins search it after reading one row, which the Python twin's
         # count of rows shows; one above it, they read every row and
         # search nothing.
-        k33 = Graph(33, tuple(combinations(range(33), 2)))
+        k34 = Graph(34, tuple(combinations(range(34), 2)))
         spine = [(i, i + 1) for i in range(1, 300)]
         leaves = [(0, 1), (1, 301), (1, 302)] + [(i, 301 + i) for i in range(2, 300)]
         caterpillar = Graph(601, tuple(spine + leaves))
@@ -574,7 +577,7 @@ class TestProvenCeiling:
                 yield row
 
         monkeypatch.setattr(_reference, "_distance_rows", counted_rows)
-        for g, ceiling in ((k33, 63), (caterpillar, 600)):
+        for g, ceiling in ((k34, 65), (caterpillar, 600)):
             assert g.m > DISTANCE_MAX_M and _plan_py(g).dist == b""
             for top, read in ((ceiling, 1), (ceiling + 1, g.m)):
                 rows.clear()
@@ -589,27 +592,43 @@ class TestProvenCeiling:
         layer = find_interval_coloring(k4(), 6)
         assert (layer.status, layer.nodes_expanded) == (SolveStatus.INFEASIBLE, 0)
 
-    def test_an_overfull_graph_gets_no_plan(self, monkeypatch):
-        # Neither the kernel's search, which plans, nor _plan_py may run.
-        def refuse(*args):
-            raise AssertionError("an overfull graph was planned")
+    def test_degrees_that_do_not_halve_get_no_plan(self, monkeypatch):
+        # A triangle and a 4-cycle sharing vertex 0: n = 6, m = 7, degrees
+        # 4, 2, 2, 2, 2, 2, all even, so no sub-multiset sums to 7. It is
+        # not overfull (7 <= 4 * 3), and the search took 31 nodes to prove
+        # it infeasible. Both searches decide it with _plan_py refusing to
+        # run, and K33 too (m = 528, every degree 32), reading no row of D
+        # past the matrix.
+        g = Graph(6, ((0, 1), (0, 2), (1, 2), (0, 3), (3, 4), (4, 5), (0, 5)))
+        k33 = Graph(33, tuple(combinations(range(33), 2)))
+        assert g.m <= g.max_degree * (g.n // 2)
+        with monkeypatch.context() as patch:
+            patch.setattr(_reference, "_halves", lambda deg, m: True)
+            force_python_path(patch)
+            assert compute_W(g).nodes_expanded == 31
 
-        kernel = _native()
-        monkeypatch.setattr(kernel, "search", refuse)
+        def refuse(*args):
+            raise AssertionError("a graph whose degrees do not halve was planned")
+
         monkeypatch.setattr(_reference, "_plan_py", refuse)
-        for native in (kernel, _reference):
+        monkeypatch.setattr(_reference, "_distance_rows", refuse)
+        for native in (_native(), _reference):
+            assert native.search(g.n, g.edges, DISTANCE_MAX_M, 7, 3, 0) == (0, 0, 3, [])
+            assert native.search(k33.n, k33.edges, DISTANCE_MAX_M, 63, 32, 1) == (0, 0, 32, [])
             monkeypatch.setattr(solver, "_native", lambda: native)
-            out = compute_W(k3())
+            out = compute_W(g)
             assert (out.status, out.nodes_expanded, out.last_explored_t) == (
-                SolveStatus.INFEASIBLE, 0, 2
+                SolveStatus.INFEASIBLE, 0, 4
             )
-            assert find_interval_coloring(k5(), 4).status is SolveStatus.INFEASIBLE
+            assert out.interval_colorable is False
+            layer = find_interval_coloring(g, 5)
+            assert (layer.status, layer.nodes_expanded) == (SolveStatus.INFEASIBLE, 0)
 
     def test_oracle_never_exceeds_ceiling(self, catalogs):
         # Every graph with n <= 5 (all have m <= 10) and with n = 6, m <= 8;
         # n = 6 with m = 9 or 10 would add about 90 s of enumeration. Where
         # the ceiling is at least the oracle's t_max the check is vacuous.
-        checked = overfull = 0
+        checked = unhalved = 0
         for n in range(2, 7):
             for g in catalogs[n]:
                 ceiling = exact_ceiling(g)
@@ -621,8 +640,8 @@ class TestProvenCeiling:
                 checked += 1
                 if ceiling == 0:
                     assert bf.interval_colorable is False
-                    overfull += 1
-        assert checked >= 50 and overfull >= 4
+                    unhalved += 1
+        assert checked >= 50 and unhalved >= 4
 
     def test_registry_cutoffs_hold_by_search(self, catalogs):
         # Between the registry cutoff and the self-proving ceiling min(m,
@@ -988,14 +1007,19 @@ class TestNativeKernel:
         # Ranges from each of the three tops at and below min(m, ceiling)
         # down to the maximum degree, the budget unlimited, small, or spent
         # exactly at the end of a layer, so that the next one aborts before
-        # its first node. The descent never searches an overfull graph (K3,
-        # K5, C5, ...), but the search decides its plan's layers too.
-        ranges = boundaries = overfull = 0
+        # its first node. A graph whose degrees do not halve (K3, K5, C5,
+        # ...) gets the empty result from every range, budget or none.
+        ranges = boundaries = unhalved = 0
         for g in [g for n in range(2, 7) for g in catalogs[n] if g.m] + doubled_graphs:
             plan = _plan_py(g)
             delta = g.max_degree
-            overfull += _overfull(g, delta)
             high = min(g.m, 1 + plan.longest)
+            if not _halves(g.degrees(), g.m):
+                for top, budget in product(range(delta, high + 1), (0, 1)):
+                    found = both_searches(g, top, delta, budget, DISTANCE_MAX_M)
+                    assert found == ((0, 0, delta, []),) * 2, (g.edges, top, budget)
+                unhalved += 1
+                continue
             for top in range(max(delta, high - 2), high + 1):
                 ends_at = set()  # the nodes spent when each layer is decided
                 for t in range(top, delta - 1, -1):
@@ -1011,7 +1035,7 @@ class TestNativeKernel:
                     if budget in ends_at and budget and expected[0] == 2:
                         assert expected[1] == budget and not any(expected[3])
                         boundaries += 1
-        assert (ranges, boundaries, overfull) == (2462, 237, 5)
+        assert (ranges, boundaries, unhalved) == (2211, 183, 15)
 
     def test_ranges_agree_past_the_distance_matrix(self):
         # Caterpillars of 513 and 600 edges, past DISTANCE_MAX_M, so the
@@ -1073,15 +1097,15 @@ class TestNativeKernel:
     def test_descent_agrees_with_t_override_below_the_ceiling(self, catalogs, doubled_graphs):
         # compute_W with the cutoff capped below the registry bound and the
         # ceiling, on both implementations, with budgets that abort in the
-        # middle of a layer and at a layer's end.
+        # middle of a layer and at a layer's end. A graph whose degrees do
+        # not halve is infeasible at 0 nodes under every cap and budget.
         checked = 0
         for g in [g for n in range(3, 7) for g in catalogs[n]] + doubled_graphs:
-            if _overfull(g, g.max_degree):
-                continue
             plan = _plan_py(g)
-            cap = min(best_upper_bound(g, classify(g)), exact_ceiling(g)) - 1
+            cap = min(best_upper_bound(g, classify(g)), g.m, 1 + plan.longest) - 1
             if cap < g.max_degree:
                 continue
+            halves = _halves(g.degrees(), g.m)
             first = _search_py(*layer_args(g, plan, cap, 0))[1]
             for budget in (0, 3, first, first + 1):
                 limits = SearchLimits(node_limit=budget, t_override=cap)
@@ -1092,7 +1116,10 @@ class TestNativeKernel:
                             force_python_path(patch)
                         outcomes.append(compute_W(g, limits))
                 assert outcomes[0] == outcomes[1], (g.edges, budget)
-                status, nodes, last, colors = layer_by_layer(g, plan, cap, g.max_degree, budget)
+                status, nodes, last, colors = (
+                    layer_by_layer(g, plan, cap, g.max_degree, budget)
+                    if halves else (0, 0, g.max_degree, [])
+                )
                 out = outcomes[0]
                 assert (out.status, out.nodes_expanded) == (_STATUS[status], nodes)
                 if status == 1:
@@ -1101,7 +1128,7 @@ class TestNativeKernel:
                     assert out.last_explored_t == (last if last <= cap else None)
                     assert out.interval_colorable is None
                 checked += 1
-        assert checked == 4 * 155
+        assert checked == 4 * 159
 
     def test_agrees_on_n7_layers(self):
         layers = 0
@@ -1153,8 +1180,8 @@ class TestNativeKernel:
 
     def test_ctrl_c_stops_a_long_search(self):
         # Uncapped, compute_W on this graph runs far longer than this test
-        # waits: networkx's gnp_random_graph(12, 0.6, seed=0), which is not
-        # overfull and has no automorphism but the identity, so that no
+        # waits: networkx's gnp_random_graph(12, 0.6, seed=0), whose degrees
+        # halve and which has no automorphism but the identity, so that no
         # symmetry cut can shorten its search.
         self.seconds_to_interrupt("g = parse_graph6('KMeF`]~dsTJJ')", "SearchLimits()")
 
@@ -1428,6 +1455,8 @@ class TestAnchor:
         # layer, spread over it), against one _search_py call per layer.
         aborted = 0
         for g in [g for n in range(2, 7) for g in catalogs[n] if g.m] + doubled_graphs:
+            if not _halves(g.degrees(), g.m):
+                continue  # searched by neither (test_ranges_agree_with_one_call_per_layer)
             plan = _plan_py(g)
             top = min(g.m, 1 + plan.longest)
             spent = 0
@@ -1444,7 +1473,7 @@ class TestAnchor:
                 spent += nodes
                 if status:
                     break
-        assert aborted == 1601
+        assert aborted == 1510
 
     def test_symmetric_families(self, monkeypatch):
         # W(Q3) = 6 and W(Q4) = 10 = d(d + 1) / 2; W(K_{a,b}) = a + b - 1
@@ -1624,3 +1653,113 @@ class TestExactCover:
                 feasible += expected
         assert (layers, feasible) == (636, 260)
 
+
+
+class TestHalving:
+    """The halving test of both searches: some sub-multiset of an interval
+    colorable graph's degrees sums to m, so a graph where none does gets
+    (0, 0, bottom, []) with no plan (solver's docstring)."""
+
+    SEARCHES = {"kernel": lambda: _native().search, "python": lambda: _reference.search}
+
+    @pytest.fixture(scope="class")
+    def catalogs7(self, catalogs) -> dict[int, list[Graph]]:
+        return {**catalogs, 7: list(generate_connected_catalog(7))}
+
+    @staticmethod
+    def rejected(search, g: Graph) -> bool:
+        """Whether ``search`` decides g with no plan: its layer Delta, which
+        no cap empties, without the matrix and with one node, spends none."""
+        return not searches(search, g, g.max_degree)
+
+    @staticmethod
+    def subset_sums(deg: list[int]) -> set[int]:
+        sums = {0}
+        for d in deg:
+            sums |= {s + d for s in sums}
+        return sums
+
+    @pytest.mark.parametrize("name", SEARCHES)
+    def test_counts_per_n(self, name, catalogs7):
+        search = self.SEARCHES[name]()
+        counts = []
+        for n in range(2, 8):
+            rejected = [g for g in catalogs7[n] if self.rejected(search, g)]
+            assert rejected == [g for g in catalogs7[n] if not _halves(g.degrees(), g.m)], n
+            counts.append(len(rejected))
+        assert counts == [0, 1, 0, 6, 8, 67]
+
+    def test_rejected_graphs_are_infeasible_by_exact_cover(self, catalogs):
+        # Every layer from the maximum degree to m of the 15 graphs with
+        # n <= 6 that both searches reject.
+        layers = 0
+        for g in [g for n in range(2, 7) for g in catalogs[n]]:
+            verdicts = {self.rejected(self.SEARCHES[name](), g) for name in self.SEARCHES}
+            assert len(verdicts) == 1, g.edges
+            if verdicts == {True}:
+                for t in range(g.max_degree, g.m + 1):
+                    assert not interval_colorable(g, t), (g.edges, t)
+                    layers += 1
+        assert layers == 85
+
+    @pytest.mark.parametrize("name", SEARCHES)
+    def test_every_overfull_graph_is_rejected(self, name, catalogs7):
+        # m > Delta * floor(n/2) leaves no split: the side of at most
+        # floor(n/2) vertices sums to less than m.
+        search = self.SEARCHES[name]()
+        overfull = [
+            g for n in range(2, 8) for g in catalogs7[n] if g.m > g.max_degree * (g.n // 2)
+        ]
+        assert len(overfull) == 32
+        assert all(self.rejected(search, g) for g in overfull)
+
+    def test_the_petersen_graph_is_still_searched(self):
+        # 3-regular on 10 vertices: any 5 vertices sum to m = 15, yet it has
+        # no interval coloring.
+        g = petersen()
+        assert _halves(g.degrees(), g.m)
+        for native in (True, False):
+            with pytest.MonkeyPatch.context() as patch:
+                if not native:
+                    force_python_path(patch)
+                out = compute_W(g)
+            assert (out.status, out.nodes_expanded) == (SolveStatus.INFEASIBLE, 417), native
+
+    def test_agrees_with_subset_sums_past_one_word(self):
+        # Seeded graphs with m from 20 to 300, so that the kernel's bitset
+        # spans up to five words: gnp graphs, which mostly halve, and unions
+        # of cycles, whose even degrees never sum to an odd m. Both searches
+        # reject exactly where no subset of the degrees sums to m.
+        rng = random.Random(35)
+        graphs = []
+        while len(graphs) < 60:
+            n = rng.randrange(8, 40)
+            if len(graphs) % 2:
+                edges, size = set(), rng.randrange(n, 4 * n)
+                while len(edges) < size:
+                    cycle_ = rng.sample(range(n), rng.randrange(3, n + 1))
+                    pairs = {tuple(sorted(p)) for p in zip(cycle_, cycle_[1:] + cycle_[:1])}
+                    if not pairs & edges:
+                        edges |= pairs
+            else:
+                p = rng.uniform(0.1, 0.6)
+                edges = nx.gnp_random_graph(n, p, seed=rng.randrange(10**6)).edges()
+            g = Graph(n, tuple(edges))
+            if is_connected(g) and 20 <= g.m <= 300:
+                graphs.append(g)
+        verdicts = []
+        for g in graphs:
+            expected = g.m not in self.subset_sums(g.degrees())
+            assert _halves(g.degrees(), g.m) is not expected, g.edges
+            for name, search in self.SEARCHES.items():
+                assert self.rejected(search(), g) is expected, (name, g.edges)
+            verdicts.append(expected)
+        assert (sum(verdicts), max(g.m for g in graphs)) == (16, 295)
+
+    def test_a_long_path_halves(self):
+        # 100,000 vertices, m = 99,999 and a bitset of 1,563 words: the two
+        # degrees, 1 twice and 2 99,998 times, enter as 19 items, and the
+        # layer is searched. The kernel alone.
+        path = Graph(100_000, tuple((i, i + 1) for i in range(99_999)))
+        assert _halves(path.degrees(), path.m)
+        assert searches(_native().search, path, 2)
