@@ -2,12 +2,12 @@
 where ``_search.c`` cannot be built or loaded (no compiler, no headers, a
 read-only install), so that no caller asks which one it has.
 
-It has the kernel's eight entries, with the kernel's arguments and results.
-``search``, ``automorphisms``, ``classify`` and ``extend`` run the Python
-references of the kernel's loops: the halving test, the search plan,
-with its automorphism harvest, and loop (``_halves``, ``_plan_py``,
-``_harvest``, ``_search_py``), the classification (``_classify_py``) and
-a catalog level (``extend``, with its canonical search ``_min_code_py``).
+It has the kernel's seven entries, with the kernel's arguments and results.
+``search``, ``classify`` and ``extend`` run the Python references of the
+kernel's loops: the halving test, the search plan, with its automorphism
+harvest, and loop (``_halves``, ``_plan_py``, ``_harvest``,
+``_search_py``), the classification (``_classify_py``) and a catalog level
+(``extend``, with its canonical search ``_min_code_py``).
 They take the graph as the kernel does, as n and canonical edges, and
 build their own ``Graph`` from them.
 ``index_graph``, ``in_palette``, ``interval_ok`` and ``double`` always
@@ -332,12 +332,6 @@ def search(
             if longest + 1 >= top:
                 break
     return _search_py(n, *plan[:6], min(top, g.m, 1 + longest), bottom, budget)
-
-
-def automorphisms(n: int, edges: Sequence[tuple[int, int]], max_m: int) -> list[tuple[int, ...]]:
-    """The kernel's ``automorphisms``: what ``_harvest`` finds for
-    ``_plan_py``'s plan."""
-    return _plan_and_harvest(Graph(n, edges), max_m)[1]
 
 
 def _anchored(pairs: int, m: int) -> bool:

@@ -6,7 +6,7 @@
  * the structural classification of graph.classify
  * (_reference._classify_py) and the catalog level of
  * _reference.extend. _reference is this module's Python twin, with the
- * same eight entries and arguments, which solver._native returns where
+ * same seven entries and arguments, which solver._native returns where
  * this module cannot be built or loaded.
  *
  * search(n, edges, max_m, top, bottom, budget) -> (status, nodes, last, colors)
@@ -117,13 +117,6 @@
  * once. The sweep skips the pairs the symmetry rules rule out: every e with
  * a floor, and every (e, f) with f in edge 0's orbit and e != 0. The proof
  * is in solver.py's docstring.
- *
- * automorphisms(n, edges, max_m) -> [images, ...]
- *
- * The automorphisms that search's plan harvests for the same n, edges and
- * max_m, each as a tuple of the n vertices' images, in the order found:
- * _reference.automorphisms's list. Malformed input raises ValueError as for
- * search, naming this entry.
  *
  * interval_ok(n, edges, colors, t) -> bool
  *
@@ -654,15 +647,13 @@ static void join(Py_ssize_t *parent, Py_ssize_t x, Py_ssize_t y)
 /* The symmetry rules as make_plan collects them: the orbit rule's floors,
  * each as its edge j and code 2 i + step (c(j) >= c(i) + step), in the
  * order found, and a union-find over the edges' BFS positions whose class
- * of 0 is edge 0's orbit. found, when not NULL, gets each harvested
- * automorphism as a tuple of images (automorphisms()). */
+ * of 0 is edge 0's orbit. */
 typedef struct {
     Py_ssize_t m, floors;
     const long long *ends;
     const Py_ssize_t *start, *nbr, *inc, *position;
     Py_ssize_t *orbit, *image;
     long long *floor_at, *floor_code;
-    PyObject *found;
 } Symmetry;
 
 /* The BFS position of edge vu, u one of v's increasing neighbours. */
@@ -702,10 +693,10 @@ static void twin_swap(Symmetry *y, Py_ssize_t x, Py_ssize_t v)
     }
 }
 
-/* Takes the automorphism sigma, of n vertices: joins each edge to its image
- * and adds the orbit rule's floor on the edge that the first moved edge
- * receives (only K2's swap moves no edge); -1 with an exception set. */
-static int record(Symmetry *y, const Py_ssize_t *sigma, Py_ssize_t n)
+/* Takes the automorphism sigma: joins each edge to its image and adds the
+ * orbit rule's floor on the edge that the first moved edge receives (only
+ * K2's swap moves no edge). */
+static void record(Symmetry *y, const Py_ssize_t *sigma)
 {
     const long long *ends = y->ends;
     Py_ssize_t first = -1, j = 0;
@@ -724,19 +715,6 @@ static int record(Symmetry *y, const Py_ssize_t *sigma, Py_ssize_t n)
         y->floor_at[y->floors] = j;
         y->floor_code[y->floors++] = 2 * first + share;
     }
-    if (!y->found)
-        return 0;
-    PyObject *tuple = PyTuple_New(n);
-    for (Py_ssize_t v = 0; tuple && v < n; v++) {
-        PyObject *image = PyLong_FromSsize_t(sigma[v]);
-        if (!image)
-            Py_CLEAR(tuple);
-        else
-            PyTuple_SET_ITEM(tuple, v, image);
-    }
-    int failed = !tuple || PyList_Append(y->found, tuple);
-    Py_XDECREF(tuple);
-    return -failed;
 }
 
 /* The harvest's bound on its work, walk comparisons, as
@@ -828,8 +806,7 @@ static int harvest(Symmetry *y, Py_ssize_t n, const long long *deg, const Py_ssi
             }
             if (k < n)
                 continue;
-            if (record(y, sigma, n))
-                return -1;
+            record(y, sigma);
             for (Py_ssize_t v = 0; v < n; v++)
                 join(root, v, sigma[v]);
         }
@@ -852,18 +829,17 @@ typedef struct {
     int32_t *dist;
 } Plan;
 
-/* Builds out for search(), with the harvested automorphisms appended to
- * found when it is not NULL; -1 with an exception set, whose message names
- * entry. With halve set, a graph whose degrees halves() rejects gets no
- * plan past the BFS that checks it is connected: 1, out left unset. */
-static int make_plan(Scratch *s, const char *entry, Py_ssize_t n, PyObject *edges_obj,
-                     Py_ssize_t max_m, long long top, int halve, Plan *out, PyObject *found)
+/* Builds out for search(); -1 with an exception set. A graph whose degrees
+ * halves() rejects gets no plan past the BFS that checks it is connected:
+ * 1, out left unset. */
+static int make_plan(Scratch *s, Py_ssize_t n, PyObject *edges_obj, Py_ssize_t max_m,
+                     long long top, Plan *out)
 {
     Py_ssize_t m = PyObject_Length(edges_obj);
     if (m < 0)
         return -1;
     if (n < 1 || m < 1 || max_m < 0) {
-        PyErr_Format(PyExc_ValueError, "%s: n, edges or max_m out of range", entry);
+        PyErr_SetString(PyExc_ValueError, "search: n, edges or max_m out of range");
         return -1;
     }
     /* A larger matrix would take over 2^60 bytes; this bound also keeps the
@@ -885,7 +861,7 @@ static int make_plan(Scratch *s, const char *entry, Py_ssize_t n, PyObject *edge
     Py_ssize_t *parent = take(s, n, 1, sizeof(Py_ssize_t));
     if (s->failed)
         return -1;
-    if (read_edges(edges_obj, n, m, edges, entry))
+    if (read_edges(edges_obj, n, m, edges, "search"))
         return -1;
     adjacency(n, m, edges, deg, start, nbr, inc);
     Py_ssize_t root = 0;
@@ -914,10 +890,10 @@ static int make_plan(Scratch *s, const char *entry, Py_ssize_t n, PyObject *edge
         }
     }
     if (tail < n) {
-        PyErr_Format(PyExc_ValueError, "%s: the graph must be connected", entry);
+        PyErr_SetString(PyExc_ValueError, "search: the graph must be connected");
         return -1;
     }
-    int halved = halve ? halves(s, n, m, deg) : 1;
+    int halved = halves(s, n, m, deg);
     if (halved <= 0)
         return halved ? -1 : 1;
 
@@ -977,8 +953,7 @@ static int make_plan(Scratch *s, const char *entry, Py_ssize_t n, PyObject *edge
      * swaps with the twin before generate every swap of a class, so they
      * join edge 0's orbit as all of them would, and next links them for the
      * harvest. */
-    Symmetry y = {m, 0, ends, start, nbr, inc, position, edge_root, image, floor_at, floor_code,
-                  found};
+    Symmetry y = {m, 0, ends, start, nbr, inc, position, edge_root, image, floor_at, floor_code};
     for (Py_ssize_t i = 0; i < n; i++) {
         Py_ssize_t v = visit[i], c = group[v], before = c >= 0 ? latest[c] : -1;
         if (c >= 0)
@@ -1241,7 +1216,7 @@ static PyObject *search(PyObject *self, PyObject *args)
     PyObject *result = NULL;
     Scratch s = {0};
     Plan p;
-    int unplanned = make_plan(&s, "search", n, edges_obj, max_m, top, 1, &p, NULL);
+    int unplanned = make_plan(&s, n, edges_obj, max_m, top, &p);
     if (unplanned < 0)
         goto done;
     /* No layer of a graph whose degrees cannot be halved, above m
@@ -1326,21 +1301,6 @@ static PyObject *search(PyObject *self, PyObject *args)
 done:
     release(&s);
     return result;
-}
-
-static PyObject *automorphisms(PyObject *self, PyObject *args)
-{
-    Py_ssize_t n, max_m;
-    PyObject *edges_obj;
-    if (!PyArg_ParseTuple(args, "nOn", &n, &edges_obj, &max_m))
-        return NULL;
-    PyObject *found = PyList_New(0);
-    Scratch s = {0};
-    Plan p;
-    if (found && make_plan(&s, "automorphisms", n, edges_obj, max_m, LLONG_MAX, 0, &p, found))
-        Py_CLEAR(found);
-    release(&s);
-    return found;
 }
 
 /* Whether colors, one per edge in 1..t, is an interval t-coloring of the
@@ -2115,8 +2075,6 @@ done:
 static PyMethodDef methods[] = {
     {"search", search, METH_VARARGS,
      "search(n, edges, max_m, top, bottom, budget) -> (status, nodes, last, colors)"},
-    {"automorphisms", automorphisms, METH_VARARGS,
-     "automorphisms(n, edges, max_m) -> [images, ...]"},
     {"interval_ok", interval_ok, METH_VARARGS, "interval_ok(n, edges, colors, t) -> bool"},
     {"double", double_cover, METH_VARARGS,
      "double(n, edges, colors, t, pairs, provenance) -> (h_edges, provenance, beta, i0, final) "

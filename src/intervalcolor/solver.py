@@ -349,10 +349,9 @@ def _native():
     ``_reference`` where that cannot be built or loaded.
 
     This is where the package chooses, once per process. Both modules have
-    the same eight entries, with the same arguments and results: ``search``
-    (which plans), ``automorphisms`` (the plan's harvest, for the tests),
-    ``classify``, ``extend``, ``index_graph``, ``in_palette``,
-    ``interval_ok`` and ``double``. Every caller runs
+    the same seven entries, with the same arguments and results: ``search``
+    (which plans), ``classify``, ``extend``, ``index_graph``,
+    ``in_palette``, ``interval_ok`` and ``double``. Every caller runs
     ``_native().<entry>(...)``, and where an entry declines (None or
     False), its own Python code. The C module is built on first use into
     the package's ``__pycache__``, under the name ``_build_target`` gives,

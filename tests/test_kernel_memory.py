@@ -53,14 +53,13 @@ def calls_and_references():
     # A triangle and a 4-cycle sharing vertex 0, whose degrees do not halve:
     # the search stops after the halving test's buffers.
     unhalved = Graph(6, ((0, 1), (0, 2), (1, 2), (0, 3), (3, 4), (4, 5), (0, 5)))
-    # The Petersen graph's harvest finds automorphisms, so these reach
-    # every buffer of the plan, the harvest's and the floors' included, and
-    # the tuples that automorphisms builds.
+    # The Petersen graph's harvest finds automorphisms, so the search with
+    # the matrix reaches every buffer of the plan, the harvest's and the
+    # floors' included.
     calls = {
         "search with dist": lambda: kernel.search(n, edges, DISTANCE_MAX_M, 6, 3, 0),
         "search without dist": lambda: kernel.search(n, edges, 0, 6, 3, 0),
         "search unhalved": lambda: kernel.search(6, unhalved.edges, DISTANCE_MAX_M, 7, 4, 0),
-        "automorphisms": lambda: kernel.automorphisms(n, edges, DISTANCE_MAX_M),
         "interval_ok": lambda: kernel.interval_ok(square.n, square.edges, alpha, 3),
         "double": lambda: kernel.double(square.n, square.edges, alpha, 3, _PAIRS, table),
         "in_palette": lambda: kernel.in_palette(3, alpha),
@@ -70,7 +69,7 @@ def calls_and_references():
         "extend": lambda: kernel.extend(4, [(0b110, 0b101, 0b011), (0b010, 0b101, 0b010)]),
     }
     references = {name: call() for name, call in calls.items()}
-    assert references["automorphisms"]
+    assert _reference._plan_and_harvest(petersen, DISTANCE_MAX_M)[1]
     return calls, references
 
 

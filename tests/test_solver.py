@@ -14,6 +14,7 @@ import time
 import tracemalloc
 from array import array
 from itertools import combinations, product
+from math import gcd
 from pathlib import Path
 
 import networkx as nx
@@ -31,6 +32,7 @@ from intervalcolor import (
     best_upper_bound,
     classify,
     compute_W,
+    double_with_certificate,
     find_interval_coloring,
     generate_connected_catalog,
     is_connected,
@@ -39,7 +41,7 @@ from intervalcolor import (
 )
 from intervalcolor import _reference, solver
 from intervalcolor import graph as graph_module
-from intervalcolor._reference import _halves, _plan_py, _Plan, _search_py
+from intervalcolor._reference import _halves, _plan_and_harvest, _plan_py, _Plan, _search_py
 from intervalcolor.solver import (
     DISTANCE_MAX_M,
     _build_command,
@@ -980,7 +982,7 @@ class TestNativeKernel:
         # methods[] docstring names.
         kernel = _native()
         entries = [name for name in dir(kernel) if not name.startswith("_")]
-        assert len(entries) == 8
+        assert len(entries) == 7
         for name in entries:
             named = re.match(rf"{name}\((.*?)\)", getattr(kernel, name).__doc__)
             twin = getattr(_reference, name)
@@ -1276,20 +1278,14 @@ class TestNativeKernel:
             assert native == reference and native[:3] == (2, 1, t + 1), g.n
 
     def test_plan_rejects_malformed_input(self):
-        # Edges, vertex count and max_m as the search reads them to plan,
-        # and as automorphisms reads them, whose messages name it.
-        kernel = _native()
-        calls = {
-            "search": lambda n, edges, max_m: kernel.search(n, edges, max_m, 3, 1, 0),
-            "automorphisms": kernel.automorphisms,
-        }
-        for (entry, call), (n, bad, message) in product(calls.items(), MALFORMED_EDGES):
+        # Edges, vertex count and max_m as the search reads them to plan.
+        search = _native().search
+        for n, bad, message in MALFORMED_EDGES:
             with pytest.raises(ValueError) as refused:
-                call(n, bad, DISTANCE_MAX_M)
-            assert str(refused.value) == message.replace("search", entry, 1), (entry, bad)
-        for entry, call in calls.items():
-            with pytest.raises(ValueError, match=OUT_OF_RANGE.replace("search", entry, 1)):
-                call(4, c4().edges, -1)
+                search(n, bad, DISTANCE_MAX_M, 3, 1, 0)
+            assert str(refused.value) == message, bad
+        with pytest.raises(ValueError, match=OUT_OF_RANGE):
+            search(4, c4().edges, -1, 3, 1, 0)
 
     def test_agrees_on_both_sides_of_the_distance_threshold(self):
         # Paths of DISTANCE_MAX_M and DISTANCE_MAX_M + 1 edges: the first
@@ -1502,6 +1498,45 @@ class TestAnchor:
             assert (out.status, out.nodes_expanded) == (SolveStatus.INFEASIBLE, nodes), t
 
 
+class TestFamilies:
+    """Families whose interval colorings the literature gives, against the
+    search: the infeasible layers below W, and constructions below it."""
+
+    def test_complete_bipartite_feasible_sets_are_kamalians(self):
+        # Kamalian (1989): K_{a,b} has an interval t-coloring exactly for
+        # a + b - gcd(a, b) <= t <= a + b - 1. Every layer from b, the
+        # maximum degree, to ab, for 1 <= a <= b, a <= 5 and b <= 6.
+        for a in range(1, 6):
+            for b in range(a, 7):
+                g = complete_bipartite(a, b)
+                feasible = [t for t in range(b, a * b + 1)
+                            if find_interval_coloring(g, t).status is SolveStatus.FOUND]
+                assert feasible == list(range(a + b - gcd(a, b), a + b)), (a, b)
+
+    def test_doubling_chain_gives_lower_bounds(self):
+        # G's doubled graph H is G x K2 when G is bipartite, so Q3's witness
+        # (W = 6) doubles to an interval 8-coloring of Q4, and Q4's witness
+        # (W = 10) to an interval 12-coloring of Q5. Each lies at or below
+        # what the search decides on H: W = 10 for Q4, and for Q5 the
+        # infeasible layers 18 to 21, the most its ceiling leaves.
+        def doubled(d: int) -> tuple[int, Graph, EdgeColoring]:
+            out = compute_W(hypercube(d))
+            certificate = double_with_certificate(hypercube(d), out.witness)
+            h, final = certificate.result.h, certificate.final
+            assert nx.is_isomorphic(nx.Graph(h.edges), nx.Graph(hypercube(d + 1).edges)), d
+            assert validate_interval(h, final).verdict, d
+            return out.w, h, final
+
+        w, q4, coloring = doubled(3)
+        assert (w, coloring.t) == (6, 8)
+        assert coloring.t <= compute_W(q4).w == 10
+        w, q5, coloring = doubled(4)
+        assert (w, coloring.t) == (10, 12)
+        for t in range(18, 22):
+            assert find_interval_coloring(q5, t).status is SolveStatus.INFEASIBLE, t
+        assert coloring.t < 18
+
+
 def petersen() -> Graph:
     return Graph(10, [(i, (i + 1) % 5) for i in range(5)] + [(i, i + 5) for i in range(5)]
                  + [(5 + i, 5 + (i + 2) % 5) for i in range(5)])
@@ -1569,15 +1604,16 @@ class TestSymmetry:
     module docstring, on both twins."""
 
     def test_every_harvested_permutation_is_an_automorphism(self, symmetric_families):
-        # Both twins give the same list. Each permutation fixes a prefix of
-        # the BFS vertex order; with the twin swaps they generate the whole
-        # group, as networkx counts it (K8, whose group is its twin swaps',
-        # is left to the first checks). Without the matrix there is none.
+        # The twin's harvest; the kernel's is checked through the searches,
+        # whose floors, and so nodes, it sets. Each permutation fixes a
+        # prefix of the BFS vertex order; with the twin swaps they generate
+        # the whole group, as networkx counts it (K8, whose group is its twin
+        # swaps', is left to the first checks). Without the matrix there is
+        # none.
         found = complete = 0
         for g in symmetric_families:
-            harvest = _native().automorphisms(g.n, g.edges, DISTANCE_MAX_M)
-            assert harvest == _reference.automorphisms(g.n, g.edges, DISTANCE_MAX_M), g.edges
-            assert _native().automorphisms(g.n, g.edges, 0) == [], g.edges
+            harvest = _plan_and_harvest(g, DISTANCE_MAX_M)[1]
+            assert _plan_and_harvest(g, 0)[1] == [], g.edges
             edges = set(g.edges)
             visit = bfs_vertices(g)
             levels = []
@@ -1598,10 +1634,9 @@ class TestSymmetry:
         # (i, 1) on j where edges i and j share an end, else (i, 0). The
         # orbit: edge 0's images under the group they generate.
         for g in symmetric_families:
-            plan = _plan_py(g)
+            plan, harvest = _plan_and_harvest(g, DISTANCE_MAX_M)
             pairs = [g.edges[eid] for eid in plan.order]
             position = {pair: k for k, pair in enumerate(pairs)}
-            harvest = _reference.automorphisms(g.n, g.edges, DISTANCE_MAX_M)
             floors = twin_floors(g, plan.order)
             moves = [
                 [position[tuple(sorted((sigma[a], sigma[b])))] for a, b in pairs]
@@ -1626,14 +1661,20 @@ class TestSymmetry:
         # A spider of 64 legs of 8 edges has the matrix (512 edges, the
         # most) and a harvest that would need 63 automorphisms, each checked
         # against every vertex mapped before it: the work bound stops it
-        # first, on both twins alike, and the kernel within a second.
+        # first. A harvest stopped elsewhere gives other floors, and at
+        # t = 63, Delta - 1, the floors that the leg swaps put on the
+        # centre's edges take effect at once: both twins' searches agree on
+        # the partial coloring after 1,000 nodes (at 100 nodes a harvest
+        # stopped at 8 automorphisms still gives the same one), and the
+        # kernel's search ends within a second.
         g = spider(64, 8)
         assert g.m == DISTANCE_MAX_M
+        assert 0 < len(_plan_and_harvest(g, DISTANCE_MAX_M)[1]) < 63
         start = time.perf_counter()
-        harvest = _native().automorphisms(g.n, g.edges, DISTANCE_MAX_M)
+        native = _native().search(g.n, g.edges, DISTANCE_MAX_M, 63, 63, 1000)
         assert time.perf_counter() - start < 1
-        assert 0 < len(harvest) < 63
-        assert harvest == _reference.automorphisms(g.n, g.edges, DISTANCE_MAX_M)
+        assert native[:3] == (2, 1000, 64)
+        assert native == _reference.search(g.n, g.edges, DISTANCE_MAX_M, 63, 63, 1000)
 
 
 class TestExactCover:
