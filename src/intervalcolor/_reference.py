@@ -6,10 +6,12 @@ It has the kernel's seven entries, with the kernel's arguments and results.
 ``search``, ``classify`` and ``extend`` run the Python references of the
 kernel's loops: the halving test, the search plan, with its automorphism
 harvest, and loop (``_halves``, ``_plan_py``, ``_harvest``,
-``_search_py``), the classification (``_classify_py``) and a catalog level
-(``extend``, with its canonical search ``_min_code_py``).
+``_search_py``, which takes the plan whole), the classification
+(``_classify_py``) and a catalog level (``extend``, with its canonical
+search ``_min_code_py``).
 They take the graph as the kernel does, as n and canonical edges, and
-build their own ``Graph`` from them.
+build their own ``Graph`` from them; ``search`` and ``classify`` first
+refuse what the kernel refuses, with its messages (``_read_edges``).
 ``index_graph``, ``in_palette``, ``interval_ok`` and ``double`` always
 decline, as the kernel does for input it leaves to Python: their callers'
 own code is the reference and raises every error (``graph._index_py``,
@@ -49,9 +51,11 @@ class _Plan(NamedTuple):
     the least coloring has c(j) >= c(i) + step (``solver``'s docstring), one
     per automorphism of ``_harvest`` and per twin swap. ``orbit[j]`` is
     whether edge j lies in edge 0's orbit under the group they generate (the
-    reversal rule). ``dist`` is the distance matrix in BFS positions and
-    ``longest`` its largest entry, for at most ``max_m`` edges (the argument
-    of ``_plan_py``); above, b"" and None.
+    reversal rule). ``dist`` is the distance matrix in BFS positions,
+    ``far[d]`` for 0 <= d <= m the number of ordered pairs of edges with
+    D >= d (layer d + 1's anchor pairs, for d >= 1), and ``longest`` the largest
+    entry, for at most ``max_m`` edges (the argument of ``_plan_py``);
+    above, b"", [] and None.
     """
 
     order: list[int]
@@ -60,6 +64,7 @@ class _Plan(NamedTuple):
     floors: list[list[tuple[int, int]]]
     orbit: list[bool]
     dist: bytes
+    far: list[int]
     longest: int | None
 
 
@@ -133,13 +138,17 @@ def _plan_and_harvest(g: Graph, max_m: int) -> tuple[_Plan, list[tuple[int, ...]
             floors[at(b, u)].append((k, 1))
     if g.m > max_m:
         found: list[tuple[int, ...]] = []
-        dist, longest = b"", None
+        dist, far, longest = b"", [], None
     else:
         walk = [_walk(adjacency, deg, (v,)) for v in range(g.n)]
         # D(e, f) at e * m + f, in BFS positions, as native int32 bytes.
         matrix = array("i", (0 if e == f else min(walk[a][x], walk[a][y], walk[b][x], walk[b][y])
                              for e, (a, b) in enumerate(pairs) for f, (x, y) in enumerate(pairs)))
-        dist, longest = matrix.tobytes(), max(matrix)
+        dist, far, longest = matrix.tobytes(), [0] * (g.m + 1), max(matrix)
+        for d in matrix:  # as the kernel's path_ceiling counts them: D >= m at m
+            far[min(d, g.m)] += 1
+        for d in reversed(range(g.m)):
+            far[d] += far[d + 1]
         found = _harvest(adjacency, deg, visit, parent, walk, swaps)
     # Edge 0's orbit: the edges joined to it by a twin swap or a harvested
     # automorphism, in a union-find over BFS positions.
@@ -158,7 +167,7 @@ def _plan_and_harvest(g: Graph, max_m: int) -> tuple[_Plan, list[tuple[int, ...]
         j = moves.index(i)
         floors[j].append((i, int(not {*pairs[i]}.isdisjoint(pairs[j]))))
     orbit = [_find(root, k) == _find(root, 0) for k in range(g.m)]
-    return _Plan(order, ends, deg, floors, orbit, dist, longest), found
+    return _Plan(order, ends, deg, floors, orbit, dist, far, longest), found
 
 
 def _find(root: list[int], v: int) -> int:
@@ -311,18 +320,37 @@ def _halves(deg: Sequence[int], m: int) -> bool:
 def search(
     n: int, edges: Sequence[tuple[int, int]], max_m: int, top: int, bottom: int, budget: int
 ) -> tuple[int, int, int, list[int]]:
-    """The kernel's ``search``: (0, 0, bottom, []) with no plan where the
-    degrees do not halve (``_halves``), else ``_plan_py``'s plan, top capped
-    at m and at 1 + max D (without the matrix, D's rows read until that
-    reaches top), then ``_search_py``, which decides an empty range as
-    (0, 0, bottom, [])."""
-    g = Graph(n, edges)
+    """The kernel's ``search``, which refuses what the kernel refuses, in
+    its order: the palette range, then n, the edge count and max_m, more
+    than INT32_MAX / 3 edges (MemoryError), the edges (``_read_edges``) and
+    a graph that is not connected, found by a union-find over the edges, so
+    that no lists are built for it. Then (0, 0, bottom, []) with no plan
+    where the degrees do not halve (``_halves``), else ``_plan_py``'s plan,
+    top capped at m and at 1 + max D (without the matrix, D's rows read
+    until that reaches top), then ``_search_py``, which decides an empty
+    range as (0, 0, bottom, [])."""
+    if not 1 <= bottom <= top or budget < 0:
+        raise ValueError("search: palette range or budget out of range")
+    m = len(edges)
+    if n < 1 or m < 1 or max_m < 0:
+        raise ValueError("search: n, edges or max_m out of range")
+    if m > (2**31 - 1) // 3:  # the kernel's bound, INT32_MAX / 3 edges
+        raise MemoryError
+    _read_edges(n, edges, "search")
     deg = [0] * n
-    for a, b in g.edges:
+    root = list(range(n))
+    parts = n
+    for a, b in edges:
         deg[a] += 1
         deg[b] += 1
-    if not _halves(deg, g.m):
+        x, y = _find(root, a), _find(root, b)
+        parts -= x != y
+        root[x] = y
+    if parts > 1:
+        raise ValueError("search: the graph must be connected")
+    if not _halves(deg, m):
         return 0, 0, bottom, []
+    g = Graph(n, edges)
     plan = _plan_py(g, max_m)
     longest = plan.longest
     if longest is None:
@@ -331,7 +359,28 @@ def search(
             longest = max(longest, max(row))
             if longest + 1 >= top:
                 break
-    return _search_py(n, *plan[:6], min(top, g.m, 1 + longest), bottom, budget)
+    return _search_py(n, plan, min(top, m, 1 + longest), bottom, budget)
+
+
+def _read_edges(n: int, edges: Sequence[tuple[int, int]], entry: str) -> None:
+    """Raises the kernel's ValueError, naming ``entry``, unless ``edges`` is
+    what ``Graph.edges`` is for n vertices: an exact list or tuple of exact
+    pairs (a, b) of exact ints, 0 <= a < b < n, strictly increasing. The
+    kernel's ``read_edges``, with its messages."""
+    if type(edges) not in (list, tuple):
+        raise ValueError(f"{entry}: edges must be a list or tuple")
+    before = (-1, -1)
+    for e, pair in enumerate(edges):
+        if type(pair) not in (list, tuple) or len(pair) != 2:
+            raise ValueError(f"{entry}: edge {e} is not a pair (a, b)")
+        for end in pair:
+            if type(end) is not int:
+                raise ValueError(f"{entry}: edge {e} has an end that is not an int")
+            if not 0 <= end < n:
+                raise ValueError(f"{entry}: edge {e} has an end outside [0, {n})")
+        if pair[0] >= pair[1] or (*pair,) <= before:
+            raise ValueError(f"{entry}: edges must be increasing pairs (a, b), a < b")
+        before = (*pair,)
 
 
 def _anchored(pairs: int, m: int) -> bool:
@@ -341,18 +390,9 @@ def _anchored(pairs: int, m: int) -> bool:
 
 
 def _search_py(
-    n: int,
-    order: list[int],
-    ends: list[int],
-    deg: list[int],
-    floors: list[list[tuple[int, int]]],
-    orbit: list[bool],
-    dist: bytes,
-    top: int,
-    bottom: int,
-    node_budget: int,
+    n: int, plan: _Plan, top: int, bottom: int, node_budget: int
 ) -> tuple[int, int, int, list[int]]:
-    """The search loop in Python, on the first six fields of a plan.
+    """The search loop in Python, on a plan of ``_plan_py``.
 
     Returns what ``search`` returns: (status, nodes, last, colors), here
     with no cap on top. It decides palette sizes top, top - 1, ..., bottom,
@@ -374,9 +414,12 @@ def _search_py(
     searches only below the least so far (solver's docstring). In a run,
     ``picked[k]`` is the color of the k-th edge in BFS order, 0 for none. A
     depth entered with a color picked was backtracked to: that color comes
-    off and the next one is tried. ``dist`` is the plan's matrix, or b"" to
-    search without the distance rule and the sweep.
+    off and the next one is tried. Without the plan's matrix (``dist`` b"")
+    there is no distance rule and no sweep.
     """
+    order, ends, deg, floors, orbit, far = (
+        plan.order, plan.ends, plan.deg, plan.floors, plan.orbit, plan.far
+    )
     m = len(ends) // 2
     pairs = list(zip(ends[::2], ends[1::2]))
     # A run that finds no coloring has taken every color off again, and a
@@ -392,16 +435,11 @@ def _search_py(
     most = [0] * m
     # The distance rule: near[k][g] = D(k, g); lows[k][g] and highs[k][g]
     # bound edge g's color at depth k, for g > k, as later depths read only
-    # g > k. far[d]: the ordered pairs of edges with D >= d.
-    flat = memoryview(dist).cast("i")
-    near = [flat[k * m : (k + 1) * m].tolist() for k in range(m)] if dist else []
+    # g > k.
+    flat = memoryview(plan.dist).cast("i")
+    near = [flat[k * m : (k + 1) * m].tolist() for k in range(m)] if plan.dist else []
     lows = [[0] * m for _ in near]
     highs = [[0] * m for _ in near]
-    far = [0] * (max(flat, default=0) + 2)
-    for d in flat:
-        far[d] += 1
-    for d in reversed(range(len(far) - 1)):
-        far[d] += far[d + 1]
 
     def run(t: int, e: int, f: int, best: list[int] | None) -> int:
         """One run of the loop at palette size t: for an anchor pair (e, f),
@@ -515,8 +553,9 @@ def _search_py(
     for t in range(top, bottom - 1, -1):
         if node_budget and nodes >= node_budget:
             return 2, nodes, t + 1, [0] * m
-        anchors = m if t == 1 else far[min(t - 1, len(far) - 1)]
-        if not near or not _anchored(anchors, m):
+        # The anchor pairs: far[m] counts those with D >= m, and no layer
+        # above m is colorable.
+        if not near or not _anchored(m if t == 1 else far[min(t - 1, m)], m):
             status = run(t, -1, -1, None)
             if status:
                 return status, nodes, t + (status == 2), _in_edge_order(order, picked)
@@ -582,7 +621,12 @@ def _traverse(g: Graph) -> tuple[list[int], bool, int]:
 
 
 def classify(n: int, edges: Sequence[tuple[int, int]]) -> GraphClass:
-    """The kernel's ``classify``: ``_classify_py``'s fields."""
+    """The kernel's ``classify``: ``_classify_py``'s fields, for the n and
+    edges the kernel takes."""
+    len(edges)  # a TypeError first for edges of no length, as in the kernel
+    if n < 1:
+        raise ValueError("classify: n out of range")
+    _read_edges(n, edges, "classify")
     return _classify_py(Graph(n, edges))
 
 

@@ -17,13 +17,14 @@
  * (a, b) of exact ints, a < b, strictly increasing. One plan is built and
  * one set of buffers allocated, and the layers are searched in turn.
  *
- * Before the plan, once the edges are read, the degrees counted and the
- * BFS has found the graph connected, halves() asks whether some
- * sub-multiset of the degrees sums to m. Where none does, the graph has no
- * interval coloring (the proof is in solver.py's docstring), and the
- * result is (0, 0, bottom, []) with no plan built, as for a range the caps
- * below leave empty; _reference._halves is its twin. This rejects every
- * overfull graph, m > Delta * floor(n/2), and no bipartite one.
+ * Once the edges are read, the degrees counted and the BFS has found the
+ * graph connected, halves() asks whether some sub-multiset of the degrees
+ * sums to m. Where none does, the graph has no interval coloring (the proof
+ * is in solver.py's docstring): its plan has no matrix, no symmetry rule
+ * and the ceiling 0, so the caps below leave every range empty;
+ * _reference._halves is its twin, and the twin's search returns that result
+ * before it plans. This rejects every overfull graph,
+ * m > Delta * floor(n/2), and no bipartite one.
  *
  * The plan holds what _reference._Plan holds, each field equal to
  * _reference._plan_py's, which the tests check through this entry's results.
@@ -41,8 +42,9 @@
  * in n + m. Each twin after the first of its class in BFS order is swapped
  * with the twin before it and with the first, 2c - 3 swaps in a class of
  * c; a swap's first moved edge k, the earliest edge at x or y other than
- * xy, gives the edge j that receives it the floor (k, 1). For m <= max_m, dist holds D(e, f) at e * m + f in BFS
- * positions and longest is its largest entry; otherwise there is no matrix.
+ * xy, gives the edge j that receives it the floor (k, 1). For m <= max_m,
+ * where the degrees halve, dist holds D(e, f) at e * m + f in BFS positions
+ * and longest is its largest entry; otherwise there is no matrix.
  * D(e, f) is the cheapest path from edge e to edge f, a step between two
  * edges that share a vertex v costing deg(v) - 1, and D(e, e) = 0. A
  * Dijkstra from vertex u gives walk(u, v), the cheapest walk from u to v
@@ -54,14 +56,16 @@
  * handle signals every HARVEST_POLL; edge 0's orbit is taken under them and
  * the twin swaps together.
  *
- * top is then capped at m and at the ceiling 1 + max D, above which no layer
- * has an interval coloring, and a range the caps leave empty gives
- * (0, 0, bottom, []). With the matrix, max D is longest. Without it, the
- * distance rule is off and D is read one row at a time, in BFS order, each
- * from one Dijkstra seeded at both ends of its edge, until the ceiling
- * reaches top, so that the cap is exact below top; above INT32_MAX / 3 edges,
- * where a walk could leave int32, the cap is m alone. Ctrl-C (a signal
- * handler that raises) stops either pass after its current walk. budget caps
+ * top is then capped at m and at the plan's ceiling, above which no layer
+ * has an interval coloring: 0 where the degrees do not halve, else
+ * 1 + max D. A range the caps leave empty gives (0, 0, bottom, []). With
+ * the matrix, max D is longest. Without it, the distance rule is off and D
+ * is read one row at a time, in BFS order, each from one Dijkstra seeded at
+ * both ends of its edge, until the ceiling reaches top, so that the cap is
+ * exact below top. Ctrl-C (a signal handler that raises) stops either pass
+ * after its current walk. A graph of more than INT32_MAX / 3 edges, whose
+ * edges alone would take tens of gigabytes, raises MemoryError before any
+ * buffer is taken. budget caps
  * the nodes of all layers together (0 = unlimited), and a layer whose turn
  * comes once it is spent aborts with no node. status is 1 when a layer is
  * feasible, 0 when every layer is infeasible and 2 when the budget ran out;
@@ -99,8 +103,8 @@
  * backtracks. The ranges
  * are int32: t <= m, and D <= 2m - n, since a cheapest path passes a vertex
  * at most once and the vertices' deg - 1 sum to 2m - n, so every sum in
- * that pass stays below 3m, and no plan has a matrix of more than
- * INT32_MAX / 3 edges.
+ * that pass stays below 3m, and no plan has more than INT32_MAX / 3
+ * edges.
  *
  * The anchor sweep: with the matrix, a layer t whose anchor pairs, the
  * ordered pairs of edges (e, f) with D(e, f) >= t - 1 (for t = 1, the pairs
@@ -816,12 +820,13 @@ static int harvest(Symmetry *y, Py_ssize_t n, const long long *deg, const Py_ssi
 }
 
 /* The search plan of the connected graph on n vertices with the edges of
- * edges_obj (search()), in buffers from one Scratch: dist is the m x m matrix
- * or NULL when m > max_m, far[d] for 0 <= d <= m the ordered pairs of edges
- * with D(e, f) >= d, with dist, and ceiling what path_ceiling returns for
- * top. floor_code[floor_start[j] .. floor_start[j + 1]) holds edge j's
- * floors, 2 i + step each, and orbit[j] is 1 for the edges of edge 0's
- * orbit. */
+ * edges_obj (search()), in buffers from one Scratch: ceiling is 0 when the
+ * degrees do not halve and otherwise what path_ceiling returns for top;
+ * dist is the m x m matrix, or NULL when m > max_m or the ceiling is 0;
+ * far[d] for 0 <= d <= m counts the ordered pairs of edges with
+ * D(e, f) >= d, with dist. floor_code[floor_start[j] .. floor_start[j + 1])
+ * holds edge j's floors, 2 i + step each, and orbit[j] is 1 for the edges
+ * of edge 0's orbit. */
 typedef struct {
     Py_ssize_t m;
     long long *order, *ends, *deg, *floor_start, *floor_code, *far, ceiling;
@@ -829,9 +834,7 @@ typedef struct {
     int32_t *dist;
 } Plan;
 
-/* Builds out for search(); -1 with an exception set. A graph whose degrees
- * halves() rejects gets no plan past the BFS that checks it is connected:
- * 1, out left unset. */
+/* Fills out for search(): 0, or -1 with an exception set. */
 static int make_plan(Scratch *s, Py_ssize_t n, PyObject *edges_obj, Py_ssize_t max_m,
                      long long top, Plan *out)
 {
@@ -842,9 +845,10 @@ static int make_plan(Scratch *s, Py_ssize_t n, PyObject *edges_obj, Py_ssize_t m
         PyErr_SetString(PyExc_ValueError, "search: n, edges or max_m out of range");
         return -1;
     }
-    /* A larger matrix would take over 2^60 bytes; this bound also keeps the
-     * sums of search's range pass within int32. */
-    if (m <= max_m && m > INT32_MAX / 3) {
+    /* More edges would take tens of gigabytes for the edges and the
+     * search's buffers alone; the bound also keeps walk costs and the sums
+     * of search's range pass within int32. */
+    if (m > INT32_MAX / 3) {
         PyErr_NoMemory();
         return -1;
     }
@@ -894,13 +898,13 @@ static int make_plan(Scratch *s, Py_ssize_t n, PyObject *edges_obj, Py_ssize_t m
         return -1;
     }
     int halved = halves(s, n, m, deg);
-    if (halved <= 0)
-        return halved ? -1 : 1;
+    if (halved < 0)
+        return -1;
 
     long long *ends = take(s, m, 2, sizeof(long long)); /* in BFS order */
     long long *floor_start = take(s, m + 1, 1, sizeof(long long));
     char *orbit = take(s, m, 1, 1);
-    int32_t *dist = m <= max_m ? take(s, m, m, sizeof(int32_t)) : NULL;
+    int32_t *dist = halved && m <= max_m ? take(s, m, m, sizeof(int32_t)) : NULL;
     long long *far = dist ? take(s, m + 1, 1, sizeof(long long)) : NULL;
     Py_ssize_t *next = take(s, n, 1, sizeof(Py_ssize_t)); /* the next twin in BFS order */
     Py_ssize_t *group = take(s, n, 3, sizeof(Py_ssize_t)); /* each vertex's class, -1 for none */
@@ -914,11 +918,9 @@ static int make_plan(Scratch *s, Py_ssize_t n, PyObject *edges_obj, Py_ssize_t m
     long long *floor_at = take(s, n, 3, sizeof(long long));
     long long *floor_code = take(s, n, 6, sizeof(long long));
     /* path_ceiling's walks (a row per vertex, or one row, from both ends of
-     * an edge, without dist) and heap, unless a walk cost could leave int32;
-     * with dist, the harvest's buffers. */
-    int walks = m <= INT32_MAX / 3;
-    int32_t *walk = walks ? take(s, dist ? n : 1, n, sizeof(int32_t)) : NULL;
-    uint64_t *heap = walks ? take(s, 2 * m + 2, 1, sizeof(uint64_t)) : NULL;
+     * an edge, without dist) and heap; with dist, the harvest's buffers. */
+    int32_t *walk = take(s, dist ? n : 1, n, sizeof(int32_t));
+    uint64_t *heap = take(s, 2 * m + 2, 1, sizeof(uint64_t));
     long long *total = dist ? take(s, n, 1, sizeof(long long)) : NULL;
     Py_ssize_t *at = dist ? take(s, n, 3, sizeof(Py_ssize_t)) : NULL;
     char *taken = dist ? take(s, n, 1, 1) : NULL;
@@ -935,7 +937,9 @@ static int make_plan(Scratch *s, Py_ssize_t n, PyObject *edges_obj, Py_ssize_t m
     /* Twins: vertices with equal open or equal closed neighbourhoods. No
      * open one equals a closed one (_reference._plan_py), so each run of
      * equal neighbourhoods in sorted order is one class, named here by its
-     * least vertex, the run's first. */
+     * least vertex, the run's first. A graph whose degrees do not halve
+     * gets no class, and so no rule: its ceiling, 0, leaves no layer. */
+    Py_ssize_t hoods = halved ? 2 * n : 0;
     for (Py_ssize_t v = 0; v < n; v++) {
         Py_ssize_t size = start[v + 1] - start[v], slot = 0;
         while (slot < size && nbr[start[v] + slot] < v)
@@ -943,9 +947,9 @@ static int make_plan(Scratch *s, Py_ssize_t n, PyObject *edges_obj, Py_ssize_t m
         hood[2 * v] = (Hood){nbr + start[v], size, size, v};
         hood[2 * v + 1] = (Hood){nbr + start[v], size + 1, slot, v};
     }
-    qsort(hood, 2 * n, sizeof(Hood), by_hood);
-    for (Py_ssize_t lo = 0, hi; lo < 2 * n; lo = hi)
-        for (hi = lo + 1; hi < 2 * n && !by_entries(&hood[hi], &hood[lo]); hi++)
+    qsort(hood, hoods, sizeof(Hood), by_hood);
+    for (Py_ssize_t lo = 0, hi; lo < hoods; lo = hi)
+        for (hi = lo + 1; hi < hoods && !by_entries(&hood[hi], &hood[lo]); hi++)
             group[hood[hi].v] = group[hood[lo].v] = hood[lo].v;
     /* The twin swaps: each twin after the first of its class in BFS order,
      * with the twin just before it and with the first (_reference._plan_py),
@@ -972,7 +976,7 @@ static int make_plan(Scratch *s, Py_ssize_t n, PyObject *edges_obj, Py_ssize_t m
     }
 
     long long ceiling =
-        walks ? path_ceiling(n, m, ends, deg, start, nbr, walk, heap, dist, far, top) : m;
+        halved ? path_ceiling(n, m, ends, deg, start, nbr, walk, heap, dist, far, top) : 0;
     if (ceiling < 0 || (dist && harvest(&y, n, deg, visit, parent, next, walk, total, at,
                                         at + n, at + 2 * n, taken, group /* spent */)))
         return -1;
@@ -994,15 +998,12 @@ static int make_plan(Scratch *s, Py_ssize_t n, PyObject *edges_obj, Py_ssize_t m
     return 0;
 }
 
-/* The buffers and counts that the runs of one search() call share. A run
- * that finds no coloring has taken every color off again, and a sweep takes
- * a found one off (clear_colors), so each run starts from empty masks and
- * counts. */
+/* The plan, buffers and counts that the runs of one search() call share. A
+ * run that finds no coloring has taken every color off again, and a sweep
+ * takes a found one off (clear_colors), so each run starts from empty masks
+ * and counts. */
 typedef struct {
-    Py_ssize_t m;
-    const long long *ends, *deg, *floor_start, *floor_code;
-    const char *orbit;
-    const int32_t *dist;
+    Plan plan;
     long long stride, budget, nodes;
     /* picked[k]: the color of the k-th edge in BFS order, 0 for none. best:
      * the least coloring a layer's sweep has found. least[k] and most[k]:
@@ -1020,8 +1021,8 @@ static void take_off(Layer *L, Py_ssize_t k)
 {
     long long c = L->picked[k];
     uint64_t bit = (uint64_t)1 << (c & 63);
-    L->mask[L->ends[2 * k] * L->stride + (c >> 6)] ^= bit;
-    L->mask[L->ends[2 * k + 1] * L->stride + (c >> 6)] ^= bit;
+    L->mask[L->plan.ends[2 * k] * L->stride + (c >> 6)] ^= bit;
+    L->mask[L->plan.ends[2 * k + 1] * L->stride + (c >> 6)] ^= bit;
     if (!--L->color_count[c])
         L->used[c >> 6] ^= bit;
     L->picked[k] = 0;
@@ -1030,7 +1031,7 @@ static void take_off(Layer *L, Py_ssize_t k)
 /* Takes every color off again. */
 static void clear_colors(Layer *L)
 {
-    for (Py_ssize_t k = 0; k < L->m; k++)
+    for (Py_ssize_t k = 0; k < L->plan.m; k++)
         if (L->picked[k])
             take_off(L, k);
 }
@@ -1046,11 +1047,12 @@ static void clear_colors(Layer *L)
 static inline __attribute__((always_inline)) int run(Layer *L, long long t, Py_ssize_t e,
                                                      Py_ssize_t f, int bounded)
 {
-    const Py_ssize_t m = L->m;
-    const long long *ends = L->ends, *deg = L->deg, *best = L->best;
-    const long long *floor_start = L->floor_start, *floor_code = L->floor_code;
-    const char *orbit = L->orbit;
-    const int32_t *dist = L->dist, t32 = (int32_t)t;
+    const Plan *p = &L->plan;
+    const Py_ssize_t m = p->m;
+    const long long *ends = p->ends, *deg = p->deg, *best = L->best;
+    const long long *floor_start = p->floor_start, *floor_code = p->floor_code;
+    const char *orbit = p->orbit;
+    const int32_t *dist = p->dist, t32 = (int32_t)t;
     long long *picked = L->picked, *color_count = L->color_count;
     long long *least = L->least, *most = L->most;
     uint64_t *mask = L->mask, *used = L->used;
@@ -1216,14 +1218,12 @@ static PyObject *search(PyObject *self, PyObject *args)
     PyObject *result = NULL;
     Scratch s = {0};
     Plan p;
-    int unplanned = make_plan(&s, n, edges_obj, max_m, top, &p);
-    if (unplanned < 0)
+    if (make_plan(&s, n, edges_obj, max_m, top, &p))
         goto done;
-    /* No layer of a graph whose degrees cannot be halved, above m
-     * (surjectivity) or above the ceiling 1 + max D has an interval
-     * coloring, so these caps change no result, and they bound every
-     * buffer below by m. */
-    top = unplanned ? 0 : min(top, min(p.m, p.ceiling));
+    /* No layer above m (surjectivity) or above the plan's ceiling has an
+     * interval coloring, so these caps change no result, and they bound
+     * every buffer below by m. */
+    top = min(top, min(p.m, p.ceiling));
     if (top < bottom) {
         result = Py_BuildValue("iiL[]", 0, 0, bottom);
         goto done;
@@ -1240,8 +1240,7 @@ static PyObject *search(PyObject *self, PyObject *args)
     if (s.failed)
         goto done;
     long long *best = picked + m;
-    Layer L = {m, p.ends, p.deg, p.floor_start, p.floor_code, p.orbit, dist, stride, budget, 0,
-               picked, best, color_count, best + m, best + 2 * m, mask,
+    Layer L = {p, stride, budget, 0, picked, best, color_count, best + m, best + 2 * m, mask,
                mask + (size_t)n * stride, lo, hi};
     long long t = top;
     int status = 0;

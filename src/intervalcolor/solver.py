@@ -7,11 +7,11 @@ is W, and ``find_interval_coloring`` over its one t. The descent sets up
 once per graph and makes one search call, which decides the layers by
 backtracking, one after another, with one node budget shared across them.
 
-The set-up, in the search call, is a halving test on the degrees, then the
-search plan and a ceiling proven for the instance. A graph whose degrees do
-not halve has no interval coloring at all, so it is decided with no plan,
-and no interval coloring uses more than 1 + max D colors (D below), so
-layers above the ceiling are infeasible at a cost of 0 nodes.
+The set-up, in the search call, is the search plan, with a ceiling proven
+for the instance: 0 where the degrees do not halve (the halving test
+below), as such a graph has no interval coloring at all, and otherwise
+1 + max D (D below), as no interval coloring uses more colors. Layers
+above the ceiling are infeasible at a cost of 0 nodes.
 
 Halving test. The degrees halve when some sub-multiset of them sums to m,
 and those of a graph with an interval t-coloring c do. Vertex v's colors
@@ -26,10 +26,11 @@ the vertices whose edge it runs forward and left by those of the others,
 and returns to its start, so the two sums agree. Over all circuits, the
 forward vertices' degrees sum to half of 2m, which is m. The search tests
 it by a subset sum over the distinct degrees (``_reference._halves`` and
-the kernel's ``halves``) before it plans. Of the connected graphs it
-rejects 1 with n = 3 (K3), 6 with n = 5, 8 with n = 6, and 67 with n = 7,
-of the 81 there that have no interval coloring. A graph whose degrees are
-all even and whose m is odd is one: no sum of even degrees is odd.
+the kernel's ``halves``) before it computes any distance. Of the
+connected graphs it rejects 1 with n = 3 (K3), 6 with n = 5, 8 with
+n = 6, and 67 with n = 7, of the 81 there that have no interval coloring.
+A graph whose degrees are all even and whose m is odd is one: no sum of
+even degrees is odd.
 
 It subsumes the overfull test, m > Delta * floor(n/2) (Asratian and
 Kamalian, JCTB 1994). Overfull n is odd, since for even n, Delta * n/2 is
@@ -406,10 +407,9 @@ def _descend(
     re-validated witness of the first feasible t, INFEASIBLE when every
     layer is, or ABORTED once the node limit (0 = unlimited), shared by all
     layers, runs out. ``last_explored`` is the last t fully decided. A
-    nonempty range takes one ``search`` call, which decides a graph whose
-    degrees do not halve with no plan, and otherwise plans and caps top at
-    the ceiling, with or without the matrix: layers above it are infeasible
-    at 0 nodes.
+    nonempty range takes one ``search`` call, which plans and caps top at
+    the plan's ceiling, 0 where the degrees do not halve, with or without
+    the matrix: layers above it are infeasible at 0 nodes.
     """
     if top < bottom:
         return SolveStatus.INFEASIBLE, None, 0, None

@@ -421,12 +421,25 @@ class TestNativeClassify:
         assert not classify(k3()).triangle_free
 
     def test_rejects_malformed_input(self):
-        kernel_classify = solver._native().classify
-        for n, edges in ((3, ((1, 0),)), (3, ((0, 2), (0, 1))), (3, ((0, 3),)), (0, ())):
-            with pytest.raises(ValueError):
-                kernel_classify(n, edges)
-        with pytest.raises(TypeError):
-            kernel_classify(3, None)
+        # Both twins, with the same message: the twin reads the edges as the
+        # kernel does, not as Graph, which would orient, sort and
+        # deduplicate them.
+        rows = (
+            (3, ((1, 0),), "classify: edges must be increasing pairs (a, b), a < b"),
+            (3, ((0, 2), (0, 1)), "classify: edges must be increasing pairs (a, b), a < b"),
+            (3, ((0, 1), (0, 1)), "classify: edges must be increasing pairs (a, b), a < b"),
+            (3, ((0, 3),), "classify: edge 0 has an end outside [0, 3)"),
+            (3, [[0, 1], (1, True)], "classify: edge 1 has an end that is not an int"),
+            (3, range(2), "classify: edges must be a list or tuple"),
+            (0, (), "classify: n out of range"),
+        )
+        for classify_of in (solver._native().classify, _reference.classify):
+            for n, edges, message in rows:
+                with pytest.raises(ValueError) as refused:
+                    classify_of(n, edges)
+                assert str(refused.value) == message, (classify_of, edges)
+            with pytest.raises(TypeError):
+                classify_of(3, None)
 
 
 class TestColumnCode:

@@ -51,7 +51,8 @@ def calls_and_references():
     alpha = (1, 2, 2, 3)  # an interval 3-coloring of C4's edges
     table = _provenance_table(4)
     # A triangle and a 4-cycle sharing vertex 0, whose degrees do not halve:
-    # the search stops after the halving test's buffers.
+    # its plan, of ceiling 0, takes no matrix and no harvest buffers, and
+    # the search none of its own.
     unhalved = Graph(6, ((0, 1), (0, 2), (1, 2), (0, 3), (3, 4), (4, 5), (0, 5)))
     # The Petersen graph's harvest finds automorphisms, so the search with
     # the matrix reaches every buffer of the plan, the harvest's and the

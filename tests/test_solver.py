@@ -485,8 +485,8 @@ def line_graph_distances(g: Graph) -> list[list[int]]:
     return dist
 
 
-# Edges on 4 vertices, or a vertex count, that the kernel's search refuses
-# while it plans, with the ValueError's message. C4's edges are
+# Edges on 4 vertices, or a vertex count, that the kernel's search and its
+# twin refuse while they plan, with the ValueError's message. C4's edges are
 # (0,1),(0,3),(1,2),(2,3).
 NOT_INCREASING = "search: edges must be increasing pairs (a, b), a < b"
 OUT_OF_RANGE = "search: n, edges or max_m out of range"
@@ -552,7 +552,7 @@ class TestProvenCeiling:
                 ):
                     searched = halves and top <= min(g.m, exact)
                     assert searches(search, g, top) == searched, (g.edges, search, top)
-                    uncapped = _search_py(g.n, *plan[:6], top, top, 1) if searched else None
+                    uncapped = _search_py(g.n, plan, top, top, 1) if searched else None
                     found = search(g.n, g.edges, DISTANCE_MAX_M, top, top, 1)
                     assert found == (uncapped or (0, 0, top, [])), (g.edges, search, top)
 
@@ -598,9 +598,10 @@ class TestProvenCeiling:
         # A triangle and a 4-cycle sharing vertex 0: n = 6, m = 7, degrees
         # 4, 2, 2, 2, 2, 2, all even, so no sub-multiset sums to 7. It is
         # not overfull (7 <= 4 * 3), and the search took 31 nodes to prove
-        # it infeasible. Both searches decide it with _plan_py refusing to
-        # run, and K33 too (m = 528, every degree 32), reading no row of D
-        # past the matrix.
+        # it infeasible. Both searches decide it at 0 nodes, and K33 too
+        # (m = 528, every degree 32): the twin with _plan_py refusing to run
+        # and reading no row of D past the matrix, the kernel with a plan
+        # whose ceiling is 0.
         g = Graph(6, ((0, 1), (0, 2), (1, 2), (0, 3), (3, 4), (4, 5), (0, 5)))
         k33 = Graph(33, tuple(combinations(range(33), 2)))
         assert g.m <= g.max_degree * (g.n // 2)
@@ -706,9 +707,9 @@ class TestProvenCeiling:
 
 
 def layer_args(g: Graph, plan: _Plan, t: int, budget: int) -> tuple:
-    """The arguments of the kernel's ``search`` and ``_search_py`` that
-    decide the one palette size t of g with ``plan``."""
-    return (g.n, *plan[:6], t, t, budget)
+    """The arguments of ``_search_py`` that decide the one palette size t
+    of g with ``plan``."""
+    return (g.n, plan, t, t, budget)
 
 
 def layer_by_layer(g: Graph, plan: _Plan, top: int, bottom: int, budget: int) -> tuple:
@@ -1080,21 +1081,23 @@ class TestNativeKernel:
         assert search(4, g.edges, 0, 4, 3, 0) == (1, 4, 3, [1, 2, 2, 3])
         assert search(4, g.edges, 0, 4, 3, 4) == (1, 4, 3, [1, 2, 2, 3])
         assert _search_py(*layer_args(g, plan, 3, 1)) == (2, 1, 4, [1, 2, 0, 0])
-        assert _search_py(g.n, *plan[:6], 4, 3, 0) == (1, 2, 3, [1, 2, 2, 3])
+        assert _search_py(g.n, plan, 4, 3, 0) == (1, 2, 3, [1, 2, 2, 3])
         plain = plan._replace(dist=b"")
-        assert _search_py(g.n, *plain[:6], 4, 3, 0) == (1, 8, 3, [1, 2, 2, 3])
-        assert _search_py(g.n, *plain[:6], 4, 3, 4) == (2, 4, 4, [0, 0, 0, 0])
+        assert _search_py(g.n, plain, 4, 3, 0) == (1, 8, 3, [1, 2, 2, 3])
+        assert _search_py(g.n, plain, 4, 3, 4) == (2, 4, 4, [0, 0, 0, 0])
 
     def test_search_rejects_malformed_input(self):
-        # The range as asked: an empty one is an error even where the caps
-        # would empty it anyway.
-        search = _native().search
+        # The range as asked, on both twins: an empty one is an error even
+        # where the caps would empty it anyway, and it is read before the
+        # edges.
         edges = c4().edges
-        for top, bottom, budget in ((3, 4, 0), (3, 0, 0), (3, 3, -1)):
-            with pytest.raises(ValueError, match="palette range or budget out of range"):
-                search(4, edges, DISTANCE_MAX_M, top, bottom, budget)
-        with pytest.raises(TypeError):
-            search(3, 5, DISTANCE_MAX_M, 3, 1, 0)
+        for search in (_native().search, _reference.search):
+            for top, bottom, budget in ((3, 4, 0), (3, 0, 0), (3, 3, -1)):
+                for n in (4, 0):
+                    with pytest.raises(ValueError, match="palette range or budget out of range"):
+                        search(n, edges, DISTANCE_MAX_M, top, bottom, budget)
+            with pytest.raises(TypeError):
+                search(3, 5, DISTANCE_MAX_M, 3, 1, 0)
 
     def test_descent_agrees_with_t_override_below_the_ceiling(self, catalogs, doubled_graphs):
         # compute_W with the cutoff capped below the registry bound and the
@@ -1278,14 +1281,25 @@ class TestNativeKernel:
             assert native == reference and native[:3] == (2, 1, t + 1), g.n
 
     def test_plan_rejects_malformed_input(self):
-        # Edges, vertex count and max_m as the search reads them to plan.
-        search = _native().search
-        for n, bad, message in MALFORMED_EDGES:
-            with pytest.raises(ValueError) as refused:
-                search(n, bad, DISTANCE_MAX_M, 3, 1, 0)
-            assert str(refused.value) == message, bad
-        with pytest.raises(ValueError, match=OUT_OF_RANGE):
-            search(4, c4().edges, -1, 3, 1, 0)
+        # Edges, vertex count and max_m as the search reads them to plan,
+        # on both twins, with the same message: the twin reads the edges as
+        # the kernel does, not as Graph, which would orient, sort and
+        # deduplicate them. Past INT32_MAX // 3 edges both raise
+        # MemoryError before they read one.
+        class Huge:
+            def __len__(self):
+                return (2**31 - 1) // 3 + 1
+
+        for search in (_native().search, _reference.search):
+            for n, bad, message in MALFORMED_EDGES:
+                with pytest.raises(ValueError) as refused:
+                    search(n, bad, DISTANCE_MAX_M, 3, 1, 0)
+                assert str(refused.value) == message, (search, bad)
+            with pytest.raises(ValueError, match=OUT_OF_RANGE):
+                search(4, c4().edges, -1, 3, 1, 0)
+            for max_m in (0, DISTANCE_MAX_M):
+                with pytest.raises(MemoryError):
+                    search(4, Huge(), max_m, 3, 1, 0)
 
     def test_agrees_on_both_sides_of_the_distance_threshold(self):
         # Paths of DISTANCE_MAX_M and DISTANCE_MAX_M + 1 edges: the first
@@ -1418,6 +1432,17 @@ class TestAnchor:
                 feasible += static[0] == 1
                 swept += anchor_pairs(plan, t) <= 2 * g.m
         assert (layers, feasible, swept, *nodes) == (710, 260, 448, 18231, 19998)
+
+    def test_the_plan_counts_the_anchor_pairs(self, plan_families):
+        # far[d], which the sweep reads as layer d + 1's anchor pairs,
+        # against the ordered pairs with D >= d read from the matrix, the
+        # diagonal's D = 0 included, for every d up to m; without the
+        # matrix it is empty.
+        for g, plan in plan_families:
+            d = np.sort(int32s(plan.dist))
+            assert plan.far == (d.size - np.searchsorted(d, range(g.m + 1))).tolist(), g.edges
+            if g.n <= 7:
+                assert _plan_py(g, 0).far == [], g.edges
 
     def test_the_rule_sweeps_at_most_2m_pairs(self, catalogs, doubled_graphs, monkeypatch):
         # _anchored is asked with the layer's anchor pairs, and the built
@@ -1669,12 +1694,15 @@ class TestSymmetry:
         # kernel's search ends within a second.
         g = spider(64, 8)
         assert g.m == DISTANCE_MAX_M
-        assert 0 < len(_plan_and_harvest(g, DISTANCE_MAX_M)[1]) < 63
+        plan, harvest = _plan_and_harvest(g, DISTANCE_MAX_M)
+        assert 0 < len(harvest) < 63
         start = time.perf_counter()
         native = _native().search(g.n, g.edges, DISTANCE_MAX_M, 63, 63, 1000)
         assert time.perf_counter() - start < 1
         assert native[:3] == (2, 1000, 64)
-        assert native == _reference.search(g.n, g.edges, DISTANCE_MAX_M, 63, 63, 1000)
+        # The twin's search on the plan already built, top capped as
+        # _reference.search caps it.
+        assert native == _search_py(g.n, plan, min(63, g.m, 1 + plan.longest), 63, 1000)
 
 
 class TestExactCover:
