@@ -477,6 +477,17 @@ static int read_edges(PyObject *seq, Py_ssize_t n, Py_ssize_t m, long long *edge
     return 0;
 }
 
+/* Whether edges is an exact list or tuple, which each entry checks before
+ * it sizes a buffer from the length: another object's __len__ could claim
+ * any count. 0 with read_edges's ValueError naming entry otherwise. */
+static int exact_edges(PyObject *edges, const char *entry)
+{
+    if (PyTuple_CheckExact(edges) || PyList_CheckExact(edges))
+        return 1;
+    PyErr_Format(PyExc_ValueError, "%s: edges must be a list or tuple", entry);
+    return 0;
+}
+
 /* The adjacency of the graph with the m sorted edges: deg, zeroed on entry,
  * gets the degrees, and nbr[start[v] .. start[v + 1]) lists v's neighbours
  * in increasing order, inc the edge to each. */
@@ -568,7 +579,12 @@ static int halves(Scratch *s, Py_ssize_t n, Py_ssize_t m, const long long *deg)
 /* The ceiling search() caps top at, for the ends in BFS order, filling d
  * when given, and counting in far[min(D, m)] the ordered pairs at each
  * distance, with the walk rows and heap make_plan takes for it; -1 with an
- * exception set if a signal handler raises after a walk. */
+ * exception set if a signal handler raises after a walk. D is symmetric,
+ * as a walk's cost is, so each row of d computes its entries from the
+ * diagonal on, counting those past it twice, and copies the rest from the
+ * rows above (writing each entry's mirror as it was computed cost a
+ * 512-edge path's plan 15%). A row of the row pass is read in full, so that
+ * the pass stops after as few walks as it can. */
 static long long path_ceiling(Py_ssize_t n, Py_ssize_t m, const long long *ends,
                               const long long *deg, const Py_ssize_t *start, const Py_ssize_t *nbr,
                               int32_t *walk, uint64_t *heap, int32_t *d, long long *far,
@@ -586,12 +602,14 @@ static long long path_ceiling(Py_ssize_t n, Py_ssize_t m, const long long *ends,
             a = b = 0;
         }
         const int32_t *from_a = walk + a * n, *from_b = walk + b * n;
-        for (Py_ssize_t f = 0; f < m; f++) {
+        for (Py_ssize_t f = 0; d && f < e; f++)
+            d[e * m + f] = d[f * m + e];
+        for (Py_ssize_t f = d ? e : 0; f < m; f++) {
             long long x = ends[2 * f], y = ends[2 * f + 1];
             long long value = e == f ? 0 : min(min(from_a[x], from_a[y]), min(from_b[x], from_b[y]));
             if (d) {
                 d[e * m + f] = (int32_t)value;
-                far[min(value, m)]++;
+                far[min(value, m)] += e == f ? 1 : 2;
             }
             longest = max(longest, value);
         }
@@ -852,6 +870,8 @@ static int make_plan(Scratch *s, Py_ssize_t n, PyObject *edges_obj, Py_ssize_t m
         PyErr_NoMemory();
         return -1;
     }
+    if (!exact_edges(edges_obj, "search"))
+        return -1;
     long long *edges = take(s, m, 2, sizeof(long long)); /* in Graph.edges order */
     long long *deg = take(s, n, 1, sizeof(long long));
     long long *order = take(s, m, 1, sizeof(long long));
@@ -1105,7 +1125,14 @@ static inline __attribute__((always_inline)) int run(Layer *L, long long t, Py_s
                  * hi_f + D(k, f) lie within edge k's own. Two loops, each
                  * reading D before it writes a range: one loop over both
                  * cases ran the static loop's feasible layers about 40%
-                 * slower (GCC 12 -O2, 2-core Xeon). */
+                 * slower (GCC 12 -O2, 2-core Xeon). The reach tests cut
+                 * only in a run without a pair, and only while color 1 or
+                 * t is on no edge (solver.py), so a later depth's pass has
+                 * a second form, which narrows the ranges alone and leaves
+                 * neither test a bound: 2-4% off the benchmark's replayed
+                 * search calls, where a flag that switched the tests off
+                 * after one form of the pass cost n7_capped's 1-3% (paired
+                 * runs, 2-core Xeon). */
                 const int32_t *near = dist + k * m;
                 int32_t *lo_k = lo + k * m, *hi_k = hi + k * m;
                 int32_t reach_one = 1, reach_top = t32, l = 1, h = t32;
@@ -1114,7 +1141,8 @@ static inline __attribute__((always_inline)) int run(Layer *L, long long t, Py_s
                     const int32_t x = (int32_t)picked[k - 1];
                     l = max32(lo_prev[k], x - prev[k]);
                     h = min32(hi_prev[k], x + prev[k]);
-                    if (max(low, l) <= min(high, h)) {
+                    if (max(low, l) <= min(high, h) && e < 0 &&
+                        (!color_count[1] || !color_count[t])) {
                         for (Py_ssize_t g = k + 1; g < m; g++) {
                             int32_t d = near[g];
                             int32_t lg = max32(lo_prev[g], x - prev[g]);
@@ -1124,6 +1152,13 @@ static inline __attribute__((always_inline)) int run(Layer *L, long long t, Py_s
                             reach_one = max32(reach_one, lg == 1 ? 1 + d : 1);
                             reach_top = min32(reach_top, hg == t32 ? t32 - d : t32);
                         }
+                    } else if (max(low, l) <= min(high, h)) {
+                        for (Py_ssize_t g = k + 1; g < m; g++) {
+                            lo_k[g] = max32(lo_prev[g], x - prev[g]);
+                            hi_k[g] = min32(hi_prev[g], x + prev[g]);
+                        }
+                        reach_one = t32; /* no cap */
+                        reach_top = 1;   /* no floor */
                     }
                 } else {
                     if (e >= 0) {
@@ -1360,6 +1395,8 @@ static PyObject *interval_ok(PyObject *self, PyObject *args)
         PyErr_SetString(PyExc_ValueError, "interval_ok: n or t out of range");
         return NULL;
     }
+    if (!exact_edges(edges_obj, "interval_ok"))
+        return NULL;
     PyObject *result = NULL;
     Scratch s = {0};
     long long *ends = take(&s, m, 2, sizeof(long long));
@@ -1411,6 +1448,8 @@ static PyObject *double_cover(PyObject *self, PyObject *args)
     }
     if (m > (PY_SSIZE_T_MAX / 4 - n) / 2)
         return PyErr_NoMemory();
+    if (!exact_edges(edges_obj, "double"))
+        return NULL;
     if (!pairs_ok(pairs, "double"))
         return NULL;
     if (!PyList_CheckExact(provenance) || PyList_GET_SIZE(provenance) / 3 < max(m, n)) {
@@ -1684,6 +1723,8 @@ static PyObject *classify(PyObject *self, PyObject *args)
         PyErr_SetString(PyExc_ValueError, "classify: n out of range");
         return NULL;
     }
+    if (!exact_edges(edges_obj, "classify"))
+        return NULL;
     PyObject *result = NULL;
     Scratch s = {0};
     long long *edges = take(&s, m, 2, sizeof(long long));

@@ -18,9 +18,10 @@ caller can assert planarity. The 11n/6 bound is floored because W is an integer.
 
 There is one registry, ``_registry``: the only statement of each theorem's
 precondition, its bound and the evidence a claim records. Only
-``applicable_bounds`` builds ``BoundClaim``s from it; ``best_upper_bound``,
+``applicable_bounds`` builds ``BoundClaim``s from it. ``best_upper_bound``,
 which ``compute_W`` calls for its ceiling on every graph, takes its minimum
-from the same walk and builds no claim and no evidence dict.
+from the same walk, and the survey its best bound and tight theorems, with
+no claim and no evidence dict.
 
 ``BoundClaim`` and ``BoundReport`` are ``NamedTuple``s, like the package's
 other value records (see the package docstring); a claim's evidence is a
@@ -100,11 +101,6 @@ def best_upper_bound(g: Graph, cls: GraphClass) -> int:
         if bound < best:
             best = bound
     return best
-
-
-def _best(claims: tuple[BoundClaim, ...], m: int) -> int:
-    """best_upper_bound from claims already found for a graph with m edges."""
-    return min(min(c.bound for c in claims), m)
 
 
 def audit(g: Graph, w: int | None, claims: tuple[BoundClaim, ...]) -> BoundReport:

@@ -5,8 +5,9 @@ orderings: the upper-triangle bits in column order (0,1),(0,2),(1,2),...
 compared lexicographically. Column order matches the graph6 bit layout, so
 the canonical representative also has the lexicographically smallest graph6
 body of its class. Internally the encoding is one integer, the bits read
-MSB-first (``graph._code_from_edges``), so comparing integers compares the
-bit strings.
+MSB-first (the column-order code of ``graph``'s comment, which
+``graph._edges_from_code`` decodes), so comparing integers compares the bit
+strings.
 
 The minimum is found exactly by a depth-first search over vertex orderings.
 Vertex k of the ordering contributes the k bits (0,k),...,(k-1,k), its

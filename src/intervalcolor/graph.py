@@ -186,15 +186,14 @@ def classify(g: Graph) -> GraphClass:
 #
 # A graph6 string is byte n + 63 and then the code, shifted left over up to
 # five zero padding bits to a multiple of six and cut into 6-bit groups,
-# most significant first, each stored as group + 63.
+# most significant first, each stored as group + 63. So the pair at
+# column-order position p, p = j(j-1)/2 + i for the pair (i, j), is bit
+# 32 >> (p % 6) of group p // 6.
 # --------------------------------------------------------------------------
 
 
-def _code_from_edges(n: int, edges: Iterable[tuple[int, int]]) -> int:
-    """The code of distinct edges (i, j), i < j."""
-    top = n * (n - 1) // 2 - 1
-    return sum(1 << (top - j * (j - 1) // 2 - i) for i, j in edges)
-
+# Each 6-bit group as its graph6 byte, group + 63.
+_PRINTABLE = bytes.maketrans(bytes(range(64)), bytes(range(63, 127)))
 
 # The pairs in column order, shared: the column order on n vertices is a
 # prefix of that on more, so bit k of any code, counted from the top, is the
@@ -248,10 +247,12 @@ def parse_graph6(text: str) -> Graph:
 def write_graph6(g: Graph) -> str:
     if not 1 <= g.n <= GRAPH6_MAX_N:
         raise DomainError(f"graph6 short form supports 1..{GRAPH6_MAX_N} vertices, got {g.n}")
-    nbits = g.n * (g.n - 1) // 2
-    groups = (nbits + 5) // 6
-    body = _code_from_edges(g.n, g.edges) << (6 * groups - nbits)
-    return chr(g.n + 63) + "".join(chr((body >> 6 * k & 63) + 63) for k in reversed(range(groups)))
+    n = g.n
+    groups = bytearray((n * (n - 1) // 2 + 5) // 6)
+    for i, j in g.edges:
+        p = j * (j - 1) // 2 + i
+        groups[p // 6] |= 32 >> p % 6
+    return chr(n + 63) + groups.translate(_PRINTABLE).decode()
 
 
 def parse_edge_list(text: str) -> Graph:

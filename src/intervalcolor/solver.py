@@ -188,7 +188,11 @@ The reach tests for colors 1 and t cut nothing in a run for a pair. The
 test for 1 runs at the depths k <= e, where color 1 is on no edge, and there
 e's range is still [1, 1], as no candidate empties a range; so f = e lets
 color 1 be reached up to x <= 1 + D(k, e), a cap row 0 already puts on k.
-Likewise the test for t at the depths k <= f, with f.
+Likewise the test for t at the depths k <= f, with f. In a run without a
+pair, the tests stop once colors 1 and t are both on some edge. So the
+kernel's pass computes where 1 and t can still go only in a run without a
+pair while one of them is on no edge, and otherwise only narrows the
+ranges, which changes no node.
 
 The placements at e and f are forced, so they count no node and check no
 budget, and a run's nodes are its placements on the other edges. These see

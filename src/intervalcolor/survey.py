@@ -15,7 +15,7 @@ from __future__ import annotations
 import csv
 from typing import IO, Iterable, Iterator, NamedTuple
 
-from .bounds import _best, applicable_bounds, audit
+from .bounds import _registry, applicable_bounds, audit
 from .doubling import double_with_certificate
 from .errors import InternalInvariantError
 from .graph import Graph, _domain_fault, classify, write_graph6
@@ -56,8 +56,12 @@ def survey_graph(
     tight: tuple[str, ...] = ()
     doubling_ok: bool | None = None
     if _domain_fault(g, cls.connected) is None:
-        claims = applicable_bounds(g, cls)
-        best = _best(claims, g.m)
+        # Each theorem's id and bound: the row needs no claim.
+        bounds = [(theorem_id, bound) for theorem_id, bound, _ in _registry(g.n, cls, False)]
+        best = g.m
+        for _, bound in bounds:
+            if bound < best:
+                best = bound
         outcome = compute_W(g, limits)
         if outcome.status is SolveStatus.ABORTED:
             w = ABORTED
@@ -66,15 +70,15 @@ def survey_graph(
         else:
             w = outcome.w
             assert w is not None and outcome.witness is not None
-            # best is at most every claim's bound, so only w > best can
-            # violate one; only then is a report built.
-            if w > best and (violations := audit(g, w, claims).violations):
+            # best is at most every bound, so only w > best can violate
+            # one; only then are the claims and their report built.
+            if w > best and (violations := audit(g, w, applicable_bounds(g, cls)).violations):
                 raise InternalInvariantError(
                     f"W={w} for {graph6} violates "
                     + ", ".join(f"{c.theorem_id} (bound {c.bound})" for c in violations)
                 )
             slack = best - w
-            tight = tuple(c.theorem_id for c in claims if c.bound == w)
+            tight = tuple(theorem_id for theorem_id, bound in bounds if bound == w)
             if with_doubling:
                 doubling_ok = double_with_certificate(g, outcome.witness).validation.verdict
     return SurveyRecord(

@@ -1,8 +1,32 @@
-"""Named small graphs used throughout the tests, and corruptions of a coloring."""
+"""Named small graphs used throughout the tests, corruptions of a coloring,
+and the column-order code of an edge set."""
 
 from __future__ import annotations
 
 from intervalcolor import EdgeColoring, Graph
+
+
+def code_from_edges(n: int, edges) -> int:
+    """The column-order code of distinct edges (i, j), i < j (the comment
+    on it in graph.py): pair (i, j) at position j(j-1)/2 + i, read MSB-first
+    as one integer."""
+    top = n * (n - 1) // 2 - 1
+    return sum(1 << (top - j * (j - 1) // 2 - i) for i, j in edges)
+
+
+class ClaimedEdges:
+    """No list of edges, though its ``__len__`` claims ``count`` of them:
+    the kernel's entries must refuse it before they size a buffer by it."""
+
+    def __init__(self, count: int) -> None:
+        self.count = count
+
+    def __len__(self) -> int:
+        return self.count
+
+
+# The most edges a search may plan, INT32_MAX // 3.
+MOST_EDGES = (2**31 - 1) // 3
 
 
 def k1() -> Graph:

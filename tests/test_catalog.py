@@ -18,9 +18,8 @@ from intervalcolor import (
 )
 from intervalcolor import _reference, solver
 from intervalcolor._reference import _min_code_py
-from intervalcolor.graph import _code_from_edges
 from conftest import force_python_path
-from smallgraphs import c4, k3, k4, p4, star
+from smallgraphs import c4, code_from_edges, k3, k4, p4, star
 
 KNOWN_CONNECTED_COUNTS = {1: 1, 2: 1, 3: 2, 4: 6, 5: 21, 6: 112, 7: 853, 8: 11117}  # OEIS A001349
 # sha256 of the n = 8 catalog's graph6 lines joined by newlines; checked
@@ -262,7 +261,7 @@ class TestCatalog:
         graphs += generate_connected_catalog(7)
         assert len(graphs) == 996
         for g in graphs:
-            code = _code_from_edges(g.n, g.edges)
+            code = code_from_edges(g.n, g.edges)
             assert code == _min_code_py(g.n, masks_of(g)), g.edges
 
     def test_deterministic_and_sorted(self):

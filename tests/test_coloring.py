@@ -19,7 +19,7 @@ from intervalcolor import coloring, solver
 from intervalcolor.coloring import _VALID, _report
 from intervalcolor.solver import _native
 from conftest import force_python_path
-from smallgraphs import c4, corruptions, k2, k3, p3
+from smallgraphs import MOST_EDGES, ClaimedEdges, c4, corruptions, k2, k3, p3
 
 
 def c4_cyclic_132() -> EdgeColoring:
@@ -291,6 +291,7 @@ class TestNativeIntervalCheck:
             ((4, ((0, 0), *edges[1:]), colors, 3), not_increasing),  # a loop
             ((4, ((0, 1, 2), *edges[1:]), colors, 3), "edge 0 is not a pair (a, b)"),
             ((4, ((0, 1), (0, 3), (2, 3), (1, 2)), colors, 3), not_increasing),
+            ((4, ClaimedEdges(MOST_EDGES), colors, 3), "edges must be a list or tuple"),
         ):
             with pytest.raises(ValueError) as refused:
                 check(*args)

@@ -29,7 +29,7 @@ from intervalcolor.coloring import _VALID
 from intervalcolor.doubling import CrossEdge, MatchingEdge
 from intervalcolor.graph import _PAIRS
 from conftest import force_python_path
-from smallgraphs import c4, corruptions, k2, k3, k4, p3, two_k2
+from smallgraphs import MOST_EDGES, ClaimedEdges, c4, corruptions, k2, k3, k4, p3, two_k2
 
 
 class TestDoubleGraph:
@@ -567,6 +567,7 @@ class TestNativeDouble:
             ((4, ((0, 0), *edges[1:]), colors, 3), not_increasing),  # a loop
             ((4, ((0, 1, 2), *edges[1:]), colors, 3), "edge 0 is not a pair (a, b)"),
             ((4, (), (), 1), out_of_range),  # no edge
+            ((4, ClaimedEdges(MOST_EDGES), colors, 3), "edges must be a list or tuple"),
         ):
             with pytest.raises(ValueError) as refused:
                 double(*args)

@@ -24,13 +24,12 @@ from intervalcolor.graph import (
     EDGE_LIST_MAX_N,
     GRAPH6_MAX_N,
     _PAIRS,
-    _code_from_edges,
     _edges_from_code,
     _index_lists,
     _index_py,
 )
 from conftest import force_python_path
-from smallgraphs import c4, k1, k2, k3, two_k2
+from smallgraphs import MOST_EDGES, ClaimedEdges, c4, code_from_edges, k1, k2, k3, two_k2
 
 
 class TestGraphConstruction:
@@ -431,6 +430,7 @@ class TestNativeClassify:
             (3, ((0, 3),), "classify: edge 0 has an end outside [0, 3)"),
             (3, [[0, 1], (1, True)], "classify: edge 1 has an end that is not an int"),
             (3, range(2), "classify: edges must be a list or tuple"),
+            (3, ClaimedEdges(MOST_EDGES), "classify: edges must be a list or tuple"),
             (0, (), "classify: n out of range"),
         )
         for classify_of in (solver._native().classify, _reference.classify):
@@ -443,13 +443,15 @@ class TestNativeClassify:
 
 
 class TestColumnCode:
+    # code_from_edges, the reference, reads the code straight from its
+    # definition in graph.py's comment.
     def test_decoding_inverts_encoding_in_column_order(self):
         rng = random.Random(62)
         for n in range(1, GRAPH6_MAX_N + 1):
             nbits = n * (n - 1) // 2
             for code in (0, (1 << nbits) - 1, *(rng.getrandbits(nbits) for _ in range(20))):
                 edges = _edges_from_code(n, code)
-                assert _code_from_edges(n, edges) == code, (n, code)
+                assert code_from_edges(n, edges) == code, (n, code)
                 assert list(edges) == sorted(edges, key=lambda e: (e[1], e[0]))
                 assert all(e is _PAIRS[e[1]][e[0]] for e in edges)
 
@@ -508,6 +510,22 @@ class TestGraph6:
     def test_write_rejects_oversize(self):
         with pytest.raises(DomainError, match="62"):
             write_graph6(Graph(63, ()))
+
+    def test_write_matches_networkx(self, catalogs):
+        # Every graph of the n <= 7 catalogs, and seeded random graphs of
+        # every size the short form takes, from empty to complete.
+        nx = pytest.importorskip("networkx")
+        rng = random.Random(6)
+        graphs = [g for n in range(1, 7) for g in catalogs[n]] + list(generate_connected_catalog(7))
+        for n in range(1, GRAPH6_MAX_N + 1):
+            for p in (0.0, 0.1, 0.5, 0.9, 1.0):
+                pairs = [(i, j) for j in range(n) for i in range(j) if rng.random() < p]
+                graphs.append(Graph(n, pairs))
+        for g in graphs:
+            theirs = nx.Graph()
+            theirs.add_nodes_from(range(g.n))
+            theirs.add_edges_from(g.edges)
+            assert write_graph6(g) == nx.to_graph6_bytes(theirs, header=False).decode().strip(), g
 
 
 class TestEdgeListFormat:

@@ -55,7 +55,8 @@ from conftest import force_python_path
 from exact_cover import interval_colorable
 from oracle import brute_force_W
 from smallgraphs import (
-    c4, complete_bipartite, cycle, hypercube, k2, k3, k4, k5, p3, p4, star, two_k2
+    MOST_EDGES, ClaimedEdges, c4, complete_bipartite, cycle, hypercube, k2, k3, k4, k5, p3, p4,
+    star, two_k2,
 )
 
 
@@ -1284,12 +1285,9 @@ class TestNativeKernel:
         # Edges, vertex count and max_m as the search reads them to plan,
         # on both twins, with the same message: the twin reads the edges as
         # the kernel does, not as Graph, which would orient, sort and
-        # deduplicate them. Past INT32_MAX // 3 edges both raise
-        # MemoryError before they read one.
-        class Huge:
-            def __len__(self):
-                return (2**31 - 1) // 3 + 1
-
+        # deduplicate them. Past MOST_EDGES edges both raise MemoryError
+        # before they read one; at that bound both refuse edges that are
+        # not an exact list or tuple before sizing a buffer by them.
         for search in (_native().search, _reference.search):
             for n, bad, message in MALFORMED_EDGES:
                 with pytest.raises(ValueError) as refused:
@@ -1299,7 +1297,10 @@ class TestNativeKernel:
                 search(4, c4().edges, -1, 3, 1, 0)
             for max_m in (0, DISTANCE_MAX_M):
                 with pytest.raises(MemoryError):
-                    search(4, Huge(), max_m, 3, 1, 0)
+                    search(4, ClaimedEdges(MOST_EDGES + 1), max_m, 3, 1, 0)
+                with pytest.raises(ValueError) as refused:
+                    search(4, ClaimedEdges(MOST_EDGES), max_m, 3, 1, 0)
+                assert str(refused.value) == "search: edges must be a list or tuple", search
 
     def test_agrees_on_both_sides_of_the_distance_threshold(self):
         # Paths of DISTANCE_MAX_M and DISTANCE_MAX_M + 1 edges: the first

@@ -64,21 +64,29 @@ class TestSurveyRecords:
         with pytest.raises(InternalInvariantError, match="T1_triangle_free"):
             survey_graph(p3())
 
-    def test_one_claims_walk_per_graph(self, catalogs, monkeypatch):
-        # The survey's own claims give its best bound; compute_W takes its
-        # cutoff from the registry without building claims.
-        walks = []
-        walk = bounds.applicable_bounds
+    def test_builds_no_claim_within_the_bounds(self, catalogs, monkeypatch):
+        # The row's best bound, slack and tight theorems come from the
+        # registry's (id, bound) pairs; a claim is built only to report a
+        # violation (test_w_above_a_bound_is_a_defect).
+        def refuse(*args):
+            raise AssertionError("the survey built a BoundClaim")
 
-        def counted(g, cls, planar_asserted=False):
-            walks.append(g)
-            return walk(g, cls, planar_asserted)
+        monkeypatch.setattr(bounds, "BoundClaim", refuse)
+        # Every row still solves, and every colorable row still builds its
+        # certificate, whose objects a caller may keep.
+        calls = []
+        for name in ("compute_W", "double_with_certificate"):
+            def counted(*args, call=getattr(survey, name), name=name):
+                calls.append(name)
+                return call(*args)
 
-        monkeypatch.setattr(survey, "applicable_bounds", counted)
-        monkeypatch.setattr(bounds, "applicable_bounds", counted)
-        records = list(run_survey(catalogs[4]))
-        assert len(walks) == len(records) == 6
+            monkeypatch.setattr(survey, name, counted)
+        records = list(run_survey(catalogs[4], with_doubling=True))
         assert [r.best_bound for r in records] == [3, 3, 4, 3, 4, 4]
+        colorable = sum(isinstance(r.w, int) for r in records)
+        assert calls.count("compute_W") == 6 and calls.count("double_with_certificate") == colorable
+        with pytest.raises(AssertionError, match="built a BoundClaim"):
+            survey.applicable_bounds(k2(), survey.classify(k2()))
 
     def test_catalog_n4_all_sound(self, catalogs):
         records = list(run_survey(catalogs[4], with_doubling=True))
