@@ -106,7 +106,8 @@ def _plan_and_harvest(g: Graph, max_m: int) -> tuple[_Plan, list[tuple[int, ...]
 
     # Twins have equal open neighbourhoods (x, y apart) or equal closed ones
     # (x, y adjacent). No open one equals a closed one (N(w) = N[v] would put
-    # v in N(w) but w outside N[v]), so one dict groups both.
+    # v in N(w) but w outside N[v]), so one dict groups both, as one hash
+    # table does in the kernel's make_plan.
     groups: dict[tuple[int, ...], list[int]] = {}
     for v, nbrs in enumerate(adjacency):
         i = bisect.bisect(nbrs, v)

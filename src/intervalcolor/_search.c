@@ -37,24 +37,25 @@
  * automorphism: i is the first edge it moves and j the edge it sends onto i,
  * step 1 where they share a vertex. Twins x, y have equal open
  * neighbourhoods N(x) = N(y) or equal closed ones N[x] = N[y]: the 2n
- * neighbourhoods are sorted by their entries, each read in place from the
- * adjacency, and each run of equal ones is a class, so memory stays linear
- * in n + m. Each twin after the first of its class in BFS order is swapped
- * with the twin before it and with the first, 2c - 3 swaps in a class of
- * c; a swap's first moved edge k, the earliest edge at x or y other than
- * xy, gives the edge j that receives it the floor (k, 1). For m <= max_m,
- * where the degrees halve, dist holds D(e, f) at e * m + f in BFS positions
- * and longest is its largest entry; otherwise there is no matrix.
- * D(e, f) is the cheapest path from edge e to edge f, a step between two
- * edges that share a vertex v costing deg(v) - 1, and D(e, e) = 0. A
- * Dijkstra from vertex u gives walk(u, v), the cheapest walk from u to v
- * with each vertex on it (ends included) costing deg - 1, and D(e, f) for
- * e != f is the least walk from an end of e to an end of f. With the
- * matrix, the harvest of _reference._harvest adds the automorphisms it
+ * neighbourhoods, each read in place from the adjacency, are hashed into
+ * one table in vertex order, and one that meets an equal one there joins
+ * its class, named by its least vertex (find_or_add), so memory and time
+ * stay linear in n + m. Each twin after the first of its class in BFS
+ * order is swapped with the twin before it and with the first, 2c - 3
+ * swaps in a class of c; a swap's first moved edge k, the earliest edge at
+ * x or y other than xy, gives the edge j that receives it the floor (k, 1).
+ * For m <= max_m, where the degrees halve, dist holds D(e, f) at
+ * e * m + f in BFS positions and longest is its largest entry; otherwise
+ * there is no matrix. D(e, f) is the cheapest path from edge e to edge f,
+ * a step between two edges that share a vertex v costing deg(v) - 1, and
+ * D(e, e) = 0. A Dijkstra from vertex u gives walk(u, v), the cheapest walk
+ * from u to v with each vertex on it (ends included) costing deg - 1, and
+ * D(e, f) for e != f is the least walk from an end of e to an end of f. With
+ * the matrix, the harvest of _reference._harvest adds the automorphisms it
  * finds level by level down the BFS vertex order, pruned by degree, walk
- * total and walk, within HARVEST_WORK walk comparisons, letting Python
- * handle signals every HARVEST_POLL; edge 0's orbit is taken under them and
- * the twin swaps together.
+ * total and walk, within HARVEST_WORK walk comparisons, letting Python handle
+ * signals every HARVEST_POLL; edge 0's orbit is taken under them and the twin
+ * swaps together.
  *
  * top is then capped at m and at the plan's ceiling, above which no layer
  * has an interval coloring: 0 where the degrees do not halve, else
@@ -622,10 +623,11 @@ static long long path_ceiling(Py_ssize_t n, Py_ssize_t m, const long long *ends,
 /* A vertex v's open or closed neighbourhood of size entries, read in place
  * from v's increasing neighbours nbr with v itself at slot: entry i is
  * nbr[i] below slot, v at slot and nbr[i - 1] above it. N(v) has slot
- * size, past its last entry. */
+ * size, past its last entry. key mixes its entries in order (mix). */
 typedef struct {
     const Py_ssize_t *nbr;
     Py_ssize_t size, slot, v;
+    uint64_t key;
 } Hood;
 
 static Py_ssize_t entry(const Hood *h, Py_ssize_t i)
@@ -633,24 +635,48 @@ static Py_ssize_t entry(const Hood *h, Py_ssize_t i)
     return i < h->slot ? h->nbr[i] : i == h->slot ? h->v : h->nbr[i - 1];
 }
 
-/* Neighbourhoods by size and entries: 0 for equal ones. */
-static int by_entries(const Hood *p, const Hood *q)
+/* Whether two neighbourhoods have the same size and entries. */
+static int same_entries(const Hood *p, const Hood *q)
 {
     if (p->size != q->size)
-        return p->size < q->size ? -1 : 1;
-    for (Py_ssize_t i = 0; i < p->size; i++) {
-        Py_ssize_t a = entry(p, i), b = entry(q, i);
-        if (a != b)
-            return a < b ? -1 : 1;
-    }
-    return 0;
+        return 0;
+    for (Py_ssize_t i = 0; i < p->size; i++)
+        if (entry(p, i) != entry(q, i))
+            return 0;
+    return 1;
 }
 
-static int by_hood(const void *x, const void *y)
+/* The key of a neighbourhood whose entries so far have the key key, with
+ * the entry x after them: SplitMix64's finaliser, a bijection of 64-bit
+ * words in which every output bit depends on every input bit. */
+static uint64_t mix(uint64_t key, Py_ssize_t x)
 {
-    const Hood *p = x, *q = y;
-    int order = by_entries(p, q);
-    return order ? order : (p->v > q->v) - (p->v < q->v);
+    uint64_t z = key + (uint64_t)x;
+    z = (z ^ z >> 30) * 0xBF58476D1CE4E5B9u;
+    z = (z ^ z >> 27) * 0x94D049BB133111EBu;
+    return z ^ z >> 31;
+}
+
+/* The neighbourhood in table, open-addressed with 2^bits slots, that
+ * equals hood[h], or else hood[h], added to it. A slot holds 1 + an index
+ * into hood, 0 where free, and the table is at most half full. The probe
+ * starts at the slot the key's top bits name and steps to the next, and
+ * compares entries only where the keys agree, so classes stay exact under
+ * a key collision. No numbering or structure of the graph lengthens the
+ * probes: every bit of the key depends on every bit of every entry, so the
+ * keys spread as at random and a probe takes under three slots on average.
+ * Only neighbourhoods built by a search for colliding 64-bit keys could
+ * make it pass many of one key. */
+static const Hood *find_or_add(Py_ssize_t *table, int bits, const Hood *hood, Py_ssize_t h)
+{
+    size_t last = ((size_t)1 << bits) - 1, at = hood[h].key >> (64 - bits);
+    for (; table[at]; at = (at + 1) & last) {
+        const Hood *other = &hood[table[at] - 1];
+        if (other->key == hood[h].key && same_entries(other, &hood[h]))
+            return other;
+    }
+    table[at] = h + 1;
+    return &hood[h];
 }
 
 /* The root of v's tree in a union-find forest, halving the path to it. */
@@ -932,6 +958,10 @@ static int make_plan(Scratch *s, Py_ssize_t n, PyObject *edges_obj, Py_ssize_t m
     Py_ssize_t *edge_root = take(s, m, 1, sizeof(Py_ssize_t));
     Py_ssize_t *image = take(s, m, 1, sizeof(Py_ssize_t));
     Hood *hood = take(s, n, 2, sizeof(Hood)); /* each vertex's two */
+    int bits = 2; /* the table of the twin classes has 2^bits >= 4n slots */
+    while ((Py_ssize_t)1 << bits < 4 * n)
+        bits++;
+    Py_ssize_t *table = take(s, (size_t)1 << bits, 1, sizeof(Py_ssize_t));
     /* The floors, at most one per twin swap (2n of them) and n - 1
      * harvested, as edge and code in the order found, then the codes sorted
      * by edge. */
@@ -955,22 +985,31 @@ static int make_plan(Scratch *s, Py_ssize_t n, PyObject *edges_obj, Py_ssize_t m
     }
 
     /* Twins: vertices with equal open or equal closed neighbourhoods. No
-     * open one equals a closed one (_reference._plan_py), so each run of
-     * equal neighbourhoods in sorted order is one class, named here by its
-     * least vertex, the run's first. A graph whose degrees do not halve
-     * gets no class, and so no rule: its ceiling, 0, leaves no layer. */
-    Py_ssize_t hoods = halved ? 2 * n : 0;
-    for (Py_ssize_t v = 0; v < n; v++) {
+     * open one equals a closed one (_reference._plan_py), so the 2n of them
+     * are grouped in one table, in one pass over the vertices in index
+     * order, as _plan_py's dict groups them: the first of a class to come,
+     * its least vertex, stays in the table and names the class. A graph
+     * whose degrees do not halve gets no class, and so no rule: its
+     * ceiling, 0, leaves no layer. */
+    for (Py_ssize_t v = 0; halved && v < n; v++) {
+        const Py_ssize_t *row = nbr + start[v];
         Py_ssize_t size = start[v + 1] - start[v], slot = 0;
-        while (slot < size && nbr[start[v] + slot] < v)
-            slot++;
-        hood[2 * v] = (Hood){nbr + start[v], size, size, v};
-        hood[2 * v + 1] = (Hood){nbr + start[v], size + 1, slot, v};
+        uint64_t open = 0, closed;
+        for (; slot < size && row[slot] < v; slot++)
+            open = mix(open, row[slot]);
+        closed = mix(open, v);
+        for (Py_ssize_t i = slot; i < size; i++) {
+            open = mix(open, row[i]);
+            closed = mix(closed, row[i]);
+        }
+        hood[2 * v] = (Hood){row, size, size, v, open};
+        hood[2 * v + 1] = (Hood){row, size + 1, slot, v, closed};
+        for (Py_ssize_t h = 2 * v; h < 2 * v + 2; h++) {
+            Py_ssize_t lead = find_or_add(table, bits, hood, h)->v;
+            if (lead != v)
+                group[v] = group[lead] = lead;
+        }
     }
-    qsort(hood, hoods, sizeof(Hood), by_hood);
-    for (Py_ssize_t lo = 0, hi; lo < hoods; lo = hi)
-        for (hi = lo + 1; hi < hoods && !by_entries(&hood[hi], &hood[lo]); hi++)
-            group[hood[hi].v] = group[hood[lo].v] = hood[lo].v;
     /* The twin swaps: each twin after the first of its class in BFS order,
      * with the twin just before it and with the first (_reference._plan_py),
      * lead[c] being class c's first and latest[c] its last so far. The
